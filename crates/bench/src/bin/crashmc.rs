@@ -106,13 +106,6 @@ fn is_power_cut(e: &SimError) -> bool {
     )
 }
 
-fn attach(layer: &mut Layer, leveler: SwLeveler) {
-    match layer {
-        Layer::Ftl(l) => l.attach_swl(leveler),
-        Layer::Nftl(l) => l.attach_swl(leveler),
-    }
-}
-
 /// What the host believes about its own data across the crash.
 #[derive(Default)]
 struct HostModel {
@@ -224,7 +217,7 @@ fn check_cut_point(
                     if !fresh_enough {
                         stats.stale_checkpoints += 1;
                     }
-                    attach(&mut layer, leveler);
+                    layer.attach_swl(leveler);
                 }
                 Err(_) => stats.recovery_errors += 1,
             },
@@ -232,7 +225,7 @@ fn check_cut_point(
                 if saved_ecnts.len() > 1 || (!torn && !saved_ecnts.is_empty()) {
                     stats.stale_checkpoints += 1;
                 }
-                attach(&mut layer, SwLeveler::new(BLOCKS, swl_config()).unwrap());
+                layer.attach_swl(SwLeveler::new(BLOCKS, swl_config()).unwrap());
             }
             Err(_) => stats.recovery_errors += 1,
         }

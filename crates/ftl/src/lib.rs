@@ -14,9 +14,14 @@
 //!   0.2 % of capacity (configurable).
 //! - **Dynamic wear leveling** — the allocator always takes the free block
 //!   with the lowest erase count.
-//! - **Static wear leveling** — optional [`swl_core::SwLeveler`] integration: the FTL
-//!   implements [`swl_core::SwlCleaner`], reports every erase to
-//!   SWL-BETUpdate and lets SWL-Procedure force cold blocks through GC.
+//! - **Static wear leveling** — optional [`swl_core::SwLeveler`] integration:
+//!   [`PageMappedFtl`] is the [`PageMapping`] under the shared
+//!   [`nand::SwlHost`] shell, which reports every erase to SWL-BETUpdate and
+//!   lets SWL-Procedure force cold blocks through GC.
+//!
+//! The free list, block retirement and cause-attributed erases come from the
+//! shared [`nand::BlockPool`]; this crate holds only what is particular to
+//! page mapping.
 //!
 //! ## Example
 //!
@@ -41,13 +46,18 @@
 #![warn(missing_docs)]
 
 mod config;
-mod counters;
 mod error;
 pub mod merge;
 mod snapshot;
 mod translation;
 
 pub use config::{FtlConfig, SnapshotConfig};
-pub use counters::FtlCounters;
+/// What the FTL did, split by cause — the raw material for the paper's
+/// Figures 6 and 7 (extra erases / extra live-page copyings due to SWL).
+///
+/// The definition is shared with `nftl` and `flash-sim` (it lives in
+/// `flash-telemetry`, so the metrics aggregator can rebuild the same totals
+/// from a replayed event log); the NFTL-only merge counts stay zero here.
+pub use flash_telemetry::FlashCounters as FtlCounters;
 pub use error::FtlError;
-pub use translation::{PageMappedFtl, SnapshotAudit};
+pub use translation::{PageMappedFtl, PageMapping, SnapshotAudit};

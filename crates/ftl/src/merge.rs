@@ -6,7 +6,7 @@
 //! `merge.rs`, `stream.rs`): each side of the merge is a cheap cursor over
 //! its mapping set, and the combinator walks both cursors in LBA order,
 //! deciding overlaps one logical page at a time. The FTL's online merge
-//! ([`crate::PageMappedFtl::merge_step`]), the offline merge, and the
+//! ([`crate::PageMapping::merge_step`]), the offline merge, and the
 //! bit-for-bit merge verifier in the test suite all drive the same
 //! [`MergeStream`].
 

@@ -1,12 +1,10 @@
 //! The page-mapping translation layer: allocator, cleaner, SWL hook.
 
-use flash_telemetry::{Cause, Event, NullSink, Sink, SpanKind, SpanTracker};
+use flash_telemetry::{Cause, Event, NullSink, Sink, SpanKind};
 use hotid::MultiHashIdentifier;
-use nand::{FreeBlockLadder, NandDevice, PageAddr, SpareArea, VictimIndex};
-use swl_core::{LevelOutcome, SwLeveler, SwlCleaner, SwlConfig};
+use nand::{BlockPool, Mapping, NandDevice, PageAddr, ShellKey, SpareArea, SwlHost, VictimIndex};
 
 use crate::config::FtlConfig;
-use crate::counters::FtlCounters;
 use crate::error::FtlError;
 use crate::merge::{MappingStream, MergeSource, MergeStream, UNMAPPED};
 use crate::snapshot::{self, EpochRanks, MergeState, SnapBook, SnapEntry};
@@ -18,11 +16,14 @@ enum Stream {
     Hot,
 }
 
-/// Core FTL state. Split from [`PageMappedFtl`] so the SW Leveler can borrow
-/// it as a [`SwlCleaner`] while the leveler itself lives next to it.
+/// The page-level mapping: translation table, write frontiers, greedy
+/// victim choice and (optionally) copy-on-write snapshots, over the shared
+/// [`BlockPool`]. Runs under [`SwlHost`] as [`PageMappedFtl`]; the verbs only
+/// this mapping has (trim, snapshots, merge) are its inherent methods.
 #[derive(Debug)]
-pub(crate) struct Inner<S: Sink = NullSink> {
-    device: NandDevice<S>,
+pub struct PageMapping<S: Sink = NullSink> {
+    /// The chip, the free ladder and free/retired membership.
+    pool: BlockPool<S>,
     config: FtlConfig,
     logical_pages: u64,
     /// Logical page → flat physical page index (`UNMAPPED` when unmapped).
@@ -33,22 +34,11 @@ pub(crate) struct Inner<S: Sink = NullSink> {
     hot_frontier: Option<(u32, u32)>,
     /// On-line hot-data identifier, when separation is enabled.
     hot: Option<MultiHashIdentifier>,
-    /// Free (erased) blocks bucketed by wear; allocation pops the lowest.
-    free: FreeBlockLadder,
-    is_free: Vec<bool>,
     /// Incremental index behind the greedy victim scan.
     victims: VictimIndex,
     /// Cyclic cursor of the greedy victim scan.
     gc_scan: u32,
     free_target: u32,
-    counters: FtlCounters,
-    /// While set, erases and copies are attributed to static wear leveling.
-    in_swl: bool,
-    /// Blocks retired by bad-block management (wear-out under
-    /// `WearPolicy::FailWornBlocks`); never allocated or collected again.
-    retired: Vec<bool>,
-    /// Causal-span bookkeeping (ids + open stack); dormant under `NullSink`.
-    spans: SpanTracker,
     /// First block of the snapshot-manifest reserve (`== blocks` when
     /// snapshots are disabled, so `b >= reserved_base` is the reserve test).
     reserved_base: u32,
@@ -56,8 +46,13 @@ pub(crate) struct Inner<S: Sink = NullSink> {
     snap: Option<SnapBook>,
 }
 
-impl<S: Sink> Inner<S> {
-    fn new(device: NandDevice<S>, config: FtlConfig) -> Result<Self, FtlError> {
+impl<S: Sink> PageMapping<S> {
+    /// Builds the RAM tables over `pool_of(device, data_blocks)`.
+    fn build(
+        device: NandDevice<S>,
+        config: FtlConfig,
+        pool_of: fn(NandDevice<S>, u32) -> BlockPool<S>,
+    ) -> Result<Self, FtlError> {
         let geometry = device.geometry();
         let blocks = geometry.blocks();
         assert!(
@@ -86,72 +81,691 @@ impl<S: Sink> Inner<S> {
             Some(cfg) => {
                 let book = SnapBook::new(cfg, geometry.total_pages() as usize);
                 // Even an empty manifest record must fit one buffer.
-                if SnapBook::record_words(1, std::iter::empty()) > book.buffer_words(geometry.pages_per_block()) {
+                if SnapBook::record_words(1, std::iter::empty())
+                    > book.buffer_words(geometry.pages_per_block())
+                {
                     return Err(FtlError::ManifestFull);
                 }
                 Some(book)
             }
             None => None,
         };
-        let mut free = FreeBlockLadder::new();
-        let mut is_free = vec![true; blocks as usize];
-        for b in 0..data_blocks {
-            free.push(b, device.block(b).erase_count());
-        }
-        for b in data_blocks..blocks {
-            is_free[b as usize] = false;
-        }
         Ok(Self {
             map: vec![UNMAPPED; logical_pages as usize],
-            free,
-            is_free,
+            pool: pool_of(device, data_blocks),
             victims: VictimIndex::new(blocks),
             frontier: None,
             hot_frontier: None,
             hot,
             gc_scan: 0,
             free_target,
-            counters: FtlCounters::default(),
             logical_pages,
-            retired: vec![false; blocks as usize],
-            device,
             config,
-            in_swl: false,
-            spans: SpanTracker::new(),
             reserved_base: data_blocks,
             snap,
         })
     }
 
-    /// Opens a causal span stamped with the device's cumulative busy time.
-    /// Returns the span id, or 0 (which [`Self::span_end`] ignores) when the
-    /// sink is compiled out — the disabled path is two constant branches.
-    fn span_begin(&mut self, kind: SpanKind) -> u64 {
-        if !S::ENABLED {
-            return 0;
+    fn check_lba(&self, lba: u64) -> Result<(), FtlError> {
+        if lba >= self.logical_pages {
+            return Err(FtlError::LbaOutOfRange {
+                lba,
+                logical_pages: self.logical_pages,
+            });
         }
-        let at_ns = self.device.busy_ns();
-        let (id, parent) = self.spans.begin();
-        self.device.sink_mut().event(Event::SpanBegin {
-            id,
-            parent,
-            kind,
-            at_ns,
-        });
-        id
+        Ok(())
     }
 
-    /// Closes span `id`, first closing any descendants an error path left
-    /// open so the emitted stream stays balanced.
-    fn span_end(&mut self, id: u64) {
-        if !S::ENABLED || id == 0 {
-            return;
+    fn trim_page(&mut self, lba: u64) -> Result<(), FtlError> {
+        self.check_lba(lba)?;
+        let entry = self.map[lba as usize];
+        if entry != UNMAPPED {
+            // With snapshots, a pinned page survives the trim (the snapshot
+            // still references it); only the head's reference is dropped.
+            // Trim is advisory and RAM-only either way: a crash before the
+            // page is overwritten can resurrect the mapping at mount.
+            self.release_page(entry)?;
+            self.map[lba as usize] = UNMAPPED;
         }
-        let at_ns = self.device.busy_ns();
-        let Self { spans, device, .. } = self;
-        spans.end(id, |popped| {
-            device.sink_mut().event(Event::SpanEnd { id: popped, at_ns });
+        self.pool.counters.trims += 1;
+        self.pool.emit(Event::HostTrim { lba });
+        Ok(())
+    }
+
+    /// Runs the Cleaner until the free pool meets its target (the paper's
+    /// "free blocks under 0.2 %" trigger).
+    fn ensure_space(&mut self, erased: &mut Vec<u32>) -> Result<(), FtlError> {
+        let mut guard = 0u32;
+        while (self.pool.free_len() as u32) < self.free_target {
+            self.collect_one(Cause::Gc, erased)?;
+            guard += 1;
+            if guard > self.pool.device.geometry().blocks() * 2 {
+                return Err(FtlError::FreeExhausted);
+            }
+        }
+        Ok(())
+    }
+
+    /// Next free page of the stream's frontier, opening a fresh block when
+    /// needed. Hot/cold separation keeps two active blocks; without it
+    /// everything flows through the cold frontier.
+    fn alloc_page(&mut self, stream: Stream) -> Result<PageAddr, FtlError> {
+        let pages_per_block = self.pool.device.geometry().pages_per_block();
+        let frontier = match stream {
+            Stream::Cold => &mut self.frontier,
+            Stream::Hot => &mut self.hot_frontier,
+        };
+        match *frontier {
+            Some((block, page)) if page < pages_per_block => {
+                *frontier = Some((block, page + 1));
+                Ok(PageAddr::new(block, page))
+            }
+            _ => {
+                let closed = frontier.map(|(b, _)| b);
+                let block = self
+                    .pool
+                    .pop_freshest_free()
+                    .ok_or(FtlError::FreeExhausted)?;
+                let frontier = match stream {
+                    Stream::Cold => &mut self.frontier,
+                    Stream::Hot => &mut self.hot_frontier,
+                };
+                *frontier = Some((block, 1));
+                // The closed block becomes a GC candidate and the fresh one
+                // stops being one; keep the victim index in step.
+                if let Some(b) = closed {
+                    self.refresh_victim(b);
+                }
+                self.refresh_victim(block);
+                Ok(PageAddr::new(block, 0))
+            }
+        }
+    }
+
+    /// Programs one page at the stream's frontier, retrying with a remap
+    /// when the device reports an injected program failure: the grown-bad
+    /// frontier block is closed (its valid pages become a normal GC victim,
+    /// and its eventual erase failure retires it) and the write moves to a
+    /// fresh frontier. Terminates because every retry consumes a free block
+    /// and [`Self::alloc_page`] fails once the pool runs dry.
+    fn program_remap(
+        &mut self,
+        stream: Stream,
+        data: u64,
+        lba: u64,
+        epoch: u32,
+    ) -> Result<PageAddr, FtlError> {
+        loop {
+            let dst = self.alloc_page(stream)?;
+            // Epoch 0 is `STATUS_LIVE`: without snapshots this is exactly
+            // `SpareArea::valid(lba)`.
+            match self
+                .pool
+                .device
+                .program(dst, data, SpareArea::with_status(lba, epoch))
+            {
+                Ok(()) => return Ok(dst),
+                Err(nand::NandError::ProgramFailed { .. }) => {
+                    if self.frontier.map(|(b, _)| b) == Some(dst.block) {
+                        self.frontier = None;
+                    }
+                    if self.hot_frontier.map(|(b, _)| b) == Some(dst.block) {
+                        self.hot_frontier = None;
+                    }
+                    self.refresh_victim(dst.block);
+                }
+                Err(other) => return Err(other.into()),
+            }
+        }
+    }
+
+    /// Drops one mapping-set reference from flat page `p`, device-
+    /// invalidating it (and re-reporting its block to the victim index)
+    /// when it becomes unreferenced. A snapshot-free FTL invalidates
+    /// unconditionally: every mapped page has exactly one reference.
+    fn release_page(&mut self, p: u32) -> Result<(), FtlError> {
+        let gone = match self.snap.as_mut() {
+            Some(book) => book.decref(p),
+            None => true,
+        };
+        if gone {
+            let addr = PageAddr::from_flat_index(&self.pool.device.geometry(), u64::from(p));
+            self.pool.device.invalidate(addr)?;
+            self.refresh_victim(addr.block);
+        }
+        Ok(())
+    }
+
+    /// Re-reports one block to the victim index. Must be called after any
+    /// event that may change the block's GC stats or eligibility: page
+    /// invalidation, erase, retirement, or a frontier opening/closing on it.
+    fn refresh_victim(&mut self, block: u32) {
+        let eligible = self.pool.in_use(block)
+            && block < self.reserved_base
+            && self.frontier.map(|(b, _)| b) != Some(block)
+            && self.hot_frontier.map(|(b, _)| b) != Some(block);
+        let (invalid, valid) = {
+            let blk = self.pool.device.block(block);
+            (blk.invalid_pages(), blk.valid_pages())
+        };
+        self.victims.update(block, eligible, invalid, valid);
+    }
+
+    /// The pre-index linear victim scan, kept as the oracle the incremental
+    /// [`VictimIndex`] is checked against under `debug_assertions`. Pure:
+    /// does not advance `gc_scan`.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    fn reference_select_victim(&self) -> Option<u32> {
+        let blocks = self.pool.device.geometry().blocks();
+        let frontier_block = self.frontier.map(|(b, _)| b);
+        let hot_frontier_block = self.hot_frontier.map(|(b, _)| b);
+        let mut fallback: Option<(u32, u32)> = None; // (invalid, block)
+        for step in 0..blocks {
+            let b = (self.gc_scan + step) % blocks;
+            if !self.pool.in_use(b)
+                || b >= self.reserved_base
+                || Some(b) == frontier_block
+                || Some(b) == hot_frontier_block
+            {
+                continue;
+            }
+            let blk = self.pool.device.block(b);
+            let invalid = blk.invalid_pages();
+            if invalid == 0 {
+                continue;
+            }
+            if invalid > blk.valid_pages() {
+                return Some(b);
+            }
+            if fallback.is_none_or(|(best, _)| invalid > best) {
+                fallback = Some((invalid, b));
+            }
+        }
+        fallback.map(|(_, b)| b)
+    }
+
+    /// Greedy cost/benefit victim selection, cyclic from `gc_scan`: the
+    /// first block whose invalid pages (benefit) outnumber its valid pages
+    /// (cost); if none qualifies, the block with the most invalid pages.
+    /// Answered by the incremental [`VictimIndex`] instead of a linear scan.
+    fn select_victim(&mut self) -> Result<u32, FtlError> {
+        let blocks = self.pool.device.geometry().blocks();
+        let choice = self.victims.select(self.gc_scan);
+        debug_assert_eq!(
+            choice,
+            self.reference_select_victim(),
+            "victim index diverged from the linear-scan oracle"
+        );
+        if let Some(b) = choice {
+            self.gc_scan = (b + 1) % blocks;
+            return Ok(b);
+        }
+        // Last resort: a frontier itself may be the only block holding
+        // invalid pages (tiny chips, trim-heavy workloads). Close it and
+        // recycle it.
+        if let Some(b) = self.frontier.map(|(b, _)| b) {
+            if self.pool.device.block(b).invalid_pages() > 0 {
+                self.frontier = None;
+                self.refresh_victim(b);
+                self.gc_scan = (b + 1) % blocks;
+                return Ok(b);
+            }
+        }
+        if let Some(b) = self.hot_frontier.map(|(b, _)| b) {
+            if self.pool.device.block(b).invalid_pages() > 0 {
+                self.hot_frontier = None;
+                self.refresh_victim(b);
+                self.gc_scan = (b + 1) % blocks;
+                return Ok(b);
+            }
+        }
+        Err(FtlError::NoReclaimableSpace)
+    }
+
+    /// One GC episode under a `gc` span: victim pick, relocation, erase.
+    /// When SWL's Cleaner runs GC to refill the pool mid-pass, the span
+    /// nests under the `swl` span and the episode's *device time* is still
+    /// charged to `gc` (innermost-span attribution), while its erases and
+    /// copies are counted against the `cause` the caller passes — SWL's.
+    fn collect_one(&mut self, cause: Cause, erased: &mut Vec<u32>) -> Result<(), FtlError> {
+        self.spanned(SpanKind::Gc, |m| {
+            let victim = m.select_victim()?;
+            m.pool.counters.gc_collections += 1;
+            if S::ENABLED {
+                let (invalid, valid) = {
+                    let blk = m.pool.device.block(victim);
+                    (blk.invalid_pages(), blk.valid_pages())
+                };
+                let free_depth = m.pool.free_len() as u32;
+                let candidates = m.victims.candidates();
+                m.pool.emit(Event::GcPick {
+                    key: victim,
+                    invalid,
+                    valid,
+                    free_depth,
+                    candidates,
+                });
+            }
+            m.relocate_and_erase(victim, cause, erased)
+        })
+    }
+
+    /// Copies every valid page out of `victim`, erases it and returns it to
+    /// the free pool, all charged to `cause`. Erases are appended to `erased`
+    /// for SWL-BETUpdate.
+    fn relocate_and_erase(
+        &mut self,
+        victim: u32,
+        cause: Cause,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), FtlError> {
+        let result = self.relocate_and_erase_inner(victim, cause, erased);
+        if result.is_err() {
+            // A failed relocation leaves the victim with changed page stats
+            // (pages invalidated, a frontier possibly closed) that the happy
+            // path would have re-reported from erase_and_free. Refresh
+            // here so a caller that survives the error (e.g. out-of-space
+            // during GC) still sees the index in lock-step with the oracle.
+            self.refresh_victim(victim);
+        }
+        result
+    }
+
+    fn relocate_and_erase_inner(
+        &mut self,
+        victim: u32,
+        cause: Cause,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), FtlError> {
+        if self.frontier.map(|(b, _)| b) == Some(victim) {
+            // Only reachable through the SW Leveler (regular GC skips the
+            // frontiers); abandon the remaining free pages of the frontier.
+            self.frontier = None;
+        }
+        if self.hot_frontier.map(|(b, _)| b) == Some(victim) {
+            self.hot_frontier = None;
+        }
+        let geometry = self.pool.device.geometry();
+        for page in 0..geometry.pages_per_block() {
+            if !self.pool.device.block(victim).page_state(page).is_valid() {
+                continue;
+            }
+            let src = PageAddr::new(victim, page);
+            let content = self.pool.device.read(src)?;
+            let lba = content
+                .spare
+                .lba()
+                .ok_or(FtlError::CorruptSpare { addr: src })?;
+            // GC survivors are cold by construction: they outlived their
+            // whole block. The spare status (snapshot epoch) rides along, so
+            // a relocated page still resolves into the same mapping sets.
+            let epoch = content.spare.status();
+            let dst = self.program_remap(Stream::Cold, content.data, lba, epoch)?;
+            self.pool.device.invalidate(src)?;
+            let src_flat = src.flat_index(&geometry) as u32;
+            let dst_flat = dst.flat_index(&geometry) as u32;
+            let Self { map, snap, .. } = self;
+            match snap.as_mut() {
+                Some(book) => {
+                    // A shared page is copied once and re-pinned: every
+                    // mapping set (head, snapshots, pending merge decrefs)
+                    // that referenced the source follows to the copy, and
+                    // the whole refcount transfers.
+                    if map[lba as usize] == src_flat {
+                        map[lba as usize] = dst_flat;
+                    }
+                    for s in &mut book.snaps {
+                        if s.map[lba as usize] == src_flat {
+                            s.map[lba as usize] = dst_flat;
+                        }
+                    }
+                    if let Some(m) = book.merge.as_mut() {
+                        for p in &mut m.pending {
+                            if *p == src_flat {
+                                *p = dst_flat;
+                            }
+                        }
+                    }
+                    book.refs[dst_flat as usize] = book.refs[src_flat as usize];
+                    book.refs[src_flat as usize] = 0;
+                    book.epoch_of[dst_flat as usize] = epoch;
+                }
+                None => map[lba as usize] = dst_flat,
+            }
+            self.pool.record_live_copy(victim, dst.block, cause);
+        }
+        self.erase_and_free(victim, cause, erased)
+    }
+
+    /// Erases `block` (which must hold no valid pages) through the pool —
+    /// freed, or retired if it refuses to erase — and re-reports it to the
+    /// victim index either way.
+    fn erase_and_free(
+        &mut self,
+        block: u32,
+        cause: Cause,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), FtlError> {
+        debug_assert_eq!(self.pool.device.block(block).valid_pages(), 0);
+        self.pool.erase_and_free(block, cause, erased)?;
+        self.refresh_victim(block);
+        Ok(())
+    }
+
+    /// Parses both manifest buffers and restores the epoch lists of the
+    /// newest valid record. Reads go through the device (they pay bus
+    /// latency and count as reads); a torn, partial, or never-committed
+    /// buffer fails its checksum and is ignored. With no valid buffer the
+    /// book stays fresh — which is also the snapshots-never-used state.
+    fn load_manifest(&mut self) -> Result<(), FtlError> {
+        let ppb = self.pool.device.geometry().pages_per_block();
+        let logical_pages = self.logical_pages as usize;
+        let mb = self
+            .snap
+            .as_ref()
+            .expect("snapshot mode")
+            .cfg
+            .manifest_blocks;
+        let mut newest: Option<(u32, snapshot::ManifestRecord)> = None;
+        for buf in 0..2u32 {
+            let mut words = Vec::new();
+            'record: for i in 0..mb {
+                let block = self.reserved_base + buf * mb + i;
+                for page in 0..ppb {
+                    if !self.pool.device.block(block).page_state(page).is_valid() {
+                        break 'record;
+                    }
+                    match self.pool.device.read(PageAddr::new(block, page)) {
+                        Ok(r) => words.push(r.data),
+                        Err(_) => break 'record,
+                    }
+                }
+            }
+            if let Some(record) = snapshot::decode(&words) {
+                if newest.as_ref().is_none_or(|(_, n)| record.seq > n.seq) {
+                    newest = Some((buf, record));
+                }
+            }
+        }
+        if let Some((buf, record)) = newest {
+            let book = self.snap.as_mut().expect("snapshot mode");
+            book.next_buffer = 1 - buf;
+            book.restore(record, logical_pages);
+        }
+        Ok(())
+    }
+
+    /// Writes the book's epoch lists to the standby manifest buffer: erase
+    /// it, program the record, and program the trailing checksum word
+    /// *last* — the checksum is the commit point, so a power cut anywhere
+    /// mid-commit leaves the other buffer's older record in force.
+    /// Manifest erases are deliberately not reported to SWL-BETUpdate (the
+    /// reserve sits outside the leveler's jurisdiction), though they do
+    /// count in the device's erase statistics.
+    fn commit_manifest(&mut self) -> Result<(), FtlError> {
+        let ppb = self.pool.device.geometry().pages_per_block();
+        let (words, mb, next) = {
+            let book = self.snap.as_ref().expect("snapshot mode");
+            let words = book.encode();
+            debug_assert!(
+                words.len() <= book.buffer_words(ppb),
+                "snapshot verbs pre-check manifest capacity"
+            );
+            (words, book.cfg.manifest_blocks, book.next_buffer)
+        };
+        let base = self.reserved_base + next * mb;
+        for b in base..base + mb {
+            self.pool.device.erase_as(b, Cause::External)?;
+        }
+        for (i, &w) in words.iter().enumerate() {
+            let addr = PageAddr::new(base + i as u32 / ppb, i as u32 % ppb);
+            self.pool
+                .device
+                .program(addr, w, SpareArea::metadata(snapshot::MANIFEST_STATUS))?;
+        }
+        let book = self.snap.as_mut().expect("snapshot mode");
+        book.seq += 1;
+        book.next_buffer = 1 - book.next_buffer;
+        Ok(())
+    }
+
+    /// Would a manifest record with these epoch-list shapes fit one buffer?
+    fn manifest_fits(&self, head_len: usize, snap_lens: impl Iterator<Item = usize>) -> bool {
+        let book = self.snap.as_ref().expect("snapshot mode");
+        SnapBook::record_words(head_len, snap_lens)
+            <= book.buffer_words(self.pool.device.geometry().pages_per_block())
+    }
+
+    fn create_snapshot(&mut self, id: u64) -> Result<(), FtlError> {
+        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
+        if book.merge.is_some() {
+            return Err(FtlError::MergeInProgress);
+        }
+        if book.snap_index(id).is_some() {
+            return Err(FtlError::SnapshotExists { id });
+        }
+        let head_len = book.head_epochs.len();
+        if !self.manifest_fits(
+            head_len + 1,
+            book.snaps.iter().map(|s| s.epochs.len()).chain([head_len]),
+        ) {
+            return Err(FtlError::ManifestFull);
+        }
+        let Self { snap, map, .. } = self;
+        let book = snap.as_mut().expect("snapshot mode");
+        let epoch = book.next_epoch();
+        // The snapshot inherits the head's exact map (one new reference per
+        // page) and its exact epoch history; the head moves to a fresh
+        // epoch, so post-snapshot writes never resolve into the snapshot.
+        for &p in map.iter() {
+            if p != UNMAPPED {
+                book.incref(p);
+            }
+        }
+        book.snaps.push(SnapEntry {
+            id,
+            epochs: book.head_epochs.clone(),
+            map: map.clone(),
         });
+        book.head_epochs.insert(0, epoch);
+        self.commit_manifest()
+    }
+
+    fn delete_snapshot(&mut self, id: u64) -> Result<(), FtlError> {
+        let book = self.snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
+        if book.merge.is_some() {
+            return Err(FtlError::MergeInProgress);
+        }
+        let idx = book
+            .snap_index(id)
+            .ok_or(FtlError::UnknownSnapshot { id })?;
+        let s = book.snaps.remove(idx);
+        // Commit first: past the commit point the snapshot is gone from the
+        // manifest, and a page it alone pinned is an orphan. A crash before
+        // the invalidations below is harmless — mount cleanup applies the
+        // same invalidations to every orphan it finds.
+        self.commit_manifest()?;
+        for &p in &s.map {
+            if p != UNMAPPED {
+                self.release_page(p)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Rolls the head back to snapshot `id` (a writable clone of it): the
+    /// head adopts the snapshot's map and history under a fresh epoch, and
+    /// every page only the old head referenced is released.
+    fn clone_snapshot(&mut self, id: u64) -> Result<(), FtlError> {
+        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
+        if book.merge.is_some() {
+            return Err(FtlError::MergeInProgress);
+        }
+        let idx = book
+            .snap_index(id)
+            .ok_or(FtlError::UnknownSnapshot { id })?;
+        if !self.manifest_fits(
+            book.snaps[idx].epochs.len() + 1,
+            book.snaps.iter().map(|s| s.epochs.len()),
+        ) {
+            return Err(FtlError::ManifestFull);
+        }
+        let Self { snap, map, .. } = self;
+        let book = snap.as_mut().expect("snapshot mode");
+        let epoch = book.next_epoch();
+        let new_map = book.snaps[idx].map.clone();
+        for &p in &new_map {
+            if p != UNMAPPED {
+                book.incref(p);
+            }
+        }
+        book.head_epochs = snapshot::prepend_epoch(epoch, &book.snaps[idx].epochs);
+        let old_map = std::mem::replace(map, new_map);
+        self.commit_manifest()?;
+        for &p in &old_map {
+            if p != UNMAPPED {
+                self.release_page(p)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens an online merge of snapshot `id` into the head. The manifest
+    /// commit here is the origin-side atomic point: until `merge_commit`'s
+    /// own commit lands, a crash resolves to the origin plus post-begin
+    /// acked writes (the merge steps never touch flash), afterwards to the
+    /// merged device — never a hybrid.
+    fn begin_merge(&mut self, id: u64) -> Result<(), FtlError> {
+        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
+        if book.merge.is_some() {
+            return Err(FtlError::MergeInProgress);
+        }
+        if book.snap_index(id).is_none() {
+            return Err(FtlError::UnknownSnapshot { id });
+        }
+        if !self.manifest_fits(
+            book.head_epochs.len() + 1,
+            book.snaps.iter().map(|s| s.epochs.len()),
+        ) {
+            return Err(FtlError::ManifestFull);
+        }
+        let book = self.snap.as_mut().expect("snapshot mode");
+        let epoch = book.next_epoch();
+        book.head_epochs.insert(0, epoch);
+        self.commit_manifest()?;
+        let book = self.snap.as_mut().expect("snapshot mode");
+        book.merge = Some(MergeState {
+            snap_id: id,
+            epoch,
+            cursor: 0,
+            pending: Vec::new(),
+        });
+        Ok(())
+    }
+
+    /// Advances the online merge across the next `max_lbas` logical pages,
+    /// overlaying the snapshot's mappings onto the head via the streaming
+    /// dual-iterator ([`MergeStream`]). Pure RAM — no flash operation until
+    /// `merge_commit` applies the deferred releases — so host writes can be
+    /// interleaved between steps; LBAs the host rewrites after
+    /// `merge_begin` (stamped with the merge epoch) keep the live data.
+    /// Returns `true` once the cursor has covered the whole logical space.
+    fn step_merge(&mut self, max_lbas: u64) -> Result<bool, FtlError> {
+        let logical_pages = self.logical_pages;
+        let Self { snap, map, .. } = self;
+        let book = snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
+        let Some(m) = book.merge.as_ref() else {
+            return Err(FtlError::NoMergeInProgress);
+        };
+        let (snap_id, epoch, cursor) = (m.snap_id, m.epoch, m.cursor);
+        let end = cursor.saturating_add(max_lbas.max(1)).min(logical_pages);
+        let idx = book
+            .snap_index(snap_id)
+            .expect("merge target is delete-locked");
+        let overlays: Vec<(u64, u32)> = {
+            let epoch_of = &book.epoch_of;
+            MergeStream::new(
+                MappingStream::starting_at(map, cursor),
+                MappingStream::starting_at(&book.snaps[idx].map, cursor),
+                |_, phys| epoch_of[phys as usize] == epoch,
+            )
+            .take_while(|(mapping, _)| mapping.lba < end)
+            .filter(|&(_, source)| source == MergeSource::Snapshot)
+            .map(|(mapping, _)| (mapping.lba, mapping.phys))
+            .collect()
+        };
+        for (lba, p) in overlays {
+            let old = map[lba as usize];
+            if old == p {
+                // The head already shares this page with the snapshot.
+                continue;
+            }
+            book.incref(p);
+            map[lba as usize] = p;
+            if old != UNMAPPED {
+                // Deferred: the displaced origin page keeps its reference
+                // (and stays valid on flash) until merge_commit, so a crash
+                // mid-merge still resolves to the origin.
+                book.merge.as_mut().expect("in merge").pending.push(old);
+            }
+        }
+        book.merge.as_mut().expect("in merge").cursor = end;
+        Ok(end >= logical_pages)
+    }
+
+    /// Commits the online merge: the snapshot's epoch history is spliced
+    /// into the head's (post-begin writes ranked first, then the snapshot,
+    /// then the old head history — matching what the steps built in RAM),
+    /// the snapshot is dropped from the manifest, and the deferred page
+    /// releases are applied.
+    fn commit_merge(&mut self) -> Result<(), FtlError> {
+        let book = self.snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
+        let m = book.merge.take().ok_or(FtlError::NoMergeInProgress)?;
+        let idx = book
+            .snap_index(m.snap_id)
+            .expect("merge target is delete-locked");
+        let s = book.snaps.remove(idx);
+        debug_assert_eq!(book.head_epochs[0], m.epoch);
+        // No capacity pre-check: dropping the snapshot's id/len/list words
+        // always outweighs the epochs spliced into the head list, so the
+        // record shrinks.
+        let merged =
+            snapshot::splice_epochs(&[&book.head_epochs[..1], &s.epochs, &book.head_epochs[1..]]);
+        book.head_epochs = merged;
+        self.commit_manifest()?;
+        for &p in &s.map {
+            if p != UNMAPPED {
+                self.release_page(p)?;
+            }
+        }
+        for &p in &m.pending {
+            self.release_page(p)?;
+        }
+        Ok(())
+    }
+
+    fn snapshot_read(&mut self, id: u64, lba: u64) -> Result<Option<u64>, FtlError> {
+        self.check_lba(lba)?;
+        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
+        let idx = book
+            .snap_index(id)
+            .ok_or(FtlError::UnknownSnapshot { id })?;
+        let entry = book.snaps[idx].map[lba as usize];
+        if entry == UNMAPPED {
+            return Ok(None);
+        }
+        let addr = PageAddr::from_flat_index(&self.pool.device.geometry(), u64::from(entry));
+        Ok(Some(self.pool.device.read(addr)?.data))
+    }
+}
+
+impl<S: Sink> Mapping for PageMapping<S> {
+    type Sink = S;
+    type Config = FtlConfig;
+    type Error = FtlError;
+
+    fn new(device: NandDevice<S>, config: FtlConfig) -> Result<Self, FtlError> {
+        Self::build(device, config, BlockPool::new)
     }
 
     /// Rebuilds the translation table from the spare areas of an existing
@@ -159,12 +773,11 @@ impl<S: Sink> Inner<S> {
     /// closed (their free pages are reclaimed when GC erases them); the
     /// write frontier restarts on a fresh block.
     fn mount(device: NandDevice<S>, config: FtlConfig) -> Result<Self, FtlError> {
-        let mut inner = Self::new(device, config)?;
-        inner.free.clear();
+        let mut inner = Self::build(device, config, BlockPool::mount)?;
         if inner.snap.is_some() {
             inner.load_manifest()?;
         }
-        let geometry = inner.device.geometry();
+        let geometry = inner.pool.device.geometry();
         // With snapshots, several mapping sets (the head plus every
         // snapshot) resolve concurrently: a valid page belongs to each set
         // whose epoch list contains the page's epoch, and within a set the
@@ -173,7 +786,10 @@ impl<S: Sink> Inner<S> {
         let ranks: Option<(EpochRanks, Vec<EpochRanks>)> = inner.snap.as_ref().map(|book| {
             (
                 EpochRanks::new(&book.head_epochs),
-                book.snaps.iter().map(|s| EpochRanks::new(&s.epochs)).collect(),
+                book.snaps
+                    .iter()
+                    .map(|s| EpochRanks::new(&s.epochs))
+                    .collect(),
             )
         });
         let snap_count = inner.snap.as_ref().map_or(0, |b| b.snaps.len());
@@ -185,22 +801,13 @@ impl<S: Sink> Inner<S> {
         // so the apply phase never re-reads spares.
         let mut epoch_scratch = vec![0u32; geometry.total_pages() as usize];
         for b in 0..inner.reserved_base {
-            let block = inner.device.block(b);
-            if block.spare(0).is_bad_block_marker() {
-                // Retired in an earlier session; the marker survives on
-                // flash. Retired blocks hold no valid pages, so nothing
-                // needs mapping.
-                inner.is_free[b as usize] = false;
-                inner.retired[b as usize] = true;
+            // The pool already rediscovered the retired blocks (their marker
+            // survives on flash; they hold nothing that needs mapping) and
+            // the fully erased ones.
+            if !inner.pool.in_use(b) {
                 continue;
             }
-            if block.valid_pages() == 0 && block.invalid_pages() == 0 {
-                let wear = block.erase_count();
-                inner.is_free[b as usize] = true;
-                inner.free.push(b, wear);
-                continue;
-            }
-            inner.is_free[b as usize] = false;
+            let block = inner.pool.device.block(b);
             for (page, state) in block.page_states() {
                 if !state.is_valid() {
                     continue;
@@ -245,7 +852,12 @@ impl<S: Sink> Inner<S> {
             let book = snap.as_mut().expect("snapshot mode");
             book.epoch_of = epoch_scratch;
             let mut maps = best.into_iter();
-            for (lba, slot) in maps.next().expect("head candidates").into_iter().enumerate() {
+            for (lba, slot) in maps
+                .next()
+                .expect("head candidates")
+                .into_iter()
+                .enumerate()
+            {
                 if let Some((_, flat)) = slot {
                     map[lba] = flat;
                     book.refs[flat as usize] += 1;
@@ -266,13 +878,13 @@ impl<S: Sink> Inner<S> {
             let reserved_base = inner.reserved_base;
             for b in 0..reserved_base {
                 for page in 0..geometry.pages_per_block() {
-                    if !inner.device.block(b).page_state(page).is_valid() {
+                    if !inner.pool.device.block(b).page_state(page).is_valid() {
                         continue;
                     }
                     let addr = PageAddr::new(b, page);
                     let flat = addr.flat_index(&geometry) as usize;
                     if inner.snap.as_ref().expect("snapshot mode").refs[flat] == 0 {
-                        inner.device.invalidate(addr)?;
+                        inner.pool.device.invalidate(addr)?;
                     }
                 }
             }
@@ -283,23 +895,41 @@ impl<S: Sink> Inner<S> {
         Ok(inner)
     }
 
-    fn host_write(&mut self, lba: u64, data: u64, erased: &mut Vec<u32>) -> Result<(), FtlError> {
-        if lba >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange {
-                lba,
-                logical_pages: self.logical_pages,
-            });
-        }
+    fn into_device(self) -> NandDevice<S> {
+        self.pool.device
+    }
+
+    fn pool(&self) -> &BlockPool<S> {
+        &self.pool
+    }
+
+    fn pool_mut(&mut self, _: ShellKey) -> &mut BlockPool<S> {
+        &mut self.pool
+    }
+
+    fn logical_pages(&self) -> u64 {
+        self.logical_pages
+    }
+
+    #[inline]
+    fn host_write(
+        &mut self,
+        _: ShellKey,
+        lba: u64,
+        data: u64,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), FtlError> {
+        self.check_lba(lba)?;
         match self.ensure_space(erased) {
             Ok(()) => {}
             // Below the free target with nothing reclaimable yet: keep
             // writing into the reserve and fail only when allocation is
             // truly impossible.
             Err(FtlError::NoReclaimableSpace) => {
-                let pages_per_block = self.device.geometry().pages_per_block();
+                let pages_per_block = self.pool.device.geometry().pages_per_block();
                 let frontier_has_room = matches!(self.frontier, Some((_, p)) if p < pages_per_block)
                     || matches!(self.hot_frontier, Some((_, p)) if p < pages_per_block);
-                if !frontier_has_room && self.free.is_empty() {
+                if !frontier_has_room && self.pool.free_len() == 0 {
                     return Err(FtlError::NoReclaimableSpace);
                 }
             }
@@ -317,7 +947,7 @@ impl<S: Sink> Inner<S> {
         };
         let epoch = self.snap.as_ref().map_or(0, SnapBook::head_epoch);
         let dst = self.program_remap(stream, data, lba, epoch)?;
-        let flat = dst.flat_index(&self.device.geometry()) as u32;
+        let flat = dst.flat_index(&self.pool.device.geometry()) as u32;
         if let Some(book) = self.snap.as_mut() {
             book.refs[flat as usize] += 1;
             book.epoch_of[flat as usize] = epoch;
@@ -327,839 +957,70 @@ impl<S: Sink> Inner<S> {
             self.release_page(old)?;
         }
         self.map[lba as usize] = flat;
-        self.counters.host_writes += 1;
-        if S::ENABLED {
-            self.device.sink_mut().event(Event::HostWrite { lba });
-        }
+        self.pool.counters.host_writes += 1;
+        self.pool.emit(Event::HostWrite { lba });
         Ok(())
     }
 
-    fn host_read(&mut self, lba: u64) -> Result<Option<u64>, FtlError> {
-        if lba >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange {
-                lba,
-                logical_pages: self.logical_pages,
-            });
-        }
-        self.counters.host_reads += 1;
-        if S::ENABLED {
-            self.device.sink_mut().event(Event::HostRead { lba });
-        }
+    #[inline]
+    fn host_read(&mut self, _: ShellKey, lba: u64) -> Result<Option<u64>, FtlError> {
+        self.check_lba(lba)?;
+        self.pool.counters.host_reads += 1;
+        self.pool.emit(Event::HostRead { lba });
         let entry = self.map[lba as usize];
         if entry == UNMAPPED {
             return Ok(None);
         }
-        let addr = PageAddr::from_flat_index(&self.device.geometry(), u64::from(entry));
-        Ok(Some(self.device.read(addr)?.data))
+        let addr = PageAddr::from_flat_index(&self.pool.device.geometry(), u64::from(entry));
+        Ok(Some(self.pool.device.read(addr)?.data))
     }
 
-    fn host_trim(&mut self, lba: u64) -> Result<(), FtlError> {
-        if lba >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange {
-                lba,
-                logical_pages: self.logical_pages,
-            });
-        }
-        let entry = self.map[lba as usize];
-        if entry != UNMAPPED {
-            // With snapshots, a pinned page survives the trim (the snapshot
-            // still references it); only the head's reference is dropped.
-            // Trim is advisory and RAM-only either way: a crash before the
-            // page is overwritten can resurrect the mapping at mount.
-            self.release_page(entry)?;
-            self.map[lba as usize] = UNMAPPED;
-        }
-        self.counters.trims += 1;
-        if S::ENABLED {
-            self.device.sink_mut().event(Event::HostTrim { lba });
-        }
-        Ok(())
-    }
-
-    /// Runs the Cleaner until the free pool meets its target (the paper's
-    /// "free blocks under 0.2 %" trigger).
-    fn ensure_space(&mut self, erased: &mut Vec<u32>) -> Result<(), FtlError> {
-        let mut guard = 0u32;
-        while (self.free.len() as u32) < self.free_target {
-            self.collect_one(erased)?;
-            guard += 1;
-            if guard > self.device.geometry().blocks() * 2 {
-                return Err(FtlError::FreeExhausted);
-            }
-        }
-        Ok(())
-    }
-
-    /// Next free page of the stream's frontier, opening a fresh block when
-    /// needed. Hot/cold separation keeps two active blocks; without it
-    /// everything flows through the cold frontier.
-    fn alloc_page(&mut self, stream: Stream) -> Result<PageAddr, FtlError> {
-        let pages_per_block = self.device.geometry().pages_per_block();
-        let frontier = match stream {
-            Stream::Cold => &mut self.frontier,
-            Stream::Hot => &mut self.hot_frontier,
-        };
-        match *frontier {
-            Some((block, page)) if page < pages_per_block => {
-                *frontier = Some((block, page + 1));
-                Ok(PageAddr::new(block, page))
-            }
-            _ => {
-                let closed = frontier.map(|(b, _)| b);
-                let block = self.pop_freshest_free()?;
-                let frontier = match stream {
-                    Stream::Cold => &mut self.frontier,
-                    Stream::Hot => &mut self.hot_frontier,
-                };
-                *frontier = Some((block, 1));
-                // The closed block becomes a GC candidate and the fresh one
-                // stops being one; keep the victim index in step.
-                if let Some(b) = closed {
-                    self.refresh_victim(b);
-                }
-                self.refresh_victim(block);
-                Ok(PageAddr::new(block, 0))
-            }
-        }
-    }
-
-    /// Programs one page at the stream's frontier, retrying with a remap
-    /// when the device reports an injected program failure: the grown-bad
-    /// frontier block is closed (its valid pages become a normal GC victim,
-    /// and its eventual erase failure retires it) and the write moves to a
-    /// fresh frontier. Terminates because every retry consumes a free block
-    /// and [`Self::alloc_page`] fails once the pool runs dry.
-    fn program_remap(
+    /// Data blocks are relocated and erased, free blocks are erased in place.
+    /// Everything here — including a GC episode run to refill an empty pool
+    /// before the relocation — is charged to SWL; the NFTL charges that
+    /// refill to GC instead.
+    fn recycle_block(
         &mut self,
-        stream: Stream,
-        data: u64,
-        lba: u64,
-        epoch: u32,
-    ) -> Result<PageAddr, FtlError> {
-        loop {
-            let dst = self.alloc_page(stream)?;
-            // Epoch 0 is `STATUS_LIVE`: without snapshots this is exactly
-            // `SpareArea::valid(lba)`.
-            match self.device.program(dst, data, SpareArea::with_status(lba, epoch)) {
-                Ok(()) => return Ok(dst),
-                Err(nand::NandError::ProgramFailed { .. }) => {
-                    if self.frontier.map(|(b, _)| b) == Some(dst.block) {
-                        self.frontier = None;
-                    }
-                    if self.hot_frontier.map(|(b, _)| b) == Some(dst.block) {
-                        self.hot_frontier = None;
-                    }
-                    self.refresh_victim(dst.block);
-                }
-                Err(other) => return Err(other.into()),
-            }
-        }
-    }
-
-    /// Pops the free block with the lowest erase count — the dynamic wear
-    /// leveling policy of the paper's Cleaner. O(1) amortized via the wear
-    /// bucket ladder.
-    fn pop_freshest_free(&mut self) -> Result<u32, FtlError> {
-        let Some(block) = self.free.pop_min() else {
-            return Err(FtlError::FreeExhausted);
-        };
-        self.is_free[block as usize] = false;
-        Ok(block)
-    }
-
-    /// Re-reports one block to the victim index. Must be called after any
-    /// event that may change the block's GC stats or eligibility: page
-    /// invalidation, erase, retirement, or a frontier opening/closing on it.
-    /// Drops one mapping-set reference from flat page `p`, device-
-    /// invalidating it (and re-reporting its block to the victim index)
-    /// when it becomes unreferenced. A snapshot-free FTL invalidates
-    /// unconditionally: every mapped page has exactly one reference.
-    fn release_page(&mut self, p: u32) -> Result<(), FtlError> {
-        let gone = match self.snap.as_mut() {
-            Some(book) => book.decref(p),
-            None => true,
-        };
-        if gone {
-            let addr = PageAddr::from_flat_index(&self.device.geometry(), u64::from(p));
-            self.device.invalidate(addr)?;
-            self.refresh_victim(addr.block);
-        }
-        Ok(())
-    }
-
-    fn refresh_victim(&mut self, block: u32) {
-        let eligible = !self.is_free[block as usize]
-            && !self.retired[block as usize]
-            && block < self.reserved_base
-            && self.frontier.map(|(b, _)| b) != Some(block)
-            && self.hot_frontier.map(|(b, _)| b) != Some(block);
-        let (invalid, valid) = {
-            let blk = self.device.block(block);
-            (blk.invalid_pages(), blk.valid_pages())
-        };
-        self.victims.update(block, eligible, invalid, valid);
-    }
-
-    /// The pre-index linear victim scan, kept as the oracle the incremental
-    /// [`VictimIndex`] is checked against under `debug_assertions`. Pure:
-    /// does not advance `gc_scan`.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn reference_select_victim(&self) -> Option<u32> {
-        let blocks = self.device.geometry().blocks();
-        let frontier_block = self.frontier.map(|(b, _)| b);
-        let hot_frontier_block = self.hot_frontier.map(|(b, _)| b);
-        let mut fallback: Option<(u32, u32)> = None; // (invalid, block)
-        for step in 0..blocks {
-            let b = (self.gc_scan + step) % blocks;
-            if self.is_free[b as usize]
-                || self.retired[b as usize]
-                || b >= self.reserved_base
-                || Some(b) == frontier_block
-                || Some(b) == hot_frontier_block
-            {
-                continue;
-            }
-            let blk = self.device.block(b);
-            let invalid = blk.invalid_pages();
-            if invalid == 0 {
-                continue;
-            }
-            if invalid > blk.valid_pages() {
-                return Some(b);
-            }
-            if fallback.is_none_or(|(best, _)| invalid > best) {
-                fallback = Some((invalid, b));
-            }
-        }
-        fallback.map(|(_, b)| b)
-    }
-
-    /// Greedy cost/benefit victim selection, cyclic from `gc_scan`: the
-    /// first block whose invalid pages (benefit) outnumber its valid pages
-    /// (cost); if none qualifies, the block with the most invalid pages.
-    /// Answered by the incremental [`VictimIndex`] instead of a linear scan.
-    fn select_victim(&mut self) -> Result<u32, FtlError> {
-        let blocks = self.device.geometry().blocks();
-        let choice = self.victims.select(self.gc_scan);
-        debug_assert_eq!(
-            choice,
-            self.reference_select_victim(),
-            "victim index diverged from the linear-scan oracle"
-        );
-        if let Some(b) = choice {
-            self.gc_scan = (b + 1) % blocks;
-            return Ok(b);
-        }
-        // Last resort: a frontier itself may be the only block holding
-        // invalid pages (tiny chips, trim-heavy workloads). Close it and
-        // recycle it.
-        if let Some(b) = self.frontier.map(|(b, _)| b) {
-            if self.device.block(b).invalid_pages() > 0 {
-                self.frontier = None;
-                self.refresh_victim(b);
-                self.gc_scan = (b + 1) % blocks;
-                return Ok(b);
-            }
-        }
-        if let Some(b) = self.hot_frontier.map(|(b, _)| b) {
-            if self.device.block(b).invalid_pages() > 0 {
-                self.hot_frontier = None;
-                self.refresh_victim(b);
-                self.gc_scan = (b + 1) % blocks;
-                return Ok(b);
-            }
-        }
-        Err(FtlError::NoReclaimableSpace)
-    }
-
-    /// One GC episode under a `gc` span: victim pick, relocation, erase.
-    /// When SWL's Cleaner runs GC to refill the pool mid-pass, the span
-    /// nests under the `swl` span and the episode is still charged to `gc`
-    /// (innermost-span attribution).
-    fn collect_one(&mut self, erased: &mut Vec<u32>) -> Result<(), FtlError> {
-        let span = self.span_begin(SpanKind::Gc);
-        let result = self.collect_one_inner(erased);
-        self.span_end(span);
-        result
-    }
-
-    fn collect_one_inner(&mut self, erased: &mut Vec<u32>) -> Result<(), FtlError> {
-        let victim = self.select_victim()?;
-        self.counters.gc_collections += 1;
-        if S::ENABLED {
-            let (invalid, valid) = {
-                let blk = self.device.block(victim);
-                (blk.invalid_pages(), blk.valid_pages())
-            };
-            let free_depth = self.free.len() as u32;
-            let candidates = self.victims.candidates();
-            self.device.sink_mut().event(Event::GcPick {
-                key: victim,
-                invalid,
-                valid,
-                free_depth,
-                candidates,
-            });
-        }
-        self.relocate_and_erase(victim, erased)
-    }
-
-    /// Copies every valid page out of `victim`, erases it and returns it to
-    /// the free pool. Erases are appended to `erased` for SWL-BETUpdate.
-    fn relocate_and_erase(&mut self, victim: u32, erased: &mut Vec<u32>) -> Result<(), FtlError> {
-        let result = self.relocate_and_erase_inner(victim, erased);
-        if result.is_err() {
-            // A failed relocation leaves the victim with changed page stats
-            // (pages invalidated, a frontier possibly closed) that the happy
-            // path would have re-reported from erase_and_free/retire. Refresh
-            // here so a caller that survives the error (e.g. out-of-space
-            // during GC) still sees the index in lock-step with the oracle.
-            self.refresh_victim(victim);
-        }
-        result
-    }
-
-    fn relocate_and_erase_inner(
-        &mut self,
-        victim: u32,
+        _: ShellKey,
+        b: u32,
         erased: &mut Vec<u32>,
     ) -> Result<(), FtlError> {
-        if self.frontier.map(|(b, _)| b) == Some(victim) {
-            // Only reachable through the SW Leveler (regular GC skips the
-            // frontiers); abandon the remaining free pages of the frontier.
+        // Retired blocks and the snapshot-manifest reserve are out of
+        // circulation; SWL skips them like the BET's other permanently idle
+        // entries.
+        if self.pool.is_retired(b) || b >= self.reserved_base {
+            return Ok(());
+        }
+        if self.frontier.map(|(fb, _)| fb) == Some(b) {
             self.frontier = None;
+            self.refresh_victim(b);
         }
-        if self.hot_frontier.map(|(b, _)| b) == Some(victim) {
+        if self.hot_frontier.map(|(fb, _)| fb) == Some(b) {
             self.hot_frontier = None;
+            self.refresh_victim(b);
         }
-        let geometry = self.device.geometry();
-        for page in 0..geometry.pages_per_block() {
-            if !self.device.block(victim).page_state(page).is_valid() {
-                continue;
+        if !self.pool.is_free(b) {
+            // Relocation needs at least one free block to copy into.
+            if self.pool.free_len() == 0 {
+                self.collect_one(Cause::Swl, erased)?;
             }
-            let src = PageAddr::new(victim, page);
-            let content = self.device.read(src)?;
-            let lba = content
-                .spare
-                .lba()
-                .ok_or(FtlError::CorruptSpare { addr: src })?;
-            // GC survivors are cold by construction: they outlived their
-            // whole block. The spare status (snapshot epoch) rides along, so
-            // a relocated page still resolves into the same mapping sets.
-            let epoch = content.spare.status();
-            let dst = self.program_remap(Stream::Cold, content.data, lba, epoch)?;
-            self.device.invalidate(src)?;
-            let src_flat = src.flat_index(&geometry) as u32;
-            let dst_flat = dst.flat_index(&geometry) as u32;
-            let Self { map, snap, .. } = self;
-            match snap.as_mut() {
-                Some(book) => {
-                    // A shared page is copied once and re-pinned: every
-                    // mapping set (head, snapshots, pending merge decrefs)
-                    // that referenced the source follows to the copy, and
-                    // the whole refcount transfers.
-                    if map[lba as usize] == src_flat {
-                        map[lba as usize] = dst_flat;
-                    }
-                    for s in &mut book.snaps {
-                        if s.map[lba as usize] == src_flat {
-                            s.map[lba as usize] = dst_flat;
-                        }
-                    }
-                    if let Some(m) = book.merge.as_mut() {
-                        for p in &mut m.pending {
-                            if *p == src_flat {
-                                *p = dst_flat;
-                            }
-                        }
-                    }
-                    book.refs[dst_flat as usize] = book.refs[src_flat as usize];
-                    book.refs[src_flat as usize] = 0;
-                    book.epoch_of[dst_flat as usize] = epoch;
-                }
-                None => map[lba as usize] = dst_flat,
-            }
-            if self.in_swl {
-                self.counters.swl_live_copies += 1;
-            } else {
-                self.counters.gc_live_copies += 1;
-            }
-            if S::ENABLED {
-                let cause = if self.in_swl { Cause::Swl } else { Cause::Gc };
-                self.device.sink_mut().event(Event::LiveCopy {
-                    from_block: victim,
-                    to_block: dst.block,
-                    cause,
-                });
+            if !self.pool.is_free(b) {
+                return self.relocate_and_erase(b, Cause::Swl, erased);
             }
         }
-        self.erase_and_free(victim, erased)
-    }
-
-    /// Erases `block` (which must hold no valid pages) and returns it to the
-    /// free pool. A block that refuses to erase — worn out under
-    /// [`nand::WearPolicy::FailWornBlocks`], or bad per the device's
-    /// [`nand::FaultPlan`] — is retired instead: removed from circulation
-    /// with its stale contents left in place.
-    fn erase_and_free(&mut self, block: u32, erased: &mut Vec<u32>) -> Result<(), FtlError> {
-        debug_assert_eq!(self.device.block(block).valid_pages(), 0);
-        let pre_wear = self.device.block(block).erase_count();
-        let cause = if self.in_swl { Cause::Swl } else { Cause::Gc };
-        match self.device.erase_as(block, cause) {
-            Ok(()) => {}
-            Err(nand::NandError::BlockWornOut { .. } | nand::NandError::EraseFailed { .. }) => {
-                self.retire(block);
-                return Ok(());
-            }
-            Err(other) => return Err(other.into()),
-        }
-        if self.in_swl {
-            self.counters.swl_erases += 1;
-        } else {
-            self.counters.gc_erases += 1;
-        }
-        let wear = self.device.block(block).erase_count();
-        if !self.is_free[block as usize] {
-            self.is_free[block as usize] = true;
-            self.free.push(block, wear);
-        } else {
-            // SWL erased a block while it sat in the free pool; move it up
-            // the wear ladder in place.
-            self.free.reposition(block, pre_wear, wear);
-        }
-        self.refresh_victim(block);
-        erased.push(block);
-        Ok(())
-    }
-
-    fn retire(&mut self, block: u32) {
-        self.retired[block as usize] = true;
-        if self.is_free[block as usize] {
-            self.is_free[block as usize] = false;
-            let wear = self.device.block(block).erase_count();
-            let removed = self.free.remove(block, wear);
-            debug_assert!(removed, "free block {block} missing from the ladder");
-        }
-        // On-flash bad-block marker, so a later mount rediscovers the
-        // retirement. A spare-area status program: free and uncuttable; it
-        // can only fail once power is already cut, when the RAM state is
-        // about to be discarded anyway.
-        let _ = self.device.mark_bad(block);
-        self.counters.retired_blocks += 1;
-        if S::ENABLED {
-            self.device.sink_mut().event(Event::Retire { block });
-        }
-        self.refresh_victim(block);
-    }
-
-    /// Parses both manifest buffers and restores the epoch lists of the
-    /// newest valid record. Reads go through the device (they pay bus
-    /// latency and count as reads); a torn, partial, or never-committed
-    /// buffer fails its checksum and is ignored. With no valid buffer the
-    /// book stays fresh — which is also the snapshots-never-used state.
-    fn load_manifest(&mut self) -> Result<(), FtlError> {
-        let ppb = self.device.geometry().pages_per_block();
-        let logical_pages = self.logical_pages as usize;
-        let mb = self
-            .snap
-            .as_ref()
-            .expect("snapshot mode")
-            .cfg
-            .manifest_blocks;
-        let mut newest: Option<(u32, snapshot::ManifestRecord)> = None;
-        for buf in 0..2u32 {
-            let mut words = Vec::new();
-            'record: for i in 0..mb {
-                let block = self.reserved_base + buf * mb + i;
-                for page in 0..ppb {
-                    if !self.device.block(block).page_state(page).is_valid() {
-                        break 'record;
-                    }
-                    match self.device.read(PageAddr::new(block, page)) {
-                        Ok(r) => words.push(r.data),
-                        Err(_) => break 'record,
-                    }
-                }
-            }
-            if let Some(record) = snapshot::decode(&words) {
-                if newest.as_ref().is_none_or(|(_, n)| record.seq > n.seq) {
-                    newest = Some((buf, record));
-                }
-            }
-        }
-        if let Some((buf, record)) = newest {
-            let book = self.snap.as_mut().expect("snapshot mode");
-            book.next_buffer = 1 - buf;
-            book.restore(record, logical_pages);
-        }
-        Ok(())
-    }
-
-    /// Writes the book's epoch lists to the standby manifest buffer: erase
-    /// it, program the record, and program the trailing checksum word
-    /// *last* — the checksum is the commit point, so a power cut anywhere
-    /// mid-commit leaves the other buffer's older record in force.
-    /// Manifest erases are deliberately not reported to SWL-BETUpdate (the
-    /// reserve sits outside the leveler's jurisdiction), though they do
-    /// count in the device's erase statistics.
-    fn commit_manifest(&mut self) -> Result<(), FtlError> {
-        let ppb = self.device.geometry().pages_per_block();
-        let (words, mb, next) = {
-            let book = self.snap.as_ref().expect("snapshot mode");
-            let words = book.encode();
-            debug_assert!(
-                words.len() <= book.buffer_words(ppb),
-                "snapshot verbs pre-check manifest capacity"
-            );
-            (words, book.cfg.manifest_blocks, book.next_buffer)
-        };
-        let base = self.reserved_base + next * mb;
-        for b in base..base + mb {
-            self.device.erase_as(b, Cause::External)?;
-        }
-        for (i, &w) in words.iter().enumerate() {
-            let addr = PageAddr::new(base + i as u32 / ppb, i as u32 % ppb);
-            self.device
-                .program(addr, w, SpareArea::metadata(snapshot::MANIFEST_STATUS))?;
-        }
-        let book = self.snap.as_mut().expect("snapshot mode");
-        book.seq += 1;
-        book.next_buffer = 1 - book.next_buffer;
-        Ok(())
-    }
-
-    /// Would a manifest record with these epoch-list shapes fit one buffer?
-    fn manifest_fits(&self, head_len: usize, snap_lens: impl Iterator<Item = usize>) -> bool {
-        let book = self.snap.as_ref().expect("snapshot mode");
-        SnapBook::record_words(head_len, snap_lens)
-            <= book.buffer_words(self.device.geometry().pages_per_block())
-    }
-
-    fn snapshot_create(&mut self, id: u64) -> Result<(), FtlError> {
-        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
-        if book.merge.is_some() {
-            return Err(FtlError::MergeInProgress);
-        }
-        if book.snap_index(id).is_some() {
-            return Err(FtlError::SnapshotExists { id });
-        }
-        let head_len = book.head_epochs.len();
-        if !self.manifest_fits(
-            head_len + 1,
-            book.snaps.iter().map(|s| s.epochs.len()).chain([head_len]),
-        ) {
-            return Err(FtlError::ManifestFull);
-        }
-        let Self { snap, map, .. } = self;
-        let book = snap.as_mut().expect("snapshot mode");
-        let epoch = book.next_epoch();
-        // The snapshot inherits the head's exact map (one new reference per
-        // page) and its exact epoch history; the head moves to a fresh
-        // epoch, so post-snapshot writes never resolve into the snapshot.
-        for &p in map.iter() {
-            if p != UNMAPPED {
-                book.incref(p);
-            }
-        }
-        book.snaps.push(SnapEntry {
-            id,
-            epochs: book.head_epochs.clone(),
-            map: map.clone(),
-        });
-        book.head_epochs.insert(0, epoch);
-        self.commit_manifest()
-    }
-
-    fn snapshot_delete(&mut self, id: u64) -> Result<(), FtlError> {
-        let book = self.snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
-        if book.merge.is_some() {
-            return Err(FtlError::MergeInProgress);
-        }
-        let idx = book
-            .snap_index(id)
-            .ok_or(FtlError::UnknownSnapshot { id })?;
-        let s = book.snaps.remove(idx);
-        // Commit first: past the commit point the snapshot is gone from the
-        // manifest, and a page it alone pinned is an orphan. A crash before
-        // the invalidations below is harmless — mount cleanup applies the
-        // same invalidations to every orphan it finds.
-        self.commit_manifest()?;
-        for &p in &s.map {
-            if p != UNMAPPED {
-                self.release_page(p)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rolls the head back to snapshot `id` (a writable clone of it): the
-    /// head adopts the snapshot's map and history under a fresh epoch, and
-    /// every page only the old head referenced is released.
-    fn snapshot_clone(&mut self, id: u64) -> Result<(), FtlError> {
-        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
-        if book.merge.is_some() {
-            return Err(FtlError::MergeInProgress);
-        }
-        let idx = book
-            .snap_index(id)
-            .ok_or(FtlError::UnknownSnapshot { id })?;
-        if !self.manifest_fits(
-            book.snaps[idx].epochs.len() + 1,
-            book.snaps.iter().map(|s| s.epochs.len()),
-        ) {
-            return Err(FtlError::ManifestFull);
-        }
-        let Self { snap, map, .. } = self;
-        let book = snap.as_mut().expect("snapshot mode");
-        let epoch = book.next_epoch();
-        let new_map = book.snaps[idx].map.clone();
-        for &p in &new_map {
-            if p != UNMAPPED {
-                book.incref(p);
-            }
-        }
-        book.head_epochs = snapshot::prepend_epoch(epoch, &book.snaps[idx].epochs);
-        let old_map = std::mem::replace(map, new_map);
-        self.commit_manifest()?;
-        for &p in &old_map {
-            if p != UNMAPPED {
-                self.release_page(p)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Opens an online merge of snapshot `id` into the head. The manifest
-    /// commit here is the origin-side atomic point: until `merge_commit`'s
-    /// own commit lands, a crash resolves to the origin plus post-begin
-    /// acked writes (the merge steps never touch flash), afterwards to the
-    /// merged device — never a hybrid.
-    fn merge_begin(&mut self, id: u64) -> Result<(), FtlError> {
-        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
-        if book.merge.is_some() {
-            return Err(FtlError::MergeInProgress);
-        }
-        if book.snap_index(id).is_none() {
-            return Err(FtlError::UnknownSnapshot { id });
-        }
-        if !self.manifest_fits(
-            book.head_epochs.len() + 1,
-            book.snaps.iter().map(|s| s.epochs.len()),
-        ) {
-            return Err(FtlError::ManifestFull);
-        }
-        let book = self.snap.as_mut().expect("snapshot mode");
-        let epoch = book.next_epoch();
-        book.head_epochs.insert(0, epoch);
-        self.commit_manifest()?;
-        let book = self.snap.as_mut().expect("snapshot mode");
-        book.merge = Some(MergeState {
-            snap_id: id,
-            epoch,
-            cursor: 0,
-            pending: Vec::new(),
-        });
-        Ok(())
-    }
-
-    /// Advances the online merge across the next `max_lbas` logical pages,
-    /// overlaying the snapshot's mappings onto the head via the streaming
-    /// dual-iterator ([`MergeStream`]). Pure RAM — no flash operation until
-    /// `merge_commit` applies the deferred releases — so host writes can be
-    /// interleaved between steps; LBAs the host rewrites after
-    /// `merge_begin` (stamped with the merge epoch) keep the live data.
-    /// Returns `true` once the cursor has covered the whole logical space.
-    fn merge_step(&mut self, max_lbas: u64) -> Result<bool, FtlError> {
-        let logical_pages = self.logical_pages;
-        let Self { snap, map, .. } = self;
-        let book = snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
-        let Some(m) = book.merge.as_ref() else {
-            return Err(FtlError::NoMergeInProgress);
-        };
-        let (snap_id, epoch, cursor) = (m.snap_id, m.epoch, m.cursor);
-        let end = cursor.saturating_add(max_lbas.max(1)).min(logical_pages);
-        let idx = book.snap_index(snap_id).expect("merge target is delete-locked");
-        let overlays: Vec<(u64, u32)> = {
-            let epoch_of = &book.epoch_of;
-            MergeStream::new(
-                MappingStream::starting_at(map, cursor),
-                MappingStream::starting_at(&book.snaps[idx].map, cursor),
-                |_, phys| epoch_of[phys as usize] == epoch,
-            )
-            .take_while(|(mapping, _)| mapping.lba < end)
-            .filter(|&(_, source)| source == MergeSource::Snapshot)
-            .map(|(mapping, _)| (mapping.lba, mapping.phys))
-            .collect()
-        };
-        for (lba, p) in overlays {
-            let old = map[lba as usize];
-            if old == p {
-                // The head already shares this page with the snapshot.
-                continue;
-            }
-            book.incref(p);
-            map[lba as usize] = p;
-            if old != UNMAPPED {
-                // Deferred: the displaced origin page keeps its reference
-                // (and stays valid on flash) until merge_commit, so a crash
-                // mid-merge still resolves to the origin.
-                book.merge.as_mut().expect("in merge").pending.push(old);
-            }
-        }
-        book.merge.as_mut().expect("in merge").cursor = end;
-        Ok(end >= logical_pages)
-    }
-
-    /// Commits the online merge: the snapshot's epoch history is spliced
-    /// into the head's (post-begin writes ranked first, then the snapshot,
-    /// then the old head history — matching what the steps built in RAM),
-    /// the snapshot is dropped from the manifest, and the deferred page
-    /// releases are applied.
-    fn merge_commit(&mut self) -> Result<(), FtlError> {
-        let book = self.snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
-        let m = book.merge.take().ok_or(FtlError::NoMergeInProgress)?;
-        let idx = book
-            .snap_index(m.snap_id)
-            .expect("merge target is delete-locked");
-        let s = book.snaps.remove(idx);
-        debug_assert_eq!(book.head_epochs[0], m.epoch);
-        // No capacity pre-check: dropping the snapshot's id/len/list words
-        // always outweighs the epochs spliced into the head list, so the
-        // record shrinks.
-        let merged = snapshot::splice_epochs(&[
-            &book.head_epochs[..1],
-            &s.epochs,
-            &book.head_epochs[1..],
-        ]);
-        book.head_epochs = merged;
-        self.commit_manifest()?;
-        for &p in &s.map {
-            if p != UNMAPPED {
-                self.release_page(p)?;
-            }
-        }
-        for &p in &m.pending {
-            self.release_page(p)?;
-        }
-        Ok(())
-    }
-
-    fn read_snapshot(&mut self, id: u64, lba: u64) -> Result<Option<u64>, FtlError> {
-        if lba >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange {
-                lba,
-                logical_pages: self.logical_pages,
-            });
-        }
-        let book = self.snap.as_ref().ok_or(FtlError::SnapshotsDisabled)?;
-        let idx = book
-            .snap_index(id)
-            .ok_or(FtlError::UnknownSnapshot { id })?;
-        let entry = book.snaps[idx].map[lba as usize];
-        if entry == UNMAPPED {
-            return Ok(None);
-        }
-        let addr = PageAddr::from_flat_index(&self.device.geometry(), u64::from(entry));
-        Ok(Some(self.device.read(addr)?.data))
-    }
-
-    /// Debug audit: every mapped page is valid on-device with a matching
-    /// spare-area LBA, and no two LBAs share a physical page.
-    #[cfg(test)]
-    fn check_consistency(&mut self) {
-        let geometry = self.device.geometry();
-        let mut seen = std::collections::HashSet::new();
-        for (lba, &entry) in self.map.iter().enumerate() {
-            if entry == UNMAPPED {
-                continue;
-            }
-            assert!(seen.insert(entry), "two lbas map to flat page {entry}");
-            let addr = PageAddr::from_flat_index(&geometry, u64::from(entry));
-            assert!(
-                self.device
-                    .block(addr.block)
-                    .page_state(addr.page)
-                    .is_valid(),
-                "lba {lba} maps to non-valid page {addr}"
-            );
-            let spare = self.device.block(addr.block).spare(addr.page);
-            assert_eq!(spare.lba(), Some(lba as u64), "spare mismatch at {addr}");
-        }
+        // Free block: erase in place.
+        self.erase_and_free(b, Cause::Swl, erased)
     }
 }
 
-impl<S: Sink> SwlCleaner for Inner<S> {
-    type Error = FtlError;
-
-    /// Garbage-collects the requested block set for the SW Leveler: data
-    /// blocks are relocated and erased, free blocks are erased in place
-    /// (touching them both levels their wear and sets their BET flag).
-    fn erase_block_set(
-        &mut self,
-        first_block: u32,
-        count: u32,
-        erased: &mut Vec<u32>,
-    ) -> Result<(), FtlError> {
-        self.in_swl = true;
-        let result = (|| {
-            let blocks = self.device.geometry().blocks();
-            for b in first_block..(first_block + count).min(blocks) {
-                // Retired blocks and the snapshot-manifest reserve are out
-                // of circulation; SWL skips them like the BET's other
-                // permanently idle entries.
-                if self.retired[b as usize] || b >= self.reserved_base {
-                    continue;
-                }
-                if self.frontier.map(|(fb, _)| fb) == Some(b) {
-                    self.frontier = None;
-                    self.refresh_victim(b);
-                }
-                if self.hot_frontier.map(|(fb, _)| fb) == Some(b) {
-                    self.hot_frontier = None;
-                    self.refresh_victim(b);
-                }
-                if !self.is_free[b as usize] {
-                    // Relocation needs at least one free block to copy into.
-                    if self.free.is_empty() {
-                        self.collect_one(erased)?;
-                    }
-                    if !self.is_free[b as usize] {
-                        self.relocate_and_erase(b, erased)?;
-                        continue;
-                    }
-                }
-                // Free block: erase in place.
-                self.erase_and_free(b, erased)?;
-            }
-            Ok(())
-        })();
-        self.in_swl = false;
-        result
-    }
-
-    /// Merges the leveler's events (activation, interval reset) into the
-    /// FTL's telemetry stream.
-    fn emit_telemetry(&mut self, event: Event) {
-        if S::ENABLED {
-            self.device.sink_mut().event(event);
-        }
-    }
-}
-
-/// A page-mapping FTL with an optional static wear leveler.
+/// A page-mapping FTL with an optional static wear leveler: the
+/// [`PageMapping`] under the shared [`SwlHost`] shell.
 ///
 /// Generic over a telemetry [`Sink`] inherited from the device it is built
-/// on; the default [`NullSink`] compiles all emission sites out. Host
-/// operations, GC picks, live copies, cause-attributed erases, and leveler
-/// activity all flow into the single attached sink.
+/// on; the default [`NullSink`] compiles all emission sites out.
 ///
 /// See the [crate-level documentation](crate) for the design and an example.
-#[derive(Debug)]
-pub struct PageMappedFtl<S: Sink = NullSink> {
-    inner: Inner<S>,
-    swl: Option<SwLeveler>,
-    erased_buf: Vec<u32>,
-}
+pub type PageMappedFtl<S = NullSink> = SwlHost<PageMapping<S>>;
 
 /// Point-in-time refcount audit of the snapshot book, exposed for the
 /// invariant test suites.
@@ -1181,100 +1042,7 @@ pub struct SnapshotAudit {
     pub snapshots: usize,
 }
 
-impl<S: Sink> PageMappedFtl<S> {
-    /// Builds an FTL over `device` without static wear leveling.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice, but reserved for configuration
-    /// validation.
-    pub fn new(device: NandDevice<S>, config: FtlConfig) -> Result<Self, FtlError> {
-        Ok(Self {
-            inner: Inner::new(device, config)?,
-            swl: None,
-            erased_buf: Vec::new(),
-        })
-    }
-
-    /// Builds an FTL with the SW Leveler attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::Swl`] when the leveler configuration is invalid.
-    pub fn with_swl(
-        device: NandDevice<S>,
-        config: FtlConfig,
-        swl_config: SwlConfig,
-    ) -> Result<Self, FtlError> {
-        let blocks = device.geometry().blocks();
-        let swl = SwLeveler::new(blocks, swl_config)?;
-        let mut ftl = Self::new(device, config)?;
-        ftl.swl = Some(swl);
-        Ok(ftl)
-    }
-
-    /// Re-attaches a previously used chip, rebuilding the translation table
-    /// from the spare areas on flash — the firmware mount path. Pair with
-    /// [`PageMappedFtl::into_device`] to simulate power cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::CorruptSpare`] or [`FtlError::MountConflict`]
-    /// when the on-flash state is not a consistent FTL layout.
-    pub fn mount(device: NandDevice<S>, config: FtlConfig) -> Result<Self, FtlError> {
-        Ok(Self {
-            inner: Inner::mount(device, config)?,
-            swl: None,
-            erased_buf: Vec::new(),
-        })
-    }
-
-    /// Shuts the layer down, returning the chip (with all its data and
-    /// wear) for a later [`PageMappedFtl::mount`].
-    pub fn into_device(self) -> NandDevice<S> {
-        self.inner.device
-    }
-
-    /// Attaches (or replaces) a pre-built SW Leveler, e.g. one restored from
-    /// a [`swl_core::persist::DualBuffer`] snapshot.
-    pub fn attach_swl(&mut self, swl: SwLeveler) {
-        self.swl = Some(swl);
-    }
-
-    /// Writes `data` to logical page `lba` (out-of-place), then gives the
-    /// SW Leveler a chance to run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::LbaOutOfRange`] for bad addresses and propagates
-    /// garbage-collection failures ([`FtlError::NoReclaimableSpace`] when
-    /// the logical space is over-committed).
-    pub fn write(&mut self, lba: u64, data: u64) -> Result<(), FtlError> {
-        // Root span brackets the whole operation — GC, remaps, and any SWL
-        // pass the write triggers — mirroring the simulator's latency
-        // bracket exactly.
-        let span = self.inner.span_begin(SpanKind::HostWrite);
-        let mut erased = std::mem::take(&mut self.erased_buf);
-        erased.clear();
-        let result = self.inner.host_write(lba, data, &mut erased);
-        let follow_up = self.notify_swl(&erased);
-        self.erased_buf = erased;
-        self.inner.span_end(span);
-        result.and(follow_up)
-    }
-
-    /// Reads logical page `lba`; `None` when it has never been written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::LbaOutOfRange`] for bad addresses.
-    pub fn read(&mut self, lba: u64) -> Result<Option<u64>, FtlError> {
-        let span = self.inner.span_begin(SpanKind::HostRead);
-        let result = self.inner.host_read(lba);
-        self.inner.span_end(span);
-        result
-    }
-
+impl<S: Sink> PageMapping<S> {
     /// Discards logical page `lba` (TRIM): subsequent reads return `None`
     /// and the physical page becomes reclaimable without a copy.
     ///
@@ -1282,130 +1050,48 @@ impl<S: Sink> PageMappedFtl<S> {
     ///
     /// Returns [`FtlError::LbaOutOfRange`] for bad addresses.
     pub fn trim(&mut self, lba: u64) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::HostTrim);
-        let result = self.inner.host_trim(lba);
-        self.inner.span_end(span);
-        result
-    }
-
-    /// Feeds erases to SWL-BETUpdate and invokes SWL-Procedure when needed.
-    fn notify_swl(&mut self, erased: &[u32]) -> Result<(), FtlError> {
-        let Some(swl) = self.swl.as_mut() else {
-            return Ok(());
-        };
-        for &b in erased {
-            swl.note_erase(b);
-        }
-        // In deferred mode an external coordinator (e.g. the multi-channel
-        // striped layer) watches a global unevenness and drives
-        // `run_swl_step`; the layer itself only feeds SWL-BETUpdate.
-        if !swl.config().deferred && swl.needs_leveling() {
-            let span = self.inner.span_begin(SpanKind::Swl);
-            let result = swl.level(&mut self.inner);
-            self.inner.span_end(span);
-            result?;
-        }
-        Ok(())
-    }
-
-    /// Forces garbage collection over a block range, as an external wear
-    /// leveling policy (e.g. [`swl_core::counting::CountingLeveler`]) would:
-    /// live data is relocated, the blocks are erased, and any attached SW
-    /// Leveler is notified of the erases. Returns the number of blocks
-    /// erased.
-    ///
-    /// # Errors
-    ///
-    /// Propagates garbage-collection failures.
-    pub fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, FtlError> {
-        // Externally driven collection: a root `gc` span rather than a host
-        // kind, since no host op is paying for it.
-        let span = self.inner.span_begin(SpanKind::Gc);
-        let mut erased = std::mem::take(&mut self.erased_buf);
-        erased.clear();
-        let result = self.inner.erase_block_set(first_block, count, &mut erased);
-        let erase_count = erased.len() as u64;
-        let follow_up = self.notify_swl(&erased);
-        self.erased_buf = erased;
-        self.inner.span_end(span);
-        result.and(follow_up)?;
-        Ok(erase_count)
-    }
-
-    /// Manually invokes SWL-Procedure (e.g. from a timer), returning what it
-    /// did. A no-op returning [`LevelOutcome::Idle`] without a leveler.
-    ///
-    /// # Errors
-    ///
-    /// Propagates garbage-collection failures.
-    pub fn run_swl(&mut self) -> Result<LevelOutcome, FtlError> {
-        match self.swl.as_mut() {
-            Some(swl) => {
-                let span = self.inner.span_begin(SpanKind::Swl);
-                let result = swl.level(&mut self.inner);
-                self.inner.span_end(span);
-                result
-            }
-            None => Ok(LevelOutcome::Idle),
-        }
-    }
-
-    /// Runs exactly one SWL-Procedure step, ignoring the local threshold —
-    /// the entry point for an external multi-shard coordinator (see
-    /// [`SwLeveler::level_step`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates garbage-collection failures.
-    pub fn run_swl_step(&mut self) -> Result<LevelOutcome, FtlError> {
-        match self.swl.as_mut() {
-            Some(swl) => {
-                let span = self.inner.span_begin(SpanKind::Swl);
-                let result = swl.level_step(&mut self.inner);
-                self.inner.span_end(span);
-                result
-            }
-            None => Ok(LevelOutcome::Idle),
-        }
-    }
-
-    /// Exported logical capacity in pages.
-    pub fn logical_pages(&self) -> u64 {
-        self.inner.logical_pages
-    }
-
-    /// The underlying device (erase counts, busy time, failure record).
-    pub fn device(&self) -> &NandDevice<S> {
-        &self.inner.device
-    }
-
-    /// Attribution counters.
-    pub fn counters(&self) -> FtlCounters {
-        self.inner.counters
-    }
-
-    /// The attached SW Leveler, if any.
-    pub fn swl(&self) -> Option<&SwLeveler> {
-        self.swl.as_ref()
+        self.spanned(SpanKind::HostTrim, |m| m.trim_page(lba))
     }
 
     /// The hot-data identifier, when hot/cold separation is enabled.
     pub fn hot_data(&self) -> Option<&MultiHashIdentifier> {
-        self.inner.hot.as_ref()
+        self.hot.as_ref()
     }
 
     /// The configuration in effect.
     pub fn config(&self) -> FtlConfig {
-        self.inner.config
+        self.config
     }
 
     /// Fraction of physical pages currently holding valid data.
     pub fn utilization(&self) -> f64 {
-        let geometry = self.inner.device.geometry();
+        let geometry = self.pool.device.geometry();
         let valid: u64 = (0..geometry.blocks())
-            .map(|b| u64::from(self.inner.device.block(b).valid_pages()))
+            .map(|b| u64::from(self.pool.device.block(b).valid_pages()))
             .sum();
         valid as f64 / geometry.total_pages() as f64
+    }
+
+    /// Audit: every mapped page is valid on-device with a matching spare-area
+    /// LBA, and no two LBAs share a physical page; panics on any violation.
+    /// Intended for tests — it walks every mapped page.
+    pub fn check_consistency(&self) {
+        let geometry = self.pool.device.geometry();
+        let mut seen = std::collections::HashSet::new();
+        for (lba, &entry) in self.map.iter().enumerate() {
+            if entry == UNMAPPED {
+                continue;
+            }
+            assert!(seen.insert(entry), "two lbas map to flat page {entry}");
+            let addr = PageAddr::from_flat_index(&geometry, u64::from(entry));
+            let block = self.pool.device.block(addr.block);
+            assert!(
+                block.page_state(addr.page).is_valid(),
+                "lba {lba} maps to non-valid page {addr}"
+            );
+            let spare = block.spare(addr.page);
+            assert_eq!(spare.lba(), Some(lba as u64), "spare mismatch at {addr}");
+        }
     }
 
     /// Creates snapshot `id`: a durable, read-only, copy-on-write image of
@@ -1420,10 +1106,7 @@ impl<S: Sink> PageMappedFtl<S> {
     /// [`FtlError::ManifestFull`] when the record would not fit, or a device
     /// error from the manifest commit.
     pub fn snapshot_create(&mut self, id: u64) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = self.inner.snapshot_create(id);
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, |m| m.create_snapshot(id))
     }
 
     /// Deletes snapshot `id`, releasing every page only it referenced.
@@ -1433,10 +1116,7 @@ impl<S: Sink> PageMappedFtl<S> {
     /// [`FtlError::SnapshotsDisabled`], [`FtlError::UnknownSnapshot`],
     /// [`FtlError::MergeInProgress`], or a device error.
     pub fn snapshot_delete(&mut self, id: u64) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = self.inner.snapshot_delete(id);
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, |m| m.delete_snapshot(id))
     }
 
     /// Rolls the live image back to snapshot `id` (a writable clone of it).
@@ -1448,10 +1128,7 @@ impl<S: Sink> PageMappedFtl<S> {
     /// [`FtlError::MergeInProgress`], [`FtlError::ManifestFull`], or a
     /// device error.
     pub fn snapshot_clone(&mut self, id: u64) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = self.inner.snapshot_clone(id);
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, |m| m.clone_snapshot(id))
     }
 
     /// Begins an online merge of snapshot `id` into the live image. Drive
@@ -1464,10 +1141,7 @@ impl<S: Sink> PageMappedFtl<S> {
     /// [`FtlError::MergeInProgress`], [`FtlError::ManifestFull`], or a
     /// device error from the begin-point manifest commit.
     pub fn merge_begin(&mut self, id: u64) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = self.inner.merge_begin(id);
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, |m| m.begin_merge(id))
     }
 
     /// Advances the online merge over up to `max_lbas` logical pages.
@@ -1478,10 +1152,7 @@ impl<S: Sink> PageMappedFtl<S> {
     ///
     /// [`FtlError::SnapshotsDisabled`] or [`FtlError::NoMergeInProgress`].
     pub fn merge_step(&mut self, max_lbas: u64) -> Result<bool, FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = self.inner.merge_step(max_lbas);
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, |m| m.step_merge(max_lbas))
     }
 
     /// Seals the online merge: the snapshot is absorbed into the live image
@@ -1492,10 +1163,7 @@ impl<S: Sink> PageMappedFtl<S> {
     /// [`FtlError::SnapshotsDisabled`], [`FtlError::NoMergeInProgress`], or
     /// a device error from the commit-point manifest write.
     pub fn merge_commit(&mut self) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = self.inner.merge_commit();
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, Self::commit_merge)
     }
 
     /// Merges snapshot `id` into the live image in one call (begin, stream
@@ -1505,14 +1173,11 @@ impl<S: Sink> PageMappedFtl<S> {
     ///
     /// As for [`Self::merge_begin`] and [`Self::merge_commit`].
     pub fn merge_offline(&mut self, id: u64) -> Result<(), FtlError> {
-        let span = self.inner.span_begin(SpanKind::Merge);
-        let result = (|| {
-            self.inner.merge_begin(id)?;
-            while !self.inner.merge_step(1024)? {}
-            self.inner.merge_commit()
-        })();
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::Merge, |m| {
+            m.begin_merge(id)?;
+            while !m.step_merge(1024)? {}
+            m.commit_merge()
+        })
     }
 
     /// Reads `lba` as it looked when snapshot `id` was taken (`None` if it
@@ -1523,16 +1188,12 @@ impl<S: Sink> PageMappedFtl<S> {
     /// [`FtlError::SnapshotsDisabled`], [`FtlError::UnknownSnapshot`],
     /// [`FtlError::LbaOutOfRange`], or a device error.
     pub fn read_snapshot(&mut self, id: u64, lba: u64) -> Result<Option<u64>, FtlError> {
-        let span = self.inner.span_begin(SpanKind::HostRead);
-        let result = self.inner.read_snapshot(id, lba);
-        self.inner.span_end(span);
-        result
+        self.spanned(SpanKind::HostRead, |m| m.snapshot_read(id, lba))
     }
 
     /// Ids of the live snapshots, in creation order.
     pub fn snapshot_ids(&self) -> Vec<u64> {
-        self.inner
-            .snap
+        self.snap
             .as_ref()
             .map_or_else(Vec::new, |b| b.snaps.iter().map(|s| s.id).collect())
     }
@@ -1540,10 +1201,10 @@ impl<S: Sink> PageMappedFtl<S> {
     /// Refcount audit of the snapshot book; `None` when snapshots are
     /// disabled.
     pub fn snapshot_audit(&self) -> Option<SnapshotAudit> {
-        let book = self.inner.snap.as_ref()?;
+        let book = self.snap.as_ref()?;
         let mapped = |map: &[u32]| map.iter().filter(|&&p| p != UNMAPPED).count() as u64;
         let mapping_count =
-            mapped(&self.inner.map) + book.snaps.iter().map(|s| mapped(&s.map)).sum::<u64>();
+            mapped(&self.map) + book.snaps.iter().map(|s| mapped(&s.map)).sum::<u64>();
         Some(SnapshotAudit {
             refcount_sum: book.refs.iter().map(|&r| u64::from(r)).sum(),
             mapping_count,
@@ -1561,11 +1222,11 @@ impl<S: Sink> PageMappedFtl<S> {
     /// on-device iff it is referenced; spare LBA and epoch stamps match the
     /// book's records.
     pub fn check_snapshot_consistency(&self) {
-        let inner = &self.inner;
+        let inner = self;
         let Some(book) = inner.snap.as_ref() else {
             return;
         };
-        let geometry = inner.device.geometry();
+        let geometry = inner.pool.device.geometry();
         let total_pages = geometry.total_pages() as usize;
         let mut expected = vec![0u32; total_pages];
         let mut tally = |map: &[u32]| {
@@ -1590,14 +1251,14 @@ impl<S: Sink> PageMappedFtl<S> {
             for page in 0..geometry.pages_per_block() {
                 let addr = PageAddr::new(b, page);
                 let flat = addr.flat_index(&geometry) as usize;
-                let state = inner.device.block(b).page_state(page);
+                let state = inner.pool.device.block(b).page_state(page);
                 assert_eq!(
                     state.is_valid(),
                     book.refs[flat] > 0,
                     "page {addr} validity must mirror its refcount"
                 );
                 if state.is_valid() {
-                    let spare = inner.device.block(b).spare(page);
+                    let spare = inner.pool.device.block(b).spare(page);
                     assert_eq!(
                         spare.status(),
                         book.epoch_of[flat],
@@ -1615,11 +1276,6 @@ impl<S: Sink> PageMappedFtl<S> {
             }
         }
     }
-
-    #[cfg(test)]
-    pub(crate) fn check_consistency(&mut self) {
-        self.inner.check_consistency();
-    }
 }
 
 #[cfg(test)]
@@ -1627,6 +1283,7 @@ mod tests {
     use super::*;
     use crate::SnapshotConfig;
     use nand::{CellKind, Geometry};
+    use swl_core::{SwLeveler, SwlConfig};
 
     fn device(blocks: u32, pages: u32) -> NandDevice {
         NandDevice::new(
@@ -1741,27 +1398,6 @@ mod tests {
     }
 
     #[test]
-    fn over_committed_space_reports_no_reclaimable() {
-        // 4 blocks × 4 pages, no overprovision: 16 logical pages cannot all
-        // stay valid while GC needs room to breathe.
-        let mut ftl = plain_ftl(4, 4);
-        let mut failed = false;
-        'outer: for round in 0..4u64 {
-            for lba in 0..16u64 {
-                match ftl.write(lba, round) {
-                    Ok(()) => {}
-                    Err(FtlError::NoReclaimableSpace) => {
-                        failed = true;
-                        break 'outer;
-                    }
-                    Err(other) => panic!("unexpected error {other}"),
-                }
-            }
-        }
-        assert!(failed, "over-committed ftl must fail cleanly");
-    }
-
-    #[test]
     fn trim_releases_space() {
         let mut ftl = plain_ftl(4, 4);
         for lba in 0..10u64 {
@@ -1796,66 +1432,6 @@ mod tests {
             stats.max_over_mean() < 3.0,
             "dynamic WL keeps recycled blocks even: {stats}"
         );
-    }
-
-    #[test]
-    fn swl_attaches_and_levels() {
-        let d = device(16, 4);
-        let mut ftl =
-            PageMappedFtl::with_swl(d, FtlConfig::default(), SwlConfig::new(4, 0)).unwrap();
-        // Static workload: 8 cold LBAs written once...
-        for lba in 0..8u64 {
-            ftl.write(lba, 7000 + lba).unwrap();
-        }
-        // ...then one hot LBA hammered.
-        for round in 0..600u64 {
-            ftl.write(40, round).unwrap();
-        }
-        let counters = ftl.counters();
-        assert!(
-            counters.swl_erases > 0,
-            "SWL must have triggered: {counters:?}"
-        );
-        let swl = ftl.swl().unwrap();
-        assert!(swl.stats().interval_resets > 0 || swl.stats().sets_cleaned > 0);
-        // Cold data survived the forced moves.
-        for lba in 0..8u64 {
-            assert_eq!(ftl.read(lba).unwrap(), Some(7000 + lba));
-        }
-        ftl.check_consistency();
-    }
-
-    #[test]
-    fn swl_spreads_wear_onto_cold_blocks() {
-        let run = |swl: bool| -> (f64, u64) {
-            let d = device(16, 8);
-            let mut ftl = if swl {
-                PageMappedFtl::with_swl(d, FtlConfig::default(), SwlConfig::new(8, 0)).unwrap()
-            } else {
-                PageMappedFtl::new(d, FtlConfig::default()).unwrap()
-            };
-            // Cold data occupying half the logical space.
-            for lba in 0..56u64 {
-                ftl.write(lba, lba).unwrap();
-            }
-            for round in 0..3000u64 {
-                ftl.write(100 + (round % 4), round).unwrap();
-            }
-            let stats = ftl.device().erase_stats();
-            (stats.std_dev, stats.max)
-        };
-        let (dev_plain, _) = run(false);
-        let (dev_swl, _) = run(true);
-        assert!(
-            dev_swl < dev_plain,
-            "SWL must flatten the erase distribution: {dev_swl:.2} vs {dev_plain:.2}"
-        );
-    }
-
-    #[test]
-    fn run_swl_without_leveler_is_idle() {
-        let mut ftl = plain_ftl(4, 4);
-        assert_eq!(ftl.run_swl().unwrap(), LevelOutcome::Idle);
     }
 
     #[test]
@@ -1931,208 +1507,6 @@ mod tests {
         ftl.check_consistency();
     }
 
-    #[test]
-    fn event_stream_reconstructs_counters_exactly() {
-        use flash_telemetry::{MetricsAggregator, VecSink};
-
-        let d = device(16, 4).with_sink(VecSink::default());
-        let mut ftl =
-            PageMappedFtl::with_swl(d, FtlConfig::default(), SwlConfig::new(2, 0)).unwrap();
-        for lba in 0..8u64 {
-            ftl.write(lba, lba).unwrap();
-        }
-        for round in 0..400u64 {
-            ftl.write(30, round).unwrap();
-            if round % 7 == 0 {
-                ftl.read(round % 8).unwrap();
-            }
-            if round == 200 {
-                ftl.trim(5).unwrap();
-            }
-        }
-        let counters = ftl.counters();
-        assert!(counters.swl_erases > 0, "scenario must exercise SWL");
-        let mut agg = MetricsAggregator::new();
-        for event in ftl.into_device().into_sink().events {
-            agg.event(event);
-        }
-        assert_eq!(agg.counters(), counters);
-        assert!(agg.swl_invokes() > 0);
-    }
-
-    #[test]
-    fn spans_balance_and_attribute_all_device_time() {
-        use flash_telemetry::{SpanCause, SpanReplayer, VecSink};
-
-        let d = device(16, 4).with_sink(VecSink::default());
-        let mut ftl =
-            PageMappedFtl::with_swl(d, FtlConfig::default(), SwlConfig::new(2, 0)).unwrap();
-        // Record the live per-write busy-time bracket the simulator would.
-        let mut live_totals = Vec::new();
-        let mut do_write = |ftl: &mut PageMappedFtl<VecSink>, lba, data| {
-            let before = ftl.device().busy_ns();
-            ftl.write(lba, data).unwrap();
-            live_totals.push(ftl.device().busy_ns() - before);
-        };
-        for lba in 0..8u64 {
-            do_write(&mut ftl, lba, lba);
-        }
-        for round in 0..400u64 {
-            do_write(&mut ftl, 30, round);
-        }
-        ftl.read(3).unwrap();
-        ftl.trim(7).unwrap();
-        assert!(ftl.counters().swl_erases > 0, "scenario must exercise SWL");
-
-        let mut replay = SpanReplayer::new();
-        let mut writes = Vec::new();
-        let mut swl_time = 0u64;
-        for event in &ftl.into_device().into_sink().events {
-            if let Some(op) = replay.observe(event) {
-                if op.kind == flash_telemetry::SpanKind::HostWrite {
-                    writes.push(op);
-                    swl_time += op.ns(SpanCause::Swl);
-                }
-            }
-        }
-        assert!(replay.check().is_clean(), "{:?}", replay.check());
-        // Every live write reappears with a bit-exact total, fully
-        // attributed across the four causes.
-        assert_eq!(writes.len(), live_totals.len());
-        for (op, &live) in writes.iter().zip(&live_totals) {
-            assert_eq!(op.total_ns(), live);
-            assert_eq!(op.cause_ns.iter().sum::<u64>(), op.total_ns());
-        }
-        assert!(swl_time > 0, "SWL passes must show up in the attribution");
-    }
-
-    #[test]
-    fn instrumented_run_matches_null_sink_run() {
-        fn work<S: Sink>(mut ftl: PageMappedFtl<S>) -> (FtlCounters, Vec<u64>) {
-            for lba in 0..8u64 {
-                ftl.write(lba, lba).unwrap();
-            }
-            for round in 0..400u64 {
-                ftl.write(30, round).unwrap();
-            }
-            (ftl.counters(), ftl.device().erase_counts())
-        }
-        let plain = work(
-            PageMappedFtl::with_swl(device(16, 4), FtlConfig::default(), SwlConfig::new(2, 0))
-                .unwrap(),
-        );
-        let probed = work(
-            PageMappedFtl::with_swl(
-                device(16, 4).with_sink(flash_telemetry::CountSink::default()),
-                FtlConfig::default(),
-                SwlConfig::new(2, 0),
-            )
-            .unwrap(),
-        );
-        assert_eq!(plain, probed, "telemetry must not perturb behaviour");
-    }
-
-    #[test]
-    fn counters_attribute_swl_separately() {
-        let d = device(16, 4);
-        let mut ftl =
-            PageMappedFtl::with_swl(d, FtlConfig::default(), SwlConfig::new(2, 0)).unwrap();
-        for lba in 0..8u64 {
-            ftl.write(lba, lba).unwrap();
-        }
-        for round in 0..400u64 {
-            ftl.write(30, round).unwrap();
-        }
-        let c = ftl.counters();
-        let device_erases = ftl.device().counters().erases;
-        assert_eq!(
-            c.total_erases(),
-            device_erases,
-            "attribution must cover every device erase"
-        );
-        assert!(c.swl_erases > 0);
-    }
-
-    #[test]
-    fn program_failure_remaps_and_preserves_data() {
-        use nand::FaultPlan;
-
-        let d = device(16, 4).with_fault_plan(FaultPlan::new(7).with_program_fail_prob(0.05));
-        let mut ftl = PageMappedFtl::new(d, FtlConfig::default()).unwrap();
-        let mut shadow = std::collections::HashMap::new();
-        for round in 0..200u64 {
-            let lba = (round * 13) % 24;
-            ftl.write(lba, round).unwrap();
-            shadow.insert(lba, round);
-        }
-        let grown_bad = (0..16).filter(|&b| ftl.device().is_bad_block(b)).count();
-        assert!(grown_bad > 0, "0.05 fail rate over 200+ programs must bite");
-        for (lba, data) in shadow {
-            assert_eq!(ftl.read(lba).unwrap(), Some(data), "lba {lba}");
-        }
-        ftl.check_consistency();
-    }
-
-    #[test]
-    fn erase_failure_retires_block_and_swl_survives() {
-        use nand::FaultPlan;
-
-        // Tight endurance: blocks start dying after 6..=10 cycles, so the
-        // free ladder shrinks as the workload runs. Acked writes must stay
-        // readable; retirement must be reported.
-        let d = device(24, 4).with_fault_plan(FaultPlan::new(3).with_endurance_range(6, 10));
-        let mut ftl = PageMappedFtl::with_swl(d, FtlConfig::default(), SwlConfig::new(4, 0))
-            .unwrap();
-        let mut shadow = std::collections::HashMap::new();
-        'work: for round in 0..2000u64 {
-            let lba = (round * 7) % 32;
-            match ftl.write(lba, round) {
-                Ok(()) => {
-                    shadow.insert(lba, round);
-                }
-                Err(FtlError::NoReclaimableSpace | FtlError::FreeExhausted) => break 'work,
-                Err(other) => panic!("unexpected error {other}"),
-            }
-        }
-        assert!(
-            ftl.counters().retired_blocks > 0,
-            "endurance range must retire blocks: {:?}",
-            ftl.counters()
-        );
-        for (lba, data) in shadow {
-            assert_eq!(ftl.read(lba).unwrap(), Some(data), "lba {lba}");
-        }
-        ftl.check_consistency();
-    }
-
-    #[test]
-    fn fault_free_plan_is_bit_identical() {
-        use nand::FaultPlan;
-
-        fn work(mut ftl: PageMappedFtl) -> (FtlCounters, Vec<u64>) {
-            for lba in 0..8u64 {
-                ftl.write(lba, lba).unwrap();
-            }
-            for round in 0..400u64 {
-                ftl.write(30, round).unwrap();
-            }
-            (ftl.counters(), ftl.device().erase_counts())
-        }
-        let plain = work(
-            PageMappedFtl::with_swl(device(16, 4), FtlConfig::default(), SwlConfig::new(2, 0))
-                .unwrap(),
-        );
-        let disarmed = work(
-            PageMappedFtl::with_swl(
-                device(16, 4).with_fault_plan(FaultPlan::new(99)),
-                FtlConfig::default(),
-                SwlConfig::new(2, 0),
-            )
-            .unwrap(),
-        );
-        assert_eq!(plain, disarmed, "a disarmed FaultPlan must change nothing");
-    }
-
     fn snap_ftl(blocks: u32, ppb: u32, overprovision: u32) -> PageMappedFtl {
         let cfg = FtlConfig::default()
             .with_overprovision_blocks(overprovision)
@@ -2184,14 +1558,10 @@ mod tests {
         assert_eq!(audit.snapshots, 0);
         assert_eq!(audit.mapping_count, 8);
         assert_eq!(audit.refcount_sum, 8);
-        let valid: u32 = (0..16)
-            .map(|b| ftl.device().block(b).valid_pages())
-            .sum();
+        let valid: u32 = (0..16).map(|b| ftl.device().block(b).valid_pages()).sum();
         // Only the head's 8 pages (plus the manifest's metadata pages)
         // remain valid. The reserve is the top 4 blocks (2 buffers × 2).
-        let manifest_valid: u32 = (12..16)
-            .map(|b| ftl.device().block(b).valid_pages())
-            .sum();
+        let manifest_valid: u32 = (12..16).map(|b| ftl.device().block(b).valid_pages()).sum();
         assert_eq!(valid - manifest_valid, 8);
         ftl.check_snapshot_consistency();
     }
@@ -2323,10 +1693,7 @@ mod tests {
     #[test]
     fn snapshot_verbs_reject_bad_states() {
         let mut plain = plain_ftl(8, 4);
-        assert_eq!(
-            plain.snapshot_create(1),
-            Err(FtlError::SnapshotsDisabled)
-        );
+        assert_eq!(plain.snapshot_create(1), Err(FtlError::SnapshotsDisabled));
         assert_eq!(plain.merge_step(4), Err(FtlError::SnapshotsDisabled));
 
         let mut ftl = snap_ftl(16, 16, 4);

@@ -71,32 +71,6 @@ proptest! {
         }
     }
 
-    /// Free-block accounting never underflows the reserve while writes
-    /// succeed, and erase counters are internally consistent.
-    #[test]
-    fn counters_are_consistent(
-        writes in prop::collection::vec((0u64..150, any::<u64>()), 1..800),
-        with_swl in any::<bool>(),
-    ) {
-        let mut ftl = if with_swl {
-            PageMappedFtl::with_swl(device(32, 8), FtlConfig::default(), SwlConfig::new(4, 1))
-                .unwrap()
-        } else {
-            PageMappedFtl::new(device(32, 8), FtlConfig::default()).unwrap()
-        };
-        for (lba, data) in &writes {
-            ftl.write(*lba, *data).unwrap();
-        }
-        let c = ftl.counters();
-        prop_assert_eq!(c.host_writes, writes.len() as u64);
-        prop_assert_eq!(c.total_erases(), ftl.device().counters().erases);
-        // Every live copy was a device program beyond the host writes.
-        prop_assert_eq!(
-            ftl.device().counters().programs,
-            c.host_writes + c.total_live_copies()
-        );
-    }
-
     /// Wear spread: with SWL at an aggressive threshold, the max/mean wear
     /// ratio stays bounded under a pathological single-page workload.
     #[test]

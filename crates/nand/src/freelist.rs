@@ -97,13 +97,6 @@ impl FreeBlockLadder {
         }
     }
 
-    /// Removes every block.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-        self.min_hint = 0;
-        self.len = 0;
-    }
-
     /// Iterates over all held blocks in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.buckets.iter().flatten().copied()

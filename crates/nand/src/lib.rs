@@ -25,6 +25,13 @@
 //! - The device accumulates busy time from per-op latencies ([`Timing`]), so
 //!   experiments can report simulated device time without wall-clock cost.
 //!
+//! ## The Cleaner substrate
+//!
+//! What every translation layer needs to manage the chip, defined once:
+//! [`BlockPool`] (free list, retirement, cause-attributed erases, spans),
+//! [`VictimIndex`], and [`SwlHost`], the shell hosting the SW Leveler over
+//! any [`Mapping`] — `ftl` and `nftl` are two mappings under that shell.
+//!
 //! ## Example
 //!
 //! ```
@@ -57,7 +64,9 @@ mod error;
 pub mod fault;
 pub mod freelist;
 mod geometry;
+pub mod host;
 mod page;
+pub mod pool;
 mod stats;
 pub mod victim;
 mod wearmap;
@@ -70,7 +79,9 @@ pub use error::NandError;
 pub use fault::FaultPlan;
 pub use freelist::FreeBlockLadder;
 pub use geometry::Geometry;
+pub use host::{Mapping, ShellKey, SwlHost};
 pub use page::{PageAddr, PageState, SpareArea};
+pub use pool::BlockPool;
 pub use stats::EraseStats;
 pub use victim::VictimIndex;
 pub use wearmap::WearMap;

@@ -16,8 +16,9 @@
 //!   capacity;
 //! - the allocator takes the lowest-erase-count free block (dynamic wear
 //!   leveling);
-//! - the [`SwLeveler`](swl_core::SwLeveler) plugs in through
-//!   [`swl_core::SwlCleaner`] to force cold blocks through recycling.
+//! - the [`SwLeveler`](swl_core::SwLeveler) forces cold blocks through
+//!   recycling: [`BlockMappedNftl`] is the [`BlockMapping`] under the shared
+//!   [`nand::SwlHost`] shell, over the shared [`nand::BlockPool`].
 //!
 //! ## Example
 //!
@@ -40,11 +41,15 @@
 #![warn(missing_docs)]
 
 mod config;
-mod counters;
 mod error;
 mod translation;
 
 pub use config::NftlConfig;
-pub use counters::NftlCounters;
+/// What the NFTL did, split by cause — inputs to the paper's Figures 6/7.
+///
+/// The definition is shared with `ftl` and `flash-sim` (it lives in
+/// `flash-telemetry`, so the metrics aggregator can rebuild the same totals
+/// from a replayed event log); page-mapping-only `trims` stays zero here.
+pub use flash_telemetry::FlashCounters as NftlCounters;
 pub use error::NftlError;
-pub use translation::BlockMappedNftl;
+pub use translation::{BlockMappedNftl, BlockMapping};

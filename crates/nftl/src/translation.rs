@@ -2,21 +2,19 @@
 
 use std::collections::BTreeMap;
 
-use flash_telemetry::{Cause, Event, MergeKind, NullSink, Sink, SpanKind, SpanTracker};
-use nand::{FreeBlockLadder, NandDevice, PageAddr, SpareArea, VictimIndex};
-use swl_core::{LevelOutcome, SwLeveler, SwlCleaner, SwlConfig};
+use flash_telemetry::{Cause, Event, MergeKind, NullSink, Sink, SpanKind};
+use nand::{BlockPool, Mapping, NandDevice, PageAddr, ShellKey, SpareArea, SwlHost, VictimIndex};
 
 use crate::config::NftlConfig;
-use crate::counters::NftlCounters;
 use crate::error::NftlError;
 
 /// Sentinel for "no physical block assigned".
 const NO_BLOCK: u32 = u32::MAX;
 
 /// Spare-area status marker for pages written into a primary block.
-pub(crate) const STATUS_PRIMARY: u32 = 1;
+const STATUS_PRIMARY: u32 = 1;
 /// Spare-area status marker for pages appended to a replacement block.
-pub(crate) const STATUS_REPL: u32 = 2;
+const STATUS_REPL: u32 = 2;
 /// Low status bits carrying the page kind; the bits above hold the merge
 /// generation of primary pages.
 const STATUS_KIND_MASK: u32 = 0xFF;
@@ -34,14 +32,15 @@ fn primary_status(gen: u32) -> u32 {
     STATUS_PRIMARY | ((gen & (u32::MAX >> GEN_SHIFT)) << GEN_SHIFT)
 }
 
-/// What a physical block is currently used for.
+/// Which virtual block a physical block currently serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockRole {
-    Free,
+    /// Serves none. The [`BlockPool`] knows whether it is free; if not it
+    /// is retired, popped for a merge still in flight, or stranded by a
+    /// power cut mid-merge (RAM state that dies with the session).
+    Unassigned,
     Primary(u32),
     Replacement(u32),
-    /// Worn out and withdrawn from circulation (bad-block management).
-    Retired,
 }
 
 /// RAM state of an open replacement block (a real NFTL rebuilds this from
@@ -55,27 +54,13 @@ struct ReplState {
     latest: Box<[u32]>,
 }
 
-/// Why a merge ran, for counter attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeCause {
-    ReplacementFull,
-    GarbageCollection,
-    WearLeveling,
-}
-
-impl MergeCause {
-    /// Erase/copy cause attribution for the telemetry stream.
-    fn telemetry_cause(self) -> Cause {
-        match self {
-            MergeCause::WearLeveling => Cause::Swl,
-            _ => Cause::Gc,
-        }
-    }
-}
-
+/// The block-level mapping: primary/replacement pairs per virtual block and
+/// the merges that fold them, over the shared [`BlockPool`]. Runs under
+/// [`SwlHost`] as [`BlockMappedNftl`].
 #[derive(Debug)]
-pub(crate) struct Inner<S: Sink = NullSink> {
-    device: NandDevice<S>,
+pub struct BlockMapping<S: Sink = NullSink> {
+    /// The chip, the free ladder and free/retired membership.
+    pool: BlockPool<S>,
     config: NftlConfig,
     virtual_blocks: u32,
     logical_pages: u64,
@@ -87,80 +72,321 @@ pub(crate) struct Inner<S: Sink = NullSink> {
     /// Open replacement blocks, keyed by VBA (ordered for determinism).
     repl: BTreeMap<u32, ReplState>,
     role: Vec<BlockRole>,
-    /// Free blocks bucketed by wear; allocation pops the lowest.
-    free: FreeBlockLadder,
     /// Incremental index of merge candidates (keyed by VBA; a VBA is a
     /// candidate while it has an open replacement block).
     victims: VictimIndex,
     /// Cyclic cursor for GC victim selection over VBAs.
     gc_scan_vba: u32,
     free_target: u32,
-    counters: NftlCounters,
-    in_swl: bool,
-    /// Causal-span bookkeeping (ids + open stack); dormant under `NullSink`.
-    spans: SpanTracker,
 }
 
-impl<S: Sink> Inner<S> {
-    fn new(device: NandDevice<S>, config: NftlConfig) -> Result<Self, NftlError> {
+impl<S: Sink> BlockMapping<S> {
+    /// Builds the RAM tables over `pool_of(device, blocks)`.
+    fn build(
+        device: NandDevice<S>,
+        config: NftlConfig,
+        pool_of: fn(NandDevice<S>, u32) -> BlockPool<S>,
+    ) -> Self {
         let geometry = device.geometry();
         let blocks = geometry.blocks();
         let reserved = config.reserved_blocks.min(blocks.saturating_sub(1));
         let virtual_blocks = blocks - reserved;
         let logical_pages = u64::from(virtual_blocks) * u64::from(geometry.pages_per_block());
         let free_target = config.free_target(blocks);
-        let mut free = FreeBlockLadder::new();
-        for b in 0..blocks {
-            free.push(b, device.block(b).erase_count());
-        }
-        Ok(Self {
+        Self {
+            pool: pool_of(device, blocks),
             virtual_blocks,
             logical_pages,
             primary: vec![NO_BLOCK; virtual_blocks as usize],
             gen: vec![0; virtual_blocks as usize],
             repl: BTreeMap::new(),
-            role: vec![BlockRole::Free; blocks as usize],
-            free,
+            role: vec![BlockRole::Unassigned; blocks as usize],
             victims: VictimIndex::new(virtual_blocks),
             gc_scan_vba: 0,
             free_target,
-            counters: NftlCounters::default(),
-            device,
             config,
-            in_swl: false,
-            spans: SpanTracker::new(),
+        }
+    }
+
+    fn split(&self, lba: u64) -> (u32, u32) {
+        let ppb = u64::from(self.pool.device.geometry().pages_per_block());
+        ((lba / ppb) as u32, (lba % ppb) as u32)
+    }
+
+    fn lba_of(&self, vba: u32, offset: u32) -> u64 {
+        u64::from(vba) * u64::from(self.pool.device.geometry().pages_per_block())
+            + u64::from(offset)
+    }
+
+    fn check_lba(&self, lba: u64) -> Result<(), NftlError> {
+        if lba >= self.logical_pages {
+            return Err(NftlError::LbaOutOfRange {
+                lba,
+                logical_pages: self.logical_pages,
+            });
+        }
+        Ok(())
+    }
+
+    /// Whether serving a write to `(vba, offset)` would need a fresh block.
+    fn write_needs_alloc(&self, vba: u32, offset: u32) -> bool {
+        let p = self.primary[vba as usize];
+        if p == NO_BLOCK {
+            return true;
+        }
+        if self.pool.device.block(p).page_state(offset).is_free() {
+            return false;
+        }
+        !self.repl.contains_key(&vba)
+    }
+
+    /// Keeps the free pool at its target by merging replacement pairs.
+    fn ensure_free(&mut self, erased: &mut Vec<u32>) -> Result<(), NftlError> {
+        let mut guard = 0u32;
+        while (self.pool.free_len() as u32) < self.free_target {
+            self.gc_merge_one(erased)?;
+            guard += 1;
+            if guard > self.pool.device.geometry().blocks() * 2 {
+                return Err(NftlError::FreeExhausted);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-reports one VBA to the victim index. Must be called after any
+    /// event that changes the VBA's merge stats or candidacy: opening or
+    /// closing its replacement block, or programming/invalidating pages in
+    /// either block of the pair.
+    fn refresh_victim(&mut self, vba: u32) {
+        let stats = self.pair_stats(vba);
+        let (invalid, valid) = stats.unwrap_or((0, 0));
+        self.victims.update(vba, stats.is_some(), invalid, valid);
+    }
+
+    /// `(invalid, valid)` pages across a VBA's primary/replacement pair;
+    /// `None` without an open replacement (not a merge candidate).
+    fn pair_stats(&self, vba: u32) -> Option<(u32, u32)> {
+        let rs = self.repl.get(&vba)?;
+        let pb = self.pool.device.block(self.primary[vba as usize]);
+        let rb = self.pool.device.block(rs.block);
+        Some((
+            pb.invalid_pages() + rb.invalid_pages(),
+            pb.valid_pages() + rb.valid_pages(),
+        ))
+    }
+
+    /// The pre-index cyclic scan over open replacements, kept as the oracle
+    /// the incremental [`VictimIndex`] is checked against under
+    /// `debug_assertions`. Pure: does not advance `gc_scan_vba`.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    fn reference_select_victim(&self) -> Option<u32> {
+        let start = self.gc_scan_vba;
+        let mut fallback: Option<(u64, u32)> = None; // (invalid, vba)
+        let keys = self
+            .repl
+            .range(start..)
+            .map(|(&v, _)| v)
+            .chain(self.repl.range(..start).map(|(&v, _)| v));
+        for vba in keys {
+            let rs = &self.repl[&vba];
+            let p = self.primary[vba as usize];
+            let pb = self.pool.device.block(p);
+            let rb = self.pool.device.block(rs.block);
+            let invalid = u64::from(pb.invalid_pages()) + u64::from(rb.invalid_pages());
+            let valid = u64::from(pb.valid_pages()) + u64::from(rb.valid_pages());
+            if invalid > valid {
+                return Some(vba);
+            }
+            if invalid > 0 && fallback.is_none_or(|(best, _)| invalid > best) {
+                fallback = Some((invalid, vba));
+            }
+        }
+        fallback.map(|(_, v)| v)
+    }
+
+    /// Greedy victim selection over open replacements (cyclic over VBAs):
+    /// first pair whose invalid pages outnumber their valid pages, falling
+    /// back to the pair with the most invalid pages. Answered by the
+    /// incremental [`VictimIndex`] instead of a linear scan.
+    fn gc_merge_one(&mut self, erased: &mut Vec<u32>) -> Result<(), NftlError> {
+        // One GC episode under a `gc` span; the merge it runs opens its own
+        // nested `merge` span, so the pick/bookkeeping cost and the copy
+        // cascade are attributed separately.
+        self.spanned(SpanKind::Gc, |m| {
+            let choice = m.victims.select(m.gc_scan_vba);
+            debug_assert_eq!(
+                choice,
+                m.reference_select_victim(),
+                "victim index diverged from the linear-scan oracle"
+            );
+            let vba = choice.ok_or(NftlError::NoReclaimableSpace)?;
+            m.gc_scan_vba = vba.wrapping_add(1) % m.virtual_blocks.max(1);
+            m.pool.counters.gc_collections += 1;
+            m.pool.counters.gc_merges += 1;
+            if S::ENABLED {
+                let (invalid, valid) = m.pair_stats(vba).unwrap_or((0, 0));
+                let free_depth = m.pool.free_len() as u32;
+                let candidates = m.victims.candidates();
+                m.pool.emit(Event::GcPick {
+                    key: vba,
+                    invalid,
+                    valid,
+                    free_depth,
+                    candidates,
+                });
+                m.pool.emit(Event::Merge {
+                    vba,
+                    kind: MergeKind::Gc,
+                });
+            }
+            m.merge(vba, None, Cause::Gc, erased)
         })
     }
 
-    /// Opens a causal span stamped with the device's cumulative busy time.
-    /// Returns the span id, or 0 (which [`Self::span_end`] ignores) when the
-    /// sink is compiled out — the disabled path is two constant branches.
-    fn span_begin(&mut self, kind: SpanKind) -> u64 {
-        if !S::ENABLED {
-            return 0;
-        }
-        let at_ns = self.device.busy_ns();
-        let (id, parent) = self.spans.begin();
-        self.device.sink_mut().event(Event::SpanBegin {
-            id,
-            parent,
-            kind,
-            at_ns,
-        });
-        id
+    /// Folds a VBA's newest data into a fresh primary block and erases the
+    /// old primary (and replacement, if open). `fill` programs host data
+    /// into an offset in place of its old copy — the overwrite that
+    /// triggered a full merge — so the data is safely on flash *before* the
+    /// old pair is destroyed.
+    ///
+    /// Crash ordering: copies (and the fill) land in the fresh block with
+    /// generation `gen+1` first; the old pair is erased only afterwards. A
+    /// power cut therefore leaves either the old pair intact (the partial
+    /// successor is scrubbed at mount, resolved by generation) or the new
+    /// primary complete — never a state that loses acknowledged data.
+    fn merge(
+        &mut self,
+        vba: u32,
+        fill: Option<(u32, u64)>,
+        cause: Cause,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), NftlError> {
+        self.spanned(SpanKind::Merge, |m| m.merge_inner(vba, fill, cause, erased))
     }
 
-    /// Closes span `id`, first closing any descendants an error path left
-    /// open so the emitted stream stays balanced.
-    fn span_end(&mut self, id: u64) {
-        if !S::ENABLED || id == 0 {
-            return;
+    fn merge_inner(
+        &mut self,
+        vba: u32,
+        fill: Option<(u32, u64)>,
+        cause: Cause,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), NftlError> {
+        let old_primary = self.primary[vba as usize];
+        debug_assert_ne!(old_primary, NO_BLOCK, "merge requires a primary");
+        let rs = self.repl.remove(&vba);
+        let new_gen = self.gen[vba as usize].wrapping_add(1);
+        let pages_per_block = self.pool.device.geometry().pages_per_block();
+
+        // Copy phase, restarted on another fresh block when an injected
+        // program failure strikes mid-merge (the half-written block is
+        // retired; the sources are still intact, so the copies repeat).
+        let fresh = 'attempt: loop {
+            let fresh = match self.pop_free() {
+                Ok(fresh) => fresh,
+                Err(e) => {
+                    self.undo_merge(vba, rs);
+                    return Err(e);
+                }
+            };
+            for offset in 0..pages_per_block {
+                let lba = self.lba_of(vba, offset);
+                // `copied_from` is `None` for the host fill (not a copy).
+                let (data, copied_from) = match fill {
+                    Some((fill_offset, fill_data)) if fill_offset == offset => (fill_data, None),
+                    _ => {
+                        let src = match &rs {
+                            Some(rs) if rs.latest[offset as usize] != 0 => {
+                                Some(PageAddr::new(rs.block, rs.latest[offset as usize] - 1))
+                            }
+                            _ => {
+                                let state = self.pool.device.block(old_primary).page_state(offset);
+                                state
+                                    .is_valid()
+                                    .then_some(PageAddr::new(old_primary, offset))
+                            }
+                        };
+                        let Some(src) = src else { continue };
+                        match self.pool.device.read(src) {
+                            Ok(content) => (content.data, Some(src.block)),
+                            Err(e) => {
+                                self.undo_merge(vba, rs);
+                                return Err(e.into());
+                            }
+                        }
+                    }
+                };
+                match self.pool.device.program(
+                    PageAddr::new(fresh, offset),
+                    data,
+                    SpareArea::with_status(lba, primary_status(new_gen)),
+                ) {
+                    Ok(()) => {}
+                    Err(nand::NandError::ProgramFailed { .. }) => {
+                        self.pool.retire(fresh);
+                        continue 'attempt;
+                    }
+                    Err(e) => {
+                        // Power cut (or a dead device): RAM state is about
+                        // to be discarded; the half-written block stays out
+                        // of circulation, in use with no role.
+                        self.undo_merge(vba, rs);
+                        return Err(e.into());
+                    }
+                }
+                if let Some(from_block) = copied_from {
+                    self.pool.record_live_copy(from_block, fresh, cause);
+                }
+            }
+            break fresh;
+        };
+
+        self.primary[vba as usize] = fresh;
+        self.role[fresh as usize] = BlockRole::Primary(vba);
+        self.gen[vba as usize] = new_gen;
+        // The old pair serves no VBA from here on; the pool frees or retires
+        // each block.
+        self.role[old_primary as usize] = BlockRole::Unassigned;
+        if let Some(rs) = &rs {
+            self.role[rs.block as usize] = BlockRole::Unassigned;
         }
-        let at_ns = self.device.busy_ns();
-        let Self { spans, device, .. } = self;
-        spans.end(id, |popped| {
-            device.sink_mut().event(Event::SpanEnd { id: popped, at_ns });
-        });
+        // A power cut mid-erase strands the stragglers role-less (RAM dies
+        // with us). Either way the replacement (if any) is gone: the VBA
+        // stops being a merge candidate.
+        let old_pair = [Some(old_primary), rs.map(|rs| rs.block)];
+        let freed = old_pair
+            .into_iter()
+            .flatten()
+            .try_for_each(|b| self.pool.erase_and_free(b, cause, erased));
+        self.refresh_victim(vba);
+        Ok(freed?)
+    }
+
+    /// Restores RAM state after a merge failed before committing: the
+    /// replacement (if any) goes back into the map and the victim index is
+    /// re-synced. The on-flash sources were not touched, so the layer keeps
+    /// serving correct data.
+    fn undo_merge(&mut self, vba: u32, rs: Option<ReplState>) {
+        if let Some(rs) = rs {
+            self.repl.insert(vba, rs);
+        }
+        self.refresh_victim(vba);
+    }
+
+    /// Pops the least-worn free block; the caller assigns its role.
+    fn pop_free(&mut self) -> Result<u32, NftlError> {
+        self.pool
+            .pop_freshest_free()
+            .ok_or(NftlError::FreeExhausted)
+    }
+}
+
+impl<S: Sink> Mapping for BlockMapping<S> {
+    type Sink = S;
+    type Config = NftlConfig;
+    type Error = NftlError;
+
+    fn new(device: NandDevice<S>, config: NftlConfig) -> Result<Self, NftlError> {
+        Ok(Self::build(device, config, BlockPool::new))
     }
 
     /// Rebuilds all RAM tables from the spare areas of an existing chip —
@@ -179,43 +405,35 @@ impl<S: Sink> Inner<S> {
     ///   erases it only after finishing the new copy), so it wins and the
     ///   other is scrubbed.
     fn mount(device: NandDevice<S>, config: NftlConfig) -> Result<Self, NftlError> {
-        let mut inner = Self::new(device, config)?;
-        inner.free.clear();
-        let blocks = inner.device.geometry().blocks();
-        let pages_per_block = inner.device.geometry().pages_per_block();
+        let mut inner = Self::build(device, config, BlockPool::mount);
+        let blocks = inner.pool.device.geometry().blocks();
+        let pages_per_block = inner.pool.device.geometry().pages_per_block();
         // (vba, block, generation) primary candidates; resolved below.
         let mut primaries: Vec<(u32, u32, u32)> = Vec::new();
         let mut scrub: Vec<u32> = Vec::new();
 
         for b in 0..blocks {
-            if inner.device.block(b).spare(0).is_bad_block_marker() {
-                inner.role[b as usize] = BlockRole::Retired;
+            // The pool already rediscovered the retired (marked-bad) and the
+            // fully erased blocks; what is left holds programmed pages.
+            if !inner.pool.in_use(b) {
                 continue;
             }
             // Classify the block from its first page whose spare metadata
             // survived (torn pages carry none).
             let mut marker: Option<(u32, u64)> = None; // (status, lba)
-            let mut programmed = false;
-            for (page, state) in inner.device.block(b).page_states() {
+            for (page, state) in inner.pool.device.block(b).page_states() {
                 if state.is_free() {
                     continue;
                 }
-                programmed = true;
-                let spare = inner.device.block(b).spare(page);
+                let spare = inner.pool.device.block(b).spare(page);
                 if let Some(lba) = spare.lba() {
                     marker = Some((spare.status(), lba));
                     break;
                 }
             }
             let Some((status, lba)) = marker else {
-                if programmed {
-                    // Nothing but torn pages: crash debris, recycle it.
-                    scrub.push(b);
-                } else {
-                    let wear = inner.device.block(b).erase_count();
-                    inner.role[b as usize] = BlockRole::Free;
-                    inner.free.push(b, wear);
-                }
+                // Nothing but torn pages: crash debris, recycle it.
+                scrub.push(b);
                 continue;
             };
             if lba >= inner.logical_pages {
@@ -229,7 +447,7 @@ impl<S: Sink> Inner<S> {
                 STATUS_REPL => {
                     let mut latest = vec![0u32; pages_per_block as usize].into_boxed_slice();
                     let mut next = 0u32;
-                    for (page, state) in inner.device.block(b).page_states() {
+                    for (page, state) in inner.pool.device.block(b).page_states() {
                         if state.is_free() {
                             break; // appends are contiguous from page 0
                         }
@@ -237,7 +455,7 @@ impl<S: Sink> Inner<S> {
                         if !state.is_valid() {
                             continue;
                         }
-                        let spare = inner.device.block(b).spare(page);
+                        let spare = inner.pool.device.block(b).spare(page);
                         let page_lba = spare.lba().ok_or(NftlError::MountCorrupt { block: b })?;
                         let (page_vba, offset) = inner.split(page_lba);
                         if page_vba != vba {
@@ -267,7 +485,7 @@ impl<S: Sink> Inner<S> {
         // cuts alone) favour the block serving more live pages, then the
         // lower block number. Losers are crash debris and get scrubbed.
         primaries.sort_by_key(|&(vba, b, gen)| {
-            let valid = inner.device.block(b).valid_pages();
+            let valid = inner.pool.device.block(b).valid_pages();
             (vba, gen, std::cmp::Reverse(valid), b)
         });
         let mut prev_vba = None;
@@ -281,8 +499,12 @@ impl<S: Sink> Inner<S> {
             inner.gen[vba as usize] = gen;
             inner.role[b as usize] = BlockRole::Primary(vba);
         }
+        // Debris — torn pages only, or the half-written successor of an
+        // interrupted merge — is erased back into the pool (or retired, if
+        // it refuses to erase). No leveler is attached yet, so the erase log
+        // is dropped.
         for b in scrub {
-            inner.scrub_block(b)?;
+            inner.pool.erase_and_free(b, Cause::Gc, &mut Vec::new())?;
         }
 
         // Every replacement must hang off an assigned primary.
@@ -298,38 +520,30 @@ impl<S: Sink> Inner<S> {
         Ok(inner)
     }
 
-    fn split(&self, lba: u64) -> (u32, u32) {
-        let ppb = u64::from(self.device.geometry().pages_per_block());
-        ((lba / ppb) as u32, (lba % ppb) as u32)
+    fn into_device(self) -> NandDevice<S> {
+        self.pool.device
     }
 
-    fn lba_of(&self, vba: u32, offset: u32) -> u64 {
-        u64::from(vba) * u64::from(self.device.geometry().pages_per_block()) + u64::from(offset)
+    fn pool(&self) -> &BlockPool<S> {
+        &self.pool
     }
 
-    fn check_lba(&self, lba: u64) -> Result<(), NftlError> {
-        if lba >= self.logical_pages {
-            return Err(NftlError::LbaOutOfRange {
-                lba,
-                logical_pages: self.logical_pages,
-            });
-        }
-        Ok(())
+    fn pool_mut(&mut self, _: ShellKey) -> &mut BlockPool<S> {
+        &mut self.pool
     }
 
-    /// Whether serving a write to `(vba, offset)` would need a fresh block.
-    fn write_needs_alloc(&self, vba: u32, offset: u32) -> bool {
-        let p = self.primary[vba as usize];
-        if p == NO_BLOCK {
-            return true;
-        }
-        if self.device.block(p).page_state(offset).is_free() {
-            return false;
-        }
-        !self.repl.contains_key(&vba)
+    fn logical_pages(&self) -> u64 {
+        self.logical_pages
     }
 
-    fn host_write(&mut self, lba: u64, data: u64, erased: &mut Vec<u32>) -> Result<(), NftlError> {
+    #[inline]
+    fn host_write(
+        &mut self,
+        _: ShellKey,
+        lba: u64,
+        data: u64,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), NftlError> {
         self.check_lba(lba)?;
         let (vba, offset) = self.split(lba);
 
@@ -338,7 +552,7 @@ impl<S: Sink> Inner<S> {
             Err(NftlError::NoReclaimableSpace) => {
                 // Nothing mergeable yet. Proceed while a merge reserve
                 // remains, or when this write allocates nothing.
-                let safe = self.free.len() >= 2 || !self.write_needs_alloc(vba, offset);
+                let safe = self.pool.free_len() >= 2 || !self.write_needs_alloc(vba, offset);
                 if !safe {
                     return Err(NftlError::NoReclaimableSpace);
                 }
@@ -347,7 +561,7 @@ impl<S: Sink> Inner<S> {
         }
 
         if self.primary[vba as usize] == NO_BLOCK {
-            let p = self.pop_freshest_free()?;
+            let p = self.pop_free()?;
             self.role[p as usize] = BlockRole::Primary(vba);
             self.primary[vba as usize] = p;
         }
@@ -360,14 +574,18 @@ impl<S: Sink> Inner<S> {
         // free pool is finite.
         loop {
             let p = self.primary[vba as usize];
-            if self.device.block(p).page_state(offset).is_free() {
+            if self.pool.device.block(p).page_state(offset).is_free() {
                 // In-place slot still available in the primary block.
                 debug_assert!(self
                     .repl
                     .get(&vba)
                     .is_none_or(|rs| rs.latest[offset as usize] == 0));
                 let spare = SpareArea::with_status(lba, primary_status(self.gen[vba as usize]));
-                match self.device.program(PageAddr::new(p, offset), data, spare) {
+                match self
+                    .pool
+                    .device
+                    .program(PageAddr::new(p, offset), data, spare)
+                {
                     Ok(()) => {}
                     Err(nand::NandError::ProgramFailed { .. }) => {
                         // Slot consumed, primary grown-bad: fall through to
@@ -383,18 +601,16 @@ impl<S: Sink> Inner<S> {
                 // An open replacement makes this VBA a merge candidate whose
                 // valid count just grew.
                 self.refresh_victim(vba);
-                self.counters.host_writes += 1;
-                if S::ENABLED {
-                    self.device.sink_mut().event(Event::HostWrite { lba });
-                }
+                self.pool.counters.host_writes += 1;
+                self.pool.emit(Event::HostWrite { lba });
                 return Ok(());
             }
 
             // Overwrite: goes to the replacement block.
             if !self.repl.contains_key(&vba) {
-                let r = self.pop_freshest_free()?;
+                let r = self.pop_free()?;
                 self.role[r as usize] = BlockRole::Replacement(vba);
-                let pages = self.device.geometry().pages_per_block() as usize;
+                let pages = self.pool.device.geometry().pages_per_block() as usize;
                 self.repl.insert(
                     vba,
                     ReplState {
@@ -405,25 +621,21 @@ impl<S: Sink> Inner<S> {
                 );
             }
 
-            let pages_per_block = self.device.geometry().pages_per_block();
+            let pages_per_block = self.pool.device.geometry().pages_per_block();
             if self.repl[&vba].next == pages_per_block {
                 // Replacement full: merge, folding the incoming data into
                 // the fresh primary in place of the offset's old copy. The
                 // data lands *before* the merge erases the old pair, so a
                 // power cut can never destroy the only surviving copy of
                 // the last acknowledged write.
-                self.counters.full_merges += 1;
-                if S::ENABLED {
-                    self.device.sink_mut().event(Event::Merge {
-                        vba,
-                        kind: MergeKind::Full,
-                    });
-                }
-                self.merge(vba, Some((offset, data)), MergeCause::ReplacementFull, erased)?;
-                self.counters.host_writes += 1;
-                if S::ENABLED {
-                    self.device.sink_mut().event(Event::HostWrite { lba });
-                }
+                self.pool.counters.full_merges += 1;
+                self.pool.emit(Event::Merge {
+                    vba,
+                    kind: MergeKind::Full,
+                });
+                self.merge(vba, Some((offset, data)), Cause::Gc, erased)?;
+                self.pool.counters.host_writes += 1;
+                self.pool.emit(Event::HostWrite { lba });
                 return Ok(());
             }
 
@@ -432,7 +644,7 @@ impl<S: Sink> Inner<S> {
             let block = rs.block;
             let prev = rs.latest[offset as usize];
             rs.next += 1;
-            match self.device.program(
+            match self.pool.device.program(
                 PageAddr::new(block, slot),
                 data,
                 SpareArea::with_status(lba, STATUS_REPL),
@@ -455,415 +667,104 @@ impl<S: Sink> Inner<S> {
             // slot). A primary slot consumed by an earlier fault carries no
             // live copy to invalidate.
             if prev != 0 {
-                self.device.invalidate(PageAddr::new(block, prev - 1))?;
-            } else if self.device.block(p).page_state(offset).is_valid() {
-                self.device.invalidate(PageAddr::new(p, offset))?;
+                self.pool
+                    .device
+                    .invalidate(PageAddr::new(block, prev - 1))?;
+            } else if self.pool.device.block(p).page_state(offset).is_valid() {
+                self.pool.device.invalidate(PageAddr::new(p, offset))?;
             }
             self.refresh_victim(vba);
-            self.counters.host_writes += 1;
-            if S::ENABLED {
-                self.device.sink_mut().event(Event::HostWrite { lba });
-            }
+            self.pool.counters.host_writes += 1;
+            self.pool.emit(Event::HostWrite { lba });
             return Ok(());
         }
     }
 
-    fn host_read(&mut self, lba: u64) -> Result<Option<u64>, NftlError> {
+    #[inline]
+    fn host_read(&mut self, _: ShellKey, lba: u64) -> Result<Option<u64>, NftlError> {
         self.check_lba(lba)?;
         let (vba, offset) = self.split(lba);
-        self.counters.host_reads += 1;
-        if S::ENABLED {
-            self.device.sink_mut().event(Event::HostRead { lba });
-        }
+        self.pool.counters.host_reads += 1;
+        self.pool.emit(Event::HostRead { lba });
         if let Some(rs) = self.repl.get(&vba) {
             let latest = rs.latest[offset as usize];
             if latest != 0 {
                 let addr = PageAddr::new(rs.block, latest - 1);
-                return Ok(Some(self.device.read(addr)?.data));
+                return Ok(Some(self.pool.device.read(addr)?.data));
             }
         }
         let p = self.primary[vba as usize];
-        if p != NO_BLOCK && self.device.block(p).page_state(offset).is_valid() {
-            return Ok(Some(self.device.read(PageAddr::new(p, offset))?.data));
+        if p != NO_BLOCK && self.pool.device.block(p).page_state(offset).is_valid() {
+            return Ok(Some(self.pool.device.read(PageAddr::new(p, offset))?.data));
         }
         Ok(None)
     }
 
-    /// Keeps the free pool at its target by merging replacement pairs.
-    fn ensure_free(&mut self, erased: &mut Vec<u32>) -> Result<(), NftlError> {
-        let mut guard = 0u32;
-        while (self.free.len() as u32) < self.free_target {
+    /// A primary or replacement block is merged with its pair into a fresh
+    /// primary, charged to SWL; a free block is erased in place. When the
+    /// pool is empty, one regular GC merge runs first to refill it — charged
+    /// to GC, where the page-mapped FTL charges its refill to SWL.
+    fn recycle_block(
+        &mut self,
+        _: ShellKey,
+        b: u32,
+        erased: &mut Vec<u32>,
+    ) -> Result<(), NftlError> {
+        if self.role[b as usize] != BlockRole::Unassigned && self.pool.free_len() == 0 {
+            // May pick `b`'s own pair, leaving `b` free.
             self.gc_merge_one(erased)?;
-            guard += 1;
-            if guard > self.device.geometry().blocks() * 2 {
-                return Err(NftlError::FreeExhausted);
-            }
         }
-        Ok(())
-    }
-
-    /// Re-reports one VBA to the victim index. Must be called after any
-    /// event that changes the VBA's merge stats or candidacy: opening or
-    /// closing its replacement block, or programming/invalidating pages in
-    /// either block of the pair.
-    fn refresh_victim(&mut self, vba: u32) {
-        let (eligible, invalid, valid) = match self.repl.get(&vba) {
-            Some(rs) => {
-                let pb = self.device.block(self.primary[vba as usize]);
-                let rb = self.device.block(rs.block);
-                (
-                    true,
-                    pb.invalid_pages() + rb.invalid_pages(),
-                    pb.valid_pages() + rb.valid_pages(),
-                )
-            }
-            None => (false, 0, 0),
+        if self.pool.is_free(b) {
+            return Ok(self.pool.erase_and_free(b, Cause::Swl, erased)?);
+        }
+        // A primary without an open replacement is fully cold data: its
+        // merge is an offset-aligned copy into a fresh block.
+        let (BlockRole::Primary(vba) | BlockRole::Replacement(vba)) = self.role[b as usize] else {
+            return Ok(()); // retired or stranded: out of circulation
         };
-        self.victims.update(vba, eligible, invalid, valid);
+        self.pool.counters.swl_merges += 1;
+        self.pool.emit(Event::Merge {
+            vba,
+            kind: MergeKind::Swl,
+        });
+        self.merge(vba, None, Cause::Swl, erased)
+    }
+}
+
+/// A block-mapping NFTL with an optional static wear leveler: the
+/// [`BlockMapping`] under the shared [`SwlHost`] shell.
+///
+/// See the [crate-level documentation](crate) for the design and an example.
+pub type BlockMappedNftl<S = NullSink> = SwlHost<BlockMapping<S>>;
+
+impl<S: Sink> BlockMapping<S> {
+    /// The configuration in effect.
+    pub fn config(&self) -> NftlConfig {
+        self.config
     }
 
-    /// The pre-index cyclic scan over open replacements, kept as the oracle
-    /// the incremental [`VictimIndex`] is checked against under
-    /// `debug_assertions`. Pure: does not advance `gc_scan_vba`.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn reference_select_victim(&self) -> Option<u32> {
-        let start = self.gc_scan_vba;
-        let mut fallback: Option<(u64, u32)> = None; // (invalid, vba)
-        let keys = self
-            .repl
-            .range(start..)
-            .map(|(&v, _)| v)
-            .chain(self.repl.range(..start).map(|(&v, _)| v));
-        for vba in keys {
-            let rs = &self.repl[&vba];
-            let p = self.primary[vba as usize];
-            let pb = self.device.block(p);
-            let rb = self.device.block(rs.block);
-            let invalid = u64::from(pb.invalid_pages()) + u64::from(rb.invalid_pages());
-            let valid = u64::from(pb.valid_pages()) + u64::from(rb.valid_pages());
-            if invalid > valid {
-                return Some(vba);
-            }
-            if invalid > 0 && fallback.is_none_or(|(best, _)| invalid > best) {
-                fallback = Some((invalid, vba));
-            }
-        }
-        fallback.map(|(_, v)| v)
+    /// Number of currently open replacement blocks.
+    pub fn open_replacements(&self) -> usize {
+        self.repl.len()
     }
 
-    /// Greedy victim selection over open replacements (cyclic over VBAs):
-    /// first pair whose invalid pages outnumber their valid pages, falling
-    /// back to the pair with the most invalid pages. Answered by the
-    /// incremental [`VictimIndex`] instead of a linear scan.
-    fn gc_merge_one(&mut self, erased: &mut Vec<u32>) -> Result<(), NftlError> {
-        // One GC episode under a `gc` span; the merge it runs opens its own
-        // nested `merge` span, so the pick/bookkeeping cost and the copy
-        // cascade are attributed separately.
-        let span = self.span_begin(SpanKind::Gc);
-        let result = self.gc_merge_one_inner(erased);
-        self.span_end(span);
-        result
-    }
-
-    fn gc_merge_one_inner(&mut self, erased: &mut Vec<u32>) -> Result<(), NftlError> {
-        let choice = self.victims.select(self.gc_scan_vba);
-        debug_assert_eq!(
-            choice,
-            self.reference_select_victim(),
-            "victim index diverged from the linear-scan oracle"
-        );
-        let vba = choice.ok_or(NftlError::NoReclaimableSpace)?;
-        self.gc_scan_vba = vba.wrapping_add(1) % self.virtual_blocks.max(1);
-        self.counters.gc_collections += 1;
-        self.counters.gc_merges += 1;
-        if S::ENABLED {
-            let (invalid, valid) = match self.repl.get(&vba) {
-                Some(rs) => {
-                    let pb = self.device.block(self.primary[vba as usize]);
-                    let rb = self.device.block(rs.block);
-                    (
-                        pb.invalid_pages() + rb.invalid_pages(),
-                        pb.valid_pages() + rb.valid_pages(),
-                    )
-                }
-                None => (0, 0),
-            };
-            let free_depth = self.free.len() as u32;
-            let candidates = self.victims.candidates();
-            self.device.sink_mut().event(Event::GcPick {
-                key: vba,
-                invalid,
-                valid,
-                free_depth,
-                candidates,
-            });
-            self.device.sink_mut().event(Event::Merge {
-                vba,
-                kind: MergeKind::Gc,
-            });
-        }
-        self.merge(vba, None, MergeCause::GarbageCollection, erased)
-    }
-
-    /// Folds a VBA's newest data into a fresh primary block and erases the
-    /// old primary (and replacement, if open). `fill` programs host data
-    /// into an offset in place of its old copy — the overwrite that
-    /// triggered a full merge — so the data is safely on flash *before* the
-    /// old pair is destroyed.
-    ///
-    /// Crash ordering: copies (and the fill) land in the fresh block with
-    /// generation `gen+1` first; the old pair is erased only afterwards. A
-    /// power cut therefore leaves either the old pair intact (the partial
-    /// successor is scrubbed at mount, resolved by generation) or the new
-    /// primary complete — never a state that loses acknowledged data.
-    fn merge(
-        &mut self,
-        vba: u32,
-        fill: Option<(u32, u64)>,
-        cause: MergeCause,
-        erased: &mut Vec<u32>,
-    ) -> Result<(), NftlError> {
-        let span = self.span_begin(SpanKind::Merge);
-        let result = self.merge_inner(vba, fill, cause, erased);
-        self.span_end(span);
-        result
-    }
-
-    fn merge_inner(
-        &mut self,
-        vba: u32,
-        fill: Option<(u32, u64)>,
-        cause: MergeCause,
-        erased: &mut Vec<u32>,
-    ) -> Result<(), NftlError> {
-        let old_primary = self.primary[vba as usize];
-        debug_assert_ne!(old_primary, NO_BLOCK, "merge requires a primary");
-        let rs = self.repl.remove(&vba);
-        let new_gen = self.gen[vba as usize].wrapping_add(1);
-        let pages_per_block = self.device.geometry().pages_per_block();
-
-        // Copy phase, restarted on another fresh block when an injected
-        // program failure strikes mid-merge (the half-written block is
-        // retired; the sources are still intact, so the copies repeat).
-        let fresh = 'attempt: loop {
-            let fresh = match self.pop_freshest_free() {
-                Ok(fresh) => fresh,
-                Err(e) => {
-                    self.undo_merge(vba, rs);
-                    return Err(e);
-                }
-            };
-            for offset in 0..pages_per_block {
-                let lba = self.lba_of(vba, offset);
-                // `copied_from` is `None` for the host fill (not a copy).
-                let (data, copied_from) = match fill {
-                    Some((fill_offset, fill_data)) if fill_offset == offset => (fill_data, None),
-                    _ => {
-                        let src = match &rs {
-                            Some(rs) if rs.latest[offset as usize] != 0 => {
-                                Some(PageAddr::new(rs.block, rs.latest[offset as usize] - 1))
-                            }
-                            _ => {
-                                let state = self.device.block(old_primary).page_state(offset);
-                                state
-                                    .is_valid()
-                                    .then_some(PageAddr::new(old_primary, offset))
-                            }
-                        };
-                        let Some(src) = src else { continue };
-                        match self.device.read(src) {
-                            Ok(content) => (content.data, Some(src.block)),
-                            Err(e) => {
-                                self.role[fresh as usize] = BlockRole::Retired;
-                                self.undo_merge(vba, rs);
-                                return Err(e.into());
-                            }
-                        }
-                    }
-                };
-                match self.device.program(
-                    PageAddr::new(fresh, offset),
-                    data,
-                    SpareArea::with_status(lba, primary_status(new_gen)),
-                ) {
-                    Ok(()) => {}
-                    Err(nand::NandError::ProgramFailed { .. }) => {
-                        self.retire_block(fresh, false);
-                        continue 'attempt;
-                    }
-                    Err(e) => {
-                        // Power cut (or a dead device): RAM state is about
-                        // to be discarded; park the half-written block out
-                        // of circulation so the audit stays coherent.
-                        self.role[fresh as usize] = BlockRole::Retired;
-                        self.undo_merge(vba, rs);
-                        return Err(e.into());
-                    }
-                }
-                if let Some(from_block) = copied_from {
-                    match cause {
-                        MergeCause::WearLeveling => self.counters.swl_live_copies += 1,
-                        _ => self.counters.gc_live_copies += 1,
-                    }
-                    if S::ENABLED {
-                        self.device.sink_mut().event(Event::LiveCopy {
-                            from_block,
-                            to_block: fresh,
-                            cause: cause.telemetry_cause(),
-                        });
-                    }
-                }
-            }
-            break fresh;
-        };
-
-        self.primary[vba as usize] = fresh;
-        self.role[fresh as usize] = BlockRole::Primary(vba);
-        self.gen[vba as usize] = new_gen;
-        if let Err(e) = self.erase_and_free(old_primary, cause, erased) {
-            // Power cut mid-erase: park the stragglers (RAM dies with us).
-            self.role[old_primary as usize] = BlockRole::Retired;
-            if let Some(rs) = rs {
-                self.role[rs.block as usize] = BlockRole::Retired;
-            }
-            self.refresh_victim(vba);
-            return Err(e);
-        }
-        if let Some(rs) = rs {
-            if let Err(e) = self.erase_and_free(rs.block, cause, erased) {
-                self.role[rs.block as usize] = BlockRole::Retired;
-                self.refresh_victim(vba);
-                return Err(e);
-            }
-        }
-        // The replacement (if any) is gone: the VBA stops being a merge
-        // candidate.
-        self.refresh_victim(vba);
-        Ok(())
-    }
-
-    /// Restores RAM state after a merge failed before committing: the
-    /// replacement (if any) goes back into the map and the victim index is
-    /// re-synced. The on-flash sources were not touched, so the layer keeps
-    /// serving correct data.
-    fn undo_merge(&mut self, vba: u32, rs: Option<ReplState>) {
-        if let Some(rs) = rs {
-            self.repl.insert(vba, rs);
-        }
-        self.refresh_victim(vba);
-    }
-
-    /// Relocates a primary block that has no replacement (SWL eviction of
-    /// fully cold data): offset-aligned copy into a fresh block.
-    fn relocate_primary(&mut self, vba: u32, erased: &mut Vec<u32>) -> Result<(), NftlError> {
-        debug_assert!(!self.repl.contains_key(&vba));
-        self.merge(vba, None, MergeCause::WearLeveling, erased)
-    }
-
-    fn erase_and_free(
-        &mut self,
-        block: u32,
-        cause: MergeCause,
-        erased: &mut Vec<u32>,
-    ) -> Result<(), NftlError> {
-        let pre_wear = self.device.block(block).erase_count();
-        match self.device.erase_as(block, cause.telemetry_cause()) {
-            Ok(()) => {}
-            Err(nand::NandError::BlockWornOut { .. } | nand::NandError::EraseFailed { .. }) => {
-                // Bad-block management: withdraw the block, stale contents
-                // and all. Covers wear-out under `FailWornBlocks` and erase
-                // faults injected by the device's `FaultPlan`.
-                let in_ladder = self.role[block as usize] == BlockRole::Free;
-                self.retire_block(block, in_ladder);
-                return Ok(());
-            }
-            Err(other) => return Err(other.into()),
-        }
-        match cause {
-            MergeCause::WearLeveling => self.counters.swl_erases += 1,
-            _ => self.counters.gc_erases += 1,
-        }
-        let wear = self.device.block(block).erase_count();
-        if self.role[block as usize] != BlockRole::Free {
-            self.role[block as usize] = BlockRole::Free;
-            self.free.push(block, wear);
-        } else {
-            // SWL erased a block while it sat in the free pool; move it up
-            // the wear ladder in place.
-            self.free.reposition(block, pre_wear, wear);
-        }
-        erased.push(block);
-        Ok(())
-    }
-
-    /// Withdraws a block from circulation and programs the on-flash
-    /// bad-block marker so a later mount rediscovers the retirement instead
-    /// of resurrecting stale contents. `in_free_ladder` says whether the
-    /// block currently sits in the free ladder (merge abandons hand over
-    /// freshly popped blocks that do not).
-    fn retire_block(&mut self, block: u32, in_free_ladder: bool) {
-        if in_free_ladder {
-            let wear = self.device.block(block).erase_count();
-            let removed = self.free.remove(block, wear);
-            debug_assert!(removed, "free block {block} missing from the ladder");
-        }
-        self.role[block as usize] = BlockRole::Retired;
-        // A spare-area status program: free and uncuttable; it can only
-        // fail once power is already cut, when the RAM state is about to be
-        // discarded anyway.
-        let _ = self.device.mark_bad(block);
-        self.counters.retired_blocks += 1;
-        if S::ENABLED {
-            self.device.sink_mut().event(Event::Retire { block });
-        }
-    }
-
-    /// Erases a block whose contents did not survive a crash — torn pages
-    /// only, or the half-written successor of an interrupted merge — and
-    /// returns it to the free pool. A block that refuses to erase is
-    /// retired. Mount-time only.
-    fn scrub_block(&mut self, block: u32) -> Result<(), NftlError> {
-        match self.device.erase_as(block, Cause::Gc) {
-            Ok(()) => {
-                self.counters.gc_erases += 1;
-                let wear = self.device.block(block).erase_count();
-                self.role[block as usize] = BlockRole::Free;
-                self.free.push(block, wear);
-                Ok(())
-            }
-            Err(nand::NandError::BlockWornOut { .. } | nand::NandError::EraseFailed { .. }) => {
-                self.retire_block(block, false);
-                Ok(())
-            }
-            Err(other) => Err(other.into()),
-        }
-    }
-
-    /// Pops the free block with the lowest erase count (dynamic wear
-    /// leveling). O(1) amortized via the wear bucket ladder.
-    fn pop_freshest_free(&mut self) -> Result<u32, NftlError> {
-        let Some(block) = self.free.pop_min() else {
-            return Err(NftlError::FreeExhausted);
-        };
-        self.role[block as usize] = BlockRole::Free; // refined by the caller
-        Ok(block)
-    }
-
-    /// Debug audit: roles, free list and replacement maps are consistent
-    /// with device page states.
-    #[cfg(test)]
-    fn check_consistency(&self) {
-        let blocks = self.device.geometry().blocks();
+    /// Audit: roles, free list and replacement maps are consistent with each
+    /// other and with the device's page states; panics on any violation.
+    /// Intended for tests.
+    pub fn check_consistency(&self) {
+        let blocks = self.pool.device.geometry().blocks();
         let mut free_set = std::collections::HashSet::new();
-        for b in self.free.iter() {
+        for b in self.pool.free_blocks() {
             assert!(free_set.insert(b), "block {b} twice in free list");
-            assert_eq!(self.role[b as usize], BlockRole::Free);
+            assert!(self.pool.is_free(b), "listed block {b} not marked free");
+            assert_eq!(self.role[b as usize], BlockRole::Unassigned);
         }
         for b in 0..blocks {
             match self.role[b as usize] {
-                BlockRole::Free => assert!(
+                BlockRole::Unassigned => assert_eq!(
+                    self.pool.is_free(b),
                     free_set.contains(&b),
-                    "free-role block {b} missing from free list"
+                    "free list and membership disagree on block {b}"
                 ),
                 BlockRole::Primary(v) => {
                     assert_eq!(self.primary[v as usize], b, "primary map mismatch")
@@ -871,308 +772,18 @@ impl<S: Sink> Inner<S> {
                 BlockRole::Replacement(v) => {
                     assert_eq!(self.repl[&v].block, b, "replacement map mismatch")
                 }
-                BlockRole::Retired => {
-                    assert!(!free_set.contains(&b), "retired block {b} in free list")
-                }
             }
         }
         for (&vba, rs) in &self.repl {
             assert_eq!(self.role[rs.block as usize], BlockRole::Replacement(vba));
+            let block = self.pool.device.block(rs.block);
             for (offset, &latest) in rs.latest.iter().enumerate() {
-                if latest != 0 {
-                    assert!(
-                        self.device
-                            .block(rs.block)
-                            .page_state(latest - 1)
-                            .is_valid(),
-                        "latest pointer of vba {vba} offset {offset} is stale"
-                    );
-                }
+                assert!(
+                    latest == 0 || block.page_state(latest - 1).is_valid(),
+                    "latest pointer of vba {vba} offset {offset} is stale"
+                );
             }
         }
-    }
-}
-
-impl<S: Sink> SwlCleaner for Inner<S> {
-    type Error = NftlError;
-
-    fn emit_telemetry(&mut self, event: Event) {
-        if S::ENABLED {
-            self.device.sink_mut().event(event);
-        }
-    }
-
-    /// Recycles the requested block set for the SW Leveler: primaries are
-    /// merged (or relocated when no replacement is open), replacements are
-    /// merged with their primary, free blocks are erased in place.
-    fn erase_block_set(
-        &mut self,
-        first_block: u32,
-        count: u32,
-        erased: &mut Vec<u32>,
-    ) -> Result<(), NftlError> {
-        self.in_swl = true;
-        let result = (|| {
-            let blocks = self.device.geometry().blocks();
-            for b in first_block..(first_block + count).min(blocks) {
-                if matches!(
-                    self.role[b as usize],
-                    BlockRole::Primary(_) | BlockRole::Replacement(_)
-                ) && self.free.is_empty()
-                {
-                    self.gc_merge_one(erased)?;
-                }
-                match self.role[b as usize] {
-                    BlockRole::Retired => {}
-                    BlockRole::Free => {
-                        self.erase_and_free(b, MergeCause::WearLeveling, erased)?;
-                    }
-                    BlockRole::Primary(vba) => {
-                        self.counters.swl_merges += 1;
-                        if S::ENABLED {
-                            self.device.sink_mut().event(Event::Merge {
-                                vba,
-                                kind: MergeKind::Swl,
-                            });
-                        }
-                        if self.repl.contains_key(&vba) {
-                            self.merge(vba, None, MergeCause::WearLeveling, erased)?;
-                        } else {
-                            self.relocate_primary(vba, erased)?;
-                        }
-                    }
-                    BlockRole::Replacement(vba) => {
-                        self.counters.swl_merges += 1;
-                        if S::ENABLED {
-                            self.device.sink_mut().event(Event::Merge {
-                                vba,
-                                kind: MergeKind::Swl,
-                            });
-                        }
-                        self.merge(vba, None, MergeCause::WearLeveling, erased)?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        self.in_swl = false;
-        result
-    }
-}
-
-/// A block-mapping NFTL with an optional static wear leveler.
-///
-/// See the [crate-level documentation](crate) for the design and an example.
-#[derive(Debug)]
-pub struct BlockMappedNftl<S: Sink = NullSink> {
-    inner: Inner<S>,
-    swl: Option<SwLeveler>,
-    erased_buf: Vec<u32>,
-}
-
-impl<S: Sink> BlockMappedNftl<S> {
-    /// Builds an NFTL over `device` without static wear leveling.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for configuration validation.
-    pub fn new(device: NandDevice<S>, config: NftlConfig) -> Result<Self, NftlError> {
-        Ok(Self {
-            inner: Inner::new(device, config)?,
-            swl: None,
-            erased_buf: Vec::new(),
-        })
-    }
-
-    /// Builds an NFTL with the SW Leveler attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NftlError::Swl`] when the leveler configuration is invalid.
-    pub fn with_swl(
-        device: NandDevice<S>,
-        config: NftlConfig,
-        swl_config: SwlConfig,
-    ) -> Result<Self, NftlError> {
-        let blocks = device.geometry().blocks();
-        let swl = SwLeveler::new(blocks, swl_config)?;
-        let mut nftl = Self::new(device, config)?;
-        nftl.swl = Some(swl);
-        Ok(nftl)
-    }
-
-    /// Re-attaches a previously used chip, rebuilding the translation
-    /// tables from the spare areas on flash — the firmware mount path.
-    /// Pair with [`BlockMappedNftl::into_device`] to simulate power cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NftlError::MountCorrupt`] when the on-flash state is not a
-    /// consistent NFTL layout (torn roles, duplicate primaries, foreign
-    /// data).
-    pub fn mount(device: NandDevice<S>, config: NftlConfig) -> Result<Self, NftlError> {
-        Ok(Self {
-            inner: Inner::mount(device, config)?,
-            swl: None,
-            erased_buf: Vec::new(),
-        })
-    }
-
-    /// Shuts the layer down, returning the chip (with all its data and
-    /// wear) for a later [`BlockMappedNftl::mount`].
-    pub fn into_device(self) -> NandDevice<S> {
-        self.inner.device
-    }
-
-    /// Attaches (or replaces) a pre-built SW Leveler.
-    pub fn attach_swl(&mut self, swl: SwLeveler) {
-        self.swl = Some(swl);
-    }
-
-    /// Writes `data` to logical page `lba`, then gives the SW Leveler a
-    /// chance to run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NftlError::LbaOutOfRange`] for bad addresses and surfaces
-    /// reclamation failures when the space is over-committed.
-    pub fn write(&mut self, lba: u64, data: u64) -> Result<(), NftlError> {
-        // Root span brackets the whole operation — merges, GC, and any SWL
-        // pass the write triggers — mirroring the simulator's latency
-        // bracket exactly.
-        let span = self.inner.span_begin(SpanKind::HostWrite);
-        let mut erased = std::mem::take(&mut self.erased_buf);
-        erased.clear();
-        let result = self.inner.host_write(lba, data, &mut erased);
-        let follow_up = self.notify_swl(&erased);
-        self.erased_buf = erased;
-        self.inner.span_end(span);
-        result.and(follow_up)
-    }
-
-    /// Reads logical page `lba`; `None` when it has never been written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NftlError::LbaOutOfRange`] for bad addresses.
-    pub fn read(&mut self, lba: u64) -> Result<Option<u64>, NftlError> {
-        let span = self.inner.span_begin(SpanKind::HostRead);
-        let result = self.inner.host_read(lba);
-        self.inner.span_end(span);
-        result
-    }
-
-    fn notify_swl(&mut self, erased: &[u32]) -> Result<(), NftlError> {
-        let Some(swl) = self.swl.as_mut() else {
-            return Ok(());
-        };
-        for &b in erased {
-            swl.note_erase(b);
-        }
-        // In deferred mode an external coordinator (e.g. the multi-channel
-        // striped layer) watches a global unevenness and drives
-        // `run_swl_step`; the layer itself only feeds SWL-BETUpdate.
-        if !swl.config().deferred && swl.needs_leveling() {
-            let span = self.inner.span_begin(SpanKind::Swl);
-            let result = swl.level(&mut self.inner);
-            self.inner.span_end(span);
-            result?;
-        }
-        Ok(())
-    }
-
-    /// Forces recycling of a block range, as an external wear leveling
-    /// policy would: primaries/replacements are merged into fresh blocks,
-    /// free blocks are erased in place, and any attached SW Leveler is
-    /// notified. Returns the number of blocks erased.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reclamation failures.
-    pub fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, NftlError> {
-        // Externally driven collection: a root `gc` span rather than a host
-        // kind, since no host op is paying for it.
-        let span = self.inner.span_begin(SpanKind::Gc);
-        let mut erased = std::mem::take(&mut self.erased_buf);
-        erased.clear();
-        let result = self.inner.erase_block_set(first_block, count, &mut erased);
-        let erase_count = erased.len() as u64;
-        let follow_up = self.notify_swl(&erased);
-        self.erased_buf = erased;
-        self.inner.span_end(span);
-        result.and(follow_up)?;
-        Ok(erase_count)
-    }
-
-    /// Manually invokes SWL-Procedure (e.g. from a timer).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reclamation failures.
-    pub fn run_swl(&mut self) -> Result<LevelOutcome, NftlError> {
-        match self.swl.as_mut() {
-            Some(swl) => {
-                let span = self.inner.span_begin(SpanKind::Swl);
-                let result = swl.level(&mut self.inner);
-                self.inner.span_end(span);
-                result
-            }
-            None => Ok(LevelOutcome::Idle),
-        }
-    }
-
-    /// Runs exactly one SWL-Procedure step, ignoring the local threshold —
-    /// the entry point for an external multi-shard coordinator (see
-    /// [`SwLeveler::level_step`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reclamation failures.
-    pub fn run_swl_step(&mut self) -> Result<LevelOutcome, NftlError> {
-        match self.swl.as_mut() {
-            Some(swl) => {
-                let span = self.inner.span_begin(SpanKind::Swl);
-                let result = swl.level_step(&mut self.inner);
-                self.inner.span_end(span);
-                result
-            }
-            None => Ok(LevelOutcome::Idle),
-        }
-    }
-
-    /// Exported logical capacity in pages.
-    pub fn logical_pages(&self) -> u64 {
-        self.inner.logical_pages
-    }
-
-    /// The underlying device.
-    pub fn device(&self) -> &NandDevice<S> {
-        &self.inner.device
-    }
-
-    /// Attribution counters.
-    pub fn counters(&self) -> NftlCounters {
-        self.inner.counters
-    }
-
-    /// The attached SW Leveler, if any.
-    pub fn swl(&self) -> Option<&SwLeveler> {
-        self.swl.as_ref()
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> NftlConfig {
-        self.inner.config
-    }
-
-    /// Number of currently open replacement blocks.
-    pub fn open_replacements(&self) -> usize {
-        self.inner.repl.len()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn check_consistency(&self) {
-        self.inner.check_consistency();
     }
 }
 
@@ -1319,58 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn swl_levels_cold_primaries() {
-        let d = device(16, 4);
-        let mut n =
-            BlockMappedNftl::with_swl(d, NftlConfig::default(), SwlConfig::new(4, 0)).unwrap();
-        // Cold data in VBAs 0..4 (write once).
-        for lba in 0..16u64 {
-            n.write(lba, 9000 + lba).unwrap();
-        }
-        // Hot updates on one LBA of VBA 5.
-        for i in 0..400u64 {
-            n.write(20, i).unwrap();
-        }
-        assert!(n.counters().swl_erases > 0, "{:?}", n.counters());
-        for lba in 0..16u64 {
-            assert_eq!(n.read(lba).unwrap(), Some(9000 + lba), "cold lba {lba}");
-        }
-        assert_eq!(n.read(20).unwrap(), Some(399));
-        n.check_consistency();
-    }
-
-    #[test]
-    fn swl_flattens_wear_distribution() {
-        let run = |swl: bool| -> f64 {
-            let d = device(16, 8);
-            let mut n = if swl {
-                BlockMappedNftl::with_swl(d, NftlConfig::default(), SwlConfig::new(8, 0)).unwrap()
-            } else {
-                BlockMappedNftl::new(d, NftlConfig::default()).unwrap()
-            };
-            for lba in 0..64u64 {
-                n.write(lba, lba).unwrap();
-            }
-            for i in 0..4000u64 {
-                n.write(64 + (i % 2), i).unwrap();
-            }
-            n.device().erase_stats().std_dev
-        };
-        let plain = run(false);
-        let leveled = run(true);
-        assert!(
-            leveled < plain,
-            "SWL must flatten NFTL wear: {leveled:.2} vs {plain:.2}"
-        );
-    }
-
-    #[test]
-    fn run_swl_without_leveler_is_idle() {
-        let mut n = nftl(4, 4);
-        assert_eq!(n.run_swl().unwrap(), LevelOutcome::Idle);
-    }
-
-    #[test]
     fn deterministic_behaviour() {
         let run = || {
             let mut n = nftl(16, 4);
@@ -1385,171 +944,6 @@ mod tests {
         let (b_counts, b_c) = run();
         assert_eq!(a_counts, b_counts);
         assert_eq!(a_c, b_c);
-    }
-
-    #[test]
-    fn event_stream_reconstructs_counters_exactly() {
-        use flash_telemetry::{MetricsAggregator, VecSink};
-
-        let d = device(16, 4).with_sink(VecSink::default());
-        let mut n =
-            BlockMappedNftl::with_swl(d, NftlConfig::default(), SwlConfig::new(4, 0)).unwrap();
-        for lba in 0..16u64 {
-            n.write(lba, 9000 + lba).unwrap();
-        }
-        for i in 0..400u64 {
-            n.write(20, i).unwrap();
-            if i % 7 == 0 {
-                n.read(i % 16).unwrap();
-            }
-        }
-        let counters = n.counters();
-        assert!(counters.swl_erases > 0, "scenario must exercise SWL");
-        let mut agg = MetricsAggregator::new();
-        for event in n.into_device().into_sink().events {
-            agg.event(event);
-        }
-        assert_eq!(agg.counters(), counters);
-        assert!(agg.swl_invokes() > 0);
-    }
-
-    #[test]
-    fn spans_balance_and_attribute_all_device_time() {
-        use flash_telemetry::{SpanCause, SpanReplayer, VecSink};
-
-        let d = device(16, 4).with_sink(VecSink::default());
-        let mut n =
-            BlockMappedNftl::with_swl(d, NftlConfig::default(), SwlConfig::new(4, 0)).unwrap();
-        let mut live_totals = Vec::new();
-        let mut do_write = |n: &mut BlockMappedNftl<VecSink>, lba, data| {
-            let before = n.device().busy_ns();
-            n.write(lba, data).unwrap();
-            live_totals.push(n.device().busy_ns() - before);
-        };
-        for lba in 0..16u64 {
-            do_write(&mut n, lba, 9000 + lba);
-        }
-        for i in 0..400u64 {
-            do_write(&mut n, 20, i);
-        }
-        assert!(n.counters().swl_erases > 0, "scenario must exercise SWL");
-
-        let mut replay = SpanReplayer::new();
-        let mut writes = Vec::new();
-        let mut merge_time = 0u64;
-        let mut swl_spans = 0u64;
-        for event in &n.into_device().into_sink().events {
-            if let flash_telemetry::Event::SpanBegin {
-                kind: flash_telemetry::SpanKind::Swl,
-                ..
-            } = event
-            {
-                swl_spans += 1;
-            }
-            if let Some(op) = replay.observe(event) {
-                if op.kind == flash_telemetry::SpanKind::HostWrite {
-                    merge_time += op.ns(SpanCause::Merge);
-                    writes.push(op);
-                }
-            }
-        }
-        assert!(replay.check().is_clean(), "{:?}", replay.check());
-        assert_eq!(writes.len(), live_totals.len());
-        for (op, &live) in writes.iter().zip(&live_totals) {
-            assert_eq!(op.total_ns(), live);
-            assert_eq!(op.cause_ns.iter().sum::<u64>(), op.total_ns());
-        }
-        // Merge cascades dominate NFTL overwrites. SWL passes open spans,
-        // but their device time is all inside nested merges (innermost-span
-        // attribution), so the `swl` *self* bucket may legitimately be 0.
-        assert!(merge_time > 0, "merges must show up in the attribution");
-        assert!(swl_spans > 0, "SWL passes must open spans");
-    }
-
-    #[test]
-    fn instrumented_run_matches_null_sink_run() {
-        fn work<S: Sink>(mut n: BlockMappedNftl<S>) -> (NftlCounters, Vec<u64>) {
-            for lba in 0..16u64 {
-                n.write(lba, 9000 + lba).unwrap();
-            }
-            for i in 0..400u64 {
-                n.write(20, i).unwrap();
-            }
-            (n.counters(), n.device().erase_counts())
-        }
-        let plain = work(
-            BlockMappedNftl::with_swl(device(16, 4), NftlConfig::default(), SwlConfig::new(4, 0))
-                .unwrap(),
-        );
-        let probed = work(
-            BlockMappedNftl::with_swl(
-                device(16, 4).with_sink(flash_telemetry::CountSink::default()),
-                NftlConfig::default(),
-                SwlConfig::new(4, 0),
-            )
-            .unwrap(),
-        );
-        assert_eq!(plain, probed, "telemetry must not perturb behaviour");
-    }
-
-    #[test]
-    fn program_failure_remaps_and_preserves_data() {
-        use nand::FaultPlan;
-
-        let d = device(24, 4).with_fault_plan(FaultPlan::new(11).with_program_fail_prob(0.02));
-        let mut n = BlockMappedNftl::new(d, NftlConfig::default()).unwrap();
-        let mut shadow = std::collections::HashMap::new();
-        // Every program failure costs a whole block here (the grown-bad
-        // block is retired at its next merge), so the pool can legitimately
-        // run dry; stop cleanly when it does.
-        'work: for round in 0..40u64 {
-            for lba in 0..24u64 {
-                let data = round * 1000 + lba;
-                match n.write(lba, data) {
-                    Ok(()) => {
-                        shadow.insert(lba, data);
-                    }
-                    Err(NftlError::NoReclaimableSpace | NftlError::FreeExhausted) => break 'work,
-                    Err(other) => panic!("unexpected error {other}"),
-                }
-            }
-        }
-        let grown_bad = (0..24).filter(|&b| n.device().is_bad_block(b)).count();
-        assert!(grown_bad > 0, "0.05 fail rate over ~1000 programs must bite");
-        for (lba, data) in shadow {
-            assert_eq!(n.read(lba).unwrap(), Some(data), "lba {lba}");
-        }
-        n.check_consistency();
-    }
-
-    #[test]
-    fn erase_failure_retires_block_and_layer_survives() {
-        use nand::FaultPlan;
-
-        let d = device(24, 4).with_fault_plan(FaultPlan::new(5).with_endurance_range(4, 8));
-        let mut n = BlockMappedNftl::new(d, NftlConfig::default()).unwrap();
-        let mut shadow = std::collections::HashMap::new();
-        'work: for round in 0..200u64 {
-            for lba in 0..24u64 {
-                let data = round * 1000 + lba;
-                match n.write(lba, data) {
-                    Ok(()) => {
-                        shadow.insert(lba, data);
-                    }
-                    Err(NftlError::NoReclaimableSpace | NftlError::FreeExhausted) => break 'work,
-                    Err(other) => panic!("unexpected error {other}"),
-                }
-            }
-        }
-        assert!(
-            n.counters().retired_blocks > 0,
-            "endurance range must retire blocks: {:?}",
-            n.counters()
-        );
-        for (lba, data) in shadow {
-            assert_eq!(n.read(lba).unwrap(), Some(data), "lba {lba}");
-        }
-        n.check_consistency();
     }
 
     #[test]
@@ -1581,34 +975,6 @@ mod tests {
             assert_eq!(n.read(lba).unwrap(), Some(data), "lba {lba} after remount");
         }
         n.check_consistency();
-    }
-
-    #[test]
-    fn fault_free_plan_is_bit_identical() {
-        use nand::FaultPlan;
-
-        fn work(mut n: BlockMappedNftl) -> (NftlCounters, Vec<u64>) {
-            for lba in 0..16u64 {
-                n.write(lba, 9000 + lba).unwrap();
-            }
-            for i in 0..400u64 {
-                n.write(20, i).unwrap();
-            }
-            (n.counters(), n.device().erase_counts())
-        }
-        let plain = work(
-            BlockMappedNftl::with_swl(device(16, 4), NftlConfig::default(), SwlConfig::new(4, 0))
-                .unwrap(),
-        );
-        let disarmed = work(
-            BlockMappedNftl::with_swl(
-                device(16, 4).with_fault_plan(FaultPlan::new(42)),
-                NftlConfig::default(),
-                SwlConfig::new(4, 0),
-            )
-            .unwrap(),
-        );
-        assert_eq!(plain, disarmed, "a disarmed FaultPlan must change nothing");
     }
 
     #[test]
@@ -1663,26 +1029,5 @@ mod tests {
                 n.check_consistency();
             }
         }
-    }
-
-    #[test]
-    fn over_committed_space_fails_cleanly() {
-        // 4 blocks × 4 pages: using all 4 VBAs with overwrites needs more
-        // blocks than exist.
-        let mut n = nftl(4, 4);
-        let mut hit_error = false;
-        'outer: for round in 0..4u64 {
-            for lba in 0..16u64 {
-                match n.write(lba, round) {
-                    Ok(()) => {}
-                    Err(NftlError::NoReclaimableSpace | NftlError::FreeExhausted) => {
-                        hit_error = true;
-                        break 'outer;
-                    }
-                    Err(other) => panic!("unexpected error {other}"),
-                }
-            }
-        }
-        assert!(hit_error, "over-committed nftl must fail cleanly");
     }
 }

@@ -52,30 +52,6 @@ proptest! {
         prop_assert!(nftl.open_replacements() <= virtual_blocks);
     }
 
-    /// Erase and program attribution is exact against the device counters.
-    #[test]
-    fn counters_are_exact(
-        writes in prop::collection::vec((0u64..120, any::<u64>()), 1..700),
-        with_swl in any::<bool>(),
-    ) {
-        let mut nftl = if with_swl {
-            BlockMappedNftl::with_swl(device(40, 8), NftlConfig::default(), SwlConfig::new(4, 1))
-                .unwrap()
-        } else {
-            BlockMappedNftl::new(device(40, 8), NftlConfig::default()).unwrap()
-        };
-        for (lba, data) in &writes {
-            nftl.write(*lba, *data).unwrap();
-        }
-        let c = nftl.counters();
-        prop_assert_eq!(c.host_writes, writes.len() as u64);
-        prop_assert_eq!(c.total_erases(), nftl.device().counters().erases);
-        prop_assert_eq!(
-            nftl.device().counters().programs,
-            c.host_writes + c.total_live_copies()
-        );
-    }
-
     /// Sibling offsets in a virtual block survive any amount of hammering
     /// on one offset.
     #[test]

@@ -3,9 +3,9 @@
 use std::fmt;
 
 use flash_telemetry::{NullSink, Sink};
-use ftl::{FtlConfig, PageMappedFtl};
-use nand::{FaultPlan, NandDevice};
-use nftl::{BlockMappedNftl, NftlConfig};
+use ftl::{FtlConfig, PageMappedFtl, PageMapping};
+use nand::{FaultPlan, Mapping, NandDevice, SwlHost};
+use nftl::{BlockMappedNftl, BlockMapping, NftlConfig};
 use swl_core::{LevelOutcome, SwLeveler, SwlConfig};
 
 use crate::error::SimError;
@@ -93,75 +93,53 @@ pub trait TranslationLayer {
     fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, SimError>;
 }
 
-impl<S: Sink> TranslationLayer for PageMappedFtl<S> {
-    type Sink = S;
-
-    fn write(&mut self, lba: u64, data: u64) -> Result<(), SimError> {
-        PageMappedFtl::write(self, lba, data).map_err(SimError::from)
-    }
-
-    fn read(&mut self, lba: u64) -> Result<Option<u64>, SimError> {
-        PageMappedFtl::read(self, lba).map_err(SimError::from)
-    }
-
-    fn logical_pages(&self) -> u64 {
-        PageMappedFtl::logical_pages(self)
-    }
-
-    fn device(&self) -> &NandDevice<S> {
-        PageMappedFtl::device(self)
-    }
-
-    fn counters(&self) -> LayerCounters {
-        PageMappedFtl::counters(self)
-    }
-
-    fn swl(&self) -> Option<&SwLeveler> {
-        PageMappedFtl::swl(self)
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Ftl
-    }
-
-    fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, SimError> {
-        PageMappedFtl::force_recycle(self, first_block, count).map_err(SimError::from)
-    }
+/// A [`Mapping`] the simulator can name and whose errors it can carry.
+pub trait SimMapping: Mapping<Error: Into<SimError>> {
+    /// Which of the two layers this mapping is.
+    const KIND: LayerKind;
 }
 
-impl<S: Sink> TranslationLayer for BlockMappedNftl<S> {
-    type Sink = S;
+impl<S: Sink> SimMapping for PageMapping<S> {
+    const KIND: LayerKind = LayerKind::Ftl;
+}
+
+impl<S: Sink> SimMapping for BlockMapping<S> {
+    const KIND: LayerKind = LayerKind::Nftl;
+}
+
+impl<M: SimMapping> TranslationLayer for SwlHost<M> {
+    type Sink = M::Sink;
 
     fn write(&mut self, lba: u64, data: u64) -> Result<(), SimError> {
-        BlockMappedNftl::write(self, lba, data).map_err(SimError::from)
+        SwlHost::write(self, lba, data).map_err(Into::into)
     }
 
     fn read(&mut self, lba: u64) -> Result<Option<u64>, SimError> {
-        BlockMappedNftl::read(self, lba).map_err(SimError::from)
+        SwlHost::read(self, lba).map_err(Into::into)
     }
 
     fn logical_pages(&self) -> u64 {
-        BlockMappedNftl::logical_pages(self)
+        SwlHost::logical_pages(self)
     }
 
-    fn device(&self) -> &NandDevice<S> {
-        BlockMappedNftl::device(self)
+    fn device(&self) -> &NandDevice<M::Sink> {
+        SwlHost::device(self)
     }
 
     fn counters(&self) -> LayerCounters {
-        BlockMappedNftl::counters(self)
+        SwlHost::counters(self)
     }
 
     fn swl(&self) -> Option<&SwLeveler> {
-        BlockMappedNftl::swl(self)
+        SwlHost::swl(self)
     }
 
     fn kind(&self) -> LayerKind {
-        LayerKind::Nftl
+        M::KIND
     }
 
     fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, SimError> {
-        BlockMappedNftl::force_recycle(self, first_block, count).map_err(SimError::from)
+        SwlHost::force_recycle(self, first_block, count).map_err(Into::into)
     }
 }
 
@@ -175,6 +153,16 @@ pub enum Layer<S: Sink = NullSink> {
     Ftl(PageMappedFtl<S>),
     /// Block-mapping NFTL.
     Nftl(BlockMappedNftl<S>),
+}
+
+/// Runs `$body` on whichever shell the layer holds.
+macro_rules! delegate {
+    ($self:ident, $inner:ident => $body:expr) => {
+        match $self {
+            Layer::Ftl($inner) => $body,
+            Layer::Nftl($inner) => $body,
+        }
+    };
 }
 
 impl<S: Sink> Layer<S> {
@@ -213,7 +201,7 @@ impl<S: Sink> Layer<S> {
     /// No fault plan is applied and no SW Leveler is attached: `config`
     /// supplies only the layer settings, and a leveler recovered from a
     /// [`swl_core::persist::DualBuffer`] snapshot can be re-attached with
-    /// the layers' `attach_swl` afterwards.
+    /// [`Layer::attach_swl`] afterwards.
     ///
     /// # Errors
     ///
@@ -233,19 +221,13 @@ impl<S: Sink> Layer<S> {
     /// Shuts the layer down, returning the chip (and the telemetry sink
     /// riding on it — recover it with [`NandDevice::into_sink`]).
     pub fn into_device(self) -> NandDevice<S> {
-        match self {
-            Layer::Ftl(l) => l.into_device(),
-            Layer::Nftl(l) => l.into_device(),
-        }
+        delegate!(self, l => l.into_device())
     }
 
     /// Attaches (or replaces) a pre-built SW Leveler — e.g. one restored
     /// from a persistence snapshot after [`Layer::mount`].
     pub fn attach_swl(&mut self, swl: SwLeveler) {
-        match self {
-            Layer::Ftl(l) => l.attach_swl(swl),
-            Layer::Nftl(l) => l.attach_swl(swl),
-        }
+        delegate!(self, l => l.attach_swl(swl))
     }
 
     /// Manually invokes SWL-Procedure (e.g. from a timer).
@@ -254,10 +236,7 @@ impl<S: Sink> Layer<S> {
     ///
     /// Propagates reclamation failures as [`SimError`].
     pub fn run_swl(&mut self) -> Result<LevelOutcome, SimError> {
-        match self {
-            Layer::Ftl(l) => l.run_swl().map_err(SimError::from),
-            Layer::Nftl(l) => l.run_swl().map_err(SimError::from),
-        }
+        delegate!(self, l => l.run_swl().map_err(SimError::from))
     }
 
     /// Runs exactly one SWL-Procedure step, ignoring the local threshold —
@@ -267,10 +246,7 @@ impl<S: Sink> Layer<S> {
     ///
     /// Propagates reclamation failures as [`SimError`].
     pub fn run_swl_step(&mut self) -> Result<LevelOutcome, SimError> {
-        match self {
-            Layer::Ftl(l) => l.run_swl_step().map_err(SimError::from),
-            Layer::Nftl(l) => l.run_swl_step().map_err(SimError::from),
-        }
+        delegate!(self, l => l.run_swl_step().map_err(SimError::from))
     }
 
     /// Creates copy-on-write snapshot `id` of the current logical contents.
@@ -325,15 +301,6 @@ impl<S: Sink> Layer<S> {
     }
 }
 
-macro_rules! delegate {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match $self {
-            Layer::Ftl($inner) => $body,
-            Layer::Nftl($inner) => $body,
-        }
-    };
-}
-
 impl<S: Sink> TranslationLayer for Layer<S> {
     type Sink = S;
 
@@ -384,9 +351,12 @@ mod tests {
         let cfg = SimConfig::default();
         for kind in [LayerKind::Ftl, LayerKind::Nftl] {
             for swl in [None, Some(SwlConfig::new(100, 0))] {
-                let layer = Layer::build(kind, device(), swl, &cfg).unwrap();
+                let mut layer = Layer::build(kind, device(), swl, &cfg).unwrap();
                 assert_eq!(layer.kind(), kind);
                 assert_eq!(layer.swl().is_some(), swl.is_some());
+                if swl.is_none() {
+                    assert_eq!(layer.run_swl().unwrap(), LevelOutcome::Idle);
+                }
             }
         }
     }
@@ -431,6 +401,12 @@ mod tests {
                 recycled += layer.force_recycle(b, 1).unwrap();
             }
             assert!(recycled > 0, "{kind}: forced recycling must erase");
+            // The range end saturates instead of overflowing: "from the last
+            // block on" is exactly the last block.
+            let mut expected = layer.device().erase_counts();
+            expected[15] += 1;
+            assert_eq!(layer.force_recycle(15, u32::MAX).unwrap(), 1, "{kind}");
+            assert_eq!(layer.device().erase_counts(), expected, "{kind}");
             for lba in 0..24u64 {
                 assert_eq!(layer.read(lba).unwrap(), Some(500 + lba), "{kind}");
             }

@@ -54,13 +54,6 @@ fn is_power_cut(e: &SimError) -> bool {
     )
 }
 
-fn attach(layer: &mut Layer, leveler: SwLeveler) {
-    match layer {
-        Layer::Ftl(l) => l.attach_swl(leveler),
-        Layer::Nftl(l) => l.attach_swl(leveler),
-    }
-}
-
 /// Tracks what the host believes about its own data across the crash.
 #[derive(Default)]
 struct HostModel {
@@ -174,14 +167,14 @@ fn run_cut_point(kind: LayerKind, with_swl: bool, cut_at: u64, torn: bool) {
                     leveler.ecnt(),
                     saved_ecnts.iter().rev().take(2).collect::<Vec<_>>(),
                 );
-                attach(&mut layer, leveler);
+                layer.attach_swl(leveler);
             }
             Err(PersistError::NoValidSnapshot) => {
                 assert!(
                     saved_ecnts.len() <= 1 && torn || saved_ecnts.is_empty(),
                     "{ctx}: valid checkpoints existed but none recovered"
                 );
-                attach(&mut layer, SwLeveler::new(BLOCKS, swl_config()).unwrap());
+                layer.attach_swl(SwLeveler::new(BLOCKS, swl_config()).unwrap());
             }
             Err(e) => panic!("{ctx}: recover failed: {e}"),
         }
