@@ -375,13 +375,18 @@ fn check_striped_cut_point(
     }
 }
 
-fn engine_build(kind: LayerKind, with_swl: bool, cfg: &SimConfig) -> Engine {
+fn engine_build(
+    kind: LayerKind,
+    with_swl: bool,
+    coordination: SwlCoordination,
+    cfg: &SimConfig,
+) -> Engine {
     Engine::new(
         kind,
         striped_geometry(),
         CellKind::Mlc2.spec().with_endurance(u32::MAX),
         with_swl.then(swl_config),
-        SwlCoordination::PerChannel,
+        coordination,
         cfg,
         EngineConfig::default()
             .with_threads(ENGINE_THREADS)
@@ -464,6 +469,7 @@ fn engine_replay(
 fn check_engine_cut_point(
     kind: LayerKind,
     with_swl: bool,
+    coordination: SwlCoordination,
     rounds: u64,
     cut_at: u64,
     torn: bool,
@@ -474,7 +480,7 @@ fn check_engine_cut_point(
         fault: Some(FaultPlan::new(1).with_power_cut(cut_at, torn)),
         ..SimConfig::default()
     };
-    let mut engine = engine_build(kind, with_swl, &cfg);
+    let mut engine = engine_build(kind, with_swl, coordination, &cfg);
     let mut model = EngineModel::default();
     match engine_replay(&mut engine, rounds, &mut model) {
         Ok(true) => {}
@@ -1205,14 +1211,21 @@ fn main() -> ExitCode {
     // Threaded engine: the same mid-stripe cuts, but with `ENGINE_QD` host
     // requests in flight on `ENGINE_THREADS` real worker threads when the
     // shared rail drops — acked (flushed) writes must survive; in-flight
-    // ones may land or not.
+    // ones may land or not. The Global arms run with the leveler on: the
+    // FTL's writes run ahead between erases there too, so the cut finds the
+    // same window of unacknowledged requests (the NFTL's go page by page).
+    let engine_arms = [
+        (false, SwlCoordination::PerChannel, "off"),
+        (true, SwlCoordination::PerChannel, "on"),
+        (true, SwlCoordination::Global, "global"),
+    ];
     for kind in [LayerKind::Ftl, LayerKind::Nftl] {
-        for with_swl in [false, true] {
+        for (with_swl, coordination, swl_label) in engine_arms {
             let cfg = SimConfig {
                 fault: Some(FaultPlan::new(1)),
                 ..SimConfig::default()
             };
-            let mut engine = engine_build(kind, with_swl, &cfg);
+            let mut engine = engine_build(kind, with_swl, coordination, &cfg);
             let mut model = EngineModel::default();
             let cut =
                 engine_replay(&mut engine, rounds, &mut model).expect("engine baseline replay");
@@ -1227,7 +1240,15 @@ fn main() -> ExitCode {
             for torn in [false, true] {
                 let mut stats = SweepStats::default();
                 for cut_at in 0..total {
-                    check_engine_cut_point(kind, with_swl, rounds, cut_at, torn, &mut stats);
+                    check_engine_cut_point(
+                        kind,
+                        with_swl,
+                        coordination,
+                        rounds,
+                        cut_at,
+                        torn,
+                        &mut stats,
+                    );
                 }
                 let violations = stats.lost_acked
                     + stats.stale_checkpoints
@@ -1237,7 +1258,7 @@ fn main() -> ExitCode {
                 grand_violations += violations;
                 rows.push(vec![
                     format!("{kind}\u{d7}{CHANNELS}ch qd{ENGINE_QD}"),
-                    if with_swl { "on" } else { "off" }.to_owned(),
+                    swl_label.to_owned(),
                     if torn { "torn" } else { "clean" }.to_owned(),
                     stats.points.to_string(),
                     stats.lost_acked.to_string(),

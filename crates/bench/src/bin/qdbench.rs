@@ -3,8 +3,11 @@
 //! threads {1, 2, 4, 8} and host queue depth {1, 8, 64, 256}, each run
 //! verified **bit-identical** against the virtual-time
 //! [`flash_sim::Simulator::run_striped`] oracle before its wall-clock
-//! numbers are reported. Emits `BENCH_engine.json` (one JSON object) next
-//! to a human-readable table.
+//! numbers are reported. One more row per thread count runs the same trace
+//! under Global SWL coordination at queue depth 64, verified against its own
+//! oracle, and reports how many host ops ran ahead in the pipeline and how
+//! many went page by page through the coordinator. Emits `BENCH_engine.json`
+//! (one JSON object) next to a human-readable table.
 //!
 //! Latency quantiles (p50/p99/p999) come from the report's log2 op-write
 //! histogram — they are *virtual-time* figures and therefore identical
@@ -42,8 +45,8 @@ use swl_core::SwlConfig;
 const CHANNELS: u32 = 4;
 const THREADS: [u32; 4] = [1, 2, 4, 8];
 const DEPTHS: [u32; 4] = [1, 8, 64, 256];
-/// Per-channel SWL so the engine's pipelined (run-ahead) path is the one
-/// measured; global coordination would force page lockstep.
+/// Queue depth of the Global-coordination rows.
+const GLOBAL_DEPTH: u32 = 64;
 const SWL_THRESHOLD: u64 = 100;
 
 fn events_from_args(default: u64) -> u64 {
@@ -87,13 +90,14 @@ fn trace(logical_pages: u64, seed: u64) -> impl Iterator<Item = TraceEvent> {
 fn oracle(
     scale: &flash_sim::experiments::ExperimentScale,
     events: u64,
+    coordination: SwlCoordination,
 ) -> (f64, StripedReport) {
     let mut striped = StripedLayer::build(
         LayerKind::Ftl,
         geometry(scale),
         spec(scale),
         Some(swl(scale)),
-        SwlCoordination::PerChannel,
+        coordination,
         &SimConfig::default(),
     )
     .expect("oracle build failed");
@@ -111,6 +115,8 @@ struct Point {
     queue_depth: u32,
     wall_s: f64,
     ops_per_s: f64,
+    quiet_ops: u64,
+    coordinated_ops: u64,
     metrics: EngineMetricsReport,
 }
 
@@ -119,6 +125,7 @@ fn engine_run(
     events: u64,
     threads: u32,
     queue_depth: u32,
+    coordination: SwlCoordination,
     reference: &StripedReport,
 ) -> Point {
     let mut engine = Engine::new(
@@ -126,7 +133,7 @@ fn engine_run(
         geometry(scale),
         spec(scale),
         Some(swl(scale)),
-        SwlCoordination::PerChannel,
+        coordination,
         &SimConfig::default(),
         EngineConfig::default()
             .with_threads(threads)
@@ -144,7 +151,8 @@ fn engine_run(
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         run.report, *reference,
-        "threads={threads} depth={queue_depth}: engine diverged from the oracle"
+        "threads={threads} depth={queue_depth} {}: engine diverged from the oracle",
+        coordination.token()
     );
     Point {
         threads,
@@ -152,6 +160,8 @@ fn engine_run(
         queue_depth,
         wall_s,
         ops_per_s: events as f64 / wall_s,
+        quiet_ops: run.quiet_ops,
+        coordinated_ops: run.coordinated_ops,
         metrics: run.metrics.expect("metrics were enabled"),
     }
 }
@@ -173,15 +183,36 @@ fn main() {
         scale.blocks, scale.pages_per_block, scale.endurance
     );
 
-    let (oracle_s, reference) = oracle(&scale, events);
+    let (oracle_s, reference) = oracle(&scale, events, SwlCoordination::PerChannel);
     println!("virtual-time oracle: {oracle_s:.2} s\n");
 
     let mut points = Vec::new();
     for &threads in &THREADS {
         for &depth in &DEPTHS {
-            points.push(engine_run(&scale, events, threads, depth, &reference));
+            points.push(engine_run(
+                &scale,
+                events,
+                threads,
+                depth,
+                SwlCoordination::PerChannel,
+                &reference,
+            ));
         }
     }
+    let (global_oracle_s, global_reference) = oracle(&scale, events, SwlCoordination::Global);
+    let global_points: Vec<Point> = THREADS
+        .iter()
+        .map(|&threads| {
+            engine_run(
+                &scale,
+                events,
+                threads,
+                GLOBAL_DEPTH,
+                SwlCoordination::Global,
+                &global_reference,
+            )
+        })
+        .collect();
 
     // Speedup baseline: 1 worker thread at the same queue depth.
     let baseline = |depth: u32| -> f64 {
@@ -223,9 +254,40 @@ fn main() {
         &rows,
     );
     println!(
-        "\nall {} configurations bit-identical to the virtual-time oracle \
+        "\nGlobal SWL coordination at depth {GLOBAL_DEPTH} (its own oracle: \
+         {global_oracle_s:.2} s):"
+    );
+    let global_rows: Vec<Vec<String>> = global_points
+        .iter()
+        .map(|p| {
+            vec![
+                p.threads.to_string(),
+                p.effective_threads.to_string(),
+                format!("{:.3}", p.wall_s),
+                format!("{:.0}", p.ops_per_s),
+                p.quiet_ops.to_string(),
+                p.coordinated_ops.to_string(),
+                pct(p.quiet_ops as f64 / events as f64),
+            ]
+        })
+        .collect();
+    print_table(
+        &[
+            "threads",
+            "effective",
+            "wall s",
+            "ops/s",
+            "quiet ops",
+            "coordinated",
+            "quiet",
+        ],
+        &global_rows,
+    );
+    println!(
+        "\nall {} + {} configurations bit-identical to the virtual-time oracle \
          (metrics enabled in every run)",
-        points.len()
+        points.len(),
+        global_points.len()
     );
     println!(
         "op write latency (virtual time, identical in every run): \
@@ -295,6 +357,20 @@ fn main() {
                                     w.f64(worker.backpressure_frac(), 4);
                                 }
                             });
+                    });
+                }
+            })
+            .f64("global_oracle_s", global_oracle_s, 3)
+            .arr("global_points", |a| {
+                for p in &global_points {
+                    a.obj(|row| {
+                        row.u64("threads", u64::from(p.threads))
+                            .u64("effective_threads", u64::from(p.effective_threads))
+                            .u64("queue_depth", u64::from(p.queue_depth))
+                            .f64("wall_s", p.wall_s, 3)
+                            .f64("ops_per_s", p.ops_per_s, 0)
+                            .u64("quiet_ops", p.quiet_ops)
+                            .u64("coordinated_ops", p.coordinated_ops);
                     });
                 }
             });

@@ -962,6 +962,46 @@ impl<S: Sink> Mapping for PageMapping<S> {
         Ok(())
     }
 
+    /// A write erases only through [`Self::ensure_space`], which runs when it
+    /// starts with the pool under its target, and the pool shrinks only when
+    /// a frontier opens a block. So from a pool `spare` blocks over target,
+    /// the first write that can erase is the one after the `spare + 1`-th
+    /// opening (that opening write itself started at target and is
+    /// erase-free), and the bound is the fewest writes that force so many
+    /// openings. An injected program failure abandons a frontier early, so
+    /// such a plan promises nothing.
+    fn quiet_writes(&self) -> u64 {
+        let Some(spare) = (self.pool.free_len() as u64).checked_sub(u64::from(self.free_target))
+        else {
+            return 0;
+        };
+        if self
+            .pool
+            .device
+            .fault_plan()
+            .is_some_and(|plan| plan.fails_programs())
+        {
+            return 0;
+        }
+        let pages_per_block = u64::from(self.pool.device.geometry().pages_per_block());
+        let room = |frontier: Option<(u32, u32)>| {
+            frontier.map_or(0, |(_, page)| pages_per_block - u64::from(page))
+        };
+        let cold = room(self.frontier);
+        if self.hot.is_none() {
+            return cold + spare * pages_per_block + 1;
+        }
+        // Two frontiers, and the identifier picks per write: the adversary
+        // drains the emptier one for a single opening, and otherwise drains
+        // both once (each first opening costs a partial block) before paying
+        // whole blocks.
+        let hot = room(self.hot_frontier);
+        match spare {
+            0 => cold.min(hot) + 1,
+            _ => cold + hot + 2 + (spare - 1) * pages_per_block,
+        }
+    }
+
     #[inline]
     fn host_read(&mut self, _: ShellKey, lba: u64) -> Result<Option<u64>, FtlError> {
         self.check_lba(lba)?;
@@ -1317,6 +1357,38 @@ mod tests {
         let invalid: u32 = (0..8).map(|b| ftl.device().block(b).invalid_pages()).sum();
         assert_eq!(invalid, 2);
         ftl.check_consistency();
+    }
+
+    #[test]
+    fn quiet_writes_counts_down_to_the_next_erase() {
+        let mut ftl = plain_ftl(8, 4);
+        let erases = |ftl: &PageMappedFtl| ftl.device().counters().erases;
+        // Eight free blocks over a target of two: six blocks of four pages,
+        // plus the write that opens the first at-target block.
+        assert_eq!(ftl.quiet_writes(), 6 * 4 + 1);
+        // With one frontier the bound is exact: it falls by one per write,
+        // and the write that finds it at zero collects garbage.
+        let mut collected = 0;
+        for round in 0..200u64 {
+            let bound = ftl.quiet_writes();
+            let before = erases(&ftl);
+            ftl.write(round % 3, round).unwrap();
+            if bound > 0 {
+                assert_eq!(
+                    erases(&ftl),
+                    before,
+                    "round {round}: erased within the bound"
+                );
+                assert_eq!(ftl.quiet_writes(), bound - 1, "round {round}");
+            } else {
+                assert!(
+                    erases(&ftl) > before,
+                    "round {round}: the bound was not tight"
+                );
+                collected += 1;
+            }
+        }
+        assert!(collected > 10);
     }
 
     #[test]

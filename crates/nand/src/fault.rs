@@ -106,6 +106,13 @@ impl FaultPlan {
         self.seed
     }
 
+    /// Whether a page program can fail and leave the device running (a
+    /// non-zero [`FaultPlan::with_program_fail_prob`]). A power cut does not
+    /// count: it fails every later operation too.
+    pub fn fails_programs(&self) -> bool {
+        self.program_fail_prob > 0.0
+    }
+
     /// The configured power-cut operation index, if one is (still) armed.
     pub fn power_cut_at(&self) -> Option<u64> {
         self.power_cut_at

@@ -28,13 +28,35 @@
 //!   be ahead of the op being finalized.
 //!
 //! Under [`SwlCoordination::Global`] the virtual-time loop runs the
-//! coordinator after *every page write*, so its decisions depend on the
-//! global interleaving. The engine therefore degrades that mode to page
-//! lockstep: each page is dispatched and awaited individually and the
-//! coordinator consumes the epoch-stamped [`ShardSnapshot`]s carried on
-//! completions — published at quiescent lane points, no locks — exactly
-//! reproducing the sequential coordination schedule. Per-channel SWL and
-//! SWL-less runs keep full run-ahead at any queue depth.
+//! coordinator after *every page write*. What the coordinator reads, though
+//! — each lane's `(ecnt, fcnt)` — moves only in SWL-BETUpdate, when the
+//! lane erases a block, and a lane knows how far it is from its next erase:
+//! every completion carries its *erase-free write bound*
+//! ([`Layer::quiet_writes`]), a lower bound on the page writes, to any
+//! addresses, the lane can take without erasing. The front-end keeps a
+//! budget per lane, charged at dispatch and refreshed only when every lane
+//! is idle, and sorts ops by it:
+//!
+//! - a read, or a write whose pages every lane's budget covers while the
+//!   cached views are under threshold, goes down the pipeline like any
+//!   per-channel op. A quiet write cannot change any view, so after each of
+//!   its pages the oracle's coordinator, a pure function of the views,
+//!   returned without stepping — there is nothing to replay;
+//! - lanes may not overshoot an erase: once a view has moved, the oracle may
+//!   have stepped some lane before that lane's next page. So any other write
+//!   drains the pipeline and runs alone, one page at a time: dispatch, await,
+//!   and replay the coordinator against the cached [`ShardSnapshot`]s, which
+//!   are exact because every lane is idle;
+//! - the NFTL's bound is always 0 — whether a write merges depends on the
+//!   virtual block it addresses, not on a pool level — so every NFTL write
+//!   takes the second path, as does every write under a fault plan that can
+//!   fail programs.
+//!
+//! The bound is checked, not trusted: a pipelined completion under Global
+//! must report the view the front-end had cached for its lane, or the engine
+//! panics (release builds included). [`EngineRun::quiet_ops`] and
+//! [`EngineRun::coordinated_ops`] count the ops on each path. Per-channel
+//! SWL and SWL-less runs keep full run-ahead at any queue depth.
 //!
 //! # Wall-clock observability
 //!
@@ -199,6 +221,9 @@ struct LaneCompletion {
     failure: Option<FailureRecord>,
     /// Epoch-stamped leveler summary (all-zero view when no SWL attached).
     shard: ShardSnapshot,
+    /// The lane's erase-free write bound as of completing this command
+    /// ([`Layer::quiet_writes`]).
+    quiet: u64,
 }
 
 /// One lane owned by a worker thread.
@@ -207,6 +232,18 @@ struct WorkerLane {
     layer: Layer<EngineSink>,
     epoch: Arc<AtomicU64>,
     snap_epoch: u64,
+}
+
+/// The lane's leveler summary stamped with `epoch` (an all-zero view when no
+/// SWL is attached).
+fn shard_snapshot(layer: &Layer<EngineSink>, epoch: u64) -> ShardSnapshot {
+    match layer.swl() {
+        Some(s) => ShardSnapshot::of(s, epoch),
+        None => ShardSnapshot {
+            epoch,
+            ..ShardSnapshot::default()
+        },
+    }
 }
 
 /// What a worker hands back on shutdown: its lanes, tagged by channel, plus
@@ -417,13 +454,6 @@ fn worker_loop<const METRICS: bool>(
             }
         }
         wl.snap_epoch += 1;
-        let shard = match wl.layer.swl() {
-            Some(s) => ShardSnapshot::of(s, wl.snap_epoch),
-            None => ShardSnapshot {
-                epoch: wl.snap_epoch,
-                ..ShardSnapshot::default()
-            },
-        };
         let completion = LaneCompletion {
             op_seq,
             lane: lane_id,
@@ -432,7 +462,8 @@ fn worker_loop<const METRICS: bool>(
             read_values,
             error,
             failure: wl.layer.device().first_failure(),
-            shard,
+            shard: shard_snapshot(&wl.layer, wl.snap_epoch),
+            quiet: wl.layer.quiet_writes(),
         };
         if let Some(meter) = meter.as_mut() {
             let pages = completion.page_latencies.len() as u64;
@@ -575,6 +606,13 @@ struct PendingOp {
     error: Option<(u32, SimError)>,
 }
 
+/// Out of line, so the check costs the pipelined path one compare.
+#[cold]
+#[inline(never)]
+fn bound_violated(lane: u32, view: ShardView, cached: ShardView) -> ! {
+    panic!("lane {lane} erased inside its erase-free write bound: view {view:?}, cached {cached:?}")
+}
+
 /// Gauge read of one bounded queue.
 fn queue_sample<T>(q: &ShardQueue<T>) -> QueueSample {
     QueueSample {
@@ -632,8 +670,9 @@ pub struct Engine {
     telemetry: bool,
     metrics: bool,
     capture_reads: bool,
-    /// Global coordination with >1 channel and SWL attached runs page
-    /// lockstep (see module docs).
+    /// Global coordination with >1 channel and SWL attached: writes leave
+    /// the pipeline for the dispatch-await-coordinate loop whenever a lane
+    /// may erase (see module docs).
     lockstep: bool,
     command_queues: Vec<Arc<ShardQueue<LaneCommand>>>,
     completions: Arc<ShardQueue<LaneCompletion>>,
@@ -652,6 +691,17 @@ pub struct Engine {
     first_failure: Option<FirstFailure>,
     lane_failure: Vec<Option<FailureRecord>>,
     shards: Vec<ShardSnapshot>,
+    /// `shards[lane].view`, kept contiguous for the coordinator.
+    views: Vec<ShardView>,
+    /// Each lane's erase-free write bound as of its last completion.
+    quiet: Vec<u64>,
+    /// What is left of `quiet` after the write pages dispatched since the
+    /// lanes were last all idle.
+    budget: Vec<u64>,
+    /// Per-channel busy deltas of the coordinated op in flight.
+    lane_busy: Vec<u64>,
+    quiet_ops: u64,
+    coordinated_ops: u64,
     lane_write_latency: Vec<LatencyStats>,
     lane_read_latency: Vec<LatencyStats>,
     op_write_latency: LatencyStats,
@@ -683,6 +733,14 @@ pub struct EngineRun {
     pub threads: u32,
     /// Configured host queue depth.
     pub queue_depth: usize,
+    /// Host ops that went down the pipeline: every op, except the writes
+    /// counted in `coordinated_ops`.
+    pub quiet_ops: u64,
+    /// Host writes that ran page by page through the Global coordinator
+    /// because a lane's erase-free write bound did not cover them (or the
+    /// array was over threshold). Always `0` without Global coordination;
+    /// `quiet_ops + coordinated_ops == report.events`.
+    pub coordinated_ops: u64,
     /// The wall-clock runtime metrics report (`None` unless the engine was
     /// built with [`EngineConfig::with_metrics`]).
     pub metrics: Option<EngineMetricsReport>,
@@ -777,6 +835,8 @@ impl Engine {
         });
         let mut groups: Vec<Vec<WorkerLane>> = (0..threads).map(|_| Vec::new()).collect();
         let mut logical_pages = 0u64;
+        let mut shards = Vec::with_capacity(channels as usize);
+        let mut quiet = Vec::with_capacity(channels as usize);
         for lane in 0..channels {
             let epoch = Arc::new(AtomicU64::new(0));
             let lane_health = health
@@ -797,6 +857,8 @@ impl Engine {
             if lane == 0 {
                 logical_pages = layer.logical_pages() * u64::from(channels);
             }
+            shards.push(shard_snapshot(&layer, 0));
+            quiet.push(layer.quiet_writes());
             groups[(lane % threads) as usize].push(WorkerLane {
                 channel: lane,
                 layer,
@@ -864,7 +926,13 @@ impl Engine {
             host_span_ns: 0,
             first_failure: None,
             lane_failure: vec![None; channels as usize],
-            shards: vec![ShardSnapshot::default(); channels as usize],
+            views: shards.iter().map(|s| s.view).collect(),
+            shards,
+            budget: quiet.clone(),
+            quiet,
+            lane_busy: vec![0; channels as usize],
+            quiet_ops: 0,
+            coordinated_ops: 0,
             lane_write_latency: vec![LatencyStats::new(); channels as usize],
             lane_read_latency: vec![LatencyStats::new(); channels as usize],
             op_write_latency: LatencyStats::new(),
@@ -994,11 +1062,54 @@ impl Engine {
                 h.add_host_pages(u64::from(event.len));
             }
         }
-        if self.lockstep {
-            self.submit_lockstep(event, data)
-        } else {
+        // Reads never erase, and the coordinator runs only after writes.
+        if !self.lockstep || event.op == Op::Read || self.admit_quiet(&event)? {
+            self.quiet_ops += 1;
             self.submit_pipelined(event, data)
+        } else {
+            self.coordinated_ops += 1;
+            self.submit_lockstep(event, data)
         }
+    }
+
+    /// Whether a write may run ahead under Global coordination: the
+    /// coordinator is at rest (the cached views are under threshold) and no
+    /// lane can erase while executing its pages, so no view can change
+    /// before the op completes. On `false` the engine has been drained and
+    /// the op must go through [`Engine::submit_lockstep`].
+    fn admit_quiet(&mut self, event: &TraceEvent) -> Result<bool, SimError> {
+        let at_rest = self
+            .swl
+            .is_some_and(|(threshold, _)| !global_over_threshold(&self.views, threshold));
+        if at_rest && self.take_budget(event) {
+            return Ok(true);
+        }
+        // The budgets only fall between idle points, while a bound that is
+        // not tight (hot/cold separation) can leave more than was charged:
+        // look again at the bounds the drained lanes report themselves.
+        self.flush()?;
+        self.realign_idle();
+        Ok(at_rest && self.take_budget(event))
+    }
+
+    /// Charges the op's write pages to the lanes' erase-free budgets;
+    /// `false`, with nothing charged, when a lane cannot cover its share.
+    fn take_budget(&mut self, event: &TraceEvent) -> bool {
+        let geometry = self.geometry;
+        let channels = u64::from(geometry.channels());
+        let len = u64::from(event.len);
+        // Round-robin striping: page `i` of the op and every `channels`-th
+        // page after it land on the same lane.
+        let lane = |i: u64| geometry.channel_of(event.lba + i) as usize;
+        let share = |i: u64| (len - i).div_ceil(channels);
+        let first_pages = 0..channels.min(len);
+        if first_pages.clone().any(|i| self.budget[lane(i)] < share(i)) {
+            return false;
+        }
+        for i in first_pages {
+            self.budget[lane(i)] -= share(i);
+        }
+        true
     }
 
     fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
@@ -1082,8 +1193,24 @@ impl Engine {
         self.finalize_ready()
     }
 
+    /// Caches what a completion says about its lane's leveler and pool.
+    fn note_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
+        let lane = lane as usize;
+        self.shards[lane].absorb(shard);
+        self.views[lane] = self.shards[lane].view;
+        self.quiet[lane] = quiet;
+    }
+
     fn absorb(&mut self, completion: LaneCompletion) {
-        self.shards[completion.lane as usize].absorb(completion.shard);
+        // The run-ahead invariant, checked on every build: a pipelined op
+        // under Global coordination was admitted because it could not move
+        // its lane's view. If it did, the coordinator has already skipped a
+        // decision the oracle made, so stop here.
+        let cached = self.views[completion.lane as usize];
+        if self.lockstep && completion.shard.view != cached {
+            bound_violated(completion.lane, completion.shard.view, cached);
+        }
+        self.note_lane(completion.lane, completion.shard, completion.quiet);
         self.publish_bet_gauges();
         let index = (completion.op_seq - self.finalize_next) as usize;
         let op = &mut self.pending[index];
@@ -1199,14 +1326,14 @@ impl Engine {
         }
     }
 
-    /// Awaits exactly one completion (lockstep mode), updating the shard
+    /// Awaits the one command in flight (coordinated ops), updating the lane
     /// cache and per-lane wear-out state.
     fn await_one(&mut self) -> Result<LaneCompletion, SimError> {
         let completion = self
             .completions
             .pop()
             .expect("completion queue closed with a command in flight");
-        self.shards[completion.lane as usize].absorb(completion.shard);
+        self.note_lane(completion.lane, completion.shard, completion.quiet);
         self.publish_bet_gauges();
         self.lane_failure[completion.lane as usize] = completion.failure;
         if let Some((_, e)) = completion.error {
@@ -1216,31 +1343,30 @@ impl Engine {
         Ok(completion)
     }
 
-    /// Global coordination in page lockstep: dispatch one page, await it,
-    /// then replay the `coordinate_swl` loop against the cached shard
-    /// snapshots (which are exact, since every lane is quiescent here).
+    /// One write under Global coordination whose pages may erase: dispatch
+    /// one page, await it, then replay the `coordinate_swl` loop against the
+    /// cached views (which are exact, since every lane is idle here — the
+    /// caller drained the pipeline).
     fn submit_lockstep(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
+        debug_assert!(event.op == Op::Write && self.pending.is_empty());
         let submitted = self.metrics.then(Instant::now);
-        let channels = self.geometry.channels() as usize;
         let op_seq = self.next_seq;
         self.next_seq += 1;
-        let mut lane_busy = vec![0u64; channels];
-        let mut op_reads = Vec::new();
+        self.lane_busy.fill(0);
         self.scheduler.op_begin();
         for (ordinal, lba) in event.pages().enumerate() {
             let channel = self.geometry.channel_of(lba);
-            let token = match (event.op, data) {
-                (Op::Write, Some(values)) => values[ordinal],
-                (Op::Write, None) => {
+            let token = match data {
+                Some(values) => values[ordinal],
+                None => {
                     self.next_token += 1;
                     self.next_token
                 }
-                (Op::Read, _) => 0,
             };
             self.dispatch(LaneCommand::Exec {
                 op_seq,
                 lane: channel,
-                op: event.op,
+                op: Op::Write,
                 pages: vec![PageCmd {
                     lane_lba: self.geometry.lane_lba(lba),
                     token,
@@ -1248,67 +1374,47 @@ impl Engine {
                 }],
             });
             let completion = self.await_one()?;
-            lane_busy[channel as usize] += completion.busy_delta;
-            let page_latency = completion.page_latencies[0];
-            match event.op {
-                Op::Write => {
-                    // The virtual-time loop measures a written page's
-                    // latency across the whole `StripedLayer::write`, which
-                    // includes coordinator steps that landed on the same
-                    // lane — add them in.
-                    let swl_on_lane = self.coordinate(op_seq, channel, &mut lane_busy)?;
-                    self.lane_write_latency[channel as usize].record(page_latency + swl_on_lane);
-                }
-                Op::Read => {
-                    self.lane_read_latency[channel as usize].record(page_latency);
-                    if self.capture_reads {
-                        // One page per lockstep command, so the single
-                        // captured value is this page's.
-                        op_reads.push(
-                            completion
-                                .read_values
-                                .first()
-                                .and_then(|&(_, value)| value),
-                        );
-                    }
-                }
-            }
+            self.lane_busy[channel as usize] += completion.busy_delta;
+            // The virtual-time loop measures a written page's latency across
+            // the whole `StripedLayer::write`, which includes coordinator
+            // steps that landed on the same lane — add them in.
+            let swl_on_lane = self.coordinate(op_seq, channel)?;
+            self.lane_write_latency[channel as usize]
+                .record(completion.page_latencies[0] + swl_on_lane);
         }
-        if self.capture_reads && event.op == Op::Read {
-            self.completed_reads.push_back(op_reads);
-        }
-        for (channel, &delta) in lane_busy.iter().enumerate() {
+        for (channel, &delta) in self.lane_busy.iter().enumerate() {
             if delta > 0 {
                 self.scheduler.submit(channel as u32, delta);
             }
         }
         let op_latency = self.scheduler.op_complete();
-        match event.op {
-            Op::Write => self.op_write_latency.record(op_latency),
-            Op::Read => self.op_read_latency.record(op_latency),
-        }
+        self.op_write_latency.record(op_latency);
         if let Some(submitted) = submitted {
-            let wall = since_ns(submitted);
-            match event.op {
-                Op::Write => self.op_write_wall.record(wall),
-                Op::Read => self.op_read_wall.record(wall),
-            }
+            self.op_write_wall.record(since_ns(submitted));
             self.runtime.op_completed();
         }
         self.note_first_failure(event.at_ns);
+        self.realign_idle();
         Ok(())
     }
 
-    /// Replays `StripedLayer::coordinate_swl` against the snapshot cache:
+    /// For the points where every lane is idle and nothing is pending: takes
+    /// the bounds the lanes last reported as the new budgets, and points the
+    /// finalize cursor at the next op, so that it indexes `pending` correctly
+    /// after an op that took a sequence number without a pending entry (a
+    /// coordinated write, an admin verb).
+    fn realign_idle(&mut self) {
+        debug_assert!(self.pending.is_empty());
+        self.finalize_next = self.next_seq;
+        self.budget.copy_from_slice(&self.quiet);
+    }
+
+    /// Replays `StripedLayer::coordinate_swl` against the cached views:
     /// while the global unevenness is over threshold, step the worst shard;
-    /// a full fruitless pass over every flag aborts. Returns the SWL busy
-    /// time that landed on `page_channel` (for page-latency attribution).
-    fn coordinate(
-        &mut self,
-        op_seq: u64,
-        page_channel: u32,
-        lane_busy: &mut [u64],
-    ) -> Result<u64, SimError> {
+    /// a full fruitless pass over every flag aborts. Adds the steps' busy
+    /// time to `lane_busy` and returns the part that landed on
+    /// `page_channel` (for page-latency attribution).
+    fn coordinate(&mut self, op_seq: u64, page_channel: u32) -> Result<u64, SimError> {
         let Some((threshold, _)) = self.swl else {
             return Ok(0);
         };
@@ -1316,25 +1422,23 @@ impl Engine {
         let mut fruitless = 0u64;
         let mut swl_on_channel = 0u64;
         loop {
-            let views: Vec<ShardView> = self.shards.iter().map(|s| s.view).collect();
-            if !global_over_threshold(&views, threshold) {
+            if !global_over_threshold(&self.views, threshold) {
                 return Ok(swl_on_channel);
             }
-            let Some(worst) = worst_shard(&views) else {
+            let Some(worst) = worst_shard(&self.views) else {
                 return Ok(swl_on_channel);
             };
-            let before = (views[worst].ecnt, views[worst].fcnt);
+            let before = self.views[worst];
             self.dispatch(LaneCommand::SwlStep {
                 op_seq,
                 lane: worst as u32,
             });
             let completion = self.await_one()?;
-            lane_busy[worst] += completion.busy_delta;
+            self.lane_busy[worst] += completion.busy_delta;
             if worst as u32 == page_channel {
                 swl_on_channel += completion.busy_delta;
             }
-            let after = (self.shards[worst].view.ecnt, self.shards[worst].view.fcnt);
-            if after == before {
+            if self.views[worst] == before {
                 fruitless += 1;
                 if fruitless > flag_budget {
                     return Ok(swl_on_channel);
@@ -1438,7 +1542,7 @@ impl Engine {
                 .completions
                 .pop()
                 .expect("completion queue closed with an admin verb in flight");
-            self.shards[completion.lane as usize].absorb(completion.shard);
+            self.note_lane(completion.lane, completion.shard, completion.quiet);
             self.lane_failure[completion.lane as usize] = completion.failure;
             if let Some((_, e)) = completion.error {
                 errors += 1;
@@ -1454,11 +1558,7 @@ impl Engine {
             }
         }
         self.publish_bet_gauges();
-        // The admin op consumed a sequence number with no pending entry;
-        // re-align the finalize cursor so the next Exec op indexes pending
-        // correctly (the queue is empty here — we just flushed and
-        // barriered).
-        self.finalize_next = self.next_seq;
+        self.realign_idle();
         if let Some((_, e)) = first {
             // When every lane refused with the same error (duplicate id,
             // unknown snapshot, full manifest), no lane mutated anything
@@ -1603,6 +1703,8 @@ impl Engine {
             lane_read_latency: std::mem::take(&mut self.lane_read_latency),
             threads: self.threads,
             queue_depth: self.queue_depth,
+            quiet_ops: self.quiet_ops,
+            coordinated_ops: self.coordinated_ops,
             metrics,
             telemetry: self.telemetry,
             geometry: self.geometry,
@@ -1751,6 +1853,34 @@ mod tests {
             EngineConfig::default().with_threads(2).with_queue_depth(8),
         );
         assert_eq!(run.report, reference);
+    }
+
+    #[test]
+    fn global_ftl_mixes_run_ahead_and_coordinated_writes() {
+        let swl = Some(SwlConfig::new(16, 0).with_seed(3));
+        let reference =
+            striped_reference(LayerKind::Ftl, 2, swl, SwlCoordination::Global, 3_000, 5);
+        for threads in [1u32, 2] {
+            let run = engine_run(
+                LayerKind::Ftl,
+                2,
+                swl,
+                SwlCoordination::Global,
+                3_000,
+                5,
+                EngineConfig::default()
+                    .with_threads(threads)
+                    .with_queue_depth(8),
+            );
+            assert_eq!(run.report, reference, "threads={threads}");
+            assert!(
+                run.quiet_ops > 0 && run.coordinated_ops > 0,
+                "threads={threads}: {} ran ahead, {} coordinated",
+                run.quiet_ops,
+                run.coordinated_ops
+            );
+            assert_eq!(run.quiet_ops + run.coordinated_ops, 3_000);
+        }
     }
 
     #[test]

@@ -3,11 +3,16 @@
 //! The execution engine shards work across worker threads through one
 //! [`ShardQueue`] per worker (commands) plus one shared queue flowing back
 //! (completions). The queue is deliberately tiny — `Mutex<VecDeque>` with two
-//! condvars — because the simulator's unit of work (a multi-page flash
-//! sub-request) costs microseconds, so queue overhead is irrelevant next to
-//! correctness. Bounded capacity is what provides *backpressure*: a host
-//! front-end racing ahead of a slow lane blocks in [`ShardQueue::push`]
-//! instead of buffering unboundedly.
+//! condvars, one wake per item — and that simplicity is not free: layerbench
+//! measures a crossing (`queue.ns_per_crossing`) at about 5 µs when the
+//! consumer has to be woken, against about 50 ns of simulated work per host
+//! page, so the queues, not the lanes, set the engine's speed whenever a
+//! command is awaited one at a time. The engine answers that by crossing
+//! rarely (one command per lane per host op, ops pipelined up to the queue
+//! depth) rather than by a cleverer queue; moving several commands per
+//! crossing is ROADMAP item 1. Bounded capacity is what provides
+//! *backpressure*: a host front-end racing ahead of a slow lane blocks in
+//! [`ShardQueue::push`] instead of buffering unboundedly.
 //!
 //! Closing the queue ([`ShardQueue::close`]) makes every producer fail fast
 //! and lets consumers drain what is already queued before seeing `None` —

@@ -230,6 +230,13 @@ impl<S: Sink> Layer<S> {
         delegate!(self, l => l.attach_swl(swl))
     }
 
+    /// The erase-free write bound ([`SwlHost::quiet_writes`]): host page
+    /// writes, to any addresses, this layer can take before it next erases a
+    /// block. Always `0` on the NFTL.
+    pub fn quiet_writes(&self) -> u64 {
+        delegate!(self, l => l.quiet_writes())
+    }
+
     /// Manually invokes SWL-Procedure (e.g. from a timer).
     ///
     /// # Errors

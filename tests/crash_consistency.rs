@@ -434,7 +434,7 @@ const SERVICE_FLUSH_EVERY: u64 = 4;
 /// watermark batches fire between flushes.
 const SERVICE_CACHE_PAGES: usize = 8;
 
-fn service_build(kind: LayerKind, cfg: &SimConfig) -> Service {
+fn service_build(kind: LayerKind, coordination: SwlCoordination, cfg: &SimConfig) -> Service {
     // Eager admission so the small cache absorbs the workload's hot spans
     // within a couple of rewrites.
     let hot = HotDataConfig {
@@ -446,7 +446,7 @@ fn service_build(kind: LayerKind, cfg: &SimConfig) -> Service {
         striped_geometry(2),
         CellKind::Mlc2.spec().with_endurance(u32::MAX),
         Some(swl_config()),
-        SwlCoordination::PerChannel,
+        coordination,
         cfg,
         ServiceConfig::default()
             .with_engine(EngineConfig::default().with_threads(2).with_queue_depth(4))
@@ -512,12 +512,12 @@ fn service_replay(service: &mut Service, model: &mut ServiceModel) -> Result<boo
 
 /// Device-op count of the full cached workload (max over lanes). The cache
 /// absorbs hot rewrites, so this is smaller than the cache-less runs.
-fn service_total_ops(kind: LayerKind) -> u64 {
+fn service_total_ops(kind: LayerKind, coordination: SwlCoordination) -> u64 {
     let cfg = SimConfig {
         fault: Some(FaultPlan::new(1)),
         ..SimConfig::default()
     };
-    let mut service = service_build(kind, &cfg);
+    let mut service = service_build(kind, coordination, &cfg);
     let mut model = ServiceModel::default();
     let cut = service_replay(&mut service, &mut model).expect("service baseline");
     assert!(!cut, "service baseline must not see a power cut");
@@ -534,13 +534,21 @@ fn service_total_ops(kind: LayerKind) -> u64 {
 /// flush-acked writes must not. Returns how many un-acked writes did
 /// vanish, so the caller can assert the lossy side of the contract was
 /// actually exercised rather than vacuously true.
-fn run_service_cut_point(kind: LayerKind, cut_at: u64, torn: bool) -> u64 {
-    let ctx = format!("{kind} cache cut_at={cut_at} torn={torn}");
+fn run_service_cut_point(
+    kind: LayerKind,
+    coordination: SwlCoordination,
+    cut_at: u64,
+    torn: bool,
+) -> u64 {
+    let ctx = format!(
+        "{kind} {} cache cut_at={cut_at} torn={torn}",
+        coordination.token()
+    );
     let cfg = SimConfig {
         fault: Some(FaultPlan::new(1).with_power_cut(cut_at, torn)),
         ..SimConfig::default()
     };
-    let mut service = service_build(kind, &cfg);
+    let mut service = service_build(kind, coordination, &cfg);
     let mut model = ServiceModel::default();
     let cut = service_replay(&mut service, &mut model)
         .unwrap_or_else(|e| panic!("{ctx}: workload failed: {e}"));
@@ -609,19 +617,23 @@ fn run_service_cut_point(kind: LayerKind, cut_at: u64, torn: bool) -> u64 {
 /// Strided sweep with the write cache interposed: flush-acked writes
 /// survive every cut point on both layers, and across the sweep some
 /// un-acked cached writes really vanish (the lossy side of the ack
-/// contract, asserted rather than assumed).
+/// contract, asserted rather than assumed). Under Global coordination the
+/// FTL's writes run ahead between erases just as they do per channel, so
+/// the rail drops with up to a queue depth of requests in flight there too.
 #[test]
 fn service_cache_cuts_preserve_flush_acked_writes() {
     let mut vanished = 0u64;
-    for kind in [LayerKind::Ftl, LayerKind::Nftl] {
-        let total = service_total_ops(kind);
-        assert!(total > 50, "{kind}: cached workload too small");
-        let step = (total / 10).max(1);
-        for torn in [false, true] {
-            let mut cut_at = if torn { step / 2 } else { 0 };
-            while cut_at < total {
-                vanished += run_service_cut_point(kind, cut_at, torn);
-                cut_at += step;
+    for coordination in [SwlCoordination::PerChannel, SwlCoordination::Global] {
+        for kind in [LayerKind::Ftl, LayerKind::Nftl] {
+            let total = service_total_ops(kind, coordination);
+            assert!(total > 50, "{kind}: cached workload too small");
+            let step = (total / 10).max(1);
+            for torn in [false, true] {
+                let mut cut_at = if torn { step / 2 } else { 0 };
+                while cut_at < total {
+                    vanished += run_service_cut_point(kind, coordination, cut_at, torn);
+                    cut_at += step;
+                }
             }
         }
     }

@@ -14,8 +14,10 @@ use flash_sim::{
     Engine, EngineConfig, LayerKind, SimConfig, Simulator, StopCondition, StripedLayer,
     StripedReport, SwlCoordination, TranslationLayer,
 };
-use flash_trace::{SyntheticTrace, TraceEvent, WorkloadSpec};
-use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
+use flash_trace::{Op, SyntheticTrace, TraceEvent, WorkloadSpec};
+use ftl::FtlConfig;
+use hotid::HotDataConfig;
+use nand::{CellKind, CellSpec, ChannelGeometry, FaultPlan, Geometry};
 use swl_core::SwlConfig;
 
 const LANE_BLOCKS: u32 = 32;
@@ -51,13 +53,33 @@ fn reference(
     stop: StopCondition,
     seed: u64,
 ) -> (StripedReport, StripedLayer) {
+    reference_with(
+        kind,
+        channels,
+        coordination,
+        endurance,
+        stop,
+        seed,
+        &SimConfig::default(),
+    )
+}
+
+fn reference_with(
+    kind: LayerKind,
+    channels: u32,
+    coordination: SwlCoordination,
+    endurance: u32,
+    stop: StopCondition,
+    seed: u64,
+    layers: &SimConfig,
+) -> (StripedReport, StripedLayer) {
     let mut striped = StripedLayer::build(
         kind,
         ChannelGeometry::new(channels, 1, chip()),
         spec(endurance),
         Some(swl()),
         coordination,
-        &SimConfig::default(),
+        layers,
     )
     .unwrap();
     let pages = striped.logical_pages();
@@ -76,13 +98,36 @@ fn engine(
     seed: u64,
     config: EngineConfig,
 ) -> flash_sim::EngineRun {
+    engine_with(
+        kind,
+        channels,
+        coordination,
+        endurance,
+        stop,
+        seed,
+        config,
+        &SimConfig::default(),
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn engine_with(
+    kind: LayerKind,
+    channels: u32,
+    coordination: SwlCoordination,
+    endurance: u32,
+    stop: StopCondition,
+    seed: u64,
+    config: EngineConfig,
+    layers: &SimConfig,
+) -> flash_sim::EngineRun {
     let mut engine = Engine::new(
         kind,
         ChannelGeometry::new(channels, 1, chip()),
         spec(endurance),
         Some(swl()),
         coordination,
-        &SimConfig::default(),
+        layers,
         config,
     )
     .unwrap();
@@ -93,10 +138,29 @@ fn engine(
 
 /// Bit-identity across one configuration: report, per-lane state, contents.
 fn engine_matches_oracle(kind: LayerKind, channels: u32, coordination: SwlCoordination) {
+    engine_matches_oracle_with(kind, channels, coordination, &[32], &SimConfig::default());
+}
+
+/// [`engine_matches_oracle`] at each of `queue_depths`, over lanes built
+/// from `layers`. Also pins which path the ops took: only Global
+/// coordination over several lanes coordinates any op at all, and there a
+/// write runs ahead exactly when its lanes promise erase-free writes — which
+/// the fault-free FTL does between erases, and nothing else ever does.
+fn engine_matches_oracle_with(
+    kind: LayerKind,
+    channels: u32,
+    coordination: SwlCoordination,
+    queue_depths: &[usize],
+    layers: &SimConfig,
+) {
     let seed = 0xE7A1 ^ u64::from(channels);
     let stop = StopCondition::events(EVENTS);
     let (reference_report, mut reference_layer) =
-        reference(kind, channels, coordination, 1_000_000, stop, seed);
+        reference_with(kind, channels, coordination, 1_000_000, stop, seed, layers);
+    let reads = trace(reference_layer.logical_pages(), seed)
+        .take(EVENTS as usize)
+        .filter(|e| e.op == Op::Read)
+        .count() as u64;
 
     // Snapshot the oracle's per-lane state and contents *before* reading
     // anything back: reads are real device operations and would perturb the
@@ -119,16 +183,40 @@ fn engine_matches_oracle(kind: LayerKind, channels: u32, coordination: SwlCoordi
         .map(|lba| reference_layer.read(lba).unwrap())
         .collect();
 
-    for threads in [1u32, 2, 4] {
+    let configs = queue_depths
+        .iter()
+        .flat_map(|&qd| [1u32, 2, 4].map(|threads| (qd, threads)));
+    for (qd, threads) in configs {
         let config = EngineConfig::default()
             .with_threads(threads)
-            .with_queue_depth(32);
-        let mut run = engine(kind, channels, coordination, 1_000_000, stop, seed, config);
+            .with_queue_depth(qd);
+        let mut run = engine_with(
+            kind,
+            channels,
+            coordination,
+            1_000_000,
+            stop,
+            seed,
+            config,
+            layers,
+        );
 
         assert_eq!(
             run.report, reference_report,
-            "{kind:?} ×{channels}ch {coordination:?} threads={threads}: report diverged"
+            "{kind:?} ×{channels}ch {coordination:?} threads={threads} qd={qd}: report diverged"
         );
+        assert_eq!(run.quiet_ops + run.coordinated_ops, EVENTS);
+        let split = (run.quiet_ops, run.coordinated_ops);
+        if coordination == SwlCoordination::PerChannel || channels == 1 {
+            assert_eq!(split, (EVENTS, 0), "threads={threads} qd={qd}");
+        } else if kind == LayerKind::Ftl && layers.fault.is_none() {
+            assert!(
+                run.quiet_ops > reads && run.coordinated_ops > 0,
+                "threads={threads} qd={qd}: {split:?} of {reads} reads took one path only"
+            );
+        } else {
+            assert_eq!(split, (reads, EVENTS - reads), "threads={threads} qd={qd}");
+        }
 
         // Per-lane device and leveler state, lane for lane.
         for (lane, engine_lane) in run.lanes().iter().enumerate() {
@@ -206,6 +294,48 @@ fn ftl_two_channels_global() {
 #[test]
 fn ftl_four_channels_global() {
     engine_matches_oracle(LayerKind::Ftl, 4, SwlCoordination::Global);
+}
+
+#[test]
+fn ftl_four_channels_global_across_queue_depths() {
+    engine_matches_oracle_with(
+        LayerKind::Ftl,
+        4,
+        SwlCoordination::Global,
+        &[1, 4, 256],
+        &SimConfig::default(),
+    );
+}
+
+/// Two write frontiers: the erase-free bound is a true lower bound, not the
+/// exact count, so the drain-and-look-again step of admission matters.
+#[test]
+fn ftl_hot_cold_four_channels_global() {
+    let hot = HotDataConfig {
+        hot_threshold: 2,
+        ..HotDataConfig::default()
+    };
+    let layers = SimConfig {
+        ftl: FtlConfig::default().with_hot_data(hot),
+        ..SimConfig::default()
+    };
+    engine_matches_oracle_with(
+        LayerKind::Ftl,
+        4,
+        SwlCoordination::Global,
+        &[4, 32],
+        &layers,
+    );
+}
+
+/// A plan that fails programs voids every bound: each write coordinates.
+#[test]
+fn ftl_program_faults_four_channels_global() {
+    let layers = SimConfig {
+        fault: Some(FaultPlan::new(5).with_program_fail_prob(0.001)),
+        ..SimConfig::default()
+    };
+    engine_matches_oracle_with(LayerKind::Ftl, 4, SwlCoordination::Global, &[32], &layers);
 }
 
 #[test]
@@ -318,16 +448,15 @@ fn metered_runs_are_reproducible() {
 #[test]
 fn first_failure_stop_is_bit_identical() {
     let stop = StopCondition::events(300_000).or_first_failure();
-    for channels in [2u32, 4] {
+    let arms = [
+        (SwlCoordination::PerChannel, 2u32),
+        (SwlCoordination::PerChannel, 4),
+        (SwlCoordination::Global, 2),
+    ];
+    for (coordination, channels) in arms {
         let seed = 0xFA11 ^ u64::from(channels);
-        let (reference_report, _) = reference(
-            LayerKind::Ftl,
-            channels,
-            SwlCoordination::PerChannel,
-            300,
-            stop,
-            seed,
-        );
+        let (reference_report, _) =
+            reference(LayerKind::Ftl, channels, coordination, 300, stop, seed);
         assert!(
             reference_report.first_failure.is_some(),
             "endurance 300 must wear out within the horizon"
@@ -336,7 +465,7 @@ fn first_failure_stop_is_bit_identical() {
             let run = engine(
                 LayerKind::Ftl,
                 channels,
-                SwlCoordination::PerChannel,
+                coordination,
                 300,
                 stop,
                 seed,
@@ -346,7 +475,7 @@ fn first_failure_stop_is_bit_identical() {
             );
             assert_eq!(
                 run.report, reference_report,
-                "×{channels}ch threads={threads}: first-failure run diverged"
+                "×{channels}ch {coordination:?} threads={threads}: first-failure run diverged"
             );
         }
     }
