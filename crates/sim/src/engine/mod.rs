@@ -58,6 +58,44 @@
 //! [`EngineRun::coordinated_ops`] count the ops on each path. Per-channel
 //! SWL and SWL-less runs keep full run-ahead at any queue depth.
 //!
+//! # Crossings and pooled records
+//!
+//! A simulated page costs the lane about 50 ns; a queue crossing that wakes
+//! a thread costs about 5 µs and even an uncontended one is a lock round
+//! trip. So the engine crosses its queues once per *burst*, and the records
+//! that cross are reused rather than reallocated:
+//!
+//! - A worker takes everything on its command queue in one
+//!   [`ShardQueue::pop_all`] into a private inbox, executes it in order, and
+//!   keeps the completions in a private outbox. The hand-over point is
+//!   *inbox dry*: only then does it `push_all` the outbox, and only after
+//!   that may it park on the command queue. Earlier would be a crossing per
+//!   command again; later could deadlock — the front-end may be parked
+//!   waiting for exactly those completions, with nothing more to send until
+//!   it gets them. Burst size is nobody's setting: it is however far the
+//!   producer got ahead while the consumer was busy, 1 at queue depth 1 and
+//!   up to the whole in-flight window when the threads share a core.
+//! - The front-end drains the completion queue the same way (into `acks`)
+//!   in `submit_pipelined`, `flush`, and the barriers of coordinated ops and
+//!   admin verbs, and always consumes what it drained before returning.
+//! - A `Vec<PageCmd>` is owned by exactly one party at a time: the
+//!   front-end's routing scratch while an op's pages are being routed, the
+//!   `LaneCommand::Exec` that carries it to the worker, the worker while it
+//!   fills the result slots (page latency, read value) of the pages it
+//!   executed, the `LaneCompletion` that carries it back together with
+//!   the `executed` count, the `PendingOp` that holds it until the op is
+//!   finalized in submission order — which reads `pages[..executed]` and
+//!   nothing past it — and then the front-end's pool, *cleared*, so the next
+//!   op re-initialises every slot it uses. A finalized `PendingOp` likewise
+//!   returns its two vectors with `lane_busy` zeroed and `results` empty.
+//!   The pools hold at most what the in-flight window had in use at its
+//!   peak (queue depth × lanes page buffers), and a steady-state op
+//!   allocates nothing on either thread (`tests/engine_allocs.rs`).
+//!
+//! None of this touches what the determinism argument rests on: per-lane
+//! execution order, token assignment, finalize order and lowest-ordinal
+//! error attribution are as before.
+//!
 //! # Wall-clock observability
 //!
 //! With [`EngineConfig::with_metrics`] the engine additionally accounts for
@@ -156,7 +194,9 @@ impl Sink for EngineSink {
     }
 }
 
-/// One page of a host op, routed to a lane.
+/// One page of a host op, routed to a lane. The record makes the round
+/// trip: the front-end fills the request half, the worker fills the result
+/// slots in place, and the same buffer comes back on the completion.
 #[derive(Debug, Clone)]
 struct PageCmd {
     lane_lba: u64,
@@ -165,6 +205,24 @@ struct PageCmd {
     /// Position of this page within the host op (for deterministic error
     /// attribution).
     ordinal: u32,
+    /// Result slot: device busy time the page added to its lane. Meaningful
+    /// only for the first [`LaneCompletion::executed`] pages of a command.
+    latency: u64,
+    /// Result slot: what a read page returned (`None` for a never-written
+    /// page, and always for writes). Meaningful as `latency` is.
+    value: Option<u64>,
+}
+
+impl PageCmd {
+    fn new(lane_lba: u64, token: u64, ordinal: usize) -> Self {
+        Self {
+            lane_lba,
+            token,
+            ordinal: ordinal as u32,
+            latency: 0,
+            value: None,
+        }
+    }
 }
 
 /// A device-wide management verb executed on every lane at a barrier.
@@ -208,13 +266,13 @@ struct LaneCompletion {
     lane: u32,
     /// Device busy time this command added to the lane.
     busy_delta: u64,
-    /// Per-page busy deltas for the successfully executed pages, in page
-    /// order (empty for SWL steps).
-    page_latencies: Vec<u64>,
-    /// Values produced by successfully executed read pages, tagged with the
-    /// page's op-wide ordinal so the front-end can reassemble an op split
-    /// across lanes. Empty for writes and SWL steps.
-    read_values: Vec<(u32, Option<u64>)>,
+    /// The command's own page buffer, handed back with the result slots of
+    /// `pages[..executed]` filled in (empty, and never allocated, for SWL
+    /// steps and admin verbs).
+    pages: Vec<PageCmd>,
+    /// Pages that executed successfully: all of them, or those before the
+    /// page `error` names. The slots past it were never written.
+    executed: u32,
     /// First error hit, with the ordinal of the offending page.
     error: Option<(u32, SimError)>,
     /// The lane's first wear-out as of completing this command.
@@ -373,32 +431,54 @@ fn worker_loop<const METRICS: bool>(
 ) -> ReturnedLanes {
     let mut meter = METRICS.then(|| WorkerMeter::new(&lanes));
     let mut cmd_latency = LatencyHistogram::new();
+    // The burst in hand: commands taken off the queue in one crossing, and
+    // the acknowledgements of those already executed.
+    let mut inbox: VecDeque<LaneCommand> = VecDeque::new();
+    let mut outbox: Vec<LaneCompletion> = Vec::new();
     loop {
-        // Both monomorphizations take the same try-then-block queue path,
-        // so metrics-on differs from metrics-off only by the timestamp and
-        // counter arithmetic — not by locking or wakeup patterns. The clock
-        // is read only when actually about to park.
-        let command = match commands.try_pop() {
-            Some(command) => command,
-            None => {
+        let Some(command) = inbox.pop_front() else {
+            // Inbox dry: hand the burst's completions over in one crossing,
+            // then take the next burst. In this order, so the worker never
+            // parks on its command queue holding an acknowledgement the
+            // front-end may be waiting for.
+            //
+            // Both monomorphizations take the same try-then-block queue
+            // calls, so metrics-on differs from metrics-off only by the
+            // timestamp and counter arithmetic — not by locking or wakeup
+            // patterns. The clock is read only around an actual block, and
+            // the meter is flushed before parking either way. A closed
+            // completion queue means the front-end is tearing down and no
+            // longer consumes acknowledgements; `push_all` drops them.
+            if !completions.try_push_all(&mut outbox) {
+                if let Some(meter) = meter.as_mut() {
+                    meter.flush(&runtime, worker);
+                }
+                completions.push_all(&mut outbox);
+                if let Some(meter) = meter.as_mut() {
+                    let woke = Instant::now();
+                    meter.backpressure_ns += ns_between(meter.mark, woke);
+                    meter.mark = woke;
+                }
+            }
+            if !commands.try_pop_all(&mut inbox) {
                 let wait = meter.as_mut().map(|meter| {
                     let wait = Instant::now();
                     meter.busy_ns += ns_between(meter.mark, wait);
                     meter.flush(&runtime, worker);
                     wait
                 });
-                let Some(command) = commands.pop() else {
+                if !commands.pop_all(&mut inbox) {
                     // Closed and drained: the wait for shutdown lands in
                     // the derived idle remainder, not starvation.
                     break;
-                };
+                }
                 if let (Some(meter), Some(wait)) = (meter.as_mut(), wait) {
                     let woke = Instant::now();
                     meter.starved_ns += ns_between(wait, woke);
                     meter.mark = woke;
                 }
-                command
             }
+            continue;
         };
         let (op_seq, lane_id) = match &command {
             LaneCommand::Exec { op_seq, lane, .. }
@@ -411,23 +491,24 @@ fn worker_loop<const METRICS: bool>(
             .expect("command routed to a worker that does not own the lane");
         wl.epoch.store(op_seq, Ordering::Relaxed);
         let busy_before = wl.layer.device().busy_ns();
-        let mut page_latencies = Vec::new();
-        let mut read_values = Vec::new();
+        let mut pages = Vec::new();
+        let mut executed = 0u32;
         let mut error = None;
         match command {
-            LaneCommand::Exec { op, pages, .. } => {
-                page_latencies.reserve(pages.len());
-                for page in &pages {
+            LaneCommand::Exec {
+                op, pages: batch, ..
+            } => {
+                pages = batch;
+                for page in &mut pages {
                     let page_before = wl.layer.device().busy_ns();
                     let result = match op {
                         Op::Write => wl.layer.write(page.lane_lba, page.token),
-                        Op::Read => wl.layer.read(page.lane_lba).map(|value| {
-                            read_values.push((page.ordinal, value));
-                        }),
+                        Op::Read => wl.layer.read(page.lane_lba).map(|value| page.value = value),
                     };
                     match result {
                         Ok(()) => {
-                            page_latencies.push(wl.layer.device().busy_ns() - page_before);
+                            page.latency = wl.layer.device().busy_ns() - page_before;
+                            executed += 1;
                         }
                         Err(e) => {
                             error = Some((page.ordinal, e));
@@ -454,42 +535,23 @@ fn worker_loop<const METRICS: bool>(
             }
         }
         wl.snap_epoch += 1;
-        let completion = LaneCompletion {
+        outbox.push(LaneCompletion {
             op_seq,
             lane: lane_id,
             busy_delta: wl.layer.device().busy_ns() - busy_before,
-            page_latencies,
-            read_values,
+            pages,
+            executed,
             error,
             failure: wl.layer.device().first_failure(),
             shard: shard_snapshot(&wl.layer, wl.snap_epoch),
             quiet: wl.layer.quiet_writes(),
-        };
+        });
         if let Some(meter) = meter.as_mut() {
-            let pages = completion.page_latencies.len() as u64;
             let done = Instant::now();
             let exec_ns = ns_between(meter.mark, done);
             meter.mark = done;
             cmd_latency.record(exec_ns);
-            meter.add_command(lane_id, exec_ns, pages);
-        }
-        // The push mirrors the pop: shared try-then-block control flow, and
-        // the instrumented build reads the clock only around an actual
-        // block. A closed queue means the front-end is tearing down and no
-        // longer consumes acknowledgements; dropping the completion is fine
-        // in both branches.
-        if let Err((completion, _)) = completions.try_push(completion) {
-            if let Some(meter) = meter.as_mut() {
-                meter.flush(&runtime, worker);
-            }
-            let _ = completions.push(completion);
-            if let Some(meter) = meter.as_mut() {
-                let woke = Instant::now();
-                meter.backpressure_ns += ns_between(meter.mark, woke);
-                meter.mark = woke;
-            }
-        }
-        if let Some(meter) = meter.as_mut() {
+            meter.add_command(lane_id, exec_ns, u64::from(executed));
             if meter.since_flush >= FLUSH_EVERY {
                 meter.flush(&runtime, worker);
             }
@@ -585,7 +647,20 @@ impl EngineConfig {
     }
 }
 
-/// One host op awaiting its lane completions.
+/// What one lane reported for its share of a host op, kept until the op is
+/// finalized in submission order.
+struct LaneResult {
+    lane: u32,
+    /// The lane's wear-out state as of this op, applied at finalize.
+    failure: Option<FailureRecord>,
+    /// The command's page buffer, result slots of `pages[..executed]` filled.
+    pages: Vec<PageCmd>,
+    executed: u32,
+}
+
+/// One host op awaiting its lane completions. Its two vectors are pooled
+/// ([`Engine::op_pool`]): a finalized op hands them back with `lane_busy`
+/// zeroed and `results` empty, capacity kept, for a later op to start from.
 struct PendingOp {
     op: Op,
     at_ns: u64,
@@ -595,13 +670,8 @@ struct PendingOp {
     received: u32,
     /// Busy delta accumulated per channel (dense, channel-indexed).
     lane_busy: Vec<u64>,
-    /// Per-lane page latencies, as received.
-    page_latencies: Vec<(u32, Vec<u64>)>,
-    /// Read results as received from lanes, tagged with op-wide page
-    /// ordinals (collected only when read capture is on).
-    read_values: Vec<(u32, Option<u64>)>,
-    /// Per-lane wear-out state as of this op, applied at finalize.
-    failures: Vec<(u32, Option<FailureRecord>)>,
+    /// Per-lane results, as received.
+    results: Vec<LaneResult>,
     /// Lowest-ordinal error across lanes.
     error: Option<(u32, SimError)>,
 }
@@ -685,6 +755,18 @@ pub struct Engine {
     next_seq: u64,
     finalize_next: u64,
     pending: VecDeque<PendingOp>,
+    /// Completions taken off the queue in one crossing, not yet absorbed.
+    /// Empty between calls: whoever drains a burst consumes all of it.
+    acks: VecDeque<LaneCompletion>,
+    /// Routing scratch: the page buffer being filled for each channel.
+    route: Vec<Vec<PageCmd>>,
+    /// Recycled page buffers (empty, capacity kept). With `route` and the
+    /// buffers in flight, never more than the in-flight window needs: a new
+    /// buffer is allocated only when every existing one is in use.
+    page_pool: Vec<Vec<PageCmd>>,
+    /// Recycled [`PendingOp`] vectors, `(lane_busy, results)`: all-zero and
+    /// empty, capacity kept. At most the queue depth of them.
+    op_pool: Vec<(Vec<u64>, Vec<LaneResult>)>,
     scheduler: ChannelScheduler,
     events: u64,
     host_span_ns: u64,
@@ -921,6 +1003,10 @@ impl Engine {
             next_seq: 0,
             finalize_next: 0,
             pending: VecDeque::new(),
+            acks: VecDeque::new(),
+            route: vec![Vec::new(); channels as usize],
+            page_pool: Vec::new(),
+            op_pool: Vec::new(),
             scheduler: ChannelScheduler::new(channels),
             events: 0,
             host_span_ns: 0,
@@ -1112,12 +1198,53 @@ impl Engine {
         true
     }
 
+    /// A page buffer for a command: recycled when there is one.
+    fn page_buffer(&mut self) -> Vec<PageCmd> {
+        let pages = self.page_pool.pop().unwrap_or_default();
+        debug_assert!(pages.is_empty());
+        pages
+    }
+
+    /// Returns a completion's page buffer to the pool, emptied. The buffers
+    /// of SWL steps and admin verbs never allocated and are not worth
+    /// keeping.
+    fn recycle_pages(&mut self, mut pages: Vec<PageCmd>) {
+        if pages.capacity() > 0 {
+            pages.clear();
+            self.page_pool.push(pages);
+        }
+    }
+
+    /// Absorbs every completion the workers have handed over, in one queue
+    /// crossing; with `wait`, parks until there is at least one.
+    fn absorb_ready(&mut self, wait: bool) {
+        if wait {
+            let open = self.completions.pop_all(&mut self.acks);
+            assert!(open, "completion queue closed with ops in flight");
+        } else {
+            self.completions.try_pop_all(&mut self.acks);
+        }
+        while let Some(completion) = self.acks.pop_front() {
+            self.absorb(completion);
+        }
+    }
+
+    /// The next completion of the few commands in flight at a barrier
+    /// (coordinated ops, admin verbs), parking until a worker hands one over.
+    fn next_completion(&mut self) -> LaneCompletion {
+        if self.acks.is_empty() {
+            let open = self.completions.pop_all(&mut self.acks);
+            assert!(open, "completion queue closed with a command in flight");
+        }
+        self.acks
+            .pop_front()
+            .expect("pop_all delivered a completion")
+    }
+
     fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
         let submitted = self.metrics.then(Instant::now);
-        let channels = self.geometry.channels() as usize;
         // Route pages to lanes, assigning write tokens in global trace
         // order (exactly as the virtual-time loop does).
-        let mut batches: Vec<Vec<PageCmd>> = vec![Vec::new(); channels];
         for (ordinal, lba) in event.pages().enumerate() {
             let channel = self.geometry.channel_of(lba) as usize;
             let token = match (event.op, data) {
@@ -1128,13 +1255,10 @@ impl Engine {
                 }
                 (Op::Read, _) => 0,
             };
-            batches[channel].push(PageCmd {
-                lane_lba: self.geometry.lane_lba(lba),
-                token,
-                ordinal: ordinal as u32,
-            });
+            let page = PageCmd::new(self.geometry.lane_lba(lba), token, ordinal);
+            self.route[channel].push(page);
         }
-        let expected = batches.iter().filter(|b| !b.is_empty()).count() as u32;
+        let expected = self.route.iter().filter(|b| !b.is_empty()).count() as u32;
 
         // Backpressure: hold the op until the in-flight window has room.
         // The wait is attributed to the host as submit-side blocked time —
@@ -1144,11 +1268,7 @@ impl Engine {
         // metered path at one extra clock read per blocked op.
         if self.pending.len() >= self.queue_depth {
             let waited = loop {
-                let completion = self
-                    .completions
-                    .pop()
-                    .expect("completion queue closed with ops in flight");
-                self.absorb(completion);
+                self.absorb_ready(true);
                 let finalized = self.finalize_ready();
                 if finalized.is_err() || self.pending.len() < self.queue_depth {
                     break finalized;
@@ -1162,22 +1282,28 @@ impl Engine {
 
         let op_seq = self.next_seq;
         self.next_seq += 1;
+        let channels = self.route.len();
+        let (lane_busy, results) = self
+            .op_pool
+            .pop()
+            .unwrap_or_else(|| (vec![0; channels], Vec::new()));
+        debug_assert!(results.is_empty() && lane_busy.iter().all(|&busy| busy == 0));
         self.pending.push_back(PendingOp {
             op: event.op,
             at_ns: event.at_ns,
             submitted,
             expected,
             received: 0,
-            lane_busy: vec![0; channels],
-            page_latencies: Vec::new(),
-            read_values: Vec::new(),
-            failures: Vec::new(),
+            lane_busy,
+            results,
             error: None,
         });
-        for (channel, pages) in batches.into_iter().enumerate() {
-            if pages.is_empty() {
+        for channel in 0..channels {
+            if self.route[channel].is_empty() {
                 continue;
             }
+            let next = self.page_buffer();
+            let pages = std::mem::replace(&mut self.route[channel], next);
             self.dispatch(LaneCommand::Exec {
                 op_seq,
                 lane: channel as u32,
@@ -1187,9 +1313,7 @@ impl Engine {
         }
 
         // Opportunistically drain whatever already completed.
-        while let Some(completion) = self.completions.try_pop() {
-            self.absorb(completion);
-        }
+        self.absorb_ready(false);
         self.finalize_ready()
     }
 
@@ -1216,12 +1340,12 @@ impl Engine {
         let op = &mut self.pending[index];
         op.received += 1;
         op.lane_busy[completion.lane as usize] += completion.busy_delta;
-        op.page_latencies
-            .push((completion.lane, completion.page_latencies));
-        if self.capture_reads {
-            op.read_values.extend(completion.read_values);
-        }
-        op.failures.push((completion.lane, completion.failure));
+        op.results.push(LaneResult {
+            lane: completion.lane,
+            failure: completion.failure,
+            pages: completion.pages,
+            executed: completion.executed,
+        });
         if let Some((ordinal, e)) = completion.error {
             match op.error {
                 Some((o, _)) if o <= ordinal => {}
@@ -1245,8 +1369,8 @@ impl Engine {
             // Per-lane wear-out state advances in op order, so the scan
             // below sees exactly what the virtual-time loop saw after this
             // op — even when lanes already ran ahead.
-            for &(lane, failure) in &op.failures {
-                self.lane_failure[lane as usize] = failure;
+            for result in &op.results {
+                self.lane_failure[result.lane as usize] = result.failure;
             }
             if let Some((_, e)) = op.error {
                 self.error = Some(e);
@@ -1255,9 +1379,15 @@ impl Engine {
             if self.capture_reads && op.op == Op::Read {
                 // Lanes report pages in their own order; the op-wide
                 // ordinal restores the host's page order across lanes.
-                op.read_values.sort_unstable_by_key(|&(ordinal, _)| ordinal);
-                self.completed_reads
-                    .push_back(op.read_values.drain(..).map(|(_, v)| v).collect());
+                // No lane reported an error, so every page executed.
+                let pages = op.results.iter().map(|r| r.executed as usize).sum();
+                let mut values = vec![None; pages];
+                for result in &op.results {
+                    for page in &result.pages[..result.executed as usize] {
+                        values[page.ordinal as usize] = page.value;
+                    }
+                }
+                self.completed_reads.push_back(values);
             }
             if let Some(submitted) = op.submitted {
                 let now = *now.get_or_insert_with(Instant::now);
@@ -1268,13 +1398,13 @@ impl Engine {
                 }
                 self.runtime.op_completed();
             }
-            for (lane, latencies) in &op.page_latencies {
+            for result in &op.results {
                 let stats = match op.op {
-                    Op::Write => &mut self.lane_write_latency[*lane as usize],
-                    Op::Read => &mut self.lane_read_latency[*lane as usize],
+                    Op::Write => &mut self.lane_write_latency[result.lane as usize],
+                    Op::Read => &mut self.lane_read_latency[result.lane as usize],
                 };
-                for &latency in latencies {
-                    stats.record(latency);
+                for page in &result.pages[..result.executed as usize] {
+                    stats.record(page.latency);
                 }
             }
             self.scheduler.op_begin();
@@ -1289,6 +1419,13 @@ impl Engine {
                 Op::Read => self.op_read_latency.record(op_latency),
             }
             self.note_first_failure(op.at_ns);
+            // Back to the pools, clean: no page or busy delta of this op may
+            // show through the next one.
+            for result in op.results.drain(..) {
+                self.recycle_pages(result.pages);
+            }
+            op.lane_busy.fill(0);
+            self.op_pool.push((op.lane_busy, op.results));
         }
         Ok(())
     }
@@ -1329,10 +1466,7 @@ impl Engine {
     /// Awaits the one command in flight (coordinated ops), updating the lane
     /// cache and per-lane wear-out state.
     fn await_one(&mut self) -> Result<LaneCompletion, SimError> {
-        let completion = self
-            .completions
-            .pop()
-            .expect("completion queue closed with a command in flight");
+        let completion = self.next_completion();
         self.note_lane(completion.lane, completion.shard, completion.quiet);
         self.publish_bet_gauges();
         self.lane_failure[completion.lane as usize] = completion.failure;
@@ -1363,24 +1497,23 @@ impl Engine {
                     self.next_token
                 }
             };
+            let mut pages = self.page_buffer();
+            pages.push(PageCmd::new(self.geometry.lane_lba(lba), token, ordinal));
             self.dispatch(LaneCommand::Exec {
                 op_seq,
                 lane: channel,
                 op: Op::Write,
-                pages: vec![PageCmd {
-                    lane_lba: self.geometry.lane_lba(lba),
-                    token,
-                    ordinal: ordinal as u32,
-                }],
+                pages,
             });
             let completion = self.await_one()?;
             self.lane_busy[channel as usize] += completion.busy_delta;
+            let page_latency = completion.pages[0].latency;
+            self.recycle_pages(completion.pages);
             // The virtual-time loop measures a written page's latency across
             // the whole `StripedLayer::write`, which includes coordinator
             // steps that landed on the same lane — add them in.
             let swl_on_lane = self.coordinate(op_seq, channel)?;
-            self.lane_write_latency[channel as usize]
-                .record(completion.page_latencies[0] + swl_on_lane);
+            self.lane_write_latency[channel as usize].record(page_latency + swl_on_lane);
         }
         for (channel, &delta) in self.lane_busy.iter().enumerate() {
             if delta > 0 {
@@ -1460,11 +1593,7 @@ impl Engine {
             return Err(e);
         }
         while !self.pending.is_empty() {
-            let completion = self
-                .completions
-                .pop()
-                .expect("completion queue closed with ops in flight");
-            self.absorb(completion);
+            self.absorb_ready(true);
             self.finalize_ready()?;
         }
         Ok(())
@@ -1538,10 +1667,7 @@ impl Engine {
         let mut errors = 0u32;
         let mut uniform = true;
         for _ in 0..channels {
-            let completion = self
-                .completions
-                .pop()
-                .expect("completion queue closed with an admin verb in flight");
+            let completion = self.next_completion();
             self.note_lane(completion.lane, completion.shard, completion.quiet);
             self.lane_failure[completion.lane as usize] = completion.failure;
             if let Some((_, e)) = completion.error {

@@ -2,17 +2,43 @@
 //!
 //! The execution engine shards work across worker threads through one
 //! [`ShardQueue`] per worker (commands) plus one shared queue flowing back
-//! (completions). The queue is deliberately tiny — `Mutex<VecDeque>` with two
-//! condvars, one wake per item — and that simplicity is not free: layerbench
-//! measures a crossing (`queue.ns_per_crossing`) at about 5 µs when the
-//! consumer has to be woken, against about 50 ns of simulated work per host
-//! page, so the queues, not the lanes, set the engine's speed whenever a
-//! command is awaited one at a time. The engine answers that by crossing
-//! rarely (one command per lane per host op, ops pipelined up to the queue
-//! depth) rather than by a cleverer queue; moving several commands per
-//! crossing is ROADMAP item 1. Bounded capacity is what provides
-//! *backpressure*: a host front-end racing ahead of a slow lane blocks in
-//! [`ShardQueue::push`] instead of buffering unboundedly.
+//! (completions). The queue is a `Mutex<VecDeque>` with two condvars, and it
+//! stays that (`crates/sim` forbids `unsafe`); what makes it cheap enough to
+//! sit under a ~50 ns simulated page is two rules about *when* it pays:
+//!
+//! - **Wake only a registered waiter.** `Condvar::notify_one` is a
+//!   `futex_wake` syscall whether or not anybody is parked. A thread that is
+//!   about to park first *registers* in the queue's state (`parked_consumers`
+//!   / `parked_producers`), and whoever makes its condition true — an item
+//!   went in, a slot came free — takes that registration and issues the one
+//!   wake it stands for. With nobody registered a crossing is a lock, a
+//!   `VecDeque` operation and an unlock. A real wake still costs a futex and
+//!   a context switch (layerbench's `queue.ns_per_crossing`, a parked-consumer
+//!   ping-pong, stays near 5 µs); only the wakes nobody waits for go away.
+//! - **Move a burst per lock.** [`ShardQueue::pop_all`] hands the consumer
+//!   everything queued in one critical section (a buffer swap when the
+//!   caller's `VecDeque` is empty) and [`ShardQueue::push_all`] moves a whole
+//!   `Vec` in; both work on caller-owned buffers whose capacity survives, so a
+//!   steady-state crossing allocates nothing. The engine's workers and
+//!   front-end drain and hand over this way, so a burst of commands costs one
+//!   crossing each way instead of four per command. The single-item calls
+//!   remain for callers that move one item at a time (`Service::serve`).
+//!
+//! Registration cannot lose a wake-up because it happens under the queue's
+//! own mutex, which `Condvar::wait` releases atomically with parking: a
+//! waiter checks the queue, registers and parks without ever letting go of
+//! the lock in between, so a thread that changes the queue afterwards must
+//! take the lock after the registration is visible and will find it. The
+//! count may run *high* — a spuriously woken waiter leaves its registration
+//! behind, and that costs one needless `notify` later — but never low: a
+//! registration is only ever taken together with a `notify`, and a waiter
+//! that wakes to find its condition still false registers again before it
+//! parks again.
+//!
+//! Bounded capacity is what provides *backpressure*: a host front-end racing
+//! ahead of a slow lane blocks in [`ShardQueue::push`] instead of buffering
+//! unboundedly, and a `push_all` larger than the free room moves what fits
+//! and waits for the rest.
 //!
 //! Closing the queue ([`ShardQueue::close`]) makes every producer fail fast
 //! and lets consumers drain what is already queued before seeing `None` —
@@ -21,7 +47,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a non-blocking push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +63,29 @@ pub enum TryPushError {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers parked on `not_empty` that nobody has issued a wake for
+    /// yet (see the module docs). Like everything in `State`, read and
+    /// written only under the mutex.
+    parked_consumers: usize,
+    /// Producers parked on `not_full`, likewise.
+    parked_producers: usize,
+}
+
+/// Takes up to `n` of the registrations in `parked` and issues their wakes:
+/// `n` is how many waiters the caller's change can satisfy (items added,
+/// slots freed).
+fn wake(parked: &mut usize, condvar: &Condvar, n: usize) {
+    match (*parked).min(n) {
+        0 => {}
+        1 => {
+            *parked -= 1;
+            condvar.notify_one();
+        }
+        _ => {
+            *parked = 0;
+            condvar.notify_all();
+        }
+    }
 }
 
 /// A bounded blocking MPSC/MPMC queue (see module docs).
@@ -68,6 +117,8 @@ impl<T> ShardQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                parked_consumers: 0,
+                parked_producers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -76,14 +127,40 @@ impl<T> ShardQueue<T> {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("queue lock poisoned")
+    }
+
+    /// Registers the caller as a parked consumer and parks it.
+    fn park_consumer<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        state.parked_consumers += 1;
+        self.not_empty.wait(state).expect("queue lock poisoned")
+    }
+
+    /// Registers the caller as a parked producer and parks it.
+    fn park_producer<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        state.parked_producers += 1;
+        self.not_full.wait(state).expect("queue lock poisoned")
+    }
+
+    /// Bookkeeping after `added` items went in under `state`.
+    fn note_added(&self, state: &mut State<T>, added: usize) {
+        self.high_water
+            .fetch_max(state.items.len(), Ordering::Relaxed);
+        wake(&mut state.parked_consumers, &self.not_empty, added);
+    }
+
     /// Maximum number of queued items.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Items currently queued.
+    /// Items currently queued: accepted from a producer and not yet taken
+    /// by a consumer. A consumer that drained a burst with
+    /// [`ShardQueue::pop_all`] holds those items itself; they no longer
+    /// count here.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").items.len()
+        self.lock().items.len()
     }
 
     /// Highest occupancy the queue ever reached. Monotone over the queue's
@@ -100,7 +177,7 @@ impl<T> ShardQueue<T> {
 
     /// Whether the queue has been closed.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock poisoned").closed
+        self.lock().closed
     }
 
     /// Enqueues `item`, blocking while the queue is full. Returns the item
@@ -110,19 +187,17 @@ impl<T> ShardQueue<T> {
     ///
     /// `Err(item)` when the queue is closed; the item was not enqueued.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.lock();
         loop {
             if state.closed {
                 return Err(item);
             }
             if state.items.len() < self.capacity {
                 state.items.push_back(item);
-                self.high_water
-                    .fetch_max(state.items.len(), Ordering::Relaxed);
-                self.not_empty.notify_one();
+                self.note_added(&mut state, 1);
                 return Ok(());
             }
-            state = self.not_full.wait(state).expect("queue lock poisoned");
+            state = self.park_producer(state);
         }
     }
 
@@ -134,7 +209,7 @@ impl<T> ShardQueue<T> {
     /// TryPushError::Closed)` after [`ShardQueue::close`]; the item comes
     /// back so the caller can retry with the blocking [`ShardQueue::push`].
     pub fn try_push(&self, item: T) -> Result<(), (T, TryPushError)> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.lock();
         if state.closed {
             return Err((item, TryPushError::Closed));
         }
@@ -142,45 +217,133 @@ impl<T> ShardQueue<T> {
             return Err((item, TryPushError::Full));
         }
         state.items.push_back(item);
-        self.high_water
-            .fetch_max(state.items.len(), Ordering::Relaxed);
-        self.not_empty.notify_one();
+        self.note_added(&mut state, 1);
         Ok(())
+    }
+
+    /// Moves the items of `items` into the queue, in order, under as few
+    /// locks as the free room allows — one when everything fits. `block`
+    /// decides what happens when it does not: park until a consumer makes
+    /// room, or return with the rest still in `items`.
+    fn push_burst(&self, items: &mut Vec<T>, block: bool) {
+        if items.is_empty() {
+            return;
+        }
+        let mut state = self.lock();
+        while !items.is_empty() {
+            if state.closed {
+                items.clear();
+                return;
+            }
+            let fits = (self.capacity - state.items.len()).min(items.len());
+            if fits > 0 {
+                state.items.extend(items.drain(..fits));
+                self.note_added(&mut state, fits);
+            } else if block {
+                state = self.park_producer(state);
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Enqueues every item of `items`, in order, blocking while the queue
+    /// is full: a burst larger than the free room moves what fits and waits
+    /// for the rest, so capacity still back-pressures. `items` comes back
+    /// empty with its capacity intact, for the caller to refill. On a closed
+    /// queue the items not yet enqueued are dropped — a producer winding
+    /// down has nobody left to hand them to.
+    pub fn push_all(&self, items: &mut Vec<T>) {
+        self.push_burst(items, true);
+    }
+
+    /// Enqueues as many items of `items` as fit right now, in order, without
+    /// blocking (all of them dropped if the queue is closed). Returns whether
+    /// `items` is now empty; otherwise the rest is still in it, for a
+    /// blocking [`ShardQueue::push_all`].
+    pub fn try_push_all(&self, items: &mut Vec<T>) -> bool {
+        self.push_burst(items, false);
+        items.is_empty()
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty and still
     /// open. Returns `None` only once the queue is closed *and* drained, so
     /// no accepted item is ever lost.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
+                wake(&mut state.parked_producers, &self.not_full, 1);
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).expect("queue lock poisoned");
+            state = self.park_consumer(state);
         }
     }
 
     /// Dequeues the oldest item without blocking; `None` when nothing is
     /// queued (whether or not the queue is closed).
     pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.lock();
         let item = state.items.pop_front();
         if item.is_some() {
-            self.not_full.notify_one();
+            wake(&mut state.parked_producers, &self.not_full, 1);
         }
         item
+    }
+
+    /// Moves everything queued to the back of `into` (a buffer swap when
+    /// `into` is empty) and wakes the producers the freed room can serve.
+    fn take_all(&self, state: &mut State<T>, into: &mut VecDeque<T>) {
+        let taken = state.items.len();
+        if into.is_empty() {
+            std::mem::swap(&mut state.items, into);
+        } else {
+            into.append(&mut state.items);
+        }
+        wake(&mut state.parked_producers, &self.not_full, taken);
+    }
+
+    /// Dequeues everything queued, oldest first, onto the back of `into`,
+    /// blocking while the queue is empty and still open. Returns `false`,
+    /// with `into` untouched, only once the queue is closed *and* drained —
+    /// the drain barrier of [`ShardQueue::pop`], a burst at a time.
+    pub fn pop_all(&self, into: &mut VecDeque<T>) -> bool {
+        let mut state = self.lock();
+        loop {
+            if !state.items.is_empty() {
+                self.take_all(&mut state, into);
+                return true;
+            }
+            if state.closed {
+                return false;
+            }
+            state = self.park_consumer(state);
+        }
+    }
+
+    /// Dequeues everything queued onto the back of `into` without blocking;
+    /// `false` when nothing was queued (whether or not the queue is closed).
+    pub fn try_pop_all(&self, into: &mut VecDeque<T>) -> bool {
+        let mut state = self.lock();
+        let any = !state.items.is_empty();
+        if any {
+            self.take_all(&mut state, into);
+        }
+        any
     }
 
     /// Closes the queue: producers fail from now on, consumers drain the
     /// backlog and then see `None`. Idempotent.
     pub fn close(&self) {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.lock();
         state.closed = true;
+        // Rare, and the one place a missed wake would hang a shutdown: wake
+        // everybody, registered or not.
+        state.parked_consumers = 0;
+        state.parked_producers = 0;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -240,6 +403,71 @@ mod tests {
         assert_eq!(q.high_water(), 2);
         q.push(3).unwrap();
         assert_eq!(q.high_water(), 2, "re-reaching a lower peak keeps the mark");
+    }
+
+    #[test]
+    fn high_water_under_push_all_stays_within_capacity() {
+        let q = Arc::new(ShardQueue::new(3));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut seen = VecDeque::new();
+                while seen.len() < 10 {
+                    assert!(q.pop_all(&mut seen));
+                }
+                seen
+            })
+        };
+        // Ten items through three slots: the burst goes in by instalments.
+        let mut burst: Vec<u32> = (0..10).collect();
+        q.push_all(&mut burst);
+        assert!(burst.is_empty() && burst.capacity() >= 10);
+        assert_eq!(consumer.join().unwrap(), (0..10).collect::<VecDeque<_>>());
+        assert_eq!(
+            q.high_water(),
+            3,
+            "a burst fills the queue, never overfills it"
+        );
+    }
+
+    #[test]
+    fn try_push_all_moves_what_fits_and_keeps_the_rest() {
+        let q = ShardQueue::new(3);
+        let mut burst = vec![1, 2, 3, 4, 5];
+        assert!(!q.try_push_all(&mut burst));
+        assert_eq!(burst, [4, 5]);
+        assert_eq!(q.len(), 3);
+        let mut seen = VecDeque::from([0]);
+        assert!(q.try_pop_all(&mut seen));
+        assert_eq!(
+            seen,
+            [0, 1, 2, 3],
+            "pop_all appends behind what the caller holds"
+        );
+        assert!(!q.try_pop_all(&mut seen));
+        assert!(q.try_push_all(&mut burst));
+        assert_eq!(q.try_pop(), Some(4));
+    }
+
+    #[test]
+    fn push_all_on_a_closed_queue_drops_the_items() {
+        let q = ShardQueue::new(2);
+        q.push(0).unwrap();
+        q.close();
+        // A worker winding down hands over to a front-end that is gone.
+        let mut burst = vec![1, 2, 3];
+        q.push_all(&mut burst);
+        assert!(burst.is_empty());
+        let mut burst = vec![4];
+        assert!(
+            q.try_push_all(&mut burst),
+            "dropped, so nothing is left to retry"
+        );
+        // What was accepted before the close still drains, once.
+        let mut seen = VecDeque::new();
+        assert!(q.pop_all(&mut seen));
+        assert_eq!(seen, [0]);
+        assert!(!q.pop_all(&mut seen));
     }
 
     #[test]

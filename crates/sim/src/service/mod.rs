@@ -160,6 +160,9 @@ pub struct Service {
     /// Pages masked by a trim since their last write. Advisory and
     /// RAM-only: not persisted across a crash.
     trimmed: HashSet<u64>,
+    /// Scratch for [`Service::submit_batch`]: the values of the batch being
+    /// written back (capacity kept between batches).
+    batch_values: Vec<u64>,
     clock_ns: u64,
     op_interval_ns: u64,
     ops: u64,
@@ -207,6 +210,7 @@ impl Service {
             cache,
             monitor,
             trimmed: HashSet::new(),
+            batch_values: Vec::new(),
             clock_ns: 0,
             op_interval_ns: config.op_interval_ns.max(1),
             ops: 0,
@@ -306,8 +310,10 @@ impl Service {
             return Ok(());
         }
         let at = self.tick();
-        for i in 0..data.len() as u64 {
-            self.trimmed.remove(&(lba + i));
+        if !self.trimmed.is_empty() {
+            for i in 0..data.len() as u64 {
+                self.trimmed.remove(&(lba + i));
+            }
         }
         if self.cache.is_none() {
             return self.engine.submit_write_data(at, lba, data);
@@ -345,16 +351,20 @@ impl Service {
     /// Coalesces an LBA-sorted flush-back batch into contiguous span
     /// writes and submits them, preserving batch order.
     fn submit_batch(&mut self, at_ns: u64, batch: &[(u64, u64)]) -> Result<(), SimError> {
+        // One reused buffer holds the whole batch's values; every contiguous
+        // LBA run is a slice of it.
+        self.batch_values.clear();
+        self.batch_values
+            .extend(batch.iter().map(|&(_, value)| value));
         let mut i = 0;
         while i < batch.len() {
             let start = batch[i].0;
-            let mut values = vec![batch[i].1];
             let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == start + values.len() as u64 {
-                values.push(batch[j].1);
+            while j < batch.len() && batch[j].0 == start + (j - i) as u64 {
                 j += 1;
             }
-            self.engine.submit_write_data(at_ns, start, &values)?;
+            self.engine
+                .submit_write_data(at_ns, start, &self.batch_values[i..j])?;
             i = j;
         }
         Ok(())
@@ -382,7 +392,7 @@ impl Service {
         let mut run: Option<(usize, u64, u32)> = None;
         for (i, slot) in out.iter_mut().enumerate() {
             let page = lba + i as u64;
-            let local = if self.trimmed.contains(&page) {
+            let local = if !self.trimmed.is_empty() && self.trimmed.contains(&page) {
                 Some(None)
             } else {
                 self.cache.as_ref().and_then(|c| c.lookup(page)).map(Some)

@@ -7,9 +7,13 @@
 //! barrier — every item accepted before the close is still delivered, and
 //! nothing is lost or duplicated. Each is checked here as a property over
 //! randomized producer counts, item counts, and capacities, with real OS
-//! threads on both sides of the queue.
+//! threads on both sides of the queue — for the single-item calls and for
+//! the burst calls (`push_all`, `pop_all`, `try_pop_all`) the engine's
+//! workers and front-end cross with, mixed at random. The queue wakes only
+//! registered waiters, so the file ends with stress runs whose only
+//! assertion is that they terminate: a lost wake-up hangs them.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::thread;
 
@@ -46,6 +50,63 @@ fn run_producers(producers: usize, per_producer: u64, capacity: usize) -> Vec<Ta
     received
 }
 
+/// A small deterministic generator for the threads' own call choices.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Spawns `producers` threads that each send `per_producer` tagged items,
+/// choosing at random between a single `push` and a `push_all` burst of up
+/// to five.
+fn spawn_mixed_producers(
+    queue: &Arc<ShardQueue<Tagged>>,
+    producers: usize,
+    per_producer: u64,
+    seed: u64,
+) -> Vec<thread::JoinHandle<()>> {
+    (0..producers)
+        .map(|p| {
+            let q = Arc::clone(queue);
+            thread::spawn(move || {
+                let mut rng = seed ^ (p as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut burst = Vec::new();
+                let mut seq = 0;
+                while seq < per_producer {
+                    let n = (1 + xorshift(&mut rng) % 5).min(per_producer - seq);
+                    if n == 1 {
+                        q.push((p, seq)).expect("queue closed under producer");
+                    } else {
+                        burst.extend((seq..seq + n).map(|s| (p, s)));
+                        q.push_all(&mut burst);
+                        assert!(burst.is_empty(), "push_all hands the buffer back empty");
+                    }
+                    seq += n;
+                }
+            })
+        })
+        .collect()
+}
+
+/// Checks that `received` holds each producer's `0..per_producer` in order.
+fn assert_per_producer_fifo(
+    received: impl IntoIterator<Item = Tagged>,
+    producers: usize,
+    per_producer: u64,
+) -> Result<(), TestCaseError> {
+    let mut next = vec![0u64; producers];
+    for (p, seq) in received {
+        prop_assert_eq!(seq, next[p], "producer {} delivered out of order", p);
+        next[p] += 1;
+    }
+    for (p, count) in next.iter().enumerate() {
+        prop_assert_eq!(*count, per_producer, "producer {} lost items", p);
+    }
+    Ok(())
+}
+
 proptest! {
     /// Per-producer FIFO under concurrent submitters: however the arrivals
     /// interleave across producers, each producer's own items come out in
@@ -60,17 +121,7 @@ proptest! {
     ) {
         let received = run_producers(producers, per_producer, capacity);
 
-        let mut next = vec![0u64; producers];
-        for (p, seq) in received {
-            prop_assert_eq!(
-                seq, next[p],
-                "producer {} delivered out of order", p
-            );
-            next[p] += 1;
-        }
-        for (p, count) in next.iter().enumerate() {
-            prop_assert_eq!(*count, per_producer, "producer {} lost items", p);
-        }
+        assert_per_producer_fifo(received, producers, per_producer)?;
     }
 
     /// Backpressure at capacity: `try_push` accepts exactly `capacity`
@@ -206,4 +257,157 @@ proptest! {
         prop_assert_eq!(queue.try_push(item), Err((item, TryPushError::Closed)));
         prop_assert_eq!(queue.pop(), None);
     }
+
+    /// Per-producer FIFO when single-item and burst calls are mixed at
+    /// random on both sides: a burst is delivered whole-order, bursts and
+    /// single items of one producer never overtake each other, and a
+    /// `pop_all` appends behind what the consumer already holds.
+    #[test]
+    fn mixed_single_and_burst_calls_keep_per_producer_order(
+        producers in 1usize..4,
+        per_producer in 1u64..80,
+        capacity in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let queue = Arc::new(ShardQueue::<Tagged>::new(capacity));
+        let handles = spawn_mixed_producers(&queue, producers, per_producer, seed);
+
+        let total = (producers as u64 * per_producer) as usize;
+        let mut rng = seed | 1;
+        let mut received: VecDeque<Tagged> = VecDeque::new();
+        while received.len() < total {
+            match xorshift(&mut rng) % 3 {
+                0 => received.push_back(queue.pop().expect("queue closed with items outstanding")),
+                1 => prop_assert!(queue.pop_all(&mut received), "open queue reported closed"),
+                _ => {
+                    queue.try_pop_all(&mut received);
+                }
+            }
+            prop_assert!(queue.high_water() <= capacity);
+        }
+        for handle in handles {
+            handle.join().expect("producer panicked");
+        }
+        prop_assert!(queue.is_empty());
+        assert_per_producer_fifo(received, producers, per_producer)?;
+    }
+
+    /// `close()` is a drain barrier for `pop_all` as it is for `pop`:
+    /// everything accepted before the close is delivered exactly once, and
+    /// only then does `pop_all` report the queue closed.
+    #[test]
+    fn close_is_a_complete_drain_barrier_for_pop_all(
+        producers in 1usize..4,
+        per_producer in 1u64..40,
+        capacity in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let queue = Arc::new(ShardQueue::<Tagged>::new(capacity));
+        let handles = spawn_mixed_producers(&queue, producers, per_producer, seed);
+        let consumer = {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut seen = VecDeque::new();
+                while q.pop_all(&mut seen) {}
+                seen
+            })
+        };
+        for handle in handles {
+            handle.join().expect("producer panicked");
+        }
+        queue.close();
+        let mut seen = consumer.join().expect("consumer panicked");
+
+        prop_assert!(!queue.pop_all(&mut seen), "a drained closed queue stays closed");
+        let expected = producers as u64 * per_producer;
+        prop_assert_eq!(seen.len() as u64, expected, "acks lost across the barrier");
+        assert_per_producer_fifo(seen, producers, per_producer)?;
+    }
+
+    /// Backpressure on a burst: a `push_all` larger than the queue blocks,
+    /// goes in by instalments as a slow one-at-a-time consumer makes room,
+    /// and completes with nothing lost, reordered or over capacity.
+    #[test]
+    fn oversized_push_all_completes_against_a_slow_consumer(
+        capacity in 1usize..5,
+        extra in 1u64..60,
+    ) {
+        let queue = Arc::new(ShardQueue::<u64>::new(capacity));
+        let total = capacity as u64 + extra;
+        let producer = {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut burst: Vec<u64> = (0..total).collect();
+                q.push_all(&mut burst);
+                burst.len()
+            })
+        };
+        for expected in 0..total {
+            // Slow: give the producer every chance to overfill.
+            thread::yield_now();
+            prop_assert!(queue.len() <= capacity);
+            prop_assert_eq!(queue.pop(), Some(expected));
+        }
+        prop_assert_eq!(producer.join().expect("producer panicked"), 0);
+        prop_assert!(queue.is_empty());
+        prop_assert!(queue.high_water() <= capacity);
+    }
+}
+
+/// Lost-wake-up stress, the engine's QD 1 shape: two capacity-1 queues, one
+/// thread parked on each in turn. Every one of the round trips needs a wake
+/// to arrive; a single lost one parks both threads for good.
+#[test]
+fn ping_pong_through_capacity_one_queues_terminates() {
+    const ROUND_TRIPS: u64 = 100_000;
+    let ping = Arc::new(ShardQueue::<u64>::new(1));
+    let pong = Arc::new(ShardQueue::<u64>::new(1));
+    let echo = {
+        let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+        thread::spawn(move || {
+            let mut inbox = VecDeque::new();
+            let mut outbox = Vec::new();
+            // Alternate the single-item and the burst calls.
+            while let Some(first) = ping.pop() {
+                pong.push(first).expect("pong closed");
+                if !ping.pop_all(&mut inbox) {
+                    break;
+                }
+                outbox.extend(inbox.drain(..));
+                pong.push_all(&mut outbox);
+            }
+        })
+    };
+    for i in 0..ROUND_TRIPS {
+        ping.push(i).expect("ping closed");
+        assert_eq!(pong.pop(), Some(i));
+    }
+    ping.close();
+    echo.join().expect("echo thread panicked");
+}
+
+/// Lost-wake-up stress, the completion queue's shape: several producers
+/// blocking on a small queue against one `pop_all` consumer that parks
+/// whenever it catches up.
+#[test]
+fn producers_against_one_pop_all_consumer_terminate() {
+    const PRODUCERS: usize = 4;
+    const PER_PRODUCER: u64 = 25_000;
+    let queue = Arc::new(ShardQueue::<Tagged>::new(3));
+    let handles = spawn_mixed_producers(&queue, PRODUCERS, PER_PRODUCER, 0x5EED);
+    let mut received = VecDeque::new();
+    let mut next = [0u64; PRODUCERS];
+    let mut delivered = 0;
+    while delivered < PRODUCERS as u64 * PER_PRODUCER {
+        assert!(queue.pop_all(&mut received));
+        for (p, seq) in received.drain(..) {
+            assert_eq!(seq, next[p], "producer {p} delivered out of order");
+            next[p] += 1;
+            delivered += 1;
+        }
+    }
+    for handle in handles {
+        handle.join().expect("producer panicked");
+    }
+    assert!(queue.is_empty());
 }

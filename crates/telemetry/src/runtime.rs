@@ -253,11 +253,19 @@ pub struct LaneSample {
 }
 
 /// Occupancy gauges for one bounded queue.
+///
+/// The engine's consumers take a whole burst off a queue per crossing and
+/// work through it privately, so occupancy means *accepted and not yet
+/// taken*: a command a worker holds in its drained inbox, or a completion
+/// the front-end has drained but not absorbed, is no longer counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueSample {
-    /// Items queued at sampling time.
+    /// Items queued at sampling time: pushed, and not yet taken by the
+    /// consumer (see the type docs). In-flight work is `ops_submitted -
+    /// ops_completed`, not this.
     pub len: usize,
-    /// Highest occupancy ever observed (monotone over a run).
+    /// Highest occupancy ever observed (monotone over a run, at most
+    /// `capacity`): how far the producer got ahead between two drains.
     pub high_water: usize,
     /// Bound the queue blocks at.
     pub capacity: usize,
@@ -280,9 +288,13 @@ pub struct EngineSnapshot {
     pub workers: Vec<WorkerSample>,
     /// Per-lane accounting, channel order.
     pub lanes: Vec<LaneSample>,
-    /// Per-worker command queue gauges, worker-index order.
+    /// Per-worker command queue gauges, worker-index order: commands
+    /// dispatched to the worker that it has not yet *taken* (it drains the
+    /// queue a burst at a time, so this excludes the burst it is executing).
     pub command_queues: Vec<QueueSample>,
-    /// The shared completion queue's gauges.
+    /// The shared completion queue's gauges: completions handed over by
+    /// workers (a burst at a time, when a worker's inbox runs dry) that the
+    /// front-end has not yet taken.
     pub completion_queue: QueueSample,
 }
 
