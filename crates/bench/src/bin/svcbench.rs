@@ -18,8 +18,8 @@
 //!   with like. Each cache-on point carries those deltas against its
 //!   matching cache-off point.
 //!
-//! Client latencies are wall-clock round-trip times through the service's
-//! request queue — they measure the served front-end (queueing + cache +
+//! Client latencies are wall-clock call-to-ack times of verbs run under the
+//! service lock — they measure the served front-end (lock wait + cache +
 //! engine pipeline), not the virtual-time device model, and scale with
 //! host CPU count like every wall-clock figure in this suite.
 //!

@@ -113,7 +113,7 @@
 
 pub mod queue;
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -320,7 +320,7 @@ type WorkerBody = fn(
 ) -> ReturnedLanes;
 
 /// Saturating nanoseconds since `t` (monotonic).
-fn since_ns(t: Instant) -> u64 {
+pub(crate) fn since_ns(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -1704,9 +1704,10 @@ impl Engine {
     /// one `Vec` per read op in submission order, one `Option<u64>` per
     /// page in op order (`None` for never-written pages). Always empty
     /// unless the engine was built with [`EngineConfig::with_read_capture`].
-    /// Call after [`Engine::flush`] to observe every submitted read.
-    pub fn take_completed_reads(&mut self) -> Vec<Vec<Option<u64>>> {
-        self.completed_reads.drain(..).collect()
+    /// Call after [`Engine::flush`] to observe every submitted read. Results
+    /// the caller leaves in the iterator are dropped with it.
+    pub fn take_completed_reads(&mut self) -> vec_deque::Drain<'_, Vec<Option<u64>>> {
+        self.completed_reads.drain(..)
     }
 
     /// Feeds `trace` through the engine with `run_striped`'s stop handling:

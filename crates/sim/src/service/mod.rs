@@ -6,7 +6,7 @@
 //! write cache ([`cache::WriteCache`]), exposes the four block-device verbs
 //! — `write` / `read` / `trim` / `flush` — and can hand out in-process
 //! client handles ([`Service::serve`]) so N concurrent threads drive one
-//! array through a bounded request queue.
+//! array.
 //!
 //! # Ack semantics (the durability contract)
 //!
@@ -34,6 +34,19 @@
 //! at most one dirty value per LBA and never reorders values of the same
 //! LBA around a write-through, so the virtual-time oracle still pins
 //! cache-on results (see [`cache`] module docs).
+//!
+//! # Served concurrency
+//!
+//! [`Service::serve`] moves the service behind one lock shared by the
+//! [`ServiceServer`] and its [`ServiceClient`]s; no thread is spawned. A
+//! client verb takes the lock and runs the [`Service`] method on the
+//! caller's own thread, holding the lock for the verb's whole duration —
+//! a read's or flush's engine barrier included. Ops are therefore
+//! linearised by lock acquisition, and the ack semantics and the
+//! single-client bit-identity above hold unchanged. `std::sync::Mutex`
+//! promises no fairness, so concurrent clients are not served in arrival
+//! order. A client that panics inside a verb poisons the lock: every later
+//! client call, and [`ServiceServer::join`], panics naming that.
 //!
 //! ## Example
 //!
@@ -64,8 +77,7 @@
 pub mod cache;
 
 use std::collections::HashSet;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use flash_telemetry::health::{HealthMonitor, HealthReport, HealthRuntime};
@@ -75,8 +87,7 @@ use flash_trace::TraceEvent;
 use nand::{CellSpec, ChannelGeometry, NandDevice};
 use swl_core::SwlConfig;
 
-use crate::engine::queue::ShardQueue;
-use crate::engine::{Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
+use crate::engine::{since_ns, Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
 use crate::error::SimError;
 use crate::layer::{LayerKind, SimConfig};
 use crate::striped::SwlCoordination;
@@ -163,6 +174,9 @@ pub struct Service {
     /// Scratch for [`Service::submit_batch`]: the values of the batch being
     /// written back (capacity kept between batches).
     batch_values: Vec<u64>,
+    /// Scratch for [`Service::read`]: the contiguous runs of pages that must
+    /// come from flash, as `(out index, start lba, page count)`.
+    read_spans: Vec<(usize, u64, u32)>,
     clock_ns: u64,
     op_interval_ns: u64,
     ops: u64,
@@ -211,6 +225,7 @@ impl Service {
             monitor,
             trimmed: HashSet::new(),
             batch_values: Vec::new(),
+            read_spans: Vec::new(),
             clock_ns: 0,
             op_interval_ns: config.op_interval_ns.max(1),
             ops: 0,
@@ -277,7 +292,11 @@ impl Service {
     /// Advances the logical clock by one op tick and returns the stamp.
     fn tick(&mut self) -> u64 {
         self.ops += 1;
-        self.clock_ns += self.op_interval_ns;
+        // A wrapped clock would stamp engine events backwards in time.
+        self.clock_ns = self
+            .clock_ns
+            .checked_add(self.op_interval_ns)
+            .expect("service logical clock overflowed u64 nanoseconds");
         self.clock_ns
     }
 
@@ -386,9 +405,7 @@ impl Service {
         }
         let at = self.tick();
         let mut out: Vec<Option<u64>> = vec![None; len];
-        // Contiguous runs of pages that must come from flash, as
-        // `(out index, start lba, page count)`.
-        let mut spans: Vec<(usize, u64, u32)> = Vec::new();
+        self.read_spans.clear();
         let mut run: Option<(usize, u64, u32)> = None;
         for (i, slot) in out.iter_mut().enumerate() {
             let page = lba + i as u64;
@@ -401,7 +418,7 @@ impl Service {
                 Some(value) => {
                     *slot = value;
                     if let Some(span) = run.take() {
-                        spans.push(span);
+                        self.read_spans.push(span);
                     }
                 }
                 None => match run.as_mut() {
@@ -411,22 +428,20 @@ impl Service {
             }
         }
         if let Some(span) = run.take() {
-            spans.push(span);
+            self.read_spans.push(span);
         }
-        for &(_, start, pages) in &spans {
+        for &(_, start, pages) in &self.read_spans {
             self.engine.submit(TraceEvent::read_span(at, start, pages))?;
         }
-        if !spans.is_empty() {
+        if !self.read_spans.is_empty() {
             self.engine.flush()?;
-            let mut results = self.engine.take_completed_reads().into_iter();
-            for &(index, _, pages) in &spans {
+            let mut results = self.engine.take_completed_reads();
+            for &(index, _, pages) in &self.read_spans {
                 let values = results
                     .next()
                     .expect("engine returns one result per read span");
                 debug_assert_eq!(values.len(), pages as usize);
-                for (k, value) in values.into_iter().enumerate() {
-                    out[index + k] = value;
-                }
+                out[index..index + values.len()].copy_from_slice(&values);
             }
         }
         Ok(out)
@@ -558,145 +573,71 @@ impl Service {
     }
 }
 
-/// One queued client request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Write `data` starting at `lba` (ack = accepted, not durable).
-    Write {
-        /// First logical page of the span.
-        lba: u64,
-        /// One value per page.
-        data: Vec<u64>,
-    },
-    /// Read `len` pages starting at `lba`.
-    Read {
-        /// First logical page of the span.
-        lba: u64,
-        /// Pages to read.
-        len: usize,
-    },
-    /// Advisory trim of `len` pages starting at `lba`.
-    Trim {
-        /// First logical page of the span.
-        lba: u64,
-        /// Pages to trim.
-        len: usize,
-    },
-    /// Durability barrier (ack = everything prior is on flash).
-    Flush,
-    /// Management verb: SMART-style health report (see [`Service::stats`]).
-    /// Travels the same bounded queue as I/O — a real production management
-    /// plane with no side channel and no new locks in the data path.
-    Stats,
-    /// Create CoW snapshot `id` (ack = durable, images all acked writes).
-    Snapshot {
-        /// Snapshot id (caller-chosen, must be unused).
-        id: u64,
-    },
-    /// Delete snapshot `id`.
-    DeleteSnapshot {
-        /// Snapshot id to delete.
-        id: u64,
-    },
-    /// Roll the device back to snapshot `id` (discards the live image).
-    CloneSnapshot {
-        /// Snapshot id to roll back to.
-        id: u64,
-    },
-    /// Merge snapshot `id` into the live image and drop it.
-    MergeSnapshot {
-        /// Snapshot id to merge.
-        id: u64,
-    },
-}
+/// What the server and its clients share: the service behind the lock
+/// that linearises their verbs, `None` once [`ServiceServer::join`] took it.
+type ServedSlot = Arc<Mutex<Option<Service>>>;
 
-/// The service's reply to one [`Request`].
+/// Locks the served slot.
 ///
-/// (`PartialEq` only: [`HealthReport`] carries `f64` rates, so `Stats`
-/// replies have no total equality.)
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// The write was accepted.
-    Written,
-    /// Read results, one per requested page.
-    Data(Vec<Option<u64>>),
-    /// The trim was applied.
-    Trimmed,
-    /// Everything previously accepted is durable.
-    Flushed,
-    /// The health report, boxed to keep reply envelopes small. `None` when
-    /// the service runs without the health plane.
-    Stats(Option<Box<HealthReport>>),
-    /// The snapshot verb (create / delete / clone / merge) completed.
-    SnapshotDone,
-    /// The op failed (engine errors are sticky — every later op fails
-    /// with the same error).
-    Error(SimError),
-}
-
-/// A request tagged with the client it came from.
-#[derive(Debug)]
-struct Envelope {
-    client: usize,
-    request: Request,
-}
-
-/// Saturating nanoseconds since `t`.
-fn since_ns(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// # Panics
+///
+/// Panics when a client panicked inside a verb: the service may be
+/// mid-update, so every later call fails loudly instead of serving it.
+fn lock_served(slot: &ServedSlot) -> MutexGuard<'_, Option<Service>> {
+    slot.lock()
+        .expect("service lock poisoned: a client panicked inside a served verb")
 }
 
 /// A client handle onto a served [`Service`]: blocking block-device verbs
-/// plus wall-clock per-op latency histograms recorded client-side.
-/// Requests from all clients serialize through one bounded queue, so every
-/// op is linearized by the service thread.
+/// plus wall-clock per-op latency histograms recorded client-side. Every
+/// verb takes the service lock and runs the matching [`Service`] method on
+/// the caller's own thread, so ops are linearised by lock acquisition.
 pub struct ServiceClient {
     id: usize,
-    requests: Arc<ShardQueue<Envelope>>,
-    replies: Arc<ShardQueue<Response>>,
+    served: ServedSlot,
     write_latency: LatencyHistogram,
     read_latency: LatencyHistogram,
     flush_latency: LatencyHistogram,
 }
 
 impl ServiceClient {
-    /// This client's index (its reply-queue slot).
+    /// This client's index among the handles [`Service::serve`] returned.
     pub fn id(&self) -> usize {
         self.id
     }
 
-    /// Wall-clock submit-to-ack latency of this client's writes.
+    /// Wall-clock call-to-ack latency of this client's writes (lock wait
+    /// included).
     pub fn write_latency(&self) -> &LatencyHistogram {
         &self.write_latency
     }
 
-    /// Wall-clock submit-to-ack latency of this client's reads.
+    /// Wall-clock call-to-ack latency of this client's reads.
     pub fn read_latency(&self) -> &LatencyHistogram {
         &self.read_latency
     }
 
-    /// Wall-clock submit-to-ack latency of this client's flushes.
+    /// Wall-clock call-to-ack latency of this client's flushes.
     pub fn flush_latency(&self) -> &LatencyHistogram {
         &self.flush_latency
     }
 
-    /// Round-trips one request.
+    /// Runs `verb` on the service under the lock, held for the verb's whole
+    /// duration (a read's or flush's engine barrier included).
     ///
     /// # Panics
     ///
     /// Panics when the server was joined while this client was still
-    /// active — join the server only after its clients are done.
-    fn call(&mut self, request: Request) -> Response {
-        let envelope = Envelope {
-            client: self.id,
-            request,
-        };
-        if self.requests.push(envelope).is_err() {
+    /// active — join the server only after its clients are done — and when
+    /// another client panicked inside a verb and poisoned the lock.
+    fn with_service<R>(&self, verb: impl FnOnce(&mut Service) -> R) -> R {
+        let mut slot = lock_served(&self.served);
+        let Some(service) = slot.as_mut() else {
+            // Released first: this misuse must not poison the other clients.
+            drop(slot);
             panic!("service joined while client {} was active", self.id);
-        }
-        self.replies
-            .pop()
-            .expect("service dropped a reply before answering")
+        };
+        verb(service)
     }
 
     /// Writes `data` starting at `lba` (ack = accepted, not durable).
@@ -706,13 +647,9 @@ impl ServiceClient {
     /// As [`Service::write`].
     pub fn write(&mut self, lba: u64, data: Vec<u64>) -> Result<(), SimError> {
         let start = Instant::now();
-        let response = self.call(Request::Write { lba, data });
+        let result = self.with_service(|service| service.write(lba, &data));
         self.write_latency.record(since_ns(start));
-        match response {
-            Response::Written => Ok(()),
-            Response::Error(e) => Err(e),
-            other => panic!("mismatched reply to write: {other:?}"),
-        }
+        result
     }
 
     /// Reads `len` pages starting at `lba`.
@@ -722,13 +659,9 @@ impl ServiceClient {
     /// As [`Service::read`].
     pub fn read(&mut self, lba: u64, len: usize) -> Result<Vec<Option<u64>>, SimError> {
         let start = Instant::now();
-        let response = self.call(Request::Read { lba, len });
+        let result = self.with_service(|service| service.read(lba, len));
         self.read_latency.record(since_ns(start));
-        match response {
-            Response::Data(values) => Ok(values),
-            Response::Error(e) => Err(e),
-            other => panic!("mismatched reply to read: {other:?}"),
-        }
+        result
     }
 
     /// Advisory trim of `len` pages starting at `lba`.
@@ -737,22 +670,14 @@ impl ServiceClient {
     ///
     /// As [`Service::trim`].
     pub fn trim(&mut self, lba: u64, len: usize) -> Result<(), SimError> {
-        let response = self.call(Request::Trim { lba, len });
-        match response {
-            Response::Trimmed => Ok(()),
-            Response::Error(e) => Err(e),
-            other => panic!("mismatched reply to trim: {other:?}"),
-        }
+        self.with_service(|service| service.trim(lba, len))
     }
 
-    /// Queries the service's SMART-style health report over the same
-    /// bounded queue as I/O (linearized with the data path, no side
-    /// channel). `None` when the service runs without the health plane.
+    /// Queries the service's SMART-style health report under the same lock
+    /// as I/O (linearised with the data path, no side channel). `None` when
+    /// the service runs without the health plane.
     pub fn stats(&mut self) -> Option<HealthReport> {
-        match self.call(Request::Stats) {
-            Response::Stats(report) => report.map(|b| *b),
-            other => panic!("mismatched reply to stats: {other:?}"),
-        }
+        self.with_service(Service::stats)
     }
 
     /// Durability barrier: when this returns `Ok`, every write this (or
@@ -763,23 +688,9 @@ impl ServiceClient {
     /// As [`Service::flush`].
     pub fn flush(&mut self) -> Result<(), SimError> {
         let start = Instant::now();
-        let response = self.call(Request::Flush);
+        let result = self.with_service(Service::flush);
         self.flush_latency.record(since_ns(start));
-        match response {
-            Response::Flushed => Ok(()),
-            Response::Error(e) => Err(e),
-            other => panic!("mismatched reply to flush: {other:?}"),
-        }
-    }
-
-    /// Dispatches one snapshot-plane request and decodes the shared
-    /// `SnapshotDone` ack.
-    fn snapshot_call(&mut self, request: Request) -> Result<(), SimError> {
-        match self.call(request) {
-            Response::SnapshotDone => Ok(()),
-            Response::Error(e) => Err(e),
-            other => panic!("mismatched reply to snapshot verb: {other:?}"),
-        }
+        result
     }
 
     /// Creates CoW snapshot `id` (ack = durable; see
@@ -789,7 +700,7 @@ impl ServiceClient {
     ///
     /// As [`Service::snapshot_create`].
     pub fn snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.snapshot_call(Request::Snapshot { id })
+        self.with_service(|service| service.snapshot_create(id))
     }
 
     /// Deletes snapshot `id`.
@@ -798,7 +709,7 @@ impl ServiceClient {
     ///
     /// As [`Service::snapshot_delete`].
     pub fn delete_snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.snapshot_call(Request::DeleteSnapshot { id })
+        self.with_service(|service| service.snapshot_delete(id))
     }
 
     /// Rolls the device back to snapshot `id`.
@@ -807,7 +718,7 @@ impl ServiceClient {
     ///
     /// As [`Service::snapshot_clone`].
     pub fn clone_snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.snapshot_call(Request::CloneSnapshot { id })
+        self.with_service(|service| service.snapshot_clone(id))
     }
 
     /// Merges snapshot `id` into the live image and drops it.
@@ -816,105 +727,47 @@ impl ServiceClient {
     ///
     /// As [`Service::snapshot_merge`].
     pub fn merge_snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.snapshot_call(Request::MergeSnapshot { id })
+        self.with_service(|service| service.snapshot_merge(id))
     }
 }
 
-/// Handle onto the thread running a served [`Service`]; join it to get
-/// the service back (for [`Service::finish`] or crash teardown).
+/// The owner's handle onto a served [`Service`]; join it to get the
+/// service back (for [`Service::finish`] or crash teardown).
 pub struct ServiceServer {
-    requests: Arc<ShardQueue<Envelope>>,
-    thread: JoinHandle<Service>,
+    served: ServedSlot,
 }
 
 impl ServiceServer {
-    /// Closes the request queue (after letting it drain) and recovers the
-    /// service. Clients must be done first: a client op racing this call
-    /// can panic on the closed queue.
+    /// Takes the service back out from under the lock, waiting for a verb
+    /// in progress. Client handles may outlive this call, but one that is
+    /// used afterwards panics: join only after the clients are done.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a client panicked inside a verb and poisoned the lock.
     pub fn join(self) -> Service {
-        self.requests.close();
-        self.thread.join().expect("service thread panicked")
+        lock_served(&self.served)
+            .take()
+            .expect("the one ServiceServer takes the service exactly once")
     }
 }
 
 impl Service {
-    /// Serves this service to `clients` concurrent in-process clients
-    /// (at least 1). All requests funnel through one bounded queue into a
-    /// dedicated service thread, so ops are linearized in arrival order;
-    /// each client gets its own single-slot reply queue.
+    /// Serves this service to `clients` concurrent in-process clients (at
+    /// least 1): the service moves behind one lock that the returned
+    /// handles share, and each client verb runs under it on the calling
+    /// thread — see the module docs' served-concurrency contract.
     pub fn serve(self, clients: usize) -> (ServiceServer, Vec<ServiceClient>) {
-        let clients = clients.max(1);
-        let requests: Arc<ShardQueue<Envelope>> = Arc::new(ShardQueue::new(clients * 2));
-        let reply_queues: Vec<Arc<ShardQueue<Response>>> =
-            (0..clients).map(|_| Arc::new(ShardQueue::new(1))).collect();
-        let thread = {
-            let requests = Arc::clone(&requests);
-            let reply_queues = reply_queues.clone();
-            std::thread::Builder::new()
-                .name("service".into())
-                .spawn(move || {
-                    let mut service = self;
-                    while let Some(Envelope { client, request }) = requests.pop() {
-                        let response = service.handle(request);
-                        // A closed reply queue means the client hung up;
-                        // its reply is moot.
-                        let _ = reply_queues[client].push(response);
-                    }
-                    service
-                })
-                .expect("failed to spawn service thread")
-        };
-        let handles = reply_queues
-            .into_iter()
-            .enumerate()
-            .map(|(id, replies)| ServiceClient {
+        let served: ServedSlot = Arc::new(Mutex::new(Some(self)));
+        let handles = (0..clients.max(1))
+            .map(|id| ServiceClient {
                 id,
-                requests: Arc::clone(&requests),
-                replies,
+                served: Arc::clone(&served),
                 write_latency: LatencyHistogram::new(),
                 read_latency: LatencyHistogram::new(),
                 flush_latency: LatencyHistogram::new(),
             })
             .collect();
-        (ServiceServer { requests, thread }, handles)
-    }
-
-    /// Executes one client request.
-    fn handle(&mut self, request: Request) -> Response {
-        match request {
-            Request::Write { lba, data } => match self.write(lba, &data) {
-                Ok(()) => Response::Written,
-                Err(e) => Response::Error(e),
-            },
-            Request::Read { lba, len } => match self.read(lba, len) {
-                Ok(values) => Response::Data(values),
-                Err(e) => Response::Error(e),
-            },
-            Request::Trim { lba, len } => match self.trim(lba, len) {
-                Ok(()) => Response::Trimmed,
-                Err(e) => Response::Error(e),
-            },
-            Request::Flush => match self.flush() {
-                Ok(()) => Response::Flushed,
-                Err(e) => Response::Error(e),
-            },
-            Request::Stats => Response::Stats(self.stats().map(Box::new)),
-            Request::Snapshot { id } => match self.snapshot_create(id) {
-                Ok(()) => Response::SnapshotDone,
-                Err(e) => Response::Error(e),
-            },
-            Request::DeleteSnapshot { id } => match self.snapshot_delete(id) {
-                Ok(()) => Response::SnapshotDone,
-                Err(e) => Response::Error(e),
-            },
-            Request::CloneSnapshot { id } => match self.snapshot_clone(id) {
-                Ok(()) => Response::SnapshotDone,
-                Err(e) => Response::Error(e),
-            },
-            Request::MergeSnapshot { id } => match self.snapshot_merge(id) {
-                Ok(()) => Response::SnapshotDone,
-                Err(e) => Response::Error(e),
-            },
-        }
+        (ServiceServer { served }, handles)
     }
 }

@@ -112,7 +112,7 @@ fn allocations_per_op(reads: bool) -> f64 {
         submit(&mut engine, i);
     }
     engine.flush().expect("fault-free run");
-    let results = engine.take_completed_reads();
+    let results: Vec<_> = engine.take_completed_reads().collect();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     let expected = (warm_up..warm_up + OPS).filter(|&i| is_read(i)).count();

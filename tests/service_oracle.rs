@@ -16,12 +16,18 @@
 //!    remount.
 //! 3. **Served concurrency** — N real client threads over
 //!    [`Service::serve`] keep per-client read-your-writes on disjoint
-//!    partitions, and client latency histograms cover every op.
+//!    partitions, and client latency histograms cover every op. The verbs
+//!    run under one lock on the callers' threads: a single served client is
+//!    bit-identical to the inline service, concurrent clients are
+//!    linearised with a `stats` poller, and misuse (a verb after `join`, a
+//!    panic inside a verb) fails loudly instead of hanging.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use flash_sim::service::cache::CacheConfig;
-use flash_sim::service::{Service, ServiceConfig};
+use flash_sim::service::{Service, ServiceClient, ServiceConfig, ServiceServer};
 use flash_sim::{
     Engine, EngineConfig, Layer, LayerKind, SimConfig, StripedReport, SwlCoordination,
     TranslationLayer,
@@ -712,4 +718,341 @@ fn stats_polled_concurrently_from_all_clients() {
     assert!(total_polls >= 4 * 10, "all clients polled repeatedly");
     let service = server.join();
     service.finish().unwrap();
+}
+
+/// One verb of the served-versus-inline comparison, write values included.
+enum Verb {
+    Write { lba: u64, data: Vec<u64> },
+    Read { lba: u64, len: usize },
+    Trim { lba: u64, len: usize },
+    Flush,
+}
+
+/// The mixed workload as verbs: write values from one global page counter,
+/// plus a trim every 40th op and a flush every 100th.
+fn verbs(ops: &[HostOp]) -> Vec<Verb> {
+    let mut next_value = 0u64;
+    let mut verbs = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        verbs.push(match *op {
+            HostOp::Write { lba, len } => {
+                let data = (0..len as u64).map(|k| next_value + 1 + k).collect();
+                next_value += len as u64;
+                Verb::Write { lba, data }
+            }
+            HostOp::Read { lba, len } => Verb::Read { lba, len },
+        });
+        if i % 40 == 39 {
+            verbs.push(Verb::Trim {
+                lba: i as u64 % 16,
+                len: 2,
+            });
+        }
+        if i % 100 == 99 {
+            verbs.push(Verb::Flush);
+        }
+    }
+    verbs
+}
+
+/// Everything a service run is compared on: report, cache counters,
+/// per-lane device and leveler state, logical contents, and every value a
+/// read returned.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    report: StripedReport,
+    cache: Option<flash_telemetry::runtime::CacheSample>,
+    lanes: Vec<String>,
+    contents: Vec<Option<u64>>,
+    reads: Vec<Vec<Option<u64>>>,
+}
+
+/// Runs `verbs` through a two-lane service, inline or through one served
+/// client.
+fn run_verbs(verbs: &[Verb], cache: Option<CacheConfig>, served: bool) -> Outcome {
+    let mut service = Service::build(
+        LayerKind::Ftl,
+        geometry(2),
+        spec(),
+        Some(swl()),
+        SwlCoordination::PerChannel,
+        &SimConfig::default(),
+        ServiceConfig {
+            engine: EngineConfig::default().with_threads(2).with_queue_depth(16),
+            cache,
+            op_interval_ns: INTERVAL_NS,
+        },
+    )
+    .unwrap();
+    let pages = service.logical_pages();
+    let mut reads = Vec::new();
+    let service = if served {
+        let (server, mut clients) = service.serve(1);
+        let client = &mut clients[0];
+        for verb in verbs {
+            match verb {
+                Verb::Write { lba, data } => client.write(*lba, data.clone()).unwrap(),
+                Verb::Read { lba, len } => reads.push(client.read(*lba, *len).unwrap()),
+                Verb::Trim { lba, len } => client.trim(*lba, *len).unwrap(),
+                Verb::Flush => client.flush().unwrap(),
+            }
+        }
+        server.join()
+    } else {
+        for verb in verbs {
+            match verb {
+                Verb::Write { lba, data } => service.write(*lba, data).unwrap(),
+                Verb::Read { lba, len } => reads.push(service.read(*lba, *len).unwrap()),
+                Verb::Trim { lba, len } => service.trim(*lba, *len).unwrap(),
+                Verb::Flush => service.flush().unwrap(),
+            }
+        }
+        service
+    };
+    let finished = service.finish().unwrap();
+    let mut run = finished.run;
+    // Lane state before the content reads, which are real device reads.
+    let lanes = run
+        .lanes()
+        .iter()
+        .map(|lane| {
+            format!(
+                "{:?}",
+                (
+                    lane.counters(),
+                    lane.device().erase_stats(),
+                    lane.device().counters(),
+                    lane.swl().map(|s| (s.ecnt(), s.bet().fcnt())),
+                )
+            )
+        })
+        .collect();
+    Outcome {
+        report: run.report.clone(),
+        cache: finished.cache,
+        lanes,
+        contents: contents(&mut run, &geometry(2), pages),
+        reads,
+    }
+}
+
+/// One served client is the inline service: the lock adds exclusion, not
+/// behaviour. Report, cache counters, per-lane state, contents and every
+/// read result are bit-identical, cache off and cache on.
+#[test]
+fn served_single_client_is_bit_identical_to_inline() {
+    let probe = run_verbs(&[], None, false);
+    let ops = workload(probe.contents.len() as u64, 2_500, 0x5E21ED);
+    let verbs = verbs(&ops);
+    for cache in [None, Some(CacheConfig::sized(32).with_hot(eager_hot()))] {
+        let inline = run_verbs(&verbs, cache, false);
+        let served = run_verbs(&verbs, cache, true);
+        assert!(
+            inline.report.device.programs > 0,
+            "the run must reach flash"
+        );
+        assert_eq!(
+            served,
+            inline,
+            "cached={}: served run diverged from the inline service",
+            cache.is_some()
+        );
+    }
+}
+
+/// Four clients hammer disjoint slices over two engine threads while a
+/// fifth handle polls `stats()` the whole time: each client reads its own
+/// writes, the service counts exactly the ops it acked, and everything a
+/// flush acked is on flash — read back after dropping the cache and
+/// remounting the raw devices.
+#[test]
+fn served_clients_hammer_slices_under_a_stats_poller() {
+    let channels = 2u32;
+    let service = Service::build(
+        LayerKind::Ftl,
+        geometry(channels),
+        spec(),
+        Some(swl()),
+        SwlCoordination::PerChannel,
+        &SimConfig::default(),
+        ServiceConfig::default()
+            .with_cache(CacheConfig::sized(64).with_hot(eager_hot()))
+            .with_engine(
+                EngineConfig::default()
+                    .with_threads(2)
+                    .with_queue_depth(8)
+                    .with_health(true),
+            ),
+    )
+    .unwrap();
+    let workers = 4usize;
+    let slice = service.logical_pages() / workers as u64;
+    let window = slice.min(32);
+    let (server, mut handles) = service.serve(workers + 1);
+    let mut poller = handles.pop().expect("the fifth handle");
+    // All five threads start together; the poller runs until the workers
+    // are done, so polls and I/O verbs contend for the lock throughout.
+    let start = Barrier::new(workers + 1);
+    let done = AtomicBool::new(false);
+    let results = std::thread::scope(|scope| {
+        let polling = scope.spawn(|| {
+            start.wait();
+            let mut last_host_pages = 0u64;
+            let mut polls = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let report = poller.stats().expect("health was enabled");
+                assert!(
+                    report.host_pages >= last_host_pages,
+                    "host_pages went backwards across polls"
+                );
+                last_host_pages = report.host_pages;
+                polls += 1;
+                std::thread::yield_now();
+            }
+            polls
+        });
+        let hammering: Vec<_> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(c, mut client)| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    let base = c as u64 * slice;
+                    let mut rng = SplitMix64::new(0x4A11 + c as u64);
+                    let mut model: HashMap<u64, Option<u64>> = HashMap::new();
+                    let mut accepted = 0u64;
+                    for i in 0..600u64 {
+                        let len = rng.range_usize(1..4);
+                        let lba = base + rng.next_below(window - 3);
+                        let span = lba..lba + len as u64;
+                        match rng.next_below(10) {
+                            0 => {
+                                client.trim(lba, len).unwrap();
+                                model.extend(span.map(|page| (page, None)));
+                            }
+                            1..=3 => {
+                                let got = client.read(lba, len).unwrap();
+                                let expected: Vec<_> = span
+                                    .map(|page| model.get(&page).copied().flatten())
+                                    .collect();
+                                assert_eq!(got, expected, "client {c} read {lba}+{len} at op {i}");
+                            }
+                            _ => {
+                                let data: Vec<u64> = (0..len as u64)
+                                    .map(|k| ((c as u64) << 32) | (i * 4 + k + 1))
+                                    .collect();
+                                model.extend(span.zip(data.iter().map(|&v| Some(v))));
+                                client.write(lba, data).unwrap();
+                            }
+                        }
+                        accepted += 1;
+                        if i % 150 == 149 {
+                            client.flush().unwrap();
+                        }
+                    }
+                    // The last op is a flush: the whole model is flush-acked.
+                    (accepted, model)
+                })
+            })
+            .collect();
+        // Stop the poller before looking at any result, so a failed client
+        // fails the test instead of leaving the scope waiting on the poller.
+        let results: Vec<_> = hammering.into_iter().map(|h| h.join()).collect();
+        done.store(true, Ordering::Release);
+        let polls = polling.join().expect("poller thread");
+        assert!(polls > 0, "the poller must have polled");
+        results
+    });
+    let results: Vec<_> = results
+        .into_iter()
+        .map(|result| result.expect("client thread"))
+        .collect();
+
+    let service = server.join();
+    let accepted: u64 = results.iter().map(|(accepted, _)| accepted).sum();
+    assert_eq!(
+        service.ops(),
+        accepted,
+        "ops() counts exactly the acked verbs"
+    );
+
+    // Power-cut style teardown: the cache is dropped, not flushed.
+    let geo = geometry(channels);
+    let mut lanes: Vec<Layer<_>> = service
+        .into_devices()
+        .into_iter()
+        .map(|device| Layer::mount(LayerKind::Ftl, device, &SimConfig::default()).unwrap())
+        .collect();
+    for (c, (_, model)) in results.iter().enumerate() {
+        // A trim is a RAM mask the remount forgets; written values are not.
+        for (&lba, &value) in model.iter().filter(|(_, value)| value.is_some()) {
+            let got = lanes[geo.channel_of(lba) as usize]
+                .read(geo.lane_lba(lba))
+                .unwrap();
+            assert_eq!(got, value, "client {c}: flush-acked lba {lba} lost");
+        }
+    }
+}
+
+/// A small served service whose logical clock overflows on its second op
+/// (`op_interval_ns` of `u64::MAX`): the way to panic *inside* a verb, with
+/// the service lock held, through the public API alone.
+fn serve_with_overflowing_clock(clients: usize) -> (ServiceServer, Vec<ServiceClient>) {
+    Service::build(
+        LayerKind::Ftl,
+        geometry(1),
+        spec(),
+        None,
+        SwlCoordination::PerChannel,
+        &SimConfig::default(),
+        ServiceConfig::default().with_op_interval_ns(u64::MAX),
+    )
+    .unwrap()
+    .serve(clients)
+}
+
+#[test]
+#[should_panic(expected = "service joined while client 0 was active")]
+fn served_verb_after_join_panics() {
+    let (server, mut clients) = serve_with_overflowing_clock(1);
+    server.join().finish().unwrap();
+    let _ = clients[0].write(0, vec![1]);
+}
+
+/// Serves two clients and has the first panic inside its second write;
+/// returns the server and the surviving client.
+fn served_after_a_verb_panicked() -> (ServiceServer, ServiceClient) {
+    let (server, mut clients) = serve_with_overflowing_clock(2);
+    let survivor = clients.pop().expect("two clients");
+    let mut doomed = clients.pop().expect("two clients");
+    let panicked = std::thread::spawn(move || {
+        doomed.write(0, vec![1]).unwrap();
+        let _ = doomed.write(0, vec![2]);
+    })
+    .join();
+    assert!(panicked.is_err(), "the second tick must overflow the clock");
+    (server, survivor)
+}
+
+#[test]
+#[should_panic(expected = "service lock poisoned: a client panicked inside a served verb")]
+fn served_verb_panic_fails_the_next_client_call() {
+    let (_server, mut survivor) = served_after_a_verb_panicked();
+    let _ = survivor.read(0, 1);
+}
+
+#[test]
+#[should_panic(expected = "service lock poisoned: a client panicked inside a served verb")]
+fn served_verb_panic_fails_join() {
+    let (server, _survivor) = served_after_a_verb_panicked();
+    let _ = server.join();
+}
+
+#[test]
+fn served_handles_are_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Service>();
+    assert_send::<ServiceClient>();
+    assert_send::<ServiceServer>();
 }
