@@ -118,6 +118,16 @@ impl Error for SwlError {}
 /// needed for free space — must be pushed into `erased` so the leveler can
 /// run SWL-BETUpdate for each (the paper's re-entrant triggering, made
 /// explicit to keep borrows simple).
+///
+/// # The no-erase contract
+///
+/// A call that reports no erase had no effect, and the same call will report
+/// none again until some block of a set whose BET flag is clear has been
+/// erased. The leveler's termination guard and its stall latch rest on this:
+/// one fruitless lap of the clear flags proves every later lap fruitless
+/// until `fcnt` moves. Both mappings of this workspace meet it — the blocks
+/// they skip are out of circulation for good (FTL: retired or in the
+/// snapshot-manifest reserve; NFTL: retired or stranded).
 pub trait SwlCleaner {
     /// Error type surfaced by the garbage collector.
     type Error;
@@ -177,8 +187,10 @@ pub enum LevelOutcome {
         /// Total block erases reported back by the Cleaner before the reset.
         erases_triggered: u64,
     },
-    /// The Cleaner made no progress for a whole lap of the BET (it erased
-    /// nothing and set no flags); leveling aborted to guarantee termination.
+    /// The Cleaner made no progress for a whole lap of the clear flags (it
+    /// erased nothing and set no flags); leveling aborted to guarantee
+    /// termination. The stall is remembered: until `fcnt` moves, further
+    /// calls return `sets_cleaned: 0` without asking the Cleaner again.
     Stalled {
         /// Block sets handed to the Cleaner before aborting.
         sets_cleaned: u32,
@@ -228,6 +240,11 @@ pub struct SwLeveler {
     rng: SplitMix64,
     stats: SwlStats,
     scratch: Vec<u32>,
+    /// The `fcnt` at which SWL-Procedure last stalled. While `fcnt` still has
+    /// that value the clear sets are the ones the Cleaner could not touch, so
+    /// another lap would stall too (see [`SwlCleaner`]'s no-erase contract).
+    /// Not persisted: a restored leveler rediscovers a stall in one lap.
+    stalled_at: Option<usize>,
 }
 
 impl SwLeveler {
@@ -257,6 +274,7 @@ impl SwLeveler {
             rng: SplitMix64::new(config.seed),
             stats: SwlStats::default(),
             scratch: Vec::new(),
+            stalled_at: None,
         })
     }
 
@@ -323,9 +341,14 @@ impl SwLeveler {
     }
 
     /// `true` when the unevenness level has reached the threshold and
-    /// [`SwLeveler::level`] would act.
+    /// [`SwLeveler::level`] would act — so `false` while a stall is latched
+    /// (see [`LevelOutcome::Stalled`]).
     pub fn needs_leveling(&self) -> bool {
-        self.over_threshold()
+        self.over_threshold() && !self.stall_latched()
+    }
+
+    fn stall_latched(&self) -> bool {
+        self.stalled_at == Some(self.bet.fcnt())
     }
 
     fn over_threshold(&self) -> bool {
@@ -364,6 +387,17 @@ impl SwLeveler {
     /// | 11: `EraseBlockSet(findex, k)` | [`SwlCleaner::erase_block_set`] + `note_erase` feedback |
     /// | 12: `findex ← findex + 1 mod size` | the final cursor bump |
     ///
+    /// The termination guard is not in the paper, which assumes a
+    /// cooperative Cleaner: `flags − fcnt` consecutive sets without an erase
+    /// are one lap of the clear flags (no erase, so the clear flags are the
+    /// same ones throughout), and by the Cleaner's no-erase contract every
+    /// further lap would be fruitless too. The pass ends
+    /// [`LevelOutcome::Stalled`] and the stall is latched on the current
+    /// `fcnt`: until a flag is set or the interval resets, this returns
+    /// `Stalled { sets_cleaned: 0 }` at once — no Cleaner call, no event, no
+    /// statistic. Where the lap stops, `findex` rests on one of the flags the
+    /// Cleaner cannot set; which one carries no meaning.
+    ///
     /// # Errors
     ///
     /// Propagates the first error returned by the Cleaner; the leveler's
@@ -372,6 +406,9 @@ impl SwLeveler {
     pub fn level<C: SwlCleaner>(&mut self, cleaner: &mut C) -> Result<LevelOutcome, C::Error> {
         if !self.over_threshold() {
             return Ok(LevelOutcome::Idle);
+        }
+        if self.stall_latched() {
+            return Ok(LevelOutcome::Stalled { sets_cleaned: 0 });
         }
         self.stats.activations += 1;
         cleaner.emit_telemetry(Event::SwlInvoke {
@@ -402,12 +439,12 @@ impl SwLeveler {
             erases_triggered += erases;
             sets_cleaned += 1;
 
-            // Termination guard (not in the paper, which assumes a
-            // cooperative Cleaner): a full BET lap with no erase and no new
-            // flag means the Cleaner cannot make progress.
+            // Termination guard: a lap of the clear flags with no erase and
+            // no new flag means the Cleaner cannot make progress.
             if was_empty && !progressed {
                 fruitless_sets += 1;
-                if fruitless_sets >= self.bet.flags() {
+                if fruitless_sets >= self.bet.flags() - self.bet.fcnt() {
+                    self.stalled_at = Some(self.bet.fcnt());
                     return Ok(LevelOutcome::Stalled { sets_cleaned });
                 }
             } else {
@@ -519,6 +556,7 @@ impl SwLeveler {
             0
         };
         self.stats.interval_resets += 1;
+        self.stalled_at = None;
     }
 
     /// Restores leveler state from persisted values (see [`crate::persist`]).
@@ -736,6 +774,137 @@ mod tests {
         }
         let outcome = l.level(&mut NoopCleaner).unwrap();
         assert!(matches!(outcome, LevelOutcome::Stalled { .. }));
+    }
+
+    /// Cleaner with a fixed set of blocks it cannot touch (out of
+    /// circulation, as a retired or reserved block is); every other requested
+    /// block is erased. Keeps every call, the calls that erased, and the
+    /// events it was handed.
+    struct DeadSetCleaner {
+        dead: Vec<u32>,
+        calls: Vec<(u32, u32)>,
+        erasing_calls: Vec<(u32, u32)>,
+        events: Vec<Event>,
+    }
+
+    impl DeadSetCleaner {
+        fn new(dead: &[u32]) -> Self {
+            Self {
+                dead: dead.to_vec(),
+                calls: Vec::new(),
+                erasing_calls: Vec::new(),
+                events: Vec::new(),
+            }
+        }
+    }
+
+    impl SwlCleaner for DeadSetCleaner {
+        type Error = Infallible;
+        fn erase_block_set(
+            &mut self,
+            first_block: u32,
+            count: u32,
+            erased: &mut Vec<u32>,
+        ) -> Result<(), Self::Error> {
+            self.calls.push((first_block, count));
+            let before = erased.len();
+            erased.extend((first_block..first_block + count).filter(|b| !self.dead.contains(b)));
+            if erased.len() > before {
+                self.erasing_calls.push((first_block, count));
+            }
+            Ok(())
+        }
+        fn emit_telemetry(&mut self, event: Event) {
+            self.events.push(event);
+        }
+    }
+
+    #[test]
+    fn stall_is_one_lap_of_the_clear_flags_and_is_remembered() {
+        let mut l = SwLeveler::new(16, SwlConfig::new(1, 0)).unwrap();
+        for _ in 0..100 {
+            l.note_erase(0);
+        }
+        let mut cleaner = DeadSetCleaner::new(&[3, 7, 12]);
+        // The first lap cleans the 12 live sets among the 15 clear ones; the
+        // second is over the 3 dead flags alone and ends the pass.
+        assert_eq!(
+            l.level(&mut cleaner).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 18 }
+        );
+        assert_eq!(cleaner.erasing_calls.len(), 12);
+        assert_eq!(cleaner.calls.len(), 15 + (l.bet().flags() - l.fcnt()));
+        assert!(!l.needs_leveling(), "a latched stall is at rest");
+
+        // At the same fcnt: no Cleaner call, no event, no statistic.
+        let (stats, calls, events) = (l.stats(), cleaner.calls.len(), cleaner.events.len());
+        l.note_erase(1); // flag already set: fcnt does not move
+        assert_eq!(
+            l.level(&mut cleaner).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 0 }
+        );
+        assert_eq!(cleaner.calls.len(), calls);
+        assert_eq!(cleaner.events.len(), events);
+        assert_eq!(
+            l.stats(),
+            SwlStats {
+                erases_observed: stats.erases_observed + 1,
+                ..stats
+            }
+        );
+
+        // level_step takes no notice of the latch, and leaves it alone.
+        assert_eq!(
+            l.level_step(&mut cleaner).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 1 }
+        );
+        assert_eq!(cleaner.calls.len(), calls + 1);
+        assert!(!l.needs_leveling());
+
+        // A newly set flag drops it: the next lap is over the 2 flags left.
+        assert!(l.note_erase(7));
+        assert!(l.needs_leveling());
+        let calls = cleaner.calls.len();
+        assert_eq!(
+            l.level(&mut cleaner).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 2 }
+        );
+        assert_eq!(cleaner.calls.len(), calls + 2);
+    }
+
+    #[test]
+    fn interval_reset_drops_the_stall_latch() {
+        let mut l = SwLeveler::new(4, SwlConfig::new(1, 0)).unwrap();
+        for _ in 0..10 {
+            l.note_erase(0);
+        }
+        let mut cleaner = DeadSetCleaner::new(&[2, 3]);
+        assert_eq!(
+            l.level(&mut cleaner).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 3 }
+        );
+        assert_eq!(l.fcnt(), 2);
+        // The host erases the two dead blocks itself: the BET fills, resets.
+        l.note_erase(2);
+        l.note_erase(3);
+        assert!(matches!(
+            l.level(&mut cleaner).unwrap(),
+            LevelOutcome::IntervalReset {
+                sets_cleaned: 0,
+                ..
+            }
+        ));
+        // Back at the fcnt the stall was seen at, in a new interval.
+        for _ in 0..10 {
+            l.note_erase(0);
+        }
+        l.note_erase(1);
+        assert_eq!(l.fcnt(), 2);
+        assert!(l.needs_leveling());
+        assert_eq!(
+            l.level(&mut cleaner).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 2 }
+        );
     }
 
     #[test]
@@ -998,5 +1167,119 @@ mod tests {
             l.level_step(&mut NoopCleaner).unwrap(),
             LevelOutcome::Stalled { sets_cleaned: 1 }
         );
+    }
+
+    /// `level` as it was before the stall latch: the guard fires after
+    /// `flags` fruitless sets in a row, and nothing is remembered.
+    fn level_unlatched(l: &mut SwLeveler, cleaner: &mut DeadSetCleaner) -> LevelOutcome {
+        if !l.over_threshold() {
+            return LevelOutcome::Idle;
+        }
+        let (mut sets_cleaned, mut erases_triggered, mut fruitless_sets) = (0u32, 0u64, 0usize);
+        while l.over_threshold() {
+            if l.bet.all_set() {
+                l.start_new_interval();
+                return LevelOutcome::IntervalReset {
+                    sets_cleaned,
+                    erases_triggered,
+                };
+            }
+            let (erases, progressed, was_empty) = l.clean_next_set(cleaner).unwrap();
+            erases_triggered += erases;
+            sets_cleaned += 1;
+            if was_empty && !progressed {
+                fruitless_sets += 1;
+                if fruitless_sets >= l.bet.flags() {
+                    return LevelOutcome::Stalled { sets_cleaned };
+                }
+            } else {
+                fruitless_sets = 0;
+            }
+        }
+        LevelOutcome::Leveled {
+            sets_cleaned,
+            erases_triggered,
+        }
+    }
+
+    /// What of an outcome the latch may not change: its kind and its erases.
+    fn kind_and_erases(outcome: LevelOutcome) -> (u8, u64) {
+        match outcome {
+            LevelOutcome::Idle => (0, 0),
+            LevelOutcome::Leveled {
+                erases_triggered, ..
+            } => (1, erases_triggered),
+            LevelOutcome::IntervalReset {
+                erases_triggered, ..
+            } => (2, erases_triggered),
+            LevelOutcome::Stalled { .. } => (3, 0),
+        }
+    }
+
+    proptest::proptest! {
+        /// Against a Cleaner with a fixed dead set, the latched leveler and
+        /// the loop it replaced agree on everything but the fruitless calls:
+        /// BET, `ecnt`, `fcnt`, what each pass erased, and every Cleaner call
+        /// that erased. `findex` may rest on a different flag only where
+        /// both rest on dead ones.
+        #[test]
+        fn latched_leveler_matches_the_unlatched_loop(
+            blocks in 1u32..48,
+            k in 0u32..3,
+            threshold in 1u64..5,
+            seed in proptest::prelude::any::<u64>(),
+            dead in proptest::collection::vec(0u32..48, 0..12),
+            ops in proptest::collection::vec((0u32..48, 0u32..4), 1..300),
+        ) {
+            use proptest::prop_assert_eq;
+            let dead: Vec<u32> = dead.into_iter().filter(|&b| b < blocks).collect();
+            let config = SwlConfig::new(threshold, k).with_seed(seed);
+            let mut new = SwLeveler::new(blocks, config).unwrap();
+            let mut old = new.clone();
+            let (mut new_cleaner, mut old_cleaner) =
+                (DeadSetCleaner::new(&dead), DeadSetCleaner::new(&dead));
+            for (block, op) in ops {
+                if op > 0 {
+                    // The host erasing a dead block moves its flag like any other.
+                    new.note_erase(block % blocks);
+                    old.note_erase(block % blocks);
+                    continue;
+                }
+                let lap = new.bet.flags() - new.fcnt();
+                let (calls, erasing) = (new_cleaner.calls.len(), new_cleaner.erasing_calls.len());
+                let outcome = new.level(&mut new_cleaner).unwrap();
+                let reference = level_unlatched(&mut old, &mut old_cleaner);
+                prop_assert_eq!(kind_and_erases(outcome), kind_and_erases(reference));
+                if let LevelOutcome::Stalled { sets_cleaned } = outcome {
+                    prop_assert_eq!(new_cleaner.calls.len() - calls, sets_cleaned as usize);
+                    if sets_cleaned > 0 && new_cleaner.erasing_calls.len() == erasing {
+                        // Nothing to clean: the pass was the one lap.
+                        prop_assert_eq!(sets_cleaned as usize, lap);
+                    }
+                    // A stall is final until fcnt moves.
+                    let calls = new_cleaner.calls.len();
+                    prop_assert_eq!(
+                        new.level(&mut new_cleaner).unwrap(),
+                        LevelOutcome::Stalled { sets_cleaned: 0 }
+                    );
+                    prop_assert_eq!(new_cleaner.calls.len(), calls);
+                }
+                prop_assert_eq!(new.bet.words(), old.bet.words());
+                prop_assert_eq!((new.ecnt, new.fcnt()), (old.ecnt, old.fcnt()));
+                prop_assert_eq!(&new_cleaner.erasing_calls, &old_cleaner.erasing_calls);
+                prop_assert_eq!(new.stats.swl_erases, old.stats.swl_erases);
+                prop_assert_eq!(new.stats.interval_resets, old.stats.interval_resets);
+                let dead_flag = |l: &SwLeveler| {
+                    l.bet.next_clear(l.findex).is_some_and(|f| {
+                        let first = l.bet.first_block_of(f);
+                        let count = l.bet.blocks_per_flag().min(blocks - first);
+                        (first..first + count).all(|b| dead.contains(&b))
+                    })
+                };
+                proptest::prop_assert!(
+                    new.findex == old.findex || (dead_flag(&new) && dead_flag(&old))
+                );
+            }
+        }
     }
 }

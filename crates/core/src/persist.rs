@@ -565,4 +565,42 @@ mod tests {
         restored.level(&mut Eraser).unwrap();
         assert!(!restored.needs_leveling());
     }
+
+    #[test]
+    fn stall_latch_is_not_persisted() {
+        use crate::LevelOutcome;
+        struct Stuck;
+        impl crate::SwlCleaner for Stuck {
+            type Error = std::convert::Infallible;
+            fn erase_block_set(
+                &mut self,
+                _: u32,
+                _: u32,
+                _: &mut Vec<u32>,
+            ) -> Result<(), Self::Error> {
+                Ok(())
+            }
+        }
+        let mut l = SwLeveler::new(4, SwlConfig::new(2, 0)).unwrap();
+        for _ in 0..8 {
+            l.note_erase(0);
+        }
+        let unlatched = Snapshot::capture(&l, 1).encode();
+        assert_eq!(
+            l.level(&mut Stuck).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 3 }
+        );
+        assert!(!l.needs_leveling());
+        // The latch adds nothing to the bytes (findex came back round)...
+        let bytes = Snapshot::capture(&l, 1).encode();
+        assert_eq!(bytes, unlatched);
+        // ...so the restored leveler finds the stall again, in one lap.
+        let mut restored = Snapshot::decode(&bytes).unwrap().into_leveler().unwrap();
+        assert!(restored.needs_leveling());
+        assert_eq!(
+            restored.level(&mut Stuck).unwrap(),
+            LevelOutcome::Stalled { sets_cleaned: 3 }
+        );
+        assert!(!restored.needs_leveling());
+    }
 }

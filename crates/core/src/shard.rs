@@ -22,6 +22,11 @@
 //! Ratios are compared by cross-multiplication in `u128`, so the selection
 //! is exact and deterministic (ties break toward the lowest shard index) —
 //! no floating point anywhere near the control loop.
+//!
+//! A coordinator does not decide on its own when a pass is over: every
+//! coordinator asks one [`StallRule`] which shard to step next and tells it
+//! what each step did, so the single-threaded oracle and the threaded engine
+//! take the same steps by construction.
 
 use crate::leveler::SwLeveler;
 
@@ -61,7 +66,8 @@ impl ShardView {
 pub struct ShardSnapshot {
     /// Interval-local `ecnt` / `fcnt` counters.
     pub view: ShardView,
-    /// BET flags currently set (the coordinator's per-pass step budget).
+    /// Size of the shard's BET in flags, set or clear; `flags − view.fcnt`
+    /// of them are clear, which is the [`StallRule`]'s step budget.
     pub flags: u64,
     /// Publisher-assigned epoch (monotonic per lane): a snapshot with a
     /// higher epoch supersedes any earlier one from the same lane.
@@ -129,6 +135,73 @@ pub fn worst_shard(views: &[ShardView]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
+}
+
+/// When a global-coordination pass steps and when it gives up — the
+/// multi-shard form of [`SwLeveler::level`]'s termination guard and stall
+/// latch, kept here so every coordinator applies the same one.
+///
+/// While the global unevenness is over threshold the worst shard is stepped.
+/// A step that moves neither of that shard's counters was fruitless, and
+/// leaves the same shard worst; once such steps have covered the shard's
+/// clear flags (`flags − fcnt` of them in a row) the Cleaner cannot touch any
+/// set the shard has left, by [`crate::SwlCleaner`]'s no-erase contract. The
+/// pass ends and the stall is latched on the shard's `fcnt`: the coordinator
+/// is at rest while the worst shard is one still at the `fcnt` it stalled at,
+/// however far over threshold the array is. Only an erase can change which
+/// shard is worst or move an `fcnt`. A step that does move a counter drops
+/// its shard's latch, as an interval reset does in the leveler.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StallRule {
+    /// Consecutive fruitless steps of the pass under way.
+    fruitless: u64,
+    /// Per shard, the `fcnt` at which it was last seen to stall.
+    stalled_at: Vec<Option<u64>>,
+}
+
+impl StallRule {
+    /// The rule for a coordinator over `shards` shards, none stalled.
+    pub fn new(shards: usize) -> Self {
+        Self {
+            fruitless: 0,
+            stalled_at: vec![None; shards],
+        }
+    }
+
+    /// The shard to step next, or `None` when the coordinator is at rest:
+    /// the global level is under `threshold`, or the worst shard's stall is
+    /// latched.
+    pub fn next_step(&self, views: &[ShardView], threshold: u64) -> Option<usize> {
+        if !global_over_threshold(views, threshold) {
+            return None;
+        }
+        let worst = worst_shard(views)?;
+        (self.stalled_at[worst] != Some(views[worst].fcnt)).then_some(worst)
+    }
+
+    /// Records one step on `shard`: its view `before` and `after`, and the
+    /// size of its BET ([`ShardSnapshot::flags`]). `false` ends the pass —
+    /// the shard has stalled.
+    pub fn stepped(
+        &mut self,
+        shard: usize,
+        before: ShardView,
+        after: ShardView,
+        flags: u64,
+    ) -> bool {
+        if after != before {
+            self.fruitless = 0;
+            self.stalled_at[shard] = None;
+            return true;
+        }
+        self.fruitless += 1;
+        if self.fruitless < flags - before.fcnt {
+            return true;
+        }
+        self.fruitless = 0;
+        self.stalled_at[shard] = Some(before.fcnt);
+        false
+    }
 }
 
 #[cfg(test)]
@@ -223,6 +296,56 @@ mod tests {
         let a = v(u64::MAX / 2, u64::MAX / 4);
         let b = v(u64::MAX / 2 + 1, u64::MAX / 4);
         assert_eq!(worst_shard(&[a, b]), Some(1));
+    }
+
+    #[test]
+    fn stall_rule_steps_the_worst_shard_while_over_threshold() {
+        let rule = StallRule::new(2);
+        assert_eq!(rule.next_step(&[v(2, 1), v(9, 2)], 3), Some(1));
+        assert_eq!(rule.next_step(&[v(2, 1), v(3, 2)], 3), None, "under T");
+        assert_eq!(rule.next_step(&[v(0, 0), v(0, 0)], 1), None);
+    }
+
+    #[test]
+    fn stall_rule_gives_up_after_a_lap_of_the_clear_flags() {
+        // Shard 1: 8 flags, 5 set — a lap is 3 steps.
+        let views = [v(2, 1), v(90, 5)];
+        let mut rule = StallRule::new(2);
+        for lap_step in 0..3 {
+            assert_eq!(rule.next_step(&views, 3), Some(1));
+            let go_on = rule.stepped(1, views[1], views[1], 8);
+            assert_eq!(go_on, lap_step < 2);
+        }
+        // Latched: at rest, however far over threshold.
+        assert_eq!(rule.next_step(&views, 3), None);
+        // More erases at the same fcnt change nothing...
+        assert_eq!(rule.next_step(&[v(2, 1), v(95, 5)], 3), None);
+        // ...a moved fcnt, or another shard turning worst, does.
+        assert_eq!(rule.next_step(&[v(2, 1), v(95, 6)], 3), Some(1));
+        assert_eq!(rule.next_step(&[v(99, 1), v(95, 5)], 3), Some(0));
+        // Each shard keeps its own latch.
+        assert!(!rule.stepped(0, v(99, 1), v(99, 1), 2));
+        assert_eq!(rule.next_step(&[v(99, 1), v(95, 5)], 3), None);
+        assert_eq!(rule.next_step(&[v(9, 1), v(95, 5)], 3), None);
+    }
+
+    #[test]
+    fn stall_rule_progress_restarts_the_lap_and_drops_the_latch() {
+        let mut rule = StallRule::new(1);
+        let before = v(90, 5);
+        assert!(rule.stepped(0, before, before, 8));
+        assert!(rule.stepped(0, before, before, 8));
+        // An erase: the streak starts over, three more fruitless steps fit.
+        assert!(rule.stepped(0, before, v(91, 5), 8));
+        let before = v(91, 5);
+        assert!(rule.stepped(0, before, before, 8));
+        assert!(rule.stepped(0, before, before, 8));
+        assert!(!rule.stepped(0, before, before, 8));
+        assert_eq!(rule.next_step(&[before], 3), None);
+        // A step that moves the shard (here an interval reset and regrowth
+        // to the same fcnt) forgets the stall.
+        assert!(rule.stepped(0, before, v(0, 0), 8));
+        assert_eq!(rule.next_step(&[before], 3), Some(0));
     }
 
     #[test]

@@ -71,6 +71,67 @@ fn quiet_bound_arm(arm: usize) -> PageMappedFtl {
     }
 }
 
+/// A stalled leveler costs nothing: on the `ftl_snapshots` chip of the
+/// benchmark (1024 × 128, an 8-block manifest reserve the Cleaner skips,
+/// `T = 2`) every flag but the reserve's fills, the interval can never reset,
+/// and from then on SWL-Procedure has nothing it can do. It must find that
+/// out once per set flag, not once per erase — a count, not a timing — and
+/// must stop holding the erase-free write bound at 0.
+#[test]
+fn stalled_leveler_stops_calling_the_cleaner() {
+    let config = FtlConfig::new()
+        .with_overprovision_blocks(64)
+        .with_snapshots(SnapshotConfig::new().with_manifest_blocks(4));
+    let mut ftl = PageMappedFtl::with_swl(
+        device(1024, 128),
+        config,
+        SwlConfig::new(2, 0).with_seed(42),
+    )
+    .unwrap();
+    for lba in 0..ftl.logical_pages() {
+        ftl.write(lba, lba).unwrap();
+    }
+    let stalled = |ftl: &PageMappedFtl| {
+        let swl = ftl.swl().unwrap();
+        swl.unevenness().is_some_and(|u| u >= 2.0) && !swl.needs_leveling()
+    };
+    let (mut stalled_writes, mut quiet_while_stalled) = (0u64, 0u64);
+    for i in 0..300_000u64 {
+        ftl.write(i % 4096, i).unwrap();
+        if stalled(&ftl) {
+            stalled_writes += 1;
+            // Over threshold but latched: the mapping's own bound shows through.
+            assert_eq!(ftl.quiet_writes(), nand::Mapping::quiet_writes(&*ftl));
+            quiet_while_stalled += u64::from(ftl.quiet_writes() > 0);
+        }
+    }
+    let swl = ftl.swl().unwrap();
+    let stats = swl.stats();
+    assert_eq!(
+        (swl.fcnt(), swl.bet().flags()),
+        (1016, 1024),
+        "all but the reserve"
+    );
+    assert_eq!(stats.interval_resets, 0);
+    assert!(
+        stalled_writes > 100_000,
+        "stalled for {stalled_writes} writes"
+    );
+    assert!(
+        quiet_while_stalled > stalled_writes / 2,
+        "run-ahead on {quiet_while_stalled} of {stalled_writes} stalled writes"
+    );
+    assert!(stats.erases_observed > 2_000, "{stats:?}");
+    // Each set flag is the end of at most one lap of the 8 dead flags, on top
+    // of the sets that were cleaned; the unlatched loop made 1024 calls per
+    // erase here (millions).
+    assert!(
+        stats.sets_cleaned <= stats.swl_erases + 8 * 1016,
+        "{stats:?}"
+    );
+    assert!(stats.sets_cleaned < stats.erases_observed, "{stats:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -347,7 +347,9 @@ impl<M: Mapping> SwlHost<M> {
     /// without erasing a block — and so without changing the leveler's BET,
     /// `ecnt` or `fcnt`, which only SWL-BETUpdate moves. The mapping's own
     /// bound ([`Mapping::quiet_writes`]), or `0` while a self-triggering
-    /// leveler is over its threshold: its next pass may start on any write.
+    /// leveler [needs leveling](SwLeveler::needs_leveling): its next pass may
+    /// start on any write. Over threshold with the stall latched it does not
+    /// — only an erase can drop the latch, and the bound is erase-free.
     pub fn quiet_writes(&self) -> u64 {
         match &self.swl {
             Some(swl) if !swl.config().deferred && swl.needs_leveling() => 0,

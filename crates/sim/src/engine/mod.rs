@@ -38,10 +38,12 @@
 //! is idle, and sorts ops by it:
 //!
 //! - a read, or a write whose pages every lane's budget covers while the
-//!   cached views are under threshold, goes down the pipeline like any
-//!   per-channel op. A quiet write cannot change any view, so after each of
-//!   its pages the oracle's coordinator, a pure function of the views,
-//!   returned without stepping — there is nothing to replay;
+//!   coordinator is at rest (the cached views are under threshold, or the
+//!   worst shard's stall is latched: [`StallRule::next_step`] names no
+//!   shard), goes down the pipeline like any per-channel op. A quiet write
+//!   cannot change any view, so after each of its pages the oracle's
+//!   coordinator, a pure function of the views and the latches, returned
+//!   without stepping — there is nothing to replay;
 //! - lanes may not overshoot an erase: once a view has moved, the oracle may
 //!   have stepped some lane before that lane's next page. So any other write
 //!   drains the pipeline and runs alone, one page at a time: dispatch, await,
@@ -125,7 +127,7 @@ use flash_telemetry::runtime::{EngineMetricsReport, EngineRuntime, EngineSnapsho
 use flash_telemetry::{Event, LatencyHistogram, Sink};
 use flash_trace::{Op, TraceEvent};
 use nand::{CellSpec, ChannelGeometry, DeviceCounters, EraseStats, FailureRecord, NandDevice};
-use swl_core::{global_over_threshold, worst_shard, ShardSnapshot, ShardView, SwlConfig};
+use swl_core::{ShardSnapshot, ShardView, StallRule, SwlConfig};
 
 use crate::error::SimError;
 use crate::latency::LatencyStats;
@@ -775,6 +777,9 @@ pub struct Engine {
     shards: Vec<ShardSnapshot>,
     /// `shards[lane].view`, kept contiguous for the coordinator.
     views: Vec<ShardView>,
+    /// When the Global coordinator steps and when it gives up — the rule
+    /// `StripedLayer::coordinate_swl` runs under.
+    stall: StallRule,
     /// Each lane's erase-free write bound as of its last completion.
     quiet: Vec<u64>,
     /// What is left of `quiet` after the write pages dispatched since the
@@ -1014,6 +1019,7 @@ impl Engine {
             lane_failure: vec![None; channels as usize],
             views: shards.iter().map(|s| s.view).collect(),
             shards,
+            stall: StallRule::new(channels as usize),
             budget: quiet.clone(),
             quiet,
             lane_busy: vec![0; channels as usize],
@@ -1159,14 +1165,15 @@ impl Engine {
     }
 
     /// Whether a write may run ahead under Global coordination: the
-    /// coordinator is at rest (the cached views are under threshold) and no
-    /// lane can erase while executing its pages, so no view can change
-    /// before the op completes. On `false` the engine has been drained and
-    /// the op must go through [`Engine::submit_lockstep`].
+    /// coordinator is at rest (the [`StallRule`] names no shard for the
+    /// cached views: under threshold, or over it with the worst shard's
+    /// stall latched) and no lane can erase while executing its pages, so no
+    /// view can change before the op completes. On `false` the engine has
+    /// been drained and the op must go through [`Engine::submit_lockstep`].
     fn admit_quiet(&mut self, event: &TraceEvent) -> Result<bool, SimError> {
         let at_rest = self
             .swl
-            .is_some_and(|(threshold, _)| !global_over_threshold(&self.views, threshold));
+            .is_some_and(|(threshold, _)| self.stall.next_step(&self.views, threshold).is_none());
         if at_rest && self.take_budget(event) {
             return Ok(true);
         }
@@ -1542,25 +1549,16 @@ impl Engine {
         self.budget.copy_from_slice(&self.quiet);
     }
 
-    /// Replays `StripedLayer::coordinate_swl` against the cached views:
-    /// while the global unevenness is over threshold, step the worst shard;
-    /// a full fruitless pass over every flag aborts. Adds the steps' busy
-    /// time to `lane_busy` and returns the part that landed on
-    /// `page_channel` (for page-latency attribution).
+    /// Replays `StripedLayer::coordinate_swl` against the cached views,
+    /// under the same [`StallRule`]: while it names a shard, step it. Adds
+    /// the steps' busy time to `lane_busy` and returns the part that landed
+    /// on `page_channel` (for page-latency attribution).
     fn coordinate(&mut self, op_seq: u64, page_channel: u32) -> Result<u64, SimError> {
         let Some((threshold, _)) = self.swl else {
             return Ok(0);
         };
-        let flag_budget: u64 = self.shards.iter().map(|s| s.flags).sum();
-        let mut fruitless = 0u64;
         let mut swl_on_channel = 0u64;
-        loop {
-            if !global_over_threshold(&self.views, threshold) {
-                return Ok(swl_on_channel);
-            }
-            let Some(worst) = worst_shard(&self.views) else {
-                return Ok(swl_on_channel);
-            };
+        while let Some(worst) = self.stall.next_step(&self.views, threshold) {
             let before = self.views[worst];
             self.dispatch(LaneCommand::SwlStep {
                 op_seq,
@@ -1571,15 +1569,12 @@ impl Engine {
             if worst as u32 == page_channel {
                 swl_on_channel += completion.busy_delta;
             }
-            if self.views[worst] == before {
-                fruitless += 1;
-                if fruitless > flag_budget {
-                    return Ok(swl_on_channel);
-                }
-            } else {
-                fruitless = 0;
+            let flags = self.shards[worst].flags;
+            if !self.stall.stepped(worst, before, self.views[worst], flags) {
+                break;
             }
         }
+        Ok(swl_on_channel)
     }
 
     /// Drain barrier: blocks until every accepted op has completed and been

@@ -25,7 +25,7 @@
 use flash_telemetry::{Event, NullSink, SharedSink, Sink};
 use flash_trace::{Op, TraceEvent};
 use nand::{CellSpec, ChannelGeometry, DeviceCounters, EraseStats, NandDevice};
-use swl_core::{global_over_threshold, worst_shard, ShardView, SwLeveler, SwlConfig};
+use swl_core::{ShardView, StallRule, SwLeveler, SwlConfig};
 
 use crate::error::SimError;
 use crate::latency::LatencyStats;
@@ -70,6 +70,10 @@ pub struct StripedLayer<S: Sink = NullSink> {
     swl: Option<(u64, u32)>,
     last_channel: u32,
     logical_pages: u64,
+    /// When the Global coordinator steps and when it gives up.
+    stall: StallRule,
+    /// The coordinator's view of every lane, rebuilt on each call.
+    views: Vec<ShardView>,
 }
 
 impl StripedLayer<NullSink> {
@@ -157,6 +161,8 @@ impl<S: Sink> StripedLayer<S> {
             swl: swl.map(|s| (s.threshold, s.k)),
             last_channel: 0,
             logical_pages,
+            stall: StallRule::new(channels as usize),
+            views: Vec::with_capacity(channels as usize),
         })
     }
 
@@ -244,12 +250,13 @@ impl<S: Sink> StripedLayer<S> {
         self.lanes[channel as usize].read(lane_lba)
     }
 
-    /// The global-coordination loop: while `Σecnt / Σfcnt ≥ T`, run one
-    /// SWL-Procedure step on the worst shard. Terminates because each step
-    /// either erases (growing `fcnt` faster than the threshold for a stable
-    /// `T > 2^k`), resets a full shard interval (dropping its counters to
-    /// zero), or makes no progress at all — and a bounded streak of
-    /// no-progress steps aborts the loop.
+    /// The global-coordination loop: while [`StallRule::next_step`] names a
+    /// shard — `Σecnt / Σfcnt ≥ T` and the worst shard is not known to be
+    /// stalled — run one SWL-Procedure step on it. Terminates because each
+    /// step either erases (growing `fcnt` faster than the threshold for a
+    /// stable `T > 2^k`), resets a full shard interval (dropping its counters
+    /// to zero), or makes no progress at all — and the rule ends the pass
+    /// after a lap of the shard's clear flags without progress.
     fn coordinate_swl(&mut self) -> Result<(), SimError> {
         if self.coordination != SwlCoordination::Global || self.geometry.channels() <= 1 {
             return Ok(());
@@ -257,43 +264,23 @@ impl<S: Sink> StripedLayer<S> {
         let Some((threshold, _)) = self.swl else {
             return Ok(());
         };
-        // A stalled Cleaner (nothing to recycle anywhere) advances no
-        // counter; give up after one fruitless pass over every flag.
-        let flag_budget: u64 = self
-            .lanes
-            .iter()
-            .filter_map(|l| l.swl())
-            .map(|s| s.bet().flags() as u64)
-            .sum();
-        let mut fruitless = 0u64;
-        loop {
-            let views: Vec<ShardView> = self
-                .lanes
-                .iter()
-                .map(|l| l.swl().map(ShardView::of).unwrap_or_default())
-                .collect();
-            if !global_over_threshold(&views, threshold) {
-                return Ok(());
-            }
-            let Some(worst) = worst_shard(&views) else {
-                return Ok(());
-            };
-            let before = (views[worst].ecnt, views[worst].fcnt);
+        let view = |l: &Layer<SharedSink<S>>| l.swl().map(ShardView::of).unwrap_or_default();
+        self.views.clear();
+        self.views.extend(self.lanes.iter().map(view));
+        while let Some(worst) = self.stall.next_step(&self.views, threshold) {
+            let before = self.views[worst];
             self.mark_channel(worst as u32);
             self.lanes[worst].run_swl_step()?;
-            let after = self.lanes[worst]
+            let swl = self.lanes[worst]
                 .swl()
-                .map(ShardView::of)
-                .unwrap_or_default();
-            if (after.ecnt, after.fcnt) == before {
-                fruitless += 1;
-                if fruitless > flag_budget {
-                    return Ok(());
-                }
-            } else {
-                fruitless = 0;
+                .expect("a shard with set flags has a leveler");
+            self.views[worst] = ShardView::of(swl);
+            let flags = swl.bet().flags() as u64;
+            if !self.stall.stepped(worst, before, self.views[worst], flags) {
+                break;
             }
         }
+        Ok(())
     }
 
     /// Attaches (or replaces) lane `channel`'s SW Leveler — e.g. one
@@ -302,6 +289,8 @@ impl<S: Sink> StripedLayer<S> {
         let config = swl.config();
         self.swl = Some((config.threshold, config.k));
         self.lanes[channel as usize].attach_swl(swl);
+        // A stall seen on the leveler this one replaces says nothing about it.
+        self.stall = StallRule::new(self.lanes.len());
     }
 
     /// Shuts every lane down, returning the chips in channel order (each
@@ -352,6 +341,8 @@ impl<S: Sink> StripedLayer<S> {
             swl: None,
             last_channel: 0,
             logical_pages,
+            stall: StallRule::new(geometry.channels() as usize),
+            views: Vec::with_capacity(geometry.channels() as usize),
         })
     }
 

@@ -11,14 +11,15 @@
 //! for the threaded engine.
 
 use flash_sim::{
-    Engine, EngineConfig, LayerKind, SimConfig, Simulator, StopCondition, StripedLayer,
+    Engine, EngineConfig, Layer, LayerKind, SimConfig, Simulator, StopCondition, StripedLayer,
     StripedReport, SwlCoordination, TranslationLayer,
 };
+use flash_telemetry::Sink;
 use flash_trace::{Op, SyntheticTrace, TraceEvent, WorkloadSpec};
-use ftl::FtlConfig;
+use ftl::{FtlConfig, SnapshotConfig};
 use hotid::HotDataConfig;
 use nand::{CellKind, CellSpec, ChannelGeometry, FaultPlan, Geometry};
-use swl_core::SwlConfig;
+use swl_core::{SwlConfig, SwlStats};
 
 const LANE_BLOCKS: u32 = 32;
 const PAGES: u32 = 8;
@@ -336,6 +337,77 @@ fn ftl_program_faults_four_channels_global() {
         ..SimConfig::default()
     };
     engine_matches_oracle_with(LayerKind::Ftl, 4, SwlCoordination::Global, &[32], &layers);
+}
+
+/// Everything a lane's leveler holds: `(ecnt, fcnt, findex, stats)`.
+type LevelerState = (u64, usize, usize, SwlStats);
+
+fn leveler_state<S: Sink>(lanes: &[Layer<S>]) -> Vec<LevelerState> {
+    lanes
+        .iter()
+        .map(|lane| {
+            let swl = lane.swl().expect("lanes are built with a leveler");
+            (swl.ecnt(), swl.fcnt(), swl.findex(), swl.stats())
+        })
+        .collect()
+}
+
+/// Lanes with a snapshot-manifest reserve, driven until every shard has
+/// stalled on it: the reserve's flags can never be set, so no interval ever
+/// resets and the array sits over threshold for good. Engine and oracle
+/// must still agree bit for bit — down to each leveler's step count and
+/// cursor, since both run `swl_core::StallRule` — and once the stalls are
+/// latched the coordinator must cost nothing: no further `SwlStep`, and
+/// writes running ahead again instead of every one coordinating.
+#[test]
+fn ftl_reserved_lanes_global_past_the_stall() {
+    let layers = SimConfig {
+        ftl: FtlConfig::default().with_snapshots(SnapshotConfig::new().with_manifest_blocks(1)),
+        ..SimConfig::default()
+    };
+    let (kind, channels, global, seed) = (LayerKind::Ftl, 4, SwlCoordination::Global, 0x57A1);
+    // `level_step` counts one activation per `SwlStep` command.
+    let steps =
+        |state: &[LevelerState]| -> u64 { state.iter().map(|(.., stats)| stats.activations).sum() };
+    // Per horizon: (`SwlStep` commands, ops that ran ahead, reads).
+    let past_stall = [12_000u64, 16_000].map(|events| {
+        let stop = StopCondition::events(events);
+        let (reference_report, reference_layer) =
+            reference_with(kind, channels, global, 1_000_000, stop, seed, &layers);
+        let oracle_state = leveler_state(reference_layer.lanes());
+        for &(ecnt, fcnt, ..) in &oracle_state {
+            assert_eq!(fcnt, LANE_BLOCKS as usize - 2, "all but the reserve");
+            assert!(ecnt >= 8 * fcnt as u64, "every shard over threshold");
+        }
+        let reads = trace(reference_layer.logical_pages(), seed)
+            .take(events as usize)
+            .filter(|e| e.op == Op::Read)
+            .count() as u64;
+        let quiet_ops = [1u32, 2].map(|threads| {
+            let config = EngineConfig::default()
+                .with_threads(threads)
+                .with_queue_depth(32);
+            let run = engine_with(
+                kind, channels, global, 1_000_000, stop, seed, config, &layers,
+            );
+            assert_eq!(run.report, reference_report, "threads={threads}");
+            assert_eq!(
+                leveler_state(run.lanes()),
+                oracle_state,
+                "threads={threads}"
+            );
+            run.quiet_ops
+        });
+        assert_eq!(quiet_ops[0], quiet_ops[1], "thread count changed the split");
+        (steps(&oracle_state), quiet_ops[0], reads)
+    });
+    let [(early_steps, early_quiet, early_reads), (late_steps, late_quiet, late_reads)] =
+        past_stall;
+    assert_eq!(late_steps, early_steps, "SwlStep commands after the stall");
+    assert!(
+        late_quiet - early_quiet > late_reads - early_reads,
+        "no write ran ahead after the stall"
+    );
 }
 
 #[test]
