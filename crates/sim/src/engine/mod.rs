@@ -3,12 +3,14 @@
 //! [`Simulator::run_striped`](crate::Simulator::run_striped) overlaps
 //! channels only in *virtual* time: one thread walks the trace and a
 //! [`ChannelScheduler`] replays the per-lane busy deltas. This module runs
-//! the same array on real cores: each channel lane (translation layer +
-//! NAND device) is owned by a worker thread, fed through a bounded per-lane
-//! command queue ([`ShardQueue`]) and drained through a shared completion
-//! queue. The front-end ([`Engine`]) accepts in-flight host requests up to
-//! a configurable queue depth and finalizes them strictly in submission
-//! order.
+//! the same array on real cores: the channel lanes (translation layer +
+//! NAND device) are dealt into one group per worker thread, each group fed
+//! through a bounded command queue ([`ShardQueue`]) and drained through a
+//! shared completion queue. A group's commands are executed by whoever holds
+//! its *claim* — its worker, or the front-end at a point where it would
+//! otherwise sit and wait for that worker (see *Who runs a command*). The
+//! front-end ([`Engine`]) accepts in-flight host requests up to a
+//! configurable queue depth and finalizes them strictly in submission order.
 //!
 //! # Determinism
 //!
@@ -18,8 +20,9 @@
 //! holds by construction:
 //!
 //! - all wear/GC/SWL state is lane-local and each lane executes its
-//!   sub-request stream in submission order (per-lane FIFO queues), so lane
-//!   state never depends on cross-lane interleaving;
+//!   sub-request stream in submission order (a FIFO queue per group,
+//!   consumed by one claim holder at a time), so lane state never depends on
+//!   cross-lane interleaving — or on which thread did the executing;
 //! - write tokens are assigned by the front-end in global trace order,
 //!   exactly as the virtual-time loop does;
 //! - everything *derived across lanes* (op latencies, makespan, first
@@ -60,31 +63,108 @@
 //! [`EngineRun::coordinated_ops`] count the ops on each path. Per-channel
 //! SWL and SWL-less runs keep full run-ahead at any queue depth.
 //!
+//! # Who runs a command
+//!
+//! A simulated page costs the lane about 50 ns; waking a parked thread costs
+//! about 5 µs. A front-end that dispatches one command and then parks until
+//! a worker has been woken to run it — every blocking read, every page of a
+//! coordinated write, every op at queue depth 1 — pays a hundred times the
+//! work in hand-off. So the work is not tied to a thread:
+//!
+//! - **The claim.** Each group's lanes live behind one mutex (`LaneClaim`),
+//!   and holding its guard is the right to run the group: *only the claim
+//!   holder pops the group's command queue, it executes what it popped in
+//!   order, and it hands the completions over before it lets the claim go.*
+//!   That keeps per-lane FIFO and per-lane acknowledgement order no matter
+//!   how holders alternate. The lock is taken once per burst — not per
+//!   command, and not per field of the lane — and `execute` is the one
+//!   function that runs a `LaneCommand`, for either kind of holder.
+//! - **Help-or-wait.** Wherever the front-end would park — `flush`, the
+//!   window backpressure of a pipelined submit, the await of a coordinated
+//!   page, SWL step or admin verb — it first takes what has already
+//!   completed; else it `try_lock`s every group, and for each claim it gets
+//!   drains the completion queue (acknowledgements the group's worker handed
+//!   over earlier are older, so they go first), pops the group's commands
+//!   and executes them straight into its own `acks`. It parks on the
+//!   completion queue only if all of that produced nothing: then every
+//!   awaited command is in the hands of a worker that is running right now.
+//! - **The deferred doorbell.** `dispatch` enqueues with
+//!   [`ShardQueue::push_deferred`], which wakes a parked worker only once
+//!   the backlog reaches half the queue's capacity — half an in-flight
+//!   window, so the worker has that much to run while the front-end fills
+//!   the other half. A worker parks with [`ShardQueue::wait`], *without
+//!   taking* anything, holding no claim, and **only on an empty queue**;
+//!   woken (or finding the queue non-empty), it takes the claim and pops in
+//!   a loop while commands keep arriving. [`Engine::new`] returns with every
+//!   worker parked, so the first thing a worker ever sees is a doorbell.
+//! - **No core, no doorbell.** Half a window is worth a wake only if the
+//!   worker then runs *beside* the front-end. The workers inherit the
+//!   affinity mask of the thread that builds the engine; when that mask (as
+//!   [`std::thread::available_parallelism`] counts it) holds a single CPU, a
+//!   woken worker can only pre-empt the caller, run what the caller would
+//!   have run at its next park, and go back to sleep — two context switches
+//!   per half window for no overlap, at a wall-clock cost that depends on
+//!   when the scheduler lets it in and so differs from one run to the next
+//!   (EXPERIMENTS.md has the spreads). So on such a host the command
+//!   queues are built with the doorbell at their full capacity
+//!   ([`ShardQueue::with_doorbell`]): the front-end runs every command
+//!   itself, the workers sleep until teardown, and which thread executes
+//!   what no longer depends on timing at all. Same code path, same rules —
+//!   a queue that fills still rings — only the mark moves. It is read once,
+//!   in [`Engine::new`], not from a setting.
+//!
+//! No wake-up can be lost, because of what those two rules leave possible. A
+//! parked worker holds no claim, so a front-end that needs a backlog run can
+//! always claim a parked worker's group and run it. And a front-end whose
+//! `try_lock` fails is failing against a worker that is awake and will look
+//! at its queue again before it parks — it cannot park on a non-empty queue
+//! — so everything queued so far gets executed, and its completions pushed
+//! (an eager, waiter-gated wake) to the completion queue the front-end is
+//! parked on.
+//!
+//! Two nearby designs were measured and rejected. *Helping with an eager
+//! doorbell*: the first write after every blocking read woke the worker,
+//! which pre-empted the caller to run exactly one command and park again —
+//! thousands of wakes per benchmark repetition, each for one command, and a
+//! whole-repetition throughput a third of what the fastest slices showed.
+//! *A consumer-side threshold* (the worker parks asking to be woken at half
+//! a window, `push` unchanged): a worker that had just let its claim go
+//! parked on a non-empty, below-threshold queue while the front-end, whose
+//! `try_lock` had failed a moment earlier, parked on completions — every
+//! thread asleep. Hence the threshold on the producer side and the
+//! empty-queue rule on the consumer side.
+//!
+//! A claim holder that panics poisons the claim. The next party to touch it
+//! panics in turn (`lane worker N panicked …`) instead of waiting for
+//! acknowledgements that will never come, and a worker that unwinds closes
+//! the completion queue so that a front-end already parked there fails its
+//! assert too.
+//!
 //! # Crossings and pooled records
 //!
-//! A simulated page costs the lane about 50 ns; a queue crossing that wakes
-//! a thread costs about 5 µs and even an uncontended one is a lock round
-//! trip. So the engine crosses its queues once per *burst*, and the records
-//! that cross are reused rather than reallocated:
+//! Even an uncontended queue crossing is a lock round trip. So the engine
+//! crosses its queues once per *burst*, and the records that cross are
+//! reused rather than reallocated:
 //!
-//! - A worker takes everything on its command queue in one
-//!   [`ShardQueue::pop_all`] into a private inbox, executes it in order, and
-//!   keeps the completions in a private outbox. The hand-over point is
-//!   *inbox dry*: only then does it `push_all` the outbox, and only after
-//!   that may it park on the command queue. Earlier would be a crossing per
-//!   command again; later could deadlock — the front-end may be parked
-//!   waiting for exactly those completions, with nothing more to send until
-//!   it gets them. Burst size is nobody's setting: it is however far the
-//!   producer got ahead while the consumer was busy, 1 at queue depth 1 and
-//!   up to the whole in-flight window when the threads share a core.
+//! - A claim holder takes everything on the group's command queue in one
+//!   [`ShardQueue::try_pop_all`] into a private inbox and executes it in
+//!   order. A worker keeps the completions in a private outbox and hands
+//!   them over at *inbox dry*, in one `push_all`, before it looks at the
+//!   command queue again: earlier would be a crossing per command; later —
+//!   after the claim has gone, or after parking — could reorder a lane's
+//!   acknowledgements or leave the front-end waiting for completions nobody
+//!   is going to send. The front-end's completions never cross at all.
+//!   Burst size is nobody's setting: it is however far the producer got
+//!   ahead before somebody took the claim, 1 at queue depth 1 and up to the
+//!   whole in-flight window when the threads share a core.
 //! - The front-end drains the completion queue the same way (into `acks`)
 //!   in `submit_pipelined`, `flush`, and the barriers of coordinated ops and
 //!   admin verbs, and always consumes what it drained before returning.
 //! - A `Vec<PageCmd>` is owned by exactly one party at a time: the
 //!   front-end's routing scratch while an op's pages are being routed, the
-//!   `LaneCommand::Exec` that carries it to the worker, the worker while it
-//!   fills the result slots (page latency, read value) of the pages it
-//!   executed, the `LaneCompletion` that carries it back together with
+//!   `LaneCommand::Exec` that carries it to the group, the claim holder
+//!   while it fills the result slots (page latency, read value) of the pages
+//!   it executed, the `LaneCompletion` that carries it back together with
 //!   the `executed` count, the `PendingOp` that holds it until the op is
 //!   finalized in submission order — which reads `pages[..executed]` and
 //!   nothing past it — and then the front-end's pool, *cleared*, so the next
@@ -92,7 +172,9 @@
 //!   returns its two vectors with `lane_busy` zeroed and `results` empty.
 //!   The pools hold at most what the in-flight window had in use at its
 //!   peak (queue depth × lanes page buffers), and a steady-state op
-//!   allocates nothing on either thread (`tests/engine_allocs.rs`).
+//!   allocates nothing on either thread (`tests/engine_allocs.rs`): the
+//!   front-end's inbox is one reused `VecDeque`, so helping allocates
+//!   nothing either.
 //!
 //! None of this touches what the determinism argument rests on: per-lane
 //! execution order, token assignment, finalize order and lowest-ordinal
@@ -104,8 +186,13 @@
 //! where *wall-clock* time goes, without touching any simulation state:
 //! per-worker busy/starved/backpressured time from monotonic timestamps,
 //! per-lane wall busy time, queue occupancy gauges with high-water marks,
-//! and wall-clock latency histograms (per-worker command execution, and
-//! front-end submit-to-finalize per host op). Counters live in a shared
+//! and wall-clock latency histograms (command execution, and front-end
+//! submit-to-finalize per host op). A command is timed and charged once, by
+//! whoever ran it: always to its lane and to the merged command histogram,
+//! and to a worker slot only when a worker *thread* ran it — what the
+//! front-end ran under a claim is counted in [`EngineRun::helped_commands`]
+//! instead, so a worker's `busy_frac` near 0 on a one-CPU host means the
+//! caller did the work, not that nothing happened. Counters live in a shared
 //! [`EngineRuntime`] atomics block, so an [`EngineSnapshot`] can be read
 //! mid-run through [`Engine::metrics_handle`] while workers keep running;
 //! the final [`EngineMetricsReport`] lands on [`EngineRun::metrics`]. The
@@ -117,7 +204,7 @@ pub mod queue;
 
 use std::collections::{vec_deque, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -286,12 +373,36 @@ struct LaneCompletion {
     quiet: u64,
 }
 
-/// One lane owned by a worker thread.
+/// One lane of a group. Nobody owns it outright: whoever holds the group's
+/// [`LaneClaim`] executes on it.
 struct WorkerLane {
     channel: u32,
     layer: Layer<EngineSink>,
     epoch: Arc<AtomicU64>,
     snap_epoch: u64,
+}
+
+/// The lanes of one worker's group, behind the lock that *is* the claim:
+/// holding the guard is the right to pop the group's command queue and to
+/// execute on its lanes (module docs, *Who runs a command*). Taken once per
+/// burst, never per field or per command.
+type LaneClaim = Arc<Mutex<Vec<WorkerLane>>>;
+
+/// Whether a woken lane worker would have a CPU to run on beside the
+/// caller's. The threads an engine spawns inherit the affinity mask of the
+/// thread that builds it, which is what `available_parallelism` counts (an
+/// unknown count is taken to mean there is one).
+fn spare_core() -> bool {
+    std::thread::available_parallelism().map_or(true, |cpus| cpus.get() > 1)
+}
+
+/// A group's claim is poisoned or its worker's join failed: somebody
+/// panicked mid-command, the lanes are in no known state, and the caller
+/// must fail rather than wait for acknowledgements that will never come.
+#[cold]
+#[inline(never)]
+fn worker_died(group: usize) -> ! {
+    panic!("lane worker {group} panicked (or a front-end running its lanes did) mid-command")
 }
 
 /// The lane's leveler summary stamped with `epoch` (an all-zero view when no
@@ -306,20 +417,90 @@ fn shard_snapshot(layer: &Layer<EngineSink>, epoch: u64) -> ShardSnapshot {
     }
 }
 
-/// What a worker hands back on shutdown: its lanes, tagged by channel, plus
-/// its wall-clock command-latency histogram (empty when metrics were off).
-type ReturnedLanes = (Vec<(u32, Layer<EngineSink>)>, LatencyHistogram);
+/// Runs one command on the lane of `lanes` it addresses — the only place a
+/// [`LaneCommand`] executes, called by whoever holds the group's claim.
+fn execute(lanes: &mut [WorkerLane], command: LaneCommand) -> LaneCompletion {
+    let (op_seq, lane_id) = match &command {
+        LaneCommand::Exec { op_seq, lane, .. }
+        | LaneCommand::SwlStep { op_seq, lane }
+        | LaneCommand::Admin { op_seq, lane, .. } => (*op_seq, *lane),
+    };
+    let wl = lanes
+        .iter_mut()
+        .find(|w| w.channel == lane_id)
+        .expect("command routed to a group that does not hold the lane");
+    wl.epoch.store(op_seq, Ordering::Relaxed);
+    let busy_before = wl.layer.device().busy_ns();
+    let mut pages = Vec::new();
+    let mut executed = 0u32;
+    let mut error = None;
+    match command {
+        LaneCommand::Exec {
+            op, pages: batch, ..
+        } => {
+            pages = batch;
+            for page in &mut pages {
+                let page_before = wl.layer.device().busy_ns();
+                let result = match op {
+                    Op::Write => wl.layer.write(page.lane_lba, page.token),
+                    Op::Read => wl.layer.read(page.lane_lba).map(|value| page.value = value),
+                };
+                match result {
+                    Ok(()) => {
+                        page.latency = wl.layer.device().busy_ns() - page_before;
+                        executed += 1;
+                    }
+                    Err(e) => {
+                        error = Some((page.ordinal, e));
+                        break;
+                    }
+                }
+            }
+        }
+        LaneCommand::SwlStep { .. } => {
+            if let Err(e) = wl.layer.run_swl_step() {
+                error = Some((SWL_ORDINAL, e));
+            }
+        }
+        LaneCommand::Admin { verb, .. } => {
+            let result = match verb {
+                AdminVerb::Create(id) => wl.layer.snapshot_create(id),
+                AdminVerb::Delete(id) => wl.layer.snapshot_delete(id),
+                AdminVerb::Clone(id) => wl.layer.snapshot_clone(id),
+                AdminVerb::Merge(id) => wl.layer.snapshot_merge(id),
+            };
+            if let Err(e) = result {
+                error = Some((SWL_ORDINAL, e));
+            }
+        }
+    }
+    wl.snap_epoch += 1;
+    LaneCompletion {
+        op_seq,
+        lane: lane_id,
+        busy_delta: wl.layer.device().busy_ns() - busy_before,
+        pages,
+        executed,
+        error,
+        failure: wl.layer.device().first_failure(),
+        shard: shard_snapshot(&wl.layer, wl.snap_epoch),
+        quiet: wl.layer.quiet_writes(),
+    }
+}
 
 /// Signature shared by both monomorphizations of [`worker_loop`], so
 /// [`Engine::new`] can pick the instrumented or the compiled-out body at
-/// runtime while each stays a static, fully inlined function.
+/// runtime while each stays a static, fully inlined function. A worker
+/// returns its wall-clock command-latency histogram (empty when metrics were
+/// off); the lanes stay behind in the claim.
 type WorkerBody = fn(
     usize,
-    Vec<WorkerLane>,
+    usize,
+    LaneClaim,
     Arc<ShardQueue<LaneCommand>>,
     Arc<ShardQueue<LaneCompletion>>,
     Arc<EngineRuntime>,
-) -> ReturnedLanes;
+) -> LatencyHistogram;
 
 /// Saturating nanoseconds since `t` (monotonic).
 pub(crate) fn since_ns(t: Instant) -> u64 {
@@ -337,32 +518,36 @@ fn ns_between(a: Instant, b: Instant) -> u64 {
 /// eagerly so a parked worker never holds back its numbers.
 const FLUSH_EVERY: u64 = 64;
 
-/// Thread-local metrics accumulator for one worker.
+/// Thread-local metrics accumulator for one executor of lane commands: a
+/// worker thread, or the front-end while it runs a claimed group's backlog.
 ///
 /// The instrumented fast path takes exactly one `Instant::now()` per
 /// command: `mark` chains from command to command, so a command's busy
 /// span absorbs the queue handling around it and *idle* is reduced to
 /// scheduler preemption plus shutdown drain. Counter deltas stay local and
 /// hit the [`EngineRuntime`] atomics only every [`FLUSH_EVERY`] commands or
-/// when the worker is about to block — that keeps the metrics-on overhead
-/// inside the `telbench` budget even on a single hardware thread, where
-/// every clock read is serial work.
+/// when the executor is about to block or is done helping — that keeps the
+/// metrics-on overhead inside the `telbench` budget even on a single
+/// hardware thread, where every clock read is serial work.
 struct WorkerMeter {
     spawned: Instant,
-    /// When the previous command finished (or the worker last unparked).
+    /// When the previous command finished (or the executor last unparked or
+    /// took a claim).
     mark: Instant,
     busy_ns: u64,
     starved_ns: u64,
     backpressure_ns: u64,
     commands: u64,
     pages: u64,
-    /// Per-owned-lane `(channel, busy_ns, commands, pages)` deltas.
-    lanes: Vec<(u32, u64, u64, u64)>,
+    /// Per-lane `(busy_ns, commands, pages)` deltas, channel-indexed.
+    lanes: Vec<(u64, u64, u64)>,
     since_flush: u64,
+    /// Wall-clock latency of every command this executor ran.
+    cmd_latency: LatencyHistogram,
 }
 
 impl WorkerMeter {
-    fn new(lanes: &[WorkerLane]) -> Self {
+    fn new(channels: usize) -> Self {
         let now = Instant::now();
         Self {
             spawned: now,
@@ -372,44 +557,63 @@ impl WorkerMeter {
             backpressure_ns: 0,
             commands: 0,
             pages: 0,
-            lanes: lanes.iter().map(|w| (w.channel, 0, 0, 0)).collect(),
+            lanes: vec![(0, 0, 0); channels],
             since_flush: 0,
+            cmd_latency: LatencyHistogram::new(),
         }
     }
 
-    fn add_command(&mut self, lane: u32, ns: u64, pages: u64) {
+    /// Times the command `completion` acknowledges (from `mark` to now) and
+    /// charges it, once, to the executor and to its lane.
+    fn command(&mut self, completion: &LaneCompletion) {
+        let ns = self.lap();
+        self.cmd_latency.record(ns);
+        let pages = u64::from(completion.executed);
         self.busy_ns += ns;
         self.commands += 1;
         self.pages += pages;
-        let slot = self
-            .lanes
-            .iter_mut()
-            .find(|(channel, ..)| *channel == lane)
-            .expect("metered command on a lane this worker does not own");
-        slot.1 += ns;
-        slot.2 += 1;
-        slot.3 += pages;
+        let lane = &mut self.lanes[completion.lane as usize];
+        lane.0 += ns;
+        lane.1 += 1;
+        lane.2 += pages;
         self.since_flush += 1;
     }
 
-    /// Publishes the accumulated deltas to the shared atomics and resets.
-    fn flush(&mut self, runtime: &EngineRuntime, worker: usize) {
-        if self.commands > 0 {
-            runtime
-                .worker(worker)
-                .add_busy(self.busy_ns, self.commands, self.pages);
+    /// Nanoseconds since `mark`, restarting the chain from now.
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = ns_between(self.mark, now);
+        self.mark = now;
+        ns
+    }
+
+    /// Before worker thread `worker` blocks: the time since the last command
+    /// was queue handling, and a parked worker holds back no numbers.
+    fn blocking(&mut self, runtime: &EngineRuntime, worker: usize) {
+        self.busy_ns += self.lap();
+        self.flush(runtime, Some(worker));
+    }
+
+    /// Publishes the accumulated deltas to the shared atomics and resets:
+    /// the lane tallies always, the executor's own only into a `worker`
+    /// slot — the slots describe the worker *threads*, so what the front-end
+    /// ran under a claim shows in the lanes and nowhere else.
+    fn flush(&mut self, runtime: &EngineRuntime, worker: Option<usize>) {
+        if let Some(worker) = worker {
+            let slot = runtime.worker(worker);
+            if self.commands > 0 {
+                slot.add_busy(self.busy_ns, self.commands, self.pages);
+            }
+            if self.starved_ns > 0 {
+                slot.add_starved(self.starved_ns);
+            }
+            if self.backpressure_ns > 0 {
+                slot.add_backpressure(self.backpressure_ns);
+            }
         }
-        if self.starved_ns > 0 {
-            runtime.worker(worker).add_starved(self.starved_ns);
-        }
-        if self.backpressure_ns > 0 {
-            runtime.worker(worker).add_backpressure(self.backpressure_ns);
-        }
-        for (channel, ns, commands, pages) in &mut self.lanes {
+        for (channel, (ns, commands, pages)) in self.lanes.iter_mut().enumerate() {
             if *commands > 0 {
-                runtime
-                    .lane(*channel as usize)
-                    .add_commands(*ns, *commands, *pages);
+                runtime.lane(channel).add_commands(*ns, *commands, *pages);
             }
             *ns = 0;
             *commands = 0;
@@ -424,152 +628,105 @@ impl WorkerMeter {
     }
 }
 
+/// Closes the completion queue if the worker unwinds, so a front-end already
+/// parked on it fails its "closed with ops in flight" assert instead of
+/// waiting forever for acknowledgements that will never come. (One that is
+/// not parked yet finds the claim poisoned.)
+struct CloseOnPanic<'a>(&'a ShardQueue<LaneCompletion>);
+
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
 fn worker_loop<const METRICS: bool>(
     worker: usize,
-    mut lanes: Vec<WorkerLane>,
+    channels: usize,
+    claim: LaneClaim,
     commands: Arc<ShardQueue<LaneCommand>>,
     completions: Arc<ShardQueue<LaneCompletion>>,
     runtime: Arc<EngineRuntime>,
-) -> ReturnedLanes {
-    let mut meter = METRICS.then(|| WorkerMeter::new(&lanes));
-    let mut cmd_latency = LatencyHistogram::new();
+) -> LatencyHistogram {
+    let _close_on_panic = CloseOnPanic(&completions);
+    let mut meter = METRICS.then(|| WorkerMeter::new(channels));
     // The burst in hand: commands taken off the queue in one crossing, and
     // the acknowledgements of those already executed.
     let mut inbox: VecDeque<LaneCommand> = VecDeque::new();
     let mut outbox: Vec<LaneCompletion> = Vec::new();
+    // Both monomorphizations make the same queue and lock calls, so
+    // metrics-on differs from metrics-off only by the timestamp and counter
+    // arithmetic — not by locking or wakeup patterns. The clock is read only
+    // around an actual block, and the meter is flushed before parking.
     loop {
-        let Some(command) = inbox.pop_front() else {
-            // Inbox dry: hand the burst's completions over in one crossing,
-            // then take the next burst. In this order, so the worker never
-            // parks on its command queue holding an acknowledgement the
-            // front-end may be waiting for.
-            //
-            // Both monomorphizations take the same try-then-block queue
-            // calls, so metrics-on differs from metrics-off only by the
-            // timestamp and counter arithmetic — not by locking or wakeup
-            // patterns. The clock is read only around an actual block, and
-            // the meter is flushed before parking either way. A closed
-            // completion queue means the front-end is tearing down and no
-            // longer consumes acknowledgements; `push_all` drops them.
+        // Park without taking, holding nothing, and only on an empty queue.
+        if commands.is_empty() {
+            if let Some(meter) = meter.as_mut() {
+                meter.blocking(&runtime, worker);
+            }
+            if !commands.wait() {
+                // Closed and drained: the wait for shutdown lands in the
+                // derived idle remainder, not starvation.
+                break;
+            }
+            if let Some(meter) = meter.as_mut() {
+                meter.starved_ns += meter.lap();
+            }
+        }
+        // Something is queued: take the claim — waiting out a front-end that
+        // is running this group's backlog itself is starvation too.
+        let mut lanes = match claim.try_lock() {
+            Ok(lanes) => lanes,
+            Err(TryLockError::WouldBlock) => {
+                if let Some(meter) = meter.as_mut() {
+                    meter.blocking(&runtime, worker);
+                }
+                let lanes = claim.lock().unwrap_or_else(|_| worker_died(worker));
+                if let Some(meter) = meter.as_mut() {
+                    meter.starved_ns += meter.lap();
+                }
+                lanes
+            }
+            Err(TryLockError::Poisoned(_)) => worker_died(worker),
+        };
+        // Under the claim: pop, execute in order, and hand the burst's
+        // completions over *before* the claim goes — the next holder's
+        // acknowledgements for these lanes must queue up behind them. Keep
+        // going while commands keep arriving; whatever arrives after the
+        // last look is seen by the `is_empty` above before this thread can
+        // park. A closed completion queue means the front-end is tearing
+        // down and no longer consumes acknowledgements; `push_all` drops
+        // them.
+        while commands.try_pop_all(&mut inbox) {
+            for command in inbox.drain(..) {
+                let completion = execute(&mut lanes, command);
+                if let Some(meter) = meter.as_mut() {
+                    meter.command(&completion);
+                    if meter.since_flush >= FLUSH_EVERY {
+                        meter.flush(&runtime, Some(worker));
+                    }
+                }
+                outbox.push(completion);
+            }
             if !completions.try_push_all(&mut outbox) {
                 if let Some(meter) = meter.as_mut() {
-                    meter.flush(&runtime, worker);
+                    meter.flush(&runtime, Some(worker));
                 }
                 completions.push_all(&mut outbox);
                 if let Some(meter) = meter.as_mut() {
-                    let woke = Instant::now();
-                    meter.backpressure_ns += ns_between(meter.mark, woke);
-                    meter.mark = woke;
-                }
-            }
-            if !commands.try_pop_all(&mut inbox) {
-                let wait = meter.as_mut().map(|meter| {
-                    let wait = Instant::now();
-                    meter.busy_ns += ns_between(meter.mark, wait);
-                    meter.flush(&runtime, worker);
-                    wait
-                });
-                if !commands.pop_all(&mut inbox) {
-                    // Closed and drained: the wait for shutdown lands in
-                    // the derived idle remainder, not starvation.
-                    break;
-                }
-                if let (Some(meter), Some(wait)) = (meter.as_mut(), wait) {
-                    let woke = Instant::now();
-                    meter.starved_ns += ns_between(wait, woke);
-                    meter.mark = woke;
-                }
-            }
-            continue;
-        };
-        let (op_seq, lane_id) = match &command {
-            LaneCommand::Exec { op_seq, lane, .. }
-            | LaneCommand::SwlStep { op_seq, lane }
-            | LaneCommand::Admin { op_seq, lane, .. } => (*op_seq, *lane),
-        };
-        let wl = lanes
-            .iter_mut()
-            .find(|w| w.channel == lane_id)
-            .expect("command routed to a worker that does not own the lane");
-        wl.epoch.store(op_seq, Ordering::Relaxed);
-        let busy_before = wl.layer.device().busy_ns();
-        let mut pages = Vec::new();
-        let mut executed = 0u32;
-        let mut error = None;
-        match command {
-            LaneCommand::Exec {
-                op, pages: batch, ..
-            } => {
-                pages = batch;
-                for page in &mut pages {
-                    let page_before = wl.layer.device().busy_ns();
-                    let result = match op {
-                        Op::Write => wl.layer.write(page.lane_lba, page.token),
-                        Op::Read => wl.layer.read(page.lane_lba).map(|value| page.value = value),
-                    };
-                    match result {
-                        Ok(()) => {
-                            page.latency = wl.layer.device().busy_ns() - page_before;
-                            executed += 1;
-                        }
-                        Err(e) => {
-                            error = Some((page.ordinal, e));
-                            break;
-                        }
-                    }
-                }
-            }
-            LaneCommand::SwlStep { .. } => {
-                if let Err(e) = wl.layer.run_swl_step() {
-                    error = Some((SWL_ORDINAL, e));
-                }
-            }
-            LaneCommand::Admin { verb, .. } => {
-                let result = match verb {
-                    AdminVerb::Create(id) => wl.layer.snapshot_create(id),
-                    AdminVerb::Delete(id) => wl.layer.snapshot_delete(id),
-                    AdminVerb::Clone(id) => wl.layer.snapshot_clone(id),
-                    AdminVerb::Merge(id) => wl.layer.snapshot_merge(id),
-                };
-                if let Err(e) = result {
-                    error = Some((SWL_ORDINAL, e));
+                    meter.backpressure_ns += meter.lap();
                 }
             }
         }
-        wl.snap_epoch += 1;
-        outbox.push(LaneCompletion {
-            op_seq,
-            lane: lane_id,
-            busy_delta: wl.layer.device().busy_ns() - busy_before,
-            pages,
-            executed,
-            error,
-            failure: wl.layer.device().first_failure(),
-            shard: shard_snapshot(&wl.layer, wl.snap_epoch),
-            quiet: wl.layer.quiet_writes(),
-        });
-        if let Some(meter) = meter.as_mut() {
-            let done = Instant::now();
-            let exec_ns = ns_between(meter.mark, done);
-            meter.mark = done;
-            cmd_latency.record(exec_ns);
-            meter.add_command(lane_id, exec_ns, u64::from(executed));
-            if meter.since_flush >= FLUSH_EVERY {
-                meter.flush(&runtime, worker);
-            }
-        }
     }
-    if let Some(meter) = meter.as_mut() {
-        meter.flush(&runtime, worker);
-        runtime.worker(worker).set_wall(since_ns(meter.spawned));
-    }
-    (
-        lanes
-            .into_iter()
-            .map(|w| (w.channel, w.layer))
-            .collect(),
-        cmd_latency,
-    )
+    let Some(mut meter) = meter else {
+        return LatencyHistogram::new();
+    };
+    meter.flush(&runtime, Some(worker));
+    runtime.worker(worker).set_wall(since_ns(meter.spawned));
+    meter.cmd_latency
 }
 
 /// Front-end tuning for an [`Engine`].
@@ -747,8 +904,10 @@ pub struct Engine {
     /// may erase (see module docs).
     lockstep: bool,
     command_queues: Vec<Arc<ShardQueue<LaneCommand>>>,
+    /// The lane groups, in worker order beside `command_queues`.
+    claims: Vec<LaneClaim>,
     completions: Arc<ShardQueue<LaneCompletion>>,
-    workers: Vec<JoinHandle<ReturnedLanes>>,
+    workers: Vec<JoinHandle<LatencyHistogram>>,
     runtime: Arc<EngineRuntime>,
     health: Option<Arc<HealthRuntime>>,
     endurance: u32,
@@ -757,9 +916,16 @@ pub struct Engine {
     next_seq: u64,
     finalize_next: u64,
     pending: VecDeque<PendingOp>,
-    /// Completions taken off the queue in one crossing, not yet absorbed.
-    /// Empty between calls: whoever drains a burst consumes all of it.
+    /// Completions not yet absorbed: taken off the queue in one crossing, or
+    /// produced right here under a claim. Empty between calls: whoever
+    /// drains a burst consumes all of it.
     acks: VecDeque<LaneCompletion>,
+    /// The burst of commands the front-end popped under a claim (reused).
+    inbox: VecDeque<LaneCommand>,
+    /// Meters the commands the front-end runs under a claim (metrics mode
+    /// only): lane tallies and the command histogram, no worker slot.
+    helper: Option<WorkerMeter>,
+    helped_commands: u64,
     /// Routing scratch: the page buffer being filled for each channel.
     route: Vec<Vec<PageCmd>>,
     /// Recycled page buffers (empty, capacity kept). With `route` and the
@@ -828,6 +994,11 @@ pub struct EngineRun {
     /// array was over threshold). Always `0` without Global coordination;
     /// `quiet_ops + coordinated_ops == report.events`.
     pub coordinated_ops: u64,
+    /// Lane commands the front-end executed itself, under a group's claim,
+    /// at a point where it would otherwise have parked; the rest ran on the
+    /// worker threads. How the work split depends on thread timing and so
+    /// varies from run to run — nothing simulated does.
+    pub helped_commands: u64,
     /// The wall-clock runtime metrics report (`None` unless the engine was
     /// built with [`EngineConfig::with_metrics`]).
     pub metrics: Option<EngineMetricsReport>,
@@ -896,6 +1067,32 @@ impl Engine {
         coordination: SwlCoordination,
         config: &SimConfig,
         engine: EngineConfig,
+    ) -> Result<Self, SimError> {
+        Self::build(
+            kind,
+            geometry,
+            spec,
+            swl,
+            coordination,
+            config,
+            engine,
+            spare_core(),
+        )
+    }
+
+    /// [`Engine::new`] with the host's answer to "would a woken worker have
+    /// a CPU of its own?" passed in, so that tests cover both answers on any
+    /// host.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        kind: LayerKind,
+        geometry: ChannelGeometry,
+        spec: CellSpec,
+        swl: Option<SwlConfig>,
+        coordination: SwlCoordination,
+        config: &SimConfig,
+        engine: EngineConfig,
+        spare_core: bool,
     ) -> Result<Self, SimError> {
         let channels = geometry.channels();
         let threads = engine.threads.max(1).min(channels);
@@ -969,23 +1166,43 @@ impl Engine {
             worker_loop::<false>
         };
         let mut command_queues = Vec::with_capacity(threads as usize);
+        let mut claims = Vec::with_capacity(threads as usize);
         let mut workers = Vec::with_capacity(threads as usize);
         for (w, lanes) in groups.into_iter().enumerate() {
             let capacity = queue_depth * lanes.len().max(1) + 2;
-            let commands: Arc<ShardQueue<LaneCommand>> = Arc::new(ShardQueue::new(capacity));
+            // Half a window wakes the worker only where it can run beside
+            // the front-end; sharing one CPU, the front-end keeps the work
+            // (module docs, *Who runs a command*).
+            let doorbell = if spare_core { capacity.div_ceil(2) } else { capacity };
+            let commands: Arc<ShardQueue<LaneCommand>> =
+                Arc::new(ShardQueue::new(capacity).with_doorbell(doorbell));
+            let claim: LaneClaim = Arc::new(Mutex::new(lanes));
             let handle = {
+                let claim = Arc::clone(&claim);
                 let commands = Arc::clone(&commands);
                 let completions = Arc::clone(&completions);
                 let runtime = Arc::clone(&runtime);
                 std::thread::Builder::new()
                     .name(format!("lane-worker-{w}"))
-                    .spawn(move || body(w, lanes, commands, completions, runtime))
+                    .spawn(move || {
+                        body(w, channels as usize, claim, commands, completions, runtime)
+                    })
                     .expect("failed to spawn lane worker")
             };
             command_queues.push(commands);
+            claims.push(claim);
             workers.push(handle);
         }
+        // Return with every worker parked. One still on its way to its first
+        // `wait` would find whatever the caller queues first and run it —
+        // once, at a moment of the scheduler's choosing.
+        for (commands, worker) in command_queues.iter().zip(&workers) {
+            while commands.parked_consumers() == 0 && !worker.is_finished() {
+                std::thread::yield_now();
+            }
+        }
 
+        let inbox_capacity = command_queues[0].capacity();
         Ok(Self {
             kind,
             geometry,
@@ -999,6 +1216,7 @@ impl Engine {
             capture_reads: engine.capture_reads,
             lockstep,
             command_queues,
+            claims,
             completions,
             workers,
             runtime,
@@ -1009,6 +1227,11 @@ impl Engine {
             finalize_next: 0,
             pending: VecDeque::new(),
             acks: VecDeque::new(),
+            // Sized like the deepest command queue (group 0's): `try_pop_all`
+            // swaps buffers, so this one ends up inside a queue.
+            inbox: VecDeque::with_capacity(inbox_capacity),
+            helper: engine.metrics.then(|| WorkerMeter::new(channels as usize)),
+            helped_commands: 0,
             route: vec![Vec::new(); channels as usize],
             page_pool: Vec::new(),
             op_pool: Vec::new(),
@@ -1097,8 +1320,13 @@ impl Engine {
             | LaneCommand::SwlStep { lane, .. }
             | LaneCommand::Admin { lane, .. } => *lane,
         };
+        // Deferred doorbell: a parked worker is woken once half a window is
+        // queued (a whole one where it has no CPU of its own), not for this
+        // command; below that the backlog is run by whoever gets to it
+        // first — at the latest by this thread, at the next point where it
+        // would otherwise park.
         self.queue_for(lane)
-            .push(command)
+            .push_deferred(command)
             .unwrap_or_else(|_| panic!("lane {lane} worker queue closed mid-run"));
     }
 
@@ -1222,12 +1450,59 @@ impl Engine {
         }
     }
 
-    /// Absorbs every completion the workers have handed over, in one queue
-    /// crossing; with `wait`, parks until there is at least one.
+    /// Help-or-wait, what the front-end does wherever it used to park: leaves
+    /// at least one completion in `acks`. Takes what the workers already
+    /// handed over; failing that, claims every group nobody is running and
+    /// executes its queued commands right here, straight into `acks`; and
+    /// parks on the completion queue only when that, too, yielded nothing —
+    /// then a running worker holds everything awaited, and it hands over
+    /// before it lets its claim go (module docs, *Who runs a command*).
+    fn help_or_wait(&mut self) {
+        debug_assert!(self.acks.is_empty());
+        if self.completions.try_pop_all(&mut self.acks) {
+            return;
+        }
+        for (group, claim) in self.claims.iter().enumerate() {
+            let mut lanes = match claim.try_lock() {
+                Ok(lanes) => lanes,
+                Err(TryLockError::WouldBlock) => continue,
+                Err(TryLockError::Poisoned(_)) => worker_died(group),
+            };
+            // What this group's worker acknowledged before it let the claim
+            // go is older than anything executed below: it goes first.
+            self.completions.try_pop_all(&mut self.acks);
+            if !self.command_queues[group].try_pop_all(&mut self.inbox) {
+                continue;
+            }
+            self.helped_commands += self.inbox.len() as u64;
+            if let Some(meter) = self.helper.as_mut() {
+                meter.mark = Instant::now();
+            }
+            for command in self.inbox.drain(..) {
+                let completion = execute(&mut lanes, command);
+                if let Some(meter) = self.helper.as_mut() {
+                    meter.command(&completion);
+                }
+                self.acks.push_back(completion);
+            }
+        }
+        if let Some(meter) = self.helper.as_mut() {
+            meter.flush(&self.runtime, None);
+        }
+        if self.acks.is_empty() {
+            let open = self.completions.pop_all(&mut self.acks);
+            assert!(
+                open,
+                "completion queue closed with ops in flight: a lane worker panicked"
+            );
+        }
+    }
+
+    /// Absorbs every completion there is, in one queue crossing; with
+    /// `wait`, helps or parks until there is at least one.
     fn absorb_ready(&mut self, wait: bool) {
         if wait {
-            let open = self.completions.pop_all(&mut self.acks);
-            assert!(open, "completion queue closed with ops in flight");
+            self.help_or_wait();
         } else {
             self.completions.try_pop_all(&mut self.acks);
         }
@@ -1237,15 +1512,15 @@ impl Engine {
     }
 
     /// The next completion of the few commands in flight at a barrier
-    /// (coordinated ops, admin verbs), parking until a worker hands one over.
+    /// (coordinated ops, admin verbs): normally one the front-end produces
+    /// itself, by running the command it has just dispatched.
     fn next_completion(&mut self) -> LaneCompletion {
         if self.acks.is_empty() {
-            let open = self.completions.pop_all(&mut self.acks);
-            assert!(open, "completion queue closed with a command in flight");
+            self.help_or_wait();
         }
         self.acks
             .pop_front()
-            .expect("pop_all delivered a completion")
+            .expect("help_or_wait delivered a completion")
     }
 
     fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
@@ -1739,24 +2014,40 @@ impl Engine {
         self.flush()
     }
 
-    /// Closes the queues and joins the workers, returning the lanes in
-    /// channel order plus the per-worker wall-clock command histograms in
-    /// worker order (empty histograms when metrics were off).
-    fn shutdown(&mut self) -> (Vec<Layer<EngineSink>>, Vec<LatencyHistogram>) {
+    /// Closes the queues and joins the workers — which wake, run any backlog
+    /// nobody rang the doorbell for, and exit — returning the
+    /// per-worker wall-clock command histograms in worker order (empty when
+    /// metrics were off).
+    fn join_workers(&mut self) -> Vec<std::thread::Result<LatencyHistogram>> {
         for q in &self.command_queues {
             q.close();
         }
-        let mut lanes: Vec<(u32, Layer<EngineSink>)> = Vec::new();
-        let mut worker_hists = Vec::with_capacity(self.workers.len());
-        for handle in std::mem::take(&mut self.workers) {
-            let (worker_lanes, hist) = handle.join().expect("lane worker panicked");
-            lanes.extend(worker_lanes);
-            worker_hists.push(hist);
-        }
+        // Nobody consumes acknowledgements from here on; a worker must not
+        // wait for room to deliver one.
         self.completions.close();
-        lanes.sort_by_key(|(channel, _)| *channel);
+        std::mem::take(&mut self.workers)
+            .into_iter()
+            .map(JoinHandle::join)
+            .collect()
+    }
+
+    /// Tears the engine down: joins the workers and takes the lanes out of
+    /// the claims, in channel order.
+    fn shutdown(&mut self) -> (Vec<Layer<EngineSink>>, Vec<LatencyHistogram>) {
+        let worker_hists = self
+            .join_workers()
+            .into_iter()
+            .enumerate()
+            .map(|(w, joined)| joined.unwrap_or_else(|_| worker_died(w)))
+            .collect();
+        let mut lanes: Vec<WorkerLane> = Vec::new();
+        for (group, claim) in self.claims.iter().enumerate() {
+            let mut claimed = claim.lock().unwrap_or_else(|_| worker_died(group));
+            lanes.append(&mut claimed);
+        }
+        lanes.sort_by_key(|lane| lane.channel);
         (
-            lanes.into_iter().map(|(_, layer)| layer).collect(),
+            lanes.into_iter().map(|lane| lane.layer).collect(),
             worker_hists,
         )
     }
@@ -1772,13 +2063,17 @@ impl Engine {
         let (lanes, worker_hists) = self.shutdown();
         flushed?;
         // Snapshot after the join so every worker's wall time is final.
-        let metrics = self.metrics.then(|| {
-            EngineMetricsReport::new(
+        let metrics = self.helper.take().map(|helper| {
+            let mut report = EngineMetricsReport::new(
                 self.snapshot(),
                 worker_hists,
                 std::mem::take(&mut self.op_write_wall),
                 std::mem::take(&mut self.op_read_wall),
-            )
+            );
+            // A command is timed once, by whoever ran it: the merged
+            // histogram covers the workers' and the front-end's.
+            report.cmd_latency.merge(&helper.cmd_latency);
+            report
         });
 
         let erase_stats =
@@ -1827,6 +2122,7 @@ impl Engine {
             queue_depth: self.queue_depth,
             quiet_ops: self.quiet_ops,
             coordinated_ops: self.coordinated_ops,
+            helped_commands: self.helped_commands,
             metrics,
             telemetry: self.telemetry,
             geometry: self.geometry,
@@ -1850,12 +2146,13 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Wake any parked worker so dropped engines don't leak threads
-        // blocked on `pop`. Workers joined by `shutdown` already drained.
-        for q in &self.command_queues {
-            q.close();
+        // Workers not already joined by `shutdown` are woken by the close,
+        // run what is still queued, and exit. A worker's panic has been (or
+        // would have been) reported on the path that awaited its work; a
+        // destructor does not raise it again.
+        for joined in self.join_workers() {
+            drop(joined);
         }
-        self.completions.close();
     }
 }
 
@@ -2049,20 +2346,37 @@ mod tests {
         assert_eq!(snapshot.ops_completed, 2_000);
         assert_eq!(snapshot.workers.len(), 2);
         assert_eq!(snapshot.lanes.len(), 2);
-        let commands: u64 = snapshot.workers.iter().map(|w| w.commands).sum();
-        assert!(commands > 0, "workers must have executed commands");
+        // A command is run, timed and charged once, by whoever held the
+        // claim: a worker thread (its slot) or the front-end (no slot).
+        let by_workers: u64 = snapshot.workers.iter().map(|w| w.commands).sum();
+        let commands = by_workers + run.helped_commands;
+        assert!(commands >= 2_000, "every op is at least one command");
         assert_eq!(
             metrics.cmd_latency.count(),
             commands,
             "merged command histogram must cover every command"
         );
         assert_eq!(
+            metrics
+                .worker_cmd_latency
+                .iter()
+                .map(LatencyHistogram::count)
+                .sum::<u64>(),
+            by_workers,
+            "per-worker histograms cover what the worker threads ran"
+        );
+        assert_eq!(
             snapshot.lanes.iter().map(|l| l.commands).sum::<u64>(),
             commands,
-            "lane tallies must partition worker tallies"
+            "lane tallies must cover worker and front-end tallies"
         );
         for worker in &snapshot.workers {
-            assert!(worker.busy_ns > 0, "a worker that ran must have busy time");
+            // A worker may never have run: the front-end can get to every
+            // backlog first.
+            assert!(
+                worker.commands == 0 || worker.busy_ns > 0,
+                "a worker that ran must have busy time"
+            );
             assert!(worker.wall_ns >= worker.busy_ns);
             let fractions = worker.busy_frac()
                 + worker.starved_frac()
@@ -2150,5 +2464,174 @@ mod tests {
         let run = engine.finish().unwrap();
         assert_eq!(run.report.events, 200);
         assert_eq!(run.report.counters.host_writes, 200);
+    }
+
+    /// A one-worker engine over `channels` lanes at queue depth 64, so that a
+    /// handful of queued commands stays far below the doorbell threshold.
+    fn deep_engine(channels: u32, metrics: bool) -> Engine {
+        Engine::new(
+            LayerKind::Ftl,
+            ChannelGeometry::new(channels, 1, chip()),
+            spec(),
+            None,
+            SwlCoordination::PerChannel,
+            &SimConfig::default(),
+            EngineConfig::default()
+                .with_queue_depth(64)
+                .with_metrics(metrics),
+        )
+        .unwrap()
+    }
+
+    /// Dispatches `n` single-page writes without waiting for them: nobody is
+    /// woken for so few, and an engine starts with its workers parked, so
+    /// they sit in the command queue.
+    fn queue_writes(engine: &mut Engine, n: u64) {
+        for i in 0..n {
+            engine.submit(TraceEvent::write(i * 1_000, i)).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane worker 0 panicked")]
+    fn claim_holder_that_died_fails_the_caller_instead_of_hanging_it() {
+        let mut engine = deep_engine(1, false);
+        // Somebody dies holding group 0's claim, as a worker that panics
+        // inside a command does.
+        let claim = Arc::clone(&engine.claims[0]);
+        let died = std::thread::spawn(move || {
+            let _lanes = claim.lock().unwrap();
+            panic!("injected: claim holder dies");
+        })
+        .join();
+        assert!(died.is_err());
+        queue_writes(&mut engine, 1);
+        // Must not park on a completion nobody will ever produce.
+        let _ = engine.flush();
+    }
+
+    /// Teardown with a backlog nobody was woken for: the three ways an
+    /// engine ends each run every queued command exactly once and return.
+    #[test]
+    fn claim_backlog_below_the_doorbell_runs_once_at_teardown() {
+        const QUEUED: u64 = 5;
+
+        let mut engine = deep_engine(2, false);
+        queue_writes(&mut engine, QUEUED);
+        let run = engine.finish().unwrap();
+        assert_eq!(run.report.counters.host_writes, QUEUED);
+        assert_eq!(run.report.device.programs, QUEUED);
+
+        // `into_devices` does not flush: the commands are unacknowledged,
+        // and they run all the same, on the worker the close wakes.
+        let mut engine = deep_engine(2, false);
+        queue_writes(&mut engine, QUEUED);
+        let programs: u64 = engine
+            .into_devices()
+            .iter()
+            .map(|device| device.counters().programs)
+            .sum();
+        assert_eq!(programs, QUEUED);
+
+        // `Drop` joins the workers, so once it returns the lane tallies an
+        // outliving metrics handle reads are final.
+        let mut engine = deep_engine(2, true);
+        let handle = engine.metrics_handle();
+        queue_writes(&mut engine, QUEUED);
+        drop(engine);
+        let snapshot = handle.snapshot();
+        assert_eq!(
+            snapshot.lanes.iter().map(|l| l.commands).sum::<u64>(),
+            QUEUED
+        );
+        assert_eq!(snapshot.lanes.iter().map(|l| l.pages).sum::<u64>(), QUEUED);
+    }
+
+    /// Where a woken worker would only share the caller's CPU the doorbell
+    /// sits at the full queue: the front-end runs every command, the workers
+    /// none, and the report is the one the half-window doorbell produces.
+    #[test]
+    fn claim_without_a_spare_core_keeps_every_command_on_the_caller() {
+        let run_on = |spare_core: bool| {
+            let mut engine = Engine::build(
+                LayerKind::Ftl,
+                ChannelGeometry::new(4, 1, chip()),
+                spec(),
+                Some(SwlConfig::new(64, 0).with_seed(11)),
+                SwlCoordination::PerChannel,
+                &SimConfig::default(),
+                EngineConfig::default()
+                    .with_threads(2)
+                    .with_queue_depth(64)
+                    .with_metrics(true),
+                spare_core,
+            )
+            .unwrap();
+            let logical = engine.logical_pages();
+            // Eight-page ops: two commands a group each, so the window of 64
+            // carries a backlog well past half of a queue of 130.
+            let trace = SyntheticTrace::new(WorkloadSpec::paper(logical).with_seed(7))
+                .map(move |e| e.widen(8, logical));
+            engine.run(trace, StopCondition::events(2_000)).unwrap();
+            engine.finish().unwrap()
+        };
+        let shared = run_on(false);
+        let snapshot = &shared.metrics.as_ref().expect("metrics on").snapshot;
+        let commands: u64 = snapshot.lanes.iter().map(|l| l.commands).sum();
+        assert!(commands >= 2_000);
+        assert_eq!(shared.helped_commands, commands);
+        assert!(snapshot.workers.iter().all(|w| w.commands == 0));
+
+        let spare = run_on(true);
+        assert_eq!(spare.report, shared.report);
+        let snapshot = &spare.metrics.as_ref().expect("metrics on").snapshot;
+        let by_workers: u64 = snapshot.workers.iter().map(|w| w.commands).sum();
+        assert_eq!(spare.helped_commands + by_workers, commands);
+    }
+
+    /// The shape that hung a rejected variant (a worker parking on a
+    /// non-empty queue below its wake threshold while the front-end parked on
+    /// completions): two workers, bursts of one to four ops on either side of
+    /// the doorbell, a barrier after each. A lost wake-up parks everybody;
+    /// the watchdog turns that into a failure.
+    #[test]
+    fn claim_two_worker_burst_and_flush_stress_terminates() {
+        const ITERATIONS: u64 = 10_000;
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            // With the half-window doorbell, whatever the host: on one CPU
+            // the workers are at their most likely to be caught mid-step.
+            let mut engine = Engine::build(
+                LayerKind::Ftl,
+                ChannelGeometry::new(2, 1, chip()),
+                spec(),
+                None,
+                SwlCoordination::PerChannel,
+                &SimConfig::default(),
+                EngineConfig::default().with_threads(2).with_queue_depth(4),
+                true,
+            )
+            .unwrap();
+            let mut ops = 0u64;
+            for i in 0..ITERATIONS {
+                // Alternate lanes (two commands a queue at most: no doorbell)
+                // or stay on one (the third command rings it).
+                let stride = 1 + (i / 4) % 2;
+                for _ in 0..1 + i % 4 {
+                    engine
+                        .submit(TraceEvent::write(ops * 1_000, ops * stride % 64))
+                        .unwrap();
+                    ops += 1;
+                }
+                engine.flush().unwrap();
+            }
+            let run = engine.finish().unwrap();
+            done.send((ops, run.report.counters.host_writes)).unwrap();
+        });
+        let (ops, written) = watchdog
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("submit + flush on two workers stalled: a wake-up was lost");
+        assert_eq!(written, ops);
+        stress.join().unwrap();
     }
 }

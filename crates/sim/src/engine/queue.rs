@@ -22,7 +22,23 @@
 //!   steady-state crossing allocates nothing. The engine's workers and
 //!   front-end drain and hand over this way, so a burst of commands costs one
 //!   crossing each way instead of four per command. The single-item calls
-//!   remain for callers that move one item at a time (`Service::serve`).
+//!   remain for callers that move one item at a time: the benchmark
+//!   ladder's `queue.ns_per_crossing` ping-pong and the property tests.
+//! - **Ring the doorbell for half a window, not for one item.** A consumer
+//!   that can be *helped* — the engine's lane workers, whose backlog a
+//!   front-end about to block runs itself — is not worth a futex and a
+//!   context switch per item. [`ShardQueue::push_deferred`] enqueues like
+//!   `push` but takes a parked consumer's registration only once the backlog
+//!   reaches the queue's doorbell mark, half its capacity: the double-buffer
+//!   point, where the consumer gets half a window to run while the producer
+//!   fills the other half. (A producer that knows the consumer has no core
+//!   of its own to run on moves the mark up to the full queue with
+//!   [`ShardQueue::with_doorbell`]: there a wake buys a context switch and
+//!   nothing else.) Its counterpart is [`ShardQueue::wait`], which parks
+//!   *without taking* and only on an empty queue, so the threshold lives on the
+//!   producer side alone: a consumer never goes to sleep on a backlog, it can
+//!   only be left asleep while one builds up below the threshold — and the
+//!   engine's claim rule guarantees somebody who is awake runs that.
 //!
 //! Registration cannot lose a wake-up because it happens under the queue's
 //! own mutex, which `Condvar::wait` releases atomically with parking: a
@@ -95,6 +111,10 @@ pub struct ShardQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    /// Backlog at which [`ShardQueue::push_deferred`] wakes a parked
+    /// consumer: half the capacity unless [`ShardQueue::with_doorbell`]
+    /// moved it. Always in `1..=capacity`, so a full queue always rings.
+    doorbell: usize,
     /// Highest occupancy ever reached, mirrored outside the mutex so
     /// observers (engine snapshots, `engtop`) can read it without
     /// contending with producers and consumers. Updated with `fetch_max`
@@ -123,8 +143,19 @@ impl<T> ShardQueue<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
+            doorbell: capacity.div_ceil(2),
             high_water: AtomicUsize::new(0),
         }
+    }
+
+    /// Moves the backlog at which [`ShardQueue::push_deferred`] wakes a
+    /// parked consumer from half the capacity to `backlog`, clamped to
+    /// `1..=capacity`: at `1` a deferred push is a plain push, at the
+    /// capacity it wakes the consumer only for a queue that has just filled
+    /// up — the point past which the producer itself would have to block.
+    pub fn with_doorbell(mut self, backlog: usize) -> Self {
+        self.doorbell = backlog.clamp(1, self.capacity);
+        self
     }
 
     fn lock(&self) -> MutexGuard<'_, State<T>> {
@@ -170,6 +201,14 @@ impl<T> ShardQueue<T> {
         self.high_water.load(Ordering::Relaxed)
     }
 
+    /// Consumers parked on the queue for which nobody has issued a wake yet
+    /// (the registrations of the module docs: may read high after a spurious
+    /// wake-up, never low). The engine reads it once per worker, to return
+    /// from its constructor with every worker parked.
+    pub fn parked_consumers(&self) -> usize {
+        self.lock().parked_consumers
+    }
+
     /// Whether nothing is queued right now.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -180,13 +219,9 @@ impl<T> ShardQueue<T> {
         self.lock().closed
     }
 
-    /// Enqueues `item`, blocking while the queue is full. Returns the item
-    /// back when the queue is (or becomes) closed.
-    ///
-    /// # Errors
-    ///
-    /// `Err(item)` when the queue is closed; the item was not enqueued.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    /// Enqueues `item`, blocking while the queue is full, and wakes a parked
+    /// consumer if the backlog has reached `doorbell` items.
+    fn push_ringing_at(&self, item: T, doorbell: usize) -> Result<(), T> {
         let mut state = self.lock();
         loop {
             if state.closed {
@@ -194,11 +229,22 @@ impl<T> ShardQueue<T> {
             }
             if state.items.len() < self.capacity {
                 state.items.push_back(item);
-                self.note_added(&mut state, 1);
+                let ring = state.items.len() >= doorbell;
+                self.note_added(&mut state, usize::from(ring));
                 return Ok(());
             }
             state = self.park_producer(state);
         }
+    }
+
+    /// Enqueues `item`, blocking while the queue is full. Returns the item
+    /// back when the queue is (or becomes) closed.
+    ///
+    /// # Errors
+    ///
+    /// `Err(item)` when the queue is closed; the item was not enqueued.
+    pub fn push(&self, item: T) -> Result<(), T> {
+        self.push_ringing_at(item, 1)
     }
 
     /// Enqueues `item` without blocking.
@@ -219,6 +265,24 @@ impl<T> ShardQueue<T> {
         state.items.push_back(item);
         self.note_added(&mut state, 1);
         Ok(())
+    }
+
+    /// Enqueues `item` like [`ShardQueue::push`] — same blocking, same
+    /// errors — but defers the doorbell: a parked consumer is woken only when
+    /// the backlog has reached the doorbell mark — half the capacity (rounded
+    /// up, so a queue of one still wakes per item) unless
+    /// [`ShardQueue::with_doorbell`] moved it. Below that the item just sits
+    /// there: the caller vouches that it will either push on to the
+    /// threshold or see to the backlog itself (the engine's front-end claims
+    /// the idle lane group and runs it). A consumer that is awake finds the
+    /// item all the same; it parks only on an empty queue
+    /// ([`ShardQueue::wait`]).
+    ///
+    /// # Errors
+    ///
+    /// `Err(item)` when the queue is closed; the item was not enqueued.
+    pub fn push_deferred(&self, item: T) -> Result<(), T> {
+        self.push_ringing_at(item, self.doorbell)
     }
 
     /// Moves the items of `items` into the queue, in order, under as few
@@ -264,6 +328,23 @@ impl<T> ShardQueue<T> {
     pub fn try_push_all(&self, items: &mut Vec<T>) -> bool {
         self.push_burst(items, false);
         items.is_empty()
+    }
+
+    /// Blocks while the queue is empty and still open, *without taking*
+    /// anything: `true` means something is queued (and stays queued for
+    /// whoever pops next — the caller, or somebody who got there first),
+    /// `false` only that the queue is closed *and* empty. A consumer that
+    /// must hold something else before it may pop (the engine's lane claim)
+    /// waits here, so that while parked it holds nothing.
+    pub fn wait(&self) -> bool {
+        let mut state = self.lock();
+        while state.items.is_empty() {
+            if state.closed {
+                return false;
+            }
+            state = self.park_consumer(state);
+        }
+        true
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty and still
@@ -493,5 +574,64 @@ mod tests {
         };
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn deferred_push_rings_at_half_capacity_and_not_below() {
+        let q: Arc<ShardQueue<u32>> = Arc::new(ShardQueue::new(8));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.wait())
+        };
+        // A registration appears under the mutex `Condvar::wait` releases as
+        // it parks, so once it shows the consumer is parked (or as good as).
+        while q.lock().parked_consumers == 0 {
+            std::thread::yield_now();
+        }
+        for i in 0..3 {
+            q.push_deferred(i).unwrap();
+            assert_eq!(
+                q.lock().parked_consumers,
+                1,
+                "a backlog of {} rang the doorbell of a queue of 8",
+                i + 1
+            );
+        }
+        q.push_deferred(3).unwrap();
+        assert_eq!(q.lock().parked_consumers, 0, "half a window rings it");
+        assert!(consumer.join().unwrap(), "woken to a non-empty queue");
+        assert_eq!(q.len(), 4, "waiting takes nothing");
+    }
+
+    #[test]
+    fn moved_doorbell_rings_only_for_a_full_queue() {
+        let q: Arc<ShardQueue<u32>> = Arc::new(ShardQueue::new(4).with_doorbell(usize::MAX));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.wait())
+        };
+        while q.lock().parked_consumers == 0 {
+            std::thread::yield_now();
+        }
+        for i in 0..3 {
+            q.push_deferred(i).unwrap();
+            assert_eq!(q.lock().parked_consumers, 1, "rang at {} of 4", i + 1);
+        }
+        // The mark is clamped to the capacity: the push that fills the queue
+        // rings, so a producer never blocks on a consumer nobody woke.
+        q.push_deferred(3).unwrap();
+        assert_eq!(q.lock().parked_consumers, 0);
+        assert!(consumer.join().unwrap());
+    }
+
+    #[test]
+    fn wait_reports_closed_only_once_drained() {
+        let q = ShardQueue::new(4);
+        q.push_deferred(7).unwrap();
+        q.close();
+        assert_eq!(q.push_deferred(8), Err(8));
+        assert!(q.wait(), "closed, but an accepted item is still queued");
+        assert_eq!(q.try_pop(), Some(7));
+        assert!(!q.wait());
     }
 }

@@ -41,7 +41,11 @@
 //! [`ServiceServer`] and its [`ServiceClient`]s; no thread is spawned. A
 //! client verb takes the lock and runs the [`Service`] method on the
 //! caller's own thread, holding the lock for the verb's whole duration —
-//! a read's or flush's engine barrier included. Ops are therefore
+//! a read's or flush's engine barrier included, which now *executes* there
+//! too: at the barrier the engine's front-end claims the idle lane groups
+//! and runs their queued commands itself instead of waking a worker and
+//! parking (see the [`engine`](crate::engine) docs, *Who runs a command*).
+//! Ops are therefore
 //! linearised by lock acquisition, and the ack semantics and the
 //! single-client bit-identity above hold unchanged. `std::sync::Mutex`
 //! promises no fairness, so concurrent clients are not served in arrival
@@ -394,6 +398,12 @@ impl Service {
     /// read `None`. Synchronizing — flushes the engine pipeline when any
     /// page must come from flash.
     ///
+    /// A miss is a barrier on the engine, and the barrier runs the work it
+    /// waits for: the lane commands of this read — and of any writes still
+    /// queued ahead of it — execute on the calling thread, under the lane
+    /// groups' claims, unless a worker is already running them. Served, that
+    /// is the client's thread, inside the service lock.
+    ///
     /// # Errors
     ///
     /// [`SimError::TraceOutOfRange`] for spans outside the logical space;
@@ -473,7 +483,9 @@ impl Service {
 
     /// Durability barrier: writes back every dirty cache entry and drains
     /// the engine pipeline. When this returns `Ok`, every previously acked
-    /// write is on flash and survives a power cut.
+    /// write is on flash and survives a power cut. Like a read miss, the
+    /// drain executes whatever is still queued on the calling thread rather
+    /// than parking it behind a worker wake-up.
     ///
     /// # Errors
     ///

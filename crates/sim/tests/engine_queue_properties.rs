@@ -10,8 +10,9 @@
 //! threads on both sides of the queue — for the single-item calls and for
 //! the burst calls (`push_all`, `pop_all`, `try_pop_all`) the engine's
 //! workers and front-end cross with, mixed at random. The queue wakes only
-//! registered waiters, so the file ends with stress runs whose only
-//! assertion is that they terminate: a lost wake-up hangs them.
+//! registered waiters, and through `push_deferred` only once half a window is
+//! queued, so the file ends with stress runs whose only assertion is that
+//! they terminate: a lost wake-up hangs them.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -352,6 +353,166 @@ proptest! {
         prop_assert!(queue.is_empty());
         prop_assert!(queue.high_water() <= capacity);
     }
+}
+
+proptest! {
+    /// The deferred doorbell: a consumer that waits without taking — parked
+    /// already or only about to be, the race is the point — is released once
+    /// the backlog has crossed half the capacity, finds everything pushed so
+    /// far still queued, and takes it in push order.
+    #[test]
+    fn deferred_push_wakes_a_waiter_at_half_capacity(
+        capacity in 1usize..17,
+        spin in 0u32..200,
+    ) {
+        let queue = Arc::new(ShardQueue::<u64>::new(capacity));
+        let consumer = {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || {
+                let open = q.wait();
+                (open, q.len())
+            })
+        };
+        for _ in 0..spin {
+            thread::yield_now();
+        }
+        let threshold = capacity.div_ceil(2) as u64;
+        for i in 0..threshold {
+            queue.push_deferred(i).expect("queue open");
+        }
+        // Below the threshold nobody had to be woken; from here somebody was.
+        let (open, seen) = consumer.join().expect("consumer panicked");
+        prop_assert!(open);
+        prop_assert!(seen >= 1 && seen as u64 <= threshold);
+        let mut taken = VecDeque::new();
+        prop_assert!(queue.try_pop_all(&mut taken));
+        prop_assert_eq!(taken, (0..threshold).collect::<VecDeque<_>>());
+    }
+
+    /// A moved doorbell (`with_doorbell`: the engine puts it at the full
+    /// queue where its workers have no CPU of their own) releases the waiter
+    /// at its mark, and however far up it was asked to go, a queue that has
+    /// just filled rings — the producer's next push would block on a consumer
+    /// nobody woke.
+    #[test]
+    fn moved_doorbell_wakes_a_waiter_at_its_mark_and_never_past_full(
+        capacity in 1usize..17,
+        mark in 0usize..40,
+        spin in 0u32..200,
+    ) {
+        let queue = Arc::new(ShardQueue::<u64>::new(capacity).with_doorbell(mark));
+        let consumer = {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || q.wait())
+        };
+        for _ in 0..spin {
+            thread::yield_now();
+        }
+        let threshold = mark.clamp(1, capacity) as u64;
+        for i in 0..threshold {
+            queue.push_deferred(i).expect("queue open");
+        }
+        prop_assert!(consumer.join().expect("consumer panicked"));
+        let mut taken = VecDeque::new();
+        prop_assert!(queue.try_pop_all(&mut taken));
+        prop_assert_eq!(taken, (0..threshold).collect::<VecDeque<_>>());
+    }
+
+    /// `wait` says "closed" only for a queue that is closed *and* empty, and
+    /// `close` releases a waiter parked on an empty queue.
+    #[test]
+    fn wait_is_released_by_close_and_drains_first(
+        capacity in 1usize..9,
+        backlog in 0usize..9,
+    ) {
+        let backlog = backlog.min(capacity);
+        let queue = Arc::new(ShardQueue::<u64>::new(capacity));
+        let waiter = {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || q.wait())
+        };
+        // Whatever `wait` saw — the first item, or the close of an empty
+        // queue — it saw the queue as it was at one instant.
+        for i in 0..backlog as u64 {
+            queue.try_push(i).expect("room for the backlog");
+        }
+        queue.close();
+        let saw_items = waiter.join().expect("waiter panicked");
+        prop_assert!(backlog > 0 || !saw_items);
+        prop_assert_eq!(queue.push_deferred(99), Err(99));
+        for i in 0..backlog as u64 {
+            prop_assert!(queue.wait(), "closed with {} item(s) still queued", backlog as u64 - i);
+            prop_assert_eq!(queue.try_pop(), Some(i));
+        }
+        prop_assert!(!queue.wait());
+    }
+}
+
+/// The single-item calls keep their eager wake next to the deferred entry:
+/// on a queue of one, half the capacity *is* one item, so a ping-pong through
+/// `push_deferred` on one side and `push` on the other needs — and gets — a
+/// wake per crossing, with the consumer alternating `wait` and `pop`.
+#[test]
+fn deferred_ping_pong_through_capacity_one_queues_terminates() {
+    const ROUND_TRIPS: u64 = 50_000;
+    let ping = Arc::new(ShardQueue::<u64>::new(1));
+    let pong = Arc::new(ShardQueue::<u64>::new(1));
+    let echo = {
+        let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+        thread::spawn(move || {
+            while ping.wait() {
+                let item = ping.try_pop().expect("sole consumer: it is still there");
+                pong.push(item).expect("pong closed");
+            }
+        })
+    };
+    for i in 0..ROUND_TRIPS {
+        ping.push_deferred(i).expect("ping closed");
+        assert_eq!(pong.pop(), Some(i));
+    }
+    ping.close();
+    echo.join().expect("echo thread panicked");
+}
+
+/// The lane worker's shape: a consumer that parks only on an empty queue and
+/// takes bursts, against a producer that rings only at half a window and,
+/// whenever it has sent a whole window, takes back whatever the consumer has
+/// not got to (the front-end running the backlog itself). Every item is
+/// consumed exactly once, by one side or the other, in order.
+#[test]
+fn deferred_producer_that_helps_itself_loses_nothing() {
+    const ITEMS: u64 = 200_000;
+    const CAPACITY: usize = 8;
+    let queue = Arc::new(ShardQueue::<u64>::new(CAPACITY));
+    let consumer = {
+        let q = Arc::clone(&queue);
+        thread::spawn(move || {
+            let mut taken = Vec::new();
+            let mut inbox = VecDeque::new();
+            while q.wait() {
+                while q.try_pop_all(&mut inbox) {
+                    taken.extend(inbox.drain(..));
+                }
+            }
+            taken
+        })
+    };
+    let mut helped = Vec::new();
+    let mut inbox = VecDeque::new();
+    for i in 0..ITEMS {
+        queue.push_deferred(i).expect("queue open");
+        if i % CAPACITY as u64 == 3 {
+            queue.try_pop_all(&mut inbox);
+            helped.extend(inbox.drain(..));
+        }
+    }
+    queue.close();
+    let taken = consumer.join().expect("consumer panicked");
+    assert!(taken.windows(2).all(|w| w[0] < w[1]));
+    assert!(helped.windows(2).all(|w| w[0] < w[1]));
+    let mut all: Vec<u64> = taken.into_iter().chain(helped).collect();
+    all.sort_unstable();
+    assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
 }
 
 /// Lost-wake-up stress, the engine's QD 1 shape: two capacity-1 queues, one

@@ -8,7 +8,8 @@
 //!
 //! - **busy** — executing lane commands (flash sub-requests, SWL steps);
 //! - **starved** — blocked on the *pop* side, waiting for the front-end to
-//!   send the next command (the queue was empty);
+//!   send the next command (the queue was empty), or for the lane group's
+//!   claim while the front-end runs the queued commands itself;
 //! - **backpressured** — blocked on the *push* side, waiting for queue
 //!   capacity (completions piling up faster than the front-end drains them).
 //!
@@ -194,11 +195,22 @@ impl EngineRuntime {
 
 /// One worker's accounting at a point in time (plain numbers; see
 /// [`WorkerRuntime`]).
+///
+/// A slot describes the worker *thread*. Lane commands are executed by
+/// whoever holds the lane group's claim, and the engine's front-end takes it
+/// wherever it would otherwise park, so a worker may run few commands or
+/// none: behind a blocking caller `busy_frac` reads near 0 because the
+/// caller does the work, and on a one-CPU host — where the engine leaves the
+/// workers asleep rather than have them pre-empt the caller — it reads 0.
+/// What the front-end ran is charged to the lanes ([`LaneSample`]) and
+/// counted in the engine's
+/// `EngineRun::helped_commands`, never here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSample {
     /// Wall time spent executing lane commands.
     pub busy_ns: u64,
-    /// Wall time blocked waiting for the next command (pop side).
+    /// Wall time blocked waiting for the next command (pop side), or for the
+    /// group's claim while the front-end ran the backlog.
     pub starved_ns: u64,
     /// Wall time blocked pushing completions (push side).
     pub backpressure_ns: u64,
@@ -244,9 +256,10 @@ impl WorkerSample {
 /// One lane's wall-clock execution tallies at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneSample {
-    /// Wall time some worker spent executing this lane's commands.
+    /// Wall time somebody — a worker thread, or the front-end under the
+    /// group's claim — spent executing this lane's commands.
     pub busy_wall_ns: u64,
-    /// Commands executed on this lane.
+    /// Commands executed on this lane, by either.
     pub commands: u64,
     /// Flash pages served on this lane.
     pub pages: u64,
@@ -274,6 +287,14 @@ pub struct QueueSample {
 /// A consistent-enough point-in-time view of a running engine: worker and
 /// lane accounting plus queue gauges. Produced by
 /// [`EngineRuntime::snapshot`]; readable mid-run without stopping workers.
+///
+/// `workers` accounts for the worker threads only, `lanes` for every command
+/// executed: the lane tallies exceed the worker tallies by what the
+/// front-end ran itself at its barriers (see [`WorkerSample`]). The
+/// aggregate fractions below are over worker wall time, so on a one-CPU
+/// host, where the caller runs every backlog itself and no worker is woken
+/// before teardown, [`EngineSnapshot::busy_frac`] reads 0 with the engine
+/// saturated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Wall nanoseconds since the engine was built.
@@ -289,12 +310,14 @@ pub struct EngineSnapshot {
     /// Per-lane accounting, channel order.
     pub lanes: Vec<LaneSample>,
     /// Per-worker command queue gauges, worker-index order: commands
-    /// dispatched to the worker that it has not yet *taken* (it drains the
-    /// queue a burst at a time, so this excludes the burst it is executing).
+    /// dispatched to the worker's lane group that no claim holder has
+    /// *taken* yet (the queue is drained a burst at a time, so this excludes
+    /// the burst being executed).
     pub command_queues: Vec<QueueSample>,
     /// The shared completion queue's gauges: completions handed over by
     /// workers (a burst at a time, when a worker's inbox runs dry) that the
-    /// front-end has not yet taken.
+    /// front-end has not yet taken. Completions of commands the front-end
+    /// ran itself never pass through here.
     pub completion_queue: QueueSample,
 }
 
@@ -352,9 +375,11 @@ pub struct EngineMetricsReport {
     pub snapshot: EngineSnapshot,
     /// Per-worker command-execution wall latency, worker-index order.
     pub worker_cmd_latency: Vec<LatencyHistogram>,
-    /// The merge of every worker's command histogram (identical to
+    /// The merge of every executor's command histogram (identical to
     /// recording all commands into one stream — see the merge property
-    /// tests).
+    /// tests): [`EngineMetricsReport::new`] merges the workers', and the
+    /// engine merges in the histogram of the commands its front-end ran
+    /// under a claim, so the count covers every command executed.
     pub cmd_latency: LatencyHistogram,
     /// Submit-to-finalize wall latency of host write ops.
     pub op_write_wall: LatencyHistogram,

@@ -19,6 +19,7 @@ use flash_trace::{Op, SyntheticTrace, TraceEvent, WorkloadSpec};
 use ftl::{FtlConfig, SnapshotConfig};
 use hotid::HotDataConfig;
 use nand::{CellKind, CellSpec, ChannelGeometry, FaultPlan, Geometry};
+use proptest::prelude::*;
 use swl_core::{SwlConfig, SwlStats};
 
 const LANE_BLOCKS: u32 = 32;
@@ -470,16 +471,19 @@ fn metrics_on_is_bit_identical_to_metrics_off_and_oracle() {
         let metrics = on.metrics.expect("metrics on must report");
         assert_eq!(metrics.snapshot.ops_submitted, EVENTS);
         assert_eq!(metrics.snapshot.ops_completed, EVENTS);
-        let commands: u64 = metrics.snapshot.workers.iter().map(|w| w.commands).sum();
+        // A command is charged once, to whoever ran it: a worker thread's
+        // slot, or `helped_commands` when the front-end held the claim.
+        let by_workers: u64 = metrics.snapshot.workers.iter().map(|w| w.commands).sum();
+        let commands = by_workers + on.helped_commands;
         assert_eq!(
             metrics.cmd_latency.count(),
             commands,
-            "merged per-worker histograms must cover every command (threads={threads})"
+            "merged command histograms must cover every command (threads={threads})"
         );
         assert_eq!(
             metrics.snapshot.lanes.iter().map(|l| l.commands).sum::<u64>(),
             commands,
-            "lane tallies must partition worker tallies (threads={threads})"
+            "lane tallies must cover worker and front-end tallies (threads={threads})"
         );
     }
 }
@@ -549,6 +553,85 @@ fn first_failure_stop_is_bit_identical() {
                 run.report, reference_report,
                 "×{channels}ch {coordination:?} threads={threads}: first-failure run diverged"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Who runs a command is nobody's business but the clock's: worker
+    /// threads and a front-end that claims idle groups at its barriers share
+    /// the commands in some timing-dependent split, every command runs
+    /// exactly once, and the run stays bit-identical to `run_striped`. The
+    /// flush interval is drawn so that the bursts between barriers fall on
+    /// both sides of the doorbell threshold (half a window: `qd / 2` ops).
+    #[test]
+    fn claim_holders_split_the_commands_and_match_the_oracle(
+        threads in prop_oneof![Just(1u32), Just(2), Just(4)],
+        qd in prop_oneof![Just(1usize), Just(8), Just(64)],
+        global in any::<bool>(),
+        flush_every in 1u64..96,
+        seed in 0u64..1_000,
+    ) {
+        const CHANNELS: u32 = 4;
+        const OPS: u64 = 1_500;
+        let coordination = if global {
+            SwlCoordination::Global
+        } else {
+            SwlCoordination::PerChannel
+        };
+        let (reference_report, _) = reference(
+            LayerKind::Ftl,
+            CHANNELS,
+            coordination,
+            1_000_000,
+            StopCondition::events(OPS),
+            seed,
+        );
+
+        let mut engine = Engine::new(
+            LayerKind::Ftl,
+            ChannelGeometry::new(CHANNELS, 1, chip()),
+            spec(1_000_000),
+            Some(swl()),
+            coordination,
+            &SimConfig::default(),
+            EngineConfig::default()
+                .with_threads(threads)
+                .with_queue_depth(qd)
+                .with_metrics(true),
+        )
+        .unwrap();
+        let pages = engine.logical_pages();
+        // One command per lane an op touches; a coordinated write adds its
+        // per-page commands and SWL steps on top, so under Global this is a
+        // lower bound.
+        let mut lane_commands = 0u64;
+        for (i, event) in trace(pages, seed).take(OPS as usize).enumerate() {
+            lane_commands += u64::from(event.len.min(CHANNELS));
+            engine.submit(event).unwrap();
+            if (i as u64 + 1).is_multiple_of(flush_every) {
+                engine.flush().unwrap();
+            }
+        }
+        let run = engine.finish().unwrap();
+        prop_assert!(run.report == reference_report, "engine diverged from run_striped");
+
+        let metrics = run.metrics.as_ref().expect("metrics were on");
+        let by_workers: u64 = metrics.snapshot.workers.iter().map(|w| w.commands).sum();
+        let executed: u64 = metrics.snapshot.lanes.iter().map(|l| l.commands).sum();
+        prop_assert_eq!(run.helped_commands + by_workers, executed);
+        prop_assert_eq!(metrics.cmd_latency.count(), executed);
+        if global {
+            prop_assert!(executed >= lane_commands);
+        } else {
+            prop_assert_eq!(executed, lane_commands);
+        }
+        if threads == 1 && qd == 1 {
+            // Every op ends in a barrier the front-end reaches before a
+            // woken worker can have drained the queue every single time.
+            prop_assert!(run.helped_commands > 0);
         }
     }
 }
