@@ -1,9 +1,12 @@
 //! `qdbench` — the threaded-engine sweep: the same 4-channel workload
 //! pushed through [`flash_sim::Engine`] at every combination of worker
-//! threads {1, 2, 4, 8} and host queue depth {1, 8, 64, 256}, each run
+//! threads {0, 1, 2, 4, 8} and host queue depth {1, 8, 64, 256}, each run
 //! verified **bit-identical** against the virtual-time
 //! [`flash_sim::Simulator::run_striped`] oracle before its wall-clock
-//! numbers are reported. One more row per thread count runs the same trace
+//! numbers are reported. `threads = 0` is the engine without workers: no
+//! queues, every op run where it is submitted, so its rows do not vary with
+//! the depth and have no worker or queue columns to fill. It is also what
+//! every other row gets on a one-CPU host (`effective` reads 0 there). One more row per thread count runs the same trace
 //! under Global SWL coordination at queue depth 64, verified against its own
 //! oracle, and reports how many host ops ran ahead in the pipeline and how
 //! many went page by page through the coordinator. Emits `BENCH_engine.json`
@@ -14,9 +17,9 @@
 //! across every thread/depth combination; the sweep prints them once as
 //! part of the bit-exactness evidence. What varies is wall-clock
 //! throughput, and that is bounded by the host: on a single-CPU machine
-//! extra worker threads measure scheduling overhead, not parallelism, so
-//! the JSON records `cpus` alongside every speedup and this bench never
-//! asserts on wall-clock ratios.
+//! the engine spawns no worker threads at all, so the JSON records `cpus`
+//! and each row's effective thread count alongside every speedup and this
+//! bench never asserts on wall-clock ratios.
 //!
 //! Every run executes with the engine's wall-clock metrics enabled, so each
 //! table row and JSON point also attributes where worker time went — busy
@@ -43,7 +46,7 @@ use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
 use swl_core::SwlConfig;
 
 const CHANNELS: u32 = 4;
-const THREADS: [u32; 4] = [1, 2, 4, 8];
+const THREADS: [u32; 5] = [0, 1, 2, 4, 8];
 const DEPTHS: [u32; 4] = [1, 8, 64, 256];
 /// Queue depth of the Global-coordination rows.
 const GLOBAL_DEPTH: u32 = 64;
@@ -308,8 +311,8 @@ fn main() {
             .u64("cpus", cpus as u64)
             .str(
                 "caveat",
-                "wall-clock speedups are bounded by cpus; on a 1-cpu host \
-                 extra threads measure scheduling overhead, not parallelism",
+                "wall-clock speedups are bounded by cpus; on a 1-cpu host the \
+                 engine spawns no workers and every row runs as threads = 0",
             )
             .f64("oracle_s", oracle_s, 3)
             .bool("bit_identical", true)

@@ -962,7 +962,7 @@ impl<S: Sink> Mapping for PageMapping<S> {
         Ok(())
     }
 
-    /// A write erases only through [`Self::ensure_space`], which runs when it
+    /// A write erases only through `ensure_space` (private), which runs when it
     /// starts with the pool under its target, and the pool shrinks only when
     /// a frontier opens a block. So from a pool `spare` blocks over target,
     /// the first write that can erase is the one after the `spare + 1`-th

@@ -11,6 +11,9 @@
 //! otherwise sit and wait for that worker (see *Who runs a command*). The
 //! front-end ([`Engine`]) accepts in-flight host requests up to a
 //! configurable queue depth and finalizes them strictly in submission order.
+//! Where the host has no core for a worker to run on there are no workers and
+//! no queues: the engine keeps its lanes and runs each op where it is
+//! submitted (*No core, no queue*, below).
 //!
 //! # Determinism
 //!
@@ -21,14 +24,17 @@
 //!
 //! - all wear/GC/SWL state is lane-local and each lane executes its
 //!   sub-request stream in submission order (a FIFO queue per group,
-//!   consumed by one claim holder at a time), so lane state never depends on
-//!   cross-lane interleaving — or on which thread did the executing;
+//!   consumed by one claim holder at a time — or no queue at all, the
+//!   submitting thread running each lane's share before it returns), so lane
+//!   state never depends on cross-lane interleaving — or on which thread did
+//!   the executing;
 //! - write tokens are assigned by the front-end in global trace order,
 //!   exactly as the virtual-time loop does;
 //! - everything *derived across lanes* (op latencies, makespan, first
-//!   failure) is computed at finalize time, in op order, from per-op deltas
-//!   carried on completions — never from live lane state, which may already
-//!   be ahead of the op being finalized.
+//!   failure) is computed when the op retires, in op order, from per-op
+//!   deltas — never from live lane state, which in a threaded engine may
+//!   already be ahead of the op being finalized. Every op retires through the
+//!   one `retire` function, whoever executed it and however.
 //!
 //! Under [`SwlCoordination::Global`] the virtual-time loop runs the
 //! coordinator after *every page write*. What the coordinator reads, though
@@ -97,21 +103,29 @@
 //!   woken (or finding the queue non-empty), it takes the claim and pops in
 //!   a loop while commands keep arriving. [`Engine::new`] returns with every
 //!   worker parked, so the first thing a worker ever sees is a doorbell.
-//! - **No core, no doorbell.** Half a window is worth a wake only if the
-//!   worker then runs *beside* the front-end. The workers inherit the
-//!   affinity mask of the thread that builds the engine; when that mask (as
+//! - **No core, no queue.** Half a window is worth a wake only if the worker
+//!   then runs *beside* the front-end. The workers inherit the affinity mask
+//!   of the thread that builds the engine; when that mask (as
 //!   [`std::thread::available_parallelism`] counts it) holds a single CPU, a
-//!   woken worker can only pre-empt the caller, run what the caller would
-//!   have run at its next park, and go back to sleep — two context switches
-//!   per half window for no overlap, at a wall-clock cost that depends on
-//!   when the scheduler lets it in and so differs from one run to the next
-//!   (EXPERIMENTS.md has the spreads). So on such a host the command
-//!   queues are built with the doorbell at their full capacity
-//!   ([`ShardQueue::with_doorbell`]): the front-end runs every command
-//!   itself, the workers sleep until teardown, and which thread executes
-//!   what no longer depends on timing at all. Same code path, same rules —
-//!   a queue that fills still rings — only the mark moves. It is read once,
-//!   in [`Engine::new`], not from a setting.
+//!   woken worker can only pre-empt the caller and run what the caller would
+//!   have run at its next park. Left asleep, it leaves the front-end running
+//!   every command itself — and every pooled page buffer, `LaneCommand`,
+//!   `LaneCompletion`, `LaneResult` and `PendingOp` carrying work from a
+//!   thread to itself, at more than the cost of the work (EXPERIMENTS.md). So
+//!   on such a host [`Engine::new`] spawns no workers and builds no command
+//!   queues, no completion queue and no claims. The engine owns its lanes;
+//!   `submit` routes a pipelined op's pages as ever and runs each lane's
+//!   share right there, in place in the routing buffers, through the page
+//!   loop `execute` uses; the op retires before `submit` returns and
+//!   [`Engine::flush`] finds nothing pending. The few barrier commands — a
+//!   coordinated page, an SWL step, an admin verb — still go through
+//!   `execute`, straight into the front-end's `acks`. Which engine is built
+//!   is read once, from the host; [`EngineConfig::with_threads`]`(0)` asks
+//!   for this one anywhere (oracle tests do), and nothing else selects it.
+//!   It reports [`EngineRun::threads`]` == 0` and is bit-identical to the
+//!   threaded engine and to `run_striped`: same routing, tokens and per-lane
+//!   order, same lowest-ordinal error — a lane that fails stops at its page,
+//!   the op's other lanes run their shares all the same, the error sticks.
 //!
 //! No wake-up can be lost, because of what those two rules leave possible. A
 //! parked worker holds no claim, so a front-end that needs a backlog run can
@@ -142,6 +156,8 @@
 //!
 //! # Crossings and pooled records
 //!
+//! (Of the engine with workers: the one without has no queue to cross, and
+//! its only per-op state is the routing buffers, emptied when the op retires.)
 //! Even an uncontended queue crossing is a lock round trip. So the engine
 //! crosses its queues once per *burst*, and the records that cross are
 //! reused rather than reallocated:
@@ -191,8 +207,12 @@
 //! whoever ran it: always to its lane and to the merged command histogram,
 //! and to a worker slot only when a worker *thread* ran it — what the
 //! front-end ran under a claim is counted in [`EngineRun::helped_commands`]
-//! instead, so a worker's `busy_frac` near 0 on a one-CPU host means the
-//! caller did the work, not that nothing happened. Counters live in a shared
+//! instead, so a worker's `busy_frac` near 0 behind a blocking caller means
+//! the caller did the work, not that nothing happened. An engine without
+//! workers has no worker slots and no queue gauges: every lane share is timed
+//! once where it ran and counted in `helped_commands`, so `Σ lane.commands ==
+//! Σ worker.commands + helped_commands == cmd_latency.count()` holds for both
+//! kinds. Counters live in a shared
 //! [`EngineRuntime`] atomics block, so an [`EngineSnapshot`] can be read
 //! mid-run through [`Engine::metrics_handle`] while workers keep running;
 //! the final [`EngineMetricsReport`] lands on [`EngineRun::metrics`]. The
@@ -373,8 +393,8 @@ struct LaneCompletion {
     quiet: u64,
 }
 
-/// One lane of a group. Nobody owns it outright: whoever holds the group's
-/// [`LaneClaim`] executes on it.
+/// One lane. With workers it is one of a group and nobody owns it outright:
+/// whoever holds the group's [`LaneClaim`] executes on it.
 struct WorkerLane {
     channel: u32,
     layer: Layer<EngineSink>,
@@ -417,8 +437,34 @@ fn shard_snapshot(layer: &Layer<EngineSink>, epoch: u64) -> ShardSnapshot {
     }
 }
 
+/// Runs `pages` on `layer` in order, filling in the result slots of those that
+/// executed, and stops at the first page that fails: how many executed, and
+/// the failure with its page's ordinal. The one page loop under both
+/// executors of a pipelined op.
+fn run_pages(
+    layer: &mut Layer<EngineSink>,
+    op: Op,
+    pages: &mut [PageCmd],
+) -> (u32, Option<(u32, SimError)>) {
+    let mut executed = 0u32;
+    for page in pages {
+        let page_before = layer.device().busy_ns();
+        let result = match op {
+            Op::Write => layer.write(page.lane_lba, page.token),
+            Op::Read => layer.read(page.lane_lba).map(|value| page.value = value),
+        };
+        if let Err(e) = result {
+            return (executed, Some((page.ordinal, e)));
+        }
+        page.latency = layer.device().busy_ns() - page_before;
+        executed += 1;
+    }
+    (executed, None)
+}
+
 /// Runs one command on the lane of `lanes` it addresses — the only place a
-/// [`LaneCommand`] executes, called by whoever holds the group's claim.
+/// [`LaneCommand`] executes, called by whoever holds the group's claim (or,
+/// in an engine without workers, owns the lanes).
 fn execute(lanes: &mut [WorkerLane], command: LaneCommand) -> LaneCompletion {
     let (op_seq, lane_id) = match &command {
         LaneCommand::Exec { op_seq, lane, .. }
@@ -439,23 +485,7 @@ fn execute(lanes: &mut [WorkerLane], command: LaneCommand) -> LaneCompletion {
             op, pages: batch, ..
         } => {
             pages = batch;
-            for page in &mut pages {
-                let page_before = wl.layer.device().busy_ns();
-                let result = match op {
-                    Op::Write => wl.layer.write(page.lane_lba, page.token),
-                    Op::Read => wl.layer.read(page.lane_lba).map(|value| page.value = value),
-                };
-                match result {
-                    Ok(()) => {
-                        page.latency = wl.layer.device().busy_ns() - page_before;
-                        executed += 1;
-                    }
-                    Err(e) => {
-                        error = Some((page.ordinal, e));
-                        break;
-                    }
-                }
-            }
+            (executed, error) = run_pages(&mut wl.layer, op, &mut pages);
         }
         LaneCommand::SwlStep { .. } => {
             if let Err(e) = wl.layer.run_swl_step() {
@@ -486,6 +516,22 @@ fn execute(lanes: &mut [WorkerLane], command: LaneCommand) -> LaneCompletion {
         shard: shard_snapshot(&wl.layer, wl.snap_epoch),
         quiet: wl.layer.quiet_writes(),
     }
+}
+
+/// [`execute`] for the front-end: the command is charged to its meter (lane
+/// tallies and the command histogram, no worker slot) and acknowledged
+/// straight into its own `acks`, crossing no queue.
+fn execute_here(
+    lanes: &mut [WorkerLane],
+    command: LaneCommand,
+    meter: &mut Option<WorkerMeter>,
+    acks: &mut VecDeque<LaneCompletion>,
+) {
+    let completion = execute(lanes, command);
+    if let Some(meter) = meter {
+        meter.command(completion.lane, completion.executed);
+    }
+    acks.push_back(completion);
 }
 
 /// Signature shared by both monomorphizations of [`worker_loop`], so
@@ -563,16 +609,16 @@ impl WorkerMeter {
         }
     }
 
-    /// Times the command `completion` acknowledges (from `mark` to now) and
-    /// charges it, once, to the executor and to its lane.
-    fn command(&mut self, completion: &LaneCompletion) {
+    /// Times the command that has just executed `pages` pages on `lane` (from
+    /// `mark` to now) and charges it, once, to the executor and to the lane.
+    fn command(&mut self, lane: u32, pages: u32) {
         let ns = self.lap();
         self.cmd_latency.record(ns);
-        let pages = u64::from(completion.executed);
+        let pages = u64::from(pages);
         self.busy_ns += ns;
         self.commands += 1;
         self.pages += pages;
-        let lane = &mut self.lanes[completion.lane as usize];
+        let lane = &mut self.lanes[lane as usize];
         lane.0 += ns;
         lane.1 += 1;
         lane.2 += pages;
@@ -592,6 +638,13 @@ impl WorkerMeter {
     fn blocking(&mut self, runtime: &EngineRuntime, worker: usize) {
         self.busy_ns += self.lap();
         self.flush(runtime, Some(worker));
+    }
+
+    /// [`WorkerMeter::flush`], once [`FLUSH_EVERY`] commands have accumulated.
+    fn flush_if_due(&mut self, runtime: &EngineRuntime, worker: Option<usize>) {
+        if self.since_flush >= FLUSH_EVERY {
+            self.flush(runtime, worker);
+        }
     }
 
     /// Publishes the accumulated deltas to the shared atomics and resets:
@@ -703,10 +756,8 @@ fn worker_loop<const METRICS: bool>(
             for command in inbox.drain(..) {
                 let completion = execute(&mut lanes, command);
                 if let Some(meter) = meter.as_mut() {
-                    meter.command(&completion);
-                    if meter.since_flush >= FLUSH_EVERY {
-                        meter.flush(&runtime, Some(worker));
-                    }
+                    meter.command(completion.lane, completion.executed);
+                    meter.flush_if_due(&runtime, Some(worker));
                 }
                 outbox.push(completion);
             }
@@ -732,7 +783,9 @@ fn worker_loop<const METRICS: bool>(
 /// Front-end tuning for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads (capped at the channel count; at least 1).
+    /// Worker threads (capped at the channel count). `0` asks for the engine
+    /// that has none and runs every op where it is submitted — the one a
+    /// host with no CPU for a worker gets anyway (*Who runs a command*).
     pub threads: u32,
     /// Maximum in-flight host ops (clamped to 1..=256).
     pub queue_depth: usize,
@@ -766,9 +819,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// `threads` worker threads.
+    /// `threads` worker threads (see [`EngineConfig::threads`] for `0`).
     pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads.max(1);
+        self.threads = threads;
         self
     }
 
@@ -856,11 +909,11 @@ fn queue_sample<T>(q: &ShardQueue<T>) -> QueueSample {
 fn snapshot_of(
     runtime: &EngineRuntime,
     command_queues: &[Arc<ShardQueue<LaneCommand>>],
-    completions: &ShardQueue<LaneCompletion>,
+    completions: &Option<Arc<ShardQueue<LaneCompletion>>>,
 ) -> EngineSnapshot {
     runtime.snapshot(
         command_queues.iter().map(|q| queue_sample(q)).collect(),
-        queue_sample(completions),
+        completions.as_ref().map(|q| queue_sample(q)).unwrap_or_default(),
     )
 }
 
@@ -872,7 +925,7 @@ fn snapshot_of(
 pub struct EngineMetricsHandle {
     runtime: Arc<EngineRuntime>,
     command_queues: Vec<Arc<ShardQueue<LaneCommand>>>,
-    completions: Arc<ShardQueue<LaneCompletion>>,
+    completions: Option<Arc<ShardQueue<LaneCompletion>>>,
 }
 
 impl EngineMetricsHandle {
@@ -903,10 +956,13 @@ pub struct Engine {
     /// the pipeline for the dispatch-await-coordinate loop whenever a lane
     /// may erase (see module docs).
     lockstep: bool,
+    /// The lanes of an engine without workers (`threads == 0`), in channel
+    /// order; the queues, claims and worker handles below then stay empty.
+    lanes: Vec<WorkerLane>,
     command_queues: Vec<Arc<ShardQueue<LaneCommand>>>,
     /// The lane groups, in worker order beside `command_queues`.
     claims: Vec<LaneClaim>,
-    completions: Arc<ShardQueue<LaneCompletion>>,
+    completions: Option<Arc<ShardQueue<LaneCompletion>>>,
     workers: Vec<JoinHandle<LatencyHistogram>>,
     runtime: Arc<EngineRuntime>,
     health: Option<Arc<HealthRuntime>>,
@@ -951,7 +1007,8 @@ pub struct Engine {
     /// What is left of `quiet` after the write pages dispatched since the
     /// lanes were last all idle.
     budget: Vec<u64>,
-    /// Per-channel busy deltas of the coordinated op in flight.
+    /// Per-channel busy deltas of the op being executed right here or
+    /// retired; all zero in between ([`Engine::retire`] takes them).
     lane_busy: Vec<u64>,
     quiet_ops: u64,
     coordinated_ops: u64,
@@ -982,7 +1039,7 @@ pub struct EngineRun {
     pub lane_write_latency: Vec<LatencyStats>,
     /// Per-page read latency per lane.
     pub lane_read_latency: Vec<LatencyStats>,
-    /// Effective worker-thread count.
+    /// Effective worker-thread count (`0`: no core for one, or none asked for).
     pub threads: u32,
     /// Configured host queue depth.
     pub queue_depth: usize,
@@ -997,7 +1054,8 @@ pub struct EngineRun {
     /// Lane commands the front-end executed itself, under a group's claim,
     /// at a point where it would otherwise have parked; the rest ran on the
     /// worker threads. How the work split depends on thread timing and so
-    /// varies from run to run — nothing simulated does.
+    /// varies from run to run — nothing simulated does. Without workers:
+    /// every command.
     pub helped_commands: u64,
     /// The wall-clock runtime metrics report (`None` unless the engine was
     /// built with [`EngineConfig::with_metrics`]).
@@ -1054,7 +1112,8 @@ impl EngineRun {
 
 impl Engine {
     /// Builds the lanes (identically seeded to [`crate::StripedLayer`], so
-    /// state is comparable bit for bit) and spawns the worker threads.
+    /// state is comparable bit for bit) and spawns the worker threads — none
+    /// where the host has no CPU for one, or `engine.threads` is 0.
     ///
     /// # Errors
     ///
@@ -1095,7 +1154,13 @@ impl Engine {
         spare_core: bool,
     ) -> Result<Self, SimError> {
         let channels = geometry.channels();
-        let threads = engine.threads.max(1).min(channels);
+        // No core, no queue: a worker that could only pre-empt the caller is
+        // not spawned, and its lanes stay with the engine.
+        let threads = if spare_core {
+            engine.threads.min(channels)
+        } else {
+            0
+        };
         let queue_depth = engine.queue_depth.clamp(1, 256);
         let deferred = channels > 1 && coordination == SwlCoordination::Global;
         let lockstep = deferred && swl.is_some();
@@ -1117,7 +1182,7 @@ impl Engine {
                 HealthConfig::new(u64::from(spec.endurance)).with_tau_pages(tau),
             ))
         });
-        let mut groups: Vec<Vec<WorkerLane>> = (0..threads).map(|_| Vec::new()).collect();
+        let mut lanes = Vec::with_capacity(channels as usize);
         let mut logical_pages = 0u64;
         let mut shards = Vec::with_capacity(channels as usize);
         let mut quiet = Vec::with_capacity(channels as usize);
@@ -1143,7 +1208,7 @@ impl Engine {
             }
             shards.push(shard_snapshot(&layer, 0));
             quiet.push(layer.quiet_writes());
-            groups[(lane % threads) as usize].push(WorkerLane {
+            lanes.push(WorkerLane {
                 channel: lane,
                 layer,
                 epoch,
@@ -1151,58 +1216,60 @@ impl Engine {
             });
         }
 
-        // Sized so workers can never block pushing completions: at most
-        // `queue_depth` ops × one Exec per lane, plus lockstep SWL steps,
-        // are ever outstanding.
-        let completions: Arc<ShardQueue<LaneCompletion>> = Arc::new(ShardQueue::new(
-            (queue_depth + 2) * channels as usize + 8,
-        ));
         let runtime = Arc::new(EngineRuntime::new(threads as usize, channels as usize));
-        // Pick the monomorphization once: the disabled body contains no
-        // timestamp reads or counter updates at all.
-        let body: WorkerBody = if engine.metrics {
-            worker_loop::<true>
-        } else {
-            worker_loop::<false>
-        };
         let mut command_queues = Vec::with_capacity(threads as usize);
         let mut claims = Vec::with_capacity(threads as usize);
         let mut workers = Vec::with_capacity(threads as usize);
-        for (w, lanes) in groups.into_iter().enumerate() {
-            let capacity = queue_depth * lanes.len().max(1) + 2;
-            // Half a window wakes the worker only where it can run beside
-            // the front-end; sharing one CPU, the front-end keeps the work
-            // (module docs, *Who runs a command*).
-            let doorbell = if spare_core { capacity.div_ceil(2) } else { capacity };
-            let commands: Arc<ShardQueue<LaneCommand>> =
-                Arc::new(ShardQueue::new(capacity).with_doorbell(doorbell));
-            let claim: LaneClaim = Arc::new(Mutex::new(lanes));
-            let handle = {
-                let claim = Arc::clone(&claim);
-                let commands = Arc::clone(&commands);
-                let completions = Arc::clone(&completions);
-                let runtime = Arc::clone(&runtime);
-                std::thread::Builder::new()
-                    .name(format!("lane-worker-{w}"))
-                    .spawn(move || {
-                        body(w, channels as usize, claim, commands, completions, runtime)
-                    })
-                    .expect("failed to spawn lane worker")
-            };
-            command_queues.push(commands);
-            claims.push(claim);
-            workers.push(handle);
-        }
-        // Return with every worker parked. One still on its way to its first
-        // `wait` would find whatever the caller queues first and run it —
-        // once, at a moment of the scheduler's choosing.
-        for (commands, worker) in command_queues.iter().zip(&workers) {
-            while commands.parked_consumers() == 0 && !worker.is_finished() {
-                std::thread::yield_now();
+        let mut completions = None;
+        if threads > 0 {
+            let mut groups: Vec<Vec<WorkerLane>> = (0..threads).map(|_| Vec::new()).collect();
+            for lane in lanes.drain(..) {
+                groups[(lane.channel % threads) as usize].push(lane);
             }
+            // Sized so workers can never block pushing completions: at most
+            // `queue_depth` ops × one Exec per lane, plus lockstep SWL steps,
+            // are ever outstanding.
+            let acks: Arc<ShardQueue<LaneCompletion>> =
+                Arc::new(ShardQueue::new((queue_depth + 2) * channels as usize + 8));
+            // Pick the monomorphization once: the disabled body contains no
+            // timestamp reads or counter updates at all.
+            let body: WorkerBody = if engine.metrics {
+                worker_loop::<true>
+            } else {
+                worker_loop::<false>
+            };
+            for (w, lanes) in groups.into_iter().enumerate() {
+                let commands: Arc<ShardQueue<LaneCommand>> =
+                    Arc::new(ShardQueue::new(queue_depth * lanes.len().max(1) + 2));
+                let claim: LaneClaim = Arc::new(Mutex::new(lanes));
+                let handle = {
+                    let claim = Arc::clone(&claim);
+                    let commands = Arc::clone(&commands);
+                    let completions = Arc::clone(&acks);
+                    let runtime = Arc::clone(&runtime);
+                    std::thread::Builder::new()
+                        .name(format!("lane-worker-{w}"))
+                        .spawn(move || {
+                            body(w, channels as usize, claim, commands, completions, runtime)
+                        })
+                        .expect("failed to spawn lane worker")
+                };
+                command_queues.push(commands);
+                claims.push(claim);
+                workers.push(handle);
+            }
+            // Return with every worker parked. One still on its way to its
+            // first `wait` would find whatever the caller queues first and
+            // run it — once, at a moment of the scheduler's choosing.
+            for (commands, worker) in command_queues.iter().zip(&workers) {
+                while commands.parked_consumers() == 0 && !worker.is_finished() {
+                    std::thread::yield_now();
+                }
+            }
+            completions = Some(acks);
         }
 
-        let inbox_capacity = command_queues[0].capacity();
+        let inbox_capacity = command_queues.first().map_or(0, |q| q.capacity());
         Ok(Self {
             kind,
             geometry,
@@ -1215,6 +1282,7 @@ impl Engine {
             metrics: engine.metrics,
             capture_reads: engine.capture_reads,
             lockstep,
+            lanes,
             command_queues,
             claims,
             completions,
@@ -1275,7 +1343,7 @@ impl Engine {
         self.first_failure
     }
 
-    /// Effective worker-thread count.
+    /// Effective worker-thread count (`0`: see [`EngineRun::threads`]).
     pub fn threads(&self) -> u32 {
         self.threads
     }
@@ -1287,7 +1355,8 @@ impl Engine {
 
     /// Reads the runtime counters and queue gauges right now, without
     /// stopping the workers. All-zero (except queue capacities) unless the
-    /// engine was built with [`EngineConfig::with_metrics`].
+    /// engine was built with [`EngineConfig::with_metrics`]; without workers
+    /// there are no worker slots and no queues to gauge.
     pub fn snapshot(&self) -> EngineSnapshot {
         snapshot_of(&self.runtime, &self.command_queues, &self.completions)
     }
@@ -1299,7 +1368,7 @@ impl Engine {
         EngineMetricsHandle {
             runtime: Arc::clone(&self.runtime),
             command_queues: self.command_queues.clone(),
-            completions: Arc::clone(&self.completions),
+            completions: self.completions.clone(),
         }
     }
 
@@ -1314,17 +1383,29 @@ impl Engine {
         &self.command_queues[(lane % self.threads) as usize]
     }
 
-    fn dispatch(&self, command: LaneCommand) {
+    fn dispatch(&mut self, command: LaneCommand) {
+        if self.threads == 0 {
+            // No queue to put it on: a barrier command runs right here, and
+            // its acknowledgement is there when the caller turns to await it.
+            self.helped_commands += 1;
+            if let Some(meter) = self.helper.as_mut() {
+                meter.mark = Instant::now();
+            }
+            execute_here(&mut self.lanes, command, &mut self.helper, &mut self.acks);
+            if let Some(meter) = self.helper.as_mut() {
+                meter.flush_if_due(&self.runtime, None);
+            }
+            return;
+        }
         let lane = match &command {
             LaneCommand::Exec { lane, .. }
             | LaneCommand::SwlStep { lane, .. }
             | LaneCommand::Admin { lane, .. } => *lane,
         };
         // Deferred doorbell: a parked worker is woken once half a window is
-        // queued (a whole one where it has no CPU of its own), not for this
-        // command; below that the backlog is run by whoever gets to it
-        // first — at the latest by this thread, at the next point where it
-        // would otherwise park.
+        // queued, not for this command; below that the backlog is run by
+        // whoever gets to it first — at the latest by this thread, at the
+        // next point where it would otherwise park.
         self.queue_for(lane)
             .push_deferred(command)
             .unwrap_or_else(|_| panic!("lane {lane} worker queue closed mid-run"));
@@ -1385,7 +1466,11 @@ impl Engine {
         // Reads never erase, and the coordinator runs only after writes.
         if !self.lockstep || event.op == Op::Read || self.admit_quiet(&event)? {
             self.quiet_ops += 1;
-            self.submit_pipelined(event, data)
+            if self.threads == 0 {
+                self.submit_direct(event, data)
+            } else {
+                self.submit_pipelined(event, data)
+            }
         } else {
             self.coordinated_ops += 1;
             self.submit_lockstep(event, data)
@@ -1459,7 +1544,11 @@ impl Engine {
     /// before it lets its claim go (module docs, *Who runs a command*).
     fn help_or_wait(&mut self) {
         debug_assert!(self.acks.is_empty());
-        if self.completions.try_pop_all(&mut self.acks) {
+        let completions = self
+            .completions
+            .as_ref()
+            .expect("an engine without workers has nothing in flight to wait for");
+        if completions.try_pop_all(&mut self.acks) {
             return;
         }
         for (group, claim) in self.claims.iter().enumerate() {
@@ -1470,7 +1559,7 @@ impl Engine {
             };
             // What this group's worker acknowledged before it let the claim
             // go is older than anything executed below: it goes first.
-            self.completions.try_pop_all(&mut self.acks);
+            completions.try_pop_all(&mut self.acks);
             if !self.command_queues[group].try_pop_all(&mut self.inbox) {
                 continue;
             }
@@ -1479,18 +1568,14 @@ impl Engine {
                 meter.mark = Instant::now();
             }
             for command in self.inbox.drain(..) {
-                let completion = execute(&mut lanes, command);
-                if let Some(meter) = self.helper.as_mut() {
-                    meter.command(&completion);
-                }
-                self.acks.push_back(completion);
+                execute_here(&mut lanes, command, &mut self.helper, &mut self.acks);
             }
         }
         if let Some(meter) = self.helper.as_mut() {
             meter.flush(&self.runtime, None);
         }
         if self.acks.is_empty() {
-            let open = self.completions.pop_all(&mut self.acks);
+            let open = completions.pop_all(&mut self.acks);
             assert!(
                 open,
                 "completion queue closed with ops in flight: a lane worker panicked"
@@ -1503,8 +1588,8 @@ impl Engine {
     fn absorb_ready(&mut self, wait: bool) {
         if wait {
             self.help_or_wait();
-        } else {
-            self.completions.try_pop_all(&mut self.acks);
+        } else if let Some(completions) = &self.completions {
+            completions.try_pop_all(&mut self.acks);
         }
         while let Some(completion) = self.acks.pop_front() {
             self.absorb(completion);
@@ -1523,10 +1608,10 @@ impl Engine {
             .expect("help_or_wait delivered a completion")
     }
 
-    fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
-        let submitted = self.metrics.then(Instant::now);
-        // Route pages to lanes, assigning write tokens in global trace
-        // order (exactly as the virtual-time loop does).
+    /// Routes the op's pages to their lanes' buffers in `route`, assigning
+    /// write tokens in global trace order (exactly as the virtual-time loop
+    /// does).
+    fn route_pages(&mut self, event: &TraceEvent, data: Option<&[u64]>) {
         for (ordinal, lba) in event.pages().enumerate() {
             let channel = self.geometry.channel_of(lba) as usize;
             let token = match (event.op, data) {
@@ -1540,6 +1625,74 @@ impl Engine {
             let page = PageCmd::new(self.geometry.lane_lba(lba), token, ordinal);
             self.route[channel].push(page);
         }
+    }
+
+    /// The direct executor of a pipelined op, for the engine that owns its
+    /// lanes: each lane's share runs right here, where `execute` would run it
+    /// for a claim holder — epoch stamp, pages in order up to the first that
+    /// fails, one meter charge — and the op retires before `submit` returns.
+    /// Nothing is handed over, so there is no command, completion or pending
+    /// record; the pages never leave `route`.
+    fn submit_direct(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
+        let submitted = self.metrics.then(Instant::now);
+        self.route_pages(&event, data);
+        let op_seq = self.next_seq;
+        self.next_seq += 1;
+        if let (Some(meter), Some(submitted)) = (self.helper.as_mut(), submitted) {
+            // One clock read per lane share: the first is timed from the
+            // op's own stamp (routing included), the op up to the last.
+            meter.mark = submitted;
+        }
+        // Lowest-ordinal error across lanes. A lane that fails stops at its
+        // page; the others run their shares all the same, as queued lanes do.
+        let mut error: Option<(u32, SimError)> = None;
+        for channel in 0..self.route.len() {
+            if self.route[channel].is_empty() {
+                continue;
+            }
+            let wl = &mut self.lanes[channel];
+            wl.epoch.store(op_seq, Ordering::Relaxed);
+            let busy_before = wl.layer.device().busy_ns();
+            let (executed, failed) = run_pages(&mut wl.layer, event.op, &mut self.route[channel]);
+            wl.snap_epoch += 1;
+            self.lane_busy[channel] = wl.layer.device().busy_ns() - busy_before;
+            self.lane_failure[channel] = wl.layer.device().first_failure();
+            let (shard, quiet) = (
+                shard_snapshot(&wl.layer, wl.snap_epoch),
+                wl.layer.quiet_writes(),
+            );
+            self.helped_commands += 1;
+            if let Some(meter) = self.helper.as_mut() {
+                meter.command(channel as u32, executed);
+            }
+            self.note_quiet_lane(channel as u32, shard, quiet);
+            if let Some((ordinal, e)) = failed {
+                if error.is_none_or(|(lowest, _)| ordinal < lowest) {
+                    error = Some((ordinal, e));
+                }
+            }
+        }
+        if let Some(meter) = self.helper.as_mut() {
+            meter.flush_if_due(&self.runtime, None);
+        }
+        if let Some((_, e)) = error {
+            self.error = Some(e);
+        } else {
+            let wall_ns = self.helper.as_ref().zip(submitted);
+            let wall_ns = wall_ns.map(|(meter, submitted)| ns_between(submitted, meter.mark));
+            let route = std::mem::take(&mut self.route);
+            let shares = route.iter().enumerate();
+            let shares = shares.map(|(channel, pages)| (channel, &pages[..]));
+            self.retire(event.op, event.at_ns, wall_ns, shares);
+            self.route = route;
+        }
+        self.route.iter_mut().for_each(Vec::clear);
+        self.error.map_or(Ok(()), Err)
+    }
+
+    fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
+        let submitted = self.metrics.then(Instant::now);
+        self.route_pages(&event, data);
         let expected = self.route.iter().filter(|b| !b.is_empty()).count() as u32;
 
         // Backpressure: hold the op until the in-flight window has room.
@@ -1607,17 +1760,22 @@ impl Engine {
         self.quiet[lane] = quiet;
     }
 
-    fn absorb(&mut self, completion: LaneCompletion) {
-        // The run-ahead invariant, checked on every build: a pipelined op
-        // under Global coordination was admitted because it could not move
-        // its lane's view. If it did, the coordinator has already skipped a
-        // decision the oracle made, so stop here.
-        let cached = self.views[completion.lane as usize];
-        if self.lockstep && completion.shard.view != cached {
-            bound_violated(completion.lane, completion.shard.view, cached);
+    /// [`Engine::note_lane`] for a lane's share of a pipelined op, with the
+    /// run-ahead invariant checked on every build: under Global coordination
+    /// the op was admitted because it could not move its lane's view. If it
+    /// did, the coordinator has already skipped a decision the oracle made,
+    /// so stop here.
+    fn note_quiet_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
+        let cached = self.views[lane as usize];
+        if self.lockstep && shard.view != cached {
+            bound_violated(lane, shard.view, cached);
         }
-        self.note_lane(completion.lane, completion.shard, completion.quiet);
+        self.note_lane(lane, shard, quiet);
         self.publish_bet_gauges();
+    }
+
+    fn absorb(&mut self, completion: LaneCompletion) {
+        self.note_quiet_lane(completion.lane, completion.shard, completion.quiet);
         let index = (completion.op_seq - self.finalize_next) as usize;
         let op = &mut self.pending[index];
         op.received += 1;
@@ -1658,58 +1816,78 @@ impl Engine {
                 self.error = Some(e);
                 return Err(e);
             }
-            if self.capture_reads && op.op == Op::Read {
-                // Lanes report pages in their own order; the op-wide
-                // ordinal restores the host's page order across lanes.
-                // No lane reported an error, so every page executed.
-                let pages = op.results.iter().map(|r| r.executed as usize).sum();
-                let mut values = vec![None; pages];
-                for result in &op.results {
-                    for page in &result.pages[..result.executed as usize] {
-                        values[page.ordinal as usize] = page.value;
-                    }
-                }
-                self.completed_reads.push_back(values);
-            }
-            if let Some(submitted) = op.submitted {
-                let now = *now.get_or_insert_with(Instant::now);
-                let wall = ns_between(submitted, now);
-                match op.op {
-                    Op::Write => self.op_write_wall.record(wall),
-                    Op::Read => self.op_read_wall.record(wall),
-                }
-                self.runtime.op_completed();
-            }
-            for result in &op.results {
-                let stats = match op.op {
-                    Op::Write => &mut self.lane_write_latency[result.lane as usize],
-                    Op::Read => &mut self.lane_read_latency[result.lane as usize],
-                };
-                for page in &result.pages[..result.executed as usize] {
-                    stats.record(page.latency);
-                }
-            }
-            self.scheduler.op_begin();
-            for (channel, &delta) in op.lane_busy.iter().enumerate() {
-                if delta > 0 {
-                    self.scheduler.submit(channel as u32, delta);
-                }
-            }
-            let op_latency = self.scheduler.op_complete();
-            match op.op {
-                Op::Write => self.op_write_latency.record(op_latency),
-                Op::Read => self.op_read_latency.record(op_latency),
-            }
-            self.note_first_failure(op.at_ns);
+            let wall_ns = op
+                .submitted
+                .map(|submitted| ns_between(submitted, *now.get_or_insert_with(Instant::now)));
+            // `retire` takes the busy deltas out of `lane_busy`, which comes
+            // back all zero.
+            std::mem::swap(&mut self.lane_busy, &mut op.lane_busy);
+            let shares = op.results.iter();
+            let shares = shares.map(|r| (r.lane as usize, &r.pages[..r.executed as usize]));
+            self.retire(op.op, op.at_ns, wall_ns, shares);
+            std::mem::swap(&mut self.lane_busy, &mut op.lane_busy);
             // Back to the pools, clean: no page or busy delta of this op may
             // show through the next one.
             for result in op.results.drain(..) {
                 self.recycle_pages(result.pages);
             }
-            op.lane_busy.fill(0);
             self.op_pool.push((op.lane_busy, op.results));
         }
         Ok(())
+    }
+
+    /// The tail every host op ends in, whichever way it was executed, once
+    /// all its lanes have reported and none of them an error: read capture,
+    /// the wall-clock op histogram, per-lane page latencies, the scheduler's
+    /// replay of the per-lane busy deltas in `lane_busy` (left zeroed for the
+    /// next op), the op latency and the first-failure scan. `shares` are the
+    /// op's pages as `(lane, executed pages)`; a coordinated write, which
+    /// accounts for its pages one at a time, passes none.
+    fn retire<'a>(
+        &mut self,
+        op: Op,
+        at_ns: u64,
+        wall_ns: Option<u64>,
+        shares: impl Iterator<Item = (usize, &'a [PageCmd])> + Clone,
+    ) {
+        if self.capture_reads && op == Op::Read {
+            // Lanes hold pages in their own order; the op-wide ordinal
+            // restores the host's page order across lanes.
+            let pages = shares.clone().map(|(_, pages)| pages.len()).sum();
+            let mut values = vec![None; pages];
+            for page in shares.clone().flat_map(|(_, pages)| pages) {
+                values[page.ordinal as usize] = page.value;
+            }
+            self.completed_reads.push_back(values);
+        }
+        if let Some(wall_ns) = wall_ns {
+            match op {
+                Op::Write => self.op_write_wall.record(wall_ns),
+                Op::Read => self.op_read_wall.record(wall_ns),
+            }
+            self.runtime.op_completed();
+        }
+        for (lane, pages) in shares {
+            let stats = match op {
+                Op::Write => &mut self.lane_write_latency[lane],
+                Op::Read => &mut self.lane_read_latency[lane],
+            };
+            for page in pages {
+                stats.record(page.latency);
+            }
+        }
+        self.scheduler.op_begin();
+        for (channel, delta) in self.lane_busy.iter_mut().enumerate() {
+            if *delta > 0 {
+                self.scheduler.submit(channel as u32, std::mem::take(delta));
+            }
+        }
+        let op_latency = self.scheduler.op_complete();
+        match op {
+            Op::Write => self.op_write_latency.record(op_latency),
+            Op::Read => self.op_read_latency.record(op_latency),
+        }
+        self.note_first_failure(at_ns);
     }
 
     /// Publishes the array-wide BET interval gauges (summed over the cached
@@ -1768,8 +1946,6 @@ impl Engine {
         let submitted = self.metrics.then(Instant::now);
         let op_seq = self.next_seq;
         self.next_seq += 1;
-        self.lane_busy.fill(0);
-        self.scheduler.op_begin();
         for (ordinal, lba) in event.pages().enumerate() {
             let channel = self.geometry.channel_of(lba);
             let token = match data {
@@ -1797,18 +1973,8 @@ impl Engine {
             let swl_on_lane = self.coordinate(op_seq, channel)?;
             self.lane_write_latency[channel as usize].record(page_latency + swl_on_lane);
         }
-        for (channel, &delta) in self.lane_busy.iter().enumerate() {
-            if delta > 0 {
-                self.scheduler.submit(channel as u32, delta);
-            }
-        }
-        let op_latency = self.scheduler.op_complete();
-        self.op_write_latency.record(op_latency);
-        if let Some(submitted) = submitted {
-            self.op_write_wall.record(since_ns(submitted));
-            self.runtime.op_completed();
-        }
-        self.note_first_failure(event.at_ns);
+        let wall_ns = submitted.map(since_ns);
+        self.retire(Op::Write, event.at_ns, wall_ns, std::iter::empty());
         self.realign_idle();
         Ok(())
     }
@@ -2017,14 +2183,19 @@ impl Engine {
     /// Closes the queues and joins the workers — which wake, run any backlog
     /// nobody rang the doorbell for, and exit — returning the
     /// per-worker wall-clock command histograms in worker order (empty when
-    /// metrics were off).
+    /// metrics were off). Either way the front-end's meter is published.
     fn join_workers(&mut self) -> Vec<std::thread::Result<LatencyHistogram>> {
+        if let Some(meter) = self.helper.as_mut() {
+            meter.flush(&self.runtime, None);
+        }
         for q in &self.command_queues {
             q.close();
         }
         // Nobody consumes acknowledgements from here on; a worker must not
         // wait for room to deliver one.
-        self.completions.close();
+        if let Some(completions) = &self.completions {
+            completions.close();
+        }
         std::mem::take(&mut self.workers)
             .into_iter()
             .map(JoinHandle::join)
@@ -2032,7 +2203,7 @@ impl Engine {
     }
 
     /// Tears the engine down: joins the workers and takes the lanes out of
-    /// the claims, in channel order.
+    /// the claims (or out of the engine that kept them), in channel order.
     fn shutdown(&mut self) -> (Vec<Layer<EngineSink>>, Vec<LatencyHistogram>) {
         let worker_hists = self
             .join_workers()
@@ -2040,7 +2211,7 @@ impl Engine {
             .enumerate()
             .map(|(w, joined)| joined.unwrap_or_else(|_| worker_died(w)))
             .collect();
-        let mut lanes: Vec<WorkerLane> = Vec::new();
+        let mut lanes = std::mem::take(&mut self.lanes);
         for (group, claim) in self.claims.iter().enumerate() {
             let mut claimed = claim.lock().unwrap_or_else(|_| worker_died(group));
             lanes.append(&mut claimed);
@@ -2228,7 +2399,7 @@ mod tests {
 
     #[test]
     fn pipelined_engine_matches_virtual_time_report() {
-        for threads in [1u32, 2] {
+        for threads in [0u32, 1, 2] {
             let reference = striped_reference(
                 LayerKind::Ftl,
                 2,
@@ -2262,16 +2433,20 @@ mod tests {
             2_000,
             5,
         );
-        let run = engine_run(
-            LayerKind::Nftl,
-            2,
-            Some(SwlConfig::new(16, 0).with_seed(3)),
-            SwlCoordination::Global,
-            2_000,
-            5,
-            EngineConfig::default().with_threads(2).with_queue_depth(8),
-        );
-        assert_eq!(run.report, reference);
+        for threads in [0u32, 2] {
+            let run = engine_run(
+                LayerKind::Nftl,
+                2,
+                Some(SwlConfig::new(16, 0).with_seed(3)),
+                SwlCoordination::Global,
+                2_000,
+                5,
+                EngineConfig::default()
+                    .with_threads(threads)
+                    .with_queue_depth(8),
+            );
+            assert_eq!(run.report, reference, "threads={threads}");
+        }
     }
 
     #[test]
@@ -2279,7 +2454,7 @@ mod tests {
         let swl = Some(SwlConfig::new(16, 0).with_seed(3));
         let reference =
             striped_reference(LayerKind::Ftl, 2, swl, SwlCoordination::Global, 3_000, 5);
-        for threads in [1u32, 2] {
+        for threads in [0u32, 1, 2] {
             let run = engine_run(
                 LayerKind::Ftl,
                 2,
@@ -2320,10 +2495,12 @@ mod tests {
             .into_telemetry()
         };
         let one = run_with(1);
-        let two = run_with(2);
         assert!(matches!(one.first(), Some(Event::Meta { .. })));
         assert!(one.len() > 1);
-        assert_eq!(one, two, "merged stream must not depend on thread count");
+        for threads in [0, 2] {
+            let other = run_with(threads);
+            assert_eq!(one, other, "merged stream must not depend on thread count");
+        }
     }
 
     #[test]
@@ -2344,7 +2521,8 @@ mod tests {
         let snapshot = &metrics.snapshot;
         assert_eq!(snapshot.ops_submitted, 2_000);
         assert_eq!(snapshot.ops_completed, 2_000);
-        assert_eq!(snapshot.workers.len(), 2);
+        // Two worker slots, or none on a host with no core to run them on.
+        assert_eq!(snapshot.workers.len(), run.threads as usize);
         assert_eq!(snapshot.lanes.len(), 2);
         // A command is run, timed and charged once, by whoever held the
         // claim: a worker thread (its slot) or the front-end (no slot).
@@ -2444,17 +2622,8 @@ mod tests {
     fn queue_depth_window_is_enforced() {
         // Submitting more ops than the depth must still complete exactly
         // once each (backpressure, no lost acks).
-        let geometry = ChannelGeometry::new(4, 1, chip());
-        let mut engine = Engine::new(
-            LayerKind::Ftl,
-            geometry,
-            spec(),
-            None,
-            SwlCoordination::PerChannel,
-            &SimConfig::default(),
-            EngineConfig::default().with_threads(2).with_queue_depth(4),
-        )
-        .unwrap();
+        let config = EngineConfig::default().with_threads(2).with_queue_depth(4);
+        let mut engine = build(4, None, config, true);
         for i in 0..200u64 {
             engine
                 .submit(TraceEvent::write(i * 1_000, i % 64))
@@ -2466,21 +2635,36 @@ mod tests {
         assert_eq!(run.report.counters.host_writes, 200);
     }
 
-    /// A one-worker engine over `channels` lanes at queue depth 64, so that a
-    /// handful of queued commands stays far below the doorbell threshold.
-    fn deep_engine(channels: u32, metrics: bool) -> Engine {
-        Engine::new(
+    /// [`Engine::build`] over `channels` FTL lanes with per-channel SWL (or
+    /// none), with the host's answer to "is there a core for a worker?"
+    /// forced to `spare_core`.
+    fn build(
+        channels: u32,
+        swl: Option<SwlConfig>,
+        config: EngineConfig,
+        spare_core: bool,
+    ) -> Engine {
+        Engine::build(
             LayerKind::Ftl,
             ChannelGeometry::new(channels, 1, chip()),
             spec(),
-            None,
+            swl,
             SwlCoordination::PerChannel,
             &SimConfig::default(),
-            EngineConfig::default()
-                .with_queue_depth(64)
-                .with_metrics(metrics),
+            config,
+            spare_core,
         )
         .unwrap()
+    }
+
+    /// A one-worker engine (whatever the host: the tests below are about its
+    /// queue) over `channels` lanes at queue depth 64, so that a handful of
+    /// queued commands stays far below the doorbell threshold.
+    fn deep_engine(channels: u32, metrics: bool) -> Engine {
+        let config = EngineConfig::default()
+            .with_queue_depth(64)
+            .with_metrics(metrics);
+        build(channels, None, config, true)
     }
 
     /// Dispatches `n` single-page writes without waiting for them: nobody is
@@ -2547,46 +2731,60 @@ mod tests {
         assert_eq!(snapshot.lanes.iter().map(|l| l.pages).sum::<u64>(), QUEUED);
     }
 
-    /// Where a woken worker would only share the caller's CPU the doorbell
-    /// sits at the full queue: the front-end runs every command, the workers
-    /// none, and the report is the one the half-window doorbell produces.
+    /// Where a woken worker would only share the caller's CPU — or where no
+    /// worker was asked for — there is none: no thread, no queue, every lane
+    /// share run and charged where the op was submitted, and the report is
+    /// the one the threaded engine produces.
     #[test]
     fn claim_without_a_spare_core_keeps_every_command_on_the_caller() {
-        let run_on = |spare_core: bool| {
-            let mut engine = Engine::build(
-                LayerKind::Ftl,
-                ChannelGeometry::new(4, 1, chip()),
-                spec(),
-                Some(SwlConfig::new(64, 0).with_seed(11)),
-                SwlCoordination::PerChannel,
-                &SimConfig::default(),
-                EngineConfig::default()
-                    .with_threads(2)
-                    .with_queue_depth(64)
-                    .with_metrics(true),
-                spare_core,
-            )
-            .unwrap();
+        let run_on = |threads: u32, spare_core: bool| {
+            let config = EngineConfig::default()
+                .with_threads(threads)
+                .with_queue_depth(64)
+                .with_metrics(true);
+            let swl = Some(SwlConfig::new(64, 0).with_seed(11));
+            let mut engine = build(4, swl, config, spare_core);
+            let direct = threads == 0 || !spare_core;
+            assert_eq!(engine.workers.len(), if direct { 0 } else { 2 });
+            assert_eq!(engine.lanes.len(), if direct { 4 } else { 0 });
+            assert_eq!(engine.completions.is_none(), direct);
             let logical = engine.logical_pages();
-            // Eight-page ops: two commands a group each, so the window of 64
-            // carries a backlog well past half of a queue of 130.
+            // Eight-page ops: two lane shares a group each, so the window of
+            // 64 carries a backlog well past half of a queue of 130.
             let trace = SyntheticTrace::new(WorkloadSpec::paper(logical).with_seed(7))
                 .map(move |e| e.widen(8, logical));
             engine.run(trace, StopCondition::events(2_000)).unwrap();
             engine.finish().unwrap()
         };
-        let shared = run_on(false);
-        let snapshot = &shared.metrics.as_ref().expect("metrics on").snapshot;
-        let commands: u64 = snapshot.lanes.iter().map(|l| l.commands).sum();
-        assert!(commands >= 2_000);
-        assert_eq!(shared.helped_commands, commands);
-        assert!(snapshot.workers.iter().all(|w| w.commands == 0));
-
-        let spare = run_on(true);
-        assert_eq!(spare.report, shared.report);
+        let spare = run_on(2, true);
+        assert_eq!(spare.threads, 2);
         let snapshot = &spare.metrics.as_ref().expect("metrics on").snapshot;
+        let commands: u64 = snapshot.lanes.iter().map(|l| l.commands).sum();
         let by_workers: u64 = snapshot.workers.iter().map(|w| w.commands).sum();
+        assert!(commands >= 2_000);
         assert_eq!(spare.helped_commands + by_workers, commands);
+
+        // The same engine forced both ways: by the host, and by the caller.
+        for (threads, spare_core) in [(2, false), (0, true)] {
+            let direct = run_on(threads, spare_core);
+            assert_eq!(direct.report, spare.report);
+            assert_eq!((direct.threads, direct.queue_depth), (0, 64));
+            let metrics = direct.metrics.as_ref().expect("metrics on");
+            let snapshot = &metrics.snapshot;
+            assert!(snapshot.workers.is_empty() && snapshot.command_queues.is_empty());
+            assert_eq!(snapshot.completion_queue.capacity, 0);
+            assert_eq!(
+                snapshot.lanes.iter().map(|l| l.commands).sum::<u64>(),
+                commands
+            );
+            assert_eq!(direct.helped_commands, commands);
+            assert_eq!(metrics.cmd_latency.count(), commands);
+            assert!(metrics.worker_cmd_latency.is_empty());
+            assert_eq!(
+                (snapshot.ops_submitted, snapshot.ops_completed),
+                (2_000, 2_000)
+            );
+        }
     }
 
     /// The shape that hung a rejected variant (a worker parking on a
@@ -2599,19 +2797,10 @@ mod tests {
         const ITERATIONS: u64 = 10_000;
         let (done, watchdog) = std::sync::mpsc::channel();
         let stress = std::thread::spawn(move || {
-            // With the half-window doorbell, whatever the host: on one CPU
-            // the workers are at their most likely to be caught mid-step.
-            let mut engine = Engine::build(
-                LayerKind::Ftl,
-                ChannelGeometry::new(2, 1, chip()),
-                spec(),
-                None,
-                SwlCoordination::PerChannel,
-                &SimConfig::default(),
-                EngineConfig::default().with_threads(2).with_queue_depth(4),
-                true,
-            )
-            .unwrap();
+            // With workers, whatever the host: on one CPU they are at their
+            // most likely to be caught mid-step.
+            let config = EngineConfig::default().with_threads(2).with_queue_depth(4);
+            let mut engine = build(2, None, config, true);
             let mut ops = 0u64;
             for i in 0..ITERATIONS {
                 // Alternate lanes (two commands a queue at most: no doorbell)

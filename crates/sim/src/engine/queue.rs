@@ -1,8 +1,9 @@
 //! A bounded multi-producer blocking queue for engine lanes.
 //!
-//! The execution engine shards work across worker threads through one
-//! [`ShardQueue`] per worker (commands) plus one shared queue flowing back
-//! (completions). The queue is a `Mutex<VecDeque>` with two condvars, and it
+//! An execution engine with worker threads shards work across them through
+//! one [`ShardQueue`] per worker (commands) plus one shared queue flowing back
+//! (completions); one without (no CPU to run them on) has no queues and never
+//! comes here. The queue is a `Mutex<VecDeque>` with two condvars, and it
 //! stays that (`crates/sim` forbids `unsafe`); what makes it cheap enough to
 //! sit under a ~50 ns simulated page is two rules about *when* it pays:
 //!
@@ -31,14 +32,14 @@
 //!   `push` but takes a parked consumer's registration only once the backlog
 //!   reaches the queue's doorbell mark, half its capacity: the double-buffer
 //!   point, where the consumer gets half a window to run while the producer
-//!   fills the other half. (A producer that knows the consumer has no core
-//!   of its own to run on moves the mark up to the full queue with
-//!   [`ShardQueue::with_doorbell`]: there a wake buys a context switch and
-//!   nothing else.) Its counterpart is [`ShardQueue::wait`], which parks
-//!   *without taking* and only on an empty queue, so the threshold lives on the
-//!   producer side alone: a consumer never goes to sleep on a backlog, it can
-//!   only be left asleep while one builds up below the threshold — and the
-//!   engine's claim rule guarantees somebody who is awake runs that.
+//!   fills the other half. (Where the consumer would have no core of its own
+//!   to run on, a wake buys a context switch and nothing else; the engine
+//!   builds no queue there at all.) Its counterpart is [`ShardQueue::wait`],
+//!   which parks *without taking* and only on an empty queue, so the
+//!   threshold lives on the producer side alone: a consumer never goes to
+//!   sleep on a backlog, it can only be left asleep while one builds up below
+//!   the threshold — and the engine's claim rule guarantees somebody who is
+//!   awake runs that.
 //!
 //! Registration cannot lose a wake-up because it happens under the queue's
 //! own mutex, which `Condvar::wait` releases atomically with parking: a
@@ -111,10 +112,6 @@ pub struct ShardQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    /// Backlog at which [`ShardQueue::push_deferred`] wakes a parked
-    /// consumer: half the capacity unless [`ShardQueue::with_doorbell`]
-    /// moved it. Always in `1..=capacity`, so a full queue always rings.
-    doorbell: usize,
     /// Highest occupancy ever reached, mirrored outside the mutex so
     /// observers (engine snapshots, `engtop`) can read it without
     /// contending with producers and consumers. Updated with `fetch_max`
@@ -143,19 +140,8 @@ impl<T> ShardQueue<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
-            doorbell: capacity.div_ceil(2),
             high_water: AtomicUsize::new(0),
         }
-    }
-
-    /// Moves the backlog at which [`ShardQueue::push_deferred`] wakes a
-    /// parked consumer from half the capacity to `backlog`, clamped to
-    /// `1..=capacity`: at `1` a deferred push is a plain push, at the
-    /// capacity it wakes the consumer only for a queue that has just filled
-    /// up — the point past which the producer itself would have to block.
-    pub fn with_doorbell(mut self, backlog: usize) -> Self {
-        self.doorbell = backlog.clamp(1, self.capacity);
-        self
     }
 
     fn lock(&self) -> MutexGuard<'_, State<T>> {
@@ -269,20 +255,19 @@ impl<T> ShardQueue<T> {
 
     /// Enqueues `item` like [`ShardQueue::push`] — same blocking, same
     /// errors — but defers the doorbell: a parked consumer is woken only when
-    /// the backlog has reached the doorbell mark — half the capacity (rounded
-    /// up, so a queue of one still wakes per item) unless
-    /// [`ShardQueue::with_doorbell`] moved it. Below that the item just sits
-    /// there: the caller vouches that it will either push on to the
-    /// threshold or see to the backlog itself (the engine's front-end claims
-    /// the idle lane group and runs it). A consumer that is awake finds the
-    /// item all the same; it parks only on an empty queue
+    /// the backlog has reached half the capacity (rounded up, so a queue of
+    /// one still wakes per item, and a full queue always rings). Below that
+    /// the item just sits there: the caller vouches that it will either push
+    /// on to the threshold or see to the backlog itself (the engine's
+    /// front-end claims the idle lane group and runs it). A consumer that is
+    /// awake finds the item all the same; it parks only on an empty queue
     /// ([`ShardQueue::wait`]).
     ///
     /// # Errors
     ///
     /// `Err(item)` when the queue is closed; the item was not enqueued.
     pub fn push_deferred(&self, item: T) -> Result<(), T> {
-        self.push_ringing_at(item, self.doorbell)
+        self.push_ringing_at(item, self.capacity.div_ceil(2))
     }
 
     /// Moves the items of `items` into the queue, in order, under as few
@@ -601,27 +586,6 @@ mod tests {
         assert_eq!(q.lock().parked_consumers, 0, "half a window rings it");
         assert!(consumer.join().unwrap(), "woken to a non-empty queue");
         assert_eq!(q.len(), 4, "waiting takes nothing");
-    }
-
-    #[test]
-    fn moved_doorbell_rings_only_for_a_full_queue() {
-        let q: Arc<ShardQueue<u32>> = Arc::new(ShardQueue::new(4).with_doorbell(usize::MAX));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.wait())
-        };
-        while q.lock().parked_consumers == 0 {
-            std::thread::yield_now();
-        }
-        for i in 0..3 {
-            q.push_deferred(i).unwrap();
-            assert_eq!(q.lock().parked_consumers, 1, "rang at {} of 4", i + 1);
-        }
-        // The mark is clamped to the capacity: the push that fills the queue
-        // rings, so a producer never blocks on a consumer nobody woke.
-        q.push_deferred(3).unwrap();
-        assert_eq!(q.lock().parked_consumers, 0);
-        assert!(consumer.join().unwrap());
     }
 
     #[test]

@@ -414,10 +414,12 @@ impl Service {
             return Ok(Vec::new());
         }
         let at = self.tick();
-        let mut out: Vec<Option<u64>> = vec![None; len];
+        // Allocated at the first page served from RAM: a read that misses on
+        // every page hands the engine's result vector on instead.
+        let mut out: Vec<Option<u64>> = Vec::new();
         self.read_spans.clear();
         let mut run: Option<(usize, u64, u32)> = None;
-        for (i, slot) in out.iter_mut().enumerate() {
+        for i in 0..len {
             let page = lba + i as u64;
             let local = if !self.trimmed.is_empty() && self.trimmed.contains(&page) {
                 Some(None)
@@ -426,7 +428,8 @@ impl Service {
             };
             match local {
                 Some(value) => {
-                    *slot = value;
+                    out.resize(len, None);
+                    out[i] = value;
                     if let Some(span) = run.take() {
                         self.read_spans.push(span);
                     }
@@ -451,6 +454,10 @@ impl Service {
                     .next()
                     .expect("engine returns one result per read span");
                 debug_assert_eq!(values.len(), pages as usize);
+                if out.is_empty() {
+                    // One flash span covers the whole read.
+                    return Ok(values);
+                }
                 out[index..index + values.len()].copy_from_slice(&values);
             }
         }

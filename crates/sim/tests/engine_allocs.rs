@@ -9,7 +9,11 @@
 //! used to allocate was freed on the *other* thread). What remains is the
 //! translation layer's: the FTL allocates once per block it collects, 580
 //! times in the write-only loop below whether it runs under the engine or
-//! bare, which is the whole 0.058 per op measured here.
+//! bare, which is the whole 0.058 per op measured here. The engine without
+//! workers (`threads = 0`) has no records to pool — a pipelined op's pages
+//! never leave the front-end's routing buffers — and allocates nothing of its
+//! own either, except the result vector of a captured read, which is the
+//! caller's to keep.
 //!
 //! One `#[test]` only: the counter is process-wide, and libtest would run a
 //! second test on a parallel thread.
@@ -66,11 +70,11 @@ const SPAN: u32 = 8;
 const OPS: u64 = 10_000;
 
 /// Heap allocations per op, on all threads, of `OPS` pipelined 8-page ops
-/// over 4 channels at QD 64 on one worker plus the closing `flush()`, after
-/// a warm-up of twice the queue depth. With `reads`, read capture is on and
+/// over 4 channels at QD 64 on `threads` workers plus the closing `flush()`,
+/// after a warm-up of twice the queue depth. With `reads`, read capture is on and
 /// three ops in ten read back the span the op before them wrote; the results
 /// are taken after the flush, as the service does.
-fn allocations_per_op(reads: bool) -> f64 {
+fn allocations_per_op(reads: bool, threads: u32) -> f64 {
     let is_read = |i: u64| reads && matches!(i % 10, 3 | 6 | 9);
     let geometry = ChannelGeometry::new(CHANNELS, 1, Geometry::new(64, 128, 2048));
     let mut engine = Engine::new(
@@ -81,7 +85,7 @@ fn allocations_per_op(reads: bool) -> f64 {
         SwlCoordination::PerChannel,
         &SimConfig::default(),
         EngineConfig::default()
-            .with_threads(1)
+            .with_threads(threads)
             .with_queue_depth(QUEUE_DEPTH)
             .with_read_capture(reads),
     )
@@ -127,17 +131,31 @@ fn allocations_per_op(reads: bool) -> f64 {
 
 #[test]
 fn pipelined_ops_do_not_allocate_in_steady_state() {
-    let writes_only = allocations_per_op(false);
+    let writes_only = allocations_per_op(false, 1);
     assert!(
         writes_only < 0.1,
         "{writes_only} allocations per pipelined 8-page write"
     );
     // With read capture, the `Vec` handed to `take_completed_reads` for each
     // read op is the caller's to keep: one allocation per read, 30 % reads.
-    let with_reads = allocations_per_op(true);
+    let with_reads = allocations_per_op(true, 1);
     assert!(
         with_reads <= 2.0,
         "{with_reads} allocations per op with read capture on"
     );
     eprintln!("allocations per op: {writes_only} writes only, {with_reads} with captured reads");
+
+    // No workers (on a one-CPU host the runs above were that already): the
+    // FTL's own again, plus exactly the result vector of each captured read.
+    let direct_writes = allocations_per_op(false, 0);
+    assert!(
+        direct_writes < 0.1,
+        "{direct_writes} allocations per direct 8-page write"
+    );
+    let direct_reads = allocations_per_op(true, 0);
+    assert!(
+        (0.3..0.4).contains(&direct_reads),
+        "{direct_reads} allocations per direct op, three in ten a captured read"
+    );
+    eprintln!("without workers: {direct_writes} writes only, {direct_reads} with captured reads");
 }

@@ -389,35 +389,6 @@ proptest! {
         prop_assert_eq!(taken, (0..threshold).collect::<VecDeque<_>>());
     }
 
-    /// A moved doorbell (`with_doorbell`: the engine puts it at the full
-    /// queue where its workers have no CPU of their own) releases the waiter
-    /// at its mark, and however far up it was asked to go, a queue that has
-    /// just filled rings — the producer's next push would block on a consumer
-    /// nobody woke.
-    #[test]
-    fn moved_doorbell_wakes_a_waiter_at_its_mark_and_never_past_full(
-        capacity in 1usize..17,
-        mark in 0usize..40,
-        spin in 0u32..200,
-    ) {
-        let queue = Arc::new(ShardQueue::<u64>::new(capacity).with_doorbell(mark));
-        let consumer = {
-            let q = Arc::clone(&queue);
-            thread::spawn(move || q.wait())
-        };
-        for _ in 0..spin {
-            thread::yield_now();
-        }
-        let threshold = mark.clamp(1, capacity) as u64;
-        for i in 0..threshold {
-            queue.push_deferred(i).expect("queue open");
-        }
-        prop_assert!(consumer.join().expect("consumer panicked"));
-        let mut taken = VecDeque::new();
-        prop_assert!(queue.try_pop_all(&mut taken));
-        prop_assert_eq!(taken, (0..threshold).collect::<VecDeque<_>>());
-    }
-
     /// `wait` says "closed" only for a queue that is closed *and* empty, and
     /// `close` releases a waiter parked on an empty queue.
     #[test]

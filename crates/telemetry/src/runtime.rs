@@ -200,11 +200,10 @@ impl EngineRuntime {
 /// whoever holds the lane group's claim, and the engine's front-end takes it
 /// wherever it would otherwise park, so a worker may run few commands or
 /// none: behind a blocking caller `busy_frac` reads near 0 because the
-/// caller does the work, and on a one-CPU host — where the engine leaves the
-/// workers asleep rather than have them pre-empt the caller — it reads 0.
-/// What the front-end ran is charged to the lanes ([`LaneSample`]) and
-/// counted in the engine's
-/// `EngineRun::helped_commands`, never here.
+/// caller does the work. An engine that spawned no workers — on a one-CPU
+/// host they could only pre-empt the caller — has no slots at all. What
+/// the front-end ran is charged to the lanes ([`LaneSample`]) and counted in
+/// the engine's `EngineRun::helped_commands`, never here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSample {
     /// Wall time spent executing lane commands.
@@ -256,8 +255,9 @@ impl WorkerSample {
 /// One lane's wall-clock execution tallies at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneSample {
-    /// Wall time somebody — a worker thread, or the front-end under the
-    /// group's claim — spent executing this lane's commands.
+    /// Wall time somebody — a worker thread, the front-end under the group's
+    /// claim, or the front-end of an engine without workers — spent
+    /// executing this lane's commands.
     pub busy_wall_ns: u64,
     /// Commands executed on this lane, by either.
     pub commands: u64,
@@ -271,7 +271,7 @@ pub struct LaneSample {
 /// work through it privately, so occupancy means *accepted and not yet
 /// taken*: a command a worker holds in its drained inbox, or a completion
 /// the front-end has drained but not absorbed, is no longer counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueSample {
     /// Items queued at sampling time: pushed, and not yet taken by the
     /// consumer (see the type docs). In-flight work is `ops_submitted -
@@ -290,11 +290,13 @@ pub struct QueueSample {
 ///
 /// `workers` accounts for the worker threads only, `lanes` for every command
 /// executed: the lane tallies exceed the worker tallies by what the
-/// front-end ran itself at its barriers (see [`WorkerSample`]). The
-/// aggregate fractions below are over worker wall time, so on a one-CPU
-/// host, where the caller runs every backlog itself and no worker is woken
-/// before teardown, [`EngineSnapshot::busy_frac`] reads 0 with the engine
-/// saturated.
+/// front-end ran itself at its barriers (see [`WorkerSample`]). An engine
+/// without workers (one CPU, or zero threads asked for) reports no worker
+/// slots and no queue gauges: `workers` and `command_queues` are empty and
+/// `completion_queue` is all zero, capacity included. The aggregate
+/// fractions below are over worker wall time, so there
+/// [`EngineSnapshot::busy_frac`] reads 0 with the engine saturated; the lane
+/// tallies say what ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Wall nanoseconds since the engine was built.
@@ -305,19 +307,20 @@ pub struct EngineSnapshot {
     pub ops_completed: u64,
     /// Wall time the front-end spent blocked with the in-flight window full.
     pub host_backpressure_ns: u64,
-    /// Per-worker accounting, worker-index order.
+    /// Per-worker accounting, worker-index order (empty without workers).
     pub workers: Vec<WorkerSample>,
     /// Per-lane accounting, channel order.
     pub lanes: Vec<LaneSample>,
-    /// Per-worker command queue gauges, worker-index order: commands
-    /// dispatched to the worker's lane group that no claim holder has
-    /// *taken* yet (the queue is drained a burst at a time, so this excludes
-    /// the burst being executed).
+    /// Per-worker command queue gauges, worker-index order (empty without
+    /// workers): commands dispatched to the worker's lane group that no claim
+    /// holder has *taken* yet (the queue is drained a burst at a time, so
+    /// this excludes the burst being executed).
     pub command_queues: Vec<QueueSample>,
     /// The shared completion queue's gauges: completions handed over by
     /// workers (a burst at a time, when a worker's inbox runs dry) that the
     /// front-end has not yet taken. Completions of commands the front-end
-    /// ran itself never pass through here.
+    /// ran itself never pass through here; an engine without workers has no
+    /// such queue and reports the all-zero sample.
     pub completion_queue: QueueSample,
 }
 

@@ -5,8 +5,9 @@
 //! 1. **Cache-off bit-identity** — a [`Service`] with the cache disabled is
 //!    a pass-through front-end: the same op sequence driven through
 //!    [`Engine`] directly must produce the identical [`StripedReport`],
-//!    and logical contents. Only wall-clock timing may differ. (The direct
-//!    driver mirrors the service's logical clock and supplies write values
+//!    and logical contents, whether the engine has worker threads or none
+//!    (`threads = 0`: every op runs where it is submitted). Only wall-clock
+//!    timing may differ. (The direct driver mirrors the service's logical clock and supplies write values
 //!    from the same counter the service's client uses, so contents line up
 //!    bit for bit.)
 //! 2. **Cache-on semantics** — read-your-writes against a model map, a
@@ -29,10 +30,11 @@ use std::sync::Barrier;
 use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceClient, ServiceConfig, ServiceServer};
 use flash_sim::{
-    Engine, EngineConfig, Layer, LayerKind, SimConfig, StripedReport, SwlCoordination,
+    Engine, EngineConfig, Layer, LayerKind, SimConfig, SimError, StripedReport, SwlCoordination,
     TranslationLayer,
 };
 use flash_trace::TraceEvent;
+use ftl::{FtlConfig, SnapshotConfig};
 use hotid::HotDataConfig;
 use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
 use swl_core::rng::SplitMix64;
@@ -219,7 +221,7 @@ fn cache_off_matches_engine(kind: LayerKind, channels: u32) {
     probe.finish().unwrap();
 
     let ops = workload(logical, 2_500, 0xC0FFEE ^ u64::from(channels));
-    for threads in [1u32, 2] {
+    for threads in [0u32, 1, 2] {
         let engine_config = EngineConfig::default()
             .with_threads(threads)
             .with_queue_depth(16);
@@ -767,9 +769,9 @@ struct Outcome {
     reads: Vec<Vec<Option<u64>>>,
 }
 
-/// Runs `verbs` through a two-lane service, inline or through one served
-/// client.
-fn run_verbs(verbs: &[Verb], cache: Option<CacheConfig>, served: bool) -> Outcome {
+/// Runs `verbs` through a two-lane service over an engine of `threads`
+/// workers, inline or through one served client.
+fn run_verbs(verbs: &[Verb], cache: Option<CacheConfig>, served: bool, threads: u32) -> Outcome {
     let mut service = Service::build(
         LayerKind::Ftl,
         geometry(2),
@@ -778,7 +780,9 @@ fn run_verbs(verbs: &[Verb], cache: Option<CacheConfig>, served: bool) -> Outcom
         SwlCoordination::PerChannel,
         &SimConfig::default(),
         ServiceConfig {
-            engine: EngineConfig::default().with_threads(2).with_queue_depth(16),
+            engine: EngineConfig::default()
+                .with_threads(threads)
+                .with_queue_depth(16),
             cache,
             op_interval_ns: INTERVAL_NS,
         },
@@ -838,25 +842,125 @@ fn run_verbs(verbs: &[Verb], cache: Option<CacheConfig>, served: bool) -> Outcom
 
 /// One served client is the inline service: the lock adds exclusion, not
 /// behaviour. Report, cache counters, per-lane state, contents and every
-/// read result are bit-identical, cache off and cache on.
+/// read result are bit-identical, cache off and cache on — and the same
+/// again over the engine without workers.
 #[test]
 fn served_single_client_is_bit_identical_to_inline() {
-    let probe = run_verbs(&[], None, false);
+    let probe = run_verbs(&[], None, false, 2);
     let ops = workload(probe.contents.len() as u64, 2_500, 0x5E21ED);
     let verbs = verbs(&ops);
     for cache in [None, Some(CacheConfig::sized(32).with_hot(eager_hot()))] {
-        let inline = run_verbs(&verbs, cache, false);
-        let served = run_verbs(&verbs, cache, true);
+        let inline = run_verbs(&verbs, cache, false, 2);
         assert!(
             inline.report.device.programs > 0,
             "the run must reach flash"
         );
-        assert_eq!(
-            served,
-            inline,
-            "cached={}: served run diverged from the inline service",
-            cache.is_some()
-        );
+        for (served, threads) in [(true, 2u32), (false, 0), (true, 0)] {
+            assert_eq!(
+                run_verbs(&verbs, cache, served, threads),
+                inline,
+                "cached={} served={served} threads={threads}: diverged from the inline \
+                 service over two workers",
+                cache.is_some()
+            );
+        }
+    }
+}
+
+/// What the snapshot-verb sequence below left behind: every verb's result,
+/// every read-back, the report and the final contents.
+#[derive(Debug, PartialEq)]
+struct SnapshotOutcome {
+    verbs: Vec<Result<(), SimError>>,
+    images: Vec<Vec<Option<u64>>>,
+    report: StripedReport,
+    contents: Vec<Option<u64>>,
+}
+
+/// Writes, snapshots, diverges, rolls back, merges and deletes through a
+/// cache-less four-lane service over an engine of `threads` workers. Two of
+/// the verbs are refused by every lane alike (a duplicate id, an unknown
+/// one), which must not wedge the engine.
+fn run_snapshot_verbs(threads: u32) -> SnapshotOutcome {
+    let layers = SimConfig {
+        ftl: FtlConfig::new()
+            .with_overprovision_blocks(2)
+            .with_snapshots(SnapshotConfig::new().with_manifest_blocks(2)),
+        ..SimConfig::default()
+    };
+    let mut service = Service::build(
+        LayerKind::Ftl,
+        geometry(4),
+        spec(),
+        Some(swl()),
+        SwlCoordination::PerChannel,
+        &layers,
+        ServiceConfig::default().with_engine(
+            EngineConfig::default()
+                .with_threads(threads)
+                .with_queue_depth(8),
+        ),
+    )
+    .unwrap();
+    let pages = service.logical_pages();
+    let footprint = pages / 4;
+    let mut rng = SplitMix64::new(0x5A95);
+    let mut value = 0u64;
+    let mut write_some = |service: &mut Service, writes: u64| {
+        for _ in 0..writes {
+            let len = rng.range_usize(1..6);
+            let lba = rng.next_below(footprint - len as u64);
+            let data: Vec<u64> = (0..len as u64).map(|k| value + 1 + k).collect();
+            value += len as u64;
+            service.write(lba, &data).unwrap();
+        }
+    };
+    let image = |service: &mut Service| service.read(0, footprint as usize).unwrap();
+
+    let mut verbs = Vec::new();
+    let mut images = Vec::new();
+    write_some(&mut service, 400);
+    verbs.push(service.snapshot_create(1));
+    images.push(image(&mut service));
+    write_some(&mut service, 300);
+    verbs.push(service.snapshot_create(1));
+    images.push(image(&mut service));
+    verbs.push(service.snapshot_clone(1));
+    images.push(image(&mut service));
+    write_some(&mut service, 200);
+    verbs.push(service.snapshot_create(2));
+    write_some(&mut service, 200);
+    verbs.push(service.snapshot_merge(2));
+    images.push(image(&mut service));
+    verbs.push(service.snapshot_delete(9));
+    verbs.push(service.snapshot_delete(1));
+    write_some(&mut service, 100);
+    let mut run = service.finish().unwrap().run;
+    SnapshotOutcome {
+        verbs,
+        images,
+        report: run.report.clone(),
+        contents: contents(&mut run, &geometry(4), pages),
+    }
+}
+
+/// A snapshot verb is a barrier executed lane by lane; on the engine without
+/// workers it runs, like everything else, on the caller's thread. Same verb
+/// results (refusals included), same images, same report, same contents.
+#[test]
+fn snapshot_verbs_are_bit_identical_without_workers() {
+    let threaded = run_snapshot_verbs(2);
+    let refused: Vec<bool> = threaded.verbs.iter().map(Result::is_err).collect();
+    assert_eq!(
+        refused,
+        [false, true, false, false, false, true, false],
+        "{:?}",
+        threaded.verbs
+    );
+    assert_eq!(threaded.images[2], threaded.images[0], "rollback");
+    assert_ne!(threaded.images[1], threaded.images[0], "divergence");
+    for threads in [0u32, 1] {
+        assert_eq!(run_snapshot_verbs(threads), threaded, "threads={threads}");
     }
 }
 
