@@ -19,32 +19,17 @@
 
 use std::time::Instant;
 
+use flash_bench::array::{arg_number, geometry, oracle, pct, spec, trace};
 use flash_bench::{json, print_table, scale_from_args};
 use flash_sim::experiments::{channel_scaling, ExperimentScale, CHANNEL_SPAN};
-use flash_sim::{
-    Engine, EngineConfig, LayerKind, SimConfig, Simulator, StopCondition, StripedLayer,
-    SwlCoordination,
-};
+use flash_sim::{Engine, EngineConfig, LayerKind, SimConfig, StopCondition, SwlCoordination};
 use flash_telemetry::EngineMetricsReport;
-use flash_trace::{SyntheticTrace, WorkloadSpec};
-use nand::{CellKind, ChannelGeometry, Geometry};
 
 /// The lane counts the sweep visits (all divide every preset's block count).
 const CHANNELS: [u32; 3] = [1, 2, 4];
 /// Host queue depth for the wall-clock engine pass: deep enough that the
 /// front-end is not the bottleneck and lane overlap is what gets measured.
 const ENGINE_DEPTH: usize = 64;
-
-fn events_from_args(default: u64) -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--events" {
-            let value = args.next().expect("--events needs a number");
-            return value.parse().expect("--events needs a number");
-        }
-    }
-    default
-}
 
 /// One wall-clock engine run at `channels` lanes, verified against the
 /// virtual-time oracle of the identical configuration.
@@ -55,40 +40,16 @@ struct EnginePoint {
 }
 
 fn engine_point(scale: &ExperimentScale, channels: u32, events: u64) -> EnginePoint {
-    let geometry = || {
-        ChannelGeometry::new(
-            channels,
-            1,
-            Geometry::new(scale.blocks / channels, scale.pages_per_block, 2048),
-        )
-    };
-    let spec = CellKind::Mlc2.spec().with_endurance(scale.endurance);
-    let swl = Some(scale.swl_config(100, 0));
-    let trace = |pages: u64| {
-        SyntheticTrace::new(WorkloadSpec::paper(pages).with_seed(scale.seed))
-            .map(move |e| e.widen(CHANNEL_SPAN, pages))
-    };
-
-    let mut oracle = StripedLayer::build(
-        LayerKind::Ftl,
-        geometry(),
-        spec,
-        swl,
-        SwlCoordination::PerChannel,
-        &SimConfig::default(),
-    )
-    .expect("oracle build failed");
-    let pages = oracle.logical_pages();
-    let reference = Simulator::new()
-        .run_striped(&mut oracle, trace(pages), StopCondition::events(events))
-        .expect("oracle run failed");
+    let swl = scale.swl_config(100, 0);
+    let coordination = SwlCoordination::PerChannel;
+    let (_, reference) = oracle(scale, channels, swl, coordination, events);
 
     let mut engine = Engine::new(
         LayerKind::Ftl,
-        geometry(),
-        spec,
-        swl,
-        SwlCoordination::PerChannel,
+        geometry(scale, channels),
+        spec(scale),
+        Some(swl),
+        coordination,
         &SimConfig::default(),
         EngineConfig::default()
             .with_threads(channels)
@@ -96,9 +57,10 @@ fn engine_point(scale: &ExperimentScale, channels: u32, events: u64) -> EnginePo
             .with_metrics(true),
     )
     .expect("engine build failed");
+    let pages = engine.logical_pages();
     let start = Instant::now();
     engine
-        .run(trace(pages), StopCondition::events(events))
+        .run(trace(pages, scale.seed), StopCondition::events(events))
         .expect("engine run failed");
     let run = engine.finish().expect("engine finish failed");
     let wall_s = start.elapsed().as_secs_f64();
@@ -113,13 +75,9 @@ fn engine_point(scale: &ExperimentScale, channels: u32, events: u64) -> EnginePo
     }
 }
 
-fn pct(frac: f64) -> String {
-    format!("{:.1}%", frac * 100.0)
-}
-
 fn main() {
     let scale = scale_from_args();
-    let events = events_from_args(6_000);
+    let events = arg_number("--events", 6_000);
     println!(
         "channel scaling: FTL, {}-page host requests, {} events, \
          {} blocks x {} pages total, endurance {}, SWL (T=100, k=0, global)",

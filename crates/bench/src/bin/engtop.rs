@@ -13,16 +13,11 @@
 //! object per line: an `engtop_meta` header, then `sample` / `worker` /
 //! `lane` / `queue` lines per tick and one trailing `final` line).
 //! `engtop --check FILE` validates such an export and exits non-zero on any
-//! schema drift — the same contract style as `swlstat --check` /
-//! `swlspan --check` — so CI can gate on a golden fixture.
-//!
-//! Schema v2 adds the `cache` line kind (the service write cache's counter
-//! block, emitted by `svcbench --out`); schema v3 adds the `health` line
-//! kind (the health plane's per-tick SMART report, also emitted from the
-//! service path by `svcbench --out`). The checker still accepts older
-//! exports, but each line kind is rejected in a file whose meta declares a
-//! schema predating it — engtop itself drives a bare engine and never
-//! emits either.
+//! schema drift, so CI can gate on a golden fixture. The line writers and
+//! the validator are [`flash_bench::export`], shared with `svcbench --out`
+//! (which adds the v2 `cache` and v3 `health` lines to the same stream —
+//! engtop itself drives a bare engine and never emits either) and with
+//! `swlhealth`, whose dialect of the format meets the same `health` rules.
 //!
 //! ```text
 //! engtop [quick|scaled|paper] [--events N] [--threads N] [--depth N]
@@ -34,20 +29,12 @@ use std::io::{IsTerminal, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use flash_bench::json::{self, JsonScalar};
+use flash_bench::array::{geometry, pct, spec, trace, CHANNELS};
+use flash_bench::export::{self, ENGTOP};
 use flash_sim::experiments::{ExperimentScale, CHANNEL_SPAN};
 use flash_sim::{Engine, EngineConfig, EngineRun, LayerKind, SimConfig, StopCondition, SwlCoordination};
 use flash_telemetry::{EngineSnapshot, LatencyHistogram};
-use flash_trace::{SyntheticTrace, TraceEvent, WorkloadSpec};
-use nand::{CellKind, ChannelGeometry, Geometry};
 
-/// JSONL export schema version; bump on any line-shape change. v2 added
-/// the `cache` line kind for service write-cache counters; v3 added the
-/// `health` line kind for per-tick health-plane reports.
-const SCHEMA: u64 = 3;
-/// Oldest schema version `--check` still accepts.
-const MIN_SCHEMA: u64 = 1;
-const CHANNELS: u32 = 4;
 const SWL_THRESHOLD: u64 = 100;
 
 struct Options {
@@ -114,21 +101,13 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-fn trace(logical_pages: u64, seed: u64) -> impl Iterator<Item = TraceEvent> {
-    SyntheticTrace::new(WorkloadSpec::paper(logical_pages).with_seed(seed))
-        .map(move |e| e.widen(CHANNEL_SPAN, logical_pages))
-}
-
-fn pct(frac: f64) -> String {
-    format!("{:5.1}%", frac * 100.0)
-}
-
 /// One refresh frame: aggregate header, per-worker rows, per-lane row, and
 /// queue gauges, as terminal lines.
 fn frame(snap: &EngineSnapshot) -> Vec<String> {
     let mut lines = Vec::new();
     lines.push(format!(
-        "t {:8.1} ms | ops {} submitted / {} completed | busy {} starv {} bp {} | host bp {:.1} ms",
+        "t {:8.1} ms | ops {} submitted / {} completed | busy {:>6} starv {:>6} bp {:>6} | \
+         host bp {:.1} ms",
         snap.elapsed_ns as f64 / 1e6,
         snap.ops_submitted,
         snap.ops_completed,
@@ -171,82 +150,12 @@ fn frame(snap: &EngineSnapshot) -> Vec<String> {
     lines
 }
 
-/// Appends the JSONL lines for one sampled snapshot.
-fn export_sample(out: &mut Vec<String>, seq: u64, snap: &EngineSnapshot) {
-    let t_ms = snap.elapsed_ns as f64 / 1e6;
-    out.push(json::object(|o| {
-        o.str("kind", "sample")
-            .u64("seq", seq)
-            .f64("t_ms", t_ms, 3)
-            .u64("ops_submitted", snap.ops_submitted)
-            .u64("ops_completed", snap.ops_completed)
-            .f64("busy_frac", snap.busy_frac(), 4)
-            .f64("starved_frac", snap.starved_frac(), 4)
-            .f64("backpressure_frac", snap.backpressure_frac(), 4)
-            .f64("host_backpressure_ms", snap.host_backpressure_ns as f64 / 1e6, 3)
-            .u64("cmd_high_water", snap.command_high_water() as u64)
-            .u64("completion_high_water", snap.completion_queue.high_water as u64);
-    }));
-    for (w, worker) in snap.workers.iter().enumerate() {
-        out.push(json::object(|o| {
-            o.str("kind", "worker")
-                .u64("seq", seq)
-                .f64("t_ms", t_ms, 3)
-                .u64("worker", w as u64)
-                .f64("busy_frac", worker.busy_frac(), 4)
-                .f64("starved_frac", worker.starved_frac(), 4)
-                .f64("backpressure_frac", worker.backpressure_frac(), 4)
-                .f64("idle_frac", worker.idle_frac(), 4)
-                .u64("commands", worker.commands)
-                .u64("pages", worker.pages);
-        }));
-    }
-    for (l, lane) in snap.lanes.iter().enumerate() {
-        out.push(json::object(|o| {
-            o.str("kind", "lane")
-                .u64("seq", seq)
-                .f64("t_ms", t_ms, 3)
-                .u64("lane", l as u64)
-                .f64("busy_ms", lane.busy_wall_ns as f64 / 1e6, 3)
-                .u64("commands", lane.commands)
-                .u64("pages", lane.pages);
-        }));
-    }
-    for (w, queue) in snap.command_queues.iter().enumerate() {
-        let label = format!("cmd{w}");
-        out.push(queue_line(seq, t_ms, &label, queue));
-    }
-    out.push(queue_line(seq, t_ms, "completion", &snap.completion_queue));
-}
-
-fn queue_line(seq: u64, t_ms: f64, label: &str, q: &flash_telemetry::QueueSample) -> String {
-    json::object(|o| {
-        o.str("kind", "queue")
-            .u64("seq", seq)
-            .f64("t_ms", t_ms, 3)
-            .str("queue", label)
-            .u64("len", q.len as u64)
-            .u64("high_water", q.high_water as u64)
-            .u64("capacity", q.capacity as u64);
-    })
-}
-
 fn run(options: &Options) -> Result<(), String> {
     let scale = &options.scale;
-    assert!(
-        scale.blocks.is_multiple_of(CHANNELS),
-        "{CHANNELS} channels must divide {} blocks",
-        scale.blocks
-    );
-    let geometry = ChannelGeometry::new(
-        CHANNELS,
-        1,
-        Geometry::new(scale.blocks / CHANNELS, scale.pages_per_block, 2048),
-    );
     let mut engine = Engine::new(
         LayerKind::Ftl,
-        geometry,
-        CellKind::Mlc2.spec().with_endurance(scale.endurance),
+        geometry(scale, CHANNELS),
+        spec(scale),
         Some(scale.swl_config(SWL_THRESHOLD, 0)),
         SwlCoordination::PerChannel,
         &SimConfig::default(),
@@ -268,16 +177,13 @@ fn run(options: &Options) -> Result<(), String> {
         options.depth
     );
 
-    let mut jsonl: Vec<String> = Vec::new();
-    jsonl.push(json::object(|o| {
-        o.str("kind", "engtop_meta")
-            .u64("schema", SCHEMA)
-            .u64("channels", u64::from(CHANNELS))
-            .u64("threads", u64::from(effective_threads))
-            .u64("queue_depth", options.depth as u64)
-            .u64("events", events)
-            .u64("interval_ms", options.interval_ms);
-    }));
+    let mut jsonl = vec![export::engtop_meta_line(
+        CHANNELS,
+        effective_threads,
+        options.depth as u64,
+        events,
+        options.interval_ms,
+    )];
 
     let driver = std::thread::spawn(move || -> Result<EngineRun, flash_sim::SimError> {
         engine.run(trace(pages, seed), StopCondition::events(events))?;
@@ -289,7 +195,7 @@ fn run(options: &Options) -> Result<(), String> {
     let mut last_height = 0usize;
     while !driver.is_finished() {
         let snap = handle.snapshot();
-        export_sample(&mut jsonl, seq, &snap);
+        export::tick_lines(&mut jsonl, seq, &snap);
         let lines = frame(&snap);
         if live {
             // Refresh in place: move the cursor back over the previous frame.
@@ -333,18 +239,8 @@ fn run(options: &Options) -> Result<(), String> {
         q(&metrics.op_write_wall, 0.99) / 1_000,
     );
 
-    jsonl.push(json::object(|o| {
-        o.str("kind", "final")
-            .f64("t_ms", snap.elapsed_ns as f64 / 1e6, 3)
-            .u64("ops_submitted", snap.ops_submitted)
-            .u64("ops_completed", snap.ops_completed)
-            .f64("busy_frac", snap.busy_frac(), 4)
-            .f64("starved_frac", snap.starved_frac(), 4)
-            .f64("backpressure_frac", snap.backpressure_frac(), 4)
-            .f64("host_backpressure_ms", snap.host_backpressure_ns as f64 / 1e6, 3)
-            .u64("cmd_high_water", snap.command_high_water() as u64)
-            .u64("completion_high_water", snap.completion_queue.high_water as u64)
-            .u64("cmd_p50_ns", q(&metrics.cmd_latency, 0.5))
+    jsonl.push(export::final_line(snap, |o| {
+        o.u64("cmd_p50_ns", q(&metrics.cmd_latency, 0.5))
             .u64("cmd_p99_ns", q(&metrics.cmd_latency, 0.99))
             .u64("op_wall_p50_ns", q(&metrics.op_write_wall, 0.5))
             .u64("op_wall_p99_ns", q(&metrics.op_write_wall, 0.99));
@@ -356,279 +252,10 @@ fn run(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The fields every line of a kind must carry as numbers.
-fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
-    match kind {
-        "engtop_meta" => Some(&[
-            "schema", "channels", "threads", "queue_depth", "events", "interval_ms",
-        ]),
-        "sample" | "final" => Some(&[
-            "t_ms",
-            "ops_submitted",
-            "ops_completed",
-            "busy_frac",
-            "starved_frac",
-            "backpressure_frac",
-            "host_backpressure_ms",
-            "cmd_high_water",
-            "completion_high_water",
-        ]),
-        "worker" => Some(&[
-            "t_ms",
-            "worker",
-            "busy_frac",
-            "starved_frac",
-            "backpressure_frac",
-            "idle_frac",
-            "commands",
-            "pages",
-        ]),
-        "lane" => Some(&["t_ms", "lane", "busy_ms", "commands", "pages"]),
-        "queue" => Some(&["t_ms", "len", "high_water", "capacity"]),
-        // Schema v2: the service write cache's counter block per tick.
-        "cache" => Some(&[
-            "t_ms",
-            "write_hits",
-            "read_hits",
-            "admitted",
-            "write_through",
-            "flushed_pages",
-            "flush_batches",
-            "evicted",
-            "trimmed",
-            "dirty",
-            "capacity",
-        ]),
-        // Schema v3: the health plane's per-tick SMART report (forecast
-        // fields are optional — omitted while the forecast is unbounded).
-        "health" => Some(&[
-            "t_ms",
-            "state",
-            "life_used",
-            "host_pages",
-            "wear_max",
-            "wear_p90",
-            "wear_mean",
-            "retired",
-            "tail_rate",
-            "mean_rate",
-            "unevenness",
-        ]),
-        _ => None,
-    }
-}
-
-fn num(fields: &[(String, JsonScalar)], key: &str) -> Option<f64> {
-    fields.iter().find(|(k, _)| k == key)?.1.as_num()
-}
-
-/// Validates a JSONL export against the declared schema version. Returns
-/// every violation found (empty = clean).
+/// `engtop --check`: validates an export in this tool's dialect, returning
+/// its sample-tick count or every violation found.
 fn check(text: &str) -> Result<u64, Vec<String>> {
-    let mut errors = Vec::new();
-    let mut meta: Option<(f64, f64)> = None; // (threads, channels)
-    let mut schema = SCHEMA;
-    let mut last_t_ms = f64::NEG_INFINITY;
-    let mut queue_high: Vec<(String, f64)> = Vec::new();
-    let mut finals = 0usize;
-    let mut samples = 0u64;
-    let mut lines = 0usize;
-    for (n, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        lines += 1;
-        let fields = match json::parse_flat(line) {
-            Ok(fields) => fields,
-            Err(e) => {
-                errors.push(format!("line {}: {e}", n + 1));
-                continue;
-            }
-        };
-        let Some(kind) = fields
-            .iter()
-            .find(|(k, _)| k == "kind")
-            .and_then(|(_, v)| v.as_str())
-            .map(str::to_owned)
-        else {
-            errors.push(format!("line {}: no \"kind\" field", n + 1));
-            continue;
-        };
-        let Some(required) = required_fields(&kind) else {
-            errors.push(format!("line {}: unknown kind {kind:?}", n + 1));
-            continue;
-        };
-        let mut complete = true;
-        for key in required {
-            if num(&fields, key).is_none() {
-                errors.push(format!("line {}: {kind} line missing numeric {key:?}", n + 1));
-                complete = false;
-            }
-        }
-        if !complete {
-            continue;
-        }
-        if n == 0 {
-            if kind != "engtop_meta" {
-                errors.push("line 1: export must start with an engtop_meta line".to_owned());
-            } else {
-                let declared = num(&fields, "schema").unwrap_or(0.0);
-                if declared < MIN_SCHEMA as f64 || declared > SCHEMA as f64 {
-                    errors.push(format!(
-                        "line 1: schema {declared}, this engtop speaks v{MIN_SCHEMA}..=v{SCHEMA}"
-                    ));
-                } else {
-                    schema = declared as u64;
-                }
-            }
-        } else if kind == "engtop_meta" {
-            errors.push(format!("line {}: duplicate engtop_meta", n + 1));
-        }
-        match kind.as_str() {
-            "engtop_meta" => {
-                meta = Some((
-                    num(&fields, "threads").unwrap_or(0.0),
-                    num(&fields, "channels").unwrap_or(0.0),
-                ));
-            }
-            "final" => finals += 1,
-            "sample" => samples += 1,
-            _ => {}
-        }
-        // Time must be monotone in file order; every non-meta kind carries it.
-        if let Some(t_ms) = num(&fields, "t_ms") {
-            if t_ms < last_t_ms {
-                errors.push(format!(
-                    "line {}: t_ms {t_ms} went backwards (was {last_t_ms})",
-                    n + 1
-                ));
-            }
-            last_t_ms = t_ms;
-        }
-        for frac in ["busy_frac", "starved_frac", "backpressure_frac", "idle_frac"] {
-            if let Some(v) = num(&fields, frac) {
-                if !(0.0..=1.0).contains(&v) {
-                    errors.push(format!("line {}: {frac} {v} outside [0, 1]", n + 1));
-                }
-            }
-        }
-        if let Some((threads, channels)) = meta {
-            if let Some(w) = num(&fields, "worker") {
-                if w >= threads {
-                    errors.push(format!("line {}: worker {w} >= {threads} threads", n + 1));
-                }
-            }
-            if let Some(l) = num(&fields, "lane") {
-                if l >= channels {
-                    errors.push(format!("line {}: lane {l} >= {channels} channels", n + 1));
-                }
-            }
-        }
-        if kind == "queue" {
-            let label = fields
-                .iter()
-                .find(|(k, _)| k == "queue")
-                .and_then(|(_, v)| v.as_str())
-                .map(str::to_owned);
-            let Some(label) = label else {
-                errors.push(format!("line {}: queue line missing \"queue\" label", n + 1));
-                continue;
-            };
-            let (len, high, cap) = (
-                num(&fields, "len").unwrap_or(0.0),
-                num(&fields, "high_water").unwrap_or(0.0),
-                num(&fields, "capacity").unwrap_or(0.0),
-            );
-            if len > cap {
-                errors.push(format!("line {}: queue {label} len {len} > capacity {cap}", n + 1));
-            }
-            if high > cap {
-                errors.push(format!(
-                    "line {}: queue {label} high_water {high} > capacity {cap}",
-                    n + 1
-                ));
-            }
-            match queue_high.iter_mut().find(|(name, _)| *name == label) {
-                Some((_, prev)) => {
-                    if high < *prev {
-                        errors.push(format!(
-                            "line {}: queue {label} high_water {high} regressed from {prev}",
-                            n + 1
-                        ));
-                    }
-                    *prev = high;
-                }
-                None => queue_high.push((label, high)),
-            }
-        }
-        if kind == "cache" {
-            if schema < 2 {
-                errors.push(format!(
-                    "line {}: cache lines need schema v2, file declares v{schema}",
-                    n + 1
-                ));
-            }
-            let (dirty, capacity) = (
-                num(&fields, "dirty").unwrap_or(0.0),
-                num(&fields, "capacity").unwrap_or(0.0),
-            );
-            if dirty > capacity {
-                errors.push(format!(
-                    "line {}: cache dirty {dirty} > capacity {capacity}",
-                    n + 1
-                ));
-            }
-        }
-        if kind == "health" {
-            if schema < 3 {
-                errors.push(format!(
-                    "line {}: health lines need schema v3, file declares v{schema}",
-                    n + 1
-                ));
-            }
-            let state = num(&fields, "state").unwrap_or(0.0);
-            if state > 2.0 {
-                errors.push(format!("line {}: health state {state} not in 0..=2", n + 1));
-            }
-            if num(&fields, "life_used").unwrap_or(0.0) < 0.0 {
-                errors.push(format!("line {}: negative life_used", n + 1));
-            }
-            let (max, p90) = (
-                num(&fields, "wear_max").unwrap_or(0.0),
-                num(&fields, "wear_p90").unwrap_or(0.0),
-            );
-            if p90 > max {
-                errors.push(format!("line {}: wear_p90 {p90} > wear_max {max}", n + 1));
-            }
-            // The forecast band, when present, must bracket the central
-            // estimate (earliest ≤ central ≤ latest).
-            let band = (
-                num(&fields, "forecast_earliest"),
-                num(&fields, "forecast_central"),
-                num(&fields, "forecast_latest"),
-            );
-            if let (Some(lo), Some(mid), Some(hi)) = band {
-                if !(lo <= mid && mid <= hi) {
-                    errors.push(format!(
-                        "line {}: forecast band {lo}..{mid}..{hi} out of order",
-                        n + 1
-                    ));
-                }
-            }
-        }
-        if finals > 0 && kind != "final" {
-            errors.push(format!("line {}: content after the final line", n + 1));
-        }
-    }
-    if lines == 0 {
-        errors.push("empty export".to_owned());
-    } else if finals == 0 {
-        errors.push("no final line".to_owned());
-    } else if finals > 1 {
-        errors.push(format!("{finals} final lines, expected exactly one"));
-    }
-    if errors.is_empty() {
-        Ok(samples)
-    } else {
-        Err(errors)
-    }
+    export::check(text, &ENGTOP)
 }
 
 fn main() -> ExitCode {
@@ -649,7 +276,7 @@ fn main() -> ExitCode {
         };
         return match check(&text) {
             Ok(samples) => {
-                println!("engtop: OK — {samples} sample tick(s), schema v{SCHEMA}");
+                println!("engtop: OK — {samples} sample tick(s), schema v{}", ENGTOP.schema);
                 ExitCode::SUCCESS
             }
             Err(errors) => {
@@ -795,6 +422,36 @@ mod tests {
             health(1.0, 0, 4, 6, Some((80, 50, 120)))
         );
         assert!(check(&bad_band).is_err());
+    }
+
+    #[test]
+    fn rejects_partial_forecast_band() {
+        let meta_v3 = META.replace("\"schema\":1", "\"schema\":3");
+        let whole = health(1.0, 0, 4, 6, Some((50, 80, 120)));
+        for dropped in [",\"forecast_latest\":120", ",\"forecast_central\":80"] {
+            let partial = whole.replace(dropped, "");
+            let errors = check(&format!("{meta_v3}\n{partial}\n{FINAL}\n")).unwrap_err();
+            assert!(errors[0].contains("all together"), "{errors:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_health_counters_that_regress() {
+        let meta_v3 = META.replace("\"schema\":1", "\"schema\":3");
+        let first = health(1.0, 0, 4, 6, None).replace("\"retired\":0", "\"retired\":1");
+        let next = first.replace("\"seq\":0", "\"seq\":1");
+        let ok = format!("{meta_v3}\n{first}\n{next}\n{FINAL}\n");
+        assert_eq!(check(&ok), Ok(0));
+        for (from, to, what) in [
+            ("\"wear_max\":6", "\"wear_max\":5", "wear_max 5 regressed from 6"),
+            ("\"host_pages\":100", "\"host_pages\":99", "host_pages 99 regressed from 100"),
+            ("\"retired\":1", "\"retired\":0", "retired 0 regressed from 1"),
+            ("\"seq\":1", "\"seq\":2", "health seq 2, expected 1"),
+        ] {
+            let bad = format!("{meta_v3}\n{first}\n{}\n{FINAL}\n", next.replace(from, to));
+            let errors = check(&bad).unwrap_err();
+            assert!(errors[0].contains(what), "{errors:?}");
+        }
     }
 
     #[test]

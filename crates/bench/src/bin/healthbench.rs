@@ -33,16 +33,15 @@
 
 use std::process::ExitCode;
 
+use flash_bench::array::{arg_number, geometry, HotWrites, CHANNELS};
 use flash_bench::json;
 use flash_sim::experiments::ExperimentScale;
 use flash_sim::service::{Service, ServiceConfig};
 use flash_sim::{EngineConfig, LayerKind, SimConfig, SwlCoordination};
 use flash_telemetry::health::{HealthReport, HALF_LIFE_ERROR_BOUND};
-use nand::{CellKind, ChannelGeometry, FaultPlan, Geometry};
-use swl_core::rng::SplitMix64;
+use nand::{CellKind, FaultPlan};
 use swl_core::SwlConfig;
 
-const CHANNELS: u32 = 4;
 const SWL_THRESHOLD: u64 = 100;
 /// Rated per-block endurance of both arms (low: failure in seconds).
 const DEFAULT_ENDURANCE: u32 = 24;
@@ -73,55 +72,6 @@ struct Arm {
     final_report: HealthReport,
 }
 
-fn args_value(flag: &str) -> Option<u64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let value = args.next().unwrap_or_else(|| panic!("{flag} needs a number"));
-            return Some(value.parse().unwrap_or_else(|_| panic!("{flag} needs a number")));
-        }
-    }
-    None
-}
-
-/// Same hot-biased single-client write stream as `swlhealth`: 40 % logical
-/// footprint, 90 % of writes inside the hot eighth, 1–4 pages each.
-struct Workload {
-    rng: SplitMix64,
-    span: u64,
-    hot_set: u64,
-    next_value: u64,
-}
-
-impl Workload {
-    fn new(logical_pages: u64, seed: u64) -> Self {
-        let span = (logical_pages * 2 / 5).max(8);
-        Self {
-            rng: SplitMix64::new(seed ^ 0x5EA1),
-            span,
-            hot_set: (span / 8).max(4).min(span),
-            next_value: 0,
-        }
-    }
-
-    fn next(&mut self) -> (u64, Vec<u64>) {
-        let len = self.rng.range_usize(1..5).min(self.span as usize);
-        let lba = if self.rng.chance(0.9) {
-            self.rng.next_below(self.hot_set)
-        } else {
-            self.rng.next_below(self.span)
-        }
-        .min(self.span - len as u64);
-        let data = (0..len)
-            .map(|_| {
-                self.next_value += 1;
-                self.next_value
-            })
-            .collect();
-        (lba, data)
-    }
-}
-
 /// Drives one arm to first failure, recording the forecast as it goes.
 fn run_arm(
     name: &'static str,
@@ -130,18 +80,13 @@ fn run_arm(
     record_every: u64,
 ) -> Arm {
     let scale = ExperimentScale::quick();
-    let geometry = ChannelGeometry::new(
-        CHANNELS,
-        1,
-        Geometry::new(scale.blocks / CHANNELS, scale.pages_per_block, 2048),
-    );
     let mut sim = SimConfig::default();
     if let Some((lo, hi)) = fault_range {
         sim.fault = Some(FaultPlan::new(scale.seed).with_endurance_range(lo, hi));
     }
     let mut service = Service::build(
         LayerKind::Ftl,
-        geometry,
+        geometry(&scale, CHANNELS),
         CellKind::Mlc2.spec().with_endurance(endurance),
         Some(SwlConfig::new(SWL_THRESHOLD, 0).with_seed(scale.seed)),
         SwlCoordination::PerChannel,
@@ -154,7 +99,7 @@ fn run_arm(
         ),
     )
     .expect("service build failed");
-    let mut workload = Workload::new(service.logical_pages(), scale.seed);
+    let mut workload = HotWrites::new(service.logical_pages(), scale.seed);
     let runtime = service.health_runtime().expect("health was enabled");
     let mut records = Vec::new();
     let mut ops = 0u64;
@@ -163,7 +108,7 @@ fn run_arm(
     // block below it (faulty arm — the rated wear-out record never fires
     // there, the block is grown-bad first).
     while service.first_failure().is_none() && runtime.sample().retired == 0 {
-        let (lba, data) = workload.next();
+        let (lba, data) = workload.next_write();
         service.write(lba, &data).expect("write failed");
         ops += 1;
         if ops.is_multiple_of(record_every) {
@@ -218,10 +163,8 @@ fn half_life_error(arm: &Arm) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let endurance = args_value("--endurance").unwrap_or(u64::from(DEFAULT_ENDURANCE)) as u32;
-    let record_every = args_value("--record-every")
-        .unwrap_or(DEFAULT_RECORD_EVERY)
-        .max(1);
+    let endurance = arg_number("--endurance", DEFAULT_ENDURANCE);
+    let record_every = arg_number("--record-every", DEFAULT_RECORD_EVERY).max(1);
     let fault_lo = ((f64::from(endurance) * FAULT_LO_FRAC).floor() as u64).max(1);
     println!(
         "healthbench: quick geometry, FTL x{CHANNELS}ch, rated endurance {endurance}, \

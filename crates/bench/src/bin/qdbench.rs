@@ -34,82 +34,23 @@
 
 use std::time::Instant;
 
+use flash_bench::array::{arg_number, geometry, oracle, pct, spec, trace, CHANNELS};
 use flash_bench::{json, print_table, scale_from_args};
-use flash_sim::experiments::CHANNEL_SPAN;
+use flash_sim::experiments::{ExperimentScale, CHANNEL_SPAN};
 use flash_sim::{
-    Engine, EngineConfig, LayerKind, SimConfig, Simulator, StopCondition, StripedLayer,
-    StripedReport, SwlCoordination,
+    Engine, EngineConfig, LayerKind, SimConfig, StopCondition, StripedReport, SwlCoordination,
 };
 use flash_telemetry::EngineMetricsReport;
-use flash_trace::{SyntheticTrace, TraceEvent, WorkloadSpec};
-use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
 use swl_core::SwlConfig;
 
-const CHANNELS: u32 = 4;
 const THREADS: [u32; 5] = [0, 1, 2, 4, 8];
 const DEPTHS: [u32; 4] = [1, 8, 64, 256];
 /// Queue depth of the Global-coordination rows.
 const GLOBAL_DEPTH: u32 = 64;
 const SWL_THRESHOLD: u64 = 100;
 
-fn events_from_args(default: u64) -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--events" {
-            let value = args.next().expect("--events needs a number");
-            return value.parse().expect("--events needs a number");
-        }
-    }
-    default
-}
-
-fn geometry(scale: &flash_sim::experiments::ExperimentScale) -> ChannelGeometry {
-    assert!(
-        scale.blocks.is_multiple_of(CHANNELS),
-        "{CHANNELS} channels must divide {} blocks",
-        scale.blocks
-    );
-    ChannelGeometry::new(
-        CHANNELS,
-        1,
-        Geometry::new(scale.blocks / CHANNELS, scale.pages_per_block, 2048),
-    )
-}
-
-fn spec(scale: &flash_sim::experiments::ExperimentScale) -> CellSpec {
-    CellKind::Mlc2.spec().with_endurance(scale.endurance)
-}
-
-fn swl(scale: &flash_sim::experiments::ExperimentScale) -> SwlConfig {
+fn swl(scale: &ExperimentScale) -> SwlConfig {
     SwlConfig::new(SWL_THRESHOLD, 0).with_seed(scale.seed)
-}
-
-fn trace(logical_pages: u64, seed: u64) -> impl Iterator<Item = TraceEvent> {
-    SyntheticTrace::new(WorkloadSpec::paper(logical_pages).with_seed(seed))
-        .map(move |e| e.widen(CHANNEL_SPAN, logical_pages))
-}
-
-/// The virtual-time oracle run every engine configuration must reproduce.
-fn oracle(
-    scale: &flash_sim::experiments::ExperimentScale,
-    events: u64,
-    coordination: SwlCoordination,
-) -> (f64, StripedReport) {
-    let mut striped = StripedLayer::build(
-        LayerKind::Ftl,
-        geometry(scale),
-        spec(scale),
-        Some(swl(scale)),
-        coordination,
-        &SimConfig::default(),
-    )
-    .expect("oracle build failed");
-    let pages = striped.logical_pages();
-    let start = Instant::now();
-    let report = Simulator::new()
-        .run_striped(&mut striped, trace(pages, scale.seed), StopCondition::events(events))
-        .expect("oracle run failed");
-    (start.elapsed().as_secs_f64(), report)
 }
 
 struct Point {
@@ -124,7 +65,7 @@ struct Point {
 }
 
 fn engine_run(
-    scale: &flash_sim::experiments::ExperimentScale,
+    scale: &ExperimentScale,
     events: u64,
     threads: u32,
     queue_depth: u32,
@@ -133,7 +74,7 @@ fn engine_run(
 ) -> Point {
     let mut engine = Engine::new(
         LayerKind::Ftl,
-        geometry(scale),
+        geometry(scale, CHANNELS),
         spec(scale),
         Some(swl(scale)),
         coordination,
@@ -169,13 +110,9 @@ fn engine_run(
     }
 }
 
-fn pct(frac: f64) -> String {
-    format!("{:.1}%", frac * 100.0)
-}
-
 fn main() {
     let scale = scale_from_args();
-    let events = events_from_args(20_000);
+    let events = arg_number("--events", 20_000);
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -186,7 +123,8 @@ fn main() {
         scale.blocks, scale.pages_per_block, scale.endurance
     );
 
-    let (oracle_s, reference) = oracle(&scale, events, SwlCoordination::PerChannel);
+    let (oracle_s, reference) =
+        oracle(&scale, CHANNELS, swl(&scale), SwlCoordination::PerChannel, events);
     println!("virtual-time oracle: {oracle_s:.2} s\n");
 
     let mut points = Vec::new();
@@ -202,7 +140,8 @@ fn main() {
             ));
         }
     }
-    let (global_oracle_s, global_reference) = oracle(&scale, events, SwlCoordination::Global);
+    let (global_oracle_s, global_reference) =
+        oracle(&scale, CHANNELS, swl(&scale), SwlCoordination::Global, events);
     let global_points: Vec<Point> = THREADS
         .iter()
         .map(|&threads| {

@@ -39,9 +39,10 @@
 //! `BENCH_service.json`.
 //!
 //! With `--out FILE` the final cache-on run is re-executed with a live
-//! sampler that exports engtop-schema-v3 JSONL — `sample` / `worker` /
-//! `lane` / `queue` lines plus the v2 `cache` and v3 `health` lines per
-//! tick (the health plane rides the served path: an observer
+//! sampler that exports engtop-schema-v3 JSONL through the
+//! [`flash_bench::export`] writers — `sample` / `worker` / `lane` / `queue`
+//! lines plus the v2 `cache` and v3 `health` lines per tick (the health
+//! plane rides the served path: an observer
 //! [`flash_telemetry::HealthMonitor`] folds the engine's shared wear-table
 //! samples) — so `engtop --check FILE` can gate the export (CI checks a
 //! golden fixture produced this way).
@@ -50,21 +51,23 @@
 
 use std::time::Instant;
 
+use flash_bench::array::{arg_number, arg_value, geometry, spec, CHANNELS};
+use flash_bench::export::{self, Stamp};
 use flash_bench::{json, print_table, scale_from_args};
+use flash_sim::experiments::ExperimentScale;
 use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceConfig, ServiceRun};
 use flash_sim::{
     Engine, EngineConfig, LayerKind, SimConfig, StripedReport, SwlCoordination,
 };
 use flash_telemetry::runtime::CacheSample;
-use flash_telemetry::{HealthMonitor, HealthReport, LatencyHistogram};
+use flash_telemetry::{HealthMonitor, LatencyHistogram};
 use flash_trace::TraceEvent;
 use hotid::HotDataConfig;
-use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
+use nand::CellKind;
 use swl_core::rng::SplitMix64;
 use swl_core::SwlConfig;
 
-const CHANNELS: u32 = 4;
 const SWL_THRESHOLD: u64 = 100;
 const CLIENTS: [usize; 3] = [1, 2, 4];
 const DEPTHS: [u32; 3] = [1, 8, 64];
@@ -82,45 +85,7 @@ const INTERVAL_NS: u64 = 1_000;
 /// Client flush cadence: one durability barrier per this many ops.
 const FLUSH_EVERY: usize = 64;
 
-fn ops_from_args(default: usize) -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--ops" {
-            let value = args.next().expect("--ops needs a number");
-            return value.parse().expect("--ops needs a number");
-        }
-    }
-    default
-}
-
-fn out_from_args() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            return Some(args.next().expect("--out needs a path"));
-        }
-    }
-    None
-}
-
-fn geometry(scale: &flash_sim::experiments::ExperimentScale) -> ChannelGeometry {
-    assert!(
-        scale.blocks.is_multiple_of(CHANNELS),
-        "{CHANNELS} channels must divide {} blocks",
-        scale.blocks
-    );
-    ChannelGeometry::new(
-        CHANNELS,
-        1,
-        Geometry::new(scale.blocks / CHANNELS, scale.pages_per_block, 2048),
-    )
-}
-
-fn spec(scale: &flash_sim::experiments::ExperimentScale) -> CellSpec {
-    CellKind::Mlc2.spec().with_endurance(scale.endurance)
-}
-
-fn swl(scale: &flash_sim::experiments::ExperimentScale) -> SwlConfig {
+fn swl(scale: &ExperimentScale) -> SwlConfig {
     scale.swl_config(SWL_THRESHOLD, 0)
 }
 
@@ -257,14 +222,14 @@ fn service_config(depth: u32, cache_on: bool, observed: bool) -> ServiceConfig {
 }
 
 fn build_service(
-    scale: &flash_sim::experiments::ExperimentScale,
+    scale: &ExperimentScale,
     depth: u32,
     cache_on: bool,
     metrics: bool,
 ) -> Service {
     Service::build(
         LayerKind::Ftl,
-        geometry(scale),
+        geometry(scale, CHANNELS),
         spec(scale),
         Some(swl(scale)),
         SwlCoordination::PerChannel,
@@ -288,7 +253,7 @@ fn client_slices(logical_pages: u64, clients: usize) -> Vec<(u64, u64)> {
 /// deterministic sequence, and gathers wall time, latency histograms, and
 /// the finished report.
 fn served_run(
-    scale: &flash_sim::experiments::ExperimentScale,
+    scale: &ExperimentScale,
     clients: usize,
     depth: u32,
     cache_on: bool,
@@ -361,13 +326,13 @@ fn served_run(
 /// logical clock by [`INTERVAL_NS`], reads synchronize the pipeline, a
 /// flush is a barrier without a tick.
 fn engine_mirror(
-    scale: &flash_sim::experiments::ExperimentScale,
+    scale: &ExperimentScale,
     depth: u32,
     ops: &[ClientOp],
 ) -> StripedReport {
     let mut engine = Engine::new(
         LayerKind::Ftl,
-        geometry(scale),
+        geometry(scale, CHANNELS),
         spec(scale),
         Some(swl(scale)),
         SwlCoordination::PerChannel,
@@ -422,10 +387,10 @@ struct FailurePoint {
 /// paper's Figure 5 ratio logic (scaled endurance preserves the
 /// comparison) applies unchanged.
 fn failure_run(cache_on: bool) -> FailurePoint {
-    let scale = flash_sim::experiments::ExperimentScale::quick();
+    let scale = ExperimentScale::quick();
     let mut service = Service::build(
         LayerKind::Ftl,
-        geometry(&scale),
+        geometry(&scale, CHANNELS),
         CellKind::Mlc2.spec().with_endurance(FAILURE_ENDURANCE),
         Some(swl(&scale)),
         SwlCoordination::PerChannel,
@@ -492,7 +457,7 @@ const EVICTION_CAPACITY: usize = 8;
 ///
 /// [`need_sync`]: flash_sim::service::cache::WriteCache::need_sync
 fn eviction_run() -> CacheSample {
-    let scale = flash_sim::experiments::ExperimentScale::quick();
+    let scale = ExperimentScale::quick();
     let cache = CacheConfig {
         capacity: EVICTION_CAPACITY,
         sync_watermark: EVICTION_CAPACITY,
@@ -512,7 +477,7 @@ fn eviction_run() -> CacheSample {
         .with_cache(cache);
     let mut service = Service::build(
         LayerKind::Ftl,
-        geometry(&scale),
+        geometry(&scale, CHANNELS),
         spec(&scale),
         Some(swl(&scale)),
         SwlCoordination::PerChannel,
@@ -541,7 +506,7 @@ fn eviction_run() -> CacheSample {
 /// lines — the latter from an observer monitor over the engine's shared
 /// wear table, the served management plane's own data source).
 fn observed_run(
-    scale: &flash_sim::experiments::ExperimentScale,
+    scale: &ExperimentScale,
     ops_per_client: usize,
 ) -> Vec<String> {
     const INTERVAL_MS: u64 = 25;
@@ -555,15 +520,13 @@ fn observed_run(
     let mut monitor = HealthMonitor::new(health_runtime.config());
     let threads = CHANNELS; // one worker per lane at this depth
 
-    let mut jsonl = vec![json::object(|o| {
-        o.str("kind", "engtop_meta")
-            .u64("schema", 3)
-            .u64("channels", u64::from(CHANNELS))
-            .u64("threads", u64::from(threads))
-            .u64("queue_depth", u64::from(depth))
-            .u64("events", (clients * ops_per_client) as u64)
-            .u64("interval_ms", INTERVAL_MS);
-    })];
+    let mut jsonl = vec![export::engtop_meta_line(
+        CHANNELS,
+        threads,
+        u64::from(depth),
+        (clients * ops_per_client) as u64,
+        INTERVAL_MS,
+    )];
 
     let (server, handles) = service.serve(clients);
     let workers: Vec<_> = handles
@@ -591,9 +554,10 @@ fn observed_run(
     while !workers.iter().all(std::thread::JoinHandle::is_finished) {
         let snap = metrics.snapshot();
         let cache = cache_runtime.sample();
-        export_tick(&mut jsonl, seq, &snap, &cache);
+        export::tick_lines(&mut jsonl, seq, &snap);
+        jsonl.push(export::cache_line(seq, snap.elapsed_ns, &cache));
         let report = monitor.report_on(&health_runtime.sample(), Some(cache));
-        jsonl.push(health_line(seq, snap.elapsed_ns as f64 / 1e6, &report));
+        jsonl.push(export::health_line(seq, Stamp::WallNs(snap.elapsed_ns), &report));
         seq += 1;
         std::thread::sleep(std::time::Duration::from_millis(INTERVAL_MS));
     }
@@ -604,144 +568,20 @@ fn observed_run(
     let snap = metrics.snapshot();
     let cache = cache_runtime.sample();
     let report = monitor.report_on(&health_runtime.sample(), Some(cache));
-    jsonl.push(health_line(seq, snap.elapsed_ns as f64 / 1e6, &report));
+    jsonl.push(export::health_line(seq, Stamp::WallNs(snap.elapsed_ns), &report));
     service.finish().expect("service finish failed");
 
-    jsonl.push(json::object(|o| {
-        o.str("kind", "final")
-            .f64("t_ms", snap.elapsed_ns as f64 / 1e6, 3)
-            .u64("ops_submitted", snap.ops_submitted)
-            .u64("ops_completed", snap.ops_completed)
-            .f64("busy_frac", snap.busy_frac(), 4)
-            .f64("starved_frac", snap.starved_frac(), 4)
-            .f64("backpressure_frac", snap.backpressure_frac(), 4)
-            .f64("host_backpressure_ms", snap.host_backpressure_ns as f64 / 1e6, 3)
-            .u64("cmd_high_water", snap.command_high_water() as u64)
-            .u64("completion_high_water", snap.completion_queue.high_water as u64)
-            .u64("cache_write_hits", cache.write_hits)
+    jsonl.push(export::final_line(&snap, |o| {
+        o.u64("cache_write_hits", cache.write_hits)
             .u64("cache_flushed_pages", cache.flushed_pages);
     }));
     jsonl
 }
 
-/// One engtop-schema-v3 `health` line from a mid-run report.
-fn health_line(seq: u64, t_ms: f64, report: &HealthReport) -> String {
-    json::object(|o| {
-        o.str("kind", "health")
-            .u64("seq", seq)
-            .f64("t_ms", t_ms, 3)
-            .u64("state", report.state.code())
-            .f64("life_used", report.life_used, 4)
-            .u64("host_pages", report.host_pages)
-            .u64("wear_max", report.wear.max)
-            .u64("wear_p90", report.wear.p90)
-            .f64("wear_mean", report.wear.mean, 3)
-            .u64("retired", report.retired)
-            .f64("tail_rate", report.tail_rate, 6)
-            .f64("mean_rate", report.mean_rate, 6)
-            .f64("unevenness", report.unevenness_trend, 3);
-        // The band is omitted while the forecast is unbounded — the
-        // checker treats the three fields as optional together.
-        if let (Some(lo), Some(mid), Some(hi)) = (
-            report.forecast.earliest,
-            report.forecast.central,
-            report.forecast.latest,
-        ) {
-            o.u64("forecast_earliest", lo)
-                .u64("forecast_central", mid)
-                .u64("forecast_latest", hi);
-        }
-    })
-}
-
-/// One sampler tick: the engtop v1 lines plus the v2 `cache` line.
-fn export_tick(
-    out: &mut Vec<String>,
-    seq: u64,
-    snap: &flash_telemetry::EngineSnapshot,
-    cache: &CacheSample,
-) {
-    let t_ms = snap.elapsed_ns as f64 / 1e6;
-    out.push(json::object(|o| {
-        o.str("kind", "sample")
-            .u64("seq", seq)
-            .f64("t_ms", t_ms, 3)
-            .u64("ops_submitted", snap.ops_submitted)
-            .u64("ops_completed", snap.ops_completed)
-            .f64("busy_frac", snap.busy_frac(), 4)
-            .f64("starved_frac", snap.starved_frac(), 4)
-            .f64("backpressure_frac", snap.backpressure_frac(), 4)
-            .f64("host_backpressure_ms", snap.host_backpressure_ns as f64 / 1e6, 3)
-            .u64("cmd_high_water", snap.command_high_water() as u64)
-            .u64("completion_high_water", snap.completion_queue.high_water as u64);
-    }));
-    for (w, worker) in snap.workers.iter().enumerate() {
-        out.push(json::object(|o| {
-            o.str("kind", "worker")
-                .u64("seq", seq)
-                .f64("t_ms", t_ms, 3)
-                .u64("worker", w as u64)
-                .f64("busy_frac", worker.busy_frac(), 4)
-                .f64("starved_frac", worker.starved_frac(), 4)
-                .f64("backpressure_frac", worker.backpressure_frac(), 4)
-                .f64("idle_frac", worker.idle_frac(), 4)
-                .u64("commands", worker.commands)
-                .u64("pages", worker.pages);
-        }));
-    }
-    for (l, lane) in snap.lanes.iter().enumerate() {
-        out.push(json::object(|o| {
-            o.str("kind", "lane")
-                .u64("seq", seq)
-                .f64("t_ms", t_ms, 3)
-                .u64("lane", l as u64)
-                .f64("busy_ms", lane.busy_wall_ns as f64 / 1e6, 3)
-                .u64("commands", lane.commands)
-                .u64("pages", lane.pages);
-        }));
-    }
-    for (w, queue) in snap.command_queues.iter().enumerate() {
-        let label = format!("cmd{w}");
-        out.push(json::object(|o| {
-            o.str("kind", "queue")
-                .u64("seq", seq)
-                .f64("t_ms", t_ms, 3)
-                .str("queue", &label)
-                .u64("len", queue.len as u64)
-                .u64("high_water", queue.high_water as u64)
-                .u64("capacity", queue.capacity as u64);
-        }));
-    }
-    out.push(json::object(|o| {
-        o.str("kind", "queue")
-            .u64("seq", seq)
-            .f64("t_ms", t_ms, 3)
-            .str("queue", "completion")
-            .u64("len", snap.completion_queue.len as u64)
-            .u64("high_water", snap.completion_queue.high_water as u64)
-            .u64("capacity", snap.completion_queue.capacity as u64);
-    }));
-    out.push(json::object(|o| {
-        o.str("kind", "cache")
-            .u64("seq", seq)
-            .f64("t_ms", t_ms, 3)
-            .u64("write_hits", cache.write_hits)
-            .u64("read_hits", cache.read_hits)
-            .u64("admitted", cache.admitted)
-            .u64("write_through", cache.write_through)
-            .u64("flushed_pages", cache.flushed_pages)
-            .u64("flush_batches", cache.flush_batches)
-            .u64("evicted", cache.evicted)
-            .u64("trimmed", cache.trimmed)
-            .u64("dirty", cache.dirty)
-            .u64("capacity", cache.capacity);
-    }));
-}
-
 fn main() {
     let scale = scale_from_args();
-    let total_ops = ops_from_args(20_000);
-    let out = out_from_args();
+    let total_ops: usize = arg_number("--ops", 20_000);
+    let out = arg_value("--out");
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

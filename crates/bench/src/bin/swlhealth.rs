@@ -16,11 +16,13 @@
 //! `alert` lines on state transitions (emitted just before the `health`
 //! line that carries the new state), and one trailing `final` line.
 //! `swlhealth --check FILE` validates such an export and exits non-zero on
-//! any drift — the same contract style as `swlstat --check` /
-//! `engtop --check` — including cross-line invariants: monotone wear /
-//! host pages / retirements, seq continuity, the forecast band's order,
+//! any drift, including cross-line invariants: monotone wear / host pages /
+//! retirements, seq continuity, the forecast band's order,
 //! `life_used == wear_max / endurance`, and every alert's `from`/`to`
-//! matching the neighbouring health lines.
+//! matching the neighbouring health lines. The `health` and `alert` line
+//! writers and the validator are [`flash_bench::export`]; `svcbench --out`
+//! writes the same `health` line into its engtop-dialect stream and
+//! `engtop --check` holds it to the same rules.
 //!
 //! ```text
 //! swlhealth [quick|scaled|paper] [--ops N] [--endurance N]
@@ -33,20 +35,19 @@
 
 use std::process::ExitCode;
 
-use flash_bench::json::{self, JsonScalar};
+use flash_bench::array::{geometry, HotWrites, CHANNELS};
+use flash_bench::export::{self, Stamp, SWLHEALTH};
+use flash_bench::json;
 use flash_sim::experiments::ExperimentScale;
 use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceConfig};
 use flash_sim::{EngineConfig, LayerKind, SimConfig, SwlCoordination};
 use flash_telemetry::health::HealthReport;
 use hotid::HotDataConfig;
-use nand::{CellKind, ChannelGeometry, Geometry};
-use swl_core::rng::SplitMix64;
+use nand::CellKind;
 use swl_core::SwlConfig;
 
-/// JSONL export schema version; bump on any line-shape change.
-const SCHEMA: u64 = 1;
-const CHANNELS: u32 = 4;
+const SCHEMA: u64 = SWLHEALTH.schema;
 /// SWL threshold, scaled to the low endurance the tool runs at (the usual
 /// T=100 would never fire before a 24-cycle block dies, and a health demo
 /// with a dormant leveler would report `unevenness 0` forever).
@@ -117,69 +118,15 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-/// The driven workload: hot-biased single-client writes over ~40 % of the
-/// logical space (the svcbench footprint), 90 % of them inside the hot
-/// eighth — the cold majority is what static wear leveling exists for, the
-/// hot minority is what wears the tail out. Deterministic in `seed`.
-struct Workload {
-    rng: SplitMix64,
-    base: u64,
-    span: u64,
-    hot_set: u64,
-    next_value: u64,
-}
-
-impl Workload {
-    fn new(logical_pages: u64, seed: u64) -> Self {
-        let span = (logical_pages * 2 / 5).max(8);
-        Self {
-            rng: SplitMix64::new(seed ^ 0x5EA1),
-            base: 0,
-            span,
-            hot_set: (span / 8).max(4).min(span),
-            next_value: 0,
-        }
-    }
-
-    /// The next write: `(lba, data)`, 1–4 pages, every value unique.
-    fn next(&mut self) -> (u64, Vec<u64>) {
-        let len = self.rng.range_usize(1..5).min(self.span as usize);
-        let lba = self.base
-            + if self.rng.chance(0.9) {
-                self.rng.next_below(self.hot_set)
-            } else {
-                self.rng.next_below(self.span)
-            }
-            .min(self.span - len as u64);
-        let data = (0..len)
-            .map(|_| {
-                self.next_value += 1;
-                self.next_value
-            })
-            .collect();
-        (lba, data)
-    }
-}
-
 fn build_service(options: &Options) -> Service {
     let scale = &options.scale;
-    assert!(
-        scale.blocks.is_multiple_of(CHANNELS),
-        "{CHANNELS} channels must divide {} blocks",
-        scale.blocks
-    );
-    let geometry = ChannelGeometry::new(
-        CHANNELS,
-        1,
-        Geometry::new(scale.blocks / CHANNELS, scale.pages_per_block, 2048),
-    );
     let cache = CacheConfig::sized(CACHE_PAGES).with_hot(HotDataConfig {
         hot_threshold: 2,
         ..HotDataConfig::default()
     });
     Service::build(
         LayerKind::Ftl,
-        geometry,
+        geometry(scale, CHANNELS),
         CellKind::Mlc2.spec().with_endurance(options.endurance),
         Some(SwlConfig::new(SWL_THRESHOLD, 0).with_seed(scale.seed)),
         SwlCoordination::PerChannel,
@@ -194,41 +141,6 @@ fn build_service(options: &Options) -> Service {
             .with_cache(cache),
     )
     .expect("service build failed")
-}
-
-/// One `health` JSONL line from a barrier-quiesced report.
-fn health_line(seq: u64, ops: u64, report: &HealthReport) -> String {
-    json::object(|o| {
-        o.str("kind", "health")
-            .u64("seq", seq)
-            .u64("ops", ops)
-            .u64("host_pages", report.host_pages)
-            .u64("state", report.state.code())
-            .f64("life_used", report.life_used, 4)
-            .u64("wear_max", report.wear.max)
-            .u64("wear_p90", report.wear.p90)
-            .u64("wear_p50", report.wear.p50)
-            .f64("wear_mean", report.wear.mean, 3)
-            .f64("wear_sigma", report.wear.std_dev, 3)
-            .u64("retired", report.retired)
-            .u64("gc_erases", report.gc_erases)
-            .u64("swl_erases", report.swl_erases)
-            .u64("bet_ecnt", report.bet_ecnt)
-            .u64("bet_fcnt", report.bet_fcnt)
-            .f64("tail_rate", report.tail_rate, 6)
-            .f64("mean_rate", report.mean_rate, 6)
-            .f64("unevenness", report.unevenness_trend, 3)
-            .f64("cache_absorption", report.cache_absorption(), 4);
-        if let (Some(lo), Some(mid), Some(hi)) = (
-            report.forecast.earliest,
-            report.forecast.central,
-            report.forecast.latest,
-        ) {
-            o.u64("forecast_earliest", lo)
-                .u64("forecast_central", mid)
-                .u64("forecast_latest", hi);
-        }
-    })
 }
 
 /// The printed per-poll report row.
@@ -261,7 +173,7 @@ fn print_report(seq: u64, ops: u64, report: &HealthReport) {
 
 fn run(options: &Options) -> Result<(), String> {
     let mut service = build_service(options);
-    let mut workload = Workload::new(service.logical_pages(), options.scale.seed);
+    let mut workload = HotWrites::new(service.logical_pages(), options.scale.seed);
     println!(
         "swlhealth: FTL x{CHANNELS}ch, {} blocks x {} pages, endurance {}, \
          SWL (T={SWL_THRESHOLD}, k=0, per-channel), cache {CACHE_PAGES} pages, \
@@ -293,7 +205,7 @@ fn run(options: &Options) -> Result<(), String> {
     while done < options.ops {
         let burst = options.report_every.min(options.ops - done);
         for _ in 0..burst {
-            let (lba, data) = workload.next();
+            let (lba, data) = workload.next_write();
             service
                 .write(lba, &data)
                 .map_err(|e| format!("write failed: {e}"))?;
@@ -311,18 +223,12 @@ fn run(options: &Options) -> Result<(), String> {
                     code_token(from),
                     report.state.token()
                 );
-                jsonl.push(json::object(|o| {
-                    o.str("kind", "alert")
-                        .u64("seq", seq)
-                        .u64("ops", done)
-                        .u64("from", from)
-                        .u64("to", state);
-                }));
+                jsonl.push(export::alert_line(seq, done, from, state));
             }
         }
         last_state = Some(state);
         print_report(seq, done, &report);
-        jsonl.push(health_line(seq, done, &report));
+        jsonl.push(export::health_line(seq, Stamp::Ops(done), &report));
         seq += 1;
         last_report = Some(report);
     }
@@ -365,247 +271,10 @@ fn code_token(code: u64) -> &'static str {
     }
 }
 
-/// The fields every line of a kind must carry as numbers.
-fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
-    match kind {
-        "swlhealth_meta" => Some(&["schema", "blocks", "endurance", "report_every", "ops"]),
-        "health" => Some(&[
-            "seq",
-            "ops",
-            "host_pages",
-            "state",
-            "life_used",
-            "wear_max",
-            "wear_p90",
-            "wear_p50",
-            "wear_mean",
-            "wear_sigma",
-            "retired",
-            "gc_erases",
-            "swl_erases",
-            "bet_ecnt",
-            "bet_fcnt",
-            "tail_rate",
-            "mean_rate",
-            "unevenness",
-            "cache_absorption",
-        ]),
-        "alert" => Some(&["seq", "ops", "from", "to"]),
-        "final" => Some(&["ops", "host_pages", "state", "life_used", "wear_max", "retired"]),
-        _ => None,
-    }
-}
-
-fn num(fields: &[(String, JsonScalar)], key: &str) -> Option<f64> {
-    fields.iter().find(|(k, _)| k == key)?.1.as_num()
-}
-
-/// Validates a JSONL export. Returns the health-line count, or every
-/// violation found.
-#[allow(clippy::too_many_lines)]
+/// `swlhealth --check`: validates an export in this tool's dialect,
+/// returning its health-report count or every violation found.
 fn check(text: &str) -> Result<u64, Vec<String>> {
-    let mut errors = Vec::new();
-    let mut endurance: Option<f64> = None;
-    let mut reports = 0u64;
-    let mut finals = 0usize;
-    let mut lines = 0usize;
-    // Last health line's (state, ops, host_pages, wear_max, retired).
-    let mut last: Option<(f64, f64, f64, f64, f64)> = None;
-    // An alert waiting for the next health line to confirm its `to` state.
-    let mut pending_alert: Option<(usize, f64)> = None;
-    for (n, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        lines += 1;
-        let fields = match json::parse_flat(line) {
-            Ok(fields) => fields,
-            Err(e) => {
-                errors.push(format!("line {}: {e}", n + 1));
-                continue;
-            }
-        };
-        let Some(kind) = fields
-            .iter()
-            .find(|(k, _)| k == "kind")
-            .and_then(|(_, v)| v.as_str())
-            .map(str::to_owned)
-        else {
-            errors.push(format!("line {}: no \"kind\" field", n + 1));
-            continue;
-        };
-        let Some(required) = required_fields(&kind) else {
-            errors.push(format!("line {}: unknown kind {kind:?}", n + 1));
-            continue;
-        };
-        let mut complete = true;
-        for key in required {
-            if num(&fields, key).is_none() {
-                errors.push(format!("line {}: {kind} line missing numeric {key:?}", n + 1));
-                complete = false;
-            }
-        }
-        if !complete {
-            continue;
-        }
-        if n == 0 {
-            if kind != "swlhealth_meta" {
-                errors.push("line 1: export must start with a swlhealth_meta line".to_owned());
-            } else {
-                let declared = num(&fields, "schema").unwrap_or(0.0);
-                if declared < 1.0 || declared > SCHEMA as f64 {
-                    errors.push(format!(
-                        "line 1: schema {declared}, this swlhealth speaks v1..=v{SCHEMA}"
-                    ));
-                }
-                endurance = num(&fields, "endurance");
-            }
-        } else if kind == "swlhealth_meta" {
-            errors.push(format!("line {}: duplicate swlhealth_meta", n + 1));
-        }
-        if finals > 0 && kind != "final" {
-            errors.push(format!("line {}: content after the final line", n + 1));
-        }
-        for state_key in ["state", "from", "to"] {
-            if let Some(v) = num(&fields, state_key) {
-                if !(0.0..=2.0).contains(&v) {
-                    errors.push(format!("line {}: {state_key} {v} not in 0..=2", n + 1));
-                }
-            }
-        }
-        match kind.as_str() {
-            "health" => {
-                let seq = num(&fields, "seq").unwrap_or(0.0);
-                if seq != reports as f64 {
-                    errors.push(format!(
-                        "line {}: health seq {seq}, expected {reports}",
-                        n + 1
-                    ));
-                }
-                reports += 1;
-                let state = num(&fields, "state").unwrap_or(0.0);
-                let ops = num(&fields, "ops").unwrap_or(0.0);
-                let host_pages = num(&fields, "host_pages").unwrap_or(0.0);
-                let wear_max = num(&fields, "wear_max").unwrap_or(0.0);
-                let retired = num(&fields, "retired").unwrap_or(0.0);
-                if let Some((_, p_ops, p_pages, p_wear, p_retired)) = last {
-                    for (label, now, prev) in [
-                        ("ops", ops, p_ops),
-                        ("host_pages", host_pages, p_pages),
-                        ("wear_max", wear_max, p_wear),
-                        ("retired", retired, p_retired),
-                    ] {
-                        if now < prev {
-                            errors.push(format!(
-                                "line {}: {label} {now} regressed from {prev}",
-                                n + 1
-                            ));
-                        }
-                    }
-                }
-                if let Some((alert_line, to)) = pending_alert.take() {
-                    if to != state {
-                        errors.push(format!(
-                            "line {alert_line}: alert \"to\" {to} but the next health \
-                             line carries state {state}"
-                        ));
-                    }
-                }
-                let p90 = num(&fields, "wear_p90").unwrap_or(0.0);
-                if p90 > wear_max {
-                    errors.push(format!("line {}: wear_p90 {p90} > wear_max {wear_max}", n + 1));
-                }
-                if let Some(absorption) = num(&fields, "cache_absorption") {
-                    if !(0.0..=1.0).contains(&absorption) {
-                        errors.push(format!(
-                            "line {}: cache_absorption {absorption} outside [0, 1]",
-                            n + 1
-                        ));
-                    }
-                }
-                // The 4-decimal rounding in the export bounds the error.
-                if let Some(e) = endurance.filter(|&e| e > 0.0) {
-                    let life = num(&fields, "life_used").unwrap_or(0.0);
-                    if (life - wear_max / e).abs() > 5e-4 + 1e-9 {
-                        errors.push(format!(
-                            "line {}: life_used {life} != wear_max/endurance {:.4}",
-                            n + 1,
-                            wear_max / e
-                        ));
-                    }
-                }
-                let band = (
-                    num(&fields, "forecast_earliest"),
-                    num(&fields, "forecast_central"),
-                    num(&fields, "forecast_latest"),
-                );
-                match band {
-                    (Some(lo), Some(mid), Some(hi)) => {
-                        if !(lo <= mid && mid <= hi) {
-                            errors.push(format!(
-                                "line {}: forecast band {lo}..{mid}..{hi} out of order",
-                                n + 1
-                            ));
-                        }
-                    }
-                    (None, None, None) => {}
-                    _ => errors.push(format!(
-                        "line {}: forecast fields must appear all together or not at all",
-                        n + 1
-                    )),
-                }
-                last = Some((state, ops, host_pages, wear_max, retired));
-            }
-            "alert" => {
-                let from = num(&fields, "from").unwrap_or(0.0);
-                let to = num(&fields, "to").unwrap_or(0.0);
-                if from == to {
-                    errors.push(format!("line {}: alert with from == to == {from}", n + 1));
-                }
-                if let Some((state, ..)) = last {
-                    if from != state {
-                        errors.push(format!(
-                            "line {}: alert \"from\" {from} but the previous health \
-                             line carried state {state}",
-                            n + 1
-                        ));
-                    }
-                }
-                if pending_alert.is_some() {
-                    errors.push(format!("line {}: two alerts without a health line between", n + 1));
-                }
-                pending_alert = Some((n + 1, to));
-            }
-            "final" => {
-                finals += 1;
-                if let Some((state, ..)) = last {
-                    let final_state = num(&fields, "state").unwrap_or(0.0);
-                    if final_state != state {
-                        errors.push(format!(
-                            "line {}: final state {final_state} != last health state {state}",
-                            n + 1
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some((alert_line, _)) = pending_alert {
-        errors.push(format!("line {alert_line}: alert with no following health line"));
-    }
-    if lines == 0 {
-        errors.push("empty export".to_owned());
-    } else if reports == 0 {
-        errors.push("no health lines".to_owned());
-    }
-    if finals == 0 && lines > 0 {
-        errors.push("no final line".to_owned());
-    } else if finals > 1 {
-        errors.push(format!("{finals} final lines, expected exactly one"));
-    }
-    if errors.is_empty() {
-        Ok(reports)
-    } else {
-        Err(errors)
-    }
+    export::check(text, &SWLHEALTH)
 }
 
 fn main() -> ExitCode {

@@ -40,6 +40,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use flash_bench::array::{geometry, spec};
 use flash_bench::json;
 use flash_sim::experiments::{
     first_failure_run, instrumented_run, ExperimentScale,
@@ -50,7 +51,6 @@ use flash_sim::{
 };
 use flash_telemetry::{CountSink, NullSink};
 use flash_trace::{SyntheticTrace, TraceEvent, WorkloadSpec};
-use nand::{CellKind, ChannelGeometry, Geometry};
 
 /// Allowed `null` vs `plain` overhead in release mode.
 const MAX_OVERHEAD: f64 = 0.01;
@@ -77,24 +77,12 @@ fn engine_trace(logical_pages: u64, seed: u64) -> impl Iterator<Item = TraceEven
         .map(move |e| e.widen(ENGINE_SPAN, logical_pages))
 }
 
-fn engine_geometry(scale: &ExperimentScale) -> ChannelGeometry {
-    ChannelGeometry::new(
-        ENGINE_CHANNELS,
-        1,
-        Geometry::new(
-            scale.blocks / ENGINE_CHANNELS,
-            scale.pages_per_block,
-            2048,
-        ),
-    )
-}
-
 /// The virtual-time oracle for the engine arms' configuration.
 fn engine_oracle(scale: &ExperimentScale) -> StripedReport {
     let mut striped = StripedLayer::build(
         LayerKind::Ftl,
-        engine_geometry(scale),
-        CellKind::Mlc2.spec().with_endurance(scale.endurance),
+        geometry(scale, ENGINE_CHANNELS),
+        spec(scale),
         Some(scale.swl_config(100, 0)),
         SwlCoordination::PerChannel,
         &SimConfig::default(),
@@ -115,8 +103,8 @@ fn engine_oracle(scale: &ExperimentScale) -> StripedReport {
 fn engine_arm(scale: &ExperimentScale, metrics: bool, health: bool) -> (f64, StripedReport) {
     let mut engine = Engine::new(
         LayerKind::Ftl,
-        engine_geometry(scale),
-        CellKind::Mlc2.spec().with_endurance(scale.endurance),
+        geometry(scale, ENGINE_CHANNELS),
+        spec(scale),
         Some(scale.swl_config(100, 0)),
         SwlCoordination::PerChannel,
         &SimConfig::default(),

@@ -25,6 +25,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod array;
+pub mod crash;
+pub mod export;
 pub mod json;
 pub mod timing;
 

@@ -242,12 +242,9 @@ use crate::layer::{Layer, LayerKind, SimConfig, TranslationLayer};
 use crate::report::FirstFailure;
 use crate::sched::ChannelScheduler;
 use crate::simulator::StopCondition;
-use crate::striped::{sum_counters, StripedReport, SwlCoordination};
+use crate::striped::{lane_swl_config, sum_counters, StripedReport, SwlCoordination};
 
 use queue::ShardQueue;
-
-/// Lane-seed decorrelation stride (mirrors [`crate::StripedLayer`]).
-const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Ordinal used for errors raised outside the page loop (SWL steps).
 const SWL_ORDINAL: u32 = u32::MAX;
@@ -1193,15 +1190,7 @@ impl Engine {
                 .map(|h| (Arc::clone(h), geometry.flat_block(lane, 0)));
             let sink = EngineSink::new(lane, engine.telemetry, Arc::clone(&epoch), lane_health);
             let device = NandDevice::new(geometry.lane_geometry(), spec).with_sink_silent(sink);
-            let lane_swl = swl.map(|base| {
-                let seed = if lane == 0 {
-                    base.seed
-                } else {
-                    base.seed
-                        .wrapping_add(u64::from(lane).wrapping_mul(SEED_STRIDE))
-                };
-                base.with_seed(seed).with_deferred(deferred)
-            });
+            let lane_swl = swl.map(|base| lane_swl_config(base, lane, deferred));
             let layer = Layer::build(kind, device, lane_swl, config)?;
             if lane == 0 {
                 logical_pages = layer.logical_pages() * u64::from(channels);

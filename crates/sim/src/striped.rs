@@ -140,15 +140,7 @@ impl<S: Sink> StripedLayer<S> {
         for lane in 0..channels {
             let device = NandDevice::new(geometry.lane_geometry(), spec)
                 .with_sink_silent(shared.clone());
-            let lane_swl = swl.map(|base| {
-                let seed = if lane == 0 {
-                    base.seed
-                } else {
-                    base.seed
-                        .wrapping_add(u64::from(lane).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                };
-                base.with_seed(seed).with_deferred(deferred)
-            });
+            let lane_swl = swl.map(|base| lane_swl_config(base, lane, deferred));
             lanes.push(Layer::build(kind, device, lane_swl, config)?);
         }
         let logical_pages = lanes[0].logical_pages() * u64::from(channels);
@@ -447,6 +439,16 @@ impl std::fmt::Display for StripedReport {
         }
         write!(f, "  op write latency: {}", self.op_write_latency)
     }
+}
+
+/// The SW Leveler configuration of one lane of an array: lane 0 keeps the
+/// caller's seed and every other lane a decorrelated one, and a multi-lane
+/// Global array defers leveling to its coordinator.
+pub(crate) fn lane_swl_config(base: SwlConfig, lane: u32, deferred: bool) -> SwlConfig {
+    let seed = base
+        .seed
+        .wrapping_add(u64::from(lane).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    base.with_seed(seed).with_deferred(deferred)
 }
 
 pub(crate) fn sum_counters(lanes: impl Iterator<Item = LayerCounters>) -> LayerCounters {

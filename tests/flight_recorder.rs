@@ -11,24 +11,15 @@
 //! 3. **Spans survive** — the dump carries the span events leading into the
 //!    cut, so `swlspan`-style tooling can see the op that was in flight.
 
-use flash_sim::{Layer, LayerKind, SimConfig, SimError, TranslationLayer};
+use flash_bench::crash::is_power_cut;
+use flash_sim::{Layer, LayerKind, SimConfig, TranslationLayer};
 use flash_telemetry::{json, Event, FlightRecorder, VecSink, SCHEMA_VERSION};
-use ftl::FtlError;
-use nand::{CellKind, FaultPlan, Geometry, NandDevice, NandError};
-use nftl::NftlError;
+use nand::{CellKind, FaultPlan, Geometry, NandDevice};
 use swl_core::SwlConfig;
 
 const BLOCKS: u32 = 24;
 const PAGES: u32 = 8;
 const RING: usize = 64;
-
-fn is_power_cut(e: &SimError) -> bool {
-    matches!(
-        e,
-        SimError::Ftl(FtlError::Device(NandError::PowerCut))
-            | SimError::Nftl(NftlError::Device(NandError::PowerCut))
-    )
-}
 
 /// Runs a GC/SWL-heavy overwrite workload on an instrumented layer until a
 /// planned power cut fires (if one is armed) or the workload completes.
