@@ -55,8 +55,8 @@
 //!   without stepping — there is nothing to replay;
 //! - lanes may not overshoot an erase: once a view has moved, the oracle may
 //!   have stepped some lane before that lane's next page. So any other write
-//!   drains the pipeline and runs alone, one page at a time: dispatch, await,
-//!   and replay the coordinator against the cached [`ShardSnapshot`]s, which
+//!   drains the pipeline and runs alone, one page at a time: run the page,
+//!   then replay the coordinator against the cached [`ShardSnapshot`]s, which
 //!   are exact because every lane is idle;
 //! - the NFTL's bound is always 0 — whether a write merges depends on the
 //!   virtual block it addresses, not on a pool level — so every NFTL write
@@ -72,28 +72,43 @@
 //! # Who runs a command
 //!
 //! A simulated page costs the lane about 50 ns; waking a parked thread costs
-//! about 5 µs. A front-end that dispatches one command and then parks until
-//! a worker has been woken to run it — every blocking read, every page of a
-//! coordinated write, every op at queue depth 1 — pays a hundred times the
-//! work in hand-off. So the work is not tied to a thread:
+//! about 5 µs. A front-end that hands a command over and then parks until a
+//! worker has been woken to run it pays a hundred times the work in hand-off.
+//! So the work is not tied to a thread, and what crosses a queue is kept to
+//! the one thing worth queueing:
 //!
+//! - **What crosses a queue.** A lane's share of a *pipelined* op — a
+//!   `LaneCommand`: the op's pages for that lane — and nothing else. It is
+//!   the only work the front-end can get ahead of: the op is accepted, its
+//!   shares are queued, and `submit` returns while they wait their turn.
+//! - **A barrier is a call.** What the front-end must see the result of
+//!   before it can go on — a page of a coordinated write, an SWL step, a
+//!   snapshot verb on a lane, a lane's share of a blocking read — runs where
+//!   it is issued: `run_here` takes a closure and a lane, runs the one on the
+//!   other, and hands back the closure's value with the lane's
+//!   acknowledgement (busy delta, first failure, leveler view, erase-free
+//!   bound). No command record, no page buffer, no completion.
 //! - **The claim.** Each group's lanes live behind one mutex (`LaneClaim`),
 //!   and holding its guard is the right to run the group: *only the claim
 //!   holder pops the group's command queue, it executes what it popped in
 //!   order, and it hands the completions over before it lets the claim go.*
 //!   That keeps per-lane FIFO and per-lane acknowledgement order no matter
-//!   how holders alternate. The lock is taken once per burst — not per
-//!   command, and not per field of the lane — and `execute` is the one
-//!   function that runs a `LaneCommand`, for either kind of holder.
-//! - **Help-or-wait.** Wherever the front-end would park — `flush`, the
-//!   window backpressure of a pipelined submit, the await of a coordinated
-//!   page, SWL step or admin verb — it first takes what has already
-//!   completed; else it `try_lock`s every group, and for each claim it gets
-//!   drains the completion queue (acknowledgements the group's worker handed
-//!   over earlier are older, so they go first), pops the group's commands
-//!   and executes them straight into its own `acks`. It parks on the
-//!   completion queue only if all of that produced nothing: then every
-//!   awaited command is in the hands of a worker that is running right now.
+//!   how holders alternate. For queued work the lock is taken once per burst
+//!   — not per command, and not per field of the lane. A barrier call takes
+//!   it with a blocking `lock`: every such caller has drained the pipeline,
+//!   so the holder, if there is one, is a worker that found its queue empty
+//!   and is on its way back to `wait`. Whatever runs on a lane, and whoever
+//!   runs it, goes through the one `run_on`: epoch stamp, the work, one meter
+//!   charge, the acknowledgement.
+//! - **Help-or-wait.** Wherever the front-end would park on the pipeline —
+//!   `flush` (and so the head of every barrier), the window backpressure of a
+//!   pipelined submit — it first takes what has already completed; else it
+//!   `try_lock`s every group, and for each claim it gets drains the
+//!   completion queue (acknowledgements the group's worker handed over
+//!   earlier are older, so they go first), pops the group's commands and
+//!   executes them straight into its own `acks`. It parks on the completion
+//!   queue only if all of that produced nothing: then every awaited command
+//!   is in the hands of a worker that is running right now.
 //! - **The deferred doorbell.** `dispatch` enqueues with
 //!   [`ShardQueue::push_deferred`], which wakes a parked worker only once
 //!   the backlog reaches half the queue's capacity — half an in-flight
@@ -110,22 +125,21 @@
 //!   woken worker can only pre-empt the caller and run what the caller would
 //!   have run at its next park. Left asleep, it leaves the front-end running
 //!   every command itself — and every pooled page buffer, `LaneCommand`,
-//!   `LaneCompletion`, `LaneResult` and `PendingOp` carrying work from a
+//!   `LaneCompletion` and `PendingOp` carrying work from a
 //!   thread to itself, at more than the cost of the work (EXPERIMENTS.md). So
 //!   on such a host [`Engine::new`] spawns no workers and builds no command
 //!   queues, no completion queue and no claims. The engine owns its lanes;
 //!   `submit` routes a pipelined op's pages as ever and runs each lane's
-//!   share right there, in place in the routing buffers, through the page
-//!   loop `execute` uses; the op retires before `submit` returns and
-//!   [`Engine::flush`] finds nothing pending. The few barrier commands — a
-//!   coordinated page, an SWL step, an admin verb — still go through
-//!   `execute`, straight into the front-end's `acks`. Which engine is built
-//!   is read once, from the host; [`EngineConfig::with_threads`]`(0)` asks
-//!   for this one anywhere (oracle tests do), and nothing else selects it.
-//!   It reports [`EngineRun::threads`]` == 0` and is bit-identical to the
-//!   threaded engine and to `run_striped`: same routing, tokens and per-lane
-//!   order, same lowest-ordinal error — a lane that fails stops at its page,
-//!   the op's other lanes run their shares all the same, the error sticks.
+//!   share right there, in place in the routing buffers — a pipelined op is
+//!   then a barrier call per lane, like a blocking read on either engine;
+//!   the op retires before `submit` returns and [`Engine::flush`] finds
+//!   nothing pending. Which engine is built is read once, from the host;
+//!   [`EngineConfig::with_threads`]`(0)` asks for this one anywhere (oracle
+//!   tests do), and nothing else selects it. It reports
+//!   [`EngineRun::threads`]` == 0` and is bit-identical to the threaded
+//!   engine and to `run_striped`: same routing, tokens and per-lane order,
+//!   same lowest-ordinal error — a lane that fails stops at its page, the
+//!   op's other lanes run their shares all the same, the error sticks.
 //!
 //! No wake-up can be lost, because of what those two rules leave possible. A
 //! parked worker holds no claim, so a front-end that needs a backlog run can
@@ -149,8 +163,9 @@
 //! empty-queue rule on the consumer side.
 //!
 //! A claim holder that panics poisons the claim. The next party to touch it
-//! panics in turn (`lane worker N panicked …`) instead of waiting for
-//! acknowledgements that will never come, and a worker that unwinds closes
+//! — helping, or calling a barrier — panics in turn (`lane worker N panicked
+//! …`) instead of waiting for the lanes, or for acknowledgements that will
+//! never come, and a worker that unwinds closes
 //! the completion queue so that a front-end already parked there fails its
 //! assert too.
 //!
@@ -174,18 +189,18 @@
 //!   ahead before somebody took the claim, 1 at queue depth 1 and up to the
 //!   whole in-flight window when the threads share a core.
 //! - The front-end drains the completion queue the same way (into `acks`)
-//!   in `submit_pipelined`, `flush`, and the barriers of coordinated ops and
-//!   admin verbs, and always consumes what it drained before returning.
+//!   in `submit_pipelined` and `flush`, and always consumes what it drained
+//!   before returning.
 //! - A `Vec<PageCmd>` is owned by exactly one party at a time: the
 //!   front-end's routing scratch while an op's pages are being routed, the
-//!   `LaneCommand::Exec` that carries it to the group, the claim holder
+//!   `LaneCommand` that carries it to the group, the claim holder
 //!   while it fills the result slots (page latency, read value) of the pages
 //!   it executed, the `LaneCompletion` that carries it back together with
 //!   the `executed` count, the `PendingOp` that holds it until the op is
 //!   finalized in submission order — which reads `pages[..executed]` and
 //!   nothing past it — and then the front-end's pool, *cleared*, so the next
 //!   op re-initialises every slot it uses. A finalized `PendingOp` likewise
-//!   returns its two vectors with `lane_busy` zeroed and `results` empty.
+//!   returns its `results` vector, empty.
 //!   The pools hold at most what the in-flight window had in use at its
 //!   peak (queue depth × lanes page buffers), and a steady-state op
 //!   allocates nothing on either thread (`tests/engine_allocs.rs`): the
@@ -206,13 +221,14 @@
 //! submit-to-finalize per host op). A command is timed and charged once, by
 //! whoever ran it: always to its lane and to the merged command histogram,
 //! and to a worker slot only when a worker *thread* ran it — what the
-//! front-end ran under a claim is counted in [`EngineRun::helped_commands`]
-//! instead, so a worker's `busy_frac` near 0 behind a blocking caller means
-//! the caller did the work, not that nothing happened. An engine without
-//! workers has no worker slots and no queue gauges: every lane share is timed
-//! once where it ran and counted in `helped_commands`, so `Σ lane.commands ==
-//! Σ worker.commands + helped_commands == cmd_latency.count()` holds for both
-//! kinds. Counters live in a shared
+//! front-end ran itself, a queued command under a claim or a barrier call, is
+//! counted in [`EngineRun::helped_commands`] instead (a barrier never shows
+//! in a worker slot), so a worker's `busy_frac` near 0 behind a blocking
+//! caller means the caller did the work, not that nothing happened. An engine
+//! without workers has no worker slots and no queue gauges: every lane share
+//! is timed once where it ran and counted in `helped_commands`, so
+//! `Σ lane.commands == Σ worker.commands + helped_commands ==
+//! cmd_latency.count()` holds for both kinds. Counters live in a shared
 //! [`EngineRuntime`] atomics block, so an [`EngineSnapshot`] can be read
 //! mid-run through [`Engine::metrics_handle`] while workers keep running;
 //! the final [`EngineMetricsReport`] lands on [`EngineRun::metrics`]. The
@@ -222,7 +238,7 @@
 
 pub mod queue;
 
-use std::collections::{vec_deque, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
@@ -233,21 +249,20 @@ use flash_telemetry::health::{HealthConfig, HealthRuntime};
 use flash_telemetry::runtime::{EngineMetricsReport, EngineRuntime, EngineSnapshot, QueueSample};
 use flash_telemetry::{Event, LatencyHistogram, Sink};
 use flash_trace::{Op, TraceEvent};
-use nand::{CellSpec, ChannelGeometry, DeviceCounters, EraseStats, FailureRecord, NandDevice};
+use nand::{CellSpec, ChannelGeometry, FailureRecord, NandDevice};
 use swl_core::{ShardSnapshot, ShardView, StallRule, SwlConfig};
 
 use crate::error::SimError;
 use crate::latency::LatencyStats;
-use crate::layer::{Layer, LayerKind, SimConfig, TranslationLayer};
+use crate::layer::{Layer, LayerKind, SimConfig, SnapshotVerb, TranslationLayer};
 use crate::report::FirstFailure;
 use crate::sched::ChannelScheduler;
 use crate::simulator::StopCondition;
-use crate::striped::{lane_swl_config, sum_counters, StripedReport, SwlCoordination};
+use crate::striped::{
+    first_failure_of, lane_swl_config, lane_totals, StripedReport, SwlCoordination,
+};
 
 use queue::ShardQueue;
-
-/// Ordinal used for errors raised outside the page loop (SWL steps).
-const SWL_ORDINAL: u32 = u32::MAX;
 
 /// Per-lane telemetry sink for worker threads: a [`LaneBuffer`] whose epoch
 /// stamp is driven by the worker through a shared cell (the worker sets it
@@ -312,7 +327,7 @@ struct PageCmd {
     /// attribution).
     ordinal: u32,
     /// Result slot: device busy time the page added to its lane. Meaningful
-    /// only for the first [`LaneCompletion::executed`] pages of a command.
+    /// only for the first [`LaneAck::executed`] pages of a lane's share.
     latency: u64,
     /// Result slot: what a read page returned (`None` for a never-written
     /// page, and always for writes). Meaningful as `latency` is.
@@ -331,63 +346,43 @@ impl PageCmd {
     }
 }
 
-/// A device-wide management verb executed on every lane at a barrier.
-#[derive(Debug, Clone, Copy)]
-enum AdminVerb {
-    /// Create CoW snapshot `id`.
-    Create(u64),
-    /// Delete snapshot `id`.
-    Delete(u64),
-    /// Roll the live image back to snapshot `id`.
-    Clone(u64),
-    /// Merge snapshot `id` into the live image and drop it.
-    Merge(u64),
-}
-
-/// Work shipped to a lane worker.
+/// The one thing that crosses a command queue: a lane's share of a
+/// pipelined host op — its pages of op `op_seq`, to be executed in order.
 #[derive(Debug)]
-enum LaneCommand {
-    /// Execute this lane's pages of host op `op_seq`, in order.
-    Exec {
-        op_seq: u64,
-        lane: u32,
-        op: Op,
-        pages: Vec<PageCmd>,
-    },
-    /// Run one SWL-Procedure step on the lane (global coordination).
-    SwlStep { op_seq: u64, lane: u32 },
-    /// Execute a management verb on the lane (snapshot plane). Dispatched
-    /// to every lane at once, after a full flush, and awaited as a barrier.
-    Admin {
-        op_seq: u64,
-        lane: u32,
-        verb: AdminVerb,
-    },
+struct LaneCommand {
+    op_seq: u64,
+    lane: u32,
+    op: Op,
+    pages: Vec<PageCmd>,
 }
 
-/// A lane's acknowledgement of one command.
+/// What a lane reports after anything has run on it.
+#[derive(Debug)]
+struct LaneAck {
+    /// Pages that executed successfully: all the work's pages, or those before
+    /// the one that failed (`0` for an SWL step or a snapshot verb).
+    executed: u32,
+    /// Device busy time the work added to the lane.
+    busy_delta: u64,
+    /// The lane's first wear-out as of this work.
+    failure: Option<FailureRecord>,
+    /// Epoch-stamped leveler summary (all-zero view when no SWL attached).
+    shard: ShardSnapshot,
+    /// The lane's erase-free write bound ([`Layer::quiet_writes`]).
+    quiet: u64,
+}
+
+/// A lane's acknowledgement of one queued command.
 #[derive(Debug)]
 struct LaneCompletion {
     op_seq: u64,
     lane: u32,
-    /// Device busy time this command added to the lane.
-    busy_delta: u64,
     /// The command's own page buffer, handed back with the result slots of
-    /// `pages[..executed]` filled in (empty, and never allocated, for SWL
-    /// steps and admin verbs).
+    /// `pages[..ack.executed]` filled in. The slots past it were never written.
     pages: Vec<PageCmd>,
-    /// Pages that executed successfully: all of them, or those before the
-    /// page `error` names. The slots past it were never written.
-    executed: u32,
     /// First error hit, with the ordinal of the offending page.
     error: Option<(u32, SimError)>,
-    /// The lane's first wear-out as of completing this command.
-    failure: Option<FailureRecord>,
-    /// Epoch-stamped leveler summary (all-zero view when no SWL attached).
-    shard: ShardSnapshot,
-    /// The lane's erase-free write bound as of completing this command
-    /// ([`Layer::quiet_writes`]).
-    quiet: u64,
+    ack: LaneAck,
 }
 
 /// One lane. With workers it is one of a group and nobody owns it outright:
@@ -459,76 +454,67 @@ fn run_pages(
     (executed, None)
 }
 
-/// Runs one command on the lane of `lanes` it addresses — the only place a
-/// [`LaneCommand`] executes, called by whoever holds the group's claim (or,
-/// in an engine without workers, owns the lanes).
-fn execute(lanes: &mut [WorkerLane], command: LaneCommand) -> LaneCompletion {
-    let (op_seq, lane_id) = match &command {
-        LaneCommand::Exec { op_seq, lane, .. }
-        | LaneCommand::SwlStep { op_seq, lane }
-        | LaneCommand::Admin { op_seq, lane, .. } => (*op_seq, *lane),
-    };
-    let wl = lanes
-        .iter_mut()
-        .find(|w| w.channel == lane_id)
-        .expect("command routed to a group that does not hold the lane");
+/// Runs `work` on the lane as host op `op_seq` — the one place a lane's epoch
+/// is stamped and its acknowledgement built, whatever runs and whoever runs
+/// it: the caller holds the lane's group claim, or owns the lane. `work`
+/// returns the pages it executed beside its result; `meter` times it and
+/// charges it once, to the lane and to the command histogram. (Inlined, with
+/// `run_here`: left to the inliner the pair cost a direct pipelined op about
+/// 7 % of its throughput on layerbench's `engine_pipelined`, EXPERIMENTS.md.)
+#[inline]
+fn run_on<R>(
+    wl: &mut WorkerLane,
+    op_seq: u64,
+    meter: &mut Option<WorkerMeter>,
+    work: impl FnOnce(&mut Layer<EngineSink>) -> (u32, R),
+) -> (R, LaneAck) {
     wl.epoch.store(op_seq, Ordering::Relaxed);
     let busy_before = wl.layer.device().busy_ns();
-    let mut pages = Vec::new();
-    let mut executed = 0u32;
-    let mut error = None;
-    match command {
-        LaneCommand::Exec {
-            op, pages: batch, ..
-        } => {
-            pages = batch;
-            (executed, error) = run_pages(&mut wl.layer, op, &mut pages);
-        }
-        LaneCommand::SwlStep { .. } => {
-            if let Err(e) = wl.layer.run_swl_step() {
-                error = Some((SWL_ORDINAL, e));
-            }
-        }
-        LaneCommand::Admin { verb, .. } => {
-            let result = match verb {
-                AdminVerb::Create(id) => wl.layer.snapshot_create(id),
-                AdminVerb::Delete(id) => wl.layer.snapshot_delete(id),
-                AdminVerb::Clone(id) => wl.layer.snapshot_clone(id),
-                AdminVerb::Merge(id) => wl.layer.snapshot_merge(id),
-            };
-            if let Err(e) = result {
-                error = Some((SWL_ORDINAL, e));
-            }
-        }
-    }
+    let (executed, result) = work(&mut wl.layer);
     wl.snap_epoch += 1;
-    LaneCompletion {
-        op_seq,
-        lane: lane_id,
-        busy_delta: wl.layer.device().busy_ns() - busy_before,
-        pages,
+    if let Some(meter) = meter {
+        meter.command(wl.channel, executed);
+    }
+    let ack = LaneAck {
         executed,
-        error,
+        busy_delta: wl.layer.device().busy_ns() - busy_before,
         failure: wl.layer.device().first_failure(),
         shard: shard_snapshot(&wl.layer, wl.snap_epoch),
         quiet: wl.layer.quiet_writes(),
-    }
+    };
+    (result, ack)
 }
 
-/// [`execute`] for the front-end: the command is charged to its meter (lane
-/// tallies and the command histogram, no worker slot) and acknowledged
-/// straight into its own `acks`, crossing no queue.
-fn execute_here(
+/// Lane `lane` of the claimed group `lanes`.
+fn lane_of(lanes: &mut [WorkerLane], lane: u32) -> &mut WorkerLane {
+    lanes
+        .iter_mut()
+        .find(|w| w.channel == lane)
+        .expect("work routed to a group that does not hold the lane")
+}
+
+/// Runs one queued command on the lane of `lanes` it addresses, for whoever
+/// popped it under the group's claim.
+fn execute(
     lanes: &mut [WorkerLane],
     command: LaneCommand,
     meter: &mut Option<WorkerMeter>,
-    acks: &mut VecDeque<LaneCompletion>,
-) {
-    let completion = execute(lanes, command);
-    if let Some(meter) = meter {
-        meter.command(completion.lane, completion.executed);
+) -> LaneCompletion {
+    let LaneCommand {
+        op_seq,
+        lane,
+        op,
+        mut pages,
+    } = command;
+    let wl = lane_of(lanes, lane);
+    let (error, ack) = run_on(wl, op_seq, meter, |layer| run_pages(layer, op, &mut pages));
+    LaneCompletion {
+        op_seq,
+        lane,
+        pages,
+        error,
+        ack,
     }
-    acks.push_back(completion);
 }
 
 /// Signature shared by both monomorphizations of [`worker_loop`], so
@@ -751,12 +737,10 @@ fn worker_loop<const METRICS: bool>(
         // them.
         while commands.try_pop_all(&mut inbox) {
             for command in inbox.drain(..) {
-                let completion = execute(&mut lanes, command);
+                outbox.push(execute(&mut lanes, command, &mut meter));
                 if let Some(meter) = meter.as_mut() {
-                    meter.command(completion.lane, completion.executed);
                     meter.flush_if_due(&runtime, Some(worker));
                 }
-                outbox.push(completion);
             }
             if !completions.try_push_all(&mut outbox) {
                 if let Some(meter) = meter.as_mut() {
@@ -791,11 +775,6 @@ pub struct EngineConfig {
     /// Account wall-clock worker/queue runtime metrics (see the module
     /// docs' *Wall-clock observability* section).
     pub metrics: bool,
-    /// Retain read results: every finalized read op's page values are
-    /// queued for [`Engine::take_completed_reads`]. Off by default — a
-    /// closed-loop replayer has no use for the data and the queue would
-    /// grow without bound if nobody drained it.
-    pub capture_reads: bool,
     /// Maintain the shared [`HealthRuntime`] wear table for mid-run health
     /// sampling ([`Engine::health_runtime`]). Rides the existing telemetry
     /// emission sites: no clock reads or locks added to workers.
@@ -809,7 +788,6 @@ impl Default for EngineConfig {
             queue_depth: 1,
             telemetry: false,
             metrics: false,
-            capture_reads: false,
             health: false,
         }
     }
@@ -841,14 +819,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables read-result capture (see [`EngineConfig::capture_reads`]).
-    /// The block-device service front-end turns this on; callers that do
-    /// must drain [`Engine::take_completed_reads`] after every flush.
-    pub fn with_read_capture(mut self, enabled: bool) -> Self {
-        self.capture_reads = enabled;
-        self
-    }
-
     /// Enables the live health plane (see [`EngineConfig::health`]).
     pub fn with_health(mut self, enabled: bool) -> Self {
         self.health = enabled;
@@ -856,33 +826,28 @@ impl EngineConfig {
     }
 }
 
-/// What one lane reported for its share of a host op, kept until the op is
-/// finalized in submission order.
-struct LaneResult {
-    lane: u32,
-    /// The lane's wear-out state as of this op, applied at finalize.
-    failure: Option<FailureRecord>,
-    /// The command's page buffer, result slots of `pages[..executed]` filled.
-    pages: Vec<PageCmd>,
-    executed: u32,
-}
-
-/// One host op awaiting its lane completions. Its two vectors are pooled
-/// ([`Engine::op_pool`]): a finalized op hands them back with `lane_busy`
-/// zeroed and `results` empty, capacity kept, for a later op to start from.
+/// One host op awaiting its lane completions. Its vector is pooled
+/// ([`Engine::op_pool`]): a finalized op hands it back empty, capacity kept,
+/// for a later op to start from.
 struct PendingOp {
     op: Op,
     at_ns: u64,
     /// Wall-clock submission stamp (set only when metrics are on).
     submitted: Option<Instant>,
-    expected: u32,
-    received: u32,
-    /// Busy delta accumulated per channel (dense, channel-indexed).
-    lane_busy: Vec<u64>,
-    /// Per-lane results, as received.
-    results: Vec<LaneResult>,
-    /// Lowest-ordinal error across lanes.
-    error: Option<(u32, SimError)>,
+    /// Lanes the op touches: one completion is due from each.
+    expected: usize,
+    /// What the lanes reported, as received; applied when the op is
+    /// finalized in submission order.
+    results: Vec<LaneCompletion>,
+}
+
+/// Keeps the lowest-ordinal of the page errors an op's lanes report.
+fn keep_lowest(error: &mut Option<(u32, SimError)>, failed: Option<(u32, SimError)>) {
+    if let Some((ordinal, _)) = failed {
+        if error.is_none_or(|(lowest, _)| ordinal < lowest) {
+            *error = failed;
+        }
+    }
 }
 
 /// Out of line, so the check costs the pipelined path one compare.
@@ -902,7 +867,7 @@ fn queue_sample<T>(q: &ShardQueue<T>) -> QueueSample {
 }
 
 /// Assembles an [`EngineSnapshot`] from the shared runtime block plus live
-/// queue gauges (shared by [`Engine::snapshot`] and the observer handle).
+/// queue gauges (for the observer handle, and for the final report).
 fn snapshot_of(
     runtime: &EngineRuntime,
     command_queues: &[Arc<ShardQueue<LaneCommand>>],
@@ -948,7 +913,6 @@ pub struct Engine {
     threads: u32,
     telemetry: bool,
     metrics: bool,
-    capture_reads: bool,
     /// Global coordination with >1 channel and SWL attached: writes leave
     /// the pipeline for the dispatch-await-coordinate loop whenever a lane
     /// may erase (see module docs).
@@ -969,14 +933,14 @@ pub struct Engine {
     next_seq: u64,
     finalize_next: u64,
     pending: VecDeque<PendingOp>,
-    /// Completions not yet absorbed: taken off the queue in one crossing, or
-    /// produced right here under a claim. Empty between calls: whoever
-    /// drains a burst consumes all of it.
+    /// Completions of queued commands not yet absorbed: taken off the queue in
+    /// one crossing, or produced right here under a claim. Empty between
+    /// calls: whoever drains a burst consumes all of it.
     acks: VecDeque<LaneCompletion>,
     /// The burst of commands the front-end popped under a claim (reused).
     inbox: VecDeque<LaneCommand>,
-    /// Meters the commands the front-end runs under a claim (metrics mode
-    /// only): lane tallies and the command histogram, no worker slot.
+    /// Meters what the front-end runs itself (metrics mode only): lane
+    /// tallies and the command histogram, no worker slot.
     helper: Option<WorkerMeter>,
     helped_commands: u64,
     /// Routing scratch: the page buffer being filled for each channel.
@@ -985,9 +949,9 @@ pub struct Engine {
     /// buffers in flight, never more than the in-flight window needs: a new
     /// buffer is allocated only when every existing one is in use.
     page_pool: Vec<Vec<PageCmd>>,
-    /// Recycled [`PendingOp`] vectors, `(lane_busy, results)`: all-zero and
-    /// empty, capacity kept. At most the queue depth of them.
-    op_pool: Vec<(Vec<u64>, Vec<LaneResult>)>,
+    /// Recycled [`PendingOp::results`] vectors: empty, capacity kept. At
+    /// most the queue depth of them.
+    op_pool: Vec<Vec<LaneCompletion>>,
     scheduler: ChannelScheduler,
     events: u64,
     host_span_ns: u64,
@@ -1016,10 +980,6 @@ pub struct Engine {
     /// Wall-clock submit-to-finalize histograms (metrics mode only).
     op_write_wall: LatencyHistogram,
     op_read_wall: LatencyHistogram,
-    /// Finalized read results awaiting [`Engine::take_completed_reads`],
-    /// one entry per read op in finalize (= submission) order. Populated
-    /// only with [`EngineConfig::with_read_capture`].
-    completed_reads: VecDeque<Vec<Option<u64>>>,
     error: Option<SimError>,
 }
 
@@ -1048,11 +1008,11 @@ pub struct EngineRun {
     /// array was over threshold). Always `0` without Global coordination;
     /// `quiet_ops + coordinated_ops == report.events`.
     pub coordinated_ops: u64,
-    /// Lane commands the front-end executed itself, under a group's claim,
-    /// at a point where it would otherwise have parked; the rest ran on the
-    /// worker threads. How the work split depends on thread timing and so
-    /// varies from run to run — nothing simulated does. Without workers:
-    /// every command.
+    /// Lane commands the front-end executed itself: queued ones it ran under
+    /// a group's claim at a point where it would otherwise have parked, and
+    /// every barrier call; the rest ran on the worker threads. How the
+    /// queued work split depends on thread timing and so varies from run to
+    /// run — nothing simulated does. Without workers: every command.
     pub helped_commands: u64,
     /// The wall-clock runtime metrics report (`None` unless the engine was
     /// built with [`EngineConfig::with_metrics`]).
@@ -1269,7 +1229,6 @@ impl Engine {
             threads,
             telemetry: engine.telemetry,
             metrics: engine.metrics,
-            capture_reads: engine.capture_reads,
             lockstep,
             lanes,
             command_queues,
@@ -1311,7 +1270,6 @@ impl Engine {
             op_read_latency: LatencyStats::new(),
             op_write_wall: LatencyHistogram::new(),
             op_read_wall: LatencyHistogram::new(),
-            completed_reads: VecDeque::new(),
             error: None,
         })
     }
@@ -1337,22 +1295,12 @@ impl Engine {
         self.threads
     }
 
-    /// Whether wall-clock runtime metrics are being accounted.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics
-    }
-
-    /// Reads the runtime counters and queue gauges right now, without
-    /// stopping the workers. All-zero (except queue capacities) unless the
-    /// engine was built with [`EngineConfig::with_metrics`]; without workers
-    /// there are no worker slots and no queues to gauge.
-    pub fn snapshot(&self) -> EngineSnapshot {
-        snapshot_of(&self.runtime, &self.command_queues, &self.completions)
-    }
-
-    /// A cloneable observer handle for sampling [`EngineSnapshot`]s from
-    /// another thread while [`Engine::run`] holds the engine mutably — the
-    /// live-view path `engtop` uses.
+    /// A cloneable observer handle for sampling [`EngineSnapshot`]s — the
+    /// runtime counters and queue gauges, read without stopping the workers —
+    /// from another thread while [`Engine::run`] holds the engine mutably: the
+    /// live-view path `engtop` uses. All-zero (except queue capacities) unless
+    /// the engine was built with [`EngineConfig::with_metrics`]; without
+    /// workers there are no worker slots and no queues to gauge.
     pub fn metrics_handle(&self) -> EngineMetricsHandle {
         EngineMetricsHandle {
             runtime: Arc::clone(&self.runtime),
@@ -1368,36 +1316,56 @@ impl Engine {
         self.health.as_ref().map(Arc::clone)
     }
 
-    fn queue_for(&self, lane: u32) -> &ShardQueue<LaneCommand> {
-        &self.command_queues[(lane % self.threads) as usize]
-    }
-
+    /// Puts a lane's share of a pipelined op on its group's command queue.
     fn dispatch(&mut self, command: LaneCommand) {
-        if self.threads == 0 {
-            // No queue to put it on: a barrier command runs right here, and
-            // its acknowledgement is there when the caller turns to await it.
-            self.helped_commands += 1;
-            if let Some(meter) = self.helper.as_mut() {
-                meter.mark = Instant::now();
-            }
-            execute_here(&mut self.lanes, command, &mut self.helper, &mut self.acks);
-            if let Some(meter) = self.helper.as_mut() {
-                meter.flush_if_due(&self.runtime, None);
-            }
-            return;
-        }
-        let lane = match &command {
-            LaneCommand::Exec { lane, .. }
-            | LaneCommand::SwlStep { lane, .. }
-            | LaneCommand::Admin { lane, .. } => *lane,
-        };
+        let lane = command.lane;
         // Deferred doorbell: a parked worker is woken once half a window is
         // queued, not for this command; below that the backlog is run by
         // whoever gets to it first — at the latest by this thread, at the
         // next point where it would otherwise park.
-        self.queue_for(lane)
+        self.command_queues[(lane % self.threads) as usize]
             .push_deferred(command)
             .unwrap_or_else(|_| panic!("lane {lane} worker queue closed mid-run"));
+    }
+
+    /// Runs `work` on `lane` right now, where the caller stands: on the lane
+    /// the engine owns, or under the claim of the lane's group — taken with a
+    /// blocking `lock`, because every caller has drained the pipeline first:
+    /// the holder, if any, is a worker that found its queue empty and is on
+    /// its way back to `wait`. Nothing crosses a queue. The command is timed
+    /// from the front-end meter's mark ([`Engine::stamp`] at the start of the
+    /// op, the end of the previous command after that) and counted in
+    /// `helped_commands`.
+    #[inline]
+    fn run_here<R>(
+        &mut self,
+        lane: u32,
+        op_seq: u64,
+        work: impl FnOnce(&mut Layer<EngineSink>) -> (u32, R),
+    ) -> (R, LaneAck) {
+        self.helped_commands += 1;
+        let ran = if self.threads == 0 {
+            let wl = &mut self.lanes[lane as usize];
+            run_on(wl, op_seq, &mut self.helper, work)
+        } else {
+            let group = (lane % self.threads) as usize;
+            let mut lanes = self.claims[group]
+                .lock()
+                .unwrap_or_else(|_| worker_died(group));
+            run_on(lane_of(&mut lanes, lane), op_seq, &mut self.helper, work)
+        };
+        if let Some(meter) = self.helper.as_mut() {
+            meter.flush_if_due(&self.runtime, None);
+        }
+        ran
+    }
+
+    /// The wall-clock stamp of an op that starts now (metrics mode only); the
+    /// front-end's meter times the first command of the op from it.
+    fn stamp(&mut self) -> Option<Instant> {
+        let meter = self.helper.as_mut()?;
+        meter.mark = Instant::now();
+        Some(meter.mark)
     }
 
     /// Accepts one host op. May block on backpressure (the op queue is at
@@ -1442,6 +1410,24 @@ impl Engine {
         if let Some(e) = self.error {
             return Err(e);
         }
+        self.accept(&event);
+        // Reads never erase, and the coordinator runs only after writes.
+        if !self.lockstep || event.op == Op::Read || self.admit_quiet(&event)? {
+            self.quiet_ops += 1;
+            if self.threads == 0 {
+                self.submit_direct(event, data, None)
+            } else {
+                self.submit_pipelined(event, data)
+            }
+        } else {
+            self.coordinated_ops += 1;
+            self.submit_lockstep(event, data)
+        }
+    }
+
+    /// Counts a host op in: the event tally, the host span, and the live
+    /// metrics and health planes.
+    fn accept(&mut self, event: &TraceEvent) {
         self.events += 1;
         self.host_span_ns = self.host_span_ns.max(event.at_ns);
         if self.metrics {
@@ -1451,18 +1437,6 @@ impl Engine {
             if event.op == Op::Write {
                 h.add_host_pages(u64::from(event.len));
             }
-        }
-        // Reads never erase, and the coordinator runs only after writes.
-        if !self.lockstep || event.op == Op::Read || self.admit_quiet(&event)? {
-            self.quiet_ops += 1;
-            if self.threads == 0 {
-                self.submit_direct(event, data)
-            } else {
-                self.submit_pipelined(event, data)
-            }
-        } else {
-            self.coordinated_ops += 1;
-            self.submit_lockstep(event, data)
         }
     }
 
@@ -1514,14 +1488,10 @@ impl Engine {
         pages
     }
 
-    /// Returns a completion's page buffer to the pool, emptied. The buffers
-    /// of SWL steps and admin verbs never allocated and are not worth
-    /// keeping.
+    /// Returns a completion's page buffer to the pool, emptied.
     fn recycle_pages(&mut self, mut pages: Vec<PageCmd>) {
-        if pages.capacity() > 0 {
-            pages.clear();
-            self.page_pool.push(pages);
-        }
+        pages.clear();
+        self.page_pool.push(pages);
     }
 
     /// Help-or-wait, what the front-end does wherever it used to park: leaves
@@ -1557,7 +1527,8 @@ impl Engine {
                 meter.mark = Instant::now();
             }
             for command in self.inbox.drain(..) {
-                execute_here(&mut lanes, command, &mut self.helper, &mut self.acks);
+                self.acks
+                    .push_back(execute(&mut lanes, command, &mut self.helper));
             }
         }
         if let Some(meter) = self.helper.as_mut() {
@@ -1585,18 +1556,6 @@ impl Engine {
         }
     }
 
-    /// The next completion of the few commands in flight at a barrier
-    /// (coordinated ops, admin verbs): normally one the front-end produces
-    /// itself, by running the command it has just dispatched.
-    fn next_completion(&mut self) -> LaneCompletion {
-        if self.acks.is_empty() {
-            self.help_or_wait();
-        }
-        self.acks
-            .pop_front()
-            .expect("help_or_wait delivered a completion")
-    }
-
     /// Routes the op's pages to their lanes' buffers in `route`, assigning
     /// write tokens in global trace order (exactly as the virtual-time loop
     /// does).
@@ -1616,56 +1575,46 @@ impl Engine {
         }
     }
 
-    /// The direct executor of a pipelined op, for the engine that owns its
-    /// lanes: each lane's share runs right here, where `execute` would run it
-    /// for a claim holder — epoch stamp, pages in order up to the first that
-    /// fails, one meter charge — and the op retires before `submit` returns.
-    /// Nothing is handed over, so there is no command, completion or pending
-    /// record; the pages never leave `route`.
-    fn submit_direct(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
-        let submitted = self.metrics.then(Instant::now);
+    /// Runs an op right here, before returning: each lane's share in place in
+    /// its routing buffer through [`Engine::run_here`] — pages in order up to
+    /// the first that fails — and then the op retires. Nothing is handed
+    /// over, so there is no command, completion or pending record; the pages
+    /// never leave `route`, and what a read's pages returned is copied out to
+    /// `values`, one per page in host order, before they go. The executor of
+    /// every pipelined op of an engine without workers, and of a blocking
+    /// read on either engine, which has drained the pipeline first.
+    fn submit_direct(
+        &mut self,
+        event: TraceEvent,
+        data: Option<&[u64]>,
+        values: Option<&mut Vec<Option<u64>>>,
+    ) -> Result<(), SimError> {
+        // One clock read per lane share: the first is timed from the op's
+        // own stamp (routing included), the op up to the last.
+        let submitted = self.stamp();
         self.route_pages(&event, data);
         let op_seq = self.next_seq;
         self.next_seq += 1;
-        if let (Some(meter), Some(submitted)) = (self.helper.as_mut(), submitted) {
-            // One clock read per lane share: the first is timed from the
-            // op's own stamp (routing included), the op up to the last.
-            meter.mark = submitted;
-        }
         // Lowest-ordinal error across lanes. A lane that fails stops at its
         // page; the others run their shares all the same, as queued lanes do.
-        let mut error: Option<(u32, SimError)> = None;
+        let mut error = None;
         for channel in 0..self.route.len() {
             if self.route[channel].is_empty() {
                 continue;
             }
-            let wl = &mut self.lanes[channel];
-            wl.epoch.store(op_seq, Ordering::Relaxed);
-            let busy_before = wl.layer.device().busy_ns();
-            let (executed, failed) = run_pages(&mut wl.layer, event.op, &mut self.route[channel]);
-            wl.snap_epoch += 1;
-            self.lane_busy[channel] = wl.layer.device().busy_ns() - busy_before;
-            self.lane_failure[channel] = wl.layer.device().first_failure();
-            let (shard, quiet) = (
-                shard_snapshot(&wl.layer, wl.snap_epoch),
-                wl.layer.quiet_writes(),
-            );
-            self.helped_commands += 1;
-            if let Some(meter) = self.helper.as_mut() {
-                meter.command(channel as u32, executed);
-            }
-            self.note_quiet_lane(channel as u32, shard, quiet);
-            if let Some((ordinal, e)) = failed {
-                if error.is_none_or(|(lowest, _)| ordinal < lowest) {
-                    error = Some((ordinal, e));
-                }
-            }
+            let mut pages = std::mem::take(&mut self.route[channel]);
+            let (failed, ack) = self.run_here(channel as u32, op_seq, |layer| {
+                run_pages(layer, event.op, &mut pages)
+            });
+            self.route[channel] = pages;
+            self.lane_busy[channel] = ack.busy_delta;
+            self.lane_failure[channel] = ack.failure;
+            self.note_quiet_lane(channel as u32, &ack);
+            keep_lowest(&mut error, failed);
         }
-        if let Some(meter) = self.helper.as_mut() {
-            meter.flush_if_due(&self.runtime, None);
-        }
-        if let Some((_, e)) = error {
+        let outcome = if let Some((_, e)) = error {
             self.error = Some(e);
+            Err(e)
         } else {
             let wall_ns = self.helper.as_ref().zip(submitted);
             let wall_ns = wall_ns.map(|(meter, submitted)| ns_between(submitted, meter.mark));
@@ -1674,15 +1623,24 @@ impl Engine {
             let shares = shares.map(|(channel, pages)| (channel, &pages[..]));
             self.retire(event.op, event.at_ns, wall_ns, shares);
             self.route = route;
-        }
+            if let Some(values) = values {
+                // Lanes hold pages in their own order; the op-wide ordinal
+                // restores the host's page order across lanes.
+                values.resize(event.len as usize, None);
+                for page in self.route.iter().flatten() {
+                    values[page.ordinal as usize] = page.value;
+                }
+            }
+            Ok(())
+        };
         self.route.iter_mut().for_each(Vec::clear);
-        self.error.map_or(Ok(()), Err)
+        outcome
     }
 
     fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
         let submitted = self.metrics.then(Instant::now);
         self.route_pages(&event, data);
-        let expected = self.route.iter().filter(|b| !b.is_empty()).count() as u32;
+        let expected = self.route.iter().filter(|b| !b.is_empty()).count();
 
         // Backpressure: hold the op until the in-flight window has room.
         // The wait is attributed to the host as submit-side blocked time —
@@ -1706,29 +1664,22 @@ impl Engine {
 
         let op_seq = self.next_seq;
         self.next_seq += 1;
-        let channels = self.route.len();
-        let (lane_busy, results) = self
-            .op_pool
-            .pop()
-            .unwrap_or_else(|| (vec![0; channels], Vec::new()));
-        debug_assert!(results.is_empty() && lane_busy.iter().all(|&busy| busy == 0));
+        let results = self.op_pool.pop().unwrap_or_default();
+        debug_assert!(results.is_empty());
         self.pending.push_back(PendingOp {
             op: event.op,
             at_ns: event.at_ns,
             submitted,
             expected,
-            received: 0,
-            lane_busy,
             results,
-            error: None,
         });
-        for channel in 0..channels {
+        for channel in 0..self.route.len() {
             if self.route[channel].is_empty() {
                 continue;
             }
             let next = self.page_buffer();
             let pages = std::mem::replace(&mut self.route[channel], next);
-            self.dispatch(LaneCommand::Exec {
+            self.dispatch(LaneCommand {
                 op_seq,
                 lane: channel as u32,
                 op: event.op,
@@ -1741,12 +1692,12 @@ impl Engine {
         self.finalize_ready()
     }
 
-    /// Caches what a completion says about its lane's leveler and pool.
-    fn note_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
+    /// Caches what an acknowledgement says about its lane's leveler and pool.
+    fn note_lane(&mut self, lane: u32, ack: &LaneAck) {
         let lane = lane as usize;
-        self.shards[lane].absorb(shard);
+        self.shards[lane].absorb(ack.shard);
         self.views[lane] = self.shards[lane].view;
-        self.quiet[lane] = quiet;
+        self.quiet[lane] = ack.quiet;
     }
 
     /// [`Engine::note_lane`] for a lane's share of a pipelined op, with the
@@ -1754,33 +1705,19 @@ impl Engine {
     /// the op was admitted because it could not move its lane's view. If it
     /// did, the coordinator has already skipped a decision the oracle made,
     /// so stop here.
-    fn note_quiet_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
+    fn note_quiet_lane(&mut self, lane: u32, ack: &LaneAck) {
         let cached = self.views[lane as usize];
-        if self.lockstep && shard.view != cached {
-            bound_violated(lane, shard.view, cached);
+        if self.lockstep && ack.shard.view != cached {
+            bound_violated(lane, ack.shard.view, cached);
         }
-        self.note_lane(lane, shard, quiet);
+        self.note_lane(lane, ack);
         self.publish_bet_gauges();
     }
 
     fn absorb(&mut self, completion: LaneCompletion) {
-        self.note_quiet_lane(completion.lane, completion.shard, completion.quiet);
+        self.note_quiet_lane(completion.lane, &completion.ack);
         let index = (completion.op_seq - self.finalize_next) as usize;
-        let op = &mut self.pending[index];
-        op.received += 1;
-        op.lane_busy[completion.lane as usize] += completion.busy_delta;
-        op.results.push(LaneResult {
-            lane: completion.lane,
-            failure: completion.failure,
-            pages: completion.pages,
-            executed: completion.executed,
-        });
-        if let Some((ordinal, e)) = completion.error {
-            match op.error {
-                Some((o, _)) if o <= ordinal => {}
-                _ => op.error = Some((ordinal, e)),
-            }
-        }
+        self.pending[index].results.push(completion);
     }
 
     fn finalize_ready(&mut self) -> Result<(), SimError> {
@@ -1791,43 +1728,42 @@ impl Engine {
         while self
             .pending
             .front()
-            .is_some_and(|op| op.received == op.expected)
+            .is_some_and(|op| op.results.len() == op.expected)
         {
             let mut op = self.pending.pop_front().expect("front checked");
             self.finalize_next += 1;
-            // Per-lane wear-out state advances in op order, so the scan
-            // below sees exactly what the virtual-time loop saw after this
-            // op — even when lanes already ran ahead.
-            for result in &op.results {
-                self.lane_failure[result.lane as usize] = result.failure;
+            let mut error = None;
+            for done in &op.results {
+                // Per-lane wear-out state advances in op order, so the scan
+                // in `retire` sees exactly what the virtual-time loop saw
+                // after this op — even when lanes already ran ahead.
+                self.lane_failure[done.lane as usize] = done.ack.failure;
+                self.lane_busy[done.lane as usize] = done.ack.busy_delta;
+                keep_lowest(&mut error, done.error);
             }
-            if let Some((_, e)) = op.error {
+            if let Some((_, e)) = error {
                 self.error = Some(e);
                 return Err(e);
             }
             let wall_ns = op
                 .submitted
                 .map(|submitted| ns_between(submitted, *now.get_or_insert_with(Instant::now)));
-            // `retire` takes the busy deltas out of `lane_busy`, which comes
-            // back all zero.
-            std::mem::swap(&mut self.lane_busy, &mut op.lane_busy);
             let shares = op.results.iter();
-            let shares = shares.map(|r| (r.lane as usize, &r.pages[..r.executed as usize]));
+            let shares = shares.map(|c| (c.lane as usize, &c.pages[..c.ack.executed as usize]));
             self.retire(op.op, op.at_ns, wall_ns, shares);
-            std::mem::swap(&mut self.lane_busy, &mut op.lane_busy);
-            // Back to the pools, clean: no page or busy delta of this op may
-            // show through the next one.
-            for result in op.results.drain(..) {
-                self.recycle_pages(result.pages);
+            // Back to the pools, clean: no page of this op may show through
+            // the next one.
+            for done in op.results.drain(..) {
+                self.recycle_pages(done.pages);
             }
-            self.op_pool.push((op.lane_busy, op.results));
+            self.op_pool.push(op.results);
         }
         Ok(())
     }
 
     /// The tail every host op ends in, whichever way it was executed, once
-    /// all its lanes have reported and none of them an error: read capture,
-    /// the wall-clock op histogram, per-lane page latencies, the scheduler's
+    /// all its lanes have reported and none of them an error: the wall-clock
+    /// op histogram, per-lane page latencies, the scheduler's
     /// replay of the per-lane busy deltas in `lane_busy` (left zeroed for the
     /// next op), the op latency and the first-failure scan. `shares` are the
     /// op's pages as `(lane, executed pages)`; a coordinated write, which
@@ -1837,18 +1773,8 @@ impl Engine {
         op: Op,
         at_ns: u64,
         wall_ns: Option<u64>,
-        shares: impl Iterator<Item = (usize, &'a [PageCmd])> + Clone,
+        shares: impl Iterator<Item = (usize, &'a [PageCmd])>,
     ) {
-        if self.capture_reads && op == Op::Read {
-            // Lanes hold pages in their own order; the op-wide ordinal
-            // restores the host's page order across lanes.
-            let pages = shares.clone().map(|(_, pages)| pages.len()).sum();
-            let mut values = vec![None; pages];
-            for page in shares.clone().flat_map(|(_, pages)| pages) {
-                values[page.ordinal as usize] = page.value;
-            }
-            self.completed_reads.push_back(values);
-        }
         if let Some(wall_ns) = wall_ns {
             match op {
                 Op::Write => self.op_write_wall.record(wall_ns),
@@ -1893,50 +1819,46 @@ impl Engine {
     }
 
     fn note_first_failure(&mut self, at_ns: u64) {
-        if self.first_failure.is_some() {
-            return;
-        }
-        for channel in 0..self.geometry.channels() {
-            if let Some(f) = self.lane_failure[channel as usize] {
-                self.first_failure = Some(FirstFailure {
-                    block: self
-                        .geometry
-                        .flat_block(channel, f.block)
-                        .try_into()
-                        .expect("array block index exceeds u32"),
-                    host_ns: at_ns,
-                    total_erases: f.total_erases,
-                });
-                return;
-            }
+        if self.first_failure.is_none() {
+            let failures = self.lane_failure.iter().copied();
+            self.first_failure = first_failure_of(&self.geometry, failures, at_ns);
         }
     }
 
-    /// Awaits the one command in flight (coordinated ops), updating the lane
-    /// cache and per-lane wear-out state.
-    fn await_one(&mut self) -> Result<LaneCompletion, SimError> {
-        let completion = self.next_completion();
-        self.note_lane(completion.lane, completion.shard, completion.quiet);
+    /// One command of a coordinated write — a page, or an SWL step — run on
+    /// its lane right here. Caches what the lane acknowledges (exact, since
+    /// every other lane is idle), adds the busy time to the op's and returns
+    /// it. A failure sticks.
+    fn coordinated_step(
+        &mut self,
+        lane: u32,
+        op_seq: u64,
+        work: impl FnOnce(&mut Layer<EngineSink>) -> (u32, Result<(), SimError>),
+    ) -> Result<u64, SimError> {
+        let (result, ack) = self.run_here(lane, op_seq, work);
+        self.note_lane(lane, &ack);
         self.publish_bet_gauges();
-        self.lane_failure[completion.lane as usize] = completion.failure;
-        if let Some((_, e)) = completion.error {
+        self.lane_failure[lane as usize] = ack.failure;
+        if let Err(e) = result {
             self.error = Some(e);
             return Err(e);
         }
-        Ok(completion)
+        self.lane_busy[lane as usize] += ack.busy_delta;
+        Ok(ack.busy_delta)
     }
 
-    /// One write under Global coordination whose pages may erase: dispatch
-    /// one page, await it, then replay the `coordinate_swl` loop against the
-    /// cached views (which are exact, since every lane is idle here — the
-    /// caller drained the pipeline).
+    /// One write under Global coordination whose pages may erase: run one
+    /// page, then replay the `coordinate_swl` loop against the cached views
+    /// (which are exact, since every lane is idle here — the caller drained
+    /// the pipeline).
     fn submit_lockstep(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
         debug_assert!(event.op == Op::Write && self.pending.is_empty());
-        let submitted = self.metrics.then(Instant::now);
+        let submitted = self.stamp();
         let op_seq = self.next_seq;
         self.next_seq += 1;
         for (ordinal, lba) in event.pages().enumerate() {
             let channel = self.geometry.channel_of(lba);
+            let lane_lba = self.geometry.lane_lba(lba);
             let token = match data {
                 Some(values) => values[ordinal],
                 None => {
@@ -1944,18 +1866,10 @@ impl Engine {
                     self.next_token
                 }
             };
-            let mut pages = self.page_buffer();
-            pages.push(PageCmd::new(self.geometry.lane_lba(lba), token, ordinal));
-            self.dispatch(LaneCommand::Exec {
-                op_seq,
-                lane: channel,
-                op: Op::Write,
-                pages,
-            });
-            let completion = self.await_one()?;
-            self.lane_busy[channel as usize] += completion.busy_delta;
-            let page_latency = completion.pages[0].latency;
-            self.recycle_pages(completion.pages);
+            let page_latency = self.coordinated_step(channel, op_seq, |layer| {
+                let written = layer.write(lane_lba, token);
+                (u32::from(written.is_ok()), written)
+            })?;
             // The virtual-time loop measures a written page's latency across
             // the whole `StripedLayer::write`, which includes coordinator
             // steps that landed on the same lane — add them in.
@@ -1972,7 +1886,7 @@ impl Engine {
     /// the bounds the lanes last reported as the new budgets, and points the
     /// finalize cursor at the next op, so that it indexes `pending` correctly
     /// after an op that took a sequence number without a pending entry (a
-    /// coordinated write, an admin verb).
+    /// coordinated write, a snapshot verb, a blocking read).
     fn realign_idle(&mut self) {
         debug_assert!(self.pending.is_empty());
         self.finalize_next = self.next_seq;
@@ -1990,14 +1904,11 @@ impl Engine {
         let mut swl_on_channel = 0u64;
         while let Some(worst) = self.stall.next_step(&self.views, threshold) {
             let before = self.views[worst];
-            self.dispatch(LaneCommand::SwlStep {
-                op_seq,
-                lane: worst as u32,
-            });
-            let completion = self.await_one()?;
-            self.lane_busy[worst] += completion.busy_delta;
+            let busy = self.coordinated_step(worst as u32, op_seq, |layer| {
+                (0, layer.run_swl_step().map(drop))
+            })?;
             if worst as u32 == page_channel {
-                swl_on_channel += completion.busy_delta;
+                swl_on_channel += busy;
             }
             let flags = self.shards[worst].flags;
             if !self.stall.stepped(worst, before, self.views[worst], flags) {
@@ -2024,115 +1935,72 @@ impl Engine {
         Ok(())
     }
 
-    /// Creates CoW snapshot `id` on every lane. Barrier semantics: the
-    /// engine is flushed first (so the snapshot covers every submitted
-    /// write), then every lane runs the verb and is awaited — a successful
-    /// return means the snapshot is durable on all channels.
+    /// Runs a snapshot verb on every lane. Barrier semantics: the engine is
+    /// flushed first (so a snapshot covers every submitted write), then the
+    /// verb runs lane by lane, right here, on **every** lane even after one
+    /// has refused — a successful return means it is durable on all
+    /// channels. The caller owns invalidating any host-side caches of an
+    /// image a [`SnapshotVerb::Clone`] rolled back. The verb's device time
+    /// is charged to the lanes' busy clocks but not to the virtual-time op
+    /// scheduler — snapshot verbs sit outside the host op stream (they do
+    /// not count as engine events), so per-op latency stats stay comparable
+    /// with snapshot-free runs.
     ///
     /// # Errors
     ///
-    /// The sticky engine error if one is already set, or the failing lane's
-    /// error in deterministic (lowest-lane) order. A refusal shared by
-    /// *every* lane (duplicate id, unknown snapshot, full manifest) left
-    /// the array consistent and is not sticky; divergent per-lane outcomes
-    /// wedge the engine like any lane error.
-    pub fn snapshot_create(&mut self, id: u64) -> Result<(), SimError> {
-        self.admin(AdminVerb::Create(id))
-    }
-
-    /// Deletes snapshot `id` on every lane (barrier, like
-    /// [`Engine::snapshot_create`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::snapshot_create`].
-    pub fn snapshot_delete(&mut self, id: u64) -> Result<(), SimError> {
-        self.admin(AdminVerb::Delete(id))
-    }
-
-    /// Rolls every lane back to snapshot `id` (barrier, like
-    /// [`Engine::snapshot_create`]). The caller owns invalidating any
-    /// host-side caches of the pre-rollback image.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::snapshot_create`].
-    pub fn snapshot_clone(&mut self, id: u64) -> Result<(), SimError> {
-        self.admin(AdminVerb::Clone(id))
-    }
-
-    /// Merges snapshot `id` into the live image on every lane and drops it
-    /// (barrier, like [`Engine::snapshot_create`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::snapshot_create`].
-    pub fn snapshot_merge(&mut self, id: u64) -> Result<(), SimError> {
-        self.admin(AdminVerb::Merge(id))
-    }
-
-    /// Runs a management verb on every lane at a barrier: flush, dispatch
-    /// to all lanes, await all acknowledgements. Admin device time is
-    /// charged to the lanes' busy clocks but not to the virtual-time op
-    /// scheduler — management verbs sit outside the host op stream (they
-    /// do not count as engine events), so per-op latency stats stay
-    /// comparable with admin-free runs.
-    fn admin(&mut self, verb: AdminVerb) -> Result<(), SimError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
+    /// The sticky engine error if one is already set, or the lowest failing
+    /// lane's error. A refusal shared by *every* lane (duplicate id, unknown
+    /// snapshot, full manifest) mutated nothing, left the array consistent
+    /// and is not sticky; divergent per-lane outcomes — some lanes applied
+    /// the verb, others refused — are a real inconsistency and wedge the
+    /// engine like any lane error.
+    pub fn snapshot(&mut self, verb: SnapshotVerb) -> Result<(), SimError> {
         self.flush()?;
+        self.stamp();
         let channels = self.geometry.channels();
         let op_seq = self.next_seq;
         self.next_seq += 1;
-        for lane in 0..channels {
-            self.dispatch(LaneCommand::Admin { op_seq, lane, verb });
-        }
-        let mut first: Option<(u32, SimError)> = None;
-        let mut errors = 0u32;
+        let mut first: Option<SimError> = None;
+        let mut refusals = 0u32;
         let mut uniform = true;
-        for _ in 0..channels {
-            let completion = self.next_completion();
-            self.note_lane(completion.lane, completion.shard, completion.quiet);
-            self.lane_failure[completion.lane as usize] = completion.failure;
-            if let Some((_, e)) = completion.error {
-                errors += 1;
-                match first {
-                    Some((l, prev)) => {
-                        uniform = uniform && prev == e;
-                        if l > completion.lane {
-                            first = Some((completion.lane, e));
-                        }
-                    }
-                    None => first = Some((completion.lane, e)),
-                }
+        for lane in 0..channels {
+            let (result, ack) = self.run_here(lane, op_seq, |layer| (0, layer.snapshot(verb)));
+            self.note_lane(lane, &ack);
+            self.lane_failure[lane as usize] = ack.failure;
+            if let Err(e) = result {
+                refusals += 1;
+                uniform = uniform && *first.get_or_insert(e) == e;
             }
         }
         self.publish_bet_gauges();
         self.realign_idle();
-        if let Some((_, e)) = first {
-            // When every lane refused with the same error (duplicate id,
-            // unknown snapshot, full manifest), no lane mutated anything
-            // and the array is still consistent: report the refusal
-            // without wedging the engine. Divergent outcomes — some lanes
-            // applied the verb, others refused — are a real inconsistency
-            // and stick like any lane error.
-            if !(uniform && errors == channels) {
-                self.error = Some(e);
-            }
-            return Err(e);
+        let Some(e) = first else {
+            return Ok(());
+        };
+        if !(uniform && refusals == channels) {
+            self.error = Some(e);
         }
-        Ok(())
+        Err(e)
     }
 
-    /// Drains the finalized read results accumulated since the last call:
-    /// one `Vec` per read op in submission order, one `Option<u64>` per
-    /// page in op order (`None` for never-written pages). Always empty
-    /// unless the engine was built with [`EngineConfig::with_read_capture`].
-    /// Call after [`Engine::flush`] to observe every submitted read. Results
-    /// the caller leaves in the iterator are dropped with it.
-    pub fn take_completed_reads(&mut self) -> vec_deque::Drain<'_, Vec<Option<u64>>> {
-        self.completed_reads.drain(..)
+    /// A blocking read of `len` pages from `lba`: one value per page in host
+    /// order, `None` for a never-written page. Flushes, then runs each lane's
+    /// share right here and retires the op — in everything simulated, and in
+    /// every count, [`Engine::submit`] of the same read followed by
+    /// [`Engine::flush`], except that the data comes back.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Engine::submit`]: first finalized lane error, sticky.
+    pub fn read(&mut self, at_ns: u64, lba: u64, len: u32) -> Result<Vec<Option<u64>>, SimError> {
+        self.flush()?;
+        let event = TraceEvent::read_span(at_ns, lba, len);
+        self.accept(&event);
+        self.quiet_ops += 1;
+        let mut values = Vec::new();
+        let ran = self.submit_direct(event, None, Some(&mut values));
+        self.realign_idle();
+        ran.map(|()| values)
     }
 
     /// Feeds `trace` through the engine with `run_striped`'s stop handling:
@@ -2148,15 +2016,8 @@ impl Engine {
         I: IntoIterator<Item = TraceEvent>,
     {
         for event in trace {
-            if let Some(h) = stop.horizon_ns {
-                if event.at_ns >= h {
-                    break;
-                }
-            }
-            if let Some(m) = stop.max_events {
-                if self.events >= m {
-                    break;
-                }
+            if stop.ends_before(&event, self.events) {
+                break;
             }
             self.submit(event)?;
             if stop.at_first_failure {
@@ -2225,7 +2086,7 @@ impl Engine {
         // Snapshot after the join so every worker's wall time is final.
         let metrics = self.helper.take().map(|helper| {
             let mut report = EngineMetricsReport::new(
-                self.snapshot(),
+                snapshot_of(&self.runtime, &self.command_queues, &self.completions),
                 worker_hists,
                 std::mem::take(&mut self.op_write_wall),
                 std::mem::take(&mut self.op_read_wall),
@@ -2236,18 +2097,7 @@ impl Engine {
             report
         });
 
-        let erase_stats =
-            EraseStats::from_counts(lanes.iter().flat_map(|l| l.device().erase_counts()));
-        let counters = sum_counters(lanes.iter().map(|l| l.counters()));
-        let mut device = DeviceCounters::default();
-        let mut device_busy_ns = 0u64;
-        for lane in &lanes {
-            let c = lane.device().counters();
-            device.reads += c.reads;
-            device.programs += c.programs;
-            device.erases += c.erases;
-            device_busy_ns += lane.device().busy_ns();
-        }
+        let (erase_stats, counters, device, device_busy_ns) = lane_totals(&lanes);
         let mut write_latency = LatencyStats::new();
         let mut read_latency = LatencyStats::new();
         for lane in 0..lanes.len() {
@@ -2322,6 +2172,7 @@ mod tests {
     use crate::simulator::Simulator;
     use crate::striped::StripedLayer;
     use flash_trace::{SyntheticTrace, WorkloadSpec};
+    use ftl::{FtlConfig, SnapshotConfig};
     use nand::{CellKind, Geometry};
 
     fn chip() -> Geometry {
@@ -2665,12 +2516,9 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "lane worker 0 panicked")]
-    fn claim_holder_that_died_fails_the_caller_instead_of_hanging_it() {
-        let mut engine = deep_engine(1, false);
-        // Somebody dies holding group 0's claim, as a worker that panics
-        // inside a command does.
+    /// Somebody dies holding group 0's claim, as a worker that panics inside
+    /// a command does.
+    fn poison_claim(engine: &Engine) {
         let claim = Arc::clone(&engine.claims[0]);
         let died = std::thread::spawn(move || {
             let _lanes = claim.lock().unwrap();
@@ -2678,9 +2526,142 @@ mod tests {
         })
         .join();
         assert!(died.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "lane worker 0 panicked")]
+    fn claim_holder_that_died_fails_the_caller_instead_of_hanging_it() {
+        let mut engine = deep_engine(1, false);
+        poison_claim(&engine);
         queue_writes(&mut engine, 1);
         // Must not park on a completion nobody will ever produce.
         let _ = engine.flush();
+    }
+
+    /// The same poisoned claim met by a barrier, which takes the claim with a
+    /// blocking `lock`: it must fail the caller just the same.
+    #[test]
+    fn claim_holder_that_died_fails_a_barrier_instead_of_hanging_it() {
+        let barriers: [fn(&mut Engine); 3] = [
+            |e| e.snapshot(SnapshotVerb::Create(1)).unwrap(),
+            |e| drop(e.read(0, 0, 1).unwrap()),
+            // The NFTL's erase-free bound is 0: every write is coordinated.
+            |e| e.submit(TraceEvent::write(0, 0)).unwrap(),
+        ];
+        for (name, barrier) in ["snapshot", "read", "write"].into_iter().zip(barriers) {
+            let mut engine = Engine::build(
+                LayerKind::Nftl,
+                ChannelGeometry::new(2, 1, chip()),
+                spec(),
+                Some(SwlConfig::new(16, 0).with_seed(3)),
+                SwlCoordination::Global,
+                &SimConfig::default(),
+                EngineConfig::default().with_threads(2),
+                true,
+            )
+            .unwrap();
+            poison_claim(&engine);
+            let barrier = std::panic::AssertUnwindSafe(|| barrier(&mut engine));
+            let panic = std::panic::catch_unwind(barrier).expect_err(name);
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            let expected = "lane worker 0 panicked";
+            assert!(message.contains(expected), "{name}: {message}");
+        }
+    }
+
+    /// Lanes that take snapshots, for the verb tests below (a manifest record
+    /// is one word per epoch and more: 32-page blocks give it room).
+    fn snapshot_engine(threads: u32, spare_core: bool) -> Engine {
+        let snapshots = SnapshotConfig::new().with_manifest_blocks(4);
+        let layers = SimConfig {
+            ftl: FtlConfig::default().with_snapshots(snapshots),
+            ..SimConfig::default()
+        };
+        Engine::build(
+            LayerKind::Ftl,
+            ChannelGeometry::new(2, 1, Geometry::new(32, 32, 2048)),
+            spec(),
+            Some(SwlConfig::new(64, 0).with_seed(11)),
+            SwlCoordination::PerChannel,
+            &layers,
+            EngineConfig::default()
+                .with_threads(threads)
+                .with_queue_depth(64),
+            spare_core,
+        )
+        .unwrap()
+    }
+
+    /// A barrier issued while a worker may still hold the claim — it has been
+    /// woken for a backlog past the doorbell, and is somewhere between its
+    /// first pop and its next `wait` — waits the worker out and runs on the
+    /// same lane state as on the engine that has no workers.
+    #[test]
+    fn claim_barrier_behind_a_running_worker_matches_the_direct_engine() {
+        let run_on = |threads: u32| {
+            let mut engine = snapshot_engine(threads, true);
+            let mut reads = Vec::new();
+            let mut at = 0u64;
+            for round in 0..6u64 {
+                // 80 two-page writes: 160 lane commands on a queue of 130
+                // that rings at 65.
+                for i in 0..80u64 {
+                    at += 1_000;
+                    let lba = (round * 7 + i * 2) % 64;
+                    engine.submit(TraceEvent::write_span(at, lba, 2)).unwrap();
+                }
+                reads.push(engine.read(at, 0, 64).unwrap());
+                engine.snapshot(SnapshotVerb::Create(round)).unwrap();
+                engine.submit(TraceEvent::write_span(at, round, 2)).unwrap();
+                let verb = if round % 2 == 0 {
+                    SnapshotVerb::Clone(round)
+                } else {
+                    SnapshotVerb::Merge(round)
+                };
+                engine.snapshot(verb).unwrap();
+                if round % 2 == 0 {
+                    engine.snapshot(SnapshotVerb::Delete(round)).unwrap();
+                }
+            }
+            reads.push(engine.read(at, 0, 64).unwrap());
+            let run = engine.finish().unwrap();
+            let erases = run.lanes().iter().map(|l| l.device().erase_counts());
+            let erases: Vec<_> = erases.collect();
+            (reads, run.report, erases)
+        };
+        let direct = run_on(0);
+        assert!(direct.0.iter().flatten().any(Option::is_some));
+        assert_eq!(run_on(1), direct);
+        assert_eq!(run_on(2), direct);
+    }
+
+    /// A refusal every lane shares left the array as it was and does not
+    /// stick; one that only some lanes raise is an inconsistency and does —
+    /// after the verb has run on the lanes that did not refuse it.
+    #[test]
+    fn snapshot_refusal_sticks_only_when_the_lanes_diverge() {
+        for (threads, spare_core) in [(0u32, true), (2, true), (2, false)] {
+            let mut engine = snapshot_engine(threads, spare_core);
+            let unknown = engine.snapshot(SnapshotVerb::Delete(9));
+            assert!(matches!(unknown, Err(SimError::Ftl(_))), "{unknown:?}");
+            engine.snapshot(SnapshotVerb::Create(1)).unwrap();
+            let duplicate = engine.snapshot(SnapshotVerb::Create(1));
+            assert!(matches!(duplicate, Err(SimError::Ftl(_))), "{duplicate:?}");
+            engine.submit(TraceEvent::write(0, 0)).unwrap();
+            engine.flush().unwrap();
+
+            // Lane 0 alone already has snapshot 5.
+            let on_lane = |engine: &mut Engine, lane, verb| {
+                engine.run_here(lane, 0, |l| (0, l.snapshot(verb))).0
+            };
+            on_lane(&mut engine, 0, SnapshotVerb::Create(5)).unwrap();
+            let diverged = engine.snapshot(SnapshotVerb::Create(5));
+            assert!(matches!(diverged, Err(SimError::Ftl(_))), "{diverged:?}");
+            assert_eq!(engine.flush(), diverged, "threads={threads}: sticky");
+            assert_eq!(engine.submit(TraceEvent::write(1, 0)), diverged);
+            // Lane 1 ran the verb all the same.
+            on_lane(&mut engine, 1, SnapshotVerb::Delete(5)).unwrap();
+        }
     }
 
     /// Teardown with a backlog nobody was woken for: the three ways an

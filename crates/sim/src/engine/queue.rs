@@ -200,11 +200,6 @@ impl<T> ShardQueue<T> {
         self.len() == 0
     }
 
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Enqueues `item`, blocking while the queue is full, and wakes a parked
     /// consumer if the backlog has reached `doorbell` items.
     fn push_ringing_at(&self, item: T, doorbell: usize) -> Result<(), T> {

@@ -28,6 +28,22 @@ impl fmt::Display for LayerKind {
     }
 }
 
+/// A device-wide snapshot verb: the one command type every layer above the
+/// FTL carries ([`Layer::snapshot`], [`crate::Engine::snapshot`],
+/// [`crate::Service::snapshot`], [`crate::ServiceClient::snapshot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotVerb {
+    /// Create copy-on-write snapshot `id` of the current logical contents.
+    Create(u64),
+    /// Delete snapshot `id`, releasing the pages only it pinned.
+    Delete(u64),
+    /// Roll the live image back to snapshot `id` (a writable clone).
+    Clone(u64),
+    /// Merge snapshot `id` into the live image (streamed begin → steps →
+    /// commit) and drop it.
+    Merge(u64),
+}
+
 /// Shared layer configuration used when building a [`Layer`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
@@ -256,55 +272,24 @@ impl<S: Sink> Layer<S> {
         delegate!(self, l => l.run_swl_step().map_err(SimError::from))
     }
 
-    /// Creates copy-on-write snapshot `id` of the current logical contents.
+    /// Runs a snapshot verb on this layer.
     ///
     /// # Errors
     ///
     /// [`SimError::SnapshotUnsupported`] on the NFTL; FTL failures
-    /// (disabled snapshots, duplicate id, full manifest, …) as
+    /// (disabled snapshots, duplicate or unknown id, full manifest, …) as
     /// [`SimError::Ftl`].
-    pub fn snapshot_create(&mut self, id: u64) -> Result<(), SimError> {
-        match self {
-            Layer::Ftl(l) => l.snapshot_create(id).map_err(SimError::from),
-            Layer::Nftl(_) => Err(SimError::SnapshotUnsupported),
+    pub fn snapshot(&mut self, verb: SnapshotVerb) -> Result<(), SimError> {
+        let Layer::Ftl(l) = self else {
+            return Err(SimError::SnapshotUnsupported);
+        };
+        match verb {
+            SnapshotVerb::Create(id) => l.snapshot_create(id),
+            SnapshotVerb::Delete(id) => l.snapshot_delete(id),
+            SnapshotVerb::Clone(id) => l.snapshot_clone(id),
+            SnapshotVerb::Merge(id) => l.merge_offline(id),
         }
-    }
-
-    /// Deletes snapshot `id`, releasing the pages only it pinned.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Layer::snapshot_create`].
-    pub fn snapshot_delete(&mut self, id: u64) -> Result<(), SimError> {
-        match self {
-            Layer::Ftl(l) => l.snapshot_delete(id).map_err(SimError::from),
-            Layer::Nftl(_) => Err(SimError::SnapshotUnsupported),
-        }
-    }
-
-    /// Rolls the live image back to snapshot `id` (a writable clone).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Layer::snapshot_create`].
-    pub fn snapshot_clone(&mut self, id: u64) -> Result<(), SimError> {
-        match self {
-            Layer::Ftl(l) => l.snapshot_clone(id).map_err(SimError::from),
-            Layer::Nftl(_) => Err(SimError::SnapshotUnsupported),
-        }
-    }
-
-    /// Merges snapshot `id` into the live image (streamed begin → steps →
-    /// commit) and drops it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Layer::snapshot_create`].
-    pub fn snapshot_merge(&mut self, id: u64) -> Result<(), SimError> {
-        match self {
-            Layer::Ftl(l) => l.merge_offline(id).map_err(SimError::from),
-            Layer::Nftl(_) => Err(SimError::SnapshotUnsupported),
-        }
+        .map_err(SimError::from)
     }
 }
 

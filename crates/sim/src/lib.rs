@@ -53,7 +53,7 @@ mod striped;
 pub use engine::{Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
 pub use error::SimError;
 pub use latency::LatencyStats;
-pub use layer::{Layer, LayerCounters, LayerKind, SimConfig, TranslationLayer};
+pub use layer::{Layer, LayerCounters, LayerKind, SimConfig, SnapshotVerb, TranslationLayer};
 pub use report::{FirstFailure, SimReport};
 pub use sched::{ChannelScheduler, Completion, EventQueue};
 pub use service::{Service, ServiceClient, ServiceConfig, ServiceRun, ServiceServer};

@@ -85,12 +85,6 @@ impl CacheConfig {
         self.sync_watermark = watermark;
         self
     }
-
-    /// Replaces the flush-back batch size.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
 }
 
 /// What a [`WriteCache::write`] decided, and the flash work it implies.
@@ -298,13 +292,11 @@ mod tests {
 
     #[test]
     fn capacity_eviction_returns_oldest_sorted() {
-        let mut c = WriteCache::new(
-            CacheConfig::sized(2)
-                .with_hot(admit_all())
-                .with_batch(2)
-                .with_watermark(2),
-        )
-        .unwrap();
+        let mut config = CacheConfig::sized(2)
+            .with_hot(admit_all())
+            .with_watermark(2);
+        config.batch = 2;
+        let mut c = WriteCache::new(config).unwrap();
         assert!(matches!(c.write(9, 90), WriteOutcome::Admitted { evicted } if evicted.is_empty()));
         assert!(matches!(c.write(4, 40), WriteOutcome::Admitted { evicted } if evicted.is_empty()));
         match c.write(7, 70) {
@@ -319,13 +311,11 @@ mod tests {
 
     #[test]
     fn need_sync_and_batch_drain() {
-        let mut c = WriteCache::new(
-            CacheConfig::sized(8)
-                .with_hot(admit_all())
-                .with_watermark(3)
-                .with_batch(2),
-        )
-        .unwrap();
+        let mut config = CacheConfig::sized(8)
+            .with_hot(admit_all())
+            .with_watermark(3);
+        config.batch = 2;
+        let mut c = WriteCache::new(config).unwrap();
         c.write(1, 1);
         c.write(2, 2);
         assert!(!c.need_sync());

@@ -4,9 +4,9 @@
 //! and feeds it a trace. This module promotes it to a *served* device:
 //! [`Service`] owns the engine plus an optional admission-managed RAM
 //! write cache ([`cache::WriteCache`]), exposes the four block-device verbs
-//! — `write` / `read` / `trim` / `flush` — and can hand out in-process
-//! client handles ([`Service::serve`]) so N concurrent threads drive one
-//! array.
+//! — `write` / `read` / `trim` / `flush` — beside the snapshot plane's one,
+//! `snapshot(verb)`, and can hand out in-process client handles
+//! ([`Service::serve`]) so N concurrent threads drive one array.
 //!
 //! # Ack semantics (the durability contract)
 //!
@@ -22,6 +22,18 @@
 //!   reclaim flash space and the mask is not persisted across a crash.
 //! - A **read** ack returns one `Option<u64>` per page — cached dirty
 //!   values win over flash, trimmed/never-written pages read `None`.
+//! - A **snapshot** ack ([`Service::snapshot`]) means the verb is *durable
+//!   on every channel*. A **refused** verb — an `Err` — leaves the served
+//!   device as it was: accepted writes stay accepted, trimmed pages stay
+//!   trimmed. So whatever a verb does to the RAM-side state it does *after*
+//!   the engine has applied it on every lane:
+//!
+//! | [`SnapshotVerb`] | before the engine verb | after it returned `Ok`             |
+//! |------------------|------------------------|------------------------------------|
+//! | `Create(id)`     | flush (image = acked)  | —                                  |
+//! | `Delete(id)`     | —                      | —                                  |
+//! | `Clone(id)`      | —                      | drop the dirty cache, clear trims  |
+//! | `Merge(id)`      | flush                  | clear trims (the snapshot wins)    |
 //!
 //! # Determinism
 //!
@@ -41,11 +53,11 @@
 //! [`ServiceServer`] and its [`ServiceClient`]s; no thread is spawned. A
 //! client verb takes the lock and runs the [`Service`] method on the
 //! caller's own thread, holding the lock for the verb's whole duration —
-//! a read's or flush's engine barrier included, which now *executes* there
-//! too: at the barrier the engine's front-end claims the idle lane groups
-//! and runs their queued commands itself instead of waking a worker and
-//! parking (see the [`engine`](crate::engine) docs, *Who runs a command*).
-//! Ops are therefore
+//! the engine barrier of a read, flush or snapshot verb included, which
+//! *executes* there too: the engine's front-end claims the idle lane groups,
+//! runs their queued commands itself instead of waking a worker and parking,
+//! and then runs the read or the verb on the lanes as a plain call (see the
+//! [`engine`](crate::engine) docs, *Who runs a command*). Ops are therefore
 //! linearised by lock acquisition, and the ack semantics and the
 //! single-client bit-identity above hold unchanged. `std::sync::Mutex`
 //! promises no fairness, so concurrent clients are not served in arrival
@@ -87,13 +99,12 @@ use std::time::Instant;
 use flash_telemetry::health::{HealthMonitor, HealthReport, HealthRuntime};
 use flash_telemetry::runtime::{CacheRuntime, CacheSample};
 use flash_telemetry::LatencyHistogram;
-use flash_trace::TraceEvent;
 use nand::{CellSpec, ChannelGeometry, NandDevice};
 use swl_core::SwlConfig;
 
 use crate::engine::{since_ns, Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
 use crate::error::SimError;
-use crate::layer::{LayerKind, SimConfig};
+use crate::layer::{LayerKind, SimConfig, SnapshotVerb};
 use crate::striped::SwlCoordination;
 
 use cache::{CacheConfig, WriteCache, WriteOutcome};
@@ -102,7 +113,6 @@ use cache::{CacheConfig, WriteCache, WriteOutcome};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Engine front-end tuning (threads, queue depth, telemetry, metrics).
-    /// Read capture is forced on — the service must return read data.
     pub engine: EngineConfig,
     /// Write-cache tuning; `None` runs cache-less (every write goes
     /// straight to the engine — the oracle-comparable mode).
@@ -132,12 +142,6 @@ impl ServiceConfig {
     /// Enables the write cache with `cache` tuning.
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Disables the write cache (the default).
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
         self
     }
 
@@ -208,15 +212,7 @@ impl Service {
         sim: &SimConfig,
         config: ServiceConfig,
     ) -> Result<Self, SimError> {
-        let engine = Engine::new(
-            kind,
-            geometry,
-            spec,
-            swl,
-            coordination,
-            sim,
-            config.engine.with_read_capture(true),
-        )?;
+        let engine = Engine::new(kind, geometry, spec, swl, coordination, sim, config.engine)?;
         let cache = config
             .cache
             .map(|c| WriteCache::new(c).expect("invalid cache admission config"));
@@ -398,11 +394,12 @@ impl Service {
     /// read `None`. Synchronizing — flushes the engine pipeline when any
     /// page must come from flash.
     ///
-    /// A miss is a barrier on the engine, and the barrier runs the work it
-    /// waits for: the lane commands of this read — and of any writes still
-    /// queued ahead of it — execute on the calling thread, under the lane
-    /// groups' claims, unless a worker is already running them. Served, that
-    /// is the client's thread, inside the service lock.
+    /// A miss is a barrier on the engine ([`Engine::read`], once per run of
+    /// pages that must come from flash), and the barrier runs the work it
+    /// waits for: any writes still queued ahead of the read execute on the
+    /// calling thread, under the lane groups' claims, unless a worker is
+    /// already running them — and then the read itself does. Served, that is
+    /// the client's thread, inside the service lock.
     ///
     /// # Errors
     ///
@@ -443,23 +440,13 @@ impl Service {
         if let Some(span) = run.take() {
             self.read_spans.push(span);
         }
-        for &(_, start, pages) in &self.read_spans {
-            self.engine.submit(TraceEvent::read_span(at, start, pages))?;
-        }
-        if !self.read_spans.is_empty() {
-            self.engine.flush()?;
-            let mut results = self.engine.take_completed_reads();
-            for &(index, _, pages) in &self.read_spans {
-                let values = results
-                    .next()
-                    .expect("engine returns one result per read span");
-                debug_assert_eq!(values.len(), pages as usize);
-                if out.is_empty() {
-                    // One flash span covers the whole read.
-                    return Ok(values);
-                }
-                out[index..index + values.len()].copy_from_slice(&values);
+        for &(index, start, pages) in &self.read_spans {
+            let values = self.engine.read(at, start, pages)?;
+            if out.is_empty() {
+                // One flash span covers the whole read.
+                return Ok(values);
             }
+            out[index..index + values.len()].copy_from_slice(&values);
         }
         Ok(out)
     }
@@ -506,62 +493,42 @@ impl Service {
         self.engine.flush()
     }
 
-    /// Creates CoW snapshot `id` of the served device. The ack is
-    /// *durable and exact*: every write accepted before this call is
-    /// flushed to flash first (same barrier as [`Service::flush`]), so the
-    /// snapshot images precisely the acked state, and the on-flash
-    /// manifest commit makes the snapshot itself survive a power cut —
-    /// crashmc sweeps assert that an acked `snapshot_create` is always
-    /// present after remount.
+    /// Runs a snapshot verb on the served device; what each verb does to the
+    /// RAM-side state is the table in the module docs' *Ack semantics*. A
+    /// rollback discards the current live image *including* accepted-but-
+    /// unflushed cache contents and trim masks — they describe the state the
+    /// caller is explicitly abandoning — and a merge clears the advisory trim
+    /// masks so that the pages the snapshot restores are readable. An `Ok` ack
+    /// is *durable and exact*: a `Create` images precisely the acked state,
+    /// and the on-flash manifest commit makes the snapshot itself survive a
+    /// power cut — crashmc sweeps assert that an acked create is always
+    /// present after remount. A refused verb leaves the served device as it
+    /// was.
     ///
     /// # Errors
     ///
     /// The engine's (sticky) error, or the snapshot plane's rejection
-    /// (duplicate id, manifest full, snapshots disabled, NFTL layer).
-    pub fn snapshot_create(&mut self, id: u64) -> Result<(), SimError> {
-        self.flush()?;
-        self.engine.snapshot_create(id)
-    }
-
-    /// Deletes snapshot `id`, releasing the flash pages only it pinned.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Service::snapshot_create`].
-    pub fn snapshot_delete(&mut self, id: u64) -> Result<(), SimError> {
-        self.engine.snapshot_delete(id)
-    }
-
-    /// Rolls the served device back to snapshot `id`. Rollback discards
-    /// the current live image *including* accepted-but-unflushed cache
-    /// contents and trim masks — they describe the pre-rollback state the
-    /// caller is explicitly abandoning.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Service::snapshot_create`].
-    pub fn snapshot_clone(&mut self, id: u64) -> Result<(), SimError> {
-        if let Some(cache) = self.cache.as_mut() {
-            // Dropped, not written back: the rollback supersedes them.
-            drop(cache.drain_all());
+    /// (duplicate or unknown id, manifest full, snapshots disabled, NFTL
+    /// layer).
+    pub fn snapshot(&mut self, verb: SnapshotVerb) -> Result<(), SimError> {
+        if matches!(verb, SnapshotVerb::Create(_) | SnapshotVerb::Merge(_)) {
+            self.flush()?;
         }
-        self.trimmed.clear();
-        self.engine.snapshot_clone(id)
-    }
-
-    /// Merges snapshot `id` into the live image and drops it. Accepted
-    /// writes are flushed first; at the merge point the snapshot's
-    /// mappings win every page it images (that is what merging a snapshot
-    /// means), and advisory trim masks are cleared so restored pages are
-    /// readable.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Service::snapshot_create`].
-    pub fn snapshot_merge(&mut self, id: u64) -> Result<(), SimError> {
-        self.flush()?;
-        self.trimmed.clear();
-        self.engine.snapshot_merge(id)
+        self.engine.snapshot(verb)?;
+        // Only now that every lane has applied the verb: a refused one must
+        // not cost an accepted write or bring a trimmed page back.
+        match verb {
+            SnapshotVerb::Clone(_) => {
+                if let Some(cache) = self.cache.as_mut() {
+                    // Dropped, not written back: the rollback supersedes them.
+                    drop(cache.drain_all());
+                }
+                self.trimmed.clear();
+            }
+            SnapshotVerb::Merge(_) => self.trimmed.clear(),
+            SnapshotVerb::Create(_) | SnapshotVerb::Delete(_) => {}
+        }
+        Ok(())
     }
 
     /// Flushes, tears the engine down, and assembles the run summary.
@@ -712,41 +679,13 @@ impl ServiceClient {
         result
     }
 
-    /// Creates CoW snapshot `id` (ack = durable; see
-    /// [`Service::snapshot_create`]).
+    /// Runs a snapshot verb (ack = durable; see [`Service::snapshot`]).
     ///
     /// # Errors
     ///
-    /// As [`Service::snapshot_create`].
-    pub fn snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.with_service(|service| service.snapshot_create(id))
-    }
-
-    /// Deletes snapshot `id`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::snapshot_delete`].
-    pub fn delete_snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.with_service(|service| service.snapshot_delete(id))
-    }
-
-    /// Rolls the device back to snapshot `id`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::snapshot_clone`].
-    pub fn clone_snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.with_service(|service| service.snapshot_clone(id))
-    }
-
-    /// Merges snapshot `id` into the live image and drops it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::snapshot_merge`].
-    pub fn merge_snapshot(&mut self, id: u64) -> Result<(), SimError> {
-        self.with_service(|service| service.snapshot_merge(id))
+    /// As [`Service::snapshot`].
+    pub fn snapshot(&mut self, verb: SnapshotVerb) -> Result<(), SimError> {
+        self.with_service(|service| service.snapshot(verb))
     }
 }
 

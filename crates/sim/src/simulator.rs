@@ -49,6 +49,13 @@ impl StopCondition {
         self.at_first_failure = true;
         self
     }
+
+    /// Whether the run ends before `event`, the next one of a trace of which
+    /// `events` have been processed: the horizon or the event budget is hit.
+    pub(crate) fn ends_before(&self, event: &TraceEvent, events: u64) -> bool {
+        self.horizon_ns.is_some_and(|h| event.at_ns >= h)
+            || self.max_events.is_some_and(|m| events >= m)
+    }
 }
 
 /// Trace-driven simulator.
@@ -91,15 +98,8 @@ impl Simulator {
         let mut read_latency = LatencyStats::new();
 
         for event in trace {
-            if let Some(h) = stop.horizon_ns {
-                if event.at_ns >= h {
-                    break;
-                }
-            }
-            if let Some(m) = stop.max_events {
-                if events >= m {
-                    break;
-                }
+            if stop.ends_before(&event, events) {
+                break;
             }
             events += 1;
             host_span_ns = host_span_ns.max(event.at_ns);

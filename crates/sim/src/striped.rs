@@ -24,7 +24,7 @@
 
 use flash_telemetry::{Event, NullSink, SharedSink, Sink};
 use flash_trace::{Op, TraceEvent};
-use nand::{CellSpec, ChannelGeometry, DeviceCounters, EraseStats, NandDevice};
+use nand::{CellSpec, ChannelGeometry, DeviceCounters, EraseStats, FailureRecord, NandDevice};
 use swl_core::{ShardView, StallRule, SwLeveler, SwlConfig};
 
 use crate::error::SimError;
@@ -451,7 +451,7 @@ pub(crate) fn lane_swl_config(base: SwlConfig, lane: u32, deferred: bool) -> Swl
     base.with_seed(seed).with_deferred(deferred)
 }
 
-pub(crate) fn sum_counters(lanes: impl Iterator<Item = LayerCounters>) -> LayerCounters {
+fn sum_counters(lanes: impl Iterator<Item = LayerCounters>) -> LayerCounters {
     let mut total = LayerCounters::default();
     for c in lanes {
         total.host_writes += c.host_writes;
@@ -468,6 +468,47 @@ pub(crate) fn sum_counters(lanes: impl Iterator<Item = LayerCounters>) -> LayerC
         total.retired_blocks += c.retired_blocks;
     }
     total
+}
+
+/// What a finished array reports about its lanes as a whole: the per-block
+/// erase-count distribution, and the layer counters, device counters and
+/// device busy time summed over the lanes.
+pub(crate) fn lane_totals<S: Sink>(
+    lanes: &[Layer<S>],
+) -> (EraseStats, LayerCounters, DeviceCounters, u64) {
+    let erase_stats = EraseStats::from_counts(lanes.iter().flat_map(|l| l.device().erase_counts()));
+    let counters = sum_counters(lanes.iter().map(|l| l.counters()));
+    let mut device = DeviceCounters::default();
+    let mut device_busy_ns = 0u64;
+    for lane in lanes {
+        let c = lane.device().counters();
+        device.reads += c.reads;
+        device.programs += c.programs;
+        device.erases += c.erases;
+        device_busy_ns += lane.device().busy_ns();
+    }
+    (erase_stats, counters, device, device_busy_ns)
+}
+
+/// The array's first wear-out as of the host op stamped `at_ns`, given each
+/// lane's own first failure in channel order: the lowest channel wins ties
+/// within one op, and the block is renamed into the array-wide flat namespace.
+pub(crate) fn first_failure_of(
+    geometry: &ChannelGeometry,
+    failures: impl Iterator<Item = Option<FailureRecord>>,
+    at_ns: u64,
+) -> Option<FirstFailure> {
+    let (channel, f) = failures
+        .enumerate()
+        .find_map(|(channel, f)| Some((channel as u32, f?)))?;
+    Some(FirstFailure {
+        block: geometry
+            .flat_block(channel, f.block)
+            .try_into()
+            .expect("array block index exceeds u32"),
+        host_ns: at_ns,
+        total_erases: f.total_erases,
+    })
 }
 
 impl Simulator {
@@ -510,15 +551,8 @@ impl Simulator {
         let mut busy_before = vec![0u64; channels as usize];
 
         for event in trace {
-            if let Some(h) = stop.horizon_ns {
-                if event.at_ns >= h {
-                    break;
-                }
-            }
-            if let Some(m) = stop.max_events {
-                if events >= m {
-                    break;
-                }
+            if stop.ends_before(&event, events) {
+                break;
             }
             events += 1;
             host_span_ns = host_span_ns.max(event.at_ns);
@@ -559,43 +593,15 @@ impl Simulator {
             }
 
             if first_failure.is_none() {
-                for c in 0..channels {
-                    if let Some(f) = striped.lane(c).device().first_failure() {
-                        first_failure = Some(FirstFailure {
-                            block: striped
-                                .geometry()
-                                .flat_block(c, f.block)
-                                .try_into()
-                                .expect("array block index exceeds u32"),
-                            host_ns: event.at_ns,
-                            total_erases: f.total_erases,
-                        });
-                        break;
-                    }
-                }
+                let failures = striped.lanes().iter().map(|l| l.device().first_failure());
+                first_failure = first_failure_of(&striped.geometry(), failures, event.at_ns);
                 if first_failure.is_some() && stop.at_first_failure {
                     break;
                 }
             }
         }
 
-        let erase_stats = EraseStats::from_counts(
-            striped
-                .lanes()
-                .iter()
-                .flat_map(|l| l.device().erase_counts()),
-        );
-        let counters = sum_counters(striped.lanes().iter().map(|l| l.counters()));
-        let mut device = DeviceCounters::default();
-        let mut device_busy_ns = 0u64;
-        for lane in striped.lanes() {
-            let c = lane.device().counters();
-            device.reads += c.reads;
-            device.programs += c.programs;
-            device.erases += c.erases;
-            device_busy_ns += lane.device().busy_ns();
-        }
-
+        let (erase_stats, counters, device, device_busy_ns) = lane_totals(striped.lanes());
         Ok(StripedReport {
             layer: striped.kind(),
             channels,

@@ -12,7 +12,7 @@
 //! bare, which is the whole 0.058 per op measured here. The engine without
 //! workers (`threads = 0`) has no records to pool — a pipelined op's pages
 //! never leave the front-end's routing buffers — and allocates nothing of its
-//! own either, except the result vector of a captured read, which is the
+//! own either, except the result vector of a blocking read, which is the
 //! caller's to keep.
 //!
 //! One `#[test]` only: the counter is process-wide, and libtest would run a
@@ -71,9 +71,9 @@ const OPS: u64 = 10_000;
 
 /// Heap allocations per op, on all threads, of `OPS` pipelined 8-page ops
 /// over 4 channels at QD 64 on `threads` workers plus the closing `flush()`,
-/// after a warm-up of twice the queue depth. With `reads`, read capture is on and
-/// three ops in ten read back the span the op before them wrote; the results
-/// are taken after the flush, as the service does.
+/// after a warm-up of twice the queue depth. With `reads`, three ops in ten
+/// are blocking [`Engine::read`]s of the span the op before them wrote, as
+/// the service issues them.
 fn allocations_per_op(reads: bool, threads: u32) -> f64 {
     let is_read = |i: u64| reads && matches!(i % 10, 3 | 6 | 9);
     let geometry = ChannelGeometry::new(CHANNELS, 1, Geometry::new(64, 128, 2048));
@@ -86,22 +86,24 @@ fn allocations_per_op(reads: bool, threads: u32) -> f64 {
         &SimConfig::default(),
         EngineConfig::default()
             .with_threads(threads)
-            .with_queue_depth(QUEUE_DEPTH)
-            .with_read_capture(reads),
+            .with_queue_depth(QUEUE_DEPTH),
     )
     .expect("engine builds");
     // A hot set of half the logical space, walked span by span.
     let spans = engine.logical_pages() / 2 / u64::from(SPAN);
     let mut at_ns = 0;
+    // Preallocated: keeping the results must not count against the engine.
+    let mut results: Vec<Vec<Option<u64>>> = Vec::with_capacity(OPS as usize);
     let mut submit = |engine: &mut Engine, i: u64| {
         at_ns += 1_000;
         let lba = |i: u64| (i.wrapping_mul(7) % spans) * u64::from(SPAN);
-        let event = if is_read(i) {
-            TraceEvent::read_span(at_ns, lba(i - 1), SPAN)
+        if is_read(i) {
+            let values = engine.read(at_ns, lba(i - 1), SPAN);
+            results.push(values.expect("fault-free run"));
         } else {
-            TraceEvent::write_span(at_ns, lba(i), SPAN)
-        };
-        engine.submit(event).expect("fault-free run");
+            let event = TraceEvent::write_span(at_ns, lba(i), SPAN);
+            engine.submit(event).expect("fault-free run");
+        }
     };
 
     let warm_up = 2 * QUEUE_DEPTH as u64;
@@ -109,17 +111,15 @@ fn allocations_per_op(reads: bool, threads: u32) -> f64 {
         submit(&mut engine, i);
     }
     engine.flush().expect("fault-free run");
-    drop(engine.take_completed_reads());
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in warm_up..warm_up + OPS {
         submit(&mut engine, i);
     }
     engine.flush().expect("fault-free run");
-    let results: Vec<_> = engine.take_completed_reads().collect();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    let expected = (warm_up..warm_up + OPS).filter(|&i| is_read(i)).count();
+    let expected = (0..warm_up + OPS).filter(|&i| is_read(i)).count();
     assert_eq!(results.len(), expected);
     assert!(
         results.iter().flatten().all(Option::is_some),
@@ -136,17 +136,17 @@ fn pipelined_ops_do_not_allocate_in_steady_state() {
         writes_only < 0.1,
         "{writes_only} allocations per pipelined 8-page write"
     );
-    // With read capture, the `Vec` handed to `take_completed_reads` for each
-    // read op is the caller's to keep: one allocation per read, 30 % reads.
+    // The `Vec` a blocking read returns is the caller's to keep: one
+    // allocation per read, 30 % reads.
     let with_reads = allocations_per_op(true, 1);
     assert!(
         with_reads <= 2.0,
-        "{with_reads} allocations per op with read capture on"
+        "{with_reads} allocations per op, three in ten a blocking read"
     );
-    eprintln!("allocations per op: {writes_only} writes only, {with_reads} with captured reads");
+    eprintln!("allocations per op: {writes_only} writes only, {with_reads} with blocking reads");
 
     // No workers (on a one-CPU host the runs above were that already): the
-    // FTL's own again, plus exactly the result vector of each captured read.
+    // FTL's own again, plus exactly the result vector of each blocking read.
     let direct_writes = allocations_per_op(false, 0);
     assert!(
         direct_writes < 0.1,
@@ -155,7 +155,7 @@ fn pipelined_ops_do_not_allocate_in_steady_state() {
     let direct_reads = allocations_per_op(true, 0);
     assert!(
         (0.3..0.4).contains(&direct_reads),
-        "{direct_reads} allocations per direct op, three in ten a captured read"
+        "{direct_reads} allocations per direct op, three in ten a blocking read"
     );
-    eprintln!("without workers: {direct_writes} writes only, {direct_reads} with captured reads");
+    eprintln!("without workers: {direct_writes} writes only, {direct_reads} with blocking reads");
 }

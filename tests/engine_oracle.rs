@@ -14,8 +14,8 @@
 //! for the threaded engine.
 
 use flash_sim::{
-    Engine, EngineConfig, Layer, LayerKind, SimConfig, SimError, Simulator, StopCondition,
-    StripedLayer, StripedReport, SwlCoordination, TranslationLayer,
+    Engine, EngineConfig, Layer, LayerKind, SimConfig, SimError, Simulator, SnapshotVerb,
+    StopCondition, StripedLayer, StripedReport, SwlCoordination, TranslationLayer,
 };
 use flash_telemetry::Sink;
 use flash_trace::{Op, SyntheticTrace, TraceEvent, WorkloadSpec};
@@ -361,7 +361,7 @@ fn leveler_state<S: Sink>(lanes: &[Layer<S>]) -> Vec<LevelerState> {
 /// resets and the array sits over threshold for good. Engine and oracle
 /// must still agree bit for bit — down to each leveler's step count and
 /// cursor, since both run `swl_core::StallRule` — and once the stalls are
-/// latched the coordinator must cost nothing: no further `SwlStep`, and
+/// latched the coordinator must cost nothing: no further SWL step, and
 /// writes running ahead again instead of every one coordinating.
 #[test]
 fn ftl_reserved_lanes_global_past_the_stall() {
@@ -370,10 +370,10 @@ fn ftl_reserved_lanes_global_past_the_stall() {
         ..SimConfig::default()
     };
     let (kind, channels, global, seed) = (LayerKind::Ftl, 4, SwlCoordination::Global, 0x57A1);
-    // `level_step` counts one activation per `SwlStep` command.
+    // `level_step` counts one activation per coordinator step.
     let steps =
         |state: &[LevelerState]| -> u64 { state.iter().map(|(.., stats)| stats.activations).sum() };
-    // Per horizon: (`SwlStep` commands, ops that ran ahead, reads).
+    // Per horizon: (coordinator steps, ops that ran ahead, reads).
     let past_stall = [12_000u64, 16_000].map(|events| {
         let stop = StopCondition::events(events);
         let (reference_report, reference_layer) =
@@ -410,7 +410,7 @@ fn ftl_reserved_lanes_global_past_the_stall() {
     });
     let [(early_steps, early_quiet, early_reads), (late_steps, late_quiet, late_reads)] =
         past_stall;
-    assert_eq!(late_steps, early_steps, "SwlStep commands after the stall");
+    assert_eq!(late_steps, early_steps, "coordinator steps after the stall");
     assert!(
         late_quiet - early_quiet > late_reads - early_reads,
         "no write ran ahead after the stall"
@@ -611,7 +611,7 @@ fn lane_errors_are_attributed_alike_direct_and_threaded() {
         assert_eq!(failed, Err(out_of_range(end / 4)), "threads={threads}");
         assert_eq!(engine.submit(TraceEvent::write(9, 0)), failed, "sticky");
         assert_eq!(engine.flush(), failed, "sticky");
-        assert_eq!(engine.snapshot_create(1), failed, "sticky");
+        assert_eq!(engine.snapshot(SnapshotVerb::Create(1)), failed, "sticky");
         let programs: Vec<u64> = engine
             .into_devices()
             .iter()
@@ -760,8 +760,8 @@ fn power_cut_mid_op_fails_alike_direct_and_threaded() {
 /// What one engine run of the property below produced.
 struct Driven {
     run: flash_sim::EngineRun,
-    /// The captured read results, drained after every flush as the service
-    /// does (empty with read capture off).
+    /// What the trace's reads returned, when they were issued as blocking
+    /// [`Engine::read`]s the way the service issues them (empty otherwise).
     reads: Vec<Vec<Option<u64>>>,
     /// One command per lane an op touches; a coordinated write adds its
     /// per-page commands and SWL steps on top, so under Global this is a
@@ -770,11 +770,13 @@ struct Driven {
 }
 
 /// Feeds the first `ops` events of the seeded trace to an engine built with
-/// `config` over four lanes, with a flush barrier every `flush_every` ops.
+/// `config` over four lanes, with a flush barrier every `flush_every` ops;
+/// with `capture`, its reads go through [`Engine::read`] and come back.
 fn drive(
     kind: LayerKind,
     coordination: SwlCoordination,
     config: EngineConfig,
+    capture: bool,
     ops: u64,
     flush_every: u64,
     seed: u64,
@@ -795,14 +797,16 @@ fn drive(
     let mut reads = Vec::new();
     for (i, event) in trace(pages, seed).take(ops as usize).enumerate() {
         lane_commands += u64::from(event.len.min(CHANNELS));
-        engine.submit(event).unwrap();
+        if capture && event.op == Op::Read {
+            reads.push(engine.read(event.at_ns, event.lba, event.len).unwrap());
+        } else {
+            engine.submit(event).unwrap();
+        }
         if (i as u64 + 1).is_multiple_of(flush_every) {
             engine.flush().unwrap();
-            reads.extend(engine.take_completed_reads());
         }
     }
     engine.flush().unwrap();
-    reads.extend(engine.take_completed_reads());
     Driven {
         run: engine.finish().unwrap(),
         reads,
@@ -852,10 +856,10 @@ proptest! {
         let config = EngineConfig::default()
             .with_threads(threads)
             .with_queue_depth(qd)
-            .with_metrics(metrics)
-            .with_read_capture(capture);
-        let driven = drive(kind, coordination, config, OPS, flush_every, seed);
-        let direct = drive(kind, coordination, config.with_threads(0), OPS, flush_every, seed);
+            .with_metrics(metrics);
+        let driven = drive(kind, coordination, config, capture, OPS, flush_every, seed);
+        let direct = config.with_threads(0);
+        let direct = drive(kind, coordination, direct, capture, OPS, flush_every, seed);
         prop_assert_eq!(direct.run.threads, 0);
         prop_assert_eq!(driven.reads.len(), if capture { read_ops } else { 0 });
         prop_assert!(driven.reads == direct.reads, "captured reads diverged");

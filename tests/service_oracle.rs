@@ -30,8 +30,8 @@ use std::sync::Barrier;
 use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceClient, ServiceConfig, ServiceServer};
 use flash_sim::{
-    Engine, EngineConfig, Layer, LayerKind, SimConfig, SimError, StripedReport, SwlCoordination,
-    TranslationLayer,
+    Engine, EngineConfig, Layer, LayerKind, SimConfig, SimError, SnapshotVerb, StripedReport,
+    SwlCoordination, TranslationLayer,
 };
 use flash_trace::TraceEvent;
 use ftl::{FtlConfig, SnapshotConfig};
@@ -920,20 +920,20 @@ fn run_snapshot_verbs(threads: u32) -> SnapshotOutcome {
     let mut verbs = Vec::new();
     let mut images = Vec::new();
     write_some(&mut service, 400);
-    verbs.push(service.snapshot_create(1));
+    verbs.push(service.snapshot(SnapshotVerb::Create(1)));
     images.push(image(&mut service));
     write_some(&mut service, 300);
-    verbs.push(service.snapshot_create(1));
+    verbs.push(service.snapshot(SnapshotVerb::Create(1)));
     images.push(image(&mut service));
-    verbs.push(service.snapshot_clone(1));
+    verbs.push(service.snapshot(SnapshotVerb::Clone(1)));
     images.push(image(&mut service));
     write_some(&mut service, 200);
-    verbs.push(service.snapshot_create(2));
+    verbs.push(service.snapshot(SnapshotVerb::Create(2)));
     write_some(&mut service, 200);
-    verbs.push(service.snapshot_merge(2));
+    verbs.push(service.snapshot(SnapshotVerb::Merge(2)));
     images.push(image(&mut service));
-    verbs.push(service.snapshot_delete(9));
-    verbs.push(service.snapshot_delete(1));
+    verbs.push(service.snapshot(SnapshotVerb::Delete(9)));
+    verbs.push(service.snapshot(SnapshotVerb::Delete(1)));
     write_some(&mut service, 100);
     let mut run = service.finish().unwrap().run;
     SnapshotOutcome {

@@ -14,18 +14,22 @@
 //!    build an origin image, snapshot it, diverge (overwrites, fresh LBAs,
 //!    advisory trims), merge, and read the entire logical space back
 //!    against the overlay model.
-//! 2. **Rollback and release**: `snapshot_clone` returns the served device
+//! 2. **Rollback and release**: `Clone` returns the served device
 //!    to the frozen image exactly; deleting the snapshot afterwards while
 //!    the head still shares its pages must not disturb the live contents.
-//! 3. **Durability**: an acked `snapshot_create` survives service teardown
+//! 3. **Durability**: an acked `Create` survives service teardown
 //!    and per-lane remount, and the snapshot merges correctly *after* the
 //!    remount.
 
 use std::collections::HashMap;
 
+use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceConfig};
-use flash_sim::{EngineConfig, Layer, LayerKind, SimConfig, SwlCoordination, TranslationLayer};
-use ftl::{FtlConfig, SnapshotConfig};
+use flash_sim::{
+    EngineConfig, Layer, LayerKind, SimConfig, SimError, SnapshotVerb, SwlCoordination,
+    TranslationLayer,
+};
+use ftl::{FtlConfig, FtlError, SnapshotConfig};
 use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
 use swl_core::rng::SplitMix64;
 use swl_core::SwlConfig;
@@ -58,6 +62,19 @@ fn sim_config() -> SimConfig {
 }
 
 fn build(channels: u32, coordination: SwlCoordination) -> Service {
+    build_cached(channels, coordination, None)
+}
+
+fn build_cached(
+    channels: u32,
+    coordination: SwlCoordination,
+    cache: Option<CacheConfig>,
+) -> Service {
+    let config = ServiceConfig {
+        engine: EngineConfig::default().with_threads(2).with_queue_depth(8),
+        cache,
+        ..ServiceConfig::default()
+    };
     Service::build(
         LayerKind::Ftl,
         geometry(channels),
@@ -65,8 +82,7 @@ fn build(channels: u32, coordination: SwlCoordination) -> Service {
         Some(swl()),
         coordination,
         &sim_config(),
-        ServiceConfig::default()
-            .with_engine(EngineConfig::default().with_threads(2).with_queue_depth(8)),
+        config,
     )
     .unwrap()
 }
@@ -105,7 +121,7 @@ fn merge_round_trip(channels: u32, coordination: SwlCoordination) {
         };
         write(&mut service, &mut flash, lba);
     }
-    service.snapshot_create(7).unwrap();
+    service.snapshot(SnapshotVerb::Create(7)).unwrap();
     let snap = flash.clone();
 
     // Diverge: overwrites inside the image, fresh LBAs beyond it, trims.
@@ -124,7 +140,7 @@ fn merge_round_trip(channels: u32, coordination: SwlCoordination) {
         }
     }
 
-    service.snapshot_merge(7).unwrap();
+    service.snapshot(SnapshotVerb::Merge(7)).unwrap();
 
     for lba in 0..logical {
         let got = service.read(lba, 1).unwrap()[0];
@@ -179,7 +195,7 @@ fn rollback_restores_image_and_delete_keeps_shared_pages() {
         service.write(lba, &[value]).unwrap();
         image.insert(lba, value);
     }
-    service.snapshot_create(3).unwrap();
+    service.snapshot(SnapshotVerb::Create(3)).unwrap();
 
     // Diverge away from the image, including trims and fresh LBAs.
     for lba in 0..footprint {
@@ -189,7 +205,7 @@ fn rollback_restores_image_and_delete_keeps_shared_pages() {
     }
     service.trim(0, footprint as usize / 2).unwrap();
 
-    service.snapshot_clone(3).unwrap();
+    service.snapshot(SnapshotVerb::Clone(3)).unwrap();
     for lba in 0..logical {
         let got = service.read(lba, 1).unwrap()[0];
         assert_eq!(
@@ -201,7 +217,7 @@ fn rollback_restores_image_and_delete_keeps_shared_pages() {
 
     // The head now shares every page with snapshot 3; dropping the
     // snapshot must release only its references, never live data.
-    service.snapshot_delete(3).unwrap();
+    service.snapshot(SnapshotVerb::Delete(3)).unwrap();
     for lba in 0..footprint {
         let got = service.read(lba, 1).unwrap()[0];
         assert_eq!(
@@ -220,7 +236,7 @@ fn rollback_restores_image_and_delete_keeps_shared_pages() {
     service.finish().unwrap();
 }
 
-/// An acked `snapshot_create` is durable: after tearing the service down
+/// An acked `Create` is durable: after tearing the service down
 /// and remounting every lane from its bare device, the snapshot is still
 /// there and merging it post-remount yields the overlay image.
 #[test]
@@ -236,7 +252,7 @@ fn acked_snapshot_survives_remount_and_merges_after() {
         service.write(lba, &[value]).unwrap();
         flash.insert(lba, value);
     }
-    service.snapshot_create(9).unwrap();
+    service.snapshot(SnapshotVerb::Create(9)).unwrap();
     let snap = flash.clone();
     for lba in 0..footprint / 2 {
         value += 1;
@@ -256,7 +272,7 @@ fn acked_snapshot_survives_remount_and_merges_after() {
         .map(|device| Layer::mount(LayerKind::Ftl, device, &config).unwrap())
         .collect();
     for lane in &mut lanes {
-        lane.snapshot_merge(9)
+        lane.snapshot(SnapshotVerb::Merge(9))
             .expect("acked snapshot must survive remount on every lane");
     }
     for lba in 0..logical {
@@ -269,6 +285,43 @@ fn acked_snapshot_survives_remount_and_merges_after() {
             "post-remount merge diverged at lba {lba}"
         );
     }
+}
+
+/// A refused verb leaves the served device as it was: rolling back to a
+/// snapshot that does not exist must not cost the write cache its dirty
+/// entries — they are accepted writes, and nothing was rolled back.
+#[test]
+fn refused_clone_keeps_accepted_writes() {
+    let cache = CacheConfig::sized(16);
+    let mut service = build_cached(2, SwlCoordination::PerChannel, Some(cache));
+    service.write(3, &[3]).unwrap();
+    service.flush().unwrap();
+    // Rewrite until the admission filter takes the page in: from then on the
+    // last accepted value lives in RAM only, over the 3 on flash.
+    let mut value = 3u64;
+    while service.cache_sample().unwrap().dirty == 0 {
+        value += 1;
+        service.write(3, &[value]).unwrap();
+        assert!(value < 1_000, "lba 3 never became a dirty cache entry");
+    }
+    assert_eq!(
+        service.snapshot(SnapshotVerb::Clone(999)),
+        Err(SimError::Ftl(FtlError::UnknownSnapshot { id: 999 }))
+    );
+    assert_eq!(service.read(3, 1).unwrap(), [Some(value)]);
+    service.finish().unwrap();
+}
+
+/// Nor may a refused merge bring a trimmed page back.
+#[test]
+fn refused_merge_keeps_the_trim_mask() {
+    let mut service = build(2, SwlCoordination::PerChannel);
+    service.write(3, &[3]).unwrap();
+    service.flush().unwrap();
+    service.trim(3, 1).unwrap();
+    assert!(service.snapshot(SnapshotVerb::Merge(999)).is_err());
+    assert_eq!(service.read(3, 1).unwrap(), [None]);
+    service.finish().unwrap();
 }
 
 /// The snapshot verbs work over the served (multi-client, real-thread)
@@ -288,13 +341,15 @@ fn served_clients_drive_snapshot_verbs() {
     for lba in 0..span {
         admin.write(lba, vec![10_000 + lba]).unwrap();
     }
-    admin.snapshot(1).unwrap();
+    admin.snapshot(SnapshotVerb::Create(1)).unwrap();
+    let duplicate = admin.snapshot(SnapshotVerb::Create(1));
     assert!(
-        matches!(admin.snapshot(1), Err(flash_sim::SimError::Ftl(_))),
+        matches!(duplicate, Err(SimError::Ftl(_))),
         "duplicate snapshot id must be rejected over the wire"
     );
+    let unknown = admin.snapshot(SnapshotVerb::Merge(42));
     assert!(
-        matches!(admin.merge_snapshot(42), Err(flash_sim::SimError::Ftl(_))),
+        matches!(unknown, Err(SimError::Ftl(_))),
         "unknown snapshot id must be rejected over the wire"
     );
 
@@ -307,7 +362,7 @@ fn served_clients_drive_snapshot_verbs() {
     }
 
     // Merge from the admin client: the snapshot wins every imaged page.
-    admin.merge_snapshot(1).unwrap();
+    admin.snapshot(SnapshotVerb::Merge(1)).unwrap();
     for lba in 0..span {
         assert_eq!(
             admin.read(lba, 1).unwrap()[0],
@@ -316,13 +371,13 @@ fn served_clients_drive_snapshot_verbs() {
         );
     }
 
-    // The server keeps serving after the admin verbs: rollback round-trip.
+    // The server keeps serving after those verbs: rollback round-trip.
     writer.write(0, vec![77]).unwrap();
-    writer.snapshot(2).unwrap();
+    writer.snapshot(SnapshotVerb::Create(2)).unwrap();
     writer.write(0, vec![88]).unwrap();
-    writer.clone_snapshot(2).unwrap();
+    writer.snapshot(SnapshotVerb::Clone(2)).unwrap();
     assert_eq!(writer.read(0, 1).unwrap()[0], Some(77));
-    writer.delete_snapshot(2).unwrap();
+    writer.snapshot(SnapshotVerb::Delete(2)).unwrap();
     assert_eq!(writer.read(0, 1).unwrap()[0], Some(77));
 
     drop(admin);
