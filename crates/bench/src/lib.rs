@@ -1,8 +1,9 @@
 //! # `flash-bench` — table/figure regeneration and micro-benchmarks
 //!
-//! One binary per table and figure of the paper:
+//! One driver, `repro`, regenerates every table and figure of the paper
+//! and the extension studies ([`repro`] holds the artifact table):
 //!
-//! | artifact | binary | kind |
+//! | artifact | `repro` name | kind |
 //! |---|---|---|
 //! | Table 1 (BET RAM size) | `table1` | closed-form |
 //! | Table 2 (worst-case extra erases) | `table2` | closed-form |
@@ -11,12 +12,14 @@
 //! | Figure 5 (first failure time) | `fig5` | simulation |
 //! | Figure 6 (extra block erases) | `fig6` | simulation |
 //! | Figure 7 (extra live-page copies) | `fig7` | simulation |
+//! | extension studies | `ablation` `lifetime` `latency` `hotcold` `baseline_wl` | simulation |
 //!
-//! Simulation binaries accept a scale argument: `quick` (CI smoke),
-//! `scaled` (default; minutes) or `paper` (full size; very long). Run e.g.
+//! Simulations accept a scale argument: `quick` (CI smoke), `scaled`
+//! (default; minutes) or `paper` (full size; very long). Run e.g.
 //!
 //! ```text
-//! cargo run --release -p flash-bench --bin fig5 -- scaled
+//! cargo run --release -p flash-bench --bin repro -- fig5 scaled
+//! cargo run --release -p flash-bench --bin repro -- all quick --check results
 //! ```
 //!
 //! Micro-benchmarks live in `benches/` on the in-repo [`timing`]
@@ -29,9 +32,20 @@ pub mod array;
 pub mod crash;
 pub mod export;
 pub mod json;
+pub mod repro;
 pub mod timing;
 
 use flash_sim::experiments::ExperimentScale;
+
+/// The scale a command line names: `quick`, `scaled` or `paper`.
+pub fn scale_named(name: &str) -> Option<ExperimentScale> {
+    match name {
+        "quick" => Some(ExperimentScale::quick()),
+        "scaled" => Some(ExperimentScale::scaled()),
+        "paper" => Some(ExperimentScale::paper()),
+        _ => None,
+    }
+}
 
 /// Parses the scale argument (`quick` / `scaled` / `paper`) from the
 /// command line, defaulting to `scaled`.
@@ -40,12 +54,11 @@ use flash_sim::experiments::ExperimentScale;
 ///
 /// Panics with a usage message on an unknown argument.
 pub fn scale_from_args() -> ExperimentScale {
-    match std::env::args().nth(1).as_deref() {
-        None | Some("scaled") => ExperimentScale::scaled(),
-        Some("quick") => ExperimentScale::quick(),
-        Some("paper") => ExperimentScale::paper(),
-        Some(other) => panic!("unknown scale {other:?}; expected quick|scaled|paper"),
-    }
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "scaled".to_owned());
+    scale_named(&name)
+        .unwrap_or_else(|| panic!("unknown scale {name:?}; expected quick|scaled|paper"))
 }
 
 /// Default simulation horizon for a scale: the paper's 10 years, shrunk by
@@ -56,8 +69,13 @@ pub fn default_horizon_ns(scale: &ExperimentScale) -> u64 {
     (years * flash_sim::experiments::NANOS_PER_YEAR) as u64
 }
 
-/// Renders rows as a fixed-width text table with a header rule.
+/// Prints [`format_table`] to stdout.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", format_table(headers, rows));
+}
+
+/// Renders rows as a fixed-width text table with a header rule.
+pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -72,16 +90,15 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}", w = w))
             .collect();
-        println!("{}", fields.join("  "));
+        fields.join("  ") + "\n"
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
+    let mut table = line(headers.iter().map(|h| h.to_string()).collect());
+    table += &"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    table.push('\n');
     for row in rows {
-        line(row.clone());
+        table += &line(row.clone());
     }
+    table
 }
 
 #[cfg(test)]
@@ -98,9 +115,11 @@ mod tests {
 
     #[test]
     fn print_table_does_not_panic() {
-        print_table(
-            &["a", "bb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+        let rows = [vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]];
+        print_table(&["a", "bb"], &rows);
+        assert_eq!(
+            format_table(&["a", "bb"], &rows),
+            "  a  bb\n-------\n  1   2\n333   4\n"
         );
     }
 }

@@ -75,14 +75,6 @@ impl Bet {
         self.fcnt == self.flags
     }
 
-    /// Fraction of flags set — how far the current resetting interval has
-    /// progressed (0.0 freshly reset, 1.0 at the reset point). Health
-    /// introspection: a fill fraction stuck low while `ecnt` grows means
-    /// erases are concentrating on few flag groups.
-    pub fn fill_frac(&self) -> f64 {
-        self.fcnt as f64 / self.flags as f64
-    }
-
     /// RAM footprint of the flag array in bytes (Table 1).
     pub fn ram_bytes(&self) -> usize {
         self.flags.div_ceil(8)

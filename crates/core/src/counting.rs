@@ -8,7 +8,7 @@
 //! paper's central memory-footprint argument (§4.1).
 //!
 //! This module implements that strawman faithfully so the repository can
-//! quantify the trade-off (see the `baseline_wl` bench binary): comparable
+//! quantify the trade-off (see `repro baseline_wl`): comparable
 //! leveling quality, an order of magnitude more controller RAM.
 //!
 //! # Example

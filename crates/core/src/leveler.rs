@@ -319,27 +319,6 @@ impl SwLeveler {
         (fcnt > 0).then(|| self.ecnt as f64 / fcnt as f64)
     }
 
-    /// Fraction of BET flags set this resetting interval (see
-    /// [`Bet::fill_frac`]). Health introspection: low fill with high
-    /// [`ecnt`](Self::ecnt) means wear is concentrating.
-    pub fn bet_fill(&self) -> f64 {
-        self.bet.fill_frac()
-    }
-
-    /// Headroom before the leveler would activate: how many more erases the
-    /// current interval tolerates at the current `fcnt` before
-    /// `ecnt / fcnt` reaches the threshold. `None` while `fcnt == 0` (the
-    /// threshold test is undefined until a flag is set).
-    pub fn erases_to_invoke(&self) -> Option<u64> {
-        let fcnt = self.bet.fcnt() as u64;
-        (fcnt > 0).then(|| {
-            self.config
-                .threshold
-                .saturating_mul(fcnt)
-                .saturating_sub(self.ecnt)
-        })
-    }
-
     /// `true` when the unevenness level has reached the threshold and
     /// [`SwLeveler::level`] would act — so `false` while a stall is latched
     /// (see [`LevelOutcome::Stalled`]).

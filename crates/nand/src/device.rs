@@ -287,20 +287,6 @@ impl<S: Sink> NandDevice<S> {
             .count() as u32
     }
 
-    /// Erase cycles left on the most-worn block before it reaches the
-    /// spec's rated endurance (0 once any block is at or past its rating).
-    /// The health plane's forecast divides this headroom by the observed
-    /// tail wear rate.
-    pub fn wear_headroom(&self) -> u64 {
-        let max = self
-            .blocks
-            .iter()
-            .map(|b| b.erase_count())
-            .max()
-            .unwrap_or(0);
-        (self.spec.endurance as u64).saturating_sub(max)
-    }
-
     fn check_power(&self) -> Result<(), NandError> {
         if self.power_is_cut() {
             return Err(NandError::PowerCut);

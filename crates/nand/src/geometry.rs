@@ -64,11 +64,6 @@ impl Geometry {
         Self::for_capacity(1 << 30, 128, 2048)
     }
 
-    /// MLC×2 flash of an arbitrary capacity (2 KiB pages, 128 pages/block).
-    pub fn mlc2(capacity_bytes: u64) -> Self {
-        Self::for_capacity(capacity_bytes, 128, 2048)
-    }
-
     fn for_capacity(capacity_bytes: u64, pages_per_block: u32, page_bytes: u32) -> Self {
         let block_bytes = u64::from(pages_per_block) * u64::from(page_bytes);
         let blocks = capacity_bytes / block_bytes;

@@ -2,15 +2,16 @@
 //!
 //! Each experiment is parameterised by an [`ExperimentScale`]. The paper's
 //! full setup (`ExperimentScale::paper`: 1 GiB MLC×2, 10 000-cycle
-//! endurance) takes hours of CPU per sweep point because first failures
-//! occur only after hundreds of millions of host writes; the scaled presets
-//! shrink the chip and the endurance proportionally, which preserves the
-//! *ratios* the paper's figures compare (wear accumulates linearly in both
-//! dimensions) while finishing in seconds to minutes. `EXPERIMENTS.md` in
-//! the repository root records scaled-vs-paper numbers side by side.
+//! endurance) takes minutes of CPU per FTL sweep point (≈ 4 × 10⁹ host
+//! writes to first failure at ~19 M pages/s; the NFTL dies ~100× sooner);
+//! the scaled presets shrink the chip and the endurance proportionally,
+//! which preserves the *ratios* the paper's figures compare (wear
+//! accumulates linearly in both dimensions) while finishing in seconds to
+//! minutes. `EXPERIMENTS.md` in the repository root records scaled-vs-paper
+//! numbers side by side.
 
-use flash_telemetry::Sink;
-use flash_trace::{Op, SegmentResampler, WorkloadSpec};
+use flash_telemetry::{NullSink, Sink};
+use flash_trace::{Op, SegmentResampler, TraceEvent, WorkloadSpec};
 use nand::{CellKind, ChannelGeometry, Geometry, NandDevice, WearPolicy};
 use swl_core::counting::CountingLeveler;
 use swl_core::SwlConfig;
@@ -123,27 +124,37 @@ pub fn paper_workload(logical_pages: u64, seed: u64) -> WorkloadSpec {
     WorkloadSpec::paper(logical_pages).with_seed(seed)
 }
 
-fn build(
+/// The one build-and-trace path of every single-chip experiment: the layer
+/// on `device`, and its full input — a one-time fill of the footprint
+/// (ageing the device as a month of use would) followed by the unlimited
+/// resampled steady-state trace. `tweak` adjusts the paper workload first.
+fn setup<S: Sink>(
     kind: LayerKind,
+    device: NandDevice<S>,
     swl: Option<SwlConfig>,
     scale: &ExperimentScale,
-) -> Result<Layer, SimError> {
-    Layer::build(kind, scale.device(), swl, &SimConfig::default())
+    tweak: impl FnOnce(WorkloadSpec) -> WorkloadSpec,
+) -> Result<(Layer<S>, impl Iterator<Item = TraceEvent>), SimError> {
+    let layer = Layer::build(kind, device, swl, &SimConfig::default())?;
+    let spec = tweak(paper_workload(layer.logical_pages(), scale.seed));
+    let fill = spec.fill_events();
+    let steady = SegmentResampler::from_spec(spec, scale.seed.wrapping_mul(0x9E37_79B9));
+    Ok((layer, fill.chain(steady)))
 }
 
-/// The full experiment input: a one-time fill of the footprint (ageing the
-/// device as a month of use would) followed by the unlimited resampled
-/// steady-state trace.
-fn unlimited_trace<S: Sink>(
-    layer: &Layer<S>,
+/// [`setup`], then the simulator up to `stop`; hands the layer back for its
+/// device (and the device's sink).
+fn run<S: Sink>(
+    kind: LayerKind,
+    device: NandDevice<S>,
+    swl: Option<SwlConfig>,
     scale: &ExperimentScale,
-) -> impl Iterator<Item = flash_trace::TraceEvent> {
-    let spec = paper_workload(layer.logical_pages(), scale.seed);
-    let fill = spec.fill_events();
-    fill.chain(SegmentResampler::from_spec(
-        spec,
-        scale.seed.wrapping_mul(0x9E37_79B9),
-    ))
+    tweak: impl FnOnce(WorkloadSpec) -> WorkloadSpec,
+    stop: StopCondition,
+) -> Result<(SimReport, Layer<S>), SimError> {
+    let (mut layer, trace) = setup(kind, device, swl, scale, tweak)?;
+    let report = Simulator::new().run(&mut layer, trace, stop)?;
+    Ok((report, layer))
 }
 
 /// Runs one configuration until the first block wears out (Figure 5).
@@ -172,18 +183,45 @@ pub fn first_failure_run_with(
     scale: &ExperimentScale,
     tweak: impl FnOnce(WorkloadSpec) -> WorkloadSpec,
 ) -> Result<SimReport, SimError> {
-    let mut layer = build(kind, swl, scale)?;
-    let spec = tweak(paper_workload(layer.logical_pages(), scale.seed));
-    let trace = spec.fill_events().chain(SegmentResampler::from_spec(
-        spec.clone(),
-        scale.seed.wrapping_mul(0x9E37_79B9),
-    ));
     let stop = StopCondition {
         at_first_failure: true,
         horizon_ns: None,
         max_events: Some(scale.event_cap()),
     };
-    Simulator::new().run(&mut layer, trace, stop)
+    Ok(run(kind, scale.device(), swl, scale, tweak, stop)?.0)
+}
+
+/// One grid point's paper `T`, its `k`, and its report.
+type GridReport = (u64, u32, SimReport);
+
+/// The baseline (`None`) and every `(T, k)` pair of a figure's grid, run
+/// through `run` on [`crate::parallel::sweep_threads`] workers: the baseline
+/// report, then each pair's in grid order (`T` outer, `k` inner). The first
+/// failure in that order is the one returned.
+fn grid_sweep(
+    scale: &ExperimentScale,
+    thresholds: &[u64],
+    ks: &[u32],
+    run: impl Fn(Option<SwlConfig>) -> Result<SimReport, SimError> + Sync,
+) -> Result<(SimReport, Vec<GridReport>), SimError> {
+    let pairs: Vec<(u64, u32)> = thresholds
+        .iter()
+        .flat_map(|&t| ks.iter().map(move |&k| (t, k)))
+        .collect();
+    // Index 0 is the baseline, index `i` the pair `i - 1`.
+    let pair = |i: usize| i.checked_sub(1).map(|i| pairs[i]);
+    let mut reports = crate::parallel::run_indexed_labeled(
+        pairs.len() + 1,
+        |i| pair(i).map_or("baseline".to_string(), |(t, k)| format!("(T={t}, k={k})")),
+        |i| run(pair(i).map(|(t, k)| scale.swl_config(t, k))),
+    )
+    .into_iter();
+    let baseline = reports.next().expect("baseline slot")?;
+    let points = pairs
+        .iter()
+        .zip(reports)
+        .map(|(&(t, k), report)| Ok((t, k, report?)));
+    Ok((baseline, points.collect::<Result<_, SimError>>()?))
 }
 
 /// One point of the Figure 5 sweep.
@@ -219,35 +257,20 @@ pub fn first_failure_sweep(
     thresholds: &[u64],
     ks: &[u32],
 ) -> Result<Vec<FailurePoint>, SimError> {
-    let mut grid: Vec<(Option<u64>, u32)> = vec![(None, 0)];
-    for &t in thresholds {
-        for &k in ks {
-            grid.push((Some(t), k));
-        }
-    }
-    let reports = crate::parallel::run_indexed_labeled(
-        grid.len(),
-        |i| match grid[i] {
-            (None, _) => "baseline".to_string(),
-            (Some(t), k) => format!("(T={t}, k={k})"),
-        },
-        |i| {
-            let (t, k) = grid[i];
-            let config = t.map(|t| scale.swl_config(t, k));
-            first_failure_run(kind, config, scale)
-        },
-    );
-    let mut points = Vec::with_capacity(grid.len());
-    for ((threshold, k), report) in grid.into_iter().zip(reports) {
-        let report = report?;
-        points.push(FailurePoint {
-            threshold,
-            k,
-            years: report.first_failure.map(|f| f.years()),
-            report,
-        });
-    }
-    Ok(points)
+    let run = |swl| first_failure_run(kind, swl, scale);
+    let (baseline, grid) = grid_sweep(scale, thresholds, ks, run)?;
+    let point = |threshold, k, report: SimReport| FailurePoint {
+        threshold,
+        k,
+        years: report.first_failure.map(|f| f.years()),
+        report,
+    };
+    let grid = grid
+        .into_iter()
+        .map(|(t, k, report)| point(Some(t), k, report));
+    Ok(std::iter::once(point(None, 0, baseline))
+        .chain(grid)
+        .collect())
 }
 
 /// Runs one configuration with a telemetry sink riding on the device,
@@ -269,9 +292,7 @@ pub fn instrumented_run<S: Sink>(
     stop: StopCondition,
 ) -> Result<(SimReport, S), SimError> {
     let device = scale.device().with_sink(sink);
-    let mut layer = Layer::build(kind, device, swl, &SimConfig::default())?;
-    let trace = unlimited_trace(&layer, scale);
-    let report = Simulator::new().run(&mut layer, trace, stop)?;
+    let (report, layer) = run(kind, device, swl, scale, |spec| spec, stop)?;
     Ok((report, layer.into_device().into_sink()))
 }
 
@@ -316,9 +337,8 @@ pub fn horizon_run(
     scale: &ExperimentScale,
     horizon_ns: u64,
 ) -> Result<SimReport, SimError> {
-    let mut layer = build(kind, swl, scale)?;
-    let trace = unlimited_trace(&layer, scale);
-    Simulator::new().run(&mut layer, trace, StopCondition::horizon(horizon_ns))
+    let stop = StopCondition::horizon(horizon_ns);
+    Ok(run(kind, scale.device(), swl, scale, |spec| spec, stop)?.0)
 }
 
 /// One point of the Figure 6/7 sweeps.
@@ -355,42 +375,42 @@ pub fn overhead_sweep(
     ks: &[u32],
     horizon_ns: u64,
 ) -> Result<(SimReport, Vec<OverheadPoint>), SimError> {
-    // Index 0 is the baseline; the overhead ratios are computed after the
-    // fan-out, once the baseline report is in hand.
-    let mut grid: Vec<Option<(u64, u32)>> = vec![None];
-    for &t in thresholds {
-        for &k in ks {
-            grid.push(Some((t, k)));
+    let run = |swl| horizon_run(kind, swl, scale, horizon_ns);
+    let (baseline, grid) = grid_sweep(scale, thresholds, ks, run)?;
+    let points = grid
+        .into_iter()
+        .map(|(threshold, k, report)| OverheadPoint {
+            threshold,
+            k,
+            erase_overhead: report.erase_overhead_vs(&baseline).unwrap_or(0.0),
+            copy_overhead: report.copy_overhead_vs(&baseline).unwrap_or(0.0),
+            report,
+        })
+        .collect();
+    Ok((baseline, points))
+}
+
+/// Serves one trace event page by page, each write under the next `token`;
+/// returns the pages written.
+fn serve<S: Sink>(
+    layer: &mut Layer<S>,
+    event: &TraceEvent,
+    token: &mut u64,
+) -> Result<u64, SimError> {
+    let mut written = 0;
+    for lba in event.pages() {
+        match event.op {
+            Op::Write => {
+                *token += 1;
+                layer.write(lba, *token)?;
+                written += 1;
+            }
+            Op::Read => {
+                let _ = layer.read(lba)?;
+            }
         }
     }
-    let mut reports = crate::parallel::run_indexed_labeled(
-        grid.len(),
-        |i| match grid[i] {
-            None => "baseline".to_string(),
-            Some((t, k)) => format!("(T={t}, k={k})"),
-        },
-        |i| match grid[i] {
-            None => horizon_run(kind, None, scale, horizon_ns),
-            Some((t, k)) => horizon_run(kind, Some(scale.swl_config(t, k)), scale, horizon_ns),
-        },
-    )
-    .into_iter();
-    let baseline = reports.next().expect("baseline slot")?;
-    let mut points = Vec::with_capacity(grid.len() - 1);
-    for (config, report) in grid[1..].iter().zip(reports) {
-        let (t, k) = config.expect("grid tail holds (T, k) pairs");
-        let report = report?;
-        let erase_overhead = report.erase_overhead_vs(&baseline).unwrap_or(0.0);
-        let copy_overhead = report.copy_overhead_vs(&baseline).unwrap_or(0.0);
-        points.push(OverheadPoint {
-            threshold: t,
-            k,
-            erase_overhead,
-            copy_overhead,
-            report,
-        });
-    }
-    Ok((baseline, points))
+    Ok(written)
 }
 
 /// Result of a device-lifetime run (an extension beyond the paper, enabled
@@ -425,52 +445,25 @@ pub fn lifetime_run(
     scale: &ExperimentScale,
 ) -> Result<LifetimeReport, SimError> {
     let device = scale.device().with_wear_policy(WearPolicy::FailWornBlocks);
-    let mut layer = Layer::build(kind, device, swl, &SimConfig::default())?;
-    let spec = paper_workload(layer.logical_pages(), scale.seed);
-    let trace = spec.fill_events().chain(SegmentResampler::from_spec(
-        spec.clone(),
-        scale.seed.wrapping_mul(0x9E37_79B9),
-    ));
+    let (mut layer, trace) = setup(kind, device, swl, scale, |spec| spec)?;
 
     let mut token = 0u64;
     let mut end_ns = 0u64;
     let mut first_failure_ns: Option<u64> = None;
-    let cap = scale.event_cap();
-    let mut events = 0u64;
-    'run: for event in trace {
-        events += 1;
-        if events > cap {
-            break;
-        }
+    for (event, _) in trace.zip(0..scale.event_cap()) {
         end_ns = end_ns.max(event.at_ns);
-        for lba in event.pages() {
-            match event.op {
-                Op::Write => {
-                    token += 1;
-                    match layer.write(lba, token) {
-                        Ok(()) => {}
-                        Err(
-                            SimError::Ftl(
-                                ftl::FtlError::NoReclaimableSpace | ftl::FtlError::FreeExhausted,
-                            )
-                            | SimError::Nftl(
-                                nftl::NftlError::NoReclaimableSpace
-                                | nftl::NftlError::FreeExhausted,
-                            ),
-                        ) => break 'run,
-                        Err(other) => return Err(other),
-                    }
-                }
-                Op::Read => {
-                    let _ = layer.read(lba)?;
-                }
-            }
+        match serve(&mut layer, &event, &mut token) {
+            Ok(_) => {}
+            Err(
+                SimError::Ftl(ftl::FtlError::NoReclaimableSpace | ftl::FtlError::FreeExhausted)
+                | SimError::Nftl(
+                    nftl::NftlError::NoReclaimableSpace | nftl::NftlError::FreeExhausted,
+                ),
+            ) => break,
+            Err(other) => return Err(other),
         }
-        if first_failure_ns.is_none() {
-            if let Some(f) = layer.device().first_failure() {
-                let _ = f;
-                first_failure_ns = Some(event.at_ns);
-            }
+        if first_failure_ns.is_none() && layer.device().first_failure().is_some() {
+            first_failure_ns = Some(event.at_ns);
         }
     }
 
@@ -499,12 +492,7 @@ pub fn counting_wl_run(
     check_every: u64,
     scale: &ExperimentScale,
 ) -> Result<SimReport, SimError> {
-    let mut layer = build(kind, None, scale)?;
-    let spec = paper_workload(layer.logical_pages(), scale.seed);
-    let trace = spec.fill_events().chain(SegmentResampler::from_spec(
-        spec.clone(),
-        scale.seed.wrapping_mul(0x9E37_79B9),
-    ));
+    let (mut layer, trace) = setup(kind, scale.device(), None, scale, |spec| spec)?;
 
     let mut token = 0u64;
     let mut events = 0u64;
@@ -519,18 +507,7 @@ pub fn counting_wl_run(
             break;
         }
         host_span_ns = host_span_ns.max(event.at_ns);
-        for lba in event.pages() {
-            match event.op {
-                Op::Write => {
-                    token += 1;
-                    layer.write(lba, token)?;
-                    writes_since_check += 1;
-                }
-                Op::Read => {
-                    let _ = layer.read(lba)?;
-                }
-            }
-        }
+        writes_since_check += serve(&mut layer, &event, &mut token)?;
         if writes_since_check >= check_every {
             writes_since_check = 0;
             let mut wl = CountingLeveler::from_counts(&layer.device().erase_counts(), margin);
@@ -572,70 +549,6 @@ pub fn counting_wl_run(
         write_latency: crate::LatencyStats::new(),
         read_latency: crate::LatencyStats::new(),
     })
-}
-
-/// One row of Table 4.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table4Row {
-    /// Row label, e.g. `"FTL + SWL + k=0 + T=100"`.
-    pub label: String,
-    /// Average per-block erase count.
-    pub avg: f64,
-    /// Standard deviation of per-block erase counts.
-    pub dev: f64,
-    /// Maximum per-block erase count.
-    pub max: u64,
-}
-
-/// Regenerates Table 4: erase-count statistics for FTL and NFTL, baseline
-/// and the four `(k, T)` corner configurations, over a fixed horizon.
-///
-/// All rows (both layers, baselines included) fan out over
-/// [`crate::parallel::sweep_threads`] workers; the rows come back in the
-/// serial order.
-///
-/// # Errors
-///
-/// Propagates layer failures (the first failing row in row order).
-pub fn table4(
-    scale: &ExperimentScale,
-    horizon_ns: u64,
-    configs: &[(u32, u64)],
-) -> Result<Vec<Table4Row>, SimError> {
-    let mut tasks: Vec<(LayerKind, Option<(u32, u64)>)> = Vec::new();
-    for kind in [LayerKind::Ftl, LayerKind::Nftl] {
-        tasks.push((kind, None));
-        for &(k, t) in configs {
-            tasks.push((kind, Some((k, t))));
-        }
-    }
-    let reports = crate::parallel::run_indexed_labeled(
-        tasks.len(),
-        |i| match tasks[i] {
-            (kind, None) => format!("{kind} baseline"),
-            (kind, Some((k, t))) => format!("{kind} (T={t}, k={k})"),
-        },
-        |i| {
-            let (kind, config) = tasks[i];
-            let swl = config.map(|(k, t)| scale.swl_config(t, k));
-            horizon_run(kind, swl, scale, horizon_ns)
-        },
-    );
-    let mut rows = Vec::with_capacity(tasks.len());
-    for ((kind, config), report) in tasks.into_iter().zip(reports) {
-        let report = report?;
-        let label = match config {
-            None => kind.to_string(),
-            Some((k, t)) => format!("{kind} + SWL + k={k} + T={t}"),
-        };
-        rows.push(Table4Row {
-            label,
-            avg: report.erase_stats.mean,
-            dev: report.erase_stats.std_dev,
-            max: report.erase_stats.max,
-        });
-    }
-    Ok(rows)
 }
 
 /// The `(k, T)` corner configurations of Table 4.
@@ -730,39 +643,14 @@ pub fn channel_scaling(
     swl: Option<(u64, u32)>,
     events: u64,
 ) -> Result<Vec<ChannelPoint>, SimError> {
-    for &c in channel_counts {
-        assert!(
-            c >= 1 && scale.blocks.is_multiple_of(c),
-            "channel count {c} must divide {} blocks",
-            scale.blocks
-        );
-    }
     let reports = crate::parallel::run_indexed_labeled(
         channel_counts.len(),
         |i| format!("{}ch", channel_counts[i]),
         |i| {
-            let channels = channel_counts[i];
-            let geometry = ChannelGeometry::new(
-                channels,
-                1,
-                Geometry::new(scale.blocks / channels, scale.pages_per_block, 2048),
-            );
             let config = swl.map(|(t, k)| scale.swl_config(t, k));
-            let mut striped = StripedLayer::build(
-                kind,
-                geometry,
-                CellKind::Mlc2.spec().with_endurance(scale.endurance),
-                config,
-                SwlCoordination::Global,
-                &SimConfig::default(),
-            )?;
-            let pages = striped.logical_pages();
-            let trace = SegmentResampler::from_spec(
-                paper_workload(pages, scale.seed),
-                scale.seed.wrapping_mul(0x9E37_79B9),
-            )
-            .map(move |e| e.widen(CHANNEL_SPAN, pages));
-            Simulator::new().run_striped(&mut striped, trace, StopCondition::events(events))
+            let stop = StopCondition::events(events);
+            instrumented_striped_run(kind, channel_counts[i], config, scale, NullSink, stop)
+                .map(|(report, _)| report)
         },
     );
     let mut points = Vec::with_capacity(channel_counts.len());
@@ -854,17 +742,17 @@ mod tests {
 
     #[test]
     fn table4_shows_dev_reduction() {
+        // Table 4's rows are the overhead sweep's baseline and corner points.
         let scale = quick();
         let horizon = (0.05 * NANOS_PER_YEAR) as u64;
-        let rows = table4(&scale, horizon, &[(0, 100)]).unwrap();
-        assert_eq!(rows.len(), 4); // (FTL, NFTL) × (baseline, one config)
-        let ftl_base = &rows[0];
-        let ftl_swl = &rows[1];
+        let (ftl_base, points) =
+            overhead_sweep(LayerKind::Ftl, &scale, &[100], &[0], horizon).unwrap();
+        let ftl_swl = &points[0].report;
         assert!(
-            ftl_swl.dev <= ftl_base.dev,
+            ftl_swl.erase_stats.std_dev <= ftl_base.erase_stats.std_dev,
             "SWL must not worsen FTL erase deviation: {} vs {}",
-            ftl_swl.dev,
-            ftl_base.dev
+            ftl_swl.erase_stats.std_dev,
+            ftl_base.erase_stats.std_dev
         );
     }
 
@@ -933,9 +821,13 @@ mod tests {
         let serial_base = horizon_run(LayerKind::Nftl, None, &scale, horizon).unwrap();
         assert_eq!(baseline, serial_base);
         for (point, k) in overhead.iter().zip([0u32, 1]) {
-            let serial =
-                horizon_run(LayerKind::Nftl, Some(scale.swl_config(100, k)), &scale, horizon)
-                    .unwrap();
+            let serial = horizon_run(
+                LayerKind::Nftl,
+                Some(scale.swl_config(100, k)),
+                &scale,
+                horizon,
+            )
+            .unwrap();
             assert_eq!(point.report, serial, "overhead point k={k} diverged");
         }
     }

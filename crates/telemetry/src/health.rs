@@ -95,18 +95,6 @@ impl HealthConfig {
         self.tau_pages = tau_pages.max(1.0);
         self
     }
-
-    /// Replaces the Warn life-used threshold.
-    pub fn with_warn_life(mut self, frac: f64) -> Self {
-        self.warn_life = frac;
-        self
-    }
-
-    /// Replaces the Critical life-used threshold.
-    pub fn with_critical_life(mut self, frac: f64) -> Self {
-        self.critical_life = frac;
-        self
-    }
 }
 
 /// Composite health verdict, ordered by severity. Thresholds live in
