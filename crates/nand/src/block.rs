@@ -1,4 +1,4 @@
-//! Erase blocks: page payloads, per-page state, and wear.
+//! Erase blocks: one record per page (payload, spare, state), and wear.
 
 use crate::page::{PageState, SpareArea};
 
@@ -12,7 +12,37 @@ pub enum BlockState {
     WornOut,
 }
 
-/// One erase block: payload + spare area per page, page states, erase count.
+/// Everything the chip keeps per page, side by side: the payload token, the
+/// two spare-area words and the lifecycle state. A read, a program or an
+/// invalidate touches one of these — one cache line — where three parallel
+/// vectors cost three.
+#[derive(Debug, Clone, Copy)]
+struct Page {
+    data: u64,
+    raw_lba: u64,
+    status: u32,
+    state: PageState,
+}
+
+impl Page {
+    fn erased() -> Self {
+        let SpareArea { raw_lba, status } = SpareArea::default();
+        Self {
+            data: 0,
+            raw_lba,
+            status,
+            state: PageState::Free,
+        }
+    }
+
+    fn set_spare(&mut self, spare: SpareArea) {
+        self.raw_lba = spare.raw_lba;
+        self.status = spare.status;
+    }
+}
+
+/// One erase block: one record per page (payload, spare area, state), erase
+/// count.
 ///
 /// Page *data* is modelled as a `u64` token rather than a byte buffer — the
 /// wear-leveling study never inspects page contents, only their identity, and
@@ -20,9 +50,7 @@ pub enum BlockState {
 /// tests assert exact read-your-writes behaviour.
 #[derive(Debug, Clone)]
 pub struct Block {
-    states: Vec<PageState>,
-    data: Vec<u64>,
-    spare: Vec<SpareArea>,
+    pages: Box<[Page]>,
     erase_count: u64,
     valid_pages: u32,
     invalid_pages: u32,
@@ -32,9 +60,7 @@ impl Block {
     /// A fresh (erased, never-worn) block with `pages` pages.
     pub(crate) fn new(pages: u32) -> Self {
         Self {
-            states: vec![PageState::Free; pages as usize],
-            data: vec![0; pages as usize],
-            spare: vec![SpareArea::default(); pages as usize],
+            pages: vec![Page::erased(); pages as usize].into_boxed_slice(),
             erase_count: 0,
             valid_pages: 0,
             invalid_pages: 0,
@@ -58,7 +84,7 @@ impl Block {
 
     /// Count of erased, programmable pages.
     pub fn free_pages(&self) -> u32 {
-        self.states.len() as u32 - self.valid_pages - self.invalid_pages
+        self.pages.len() as u32 - self.valid_pages - self.invalid_pages
     }
 
     /// State of page `page`.
@@ -67,7 +93,7 @@ impl Block {
     ///
     /// Panics if `page` is out of range.
     pub fn page_state(&self, page: u32) -> PageState {
-        self.states[page as usize]
+        self.pages[page as usize].state
     }
 
     /// Spare-area contents of page `page`.
@@ -76,24 +102,30 @@ impl Block {
     ///
     /// Panics if `page` is out of range.
     pub fn spare(&self, page: u32) -> SpareArea {
-        self.spare[page as usize]
+        let page = &self.pages[page as usize];
+        SpareArea {
+            raw_lba: page.raw_lba,
+            status: page.status,
+        }
     }
 
     pub(crate) fn data(&self, page: u32) -> u64 {
-        self.data[page as usize]
+        self.pages[page as usize].data
     }
 
     pub(crate) fn program(&mut self, page: u32, data: u64, spare: SpareArea) {
-        debug_assert!(self.states[page as usize].is_free());
-        self.states[page as usize] = PageState::Valid;
-        self.data[page as usize] = data;
-        self.spare[page as usize] = spare;
+        let page = &mut self.pages[page as usize];
+        debug_assert!(page.state.is_free());
+        page.data = data;
+        page.set_spare(spare);
+        page.state = PageState::Valid;
         self.valid_pages += 1;
     }
 
     pub(crate) fn invalidate(&mut self, page: u32) {
-        debug_assert!(self.states[page as usize].is_valid());
-        self.states[page as usize] = PageState::Invalid;
+        let page = &mut self.pages[page as usize];
+        debug_assert!(page.state.is_valid());
+        page.state = PageState::Invalid;
         self.valid_pages -= 1;
         self.invalid_pages += 1;
     }
@@ -102,9 +134,10 @@ impl Block {
     /// (free → invalid) but carries no readable metadata, exactly how the
     /// translation layers treat a half-programmed page at mount time.
     pub(crate) fn tear_program(&mut self, page: u32) {
-        debug_assert!(self.states[page as usize].is_free());
-        self.states[page as usize] = PageState::Invalid;
-        self.spare[page as usize] = SpareArea::default();
+        let page = &mut self.pages[page as usize];
+        debug_assert!(page.state.is_free());
+        page.state = PageState::Invalid;
+        page.set_spare(SpareArea::default());
         self.invalid_pages += 1;
     }
 
@@ -113,16 +146,12 @@ impl Block {
     /// clean free state. All non-free pages collapse to invalid with default
     /// spares; the erase count does not advance (the cycle never completed).
     pub(crate) fn tear_erase(&mut self) {
-        for (i, state) in self.states.iter_mut().enumerate() {
-            if state.is_valid() {
-                self.valid_pages -= 1;
-                self.invalid_pages += 1;
-            }
-            if !state.is_free() {
-                *state = PageState::Invalid;
-                self.spare[i] = SpareArea::default();
-            }
+        for page in self.pages.iter_mut().filter(|p| !p.state.is_free()) {
+            page.state = PageState::Invalid;
+            page.set_spare(SpareArea::default());
         }
+        self.invalid_pages += self.valid_pages;
+        self.valid_pages = 0;
     }
 
     /// Programs the bad-block marker into the spare area of page 0,
@@ -130,16 +159,11 @@ impl Block {
     /// programmed independently of the data area). Page states and counts
     /// are untouched: the marker is out-of-band metadata only.
     pub(crate) fn mark_bad(&mut self) {
-        self.spare[0] = SpareArea::bad_block();
+        self.pages[0].set_spare(SpareArea::bad_block());
     }
 
     pub(crate) fn erase(&mut self) {
-        for state in &mut self.states {
-            *state = PageState::Free;
-        }
-        for spare in &mut self.spare {
-            *spare = SpareArea::default();
-        }
+        self.pages.fill(Page::erased());
         self.erase_count += 1;
         self.valid_pages = 0;
         self.invalid_pages = 0;
@@ -156,13 +180,23 @@ impl Block {
 
     /// Iterates over `(page_index, state)` pairs.
     pub fn page_states(&self) -> impl Iterator<Item = (u32, PageState)> + '_ {
-        self.states.iter().enumerate().map(|(i, s)| (i as u32, *s))
+        self.pages
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i as u32, p.state))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `peak_rss_mb` guard: a 4096 × 128 chip is half a million of these,
+    /// and three parallel vectors spent 25 bytes a page.
+    #[test]
+    fn page_record_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Page>(), 24);
+    }
 
     #[test]
     fn fresh_block_is_all_free() {

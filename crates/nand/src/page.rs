@@ -89,8 +89,8 @@ impl PageState {
 /// (e.g. metadata pages), exposed as `None` by [`SpareArea::lba`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpareArea {
-    raw_lba: u64,
-    status: u32,
+    pub(crate) raw_lba: u64,
+    pub(crate) status: u32,
 }
 
 /// Status word value for a freshly written live page.

@@ -138,3 +138,85 @@ proptest! {
         prop_assert_eq!(device.busy_ns(), expected);
     }
 }
+
+/// The fault paths on the page record, driven through the device: a torn
+/// program, the bad-block marker, a torn erase and a completed erase each
+/// leave exactly the spare, payload visibility and state the translation
+/// layers' mount passes rely on.
+#[test]
+fn torn_ops_and_the_bad_block_marker_on_the_page_record() {
+    use nand::FaultPlan;
+
+    let blank = SpareArea::default();
+    // Mutating op 2 (the third program) is cut mid-flight.
+    let mut device = NandDevice::new(Geometry::new(2, 4, 512), CellKind::Slc.spec())
+        .with_fault_plan(FaultPlan::new(1).with_power_cut(2, true));
+    device
+        .program(PageAddr::new(0, 0), 10, SpareArea::valid(100))
+        .unwrap();
+    device
+        .program(PageAddr::new(0, 1), 11, SpareArea::valid(101))
+        .unwrap();
+    assert_eq!(
+        device.program(PageAddr::new(0, 2), 12, SpareArea::valid(102)),
+        Err(NandError::PowerCut)
+    );
+    device.power_cycle();
+
+    // tear_program: the page is consumed, carries no metadata, and its
+    // payload is not the one the host sent; its neighbours are untouched.
+    let block = device.block(0);
+    assert!(block.page_state(2).is_invalid());
+    assert_eq!(block.spare(2), blank);
+    assert_eq!((block.valid_pages(), block.invalid_pages()), (2, 1));
+    assert_ne!(device.read(PageAddr::new(0, 2)).unwrap().data, 12);
+    let kept = device.read(PageAddr::new(0, 1)).unwrap();
+    assert_eq!((kept.data, kept.spare.lba()), (11, Some(101)));
+
+    // mark_bad: page 0's spare becomes the marker; its state, its payload
+    // and the block's counts stay as they were.
+    device.mark_bad(0).unwrap();
+    let block = device.block(0);
+    assert!(block.spare(0).is_bad_block_marker());
+    assert!(block.page_state(0).is_valid());
+    assert_eq!((block.valid_pages(), block.invalid_pages()), (2, 1));
+    assert_eq!(device.read(PageAddr::new(0, 0)).unwrap().data, 10);
+
+    // tear_erase: every programmed page collapses to invalid with a blank
+    // spare (the marker goes with it), free pages stay free, no wear.
+    device.rearm_power_cut(device.fault_ops(), true);
+    assert_eq!(device.erase(0), Err(NandError::PowerCut));
+    device.power_cycle();
+    let block = device.block(0);
+    for page in 0..3 {
+        assert!(block.page_state(page).is_invalid(), "page {page}");
+        assert_eq!(block.spare(page), blank, "page {page}");
+    }
+    assert!(block.page_state(3).is_free());
+    assert_eq!((block.valid_pages(), block.invalid_pages()), (0, 3));
+    assert_eq!(block.erase_count(), 0);
+
+    // A marker programmed onto a *free* page 0 does not consume the page.
+    device.mark_bad(1).unwrap();
+    assert!(device.block(1).spare(0).is_bad_block_marker());
+    assert!(device.block(1).page_state(0).is_free());
+    assert_eq!(device.block(1).free_pages(), 4);
+
+    // erase: every spare back to default, every payload unreadable because
+    // the state is free, counts zeroed, one cycle of wear.
+    for b in 0..2 {
+        device.erase(b).unwrap();
+        assert_eq!(device.block(b).erase_count(), 1);
+        assert_eq!(device.block(b).free_pages(), 4);
+        for page in 0..4 {
+            assert_eq!(device.block(b).spare(page), blank);
+            let addr = PageAddr::new(b, page);
+            assert_eq!(device.read(addr), Err(NandError::ReadOfFreePage { addr }));
+        }
+    }
+    // And the erased pages program again.
+    device
+        .program(PageAddr::new(0, 2), 22, SpareArea::valid(7))
+        .unwrap();
+    assert_eq!(device.read(PageAddr::new(0, 2)).unwrap().data, 22);
+}

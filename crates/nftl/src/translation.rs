@@ -1,7 +1,5 @@
 //! The block-mapping translation layer: primary/replacement blocks, merges.
 
-use std::collections::BTreeMap;
-
 use flash_telemetry::{Cause, Event, MergeKind, NullSink, Sink, SpanKind};
 use nand::{BlockPool, Mapping, NandDevice, PageAddr, ShellKey, SpareArea, SwlHost, VictimIndex};
 
@@ -69,8 +67,16 @@ pub struct BlockMapping<S: Sink = NullSink> {
     /// Per VBA: merge generation of the current primary (see
     /// [`primary_status`]).
     gen: Vec<u32>,
-    /// Open replacement blocks, keyed by VBA (ordered for determinism).
-    repl: BTreeMap<u32, ReplState>,
+    /// Per VBA: its open replacement block, if any. Indexed, never searched;
+    /// whatever needs VBA order scans `0..virtual_blocks`. Written only by
+    /// [`open_replacement`](Self::open_replacement) and
+    /// [`take_replacement`](Self::take_replacement), which keep `open_repl`.
+    repl: Vec<Option<ReplState>>,
+    /// Number of `Some` entries in `repl`.
+    open_repl: usize,
+    /// All-zero `latest` buffers of closed replacements, waiting for the next
+    /// one opened: the steady state recycles them instead of allocating.
+    latest_pool: Vec<Box<[u32]>>,
     role: Vec<BlockRole>,
     /// Incremental index of merge candidates (keyed by VBA; a VBA is a
     /// candidate while it has an open replacement block).
@@ -99,7 +105,9 @@ impl<S: Sink> BlockMapping<S> {
             logical_pages,
             primary: vec![NO_BLOCK; virtual_blocks as usize],
             gen: vec![0; virtual_blocks as usize],
-            repl: BTreeMap::new(),
+            repl: vec![None; virtual_blocks as usize],
+            open_repl: 0,
+            latest_pool: Vec::new(),
             role: vec![BlockRole::Unassigned; blocks as usize],
             victims: VictimIndex::new(virtual_blocks),
             gc_scan_vba: 0,
@@ -137,7 +145,34 @@ impl<S: Sink> BlockMapping<S> {
         if self.pool.device.block(p).page_state(offset).is_free() {
             return false;
         }
-        !self.repl.contains_key(&vba)
+        self.repl[vba as usize].is_none()
+    }
+
+    /// Records `rs` as `vba`'s open replacement.
+    fn open_replacement(&mut self, vba: u32, rs: ReplState) {
+        let slot = &mut self.repl[vba as usize];
+        debug_assert!(slot.is_none(), "vba {vba} already has a replacement");
+        *slot = Some(rs);
+        self.open_repl += 1;
+    }
+
+    /// Removes and returns `vba`'s open replacement, if any.
+    fn take_replacement(&mut self, vba: u32) -> Option<ReplState> {
+        let rs = self.repl[vba as usize].take();
+        self.open_repl -= usize::from(rs.is_some());
+        rs
+    }
+
+    /// A zeroed `latest` buffer: a pooled one, else a new one. Before a new
+    /// one is made the pool's capacity is reserved for every buffer in
+    /// existence (the pool is empty here, so that is the open replacements
+    /// plus this one) — handing a buffer back never grows the pool.
+    fn take_latest(&mut self) -> Box<[u32]> {
+        self.latest_pool.pop().unwrap_or_else(|| {
+            self.latest_pool.reserve(self.open_repl + 1);
+            let pages = self.pool.device.geometry().pages_per_block() as usize;
+            vec![0; pages].into_boxed_slice()
+        })
     }
 
     /// Keeps the free pool at its target by merging replacement pairs.
@@ -166,7 +201,7 @@ impl<S: Sink> BlockMapping<S> {
     /// `(invalid, valid)` pages across a VBA's primary/replacement pair;
     /// `None` without an open replacement (not a merge candidate).
     fn pair_stats(&self, vba: u32) -> Option<(u32, u32)> {
-        let rs = self.repl.get(&vba)?;
+        let rs = self.repl[vba as usize].as_ref()?;
         let pb = self.pool.device.block(self.primary[vba as usize]);
         let rb = self.pool.device.block(rs.block);
         Some((
@@ -182,13 +217,10 @@ impl<S: Sink> BlockMapping<S> {
     fn reference_select_victim(&self) -> Option<u32> {
         let start = self.gc_scan_vba;
         let mut fallback: Option<(u64, u32)> = None; // (invalid, vba)
-        let keys = self
-            .repl
-            .range(start..)
-            .map(|(&v, _)| v)
-            .chain(self.repl.range(..start).map(|(&v, _)| v));
-        for vba in keys {
-            let rs = &self.repl[&vba];
+        for vba in (start..self.virtual_blocks).chain(0..start) {
+            let Some(rs) = &self.repl[vba as usize] else {
+                continue;
+            };
             let p = self.primary[vba as usize];
             let pb = self.pool.device.block(p);
             let rb = self.pool.device.block(rs.block);
@@ -273,7 +305,7 @@ impl<S: Sink> BlockMapping<S> {
     ) -> Result<(), NftlError> {
         let old_primary = self.primary[vba as usize];
         debug_assert_ne!(old_primary, NO_BLOCK, "merge requires a primary");
-        let rs = self.repl.remove(&vba);
+        let rs = self.take_replacement(vba);
         let new_gen = self.gen[vba as usize].wrapping_add(1);
         let pages_per_block = self.pool.device.geometry().pages_per_block();
 
@@ -352,7 +384,11 @@ impl<S: Sink> BlockMapping<S> {
         // A power cut mid-erase strands the stragglers role-less (RAM dies
         // with us). Either way the replacement (if any) is gone: the VBA
         // stops being a merge candidate.
-        let old_pair = [Some(old_primary), rs.map(|rs| rs.block)];
+        let old_pair = [Some(old_primary), rs.as_ref().map(|rs| rs.block)];
+        if let Some(mut rs) = rs {
+            rs.latest.fill(0);
+            self.latest_pool.push(rs.latest);
+        }
         let freed = old_pair
             .into_iter()
             .flatten()
@@ -362,12 +398,12 @@ impl<S: Sink> BlockMapping<S> {
     }
 
     /// Restores RAM state after a merge failed before committing: the
-    /// replacement (if any) goes back into the map and the victim index is
+    /// replacement (if any) goes back into the table and the victim index is
     /// re-synced. The on-flash sources were not touched, so the layer keeps
     /// serving correct data.
     fn undo_merge(&mut self, vba: u32, rs: Option<ReplState>) {
         if let Some(rs) = rs {
-            self.repl.insert(vba, rs);
+            self.open_replacement(vba, rs);
         }
         self.refresh_victim(vba);
     }
@@ -407,7 +443,6 @@ impl<S: Sink> Mapping for BlockMapping<S> {
     fn mount(device: NandDevice<S>, config: NftlConfig) -> Result<Self, NftlError> {
         let mut inner = Self::build(device, config, BlockPool::mount);
         let blocks = inner.pool.device.geometry().blocks();
-        let pages_per_block = inner.pool.device.geometry().pages_per_block();
         // (vba, block, generation) primary candidates; resolved below.
         let mut primaries: Vec<(u32, u32, u32)> = Vec::new();
         let mut scrub: Vec<u32> = Vec::new();
@@ -445,7 +480,10 @@ impl<S: Sink> Mapping for BlockMapping<S> {
                     primaries.push((vba, b, status >> GEN_SHIFT));
                 }
                 STATUS_REPL => {
-                    let mut latest = vec![0u32; pages_per_block as usize].into_boxed_slice();
+                    if inner.repl[vba as usize].is_some() {
+                        return Err(NftlError::MountCorrupt { block: b });
+                    }
+                    let mut latest = inner.take_latest();
                     let mut next = 0u32;
                     for (page, state) in inner.pool.device.block(b).page_states() {
                         if state.is_free() {
@@ -463,7 +501,7 @@ impl<S: Sink> Mapping for BlockMapping<S> {
                         }
                         latest[offset as usize] = page + 1;
                     }
-                    let previous = inner.repl.insert(
+                    inner.open_replacement(
                         vba,
                         ReplState {
                             block: b,
@@ -471,9 +509,6 @@ impl<S: Sink> Mapping for BlockMapping<S> {
                             latest,
                         },
                     );
-                    if previous.is_some() {
-                        return Err(NftlError::MountCorrupt { block: b });
-                    }
                     inner.role[b as usize] = BlockRole::Replacement(vba);
                 }
                 _ => return Err(NftlError::MountCorrupt { block: b }),
@@ -507,14 +542,15 @@ impl<S: Sink> Mapping for BlockMapping<S> {
             inner.pool.erase_and_free(b, Cause::Gc, &mut Vec::new())?;
         }
 
-        // Every replacement must hang off an assigned primary.
-        for (&vba, rs) in &inner.repl {
+        // Every replacement must hang off an assigned primary; each that
+        // does is a merge candidate.
+        for vba in 0..inner.virtual_blocks {
+            let Some(rs) = &inner.repl[vba as usize] else {
+                continue;
+            };
             if inner.primary[vba as usize] == NO_BLOCK {
                 return Err(NftlError::MountCorrupt { block: rs.block });
             }
-        }
-        let vbas: Vec<u32> = inner.repl.keys().copied().collect();
-        for vba in vbas {
             inner.refresh_victim(vba);
         }
         Ok(inner)
@@ -576,9 +612,8 @@ impl<S: Sink> Mapping for BlockMapping<S> {
             let p = self.primary[vba as usize];
             if self.pool.device.block(p).page_state(offset).is_free() {
                 // In-place slot still available in the primary block.
-                debug_assert!(self
-                    .repl
-                    .get(&vba)
+                debug_assert!(self.repl[vba as usize]
+                    .as_ref()
                     .is_none_or(|rs| rs.latest[offset as usize] == 0));
                 let spare = SpareArea::with_status(lba, primary_status(self.gen[vba as usize]));
                 match self
@@ -607,22 +642,24 @@ impl<S: Sink> Mapping for BlockMapping<S> {
             }
 
             // Overwrite: goes to the replacement block.
-            if !self.repl.contains_key(&vba) {
+            if self.repl[vba as usize].is_none() {
                 let r = self.pop_free()?;
                 self.role[r as usize] = BlockRole::Replacement(vba);
-                let pages = self.pool.device.geometry().pages_per_block() as usize;
-                self.repl.insert(
+                let latest = self.take_latest();
+                self.open_replacement(
                     vba,
                     ReplState {
                         block: r,
                         next: 0,
-                        latest: vec![0; pages].into_boxed_slice(),
+                        latest,
                     },
                 );
             }
+            let rs = self.repl[vba as usize]
+                .as_mut()
+                .expect("replacement just ensured");
 
-            let pages_per_block = self.pool.device.geometry().pages_per_block();
-            if self.repl[&vba].next == pages_per_block {
+            if rs.next == self.pool.device.geometry().pages_per_block() {
                 // Replacement full: merge, folding the incoming data into
                 // the fresh primary in place of the offset's old copy. The
                 // data lands *before* the merge erases the old pair, so a
@@ -639,7 +676,6 @@ impl<S: Sink> Mapping for BlockMapping<S> {
                 return Ok(());
             }
 
-            let rs = self.repl.get_mut(&vba).expect("replacement just ensured");
             let slot = rs.next;
             let block = rs.block;
             let prev = rs.latest[offset as usize];
@@ -661,7 +697,6 @@ impl<S: Sink> Mapping for BlockMapping<S> {
                     return Err(other.into());
                 }
             }
-            let rs = self.repl.get_mut(&vba).expect("replacement just ensured");
             rs.latest[offset as usize] = slot + 1;
             // Invalidate the superseded copy (replacement page or primary
             // slot). A primary slot consumed by an earlier fault carries no
@@ -686,7 +721,7 @@ impl<S: Sink> Mapping for BlockMapping<S> {
         let (vba, offset) = self.split(lba);
         self.pool.counters.host_reads += 1;
         self.pool.emit(Event::HostRead { lba });
-        if let Some(rs) = self.repl.get(&vba) {
+        if let Some(rs) = &self.repl[vba as usize] {
             let latest = rs.latest[offset as usize];
             if latest != 0 {
                 let addr = PageAddr::new(rs.block, latest - 1);
@@ -745,11 +780,12 @@ impl<S: Sink> BlockMapping<S> {
 
     /// Number of currently open replacement blocks.
     pub fn open_replacements(&self) -> usize {
-        self.repl.len()
+        self.open_repl
     }
 
-    /// Audit: roles, free list and replacement maps are consistent with each
-    /// other and with the device's page states; panics on any violation.
+    /// Audit: roles, free list, the replacement table, its count and the
+    /// buffer pool are consistent with each other and with the device's page
+    /// states; panics on any violation.
     /// Intended for tests.
     pub fn check_consistency(&self) {
         let blocks = self.pool.device.geometry().blocks();
@@ -769,12 +805,25 @@ impl<S: Sink> BlockMapping<S> {
                 BlockRole::Primary(v) => {
                     assert_eq!(self.primary[v as usize], b, "primary map mismatch")
                 }
-                BlockRole::Replacement(v) => {
-                    assert_eq!(self.repl[&v].block, b, "replacement map mismatch")
-                }
+                BlockRole::Replacement(v) => assert_eq!(
+                    self.repl[v as usize].as_ref().map(|rs| rs.block),
+                    Some(b),
+                    "replacement table mismatch"
+                ),
             }
         }
-        for (&vba, rs) in &self.repl {
+        assert_eq!(
+            self.open_repl,
+            self.repl.iter().flatten().count(),
+            "open-replacement count drifted from the table"
+        );
+        let pages = self.pool.device.geometry().pages_per_block() as usize;
+        for latest in &self.latest_pool {
+            assert_eq!(latest.len(), pages, "pooled buffer of the wrong size");
+            assert!(latest.iter().all(|&l| l == 0), "pooled buffer not zeroed");
+        }
+        for (vba, rs) in (0u32..).zip(&self.repl) {
+            let Some(rs) = rs else { continue };
             assert_eq!(self.role[rs.block as usize], BlockRole::Replacement(vba));
             let block = self.pool.device.block(rs.block);
             for (offset, &latest) in rs.latest.iter().enumerate() {

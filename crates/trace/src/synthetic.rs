@@ -290,6 +290,12 @@ pub struct SyntheticTrace {
     rng: SplitMix64,
     zipf: Zipf,
     scatter: ChunkScatter,
+    /// `spec.footprint_pages()`, `spec.updatable_pages()` and
+    /// `spec.hot_pages()`: a few `f64` multiplies and clamps each, wanted
+    /// per emitted event, computed once here.
+    footprint: u64,
+    updatable: u64,
+    hot: u64,
     next_burst_at: HostNanos,
     next_read_at: HostNanos,
     /// Remaining pages of the burst in progress: (next_time, next_pre_addr,
@@ -321,6 +327,9 @@ impl SyntheticTrace {
             u64::MAX
         };
         Self {
+            footprint: spec.footprint_pages(),
+            updatable: spec.updatable_pages(),
+            hot: spec.hot_pages(),
             spec,
             rng,
             zipf,
@@ -352,13 +361,11 @@ impl SyntheticTrace {
         // in [0, hot) with Zipf skew, warm pages uniformly in [hot,
         // updatable). The frozen tail of the footprint is written only by
         // the fill sequence.
-        let updatable = self.spec.updatable_pages();
-        let hot_pages = self.spec.hot_pages();
-        if self.rng.chance(self.spec.hot_write_prob) || hot_pages >= updatable {
+        if self.rng.chance(self.spec.hot_write_prob) || self.hot >= self.updatable {
             let u = self.rng.next_f64();
             self.zipf.sample(u)
         } else {
-            self.rng.range_u64(hot_pages..updatable)
+            self.rng.range_u64(self.hot..self.updatable)
         }
     }
 
@@ -378,8 +385,9 @@ impl SyntheticTrace {
     }
 
     fn emit_write(&mut self, at_ns: HostNanos, pre: u64) -> TraceEvent {
-        let updatable = self.spec.updatable_pages();
-        let lba = self.scatter.place(pre % updatable, self.spec.logical_pages);
+        let lba = self
+            .scatter
+            .place(pre % self.updatable, self.spec.logical_pages);
         TraceEvent::write(at_ns, lba)
     }
 }
@@ -451,8 +459,7 @@ impl Iterator for SyntheticTrace {
             let activity = self.activity(at);
             self.next_read_at =
                 at + exp_interval(&mut self.rng, self.spec.reads_per_sec * activity);
-            let footprint = self.spec.footprint_pages();
-            let pre = self.rng.range_u64(0..footprint);
+            let pre = self.rng.range_u64(0..self.footprint);
             let lba = self.scatter.place(pre, self.spec.logical_pages);
             Some(TraceEvent::read(at, lba))
         }

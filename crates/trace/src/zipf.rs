@@ -22,6 +22,9 @@ pub struct Zipf {
     s: f64,
     t: f64,
     q: f64,
+    /// `h(1)` and `h(n + 1)`: the span `sample` inverts over.
+    lo: f64,
+    hi: f64,
 }
 
 impl Zipf {
@@ -43,7 +46,14 @@ impl Zipf {
         } else {
             ((n as f64 + 1.0).powf(1.0 - q) - q) / (1.0 - q)
         };
-        Self { n, s, t, q }
+        Self {
+            n,
+            s,
+            t,
+            q,
+            lo: Self::h(q, 1.0),
+            hi: Self::h(q, n as f64 + 1.0),
+        }
     }
 
     /// Number of ranks.
@@ -56,11 +66,11 @@ impl Zipf {
         self.s
     }
 
-    fn h(&self, x: f64) -> f64 {
-        if (self.q - 1.0).abs() < 1e-9 {
+    fn h(q: f64, x: f64) -> f64 {
+        if (q - 1.0).abs() < 1e-9 {
             x.ln()
         } else {
-            (x.powf(1.0 - self.q) - 1.0) / (1.0 - self.q)
+            (x.powf(1.0 - q) - 1.0) / (1.0 - q)
         }
     }
 
@@ -88,9 +98,7 @@ impl Zipf {
         }
         // Invert the integral-of-density upper bound; clamp into range.
         // h spans [h(1), h(n+1)]; u selects a point in that span.
-        let lo = self.h(1.0);
-        let hi = self.h(self.n as f64 + 1.0);
-        let x = self.h_inv(lo + u * (hi - lo));
+        let x = self.h_inv(self.lo + u * (self.hi - self.lo));
         let rank = (x.floor() as u64).clamp(1, self.n);
         rank - 1
     }

@@ -115,3 +115,31 @@ proptest! {
         prop_assert!(events.iter().all(|e| e.lba < spec.logical_pages));
     }
 }
+
+/// Fixed-key digest of an event stream, event by event (`DefaultHasher::new()`
+/// repeats across runs and processes, as layerbench's `sequence_hash` relies
+/// on).
+fn stream_hash(events: impl Iterator<Item = flash_trace::TraceEvent>) -> (usize, u64) {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let count = events.inspect(|event| event.hash(&mut hasher)).count();
+    (count, hasher.finish())
+}
+
+/// The paper workload's stream is pinned event for event: the digests were
+/// computed before the generator cached its per-spec constants, so a
+/// generator change that moves one LBA or one timestamp — and with it every
+/// simulated number downstream — fails here rather than in a results diff.
+#[test]
+fn golden_stream_of_the_paper_workload() {
+    let spec = WorkloadSpec::paper(524_288).with_arrival_seed(42);
+    let steady = SegmentResampler::from_spec(spec.clone(), 42u64.wrapping_mul(0x9E37_79B9));
+    assert_eq!(
+        stream_hash(steady.take(200_000)),
+        (200_000, 14270001157445867394)
+    );
+    assert_eq!(
+        stream_hash(spec.fill_events()),
+        (191_994, 12227179597941534432)
+    );
+}
