@@ -1,6 +1,6 @@
 //! The multi-channel array fixture of the engine / service benches
-//! (`qdbench`, `svcbench`, `engtop`, `chscale`, `swlhealth`, `healthbench`,
-//! `telbench`): a scale's chip
+//! (`qdbench`, `svcbench`, `chscale`, `healthbench`, `telbench`, and
+//! `swl top` / `swl health`): a scale's chip
 //! split over lanes, the paper trace widened to span-sized host requests,
 //! the virtual-time oracle an engine run is verified against, the health
 //! tools' hot-biased write stream, and the argument and formatting helpers
@@ -86,7 +86,7 @@ pub fn oracle(
     (start.elapsed().as_secs_f64(), report)
 }
 
-/// The health tools' driven workload (`swlhealth`, `healthbench`):
+/// The health tools' driven workload (`swl health`, `healthbench`):
 /// hot-biased single-client writes over ~40 % of the logical space (the
 /// svcbench footprint), 90 % of them inside the hot eighth — the cold
 /// majority is what static wear leveling exists for, the hot minority is

@@ -20,9 +20,10 @@
 use std::time::Instant;
 
 use flash_bench::array::{arg_number, geometry, oracle, pct, spec, trace};
-use flash_bench::{json, print_table, scale_from_args};
+use flash_bench::{print_table, scale_from_args};
 use flash_sim::experiments::{channel_scaling, ExperimentScale, CHANNEL_SPAN};
 use flash_sim::{Engine, EngineConfig, LayerKind, SimConfig, StopCondition, SwlCoordination};
+use flash_telemetry::json;
 use flash_telemetry::EngineMetricsReport;
 
 /// The lane counts the sweep visits (all divide every preset's block count).

@@ -34,11 +34,11 @@
 use std::process::ExitCode;
 
 use flash_bench::array::{arg_number, geometry, HotWrites, CHANNELS};
-use flash_bench::json;
 use flash_sim::experiments::ExperimentScale;
 use flash_sim::service::{Service, ServiceConfig};
 use flash_sim::{EngineConfig, LayerKind, SimConfig, SwlCoordination};
 use flash_telemetry::health::{HealthReport, HALF_LIFE_ERROR_BOUND};
+use flash_telemetry::json;
 use nand::{CellKind, FaultPlan};
 use swl_core::SwlConfig;
 

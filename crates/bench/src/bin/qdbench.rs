@@ -35,11 +35,12 @@
 use std::time::Instant;
 
 use flash_bench::array::{arg_number, geometry, oracle, pct, spec, trace, CHANNELS};
-use flash_bench::{json, print_table, scale_from_args};
+use flash_bench::{print_table, scale_from_args};
 use flash_sim::experiments::{ExperimentScale, CHANNEL_SPAN};
 use flash_sim::{
     Engine, EngineConfig, LayerKind, SimConfig, StopCondition, StripedReport, SwlCoordination,
 };
+use flash_telemetry::json;
 use flash_telemetry::EngineMetricsReport;
 use swl_core::SwlConfig;
 

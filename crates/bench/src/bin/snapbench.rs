@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use flash_bench::json;
+use flash_telemetry::json;
 use ftl::{FtlConfig, PageMappedFtl, SnapshotConfig};
 use nand::{CellKind, Geometry, NandDevice};
 use swl_core::rng::SplitMix64;

@@ -39,12 +39,12 @@
 //! `BENCH_service.json`.
 //!
 //! With `--out FILE` the final cache-on run is re-executed with a live
-//! sampler that exports engtop-schema-v3 JSONL through the
+//! sampler that exports `engtop_meta` schema-v3 JSONL through the
 //! [`flash_bench::export`] writers — `sample` / `worker` / `lane` / `queue`
 //! lines plus the v2 `cache` and v3 `health` lines per tick (the health
 //! plane rides the served path: an observer
 //! [`flash_telemetry::HealthMonitor`] folds the engine's shared wear-table
-//! samples) — so `engtop --check FILE` can gate the export (CI checks a
+//! samples) — so `swl check FILE` can gate the export (CI checks a
 //! golden fixture produced this way).
 //!
 //! Usage: `svcbench [quick|scaled|paper] [--ops N] [--out FILE]`
@@ -53,13 +53,14 @@ use std::time::Instant;
 
 use flash_bench::array::{arg_number, arg_value, geometry, spec, CHANNELS};
 use flash_bench::export::{self, Stamp};
-use flash_bench::{json, print_table, scale_from_args};
+use flash_bench::{print_table, scale_from_args};
 use flash_sim::experiments::ExperimentScale;
 use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceConfig, ServiceRun};
 use flash_sim::{
     Engine, EngineConfig, LayerKind, SimConfig, StripedReport, SwlCoordination,
 };
+use flash_telemetry::json;
 use flash_telemetry::runtime::CacheSample;
 use flash_telemetry::{HealthMonitor, LatencyHistogram};
 use flash_trace::TraceEvent;
@@ -502,7 +503,7 @@ fn eviction_run() -> CacheSample {
 }
 
 /// Re-runs the heaviest cache-on configuration with the live sampler and
-/// returns engtop-schema-v3 JSONL (including per-tick `cache` and `health`
+/// returns `engtop_meta` schema-v3 JSONL (including per-tick `cache` and `health`
 /// lines — the latter from an observer monitor over the engine's shared
 /// wear table, the served management plane's own data source).
 fn observed_run(
@@ -824,6 +825,6 @@ fn main() {
         let ops_per_client = total_ops / CLIENTS.last().unwrap();
         let jsonl = observed_run(&scale, ops_per_client);
         std::fs::write(&path, jsonl.join("\n") + "\n").expect("write JSONL export");
-        println!("wrote {} JSONL lines to {path} (engtop schema v3)", jsonl.len());
+        println!("wrote {} JSONL lines to {path} (engtop_meta schema v3)", jsonl.len());
     }
 }

@@ -10,6 +10,7 @@ use std::time::Instant;
 use flash_bench::scale_from_args;
 use flash_sim::experiments::{first_failure_sweep, PAPER_KS, PAPER_THRESHOLDS};
 use flash_sim::{parallel, LayerKind};
+use flash_telemetry::json;
 
 fn timed_sweep(
     threads: usize,
@@ -44,22 +45,19 @@ fn main() {
     println!("speedup: {speedup:.2}x   bit-identical: {identical}");
     assert!(identical, "parallel sweep diverged from serial");
 
-    let json = format!(
-        "{{\"bench\":\"first_failure_sweep\",\"layer\":\"ftl\",\
-         \"blocks\":{},\"pages_per_block\":{},\"endurance\":{},\
-         \"grid_points\":{},\"threads\":{},\
-         \"serial_s\":{:.3},\"parallel_s\":{:.3},\"speedup\":{:.3},\
-         \"bit_identical\":{}}}\n",
-        scale.blocks,
-        scale.pages_per_block,
-        scale.endurance,
-        grid_points,
-        threads,
-        serial_s,
-        parallel_s,
-        speedup,
-        identical
-    );
+    let json = json::object(|o| {
+        o.str("bench", "first_failure_sweep")
+            .str("layer", "ftl")
+            .u64("blocks", u64::from(scale.blocks))
+            .u64("pages_per_block", u64::from(scale.pages_per_block))
+            .u64("endurance", u64::from(scale.endurance))
+            .u64("grid_points", grid_points as u64)
+            .u64("threads", threads as u64)
+            .f64("serial_s", serial_s, 3)
+            .f64("parallel_s", parallel_s, 3)
+            .f64("speedup", speedup, 3)
+            .bool("bit_identical", identical);
+    }) + "\n";
     std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
     println!("wrote BENCH_sweep.json");
 }

@@ -41,7 +41,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use flash_bench::array::{geometry, spec};
-use flash_bench::json;
 use flash_sim::experiments::{
     first_failure_run, instrumented_run, ExperimentScale,
 };
@@ -49,6 +48,7 @@ use flash_sim::{
     Engine, EngineConfig, LayerKind, SimConfig, SimReport, Simulator, StopCondition,
     StripedLayer, StripedReport, SwlCoordination,
 };
+use flash_telemetry::json;
 use flash_telemetry::{CountSink, NullSink};
 use flash_trace::{SyntheticTrace, TraceEvent, WorkloadSpec};
 

@@ -1,10 +1,10 @@
-//! The `kind`-tagged runtime JSONL that `engtop --out`, `svcbench --out`
-//! and `swlhealth --out` write and `engtop --check` / `swlhealth --check`
-//! gate: one flat object per line, a meta header first, one `final` line
-//! last. This module owns the format — one writer per line kind, and one
-//! validator ([`check`]) whose framing is written once and whose rules key
-//! on the fields a line carries, so a `health` line meets the same rule set
-//! whichever tool wrote it.
+//! The `kind`-tagged runtime JSONL that `swl top --out`, `svcbench --out`
+//! and `swl health --out` write and `swl check` gates: one flat object per
+//! line, a meta header first, one `final` line last. This module owns the
+//! format — one writer per line kind, and one validator ([`check`]) whose
+//! framing is written once and whose rules key on the fields a line
+//! carries, so a `health` line meets the same rule set whichever tool
+//! wrote it.
 //!
 //! Two dialects share the format: [`ENGTOP`] (schema v3 — wall-clock
 //! `sample` / `worker` / `lane` / `queue` ticks, `cache` lines since v2,
@@ -12,7 +12,7 @@
 //! `health` reports stamped in host ops, `alert` lines on state changes; no
 //! wall-clock field, so an export is bit-reproducible).
 
-use crate::json::{self, JsonScalar, ObjWriter};
+use flash_telemetry::json::{self, JsonScalar, ObjWriter};
 use flash_telemetry::runtime::CacheSample;
 use flash_telemetry::{EngineSnapshot, HealthReport, QueueSample};
 
@@ -195,6 +195,32 @@ pub fn alert_line(seq: u64, ops: u64, from: u64, to: u64) -> String {
     })
 }
 
+/// The `swlhealth_meta` header of a [`SWLHEALTH`] export.
+pub fn swlhealth_meta_line(blocks: u64, endurance: u32, report_every: u64, ops: u64) -> String {
+    json::object(|o| {
+        o.str("kind", "swlhealth_meta")
+            .u64("schema", SWLHEALTH.schema)
+            .u64("blocks", blocks)
+            .u64("endurance", u64::from(endurance))
+            .u64("report_every", report_every)
+            .u64("ops", ops);
+    })
+}
+
+/// The trailing `final` line of a [`SWLHEALTH`] export: where the last
+/// report, taken after `ops` host ops, left the device.
+pub fn swlhealth_final_line(ops: u64, report: &HealthReport) -> String {
+    json::object(|o| {
+        o.str("kind", "final")
+            .u64("ops", ops)
+            .u64("host_pages", report.host_pages)
+            .u64("state", report.state.code())
+            .f64("life_used", report.life_used, 4)
+            .u64("wear_max", report.wear.max)
+            .u64("retired", report.retired);
+    })
+}
+
 /// A line kind of a dialect: its name, the schema version that introduced
 /// it, and the fields every such line must carry as numbers.
 type Kind = (&'static str, u64, &'static [&'static str]);
@@ -206,18 +232,17 @@ pub struct Dialect {
     pub schema: u64,
     /// Oldest schema version `check` still accepts.
     min_schema: u64,
-    /// Kind of the header line.
-    meta: &'static str,
+    /// Kind of the header line, which names the dialect.
+    pub meta: &'static str,
     kinds: &'static [Kind],
     /// The kind whose lines a clean `check` counts.
-    counts: &'static str,
+    pub counts: &'static str,
     /// Whether an export without a single `health` line is an error.
     needs_health: bool,
 }
 
-/// What `engtop --out` and `svcbench --out` write and `engtop --check`
-/// reads. A line kind is rejected in a file whose meta declares a schema
-/// predating it.
+/// What `swl top --out` and `svcbench --out` write. A line kind is
+/// rejected in a file whose meta declares a schema predating it.
 pub const ENGTOP: Dialect = Dialect {
     schema: 3,
     min_schema: 1,
@@ -306,7 +331,7 @@ const AGGREGATE: &[&str] = &[
     "completion_high_water",
 ];
 
-/// What `swlhealth --out` writes and `swlhealth --check` reads.
+/// What `swl health --out` writes.
 pub const SWLHEALTH: Dialect = Dialect {
     schema: 1,
     min_schema: 1,
@@ -360,14 +385,19 @@ pub const SWLHEALTH: Dialect = Dialect {
     needs_health: true,
 };
 
+/// The dialect whose header line is of kind `meta`.
+pub fn dialect_of(meta: &str) -> Option<&'static Dialect> {
+    [&ENGTOP, &SWLHEALTH].into_iter().find(|d| d.meta == meta)
+}
+
 type Fields = [(String, JsonScalar)];
 
 fn num(fields: &Fields, key: &str) -> Option<f64> {
-    fields.iter().find(|(k, _)| k == key)?.1.as_num()
+    json::field(fields, key)?.as_num()
 }
 
 fn text<'a>(fields: &'a Fields, key: &str) -> Option<&'a str> {
-    fields.iter().find(|(k, _)| k == key)?.1.as_str()
+    json::field(fields, key)?.as_str()
 }
 
 /// Validates an export against `dialect`. Returns the number of lines of
@@ -653,8 +683,334 @@ impl Rules {
 mod tests {
     use super::{check, ENGTOP, SWLHEALTH};
 
-    // The per-dialect rule tests ride the bins' `--check` entry points
-    // (`engtop::tests`, `swlhealth::tests`); this is what only the pair shows.
+    /// The rules of an `engtop_meta` export.
+    mod engtop_meta {
+        fn check(text: &str) -> Result<u64, Vec<String>> {
+            super::check(text, &super::ENGTOP)
+        }
+
+        const META: &str = "{\"kind\":\"engtop_meta\",\"schema\":1,\"channels\":4,\
+                            \"threads\":2,\"queue_depth\":8,\"events\":100,\"interval_ms\":50}";
+        const FINAL: &str = "{\"kind\":\"final\",\"t_ms\":9.0,\"ops_submitted\":100,\
+                             \"ops_completed\":100,\"busy_frac\":0.5,\"starved_frac\":0.25,\
+                             \"backpressure_frac\":0.1,\"host_backpressure_ms\":1.0,\
+                             \"cmd_high_water\":4,\"completion_high_water\":2,\
+                             \"cmd_p50_ns\":100,\"cmd_p99_ns\":200,\
+                             \"op_wall_p50_ns\":300,\"op_wall_p99_ns\":400}";
+
+        fn sample(t_ms: f64) -> String {
+            format!(
+                "{{\"kind\":\"sample\",\"seq\":0,\"t_ms\":{t_ms},\"ops_submitted\":1,\
+                 \"ops_completed\":0,\"busy_frac\":0.1,\"starved_frac\":0.2,\
+                 \"backpressure_frac\":0.0,\"host_backpressure_ms\":0.0,\
+                 \"cmd_high_water\":1,\"completion_high_water\":1}}"
+            )
+        }
+
+        #[test]
+        fn accepts_a_minimal_valid_export() {
+            let text = format!("{META}\n{}\n{FINAL}\n", sample(1.0));
+            assert_eq!(check(&text), Ok(1));
+        }
+
+        #[test]
+        fn rejects_missing_meta_and_missing_final() {
+            assert!(check(&format!("{}\n{FINAL}\n", sample(1.0))).is_err());
+            assert!(check(&format!("{META}\n{}\n", sample(1.0))).is_err());
+            assert!(check("").is_err());
+        }
+
+        #[test]
+        fn rejects_time_regression_and_bad_fractions() {
+            let back = format!("{META}\n{}\n{}\n{FINAL}\n", sample(5.0), sample(1.0));
+            assert!(check(&back).is_err());
+            let bad = sample(1.0).replace("\"busy_frac\":0.1", "\"busy_frac\":1.5");
+            assert!(check(&format!("{META}\n{bad}\n{FINAL}\n")).is_err());
+        }
+
+        #[test]
+        fn rejects_queue_high_water_regression() {
+            let q = |t: f64, high: u64| {
+                format!(
+                    "{{\"kind\":\"queue\",\"seq\":0,\"t_ms\":{t},\"queue\":\"cmd0\",\
+                     \"len\":0,\"high_water\":{high},\"capacity\":8}}"
+                )
+            };
+            let ok = format!("{META}\n{}\n{}\n{FINAL}\n", q(1.0, 2), q(2.0, 3));
+            assert_eq!(check(&ok), Ok(0));
+            let regressed = format!("{META}\n{}\n{}\n{FINAL}\n", q(1.0, 3), q(2.0, 2));
+            assert!(check(&regressed).is_err());
+            let over = q(1.0, 9);
+            assert!(check(&format!("{META}\n{over}\n{FINAL}\n")).is_err());
+        }
+
+        fn cache(t_ms: f64, dirty: u64, capacity: u64) -> String {
+            format!(
+                "{{\"kind\":\"cache\",\"seq\":0,\"t_ms\":{t_ms},\"write_hits\":5,\
+                 \"read_hits\":2,\"admitted\":3,\"write_through\":1,\"flushed_pages\":4,\
+                 \"flush_batches\":2,\"evicted\":0,\"trimmed\":0,\
+                 \"dirty\":{dirty},\"capacity\":{capacity}}}"
+            )
+        }
+
+        #[test]
+        fn cache_lines_need_schema_v2() {
+            let meta_v2 = META.replace("\"schema\":1", "\"schema\":2");
+            let ok = format!("{meta_v2}\n{}\n{FINAL}\n", cache(1.0, 3, 8));
+            assert_eq!(check(&ok), Ok(0));
+            let v1 = format!("{META}\n{}\n{FINAL}\n", cache(1.0, 3, 8));
+            assert!(check(&v1).is_err(), "cache lines are not part of schema v1");
+        }
+
+        #[test]
+        fn rejects_cache_dirty_over_capacity_and_future_schema() {
+            let meta_v2 = META.replace("\"schema\":1", "\"schema\":2");
+            let over = format!("{meta_v2}\n{}\n{FINAL}\n", cache(1.0, 9, 8));
+            assert!(check(&over).is_err());
+            let future = META.replace("\"schema\":1", "\"schema\":4");
+            assert!(check(&format!("{future}\n{FINAL}\n")).is_err());
+        }
+
+        fn health(
+            t_ms: f64,
+            state: u64,
+            p90: u64,
+            max: u64,
+            band: Option<(u64, u64, u64)>,
+        ) -> String {
+            let forecast = band.map_or(String::new(), |(lo, mid, hi)| {
+                format!(
+                    ",\"forecast_earliest\":{lo},\"forecast_central\":{mid},\
+                     \"forecast_latest\":{hi}"
+                )
+            });
+            format!(
+                "{{\"kind\":\"health\",\"seq\":0,\"t_ms\":{t_ms},\"state\":{state},\
+                 \"life_used\":0.25,\"host_pages\":100,\"wear_max\":{max},\
+                 \"wear_p90\":{p90},\"wear_mean\":3.5,\"retired\":0,\
+                 \"tail_rate\":0.01,\"mean_rate\":0.008,\"unevenness\":1.2{forecast}}}"
+            )
+        }
+
+        #[test]
+        fn health_lines_need_schema_v3() {
+            let meta_v3 = META.replace("\"schema\":1", "\"schema\":3");
+            let ok = format!("{meta_v3}\n{}\n{FINAL}\n", health(1.0, 1, 4, 6, None));
+            assert_eq!(check(&ok), Ok(0));
+            let v2 = META.replace("\"schema\":1", "\"schema\":2");
+            let rejected = format!("{v2}\n{}\n{FINAL}\n", health(1.0, 1, 4, 6, None));
+            assert!(
+                check(&rejected).is_err(),
+                "health lines are not part of schema v2"
+            );
+        }
+
+        #[test]
+        fn rejects_bad_health_state_tail_and_band() {
+            let meta_v3 = META.replace("\"schema\":1", "\"schema\":3");
+            let bad_state = format!("{meta_v3}\n{}\n{FINAL}\n", health(1.0, 5, 4, 6, None));
+            assert!(check(&bad_state).is_err());
+            let bad_tail = format!("{meta_v3}\n{}\n{FINAL}\n", health(1.0, 0, 9, 6, None));
+            assert!(check(&bad_tail).is_err());
+            let good_band = format!(
+                "{meta_v3}\n{}\n{FINAL}\n",
+                health(1.0, 0, 4, 6, Some((50, 80, 120)))
+            );
+            assert_eq!(check(&good_band), Ok(0));
+            let bad_band = format!(
+                "{meta_v3}\n{}\n{FINAL}\n",
+                health(1.0, 0, 4, 6, Some((80, 50, 120)))
+            );
+            assert!(check(&bad_band).is_err());
+        }
+
+        #[test]
+        fn rejects_partial_forecast_band() {
+            let meta_v3 = META.replace("\"schema\":1", "\"schema\":3");
+            let whole = health(1.0, 0, 4, 6, Some((50, 80, 120)));
+            for dropped in [",\"forecast_latest\":120", ",\"forecast_central\":80"] {
+                let partial = whole.replace(dropped, "");
+                let errors = check(&format!("{meta_v3}\n{partial}\n{FINAL}\n")).unwrap_err();
+                assert!(errors[0].contains("all together"), "{errors:?}");
+            }
+        }
+
+        #[test]
+        fn rejects_health_counters_that_regress() {
+            let meta_v3 = META.replace("\"schema\":1", "\"schema\":3");
+            let first = health(1.0, 0, 4, 6, None).replace("\"retired\":0", "\"retired\":1");
+            let next = first.replace("\"seq\":0", "\"seq\":1");
+            let ok = format!("{meta_v3}\n{first}\n{next}\n{FINAL}\n");
+            assert_eq!(check(&ok), Ok(0));
+            for (from, to, what) in [
+                (
+                    "\"wear_max\":6",
+                    "\"wear_max\":5",
+                    "wear_max 5 regressed from 6",
+                ),
+                (
+                    "\"host_pages\":100",
+                    "\"host_pages\":99",
+                    "host_pages 99 regressed from 100",
+                ),
+                (
+                    "\"retired\":1",
+                    "\"retired\":0",
+                    "retired 0 regressed from 1",
+                ),
+                ("\"seq\":1", "\"seq\":2", "health seq 2, expected 1"),
+            ] {
+                let bad = format!("{meta_v3}\n{first}\n{}\n{FINAL}\n", next.replace(from, to));
+                let errors = check(&bad).unwrap_err();
+                assert!(errors[0].contains(what), "{errors:?}");
+            }
+        }
+
+        #[test]
+        fn rejects_unknown_kinds_and_out_of_range_indices() {
+            let unknown = "{\"kind\":\"mystery\",\"t_ms\":1.0}";
+            assert!(check(&format!("{META}\n{unknown}\n{FINAL}\n")).is_err());
+            let worker = "{\"kind\":\"worker\",\"t_ms\":1.0,\"worker\":7,\"busy_frac\":0.1,\
+                          \"starved_frac\":0.1,\"backpressure_frac\":0.1,\"idle_frac\":0.7,\
+                          \"commands\":1,\"pages\":1}";
+            assert!(check(&format!("{META}\n{worker}\n{FINAL}\n")).is_err());
+        }
+
+        #[test]
+        fn a_null_where_a_number_is_required_names_the_field() {
+            let nan = sample(1.0).replace("\"busy_frac\":0.1", "\"busy_frac\":null");
+            let errors = check(&format!("{META}\n{nan}\n{FINAL}\n")).unwrap_err();
+            assert_eq!(
+                errors,
+                ["line 2: sample line missing numeric \"busy_frac\""]
+            );
+        }
+    }
+
+    /// The rules of a `swlhealth_meta` export.
+    mod swlhealth_meta {
+        fn check(text: &str) -> Result<u64, Vec<String>> {
+            super::check(text, &super::SWLHEALTH)
+        }
+
+        const META: &str = "{\"kind\":\"swlhealth_meta\",\"schema\":1,\"blocks\":64,\
+                            \"endurance\":24,\"report_every\":1000,\"ops\":4000}";
+
+        fn health(seq: u64, ops: u64, state: u64, wear_max: u64) -> String {
+            let life = wear_max as f64 / 24.0;
+            format!(
+                "{{\"kind\":\"health\",\"seq\":{seq},\"ops\":{ops},\"host_pages\":{ops},\
+                 \"state\":{state},\"life_used\":{life:.4},\"wear_max\":{wear_max},\
+                 \"wear_p90\":{p90},\"wear_p50\":1,\"wear_mean\":1.5,\"wear_sigma\":0.5,\
+                 \"retired\":0,\"gc_erases\":10,\"swl_erases\":2,\"bet_ecnt\":5,\
+                 \"bet_fcnt\":3,\"tail_rate\":0.01,\"mean_rate\":0.005,\
+                 \"unevenness\":1.5,\"cache_absorption\":0.25}}",
+                p90 = wear_max.saturating_sub(1),
+            )
+        }
+
+        fn final_line(ops: u64, state: u64, wear_max: u64) -> String {
+            let life = wear_max as f64 / 24.0;
+            format!(
+                "{{\"kind\":\"final\",\"ops\":{ops},\"host_pages\":{ops},\"state\":{state},\
+                 \"life_used\":{life:.4},\"wear_max\":{wear_max},\"retired\":0}}"
+            )
+        }
+
+        #[test]
+        fn accepts_a_minimal_valid_export() {
+            let text = format!(
+                "{META}\n{}\n{}\n{}\n",
+                health(0, 1000, 0, 3),
+                health(1, 2000, 0, 6),
+                final_line(2000, 0, 6)
+            );
+            assert_eq!(check(&text), Ok(2));
+        }
+
+        #[test]
+        fn accepts_alerts_that_match_their_neighbours() {
+            let alert = "{\"kind\":\"alert\",\"seq\":1,\"ops\":2000,\"from\":0,\"to\":1}";
+            let text = format!(
+                "{META}\n{}\n{alert}\n{}\n{}\n",
+                health(0, 1000, 0, 3),
+                health(1, 2000, 1, 18),
+                final_line(2000, 1, 18)
+            );
+            assert_eq!(check(&text), Ok(2));
+        }
+
+        #[test]
+        fn rejects_alert_state_mismatches() {
+            // `to` disagrees with the next health line.
+            let alert = "{\"kind\":\"alert\",\"seq\":1,\"ops\":2000,\"from\":0,\"to\":2}";
+            let text = format!(
+                "{META}\n{}\n{alert}\n{}\n{}\n",
+                health(0, 1000, 0, 3),
+                health(1, 2000, 1, 18),
+                final_line(2000, 1, 18)
+            );
+            assert!(check(&text).is_err());
+            // `from` disagrees with the previous health line.
+            let alert = "{\"kind\":\"alert\",\"seq\":1,\"ops\":2000,\"from\":1,\"to\":1}";
+            let text = format!(
+                "{META}\n{}\n{alert}\n{}\n{}\n",
+                health(0, 1000, 0, 3),
+                health(1, 2000, 1, 18),
+                final_line(2000, 1, 18)
+            );
+            assert!(check(&text).is_err());
+        }
+
+        #[test]
+        fn rejects_wear_regression_and_seq_gaps() {
+            let regressed = format!(
+                "{META}\n{}\n{}\n{}\n",
+                health(0, 1000, 0, 6),
+                health(1, 2000, 0, 3),
+                final_line(2000, 0, 3)
+            );
+            assert!(check(&regressed).is_err());
+            let gap = format!(
+                "{META}\n{}\n{}\n{}\n",
+                health(0, 1000, 0, 3),
+                health(2, 2000, 0, 6),
+                final_line(2000, 0, 6)
+            );
+            assert!(check(&gap).is_err());
+        }
+
+        #[test]
+        fn rejects_life_used_inconsistent_with_endurance() {
+            let bad =
+                health(0, 1000, 0, 12).replace("\"life_used\":0.5000", "\"life_used\":0.9000");
+            let text = format!("{META}\n{bad}\n{}\n", final_line(1000, 0, 12));
+            assert!(check(&text).is_err());
+        }
+
+        #[test]
+        fn rejects_partial_forecast_bands_and_missing_final() {
+            let partial = health(0, 1000, 0, 3).replace(
+                ",\"cache_absorption\":0.25}",
+                ",\"cache_absorption\":0.25,\"forecast_central\":500}",
+            );
+            let text = format!("{META}\n{partial}\n{}\n", final_line(1000, 0, 3));
+            assert!(check(&text).is_err());
+            assert!(check(&format!("{META}\n{}\n", health(0, 1000, 0, 3))).is_err());
+            assert!(check("").is_err());
+        }
+
+        #[test]
+        fn rejects_a_health_line_with_a_repeated_key() {
+            let twice =
+                health(0, 1000, 0, 3).replace("\"wear_max\":3", "\"wear_max\":3,\"wear_max\":2");
+            let text = format!("{META}\n{twice}\n{}\n", final_line(1000, 0, 3));
+            let errors = check(&text).unwrap_err();
+            assert_eq!(errors[0], "line 2: duplicate key \"wear_max\"");
+        }
+    }
+
+    // What only the pair shows.
     #[test]
     fn each_dialect_rejects_the_other_header_and_kinds() {
         let meta = "{\"kind\":\"engtop_meta\",\"schema\":3,\"channels\":4,\"threads\":2,\

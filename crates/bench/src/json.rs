@@ -1,381 +1,5 @@
-//! Shared JSON emission (and a flat-object parser) for the bench binaries.
-//!
-//! The `BENCH_*.json` seeds and the `engtop` JSONL export used to be built
-//! with hand-rolled `format!` strings in each binary, which is exactly how
-//! string-escaping bugs drift between bins. This module centralizes the
-//! writing: a tiny builder that handles commas, key/string escaping, and
-//! non-finite floats in one place. The workspace builds offline, so — like
-//! [`flash_telemetry::json`] — it is written by hand rather than pulled in
-//! as a dependency, but unlike the telemetry codec it supports nesting,
-//! floats, booleans, and escaped strings, because the bench summaries need
-//! all four.
-//!
-//! [`parse_flat`] is the read side used by `engtop --check`: it decodes one
-//! *flat* object per line (numbers, strings, booleans — no nesting), enough
-//! to schema-gate a JSONL export without a full JSON parser.
+//! [`flash_telemetry::json`] under its old path, for one reason:
+//! `benchmark/` imports `flash_bench::json::{object, parse_flat, JsonScalar}`
+//! and is not edited. Code in this workspace names the telemetry module.
 
-use std::fmt::Write as _;
-
-/// Appends `s` to `out` as a JSON string literal (with surrounding quotes),
-/// escaping quotes, backslashes, and control characters.
-pub fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn float_into(out: &mut String, v: f64, decimals: usize) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.decimals$}");
-    } else {
-        // JSON has no NaN/Infinity; null keeps the document valid and the
-        // anomaly visible.
-        out.push_str("null");
-    }
-}
-
-/// Builds one JSON object, driving an [`ObjWriter`] through `f`.
-///
-/// # Example
-///
-/// ```
-/// let line = flash_bench::json::object(|o| {
-///     o.u64("threads", 4)
-///         .f64("wall_s", 1.25, 3)
-///         .str("bench", "demo \"quoted\"")
-///         .arr("points", |a| {
-///             a.obj(|p| {
-///                 p.u64("depth", 8);
-///             });
-///         });
-/// });
-/// assert_eq!(
-///     line,
-///     "{\"threads\":4,\"wall_s\":1.250,\"bench\":\"demo \\\"quoted\\\"\",\
-///      \"points\":[{\"depth\":8}]}"
-/// );
-/// ```
-pub fn object(f: impl FnOnce(&mut ObjWriter)) -> String {
-    let mut buf = String::with_capacity(128);
-    buf.push('{');
-    let mut writer = ObjWriter {
-        out: &mut buf,
-        first: true,
-    };
-    f(&mut writer);
-    buf.push('}');
-    buf
-}
-
-/// Writes the fields of one JSON object (see [`object`]).
-pub struct ObjWriter<'a> {
-    out: &'a mut String,
-    first: bool,
-}
-
-impl ObjWriter<'_> {
-    fn key(&mut self, key: &str) -> &mut String {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        escape_into(self.out, key);
-        self.out.push(':');
-        self.out
-    }
-
-    /// Writes an unsigned integer field.
-    pub fn u64(&mut self, key: &str, v: u64) -> &mut Self {
-        let _ = write!(self.key(key), "{v}");
-        self
-    }
-
-    /// Writes a float field with `decimals` fractional digits (`null` when
-    /// not finite).
-    pub fn f64(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
-        let out = self.key(key);
-        float_into(out, v, decimals);
-        self
-    }
-
-    /// Writes a boolean field.
-    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
-        let _ = write!(self.key(key), "{v}");
-        self
-    }
-
-    /// Writes an escaped string field.
-    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
-        let out = self.key(key);
-        escape_into(out, v);
-        self
-    }
-
-    /// Writes a nested object field.
-    pub fn obj(&mut self, key: &str, f: impl FnOnce(&mut ObjWriter)) -> &mut Self {
-        let out = self.key(key);
-        out.push('{');
-        let mut writer = ObjWriter { out, first: true };
-        f(&mut writer);
-        self.out.push('}');
-        self
-    }
-
-    /// Writes a nested array field.
-    pub fn arr(&mut self, key: &str, f: impl FnOnce(&mut ArrWriter)) -> &mut Self {
-        let out = self.key(key);
-        out.push('[');
-        let mut writer = ArrWriter { out, first: true };
-        f(&mut writer);
-        self.out.push(']');
-        self
-    }
-}
-
-/// Writes the elements of one JSON array (see [`ObjWriter::arr`]).
-pub struct ArrWriter<'a> {
-    out: &'a mut String,
-    first: bool,
-}
-
-impl ArrWriter<'_> {
-    fn sep(&mut self) -> &mut String {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        self.out
-    }
-
-    /// Appends an unsigned integer element.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        let _ = write!(self.sep(), "{v}");
-        self
-    }
-
-    /// Appends a float element with `decimals` fractional digits.
-    pub fn f64(&mut self, v: f64, decimals: usize) -> &mut Self {
-        let out = self.sep();
-        float_into(out, v, decimals);
-        self
-    }
-
-    /// Appends an escaped string element.
-    pub fn str(&mut self, v: &str) -> &mut Self {
-        let out = self.sep();
-        escape_into(out, v);
-        self
-    }
-
-    /// Appends an object element.
-    pub fn obj(&mut self, f: impl FnOnce(&mut ObjWriter)) -> &mut Self {
-        let out = self.sep();
-        out.push('{');
-        let mut writer = ObjWriter { out, first: true };
-        f(&mut writer);
-        self.out.push('}');
-        self
-    }
-}
-
-/// A scalar value decoded by [`parse_flat`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// A JSON number (integers and decimals both land here).
-    Num(f64),
-    /// A JSON string, unescaped.
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-}
-
-impl JsonScalar {
-    /// The numeric value, if this scalar is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonScalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this scalar is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object — string, number, and boolean values only —
-/// into `(key, value)` pairs in document order.
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax problem.
-pub fn parse_flat(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not wrapped in {}")?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let (key, after_key) = parse_string(rest).map_err(|e| format!("key: {e}"))?;
-        let after_colon = after_key
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("expected ':' after key")?
-            .trim_start();
-        let (value, tail) = parse_value(after_colon)?;
-        fields.push((key, value));
-        rest = tail.trim_start();
-        if let Some(next) = rest.strip_prefix(',') {
-            rest = next.trim_start();
-            if rest.is_empty() {
-                return Err("trailing comma".to_owned());
-            }
-        } else if !rest.is_empty() {
-            return Err("expected ',' between fields".to_owned());
-        }
-    }
-    Ok(fields)
-}
-
-/// Parses a leading JSON string literal, returning it unescaped plus the
-/// remaining input.
-fn parse_string(input: &str) -> Result<(String, &str), String> {
-    let mut chars = input
-        .strip_prefix('"')
-        .ok_or("expected '\"'")?
-        .char_indices();
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &input[i + 2..])),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let digit = chars
-                            .next()
-                            .and_then(|(_, c)| c.to_digit(16))
-                            .ok_or("\\u needs 4 hex digits")?;
-                        code = code * 16 + digit;
-                    }
-                    out.push(char::from_u32(code).ok_or("\\u escape is a surrogate")?);
-                }
-                Some((_, other)) => return Err(format!("unsupported escape \\{other}")),
-                None => return Err("dangling escape".to_owned()),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_value(input: &str) -> Result<(JsonScalar, &str), String> {
-    if input.starts_with('"') {
-        let (s, tail) = parse_string(input)?;
-        return Ok((JsonScalar::Str(s), tail));
-    }
-    if let Some(tail) = input.strip_prefix("true") {
-        return Ok((JsonScalar::Bool(true), tail));
-    }
-    if let Some(tail) = input.strip_prefix("false") {
-        return Ok((JsonScalar::Bool(false), tail));
-    }
-    let end = input
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(input.len());
-    if end == 0 {
-        return Err("expected string, number, or boolean value".to_owned());
-    }
-    let num = input[..end]
-        .parse::<f64>()
-        .map_err(|_| format!("bad number {:?}", &input[..end]))?;
-    Ok((JsonScalar::Num(num), &input[end..]))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn escapes_hostile_strings() {
-        let line = object(|o| {
-            o.str("s", "a\"b\\c\nd\te\u{1}f");
-        });
-        assert_eq!(line, "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f\"}");
-        let fields = parse_flat(&line).unwrap();
-        assert_eq!(fields[0].0, "s");
-        assert_eq!(fields[0].1.as_str(), Some("a\"b\\c\nd\te\u{1}f"));
-    }
-
-    #[test]
-    fn nested_arrays_and_objects_compose() {
-        let line = object(|o| {
-            o.u64("n", 2).arr("rows", |a| {
-                a.obj(|r| {
-                    r.f64("x", 0.5, 2).bool("ok", true);
-                });
-                a.obj(|r| {
-                    r.f64("x", f64::NAN, 2);
-                });
-            });
-        });
-        assert_eq!(
-            line,
-            "{\"n\":2,\"rows\":[{\"x\":0.50,\"ok\":true},{\"x\":null}]}"
-        );
-    }
-
-    #[test]
-    fn parse_flat_round_trips_scalars() {
-        let line = object(|o| {
-            o.u64("a", 42)
-                .f64("b", -1.25, 3)
-                .bool("c", false)
-                .str("d", "x");
-        });
-        let fields = parse_flat(&line).unwrap();
-        assert_eq!(fields[0], ("a".into(), JsonScalar::Num(42.0)));
-        assert_eq!(fields[1], ("b".into(), JsonScalar::Num(-1.25)));
-        assert_eq!(fields[2], ("c".into(), JsonScalar::Bool(false)));
-        assert_eq!(fields[3], ("d".into(), JsonScalar::Str("x".into())));
-    }
-
-    #[test]
-    fn parse_flat_rejects_garbage() {
-        assert!(parse_flat("").is_err());
-        assert!(parse_flat("{\"a\":}").is_err());
-        assert!(parse_flat("{\"a\":1,}").is_err());
-        assert!(parse_flat("{\"a\" 1}").is_err());
-        assert!(parse_flat("{\"a\":\"unterminated}").is_err());
-        assert!(parse_flat("{\"a\":\"bad\\q\"}").is_err());
-    }
-
-    #[test]
-    fn empty_object_is_valid() {
-        assert_eq!(object(|_| {}), "{}");
-        assert_eq!(parse_flat("{}").unwrap(), Vec::new());
-    }
-}
+pub use flash_telemetry::json::{object, parse_flat, JsonScalar};

@@ -22,6 +22,14 @@
 //! cargo run --release -p flash-bench --bin repro -- all quick --check results
 //! ```
 //!
+//! A second driver, `swl`, produces, inspects and gates the JSONL streams
+//! a run leaves behind ([`swl`] has the six subcommands):
+//!
+//! ```text
+//! swl trace --scale quick --out - | swl check -
+//! swl stat run.jsonl --json
+//! ```
+//!
 //! Micro-benchmarks live in `benches/` on the in-repo [`timing`]
 //! harness (`cargo bench -p flash-bench`).
 
@@ -33,6 +41,7 @@ pub mod crash;
 pub mod export;
 pub mod json;
 pub mod repro;
+pub mod swl;
 pub mod timing;
 
 use flash_sim::experiments::ExperimentScale;

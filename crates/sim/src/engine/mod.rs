@@ -1298,7 +1298,7 @@ impl Engine {
     /// A cloneable observer handle for sampling [`EngineSnapshot`]s — the
     /// runtime counters and queue gauges, read without stopping the workers —
     /// from another thread while [`Engine::run`] holds the engine mutably: the
-    /// live-view path `engtop` uses. All-zero (except queue capacities) unless
+    /// live-view path `swl top` uses. All-zero (except queue capacities) unless
     /// the engine was built with [`EngineConfig::with_metrics`]; without
     /// workers there are no worker slots and no queues to gauge.
     pub fn metrics_handle(&self) -> EngineMetricsHandle {

@@ -113,7 +113,7 @@ pub struct ShardQueue<T> {
     not_full: Condvar,
     capacity: usize,
     /// Highest occupancy ever reached, mirrored outside the mutex so
-    /// observers (engine snapshots, `engtop`) can read it without
+    /// observers (engine snapshots, `swl top`) can read it without
     /// contending with producers and consumers. Updated with `fetch_max`
     /// while the lock is held, so it is monotone and never exceeds
     /// `capacity`.

@@ -579,7 +579,7 @@ pub struct ChannelPoint {
 
 /// Runs one multi-channel configuration with a telemetry sink shared by
 /// every lane, producing the interleaved stream (`Event::Channel` lane
-/// markers included) that `swlspan` attributes per channel. The workload is
+/// markers included) that `swl span` attributes per channel. The workload is
 /// the [`CHANNEL_SPAN`]-page widened paper trace, exactly as in
 /// [`channel_scaling`]; `channels` must divide `scale.blocks`.
 ///

@@ -193,7 +193,7 @@ proptest! {
 
     /// Occupancy gauges under real concurrency: while producers and a
     /// consumer hammer the queue, an independent observer samples `len()`
-    /// and `high_water()` the way an `engtop` snapshot does. Every sampled
+    /// and `high_water()` the way a `swl top` snapshot does. Every sampled
     /// occupancy must stay within capacity, the high-water mark must be
     /// monotone across samples and itself bounded by capacity, and the
     /// final mark must dominate every occupancy the observer ever saw.

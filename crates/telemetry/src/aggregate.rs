@@ -18,7 +18,7 @@ use crate::span::{OpBreakdown, SpanCause, SpanCheck, SpanReplayer};
 use crate::{Cause, Event, FlashCounters, LatencyHistogram, MergeKind, Sink, SpanKind};
 
 /// Consistency audit of retirement bookkeeping, derived while folding the
-/// stream. `swlstat --check` rejects logs where either violation count is
+/// stream. `swl check` rejects logs where either violation count is
 /// non-zero: a retired block must never be erased again, and no block may be
 /// retired twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -345,14 +345,14 @@ impl MetricsAggregator {
         self.snapshots.push(snap);
     }
 
-    /// Take a final snapshot of the current state (used by `swlstat` so the
+    /// Take a final snapshot of the current state (used by `swl stat` so the
     /// last partial sampling window still appears in time series).
     pub fn snapshot_now(&mut self) {
         self.take_snapshot();
     }
 
     /// Structural health of the span stream (balance, nesting, bounds).
-    /// `swlstat --check` rejects schema-v3 logs where this is not clean.
+    /// `swl check` rejects schema-v3 logs where this is not clean.
     pub fn span_check(&self) -> SpanCheck {
         self.spans.check()
     }
@@ -525,7 +525,7 @@ impl Sink for MetricsAggregator {
             }
             // Handled by the span replayer above.
             Event::SpanBegin { .. } | Event::SpanEnd { .. } => {}
-            // Lane attribution concerns the span viewer (`swlspan`), not the
+            // Lane attribution concerns the span viewer (`swl span`), not the
             // aggregate counters, which stay array-wide.
             Event::Channel { .. } => {}
         }

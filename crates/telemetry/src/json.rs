@@ -1,14 +1,355 @@
-//! Hand-rolled JSON Lines codec for [`Event`].
+//! The workspace's one hand-rolled JSON codec.
 //!
-//! The workspace builds offline with no external crates, so the codec is
-//! written by hand against a deliberately tiny subset of JSON: every line is
-//! one flat object whose values are unsigned integers or fixed string tokens
-//! (no floats, no nesting, no escapes). [`write_line`] and [`parse_line`] are
-//! exact inverses over that subset, which `swlstat` and the replay tests rely
-//! on.
+//! The workspace builds offline with no external crates, so JSON is written
+//! and read by hand, once, here:
+//!
+//! - the **writer** ([`object`], [`ObjWriter`], [`ArrWriter`]) handles
+//!   commas, key/string escaping, nesting and non-finite floats in one
+//!   place; the `BENCH_*.json` summaries and the `kind`-tagged runtime
+//!   JSONL are built with it;
+//! - [`parse_flat`] is the read side: one *flat* object per line (numbers,
+//!   strings, booleans, `null` — no nesting), enough to schema-gate a JSONL
+//!   stream without a full JSON parser. Unsigned integers stay exact to
+//!   `u64::MAX`, and a repeated key is an error;
+//! - the [`Event`] codec ([`write_line`] / [`parse_line`]) keeps to a tiny
+//!   subset of that — unsigned integers and fixed string tokens — and reads
+//!   through [`parse_flat`]. The two are exact inverses over the subset,
+//!   which `swl stat` and the replay tests rely on.
 
 use crate::{Cause, Event, FaultKind, MergeKind, SpanKind};
 use std::fmt::Write as _;
+
+/// Appends `s` to `out` as a JSON string literal (with surrounding quotes),
+/// escaping quotes, backslashes, and control characters.
+pub fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn float_into(out: &mut String, v: f64, decimals: usize) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:.decimals$}");
+    } else {
+        // JSON has no NaN/Infinity; null keeps the document valid and the
+        // anomaly visible.
+        out.push_str("null");
+    }
+}
+
+/// Builds one JSON object, driving an [`ObjWriter`] through `f`.
+///
+/// # Example
+///
+/// ```
+/// let line = flash_telemetry::json::object(|o| {
+///     o.u64("threads", 4)
+///         .f64("wall_s", 1.25, 3)
+///         .str("bench", "demo \"quoted\"")
+///         .arr("points", |a| {
+///             a.obj(|p| {
+///                 p.u64("depth", 8);
+///             });
+///         });
+/// });
+/// assert_eq!(
+///     line,
+///     "{\"threads\":4,\"wall_s\":1.250,\"bench\":\"demo \\\"quoted\\\"\",\
+///      \"points\":[{\"depth\":8}]}"
+/// );
+/// ```
+pub fn object(f: impl FnOnce(&mut ObjWriter)) -> String {
+    let mut buf = String::with_capacity(128);
+    buf.push('{');
+    let mut writer = ObjWriter {
+        out: &mut buf,
+        first: true,
+    };
+    f(&mut writer);
+    buf.push('}');
+    buf
+}
+
+/// Writes the fields of one JSON object (see [`object`]).
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjWriter<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        escape_into(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Writes an unsigned integer field.
+    pub fn u64(&mut self, key: &str, v: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// Writes a float field with `decimals` fractional digits (`null` when
+    /// not finite).
+    pub fn f64(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
+        let out = self.key(key);
+        float_into(out, v, decimals);
+        self
+    }
+
+    /// Writes a boolean field.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// Writes an escaped string field.
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        let out = self.key(key);
+        escape_into(out, v);
+        self
+    }
+
+    /// Writes a nested object field.
+    pub fn obj(&mut self, key: &str, f: impl FnOnce(&mut ObjWriter)) -> &mut Self {
+        let out = self.key(key);
+        out.push('{');
+        let mut writer = ObjWriter { out, first: true };
+        f(&mut writer);
+        self.out.push('}');
+        self
+    }
+
+    /// Writes a nested array field.
+    pub fn arr(&mut self, key: &str, f: impl FnOnce(&mut ArrWriter)) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        let mut writer = ArrWriter { out, first: true };
+        f(&mut writer);
+        self.out.push(']');
+        self
+    }
+}
+
+/// Writes the elements of one JSON array (see [`ObjWriter::arr`]).
+pub struct ArrWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ArrWriter<'_> {
+    fn sep(&mut self) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out
+    }
+
+    /// Appends an unsigned integer element.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        let _ = write!(self.sep(), "{v}");
+        self
+    }
+
+    /// Appends a float element with `decimals` fractional digits.
+    pub fn f64(&mut self, v: f64, decimals: usize) -> &mut Self {
+        let out = self.sep();
+        float_into(out, v, decimals);
+        self
+    }
+
+    /// Appends an escaped string element.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        let out = self.sep();
+        escape_into(out, v);
+        self
+    }
+
+    /// Appends an object element.
+    pub fn obj(&mut self, f: impl FnOnce(&mut ObjWriter)) -> &mut Self {
+        let out = self.sep();
+        out.push('{');
+        let mut writer = ObjWriter { out, first: true };
+        f(&mut writer);
+        self.out.push('}');
+        self
+    }
+}
+
+/// A scalar value decoded by [`parse_flat`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonScalar {
+    /// A plain run of digits that fits a `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number: signed, fractional, exponent or out of `u64`
+    /// range.
+    Num(f64),
+    /// A JSON string, unescaped.
+    Str(String),
+    /// A JSON boolean.
+    Bool(bool),
+    /// `null` — what the writer emits for a non-finite float.
+    Null,
+}
+
+impl JsonScalar {
+    /// The numeric value, if this scalar is a number.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            JsonScalar::Int(n) => Some(*n as f64),
+            JsonScalar::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this scalar is an unsigned integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonScalar::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this scalar is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonScalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// The value under `key` in what [`parse_flat`] returned.
+pub fn field<'a>(fields: &'a [(String, JsonScalar)], key: &str) -> Option<&'a JsonScalar> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Parses one flat JSON object — string, number, boolean and `null` values
+/// only — into `(key, value)` pairs in document order.
+///
+/// # Errors
+///
+/// A human-readable description of the first syntax problem; a key that
+/// appears twice is one (every other JSON reader would keep the last value
+/// or refuse, so a gate must not pass the line on the first).
+pub fn parse_flat(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
+    let inner = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or("not wrapped in {}")?;
+    let mut fields = Vec::new();
+    let mut rest = inner.trim();
+    while !rest.is_empty() {
+        let (key, after_key) = parse_string(rest).map_err(|e| format!("key: {e}"))?;
+        let after_colon = after_key
+            .trim_start()
+            .strip_prefix(':')
+            .ok_or("expected ':' after key")?
+            .trim_start();
+        let (value, tail) = parse_value(after_colon)?;
+        if field(&fields, &key).is_some() {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        fields.push((key, value));
+        rest = tail.trim_start();
+        if let Some(next) = rest.strip_prefix(',') {
+            rest = next.trim_start();
+            if rest.is_empty() {
+                return Err("trailing comma".to_owned());
+            }
+        } else if !rest.is_empty() {
+            return Err("expected ',' between fields".to_owned());
+        }
+    }
+    Ok(fields)
+}
+
+/// Parses a leading JSON string literal, returning it unescaped plus the
+/// remaining input.
+fn parse_string(input: &str) -> Result<(String, &str), String> {
+    let mut chars = input
+        .strip_prefix('"')
+        .ok_or("expected '\"'")?
+        .char_indices();
+    let mut out = String::new();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Ok((out, &input[i + 2..])),
+            '\\' => match chars.next() {
+                Some((_, '"')) => out.push('"'),
+                Some((_, '\\')) => out.push('\\'),
+                Some((_, 'n')) => out.push('\n'),
+                Some((_, 't')) => out.push('\t'),
+                Some((_, 'r')) => out.push('\r'),
+                Some((_, 'u')) => {
+                    let mut code = 0u32;
+                    for _ in 0..4 {
+                        let digit = chars
+                            .next()
+                            .and_then(|(_, c)| c.to_digit(16))
+                            .ok_or("\\u needs 4 hex digits")?;
+                        code = code * 16 + digit;
+                    }
+                    out.push(char::from_u32(code).ok_or("\\u escape is a surrogate")?);
+                }
+                Some((_, other)) => return Err(format!("unsupported escape \\{other}")),
+                None => return Err("dangling escape".to_owned()),
+            },
+            c => out.push(c),
+        }
+    }
+    Err("unterminated string".to_owned())
+}
+
+fn parse_value(input: &str) -> Result<(JsonScalar, &str), String> {
+    if input.starts_with('"') {
+        let (s, tail) = parse_string(input)?;
+        return Ok((JsonScalar::Str(s), tail));
+    }
+    if let Some(tail) = input.strip_prefix("true") {
+        return Ok((JsonScalar::Bool(true), tail));
+    }
+    if let Some(tail) = input.strip_prefix("false") {
+        return Ok((JsonScalar::Bool(false), tail));
+    }
+    if let Some(tail) = input.strip_prefix("null") {
+        return Ok((JsonScalar::Null, tail));
+    }
+    let end = input
+        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
+        .unwrap_or(input.len());
+    if end == 0 {
+        return Err("expected string, number, boolean, or null value".to_owned());
+    }
+    let (token, tail) = input.split_at(end);
+    // Through `f64` an integer above 2^53 would come back rounded.
+    let exact = token.bytes().all(|b| b.is_ascii_digit());
+    if let Some(n) = token.parse::<u64>().ok().filter(|_| exact) {
+        return Ok((JsonScalar::Int(n), tail));
+    }
+    let num = token
+        .parse::<f64>()
+        .map_err(|_| format!("bad number {token:?}"))?;
+    Ok((JsonScalar::Num(num), tail))
+}
 
 /// Serialize one event as a single JSON object (no trailing newline).
 pub fn to_line(event: &Event) -> String {
@@ -146,8 +487,9 @@ pub fn write_line(out: &mut String, event: &Event) {
 /// A malformed or unrecognized JSONL line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The line is not a flat JSON object in the supported subset.
-    Syntax(&'static str),
+    /// The line is not a flat JSON object ([`parse_flat`]'s message), or a
+    /// number does not fit its field.
+    Syntax(String),
     /// The `"e"` field names an event kind this version doesn't know.
     UnknownKind(String),
     /// A required field is missing for the given event kind.
@@ -179,144 +521,63 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Value<'a> {
-    Num(u64),
-    Str(&'a str),
+type Fields = [(String, JsonScalar)];
+
+fn num(fields: &Fields, kind: &'static str, name: &'static str) -> Result<u64, ParseError> {
+    let value = field(fields, name).ok_or(ParseError::MissingField { kind, field: name })?;
+    value.as_u64().ok_or(ParseError::WrongType(name))
 }
 
-/// Parse the flat-object subset: `{"key":123,"key2":"token",...}`.
-fn parse_object(line: &str) -> Result<Vec<(&str, Value<'_>)>, ParseError> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or(ParseError::Syntax("not wrapped in {}"))?;
-    let mut fields = Vec::with_capacity(6);
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key: a quoted string with no escapes.
-        let after_quote = rest
-            .strip_prefix('"')
-            .ok_or(ParseError::Syntax("expected quoted key"))?;
-        let end = after_quote
-            .find('"')
-            .ok_or(ParseError::Syntax("unterminated key"))?;
-        let key = &after_quote[..end];
-        if key.contains('\\') {
-            return Err(ParseError::Syntax("escapes are not supported"));
-        }
-        let after_key = after_quote[end + 1..].trim_start();
-        let after_colon = after_key
-            .strip_prefix(':')
-            .ok_or(ParseError::Syntax("expected ':' after key"))?
-            .trim_start();
-        let (value, tail) = if let Some(s) = after_colon.strip_prefix('"') {
-            let vend = s.find('"').ok_or(ParseError::Syntax("unterminated value"))?;
-            if s[..vend].contains('\\') {
-                return Err(ParseError::Syntax("escapes are not supported"));
-            }
-            (Value::Str(&s[..vend]), &s[vend + 1..])
-        } else {
-            let vend = after_colon
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(after_colon.len());
-            if vend == 0 {
-                return Err(ParseError::Syntax("expected number or string value"));
-            }
-            let num = after_colon[..vend]
-                .parse::<u64>()
-                .map_err(|_| ParseError::Syntax("number out of range"))?;
-            (Value::Num(num), &after_colon[vend..])
-        };
-        fields.push((key, value));
-        rest = tail.trim_start();
-        if let Some(next) = rest.strip_prefix(',') {
-            rest = next.trim_start();
-            if rest.is_empty() {
-                return Err(ParseError::Syntax("trailing comma"));
-            }
-        } else if !rest.is_empty() {
-            return Err(ParseError::Syntax("expected ',' between fields"));
-        }
-    }
-    Ok(fields)
-}
-
-fn num(
-    fields: &[(&str, Value<'_>)],
-    kind: &'static str,
-    field: &'static str,
-) -> Result<u64, ParseError> {
-    match fields.iter().find(|(k, _)| *k == field) {
-        Some((_, Value::Num(n))) => Ok(*n),
-        Some((_, Value::Str(_))) => Err(ParseError::WrongType(field)),
-        None => Err(ParseError::MissingField { kind, field }),
-    }
-}
-
-fn num32(
-    fields: &[(&str, Value<'_>)],
-    kind: &'static str,
-    field: &'static str,
-) -> Result<u32, ParseError> {
-    u32::try_from(num(fields, kind, field)?).map_err(|_| ParseError::Syntax("number out of range"))
+fn num32(fields: &Fields, kind: &'static str, name: &'static str) -> Result<u32, ParseError> {
+    u32::try_from(num(fields, kind, name)?)
+        .map_err(|_| ParseError::Syntax(format!("{name:?} is out of range")))
 }
 
 fn token<'a>(
-    fields: &[(&'a str, Value<'a>)],
+    fields: &'a Fields,
     kind: &'static str,
-    field: &'static str,
+    name: &'static str,
 ) -> Result<&'a str, ParseError> {
-    match fields.iter().find(|(k, _)| *k == field) {
-        Some((_, Value::Str(s))) => Ok(s),
-        Some((_, Value::Num(_))) => Err(ParseError::WrongType(field)),
-        None => Err(ParseError::MissingField { kind, field }),
-    }
+    let value = field(fields, name).ok_or(ParseError::MissingField { kind, field: name })?;
+    value.as_str().ok_or(ParseError::WrongType(name))
+}
+
+/// The value of `all` whose `token()` spelling is `tok`: each enum's tokens
+/// are spelled once, in its `token`.
+fn by_token<T: Copy, const N: usize>(
+    all: [T; N],
+    token: fn(T) -> &'static str,
+    tok: &str,
+) -> Result<T, ParseError> {
+    let found = all.into_iter().find(|&value| token(value) == tok);
+    found.ok_or_else(|| ParseError::UnknownToken(tok.to_string()))
 }
 
 fn cause(tok: &str) -> Result<Cause, ParseError> {
-    match tok {
-        "gc" => Ok(Cause::Gc),
-        "swl" => Ok(Cause::Swl),
-        "ext" => Ok(Cause::External),
-        other => Err(ParseError::UnknownToken(other.to_string())),
-    }
+    by_token([Cause::Gc, Cause::Swl, Cause::External], Cause::token, tok)
 }
 
 fn fault_kind(tok: &str) -> Result<FaultKind, ParseError> {
-    match tok {
-        "prog" => Ok(FaultKind::ProgramFail),
-        "erase" => Ok(FaultKind::EraseFail),
-        other => Err(ParseError::UnknownToken(other.to_string())),
-    }
+    let all = [FaultKind::ProgramFail, FaultKind::EraseFail];
+    by_token(all, FaultKind::token, tok)
 }
 
 fn span_kind(tok: &str) -> Result<SpanKind, ParseError> {
-    match tok {
-        "host_write" => Ok(SpanKind::HostWrite),
-        "host_read" => Ok(SpanKind::HostRead),
-        "host_trim" => Ok(SpanKind::HostTrim),
-        "gc" => Ok(SpanKind::Gc),
-        "swl" => Ok(SpanKind::Swl),
-        "merge" => Ok(SpanKind::Merge),
-        other => Err(ParseError::UnknownToken(other.to_string())),
-    }
+    use SpanKind::{Gc, HostRead, HostTrim, HostWrite, Merge, Swl};
+    let all = [HostWrite, HostRead, HostTrim, Gc, Swl, Merge];
+    by_token(all, SpanKind::token, tok)
 }
 
 fn merge_kind(tok: &str) -> Result<MergeKind, ParseError> {
-    match tok {
-        "full" => Ok(MergeKind::Full),
-        "gc" => Ok(MergeKind::Gc),
-        "swl" => Ok(MergeKind::Swl),
-        other => Err(ParseError::UnknownToken(other.to_string())),
-    }
+    let all = [MergeKind::Full, MergeKind::Gc, MergeKind::Swl];
+    by_token(all, MergeKind::token, tok)
 }
 
 /// Parse one JSONL line back into an [`Event`].
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    let fields = parse_object(line)?;
-    let kind = token(&fields, "?", "e").map_err(|_| ParseError::Syntax("missing \"e\" kind"))?;
+    let fields = parse_flat(line).map_err(ParseError::Syntax)?;
+    let kind =
+        token(&fields, "?", "e").map_err(|_| ParseError::Syntax("missing \"e\" kind".into()))?;
     match kind {
         "meta" => Ok(Event::Meta {
             version: num32(&fields, "meta", "v")?,
@@ -549,11 +810,89 @@ mod tests {
         assert!(parse_line("{\"e\":\"retire\",\"b\":\"x\"}").is_err()); // wrong type
         assert!(parse_line("{\"e\":\"erase\",\"b\":1,\"w\":1,\"c\":\"??\"}").is_err());
         assert!(parse_line("{\"e\":\"retire\",\"b\":1,}").is_err()); // trailing comma
+        assert!(parse_line("{\"e\":\"retire\",\"b\":1.0}").is_err()); // not an integer
+        let twice = parse_line("{\"e\":\"retire\",\"b\":1,\"b\":2}").unwrap_err();
+        assert!(twice.to_string().contains("duplicate key \"b\""), "{twice}");
     }
 
     #[test]
     fn parse_error_displays() {
         let err = parse_line("{\"e\":\"warp\"}").unwrap_err();
         assert!(err.to_string().contains("warp"));
+    }
+
+    #[test]
+    fn escapes_hostile_strings() {
+        let line = object(|o| {
+            o.str("s", "a\"b\\c\nd\te\u{1}f");
+        });
+        assert_eq!(line, "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f\"}");
+        let fields = parse_flat(&line).unwrap();
+        assert_eq!(fields[0].0, "s");
+        assert_eq!(fields[0].1.as_str(), Some("a\"b\\c\nd\te\u{1}f"));
+    }
+
+    #[test]
+    fn nested_arrays_and_objects_compose() {
+        let line = object(|o| {
+            o.u64("n", 2).arr("rows", |a| {
+                a.obj(|r| {
+                    r.f64("x", 0.5, 2).bool("ok", true);
+                });
+                a.obj(|r| {
+                    r.f64("x", f64::NAN, 2);
+                });
+            });
+        });
+        assert_eq!(
+            line,
+            "{\"n\":2,\"rows\":[{\"x\":0.50,\"ok\":true},{\"x\":null}]}"
+        );
+    }
+
+    #[test]
+    fn parse_flat_round_trips_scalars() {
+        let line = object(|o| {
+            o.u64("a", 42)
+                .f64("b", -1.25, 3)
+                .bool("c", false)
+                .str("d", "x");
+        });
+        let fields = parse_flat(&line).unwrap();
+        assert_eq!(fields[0], ("a".into(), JsonScalar::Int(42)));
+        assert_eq!(fields[1], ("b".into(), JsonScalar::Num(-1.25)));
+        assert_eq!(fields[2], ("c".into(), JsonScalar::Bool(false)));
+        assert_eq!(fields[3], ("d".into(), JsonScalar::Str("x".into())));
+    }
+
+    #[test]
+    fn parse_flat_rejects_garbage() {
+        assert!(parse_flat("").is_err());
+        assert!(parse_flat("{\"a\":}").is_err());
+        assert!(parse_flat("{\"a\":1,}").is_err());
+        assert!(parse_flat("{\"a\" 1}").is_err());
+        assert!(parse_flat("{\"a\":\"unterminated}").is_err());
+        assert!(parse_flat("{\"a\":\"bad\\q\"}").is_err());
+    }
+
+    #[test]
+    fn reads_the_null_its_writer_emits_for_a_non_finite_float() {
+        let line = object(|o| {
+            o.f64("x", f64::NAN, 2)
+                .f64("y", f64::INFINITY, 2)
+                .u64("n", 1);
+        });
+        assert_eq!(line, "{\"x\":null,\"y\":null,\"n\":1}");
+        let fields = parse_flat(&line).unwrap();
+        assert_eq!(field(&fields, "x"), Some(&JsonScalar::Null));
+        assert_eq!(field(&fields, "x").unwrap().as_num(), None);
+        assert_eq!(field(&fields, "y").unwrap().as_str(), None);
+        assert_eq!(field(&fields, "n").unwrap().as_num(), Some(1.0));
+    }
+
+    #[test]
+    fn empty_object_is_valid() {
+        assert_eq!(object(|_| {}), "{}");
+        assert_eq!(parse_flat("{}").unwrap(), Vec::new());
     }
 }

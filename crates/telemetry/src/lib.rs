@@ -21,8 +21,9 @@
 //! - [`FlightRecorder`]: an always-on fixed-size ring
 //!   of the most recent events, dumped as JSONL when a fault or power cut
 //!   fires — a crash postmortem with real context.
-//! - The `swlstat` and `swlspan` binaries in `flash-bench`, which render a
-//!   replayed log as human-readable reports.
+//! - The `swl` binary in `flash-bench`, whose `stat` and `span` subcommands
+//!   render a replayed log as human-readable reports and whose `check`
+//!   gates one.
 //!
 //! The event vocabulary follows the quantities the DAC 2007 paper reasons
 //! about: erase cause attribution (GC vs SWL), the unevenness level
@@ -63,10 +64,10 @@ pub use runtime::{
     QueueSample, WorkerSample,
 };
 pub use shared::SharedSink;
-pub use span::{OpBreakdown, SpanCause, SpanCheck, SpanReplayer, SpanTracker};
+pub use span::{ClosedSpan, OpBreakdown, SpanCause, SpanCheck, SpanReplayer, SpanTracker};
 
 /// Version of the JSONL event schema, recorded in the [`Event::Meta`] header
-/// line. `swlstat --check` fails on logs with an unknown version.
+/// line. `swl check` fails on logs with an unknown version.
 ///
 /// Version history:
 /// - 1: initial vocabulary (host ops, program/erase/copy, GC picks, merges,

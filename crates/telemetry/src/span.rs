@@ -24,7 +24,7 @@
 //! - [`SpanReplayer`] — replay side; folds a stream of events into one
 //!   [`OpBreakdown`] per completed root span.
 //! - [`SpanCheck`] — structural validation (balance, nesting, bounds) used
-//!   by `swlstat --check`.
+//!   by `swl check`.
 
 use crate::{Event, SpanKind};
 
@@ -231,6 +231,20 @@ impl SpanCheck {
     }
 }
 
+/// One span as it closes, children before their parent — what `swl span`
+/// draws its trees from (see [`SpanReplayer::observe_with`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedSpan {
+    /// What the span did.
+    pub kind: SpanKind,
+    /// Open ancestors when it closed: 0 for a root (host-op) span.
+    pub depth: usize,
+    /// End minus begin.
+    pub total_ns: u64,
+    /// Total minus the totals of its direct children.
+    pub self_ns: u64,
+}
+
 #[derive(Debug, Clone)]
 struct OpenSpan {
     id: u64,
@@ -284,6 +298,18 @@ impl SpanReplayer {
 
     /// Folds one event in; returns a breakdown when a root span closes.
     pub fn observe(&mut self, event: &Event) -> Option<OpBreakdown> {
+        self.observe_with(event, |_| {})
+    }
+
+    /// [`observe`](Self::observe), also handing `closed` every span the
+    /// event closes — including the descendants an out-of-order close
+    /// force-closes — so a viewer follows the same recovery rules as the
+    /// accounting without a copy of them.
+    pub fn observe_with(
+        &mut self,
+        event: &Event,
+        mut closed: impl FnMut(ClosedSpan),
+    ) -> Option<OpBreakdown> {
         match *event {
             Event::SpanBegin {
                 id,
@@ -333,6 +359,12 @@ impl SpanReplayer {
                     }
                     let self_ns = total.saturating_sub(open.child_ns);
                     self.cause_ns[open.kind.cause().index()] += self_ns;
+                    closed(ClosedSpan {
+                        kind: open.kind,
+                        depth: self.stack.len(),
+                        total_ns: total,
+                        self_ns,
+                    });
                     if let Some(parent) = self.stack.last_mut() {
                         parent.child_ns += total;
                     } else {
@@ -482,6 +514,35 @@ mod tests {
         let op = r.observe(&end(1, 500)).expect("root closed");
         assert_eq!(r.check().id_mismatches, 1);
         assert_eq!(op.cause_ns.iter().sum::<u64>(), op.total_ns());
+    }
+
+    #[test]
+    fn observe_with_reports_every_closed_span_children_first() {
+        let mut r = SpanReplayer::new();
+        let mut seen = Vec::new();
+        r.observe_with(&begin(1, 0, SpanKind::HostWrite, 0), |s| seen.push(s));
+        r.observe_with(&begin(2, 1, SpanKind::Gc, 100), |s| seen.push(s));
+        r.observe_with(&begin(3, 2, SpanKind::Merge, 200), |s| seen.push(s));
+        r.observe_with(&end(3, 300), |s| seen.push(s));
+        // The root closes over the still-open GC span: both are reported.
+        let op = r.observe_with(&end(1, 500), |s| seen.push(s)).unwrap();
+        let span = |kind, depth, total_ns, self_ns| ClosedSpan {
+            kind,
+            depth,
+            total_ns,
+            self_ns,
+        };
+        assert_eq!(
+            seen,
+            [
+                span(SpanKind::Merge, 2, 100, 100),
+                span(SpanKind::Gc, 1, 400, 300),
+                span(SpanKind::HostWrite, 0, 500, 100),
+            ]
+        );
+        assert_eq!(op.total_ns(), 500);
+        // An orphan end closes nothing.
+        r.observe_with(&end(9, 600), |_| panic!("nothing closed"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    `capacity` events of the full log (the ring wrapped many times to get
 //!    there), each line parseable at the current schema.
 //! 3. **Spans survive** — the dump carries the span events leading into the
-//!    cut, so `swlspan`-style tooling can see the op that was in flight.
+//!    cut, so `swl span`-style tooling can see the op that was in flight.
 
 use flash_bench::crash::is_power_cut;
 use flash_sim::{Layer, LayerKind, SimConfig, TranslationLayer};
