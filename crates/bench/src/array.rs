@@ -1,22 +1,16 @@
-//! The multi-channel array fixture of the engine / service benches
-//! (`qdbench`, `svcbench`, `chscale`, `healthbench`, `telbench`, and
-//! `swl top` / `swl health`): a scale's chip
-//! split over lanes, the paper trace widened to span-sized host requests,
-//! the virtual-time oracle an engine run is verified against, the health
-//! tools' hot-biased write stream, and the argument and formatting helpers
-//! those bins share. Each bin keeps its own
-//! SWL configuration — they derive it differently, on purpose.
+//! The multi-channel array fixture of the served runs (`swl top`,
+//! `swl health`, `repro cache`) and of `telbench`: a scale's chip split over
+//! lanes, the served FTL built on it, and the two deterministic host
+//! workloads those runs drive — [`client_ops`], the paper-shaped mixed
+//! sequence, and [`HotWrites`], the health tools' write-only stream.
 
-use std::time::Instant;
-
-use flash_sim::experiments::{ExperimentScale, CHANNEL_SPAN};
-use flash_sim::{
-    LayerKind, SimConfig, Simulator, StopCondition, StripedLayer, StripedReport, SwlCoordination,
-};
-use flash_trace::{SyntheticTrace, TraceEvent, WorkloadSpec};
+use flash_sim::experiments::ExperimentScale;
+use flash_sim::service::cache::CacheConfig;
+use flash_sim::service::{Service, ServiceConfig};
+use flash_sim::{EngineConfig, LayerKind, SimConfig, SimError, SwlCoordination};
+use hotid::HotDataConfig;
 use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
 use swl_core::rng::SplitMix64;
-use swl_core::SwlConfig;
 
 /// Lanes of the fixed-width benches.
 pub const CHANNELS: u32 = 4;
@@ -44,53 +38,172 @@ pub fn spec(scale: &ExperimentScale) -> CellSpec {
     CellKind::Mlc2.spec().with_endurance(scale.endurance)
 }
 
-/// The paper workload over `logical_pages`, every request widened to
-/// [`CHANNEL_SPAN`] pages so it stripes across the lanes.
-pub fn trace(logical_pages: u64, seed: u64) -> impl Iterator<Item = TraceEvent> {
-    SyntheticTrace::new(WorkloadSpec::paper(logical_pages).with_seed(seed))
-        .map(move |e| e.widen(CHANNEL_SPAN, logical_pages))
+/// Write-cache pages of the served runs: deliberately smaller than a single
+/// client's hot eighth (~100 LBAs at the quick scale), with the sync
+/// watermark parked at capacity, so the steady state overflows and must
+/// capacity-evict — the regime a bounded cache actually lives in.
+pub const CACHE_PAGES: usize = 32;
+
+/// The served runs' write cache: [`CACHE_PAGES`] pages, admitting an LBA
+/// from its second write. With the watermark at capacity the between-call
+/// drain only runs once the cache is full, so mid-span admissions against a
+/// full cache take the capacity-eviction path.
+pub fn cache_config() -> CacheConfig {
+    let hot = HotDataConfig {
+        hot_threshold: 2,
+        ..HotDataConfig::default()
+    };
+    CacheConfig::sized(CACHE_PAGES)
+        .with_hot(hot)
+        .with_watermark(CACHE_PAGES)
 }
 
-/// The virtual-time [`Simulator::run_striped`] run of `events` trace events
-/// that every engine configuration of the same array must reproduce bit for
-/// bit, with the wall seconds it took.
+/// The served array: `cell` chips of the scale's geometry over [`CHANNELS`]
+/// lanes, the FTL with per-channel SWL (T=100, k=0), `engine` tuning and,
+/// when given, a write cache.
 ///
 /// # Panics
 ///
-/// Panics when the array cannot be built or the run fails.
-pub fn oracle(
+/// Panics when the array cannot be built.
+pub fn service(
     scale: &ExperimentScale,
-    channels: u32,
-    swl: SwlConfig,
-    coordination: SwlCoordination,
-    events: u64,
-) -> (f64, StripedReport) {
-    let mut striped = StripedLayer::build(
+    cell: CellSpec,
+    engine: EngineConfig,
+    cache: Option<CacheConfig>,
+) -> Service {
+    let config = ServiceConfig {
+        engine,
+        cache,
+        ..ServiceConfig::default()
+    };
+    Service::build(
         LayerKind::Ftl,
-        geometry(scale, channels),
-        spec(scale),
-        Some(swl),
-        coordination,
+        geometry(scale, CHANNELS),
+        cell,
+        Some(scale.swl_config(100, 0)),
+        SwlCoordination::PerChannel,
         &SimConfig::default(),
+        config,
     )
-    .expect("oracle build failed");
-    let pages = striped.logical_pages();
-    let start = Instant::now();
-    let report = Simulator::new()
-        .run_striped(
-            &mut striped,
-            trace(pages, scale.seed),
-            StopCondition::events(events),
-        )
-        .expect("oracle run failed");
-    (start.elapsed().as_secs_f64(), report)
+    .expect("service build failed")
 }
 
-/// The health tools' driven workload (`swl health`, `healthbench`):
-/// hot-biased single-client writes over ~40 % of the logical space (the
-/// svcbench footprint), 90 % of them inside the hot eighth — the cold
-/// majority is what static wear leveling exists for, the hot minority is
-/// what wears the tail out. Deterministic in `seed`.
+/// Client ops between two durability barriers of [`client_ops`].
+pub const FLUSH_EVERY: usize = 64;
+
+/// One deterministic client op.
+#[derive(Debug, Clone)]
+pub enum ClientOp {
+    /// Write `data` from `lba` on.
+    Write {
+        /// First page.
+        lba: u64,
+        /// One value per page, every value unique.
+        data: Vec<u64>,
+    },
+    /// Read `len` pages from `lba` on.
+    Read {
+        /// First page.
+        lba: u64,
+        /// Pages.
+        len: usize,
+    },
+    /// A durability barrier.
+    Flush,
+}
+
+impl ClientOp {
+    /// Host pages the op writes.
+    pub fn pages(&self) -> u64 {
+        match self {
+            ClientOp::Write { data, .. } => data.len() as u64,
+            _ => 0,
+        }
+    }
+
+    /// Runs the op on `service`, on the caller's thread.
+    ///
+    /// # Errors
+    ///
+    /// The verb's error.
+    pub fn apply(&self, service: &mut Service) -> Result<(), SimError> {
+        match self {
+            ClientOp::Write { lba, data } => service.write(*lba, data),
+            ClientOp::Read { lba, len } => service.read(*lba, *len).map(drop),
+            ClientOp::Flush => service.flush(),
+        }
+    }
+}
+
+/// The `span` pages from `base` one client owns: ~40 % of the logical
+/// space, split over `clients` disjoint slices. (The default FTL exports
+/// the full chip with zero over-provisioning, so near-full footprints would
+/// starve GC; the paper's workload writes 36.62 % of its LBA space.)
+pub fn client_slices(logical_pages: u64, clients: usize) -> Vec<(u64, u64)> {
+    let footprint = (logical_pages * 2 / 5).max(clients as u64 * 8);
+    let span = footprint / clients as u64;
+    (0..clients as u64).map(|c| (c * span, span)).collect()
+}
+
+/// A client's sequence, shaped like the paper's workload: a sequential
+/// prefill freezes the whole slice once (cold data that then never moves on
+/// its own — the reason static wear leveling exists), then `ops` ops of
+/// hot-rewrite-biased writes (70 %, 1–4 pages, 90 % inside the hot eighth)
+/// and reads, with a flush every [`FLUSH_EVERY`] ops. Values encode
+/// (client, sequence) so every write is unique.
+pub fn client_ops(client: usize, base: u64, span: u64, ops: usize, seed: u64) -> Vec<ClientOp> {
+    let mut rng = SplitMix64::new(seed ^ (0x5EC0 + client as u64));
+    let hot_set = (span / 8).max(4).min(span);
+    let mut next_value = 0u64;
+    let mut values = |len: usize| -> Vec<u64> {
+        (0..len)
+            .map(|_| {
+                next_value += 1;
+                ((client as u64 + 1) << 40) + next_value
+            })
+            .collect()
+    };
+    let mut sequence: Vec<ClientOp> = Vec::new();
+    let mut lba = base;
+    while lba < base + span {
+        let len = 4.min(base + span - lba) as usize;
+        sequence.push(ClientOp::Write {
+            lba,
+            data: values(len),
+        });
+        lba += len as u64;
+    }
+    sequence.push(ClientOp::Flush);
+    sequence.extend((0..ops).map(|i| {
+        if (i + 1) % FLUSH_EVERY == 0 {
+            return ClientOp::Flush;
+        }
+        let len = rng.range_usize(1..5).min(span as usize);
+        let lba = base
+            + if rng.chance(0.9) {
+                rng.next_below(hot_set)
+            } else {
+                rng.next_below(span)
+            }
+            .min(span - len as u64);
+        if rng.chance(0.7) {
+            ClientOp::Write {
+                lba,
+                data: values(len),
+            }
+        } else {
+            ClientOp::Read { lba, len }
+        }
+    }));
+    sequence
+}
+
+/// The health tools' driven workload (`swl health`,
+/// `tests/health_forecast.rs`): hot-biased single-client writes over ~40 %
+/// of the logical space (the [`client_slices`] footprint), 90 % of them
+/// inside the hot eighth — the cold majority is what static wear leveling
+/// exists for, the hot minority is what wears the tail out. Deterministic
+/// in `seed`.
 pub struct HotWrites {
     rng: SplitMix64,
     span: u64,
@@ -127,33 +240,6 @@ impl HotWrites {
             .collect();
         (lba, data)
     }
-}
-
-/// The value following `flag` on the command line, if the flag is there.
-///
-/// # Panics
-///
-/// Panics when the flag is the last argument.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    args.find(|arg| arg == flag)?;
-    Some(
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value")),
-    )
-}
-
-/// The number following `flag` on the command line, or `default`.
-///
-/// # Panics
-///
-/// Panics when the value does not parse.
-pub fn arg_number<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    let parse = |v: String| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{flag} needs a number"))
-    };
-    arg_value(flag).map_or(default, parse)
 }
 
 /// A fraction as a percentage with one decimal.

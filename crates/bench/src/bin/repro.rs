@@ -1,7 +1,7 @@
 //! `repro <artifact…|all> [quick|scaled|paper] [--out DIR | --check DIR]` —
-//! regenerates the paper's tables and figures and the extension studies
-//! (see [`flash_bench::repro`]). Exit 1: `--check` found a difference;
-//! exit 2: usage.
+//! regenerates the paper's tables and figures, the extension studies and
+//! every other checked-in result (see [`flash_bench::repro`]). Exit 1:
+//! `--check` found a difference; exit 2: usage.
 
 use std::process::ExitCode;
 

@@ -1,7 +1,7 @@
 //! The crash-consistency harness: cut power at an operation boundary of a
 //! GC/SWL-heavy workload, remount, and check the recovery contract. One
-//! copy, under both the exhaustive `crashmc` binary (every cut point of
-//! every configuration) and `tests/crash_consistency.rs` (a strided and a
+//! copy, under both the exhaustive `repro crashmc` artifact (every cut point
+//! of every configuration) and `tests/crash_consistency.rs` (a strided and a
 //! random subset, in CI time).
 //!
 //! A [`Sweep`] names one configuration (a [`Stack`], its layer, its
@@ -9,8 +9,8 @@
 //! and [`Sweep::check`] runs one crash / remount / verify cycle, recording
 //! what it finds in a [`SweepStats`] — a counter per violation category plus
 //! one message per violation naming the configuration, the cut point and the
-//! offending page. Nothing here panics on a violation: the binary tabulates
-//! them, the tests assert that there are none.
+//! offending page. Nothing here panics on a violation: the artifact
+//! tabulates them, the tests assert that there are none.
 //!
 //! Every sweep checks, through the same host model and the same routines:
 //!
@@ -69,7 +69,8 @@ pub const BLOCKS: u32 = 24;
 pub const PAGES: u32 = 8;
 /// Acked writes between SW Leveler checkpoints (one "interval").
 const SAVE_EVERY: u64 = 25;
-/// Lanes of the engine and service sweeps (and of `crashmc`'s striped one).
+/// Lanes of the engine and service sweeps (and of `repro crashmc`'s striped
+/// one).
 pub const CHANNELS: u32 = 2;
 /// Blocks per lane of the array sweeps.
 const LANE_BLOCKS: u32 = 16;
@@ -385,7 +386,7 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The stack under test, as `crashmc` labels its rows.
+    /// The stack under test, as `repro crashmc` labels its rows.
     pub fn layer_label(&self) -> String {
         let kind = self.kind;
         match self.stack {

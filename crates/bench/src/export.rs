@@ -1,5 +1,5 @@
-//! The `kind`-tagged runtime JSONL that `swl top --out`, `svcbench --out`
-//! and `swl health --out` write and `swl check` gates: one flat object per
+//! The `kind`-tagged runtime JSONL that `swl top --out` and
+//! `swl health --out` write and `swl check` gates: one flat object per
 //! line, a meta header first, one `final` line last. This module owns the
 //! format — one writer per line kind, and one validator ([`check`]) whose
 //! framing is written once and whose rules key on the fields a line
@@ -241,7 +241,7 @@ pub struct Dialect {
     needs_health: bool,
 }
 
-/// What `swl top --out` and `svcbench --out` write. A line kind is
+/// What `swl top --out` writes. A line kind is
 /// rejected in a file whose meta declares a schema predating it.
 pub const ENGTOP: Dialect = Dialect {
     schema: 3,

@@ -1,7 +1,8 @@
 //! # `flash-bench` — table/figure regeneration and micro-benchmarks
 //!
-//! One driver, `repro`, regenerates every table and figure of the paper
-//! and the extension studies ([`repro`] holds the artifact table):
+//! One driver, `repro`, regenerates every table and figure of the paper,
+//! the extension studies and every other deterministic result the
+//! repository checks in ([`repro`] holds the artifact table):
 //!
 //! | artifact | `repro` name | kind |
 //! |---|---|---|
@@ -13,6 +14,8 @@
 //! | Figure 6 (extra block erases) | `fig6` | simulation |
 //! | Figure 7 (extra live-page copies) | `fig7` | simulation |
 //! | extension studies | `ablation` `lifetime` `latency` `hotcold` `baseline_wl` | simulation |
+//! | channel scaling, write cache | `channels` `cache` | simulation |
+//! | snapshot pinning, crash-consistency sweep | `snapshots` `crashmc` | fixed-shape run |
 //!
 //! Simulations accept a scale argument: `quick` (CI smoke), `scaled`
 //! (default; minutes) or `paper` (full size; very long). Run e.g.
@@ -56,31 +59,12 @@ pub fn scale_named(name: &str) -> Option<ExperimentScale> {
     }
 }
 
-/// Parses the scale argument (`quick` / `scaled` / `paper`) from the
-/// command line, defaulting to `scaled`.
-///
-/// # Panics
-///
-/// Panics with a usage message on an unknown argument.
-pub fn scale_from_args() -> ExperimentScale {
-    let name = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "scaled".to_owned());
-    scale_named(&name)
-        .unwrap_or_else(|| panic!("unknown scale {name:?}; expected quick|scaled|paper"))
-}
-
 /// Default simulation horizon for a scale: the paper's 10 years, shrunk by
 /// the same factor as the endurance so the device reaches a comparable
 /// wear state.
 pub fn default_horizon_ns(scale: &ExperimentScale) -> u64 {
     let years = 10.0 * f64::from(scale.endurance) / 10_000.0;
     (years * flash_sim::experiments::NANOS_PER_YEAR) as u64
-}
-
-/// Prints [`format_table`] to stdout.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", format_table(headers, rows));
 }
 
 /// Renders rows as a fixed-width text table with a header rule.
@@ -123,9 +107,8 @@ mod tests {
     }
 
     #[test]
-    fn print_table_does_not_panic() {
+    fn format_table_right_aligns_under_a_rule() {
         let rows = [vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]];
-        print_table(&["a", "bb"], &rows);
         assert_eq!(
             format_table(&["a", "bb"], &rows),
             "  a  bb\n-------\n  1   2\n333   4\n"

@@ -1,11 +1,12 @@
 //! The `repro` driver: every table, figure and extension study of the
-//! reproduction as one table of [`Artifact`]s, each a function from a shared
+//! reproduction, and every other deterministic number the repository checks
+//! in, as one table of [`Artifact`]s, each a function from a shared
 //! [`Context`] to the artifact's text.
 //!
 //! `repro <artifact…|all> [quick|scaled|paper] [--out DIR | --check DIR]`
-//! prints the texts, writes them as `DIR/<name>_<scale>.txt` (`table1`–`3`
-//! are closed-form and carry no scale suffix), or compares them with those
-//! files. The context runs each shared sweep once per invocation: `fig6`,
+//! prints the texts, writes them as `DIR/<name>_<scale>.txt` (`table1`–`3`,
+//! `snapshots` and `crashmc` have a fixed shape and carry no scale suffix),
+//! or compares them with those files. The context runs each shared sweep once per invocation: `fig6`,
 //! `fig7` and `table4` read one [`overhead_sweep`] per layer (17 horizon
 //! runs), whichever of them are asked for.
 
@@ -13,11 +14,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use flash_sim::experiments::{
-    attributed_horizon_run, counting_wl_run, first_failure_run, first_failure_run_with,
-    first_failure_sweep, lifetime_run, overhead_sweep, paper_workload, ExperimentScale,
-    OverheadPoint, NANOS_PER_YEAR, PAPER_KS, PAPER_THRESHOLDS, TABLE4_CONFIGS,
+    attributed_horizon_run, channel_scaling, counting_wl_run, first_failure_run,
+    first_failure_run_with, first_failure_sweep, lifetime_run, overhead_sweep, paper_workload,
+    ExperimentScale, OverheadPoint, CHANNEL_SPAN, NANOS_PER_YEAR, PAPER_KS, PAPER_THRESHOLDS,
+    TABLE4_CONFIGS,
 };
-use flash_sim::{LayerKind, SimReport, Simulator, StopCondition, TranslationLayer};
+use flash_sim::{
+    LayerKind, SimReport, Simulator, StopCondition, SwlCoordination, TranslationLayer,
+};
 use flash_telemetry::SpanCause;
 use flash_trace::{SegmentResampler, WorkloadSpec};
 use ftl::{FtlConfig, PageMappedFtl};
@@ -25,9 +29,13 @@ use hotid::HotDataConfig;
 use nand::{Geometry, Timing};
 use swl_core::analysis::{table2_rows, table3_rows};
 use swl_core::counting::CountingLeveler;
-use swl_core::Bet;
+use swl_core::{Bet, SwlConfig};
 
+use crate::crash::{swl_config, Stack, Sweep, SweepStats, BLOCKS, CHANNELS, PAGES};
 use crate::{default_horizon_ns, format_table, scale_named};
+
+mod cache;
+mod snapshots;
 
 const LAYERS: [LayerKind; 2] = [LayerKind::Ftl, LayerKind::Nftl];
 
@@ -36,7 +44,8 @@ const LAYERS: [LayerKind; 2] = [LayerKind::Ftl, LayerKind::Nftl];
 pub struct Artifact {
     /// Name on the command line and stem of the results file.
     pub name: &'static str,
-    /// Whether the text depends on the scale (closed-form tables do not).
+    /// Whether the text depends on the scale (closed-form tables and the
+    /// fixed-shape runs do not).
     pub scaled: bool,
     /// The artifact's text, exactly as the driver prints it.
     pub render: Render,
@@ -46,7 +55,7 @@ pub struct Artifact {
 pub type Render = fn(&mut Context) -> String;
 
 /// Every artifact, in the order `all` runs them.
-pub static ARTIFACTS: [Artifact; 12] = [
+pub static ARTIFACTS: [Artifact; 16] = [
     Artifact::new("table1", false, table1),
     Artifact::new("table2", false, table2),
     Artifact::new("table3", false, table3),
@@ -59,6 +68,10 @@ pub static ARTIFACTS: [Artifact; 12] = [
     Artifact::new("latency", true, latency),
     Artifact::new("hotcold", true, hotcold),
     Artifact::new("baseline_wl", true, baseline_wl),
+    Artifact::new("channels", true, channels),
+    Artifact::new("cache", true, |ctx| cache::render(&ctx.scale, &ctx.chip())),
+    Artifact::new("snapshots", false, |_| snapshots::render()),
+    Artifact::new("crashmc", false, crashmc),
 ];
 
 impl Artifact {
@@ -70,7 +83,7 @@ impl Artifact {
         }
     }
 
-    /// `<name>_<scale>.txt`, or `<name>.txt` for a closed-form table.
+    /// `<name>_<scale>.txt`, or `<name>.txt` for a fixed-shape artifact.
     pub fn file_name(&self, scale_name: &str) -> String {
         match self.scaled {
             true => format!("{}_{scale_name}.txt", self.name),
@@ -751,5 +764,154 @@ fn baseline_wl(ctx: &mut Context) -> String {
         ctx.chip(),
         format_table(&headers, &rows),
         counting_ram / bet_ram.max(1)
+    )
+}
+
+/// Channel scaling: the same total capacity, workload and SWL configuration
+/// served by 1, 2 and 4 lanes, in virtual time. The page-granular paper
+/// workload is widened to [`CHANNEL_SPAN`]-page host requests so each op
+/// stripes across the lanes; the scheduler reports how much busy time the
+/// lanes overlap and what that buys in pages per device millisecond. Where
+/// the threaded engine's wall time goes is layerbench's (`sched.*`,
+/// `engine.*`); `tests/engine_oracle.rs` pins it to this virtual-time run.
+fn channels(ctx: &mut Context) -> String {
+    const EVENTS: u64 = 6_000;
+    let scale = &ctx.scale;
+    let points = channel_scaling(LayerKind::Ftl, scale, &[1, 2, 4], Some((100, 0)), EVENTS)
+        .expect("simulation failed");
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.channels.to_string(),
+                format!("{:.3}", p.makespan_ns as f64 / 1e6),
+                p.overlap.map_or("n/a".to_owned(), |o| format!("x{o:.2}")),
+                format!("{:.1}", p.pages_per_ms),
+                format!("{:.1}", p.report.op_write_latency.mean_ns() / 1e3),
+                format!("{:.1}", p.report.op_read_latency.mean_ns() / 1e3),
+                p.report.counters.swl_erases.to_string(),
+            ]
+        })
+        .collect();
+    #[rustfmt::skip]
+    let headers = ["channels", "makespan ms", "overlap", "pages/ms", "write µs", "read µs",
+        "swl erases"];
+    let (one, last) = (&points[0], &points[points.len() - 1]);
+    let serial = match one.overlap {
+        Some(overlap) if (overlap - 1.0).abs() < 1e-9 => format!("ok (x{overlap:.2})"),
+        Some(overlap) => format!("FAILED (x{overlap:.3})"),
+        None => "FAILED (no device time recorded)".to_owned(),
+    };
+    let monotone = match points
+        .windows(2)
+        .find(|pair| pair[1].pages_per_ms < pair[0].pages_per_ms)
+    {
+        None => format!(
+            "ok ({} channels serve x{:.2} the single-channel throughput)",
+            last.channels,
+            last.pages_per_ms / one.pages_per_ms
+        ),
+        Some(pair) => format!(
+            "FAILED ({} -> {} channels)",
+            pair[0].channels, pair[1].channels
+        ),
+    };
+    format!(
+        "Channel scaling (scale: {}, split over the lanes)\n\
+         FTL, {CHANNEL_SPAN}-page host requests, {EVENTS} events, SWL (T=100, k=0, global)\n\n{}\n\
+         1 channel serial: {serial}\n\
+         throughput monotone: {monotone}\n",
+        ctx.chip(),
+        format_table(&headers, &rows)
+    )
+}
+
+/// Crash consistency: cut power at **every** operation boundary of a
+/// GC/SWL-heavy workload, clean and torn, remount, and check the recovery
+/// contract at each point ([`crate::crash`] has the checkers and the list of
+/// what they check). The sweeps: the plain layers with the leveler
+/// checkpointed to an NVRAM dual buffer; the 2-channel striped array, cut
+/// mid-stripe; the engine with requests in flight, SWL off, per channel and
+/// under Global coordination; the service write cache, whose flush is the
+/// only durability ack; and the snapshot verbs, cut inside the manifest
+/// commits that are each verb's atomic point. Every table cell and the
+/// verdict are independent of worker threads; a violation is listed on
+/// stderr with its configuration, cut point and page.
+fn crashmc(_: &mut Context) -> String {
+    const ROUNDS: u64 = 16;
+    let on = Some(swl_config());
+    let (per_channel, global) = (SwlCoordination::PerChannel, SwlCoordination::Global);
+    let groups: [&[(Stack, Option<SwlConfig>)]; 4] = [
+        &[(Stack::Plain, None), (Stack::Plain, on)],
+        &[
+            (Stack::Striped(CHANNELS), None),
+            (Stack::Striped(CHANNELS), on),
+        ],
+        &[
+            (Stack::Engine(per_channel), None),
+            (Stack::Engine(per_channel), on),
+            (Stack::Engine(global), on),
+        ],
+        &[
+            (Stack::Service(per_channel), None),
+            (Stack::Service(per_channel), on),
+        ],
+    ];
+    let mut sweeps = Vec::new();
+    for arms in groups {
+        for kind in LAYERS {
+            sweeps.extend(arms.iter().map(|&(stack, swl)| Sweep { stack, kind, swl }));
+        }
+    }
+    let (stack, kind) = (Stack::Snapshot, LayerKind::Ftl);
+    sweeps.extend([None, on].map(|swl| Sweep { stack, kind, swl }));
+
+    let mut rows = Vec::new();
+    let (mut points, mut violations, mut vanished) = (0u64, 0u64, 0u64);
+    for sweep in &sweeps {
+        // The run without a cut counts the operation boundaries.
+        let total = sweep.total_ops(ROUNDS);
+        for torn in [false, true] {
+            let mut stats = SweepStats::default();
+            for cut_at in 0..total {
+                sweep.check(ROUNDS, cut_at, torn, &mut stats);
+            }
+            points += stats.points;
+            violations += stats.violations();
+            if matches!(sweep.stack, Stack::Service(_)) {
+                vanished += stats.vanished;
+            }
+            for message in &stats.messages {
+                eprintln!("{message}");
+            }
+            rows.push(vec![
+                sweep.layer_label(),
+                sweep.swl_label().to_owned(),
+                if torn { "torn" } else { "clean" }.to_owned(),
+                stats.points.to_string(),
+                stats.lost_acked.to_string(),
+                stats.stale_checkpoints.to_string(),
+                stats.resume_failures.to_string(),
+                stats.recovery_errors.to_string(),
+            ]);
+        }
+    }
+    #[rustfmt::skip]
+    let headers = ["layer", "swl", "cut", "points", "lost", "stale", "resume", "recover"];
+    // How many un-acked cached writes a cut lost depends on whether worker
+    // threads ran; that some did, does not.
+    let verdict = match (vanished, violations) {
+        (0, _) => {
+            "crashmc: FAILED — cache sweep never lost an un-acked write; the lossy side \
+                   of the durability contract went unexercised"
+        }
+        (_, 0) => "crashmc: OK",
+        _ => "crashmc: FAILED",
+    };
+    format!(
+        "crashmc: exhaustive power-cut sweep ({BLOCKS} blocks x {PAGES} pages, \
+         {ROUNDS} workload rounds)\n\n{}\n{points} cut points checked, {violations} violations\n\
+         {verdict}\n",
+        format_table(&headers, &rows)
     )
 }

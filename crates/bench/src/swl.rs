@@ -24,9 +24,11 @@
 //!   host ops that paid the most device time with their exact
 //!   host/gc/swl/merge split, the span tree of the worst, and — for a
 //!   multi-channel log — a per-channel table with the achieved overlap.
-//! - `top` drives the 4-channel FTL through [`flash_sim::Engine`] with
-//!   wall-clock metrics on and refreshes a per-worker / per-lane utilization
-//!   view while the run is in flight; `--out` exports every sample.
+//! - `top` drives one client of a served, cached, health-enabled
+//!   [`flash_sim::service::Service`] (the 4-channel FTL, engine metrics on)
+//!   through `--events` ops of [`crate::array::client_ops`] and refreshes a
+//!   per-worker / per-lane utilization view while the run is in flight;
+//!   `--out` exports every sample with its `cache` and `health` lines.
 //! - `health` drives a served, cached, health-enabled
 //!   [`flash_sim::service::Service`] at a deliberately low endurance and
 //!   prints one SMART-style report per poll; every report is taken at a
@@ -45,22 +47,21 @@ use std::io::{IsTerminal, Read, Write};
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::array::{geometry, pct, spec, trace as array_trace, HotWrites, CHANNELS};
+use crate::array::{
+    self, cache_config, client_ops, client_slices, geometry, pct, spec, HotWrites, CHANNELS,
+};
 use crate::export::{self, Stamp};
 use crate::{format_table, scale_named};
-use flash_sim::experiments::{
-    instrumented_run, instrumented_striped_run, ExperimentScale, CHANNEL_SPAN,
-};
+use flash_sim::experiments::{instrumented_run, instrumented_striped_run, ExperimentScale};
 use flash_sim::service::cache::CacheConfig;
 use flash_sim::service::{Service, ServiceConfig};
-use flash_sim::{
-    Engine, EngineConfig, EngineRun, LayerKind, SimConfig, StopCondition, SwlCoordination,
-};
+use flash_sim::{EngineConfig, LayerKind, SimConfig, SimError, StopCondition, SwlCoordination};
 use flash_telemetry::health::HealthReport;
 use flash_telemetry::json;
 use flash_telemetry::{
-    parse_line, ClosedSpan, EngineSnapshot, Event, IntervalStats, JsonlSink, LatencyHistogram,
-    MetricsAggregator, OpBreakdown, Sink, SpanCause, SpanKind, SpanReplayer, SCHEMA_VERSION,
+    parse_line, ClosedSpan, EngineSnapshot, Event, HealthMonitor, IntervalStats, JsonlSink,
+    LatencyHistogram, MetricsAggregator, OpBreakdown, Sink, SpanCause, SpanKind, SpanReplayer,
+    SCHEMA_VERSION,
 };
 use hotid::HotDataConfig;
 use nand::CellKind;
@@ -568,7 +569,7 @@ fn report(agg: &MetricsAggregator) -> String {
     text
 }
 
-/// The machine summary `stat --json` prints (for `BENCH_*.json`).
+/// The machine summary `stat --json` prints.
 fn summary_json(agg: &MetricsAggregator) -> String {
     let (version, blocks, ppb) = agg.meta().expect("read_events enforces a meta header");
     let w = agg.wear_summary();
@@ -830,12 +831,9 @@ fn check(options: &FileOptions, stdin: &mut dyn Read, out: &mut dyn Write) -> Re
 
 // ------------------------------------------------------------------ top
 
-/// SWL threshold of the `top` run.
-const TOP_SWL_THRESHOLD: u64 = 100;
-
 struct TopOptions {
     scale: ExperimentScale,
-    events: u64,
+    events: usize,
     threads: u32,
     depth: usize,
     interval_ms: u64,
@@ -932,51 +930,57 @@ fn write_export(path: Option<&str>, jsonl: &[String], out: &mut dyn Write) -> Re
 
 fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
     let scale = &options.scale;
-    let mut engine = Engine::new(
-        LayerKind::Ftl,
-        geometry(scale, CHANNELS),
-        spec(scale),
-        Some(scale.swl_config(TOP_SWL_THRESHOLD, 0)),
-        SwlCoordination::PerChannel,
-        &SimConfig::default(),
-        EngineConfig::default()
-            .with_threads(options.threads)
-            .with_queue_depth(options.depth)
-            .with_metrics(true),
-    )
-    .map_err(|e| format!("engine build failed: {e}"))?;
-    let pages = engine.logical_pages();
-    let effective_threads = engine.threads();
-    let handle = engine.metrics_handle();
-    let events = options.events;
-    let seed = scale.seed;
+    let engine = EngineConfig::default()
+        .with_threads(options.threads)
+        .with_queue_depth(options.depth)
+        .with_metrics(true)
+        .with_health(true);
+    let mut service = array::service(scale, spec(scale), engine, Some(cache_config()));
+    let (base, span) = client_slices(service.logical_pages(), 1)[0];
+    let ops = client_ops(0, base, span, options.events, scale.seed);
+    let metrics = service.metrics_handle();
+    let cache = service.cache_runtime().expect("cache was enabled");
+    let health = service.health_runtime().expect("health was enabled");
+    let mut monitor = HealthMonitor::new(health.config());
+    let threads = metrics.snapshot().workers.len() as u32;
 
     writeln!(
         out,
-        "swl top: FTL x{CHANNELS}ch, {CHANNEL_SPAN}-page host requests, {events} events, \
-         {effective_threads} worker(s), depth {}, SWL (T={TOP_SWL_THRESHOLD}, k=0, per-channel)",
-        options.depth
+        "swl top: FTL x{CHANNELS}ch, one client, {} ops after a {span}-page prefill, \
+         {threads} worker(s), depth {}, cache {} pages, SWL (T=100, k=0, per-channel)",
+        options.events,
+        options.depth,
+        array::CACHE_PAGES,
     )?;
 
     let mut jsonl = vec![export::engtop_meta_line(
         CHANNELS,
-        effective_threads,
+        threads,
         options.depth as u64,
-        events,
+        options.events as u64,
         options.interval_ms,
     )];
-
-    let driver = std::thread::spawn(move || -> Result<EngineRun, flash_sim::SimError> {
-        engine.run(array_trace(pages, seed), StopCondition::events(events))?;
-        engine.finish()
+    let client = std::thread::spawn(move || -> Result<Service, SimError> {
+        for op in &ops {
+            op.apply(&mut service)?;
+        }
+        Ok(service)
     });
 
     let live = std::io::stdout().is_terminal();
     let mut seq = 0u64;
     let mut last_height = 0usize;
-    while !driver.is_finished() {
-        let snap = handle.snapshot();
+    while !client.is_finished() {
+        let snap = metrics.snapshot();
+        let sample = cache.sample();
         export::tick_lines(&mut jsonl, seq, &snap);
+        jsonl.push(export::cache_line(seq, snap.elapsed_ns, &sample));
+        let report = monitor.report_on(&health.sample(), Some(sample));
+        jsonl.push(export::health_line(
+            seq,
+            Stamp::WallNs(snap.elapsed_ns),
+            &report,
+        ));
         if live {
             // Refresh in place: move the cursor back over the previous frame.
             if last_height > 0 {
@@ -992,12 +996,23 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
         seq += 1;
         std::thread::sleep(Duration::from_millis(options.interval_ms));
     }
-    let run = driver
+    let service = client
         .join()
-        .map_err(|_| "engine driver thread panicked".to_owned())?
-        .map_err(|e| format!("engine run failed: {e}"))?;
+        .map_err(|_| "client thread panicked".to_owned())?
+        .map_err(|e| format!("client op failed: {e}"))?;
+    let sample = cache.sample();
+    let report = monitor.report_on(&health.sample(), Some(sample));
+    let run = service
+        .finish()
+        .map_err(|e| format!("service finish failed: {e}"))?
+        .run;
     let metrics = run.metrics.expect("metrics were enabled");
     let snap = &metrics.snapshot;
+    jsonl.push(export::health_line(
+        seq,
+        Stamp::WallNs(snap.elapsed_ns),
+        &report,
+    ));
 
     // Final frame (printed plainly so non-TTY runs still show the summary).
     if live && last_height > 0 {
@@ -1021,7 +1036,9 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
         o.u64("cmd_p50_ns", q(&metrics.cmd_latency, 0.5))
             .u64("cmd_p99_ns", q(&metrics.cmd_latency, 0.99))
             .u64("op_wall_p50_ns", q(&metrics.op_write_wall, 0.5))
-            .u64("op_wall_p99_ns", q(&metrics.op_write_wall, 0.99));
+            .u64("op_wall_p99_ns", q(&metrics.op_write_wall, 0.99))
+            .u64("cache_write_hits", sample.write_hits)
+            .u64("cache_flushed_pages", sample.flushed_pages);
     }));
     write_export(options.out.as_deref(), &jsonl, out)
 }

@@ -1,5 +1,6 @@
 //! The `repro` driver: `--check` against the checked-in closed-form tables,
-//! the sweep sharing of Figures 6/7 and Table 4, and the usage errors.
+//! the results file names, the sweep sharing of Figures 6/7 and
+//! Table 4, and the usage errors.
 
 use std::path::{Path, PathBuf};
 
@@ -127,6 +128,21 @@ fn out_writes_what_print_prints_under_the_results_file_names() {
     );
     let (status, _) = repro(&["table3", "--out", missing.to_str().unwrap()]);
     assert!(status.unwrap_err().starts_with("cannot write "));
+    // A fixed-shape run has one file, a scaled one a file per scale, and
+    // every artifact's quick file is checked in.
+    for (name, file) in [
+        ("channels", "channels_quick.txt"),
+        ("cache", "cache_quick.txt"),
+        ("snapshots", "snapshots.txt"),
+        ("crashmc", "crashmc.txt"),
+    ] {
+        let artifact = ARTIFACTS.iter().find(|a| a.name == name).unwrap();
+        assert_eq!(artifact.file_name("quick"), file);
+    }
+    for artifact in &ARTIFACTS {
+        let file = artifact.file_name("quick");
+        assert!(results().join(&file).is_file(), "{file}");
+    }
     // Several artifacts on stdout are told apart by a header line each.
     let (_, both) = repro(&["table1", "lifetime", "quick"]);
     assert_eq!(
@@ -175,11 +191,19 @@ fn unknown_artifacts_scales_and_options_are_usage_errors() {
         &[],
         &["fig5", "--check"],
         &["table1", "--frobnicate"],
+        &["crashmc", "huge"],
+        &["snapshots", "--check"],
+        &["channels", "--frobnicate"],
+        &["cache", "--out"],
     ] {
         let (status, stdout) = repro(args);
         assert!(status.is_err(), "{args:?} must be refused, got {status:?}");
         assert_eq!(stdout, "", "{args:?} must not run anything");
     }
-    let (status, _) = repro(&["table1", "fig8"]);
+    for names in [["table1", "fig8"], ["crashmc", "fig8"], ["cache", "fig8"]] {
+        let (status, _) = repro(&names);
+        assert_eq!(status, Err("unknown artifact or scale \"fig8\"".to_owned()));
+    }
+    let (status, _) = repro(&["snapshots", "channels", "scaled", "fig8"]);
     assert_eq!(status, Err("unknown artifact or scale \"fig8\"".to_owned()));
 }

@@ -66,11 +66,7 @@ fn check_reads_the_kind_of_each_fixture_off_its_first_line() {
         ),
         (
             "engine_smoke.jsonl",
-            "\"kind\":\"engtop_meta\" export, 9 sample line(s)",
-        ),
-        (
-            "service_smoke.jsonl",
-            "\"kind\":\"engtop_meta\" export, 1 sample line(s)",
+            "\"kind\":\"engtop_meta\" export, 5 sample line(s)",
         ),
         (
             "health_smoke.jsonl",
@@ -134,6 +130,21 @@ fn check_names_the_line_a_one_field_mutation_broke() {
             "\"seq\":1",
             "\"seq\":7",
             "line 3: health seq 7, expected 1",
+        ),
+        // The served lines `swl top` writes beside each sample.
+        (
+            "engine_smoke.jsonl",
+            32,
+            "\"dirty\":24",
+            "\"dirty\":33",
+            "line 32: cache dirty 33 > capacity 32",
+        ),
+        (
+            "engine_smoke.jsonl",
+            33,
+            "\"state\":0",
+            "\"state\":3",
+            "line 33: state 3 not in 0..=2",
         ),
     ] {
         let broken = mutate(&fixture_text(name), at, from, to);

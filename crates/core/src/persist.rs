@@ -142,7 +142,7 @@
 //! ```
 //!
 //! The crash-consistency harness (`tests/crash_consistency.rs` and the
-//! `crashmc` binary) drives this exact recovery path at every power-cut
+//! `repro crashmc` artifact) drives this exact recovery path at every power-cut
 //! point of a live workload and checks the staleness bound end to end.
 
 use std::error::Error;

@@ -140,7 +140,7 @@ impl WriteCache {
         })
     }
 
-    /// The shared counter block, for mid-run observers (`svcbench`'s
+    /// The shared counter block, for mid-run observers (`swl top`'s
     /// JSONL sampler reads it while the service runs).
     pub fn runtime(&self) -> Arc<CacheRuntime> {
         Arc::clone(&self.runtime)

@@ -5,7 +5,7 @@
 //! retains the newest [`capacity`](FlightRecorder::capacity) events in a
 //! ring and, the instant a [`Event::FaultInjected`] or [`Event::PowerCut`]
 //! fires, snapshots the ring as a JSONL document (the trigger event
-//! included). `crashmc`-style postmortems then see the spans, GC picks, and
+//! included). Crash-sweep postmortems then see the spans, GC picks, and
 //! SWL activity *leading up to* the cut, not just the cut itself.
 //!
 //! The recorder is cheap enough to leave always-on: one `VecDeque`

@@ -39,9 +39,9 @@
 //! The forecast extrapolates the *observed* workload at the *rated*
 //! endurance. It cannot see workload shifts, and fault-injected blocks that
 //! die below their rating fail earlier than any wear-based forecast can
-//! predict — `healthbench` measures both effects against real first
-//! failures, and [`HALF_LIFE_ERROR_BOUND`] states the bound the rated-
-//! endurance arm must meet (asserted in `tests/health_forecast.rs`).
+//! predict — `tests/health_forecast.rs` measures both effects against real
+//! first failures and asserts [`HALF_LIFE_ERROR_BOUND`], the bound the
+//! rated-endurance input must meet.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,7 +51,7 @@ use crate::{Cause, Event, Sink};
 
 /// Documented bound on the relative error of the central forecast issued at
 /// 50% of device life, for runs whose blocks fail at their rated endurance
-/// (no fault injection). `healthbench` measures it; `tests/` assert it.
+/// (no fault injection), asserted by `tests/health_forecast.rs`.
 pub const HALF_LIFE_ERROR_BOUND: f64 = 0.25;
 
 /// Tuning for the health plane: the rated endurance, the estimator's work

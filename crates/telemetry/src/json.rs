@@ -5,8 +5,8 @@
 //!
 //! - the **writer** ([`object`], [`ObjWriter`], [`ArrWriter`]) handles
 //!   commas, key/string escaping, nesting and non-finite floats in one
-//!   place; the `BENCH_*.json` summaries and the `kind`-tagged runtime
-//!   JSONL are built with it;
+//!   place; `swl stat --json`, layerbench's result records and the
+//!   `kind`-tagged runtime JSONL are built with it;
 //! - [`parse_flat`] is the read side: one *flat* object per line (numbers,
 //!   strings, booleans, `null` — no nesting), enough to schema-gate a JSONL
 //!   stream without a full JSON parser. Unsigned integers stay exact to

@@ -4,7 +4,7 @@
 //!
 //! The harness — host model, workloads, and the full list of what is
 //! checked at every cut point — is `flash_bench::crash`, shared with the
-//! `crashmc` binary. `crashmc` sweeps every cut point; here each
+//! `repro crashmc` artifact, which sweeps every cut point; here each
 //! configuration strides across the op space and proptest samples random
 //! (cut, torn) pairs so CI time stays bounded. A checker reports what it
 //! finds as data; these tests assert that it found nothing, and print every
