@@ -1,8 +1,8 @@
 //! The multi-channel array fixture of the served runs (`swl top`,
-//! `swl health`, `repro cache`) and of `telbench`: a scale's chip split over
-//! lanes, the served FTL built on it, and the two deterministic host
+//! `repro cache`, `repro health`) and of `telbench`: a scale's chip split
+//! over lanes, the served FTL built on it, and the two deterministic host
 //! workloads those runs drive — [`client_ops`], the paper-shaped mixed
-//! sequence, and [`HotWrites`], the health tools' write-only stream.
+//! sequence, and [`HotWrites`], the health runs' write-only stream.
 
 use flash_sim::experiments::ExperimentScale;
 use flash_sim::service::cache::CacheConfig;
@@ -198,7 +198,7 @@ pub fn client_ops(client: usize, base: u64, span: u64, ops: usize, seed: u64) ->
     sequence
 }
 
-/// The health tools' driven workload (`swl health`,
+/// The health runs' driven workload (`repro health`,
 /// `tests/health_forecast.rs`): hot-biased single-client writes over ~40 %
 /// of the logical space (the [`client_slices`] footprint), 90 % of them
 /// inside the hot eighth — the cold majority is what static wear leveling

@@ -1,4 +1,4 @@
-//! `swl <trace|stat|span|top|health|check> …` — produces, inspects and
+//! `swl <trace|stat|span|top|check> …` — produces, inspects and
 //! gates the stack's JSONL streams (see [`flash_bench::swl`]). Exit 1: the
 //! subcommand failed or `check` found violations; exit 2: usage.
 

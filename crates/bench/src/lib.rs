@@ -15,7 +15,7 @@
 //! | Figure 7 (extra live-page copies) | `fig7` | simulation |
 //! | extension studies | `ablation` `lifetime` `latency` `hotcold` `baseline_wl` | simulation |
 //! | channel scaling, write cache | `channels` `cache` | simulation |
-//! | snapshot pinning, crash-consistency sweep | `snapshots` `crashmc` | fixed-shape run |
+//! | snapshot pinning, crash-consistency sweep, health ladder | `snapshots` `crashmc` `health` | fixed-shape run |
 //!
 //! Simulations accept a scale argument: `quick` (CI smoke), `scaled`
 //! (default; minutes) or `paper` (full size; very long). Run e.g.
@@ -26,7 +26,7 @@
 //! ```
 //!
 //! A second driver, `swl`, produces, inspects and gates the JSONL streams
-//! a run leaves behind ([`swl`] has the six subcommands):
+//! a run leaves behind ([`swl`] has the five subcommands):
 //!
 //! ```text
 //! swl trace --scale quick --out - | swl check -

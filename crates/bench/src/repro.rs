@@ -5,8 +5,9 @@
 //!
 //! `repro <artifact…|all> [quick|scaled|paper] [--out DIR | --check DIR]`
 //! prints the texts, writes them as `DIR/<name>_<scale>.txt` (`table1`–`3`,
-//! `snapshots` and `crashmc` have a fixed shape and carry no scale suffix),
-//! or compares them with those files. The context runs each shared sweep once per invocation: `fig6`,
+//! `snapshots`, `crashmc` and `health` have a fixed shape and carry no scale
+//! suffix), or compares them with those files. The context runs each shared
+//! sweep once per invocation: `fig6`,
 //! `fig7` and `table4` read one [`overhead_sweep`] per layer (17 horizon
 //! runs), whichever of them are asked for.
 
@@ -35,6 +36,7 @@ use crate::crash::{swl_config, Stack, Sweep, SweepStats, BLOCKS, CHANNELS, PAGES
 use crate::{default_horizon_ns, format_table, scale_named};
 
 mod cache;
+mod health;
 mod snapshots;
 
 const LAYERS: [LayerKind; 2] = [LayerKind::Ftl, LayerKind::Nftl];
@@ -55,7 +57,7 @@ pub struct Artifact {
 pub type Render = fn(&mut Context) -> String;
 
 /// Every artifact, in the order `all` runs them.
-pub static ARTIFACTS: [Artifact; 16] = [
+pub static ARTIFACTS: [Artifact; 17] = [
     Artifact::new("table1", false, table1),
     Artifact::new("table2", false, table2),
     Artifact::new("table3", false, table3),
@@ -72,6 +74,7 @@ pub static ARTIFACTS: [Artifact; 16] = [
     Artifact::new("cache", true, |ctx| cache::render(&ctx.scale, &ctx.chip())),
     Artifact::new("snapshots", false, |_| snapshots::render()),
     Artifact::new("crashmc", false, crashmc),
+    Artifact::new("health", false, |_| health::render()),
 ];
 
 impl Artifact {

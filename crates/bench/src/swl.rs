@@ -10,8 +10,6 @@
 //! swl span   [FILE|-] [--top N] [--tree N]
 //! swl top    [quick|scaled|paper] [--events N] [--threads N] [--depth N]
 //!            [--interval-ms N] [--out FILE]
-//! swl health [quick|scaled|paper] [--ops N] [--endurance N] [--report-every N]
-//!            [--out FILE]
 //! swl check  [FILE|-]
 //! ```
 //!
@@ -29,16 +27,11 @@
 //!   through `--events` ops of [`crate::array::client_ops`] and refreshes a
 //!   per-worker / per-lane utilization view while the run is in flight;
 //!   `--out` exports every sample with its `cache` and `health` lines.
-//! - `health` drives a served, cached, health-enabled
-//!   [`flash_sim::service::Service`] at a deliberately low endurance and
-//!   prints one SMART-style report per poll; every report is taken at a
-//!   flush barrier, so `--out` is bit-reproducible.
-//! - `check` gates any of the three kinds of file. Which validator applies
-//!   is a fact of the file, so it is read off the first line: `"e":"meta"`
-//!   is an event stream (schema version, every line decodes, block and
-//!   channel ids in range, retirement audit, span structure),
-//!   `"kind":"engtop_meta"` and `"kind":"swlhealth_meta"` are the two
-//!   dialects of [`crate::export::check`].
+//! - `check` gates either kind of stream. Which validator applies is a fact
+//!   of the file, so it is read off the first line: `"e":"meta"` is an event
+//!   stream (schema version, every line decodes, block and channel ids in
+//!   range, retirement audit, span structure), `"kind":"engtop_meta"` a
+//!   runtime export ([`crate::export::check`]).
 //!
 //! `FILE` absent or `-` reads stdin. One reader ([`read_events`]) serves
 //! `stat`, `span` and `check`.
@@ -47,29 +40,22 @@ use std::io::{IsTerminal, Read, Write};
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::array::{
-    self, cache_config, client_ops, client_slices, geometry, pct, spec, HotWrites, CHANNELS,
-};
-use crate::export::{self, Stamp};
+use crate::array::{self, cache_config, client_ops, client_slices, pct, spec, CHANNELS};
+use crate::export;
 use crate::{format_table, scale_named};
 use flash_sim::experiments::{instrumented_run, instrumented_striped_run, ExperimentScale};
-use flash_sim::service::cache::CacheConfig;
-use flash_sim::service::{Service, ServiceConfig};
-use flash_sim::{EngineConfig, LayerKind, SimConfig, SimError, StopCondition, SwlCoordination};
-use flash_telemetry::health::HealthReport;
+use flash_sim::service::Service;
+use flash_sim::{EngineConfig, LayerKind, SimError, StopCondition};
 use flash_telemetry::json;
 use flash_telemetry::{
     parse_line, ClosedSpan, EngineSnapshot, Event, HealthMonitor, IntervalStats, JsonlSink,
     LatencyHistogram, MetricsAggregator, OpBreakdown, Sink, SpanCause, SpanKind, SpanReplayer,
     SCHEMA_VERSION,
 };
-use hotid::HotDataConfig;
-use nand::CellKind;
-use swl_core::SwlConfig;
 
 /// Usage line for a command line [`run`] refuses; the module doc has each
 /// subcommand's flags.
-pub const USAGE: &str = "usage: swl <trace|stat|span|top|health|check> [options]";
+pub const USAGE: &str = "usage: swl <trace|stat|span|top|check> [options]";
 
 /// Why [`run`] did not succeed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +105,6 @@ pub fn run(args: &[String], stdin: &mut dyn Read, stdout: &mut dyn Write) -> Res
             span(&options, stdin, stdout)
         }
         "top" => top(&TopOptions::parse(&mut args).map_err(usage)?, stdout),
-        "health" => health(&HealthOptions::parse(&mut args).map_err(usage)?, stdout),
         "check" => {
             let options = FileOptions::parse(&mut args, &[]).map_err(usage)?;
             check(&options, stdin, stdout)
@@ -811,19 +796,20 @@ fn check(options: &FileOptions, stdin: &mut dyn Read, out: &mut dyn Write) -> Re
             "swl check: OK — \"e\":\"meta\" event stream, {} events, schema v{SCHEMA_VERSION}",
             agg.events()
         )?;
-    } else if let Some(dialect) = tag("kind").and_then(export::dialect_of) {
-        let counted =
-            export::check(&text, dialect).map_err(|errors| Error::Failed(errors.join("\n")))?;
+    } else if tag("kind") == Some(export::META) {
+        let counted = export::check(&text).map_err(|errors| Error::Failed(errors.join("\n")))?;
         writeln!(
             out,
             "swl check: OK — \"kind\":\"{}\" export, {counted} {} line(s), schema v{}",
-            dialect.meta, dialect.counts, dialect.schema
+            export::META,
+            export::COUNTED,
+            export::SCHEMA
         )?;
     } else {
         return Err(Error::Failed(format!(
-            "line {}: not a stream header: expected \"e\":\"meta\", \
-             \"kind\":\"engtop_meta\" or \"kind\":\"swlhealth_meta\"",
-            at + 1
+            "line {}: not a stream header: expected \"e\":\"meta\" or \"kind\":\"{}\"",
+            at + 1,
+            export::META
         )));
     }
     Ok(())
@@ -976,11 +962,7 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
         export::tick_lines(&mut jsonl, seq, &snap);
         jsonl.push(export::cache_line(seq, snap.elapsed_ns, &sample));
         let report = monitor.report_on(&health.sample(), Some(sample));
-        jsonl.push(export::health_line(
-            seq,
-            Stamp::WallNs(snap.elapsed_ns),
-            &report,
-        ));
+        jsonl.push(export::health_line(seq, snap.elapsed_ns, &report));
         if live {
             // Refresh in place: move the cursor back over the previous frame.
             if last_height > 0 {
@@ -1008,11 +990,7 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
         .run;
     let metrics = run.metrics.expect("metrics were enabled");
     let snap = &metrics.snapshot;
-    jsonl.push(export::health_line(
-        seq,
-        Stamp::WallNs(snap.elapsed_ns),
-        &report,
-    ));
+    jsonl.push(export::health_line(seq, snap.elapsed_ns, &report));
 
     // Final frame (printed plainly so non-TTY runs still show the summary).
     if live && last_height > 0 {
@@ -1040,179 +1018,5 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
             .u64("cache_write_hits", sample.write_hits)
             .u64("cache_flushed_pages", sample.flushed_pages);
     }));
-    write_export(options.out.as_deref(), &jsonl, out)
-}
-
-// --------------------------------------------------------------- health
-
-/// SWL threshold of the `health` run, scaled to the low endurance it runs
-/// at (the usual T=100 would never fire before a 24-cycle block dies, and a
-/// health demo with a dormant leveler would report `unevenness 0` forever).
-const HEALTH_SWL_THRESHOLD: u64 = 8;
-/// Write-cache pages for the driven run.
-const CACHE_PAGES: usize = 64;
-
-struct HealthOptions {
-    scale: ExperimentScale,
-    ops: u64,
-    endurance: u32,
-    report_every: u64,
-    out: Option<String>,
-}
-
-impl HealthOptions {
-    fn parse(args: &mut Args) -> Result<Self, String> {
-        let mut options = Self {
-            scale: ExperimentScale::quick(),
-            ops: 20_000,
-            // Low enough that the quick geometry walks the whole
-            // Good → Warn → Critical ladder within the default op budget.
-            endurance: 24,
-            report_every: 1_000,
-            out: None,
-        };
-        while let Some(arg) = args.next() {
-            match arg {
-                "--ops" => options.ops = args.number(arg)?,
-                "--endurance" => options.endurance = args.number(arg)?,
-                "--report-every" => options.report_every = args.number::<u64>(arg)?.max(1),
-                "--out" => options.out = Some(args.value(arg)?.to_owned()),
-                name => options.scale = scale_named(name).ok_or_else(|| unknown(name))?,
-            }
-        }
-        Ok(options)
-    }
-}
-
-fn health_service(options: &HealthOptions) -> Result<Service, String> {
-    let scale = &options.scale;
-    let cache = CacheConfig::sized(CACHE_PAGES).with_hot(HotDataConfig {
-        hot_threshold: 2,
-        ..HotDataConfig::default()
-    });
-    Service::build(
-        LayerKind::Ftl,
-        geometry(scale, CHANNELS),
-        CellKind::Mlc2.spec().with_endurance(options.endurance),
-        Some(SwlConfig::new(HEALTH_SWL_THRESHOLD, 0).with_seed(scale.seed)),
-        SwlCoordination::PerChannel,
-        &SimConfig::default(),
-        ServiceConfig::default()
-            .with_engine(
-                EngineConfig::default()
-                    .with_threads(CHANNELS)
-                    .with_queue_depth(8)
-                    .with_health(true),
-            )
-            .with_cache(cache),
-    )
-    .map_err(|e| format!("service build failed: {e}"))
-}
-
-/// The printed per-poll report row.
-fn health_row(seq: u64, ops: u64, report: &HealthReport) -> String {
-    let bound = |v: Option<u64>| v.map_or("?".to_owned(), |v| v.to_string());
-    let forecast = match report.forecast.central {
-        Some(mid) => format!(
-            "~{mid} pages left ({}..{})",
-            bound(report.forecast.earliest),
-            bound(report.forecast.latest),
-        ),
-        None => "unbounded".to_owned(),
-    };
-    format!(
-        "#{seq:<4} ops {ops:>8}  {:<8} life {:5.1}%  wear max {} p90 {} mean {:.1}  \
-         retired {}  forecast {forecast}",
-        report.state.token(),
-        report.life_used * 100.0,
-        report.wear.max,
-        report.wear.p90,
-        report.wear.mean,
-        report.retired,
-    )
-}
-
-fn health(options: &HealthOptions, out: &mut dyn Write) -> Result<(), Error> {
-    let mut service = health_service(options)?;
-    let mut workload = HotWrites::new(service.logical_pages(), options.scale.seed);
-    writeln!(
-        out,
-        "swl health: FTL x{CHANNELS}ch, {} blocks x {} pages, endurance {}, \
-         SWL (T={HEALTH_SWL_THRESHOLD}, k=0, per-channel), cache {CACHE_PAGES} pages, \
-         {} ops, report every {}",
-        options.scale.blocks,
-        options.scale.pages_per_block,
-        options.endurance,
-        options.ops,
-        options.report_every,
-    )?;
-
-    let blocks = service
-        .health_runtime()
-        .expect("health was enabled")
-        .blocks() as u64;
-    let mut jsonl = vec![export::swlhealth_meta_line(
-        blocks,
-        options.endurance,
-        options.report_every,
-        options.ops,
-    )];
-
-    let mut seq = 0u64;
-    let mut done = 0u64;
-    let mut last: Option<HealthReport> = None;
-    while done < options.ops {
-        let burst = options.report_every.min(options.ops - done);
-        for _ in 0..burst {
-            let (lba, data) = workload.next_write();
-            service
-                .write(lba, &data)
-                .map_err(|e| format!("write failed: {e}"))?;
-        }
-        done += burst;
-        // Quiesce before sampling: the report then reflects exactly the
-        // ops accepted so far, independent of worker-thread progress.
-        service.flush().map_err(|e| format!("flush failed: {e}"))?;
-        let report = service.stats().expect("health was enabled");
-        if let Some(from) = last
-            .as_ref()
-            .map(|r| r.state)
-            .filter(|&from| from != report.state)
-        {
-            writeln!(
-                out,
-                "ALERT at op {done}: health {} -> {}",
-                from.token(),
-                report.state.token()
-            )?;
-            jsonl.push(export::alert_line(
-                seq,
-                done,
-                from.code(),
-                report.state.code(),
-            ));
-        }
-        writeln!(out, "{}", health_row(seq, done, &report))?;
-        jsonl.push(export::health_line(seq, Stamp::Ops(done), &report));
-        seq += 1;
-        last = Some(report);
-    }
-    let report = last.ok_or_else(|| "--ops 0: no report to export".to_owned())?;
-    jsonl.push(export::swlhealth_final_line(done, &report));
-    writeln!(
-        out,
-        "final: {} after {done} ops — life {:.1}%, wear max {}/{}, {} retired, \
-         {} gc / {} swl erases",
-        report.state.token(),
-        report.life_used * 100.0,
-        report.wear.max,
-        options.endurance,
-        report.retired,
-        report.gc_erases,
-        report.swl_erases,
-    )?;
-    service
-        .finish()
-        .map_err(|e| format!("finish failed: {e}"))?;
     write_export(options.out.as_deref(), &jsonl, out)
 }

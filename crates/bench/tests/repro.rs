@@ -135,6 +135,7 @@ fn out_writes_what_print_prints_under_the_results_file_names() {
         ("cache", "cache_quick.txt"),
         ("snapshots", "snapshots.txt"),
         ("crashmc", "crashmc.txt"),
+        ("health", "health.txt"),
     ] {
         let artifact = ARTIFACTS.iter().find(|a| a.name == name).unwrap();
         assert_eq!(artifact.file_name("quick"), file);

@@ -1,4 +1,4 @@
-//! The `swl` driver: `check` telling the three kinds of file apart and
+//! The `swl` driver: `check` telling the two kinds of file apart and
 //! naming the line a mutation broke, `span` against its golden, fresh
 //! `trace` streams through `check` and `stat --json`, and the usage errors.
 
@@ -66,11 +66,7 @@ fn check_reads_the_kind_of_each_fixture_off_its_first_line() {
         ),
         (
             "engine_smoke.jsonl",
-            "\"kind\":\"engtop_meta\" export, 5 sample line(s)",
-        ),
-        (
-            "health_smoke.jsonl",
-            "\"kind\":\"swlhealth_meta\" export, 20 health line(s)",
+            "\"kind\":\"engtop_meta\" export, 5 sample line(s), schema v4",
         ),
     ] {
         let path = fixture(name);
@@ -87,7 +83,7 @@ fn check_reads_the_kind_of_each_fixture_off_its_first_line() {
 #[test]
 fn check_names_the_line_a_one_field_mutation_broke() {
     for (name, at, from, to, told) in [
-        // The three header kinds…
+        // The two header kinds…
         (
             "span_smoke.jsonl",
             1,
@@ -98,16 +94,9 @@ fn check_names_the_line_a_one_field_mutation_broke() {
         (
             "engine_smoke.jsonl",
             1,
+            "\"schema\":4",
             "\"schema\":3",
-            "\"schema\":9",
-            "line 1: schema 9",
-        ),
-        (
-            "health_smoke.jsonl",
-            1,
-            "\"schema\":1",
-            "\"schema\":2",
-            "line 1: schema 2",
+            "line 1: schema 3, this build speaks v4",
         ),
         // …and one body line of each.
         (
@@ -124,20 +113,20 @@ fn check_names_the_line_a_one_field_mutation_broke() {
             "\"busy_frac\":1.5000",
             "line 2: busy_frac 1.5 outside [0, 1]",
         ),
-        (
-            "health_smoke.jsonl",
-            3,
-            "\"seq\":1",
-            "\"seq\":7",
-            "line 3: health seq 7, expected 1",
-        ),
         // The served lines `swl top` writes beside each sample.
         (
             "engine_smoke.jsonl",
             32,
-            "\"dirty\":24",
+            "\"dirty\":26",
             "\"dirty\":33",
             "line 32: cache dirty 33 > capacity 32",
+        ),
+        (
+            "engine_smoke.jsonl",
+            33,
+            "\"seq\":1",
+            "\"seq\":7",
+            "line 33: health seq 7, expected 1",
         ),
         (
             "engine_smoke.jsonl",
@@ -151,18 +140,14 @@ fn check_names_the_line_a_one_field_mutation_broke() {
         let message = violations(&broken);
         assert!(message.contains(told), "{name} line {at}: {message}");
     }
-    // A header of no known kind is refused by naming the three that are.
+    // A header of no known kind is refused by naming the two that are.
     let message = violations(&mutate(
         &fixture_text("engine_smoke.jsonl"),
         1,
         "engtop_meta",
         "top_meta",
     ));
-    for header in [
-        "\"e\":\"meta\"",
-        "\"kind\":\"engtop_meta\"",
-        "\"kind\":\"swlhealth_meta\"",
-    ] {
+    for header in ["\"e\":\"meta\"", "\"kind\":\"engtop_meta\""] {
         assert!(
             message.starts_with("line 1: ") && message.contains(header),
             "{message}"
@@ -176,14 +161,14 @@ fn check_fails_a_null_a_repeated_key_and_an_id_the_header_does_not_cover() {
     // The writer's `null` for a non-finite float parses; the rule that
     // needs the number there still names it.
     let nan = mutate(
-        &fixture_text("health_smoke.jsonl"),
-        2,
-        "\"wear_mean\":0.031",
+        &fixture_text("engine_smoke.jsonl"),
+        33,
+        "\"wear_mean\":37.750",
         "\"wear_mean\":null",
     );
     assert_eq!(
         violations(&nan).lines().next(),
-        Some("line 2: health line missing numeric \"wear_mean\"")
+        Some("line 33: health line missing numeric \"wear_mean\"")
     );
 
     let smoke = fixture_text("span_smoke.jsonl");
@@ -268,14 +253,14 @@ fn unknown_subcommands_and_flags_are_usage_errors() {
         &["trace", "--swl", "100"],
         &["trace", "--channels", "0"],
         &["top", "huge"],
-        &["health", "--check", "f.jsonl"],
+        &["health", "quick"],
     ] {
         let (status, stdout) = swl(args, "");
         let Err(Error::Usage(usage)) = status else {
             panic!("{args:?} must be refused, got {status:?}");
         };
         assert_eq!(stdout, "", "{args:?} must not run anything");
-        for sub in ["trace", "stat", "span", "top", "health", "check"] {
+        for sub in ["trace", "stat", "span", "top", "check"] {
             assert!(usage.lines().nth(1).unwrap().contains(sub), "{usage}");
         }
     }

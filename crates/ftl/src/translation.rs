@@ -387,7 +387,13 @@ impl<S: Sink> PageMapping<S> {
         }
         let geometry = self.pool.device.geometry();
         for page in 0..geometry.pages_per_block() {
-            if !self.pool.device.block(victim).page_state(page).is_valid() {
+            let block = self.pool.device.block(victim);
+            // Every live page has moved: the rest of the block is stale or
+            // free, so there is nothing left to test.
+            if block.valid_pages() == 0 {
+                break;
+            }
+            if !block.page_state(page).is_valid() {
                 continue;
             }
             let src = PageAddr::new(victim, page);

@@ -107,8 +107,7 @@ impl<S: Sink> NandDevice<S> {
     /// one. Emits an [`Event::Meta`] stream header carrying the schema
     /// version and geometry, followed by an [`Event::Endurance`] header with
     /// the cell spec's rated endurance (schema v4), so JSONL logs are
-    /// self-describing — health replay can forecast lifetime without
-    /// out-of-band configuration.
+    /// self-describing.
     pub fn with_sink<S2: Sink>(self, mut sink: S2) -> NandDevice<S2> {
         if S2::ENABLED {
             sink.event(Event::Meta {

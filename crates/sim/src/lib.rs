@@ -55,7 +55,7 @@ pub use error::SimError;
 pub use latency::LatencyStats;
 pub use layer::{Layer, LayerCounters, LayerKind, SimConfig, SnapshotVerb, TranslationLayer};
 pub use report::{FirstFailure, SimReport};
-pub use sched::{ChannelScheduler, Completion, EventQueue};
+pub use sched::ChannelScheduler;
 pub use service::{Service, ServiceClient, ServiceConfig, ServiceRun, ServiceServer};
 pub use simulator::{Simulator, StopCondition};
 pub use striped::{StripedLayer, StripedReport, SwlCoordination};

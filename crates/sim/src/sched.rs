@@ -3,80 +3,25 @@
 //! A multi-page host op striped over `C` channels becomes up to `C`
 //! sub-requests that run concurrently on independent buses. The simulator
 //! stays single-threaded: each channel keeps a *ready time* in virtual
-//! nanoseconds, sub-request completions go into an event queue ordered by
-//! `(completion time, channel, sequence)`, and the host op finishes when the
-//! latest sub-request does. The stable tie-break makes every run
-//! bit-reproducible — two completions at the same virtual instant always pop
-//! in channel order, regardless of submission order.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// One sub-request completion in virtual time.
-///
-/// The derived ordering is the scheduler's tie-break contract: completions
-/// sort by time, then channel, then submission sequence, so same-instant
-/// events have a total deterministic order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Completion {
-    /// Virtual time the sub-request finishes.
-    pub at_ns: u64,
-    /// Channel it ran on.
-    pub channel: u32,
-    /// Submission sequence number (unique per scheduler lifetime).
-    pub seq: u64,
-}
-
-/// Min-queue of pending completions with the stable tie-break.
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Completion>>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a completion.
-    pub fn push(&mut self, completion: Completion) {
-        self.heap.push(Reverse(completion));
-    }
-
-    /// Removes and returns the earliest completion (ties broken by channel,
-    /// then sequence).
-    pub fn pop(&mut self) -> Option<Completion> {
-        self.heap.pop().map(|Reverse(c)| c)
-    }
-
-    /// Number of pending completions.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no completions are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
+//! nanoseconds, and the host op finishes when the latest sub-request does.
+//! The op's latency is a maximum over its sub-requests, which no order of
+//! submission can change, so every run is bit-reproducible.
 
 /// Virtual-time scheduler for a `C`-channel array.
 ///
 /// Usage per host op: [`ChannelScheduler::op_begin`], then one
 /// [`ChannelScheduler::submit`] per channel the op touches (with the
 /// channel's device-busy delta as the service time), then
-/// [`ChannelScheduler::op_complete`], which drains the completions in
-/// deterministic order and returns the op's latency — the span from issue to
-/// the *latest* sub-request completion.
+/// [`ChannelScheduler::op_complete`], which returns the op's latency — the
+/// span from issue to the *latest* sub-request completion.
 #[derive(Debug, Clone)]
 pub struct ChannelScheduler {
     now_ns: u64,
     issue_ns: u64,
     ready_ns: Vec<u64>,
     busy_ns: Vec<u64>,
-    queue: EventQueue,
-    next_seq: u64,
+    /// Latest completion time of the op in flight.
+    finish_ns: u64,
 }
 
 impl ChannelScheduler {
@@ -92,8 +37,7 @@ impl ChannelScheduler {
             issue_ns: 0,
             ready_ns: vec![0; channels as usize],
             busy_ns: vec![0; channels as usize],
-            queue: EventQueue::new(),
-            next_seq: 0,
+            finish_ns: 0,
         }
     }
 
@@ -109,8 +53,8 @@ impl ChannelScheduler {
 
     /// Starts a host op at the current virtual time.
     pub fn op_begin(&mut self) {
-        debug_assert!(self.queue.is_empty(), "previous op not completed");
         self.issue_ns = self.now_ns;
+        self.finish_ns = self.now_ns;
     }
 
     /// Submits one sub-request of `service_ns` device time to `channel`. The
@@ -122,24 +66,15 @@ impl ChannelScheduler {
         let done = start + service_ns;
         self.ready_ns[c] = done;
         self.busy_ns[c] += service_ns;
-        self.queue.push(Completion {
-            at_ns: done,
-            channel,
-            seq: self.next_seq,
-        });
-        self.next_seq += 1;
+        self.finish_ns = self.finish_ns.max(done);
     }
 
-    /// Completes the host op: drains every pending sub-request completion in
-    /// deterministic order, advances virtual time to the latest one, and
-    /// returns the op latency (`0` for an op that touched no channel).
+    /// Completes the host op: advances virtual time to its latest
+    /// sub-request completion and returns the op latency (`0` for an op that
+    /// touched no channel).
     pub fn op_complete(&mut self) -> u64 {
-        let mut finish = self.issue_ns;
-        while let Some(c) = self.queue.pop() {
-            finish = finish.max(c.at_ns);
-        }
-        self.now_ns = finish;
-        finish - self.issue_ns
+        self.now_ns = self.finish_ns;
+        self.finish_ns - self.issue_ns
     }
 
     /// Virtual time at which the last channel went idle — the makespan of
@@ -168,26 +103,6 @@ impl ChannelScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn completion_ordering_is_time_channel_seq() {
-        let mut q = EventQueue::new();
-        q.push(Completion { at_ns: 5, channel: 1, seq: 0 });
-        q.push(Completion { at_ns: 5, channel: 0, seq: 3 });
-        q.push(Completion { at_ns: 4, channel: 3, seq: 1 });
-        q.push(Completion { at_ns: 5, channel: 0, seq: 2 });
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            order,
-            vec![
-                Completion { at_ns: 4, channel: 3, seq: 1 },
-                Completion { at_ns: 5, channel: 0, seq: 2 },
-                Completion { at_ns: 5, channel: 0, seq: 3 },
-                Completion { at_ns: 5, channel: 1, seq: 0 },
-            ]
-        );
-        assert!(q.is_empty());
-    }
 
     #[test]
     fn parallel_subrequests_overlap() {

@@ -1,70 +1,18 @@
 //! Determinism properties of the virtual-time channel scheduler.
 //!
-//! The striped simulator's reproducibility rests on two pillars: the event
-//! queue's stable `(time, channel, sequence)` tie-break, and the fan-out
-//! helpers computing the same answer regardless of how many OS threads the
-//! sweep runs on. Both are checked here as properties over randomized
-//! inputs, plus an end-to-end check that a full striped run is a pure
-//! function of its configuration.
+//! The striped simulator's reproducibility is checked end to end: a full
+//! striped run is a pure function of its configuration, and the fan-out
+//! helpers compute the same answer regardless of how many OS threads the
+//! sweep runs on.
 
 use flash_sim::{
-    parallel, Completion, EventQueue, LayerKind, SimConfig, Simulator, StopCondition,
-    StripedLayer, StripedReport, SwlCoordination,
+    parallel, LayerKind, SimConfig, Simulator, StopCondition, StripedLayer, StripedReport,
+    SwlCoordination,
 };
 use flash_trace::{SyntheticTrace, WorkloadSpec};
 use nand::{CellKind, CellSpec, ChannelGeometry, Geometry};
 use proptest::prelude::*;
 use swl_core::SwlConfig;
-
-/// Rebuilds a completion triple from one packed `u64` so proptest can
-/// shrink it. Times and channels are kept in tiny ranges to force ties.
-fn unpack(raw: u64) -> Completion {
-    Completion {
-        at_ns: raw % 4,
-        channel: (raw / 4 % 4) as u32,
-        seq: raw / 16 % 8,
-    }
-}
-
-proptest! {
-    /// Popping returns the `(at_ns, channel, seq)`-sorted order no matter
-    /// how the entries were pushed — permuting same-timestamp entries in
-    /// the ready queue never changes what the scheduler sees.
-    #[test]
-    fn pop_order_is_insertion_invariant(raw in prop::collection::vec(any::<u64>(), 0..64)) {
-        let entries: Vec<Completion> = raw.iter().copied().map(unpack).collect();
-
-        let mut forward = EventQueue::new();
-        let mut backward = EventQueue::new();
-        let mut interleaved = EventQueue::new();
-        for &e in &entries {
-            forward.push(e);
-        }
-        for &e in entries.iter().rev() {
-            backward.push(e);
-        }
-        // A third permutation: evens first, then odds.
-        for (i, &e) in entries.iter().enumerate() {
-            if i % 2 == 0 {
-                interleaved.push(e);
-            }
-        }
-        for (i, &e) in entries.iter().enumerate() {
-            if i % 2 == 1 {
-                interleaved.push(e);
-            }
-        }
-
-        let mut sorted = entries.clone();
-        sorted.sort();
-        let drain = |mut q: EventQueue| -> Vec<Completion> {
-            std::iter::from_fn(move || q.pop()).collect()
-        };
-        prop_assert_eq!(drain(forward), sorted.clone());
-        prop_assert_eq!(drain(backward), sorted.clone());
-        prop_assert_eq!(drain(interleaved), sorted);
-    }
-}
 
 fn chip() -> Geometry {
     Geometry::new(32, 8, 2048)

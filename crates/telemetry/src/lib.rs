@@ -18,9 +18,6 @@
 //!   latency histograms built from spans. Events are a lossless superset of
 //!   the translation-layer counters, so replaying a log reproduces
 //!   [`FlashCounters`] totals exactly.
-//! - [`FlightRecorder`]: an always-on fixed-size ring
-//!   of the most recent events, dumped as JSONL when a fault or power cut
-//!   fires — a crash postmortem with real context.
 //! - The `swl` binary in `flash-bench`, whose `stat` and `span` subcommands
 //!   render a replayed log as human-readable reports and whose `check`
 //!   gates one.
@@ -39,7 +36,6 @@
 pub mod aggregate;
 pub mod buffer;
 mod counters;
-pub mod flight;
 pub mod health;
 pub mod hist;
 pub mod json;
@@ -51,10 +47,9 @@ pub mod span;
 pub use aggregate::{IntervalStats, MetricsAggregator, RetirementAudit, Snapshot, WearSummary};
 pub use buffer::{merge_lane_buffers, LaneBuffer};
 pub use counters::FlashCounters;
-pub use flight::FlightRecorder;
 pub use health::{
-    forecast, Forecast, HealthConfig, HealthMonitor, HealthReport, HealthRuntime, HealthSample,
-    HealthState, WearRateEstimator, HALF_LIFE_ERROR_BOUND,
+    forecast, HealthConfig, HealthMonitor, HealthReport, HealthRuntime, HealthSample, HealthState,
+    WearRateEstimator, HALF_LIFE_ERROR_BOUND,
 };
 pub use hist::LatencyHistogram;
 pub use json::{parse_line, to_line, write_line, ParseError};
@@ -82,9 +77,9 @@ pub use span::{ClosedSpan, OpBreakdown, SpanCause, SpanCheck, SpanReplayer, Span
 ///   single-channel logs are unchanged).
 /// - 4: adds the [`Event::Endurance`] stream header carrying the device's
 ///   rated erase endurance, emitted right after [`Event::Meta`] when the
-///   cell spec is known. Lets the health plane ([`health`]) forecast
-///   time-to-first-block-failure from a replayed log without out-of-band
-///   configuration. Optional: streams without it still parse.
+///   cell spec is known, so a replayed log carries the rating the
+///   [`MetricsAggregator`] reports without out-of-band configuration.
+///   Optional: streams without it still parse.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Why a block was erased (or a set of pages live-copied).
@@ -224,7 +219,7 @@ pub enum Event {
     },
     /// Stream header (schema v4): the device's rated erase endurance.
     /// Emitted right after [`Event::Meta`] when the cell spec is known, so
-    /// health replay can forecast lifetime without out-of-band config.
+    /// a replayed log carries its rating without out-of-band config.
     /// Optional — streams without it still parse.
     Endurance {
         /// Rated program/erase cycles per block.

@@ -16,7 +16,6 @@
 
 use proptest::prelude::*;
 
-use flash_telemetry::aggregate::WearSummary;
 use flash_telemetry::health::{forecast, WearRateEstimator};
 
 proptest! {
@@ -76,13 +75,9 @@ proptest! {
         rate_b in 1e-6f64..10.0,
     ) {
         let max = ((endurance - 1) as f64 * max_frac) as u64;
-        let wear = WearSummary::from_counts([max, max / 2, max / 4]);
         let (slow, fast) = if rate_a <= rate_b { (rate_a, rate_b) } else { (rate_b, rate_a) };
-        // Mean pinned at the tail rate: isolates the tail-rate axis.
-        let slow_forecast = forecast(endurance, &wear, slow, slow);
-        let fast_forecast = forecast(endurance, &wear, fast, fast);
         let (Some(slow_pages), Some(fast_pages)) =
-            (slow_forecast.central, fast_forecast.central) else {
+            (forecast(endurance, max, slow), forecast(endurance, max, fast)) else {
             return Err(TestCaseError::fail("positive rates must bound the forecast"));
         };
         prop_assert!(
@@ -93,45 +88,14 @@ proptest! {
 
     /// Zero observed wear rate → unbounded forecast (never a made-up
     /// deadline); wear at or past the rating → exactly zero, regardless
-    /// of the rates.
+    /// of the rate.
     #[test]
     fn forecast_saturates_sanely(
         endurance in 1u64..100_000,
         rate in 0.0f64..10.0,
         over in 0u64..1_000,
     ) {
-        let fresh = WearSummary::from_counts([0, 0, 0]);
-        let unbounded = forecast(endurance, &fresh, 0.0, 0.0);
-        prop_assert_eq!(unbounded.central, None);
-        prop_assert_eq!(unbounded.earliest, None);
-        prop_assert_eq!(unbounded.latest, None);
-
-        let worn = WearSummary::from_counts([endurance + over, endurance / 2]);
-        let done = forecast(endurance, &worn, rate, rate);
-        prop_assert_eq!(done.central, Some(0));
-        prop_assert_eq!(done.earliest, Some(0));
-        prop_assert_eq!(done.latest, Some(0));
-    }
-
-    /// The band always brackets the central estimate: earliest ≤ central
-    /// ≤ latest whenever all three are bounded.
-    #[test]
-    fn forecast_band_brackets_central(
-        endurance in 10u64..100_000,
-        max_frac in 0.0f64..1.0,
-        p90_frac in 0.0f64..1.0,
-        tail_rate in 1e-6f64..10.0,
-        mean_frac in 0.0f64..1.0,
-    ) {
-        let max = ((endurance - 1) as f64 * max_frac) as u64;
-        let p90 = (max as f64 * p90_frac) as u64;
-        let wear = WearSummary::from_counts([max, p90, p90 / 2]);
-        let mean_rate = tail_rate * mean_frac;
-        let f = forecast(endurance, &wear, tail_rate, mean_rate);
-        let (Some(lo), Some(mid), Some(hi)) = (f.earliest, f.central, f.latest) else {
-            return Err(TestCaseError::fail("positive tail rate must bound all three"));
-        };
-        prop_assert!(lo <= mid, "earliest {lo} > central {mid}");
-        prop_assert!(mid <= hi, "central {mid} > latest {hi}");
+        prop_assert_eq!(forecast(endurance, 0, 0.0), None);
+        prop_assert_eq!(forecast(endurance, endurance + over, rate), Some(0));
     }
 }

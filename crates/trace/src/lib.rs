@@ -33,7 +33,6 @@ pub mod fat;
 mod format;
 mod resample;
 mod sector;
-mod stats;
 mod synthetic;
 mod zipf;
 
@@ -41,6 +40,5 @@ pub use event::{HostNanos, Op, TraceEvent, NANOS_PER_SEC};
 pub use format::{parse_trace, write_trace, ParseTraceError};
 pub use resample::SegmentResampler;
 pub use sector::{MapTrace, SectorMapper};
-pub use stats::TraceStats;
 pub use synthetic::{FillSequence, SyntheticTrace, WorkloadSpec};
 pub use zipf::Zipf;

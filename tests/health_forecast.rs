@@ -53,7 +53,7 @@ fn build_service(sim: &SimConfig) -> Service {
 
 /// Drives hot-biased writes until the first block dies — organic wear-out
 /// at the rating, or a fault-injected erase failure retiring a block below
-/// it. Returns `(host_pages, central forecast)` at each poll and the report
+/// it. Returns `(host_pages, forecast)` at each poll and the report
 /// at the failure. Every write is followed by a barrier, so the run stops at
 /// the write that killed the block however far the workers had got.
 fn run_to_first_failure(sim: &SimConfig) -> (Vec<(u64, Option<u64>)>, HealthReport) {
@@ -70,7 +70,7 @@ fn run_to_first_failure(sim: &SimConfig) -> (Vec<(u64, Option<u64>)>, HealthRepo
         }
         if ops.is_multiple_of(RECORD_EVERY) {
             let report = service.stats().expect("health was enabled");
-            records.push((report.host_pages, report.forecast.central));
+            records.push((report.host_pages, report.forecast));
         }
         assert!(ops < 2_000_000, "run must reach first failure");
     }
@@ -82,12 +82,12 @@ fn run_to_first_failure(sim: &SimConfig) -> (Vec<(u64, Option<u64>)>, HealthRepo
 /// Relative error of the forecast taken nearest 50 % of the realized life,
 /// with its context for a failure message.
 fn half_life_error(records: &[(u64, Option<u64>)], total: u64) -> (f64, String) {
-    let (at_pages, central) = records
+    let (at_pages, left) = records
         .iter()
-        .filter_map(|&(pages, central)| central.map(|c| (pages, c)))
+        .filter_map(|&(pages, forecast)| forecast.map(|left| (pages, left)))
         .min_by_key(|&(pages, _)| pages.abs_diff(total / 2))
         .expect("a failing run produces bounded forecasts");
-    let predicted = at_pages + central;
+    let predicted = at_pages + left;
     let error = (predicted as f64 - total as f64).abs() / total as f64;
     let context = format!("at {at_pages} pages predicted {predicted}, reality {total}");
     (error, context)
@@ -109,7 +109,7 @@ fn half_life_forecast_predicts_first_failure_within_bound() {
         final_report.life_used
     );
     assert_eq!(
-        final_report.forecast.central,
+        final_report.forecast,
         Some(0),
         "the forecast must hit zero once a block is at its rating"
     );
