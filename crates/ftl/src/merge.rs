@@ -5,10 +5,10 @@
 //! The shape follows dm-thin's `thin-merge` tool (`mapping_iterator.rs`,
 //! `merge.rs`, `stream.rs`): each side of the merge is a cheap cursor over
 //! its mapping set, and the combinator walks both cursors in LBA order,
-//! deciding overlaps one logical page at a time. The FTL's online merge
-//! ([`crate::PageMapping::merge_step`]), the offline merge, and the
-//! bit-for-bit merge verifier in the test suite all drive the same
-//! [`MergeStream`].
+//! deciding overlaps one logical page at a time. The FTL's merge step
+//! ([`crate::PageMapping::merge_step`]) does not drive it: both of its
+//! maps are dense arrays over the same window, so it walks that window
+//! directly and reads no entry past it.
 
 use std::iter::Peekable;
 
@@ -38,8 +38,7 @@ impl<'a> MappingStream<'a> {
         Self { map, next: 0 }
     }
 
-    /// Streams mappings with `lba >= start` — the windowed form used by the
-    /// incremental online merge.
+    /// Streams mappings with `lba >= start`.
     pub fn starting_at(map: &'a [u32], start: u64) -> Self {
         Self {
             map,

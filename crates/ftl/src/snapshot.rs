@@ -180,11 +180,6 @@ impl SnapBook {
         e
     }
 
-    /// Adds one reference to flat page `p`.
-    pub fn incref(&mut self, p: u32) {
-        self.refs[p as usize] += 1;
-    }
-
     /// Drops one reference to flat page `p`; returns `true` when the count
     /// hits zero (the caller must then device-invalidate the page).
     pub fn decref(&mut self, p: u32) -> bool {
@@ -313,6 +308,19 @@ pub(crate) fn splice_epochs(parts: &[&[u32]]) -> Vec<u32> {
     out
 }
 
+/// A copy of `map` that holds one new reference on every page it maps: the
+/// one pass behind create (pin the head) and clone (pin the snapshot).
+pub(crate) fn pin_copy(refs: &mut [u32], map: &[u32]) -> Vec<u32> {
+    map.iter()
+        .map(|&p| {
+            if p != UNMAPPED {
+                refs[p as usize] += 1;
+            }
+            p
+        })
+        .collect()
+}
+
 /// Rank lookup for mount resolution: epoch → position in a priority list
 /// (lower rank wins). Built once per mapping set per mount.
 #[derive(Debug)]
@@ -408,9 +416,11 @@ mod tests {
     #[test]
     fn refcounts_roundtrip() {
         let mut b = SnapBook::new(SnapshotConfig::new(), 4);
-        b.incref(2);
-        b.incref(2);
-        assert!(!b.decref(2));
-        assert!(b.decref(2));
+        let map = [3, UNMAPPED, 1, 3];
+        assert_eq!(pin_copy(&mut b.refs, &map), map);
+        assert_eq!(b.refs, [0, 1, 0, 2]);
+        assert!(!b.decref(3));
+        assert!(b.decref(3));
+        assert!(b.decref(1));
     }
 }

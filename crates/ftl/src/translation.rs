@@ -6,7 +6,7 @@ use nand::{BlockPool, Mapping, NandDevice, PageAddr, ShellKey, SpareArea, SwlHos
 
 use crate::config::FtlConfig;
 use crate::error::FtlError;
-use crate::merge::{MappingStream, MergeSource, MergeStream, UNMAPPED};
+use crate::merge::UNMAPPED;
 use crate::snapshot::{self, EpochRanks, MergeState, SnapBook, SnapEntry};
 
 /// Which active block a write is steered to under hot/cold separation.
@@ -234,6 +234,36 @@ impl<S: Sink> PageMapping<S> {
             self.refresh_victim(addr.block);
         }
         Ok(())
+    }
+
+    /// The bulk form of [`Self::release_page`] behind delete, clone and
+    /// merge-commit: drops one reference from every mapped page `pages`
+    /// yields, device-invalidates each page that becomes unreferenced, and
+    /// then re-reports every touched block to the victim index once — also
+    /// when an invalidation fails partway, so the pages already released
+    /// are reported. Release order cannot matter: a release only ever
+    /// raises a block's invalid count.
+    fn release_all(&mut self, pages: impl IntoIterator<Item = u32>) -> Result<(), FtlError> {
+        let geometry = self.pool.device.geometry();
+        let mut touched = vec![false; geometry.blocks() as usize];
+        let mut result = Ok(());
+        let Self { snap, pool, .. } = self;
+        let book = snap.as_mut().expect("bulk releases are snapshot verbs");
+        for p in pages.into_iter().filter(|&p| p != UNMAPPED) {
+            if !book.decref(p) {
+                continue;
+            }
+            let addr = PageAddr::from_flat_index(&geometry, u64::from(p));
+            if let Err(e) = pool.device.invalidate(addr) {
+                result = Err(e.into());
+                break;
+            }
+            touched[addr.block as usize] = true;
+        }
+        for block in (0..geometry.blocks()).filter(|&b| touched[b as usize]) {
+            self.refresh_victim(block);
+        }
+        result
     }
 
     /// Re-reports one block to the victim index. Must be called after any
@@ -563,15 +593,11 @@ impl<S: Sink> PageMapping<S> {
         // The snapshot inherits the head's exact map (one new reference per
         // page) and its exact epoch history; the head moves to a fresh
         // epoch, so post-snapshot writes never resolve into the snapshot.
-        for &p in map.iter() {
-            if p != UNMAPPED {
-                book.incref(p);
-            }
-        }
+        let map = snapshot::pin_copy(&mut book.refs, map);
         book.snaps.push(SnapEntry {
             id,
             epochs: book.head_epochs.clone(),
-            map: map.clone(),
+            map,
         });
         book.head_epochs.insert(0, epoch);
         self.commit_manifest()
@@ -591,12 +617,7 @@ impl<S: Sink> PageMapping<S> {
         // the invalidations below is harmless — mount cleanup applies the
         // same invalidations to every orphan it finds.
         self.commit_manifest()?;
-        for &p in &s.map {
-            if p != UNMAPPED {
-                self.release_page(p)?;
-            }
-        }
-        Ok(())
+        self.release_all(s.map)
     }
 
     /// Rolls the head back to snapshot `id` (a writable clone of it): the
@@ -619,21 +640,11 @@ impl<S: Sink> PageMapping<S> {
         let Self { snap, map, .. } = self;
         let book = snap.as_mut().expect("snapshot mode");
         let epoch = book.next_epoch();
-        let new_map = book.snaps[idx].map.clone();
-        for &p in &new_map {
-            if p != UNMAPPED {
-                book.incref(p);
-            }
-        }
+        let new_map = snapshot::pin_copy(&mut book.refs, &book.snaps[idx].map);
         book.head_epochs = snapshot::prepend_epoch(epoch, &book.snaps[idx].epochs);
         let old_map = std::mem::replace(map, new_map);
         self.commit_manifest()?;
-        for &p in &old_map {
-            if p != UNMAPPED {
-                self.release_page(p)?;
-            }
-        }
-        Ok(())
+        self.release_all(old_map)
     }
 
     /// Opens an online merge of snapshot `id` into the head. The manifest
@@ -670,11 +681,12 @@ impl<S: Sink> PageMapping<S> {
     }
 
     /// Advances the online merge across the next `max_lbas` logical pages,
-    /// overlaying the snapshot's mappings onto the head via the streaming
-    /// dual-iterator ([`MergeStream`]). Pure RAM — no flash operation until
-    /// `merge_commit` applies the deferred releases — so host writes can be
-    /// interleaved between steps; LBAs the host rewrites after
-    /// `merge_begin` (stamped with the merge epoch) keep the live data.
+    /// overlaying the snapshot's mappings onto the head. Pure RAM — no
+    /// flash operation until `merge_commit` applies the deferred releases —
+    /// so host writes can be interleaved between steps; LBAs the host
+    /// rewrites after `merge_begin` (stamped with the merge epoch) keep the
+    /// live data. A step reads both maps over its window only, so it costs
+    /// O(`max_lbas`) wherever the next mapping lies.
     /// Returns `true` once the cursor has covered the whole logical space.
     fn step_merge(&mut self, max_lbas: u64) -> Result<bool, FtlError> {
         let logical_pages = self.logical_pages;
@@ -688,42 +700,36 @@ impl<S: Sink> PageMapping<S> {
         let idx = book
             .snap_index(snap_id)
             .expect("merge target is delete-locked");
-        let overlays: Vec<(u64, u32)> = {
-            let epoch_of = &book.epoch_of;
-            MergeStream::new(
-                MappingStream::starting_at(map, cursor),
-                MappingStream::starting_at(&book.snaps[idx].map, cursor),
-                |_, phys| epoch_of[phys as usize] == epoch,
-            )
-            .take_while(|(mapping, _)| mapping.lba < end)
-            .filter(|&(_, source)| source == MergeSource::Snapshot)
-            .map(|(mapping, _)| (mapping.lba, mapping.phys))
-            .collect()
-        };
-        for (lba, p) in overlays {
-            let old = map[lba as usize];
-            if old == p {
-                // The head already shares this page with the snapshot.
+        let snap_map = &book.snaps[idx].map;
+        let m = book.merge.as_mut().expect("in merge");
+        for lba in cursor as usize..end as usize {
+            let (p, old) = (snap_map[lba], map[lba]);
+            // Nothing to overlay, the head already shares this page with
+            // the snapshot, or the host rewrote the LBA after merge_begin.
+            if p == UNMAPPED
+                || p == old
+                || (old != UNMAPPED && book.epoch_of[old as usize] == epoch)
+            {
                 continue;
             }
-            book.incref(p);
-            map[lba as usize] = p;
+            book.refs[p as usize] += 1;
+            map[lba] = p;
             if old != UNMAPPED {
                 // Deferred: the displaced origin page keeps its reference
                 // (and stays valid on flash) until merge_commit, so a crash
                 // mid-merge still resolves to the origin.
-                book.merge.as_mut().expect("in merge").pending.push(old);
+                m.pending.push(old);
             }
         }
-        book.merge.as_mut().expect("in merge").cursor = end;
+        m.cursor = end;
         Ok(end >= logical_pages)
     }
 
     /// Commits the online merge: the snapshot's epoch history is spliced
     /// into the head's (post-begin writes ranked first, then the snapshot,
     /// then the old head history — matching what the steps built in RAM),
-    /// the snapshot is dropped from the manifest, and the deferred page
-    /// releases are applied.
+    /// the snapshot is dropped from the manifest, and the snapshot's
+    /// references and the deferred releases go in one bulk pass.
     fn commit_merge(&mut self) -> Result<(), FtlError> {
         let book = self.snap.as_mut().ok_or(FtlError::SnapshotsDisabled)?;
         let m = book.merge.take().ok_or(FtlError::NoMergeInProgress)?;
@@ -739,15 +745,7 @@ impl<S: Sink> PageMapping<S> {
             snapshot::splice_epochs(&[&book.head_epochs[..1], &s.epochs, &book.head_epochs[1..]]);
         book.head_epochs = merged;
         self.commit_manifest()?;
-        for &p in &s.map {
-            if p != UNMAPPED {
-                self.release_page(p)?;
-            }
-        }
-        for &p in &m.pending {
-            self.release_page(p)?;
-        }
-        Ok(())
+        self.release_all(s.map.into_iter().chain(m.pending))
     }
 
     fn snapshot_read(&mut self, id: u64, lba: u64) -> Result<Option<u64>, FtlError> {
@@ -1855,6 +1853,278 @@ mod tests {
                     assert_eq!(ftl.device().block(b).spare(p).status(), 0);
                 }
             }
+        }
+    }
+
+    /// The victim index answers like the linear-scan oracle from every
+    /// cursor, so a block whose refresh was skipped cannot hide.
+    fn assert_index_matches_oracle(ftl: &mut PageMappedFtl) {
+        let saved = ftl.gc_scan;
+        let mut index = ftl.victims.clone();
+        for cursor in 0..ftl.device().geometry().blocks() {
+            ftl.gc_scan = cursor;
+            assert_eq!(
+                index.select(cursor),
+                ftl.reference_select_victim(),
+                "victim index diverged from the oracle at cursor {cursor}"
+            );
+        }
+        ftl.gc_scan = saved;
+    }
+
+    fn invalid_per_block(ftl: &PageMappedFtl) -> Vec<u32> {
+        (0..ftl.device().geometry().blocks())
+            .map(|b| ftl.device().block(b).invalid_pages())
+            .collect()
+    }
+
+    /// An origin over the middle third of the logical space, snapshot 1 of
+    /// it, then a diverged head: overwrites and trims inside the span and
+    /// head-only writes below it. Returns the image merging snapshot 1 must
+    /// leave: the snapshot wins every LBA it maps, head-only LBAs survive.
+    fn mid_span_snapshot(ftl: &mut PageMappedFtl) -> Vec<Option<u64>> {
+        let n = ftl.logical_pages();
+        let span = n / 3..2 * n / 3;
+        let mut head = vec![None; n as usize];
+        for lba in span.clone() {
+            ftl.write(lba, 1000 + lba).unwrap();
+            head[lba as usize] = Some(1000 + lba);
+        }
+        ftl.snapshot_create(1).unwrap();
+        let image = head.clone();
+        for lba in span.clone().step_by(3) {
+            ftl.write(lba, 5000 + lba).unwrap();
+            head[lba as usize] = Some(5000 + lba);
+        }
+        for lba in span.step_by(7) {
+            ftl.trim(lba).unwrap();
+            head[lba as usize] = None;
+        }
+        for lba in 0..10 {
+            ftl.write(lba, 9000 + lba).unwrap();
+            head[lba as usize] = Some(9000 + lba);
+        }
+        image.iter().zip(&head).map(|(i, h)| i.or(*h)).collect()
+    }
+
+    #[test]
+    fn merge_step_sizes_agree_with_offline_and_model() {
+        let mut offline = snap_ftl(64, 16, 8);
+        let expected = mid_span_snapshot(&mut offline);
+        offline.merge_offline(1).unwrap();
+        let n = offline.logical_pages();
+        for k in [1, 7, 256, n] {
+            let mut ftl = snap_ftl(64, 16, 8);
+            mid_span_snapshot(&mut ftl);
+            ftl.merge_begin(1).unwrap();
+            let mut steps = 1;
+            while !ftl.merge_step(k).unwrap() {
+                steps += 1;
+            }
+            assert_eq!(steps, n.div_ceil(k), "k {k}");
+            ftl.merge_commit().unwrap();
+            assert_eq!(ftl.map, offline.map, "k {k}: head map");
+            assert_eq!(
+                ftl.snap.as_ref().unwrap().refs,
+                offline.snap.as_ref().unwrap().refs,
+                "k {k}: refcounts"
+            );
+            assert_eq!(ftl.device().counters(), offline.device().counters());
+            assert_eq!(invalid_per_block(&ftl), invalid_per_block(&offline));
+            assert_index_matches_oracle(&mut ftl);
+            ftl.check_snapshot_consistency();
+            ftl.check_consistency();
+            for lba in 0..n {
+                assert_eq!(ftl.read(lba).unwrap(), expected[lba as usize], "k {k}");
+            }
+        }
+        for lba in 0..n {
+            assert_eq!(offline.read(lba).unwrap(), expected[lba as usize]);
+        }
+    }
+
+    #[test]
+    fn merge_steps_survive_host_writes_and_forced_gc() {
+        for k in [1, 7, 256, 832] {
+            let mut ftl = snap_ftl(64, 16, 8);
+            let n = ftl.logical_pages();
+            assert_eq!(n, 832);
+            let mut expected = mid_span_snapshot(&mut ftl);
+            let geometry = ftl.device().geometry();
+            let mut erased = Vec::new();
+            let mut moved = 0;
+            let mut done = false;
+            ftl.merge_begin(1).unwrap();
+            // Writes and GC run before every step and once after the last.
+            for round in 0u64.. {
+                // Post-begin writes beat the snapshot on either side of the
+                // cursor; sixteen LBAs of the span, so the rest is displaced.
+                let lba = n / 3 + 3 * (round % 16);
+                ftl.write(lba, 20_000 + round).unwrap();
+                expected[lba as usize] = Some(20_000 + round);
+                if !ftl.victims.is_empty() {
+                    ftl.collect_one(Cause::Gc, &mut erased).unwrap();
+                }
+                // Relocate a block holding a displaced page: its pending
+                // entry must follow the copy.
+                let pending = |ftl: &PageMappedFtl| {
+                    let merge = ftl.snap.as_ref().unwrap().merge.as_ref();
+                    merge.unwrap().pending.clone()
+                };
+                let before = pending(&ftl);
+                if let Some(&p) = before.first() {
+                    let block = PageAddr::from_flat_index(&geometry, u64::from(p)).block;
+                    ftl.relocate_and_erase(block, Cause::Gc, &mut erased)
+                        .unwrap();
+                    let after = pending(&ftl);
+                    assert!(!after.contains(&p), "k {k}: entry left on the erased page");
+                    assert_eq!(after.len(), before.len(), "k {k}");
+                    moved += 1;
+                }
+                ftl.check_snapshot_consistency();
+                if done {
+                    break;
+                }
+                done = ftl.merge_step(k).unwrap();
+            }
+            assert!(moved > 0, "k {k}: no displaced page was relocated");
+            assert!(ftl.snapshot_audit().unwrap().pending_merge > 0);
+            ftl.merge_commit().unwrap();
+            assert_eq!(ftl.snapshot_audit().unwrap().pending_merge, 0);
+            assert_index_matches_oracle(&mut ftl);
+            ftl.check_snapshot_consistency();
+            ftl.check_consistency();
+            for lba in 0..n {
+                assert_eq!(ftl.read(lba).unwrap(), expected[lba as usize], "k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_release_keeps_victim_index_with_the_oracle() {
+        let mut ftl = snap_ftl(64, 16, 8);
+        // 200 LBAs are 12.5 blocks of 16 pages per generation.
+        let fill = |ftl: &mut PageMappedFtl, base: u64| {
+            for lba in 0..200 {
+                ftl.write(lba, base + lba).unwrap();
+            }
+        };
+        let released = |ftl: &mut PageMappedFtl, before: &[u32], verb: &str| {
+            let blocks = invalid_per_block(ftl)
+                .iter()
+                .zip(before)
+                .filter(|(now, then)| now > then)
+                .count();
+            assert!(blocks >= 8, "{verb} freed pages in only {blocks} blocks");
+            assert_index_matches_oracle(ftl);
+            ftl.check_snapshot_consistency();
+            ftl.check_consistency();
+        };
+        fill(&mut ftl, 1000);
+        ftl.snapshot_create(1).unwrap();
+        fill(&mut ftl, 2000);
+        ftl.snapshot_create(2).unwrap();
+        fill(&mut ftl, 3000);
+
+        // Snapshot 1 alone pins the first generation.
+        let before = invalid_per_block(&ftl);
+        ftl.snapshot_delete(1).unwrap();
+        released(&mut ftl, &before, "delete");
+
+        // Rolling back to snapshot 2 drops the head's third generation.
+        let before = invalid_per_block(&ftl);
+        ftl.snapshot_clone(2).unwrap();
+        released(&mut ftl, &before, "clone");
+
+        // Merging snapshot 3 displaces the diverged head, released at commit.
+        ftl.snapshot_create(3).unwrap();
+        fill(&mut ftl, 4000);
+        ftl.merge_begin(3).unwrap();
+        while !ftl.merge_step(64).unwrap() {}
+        let before = invalid_per_block(&ftl);
+        ftl.merge_commit().unwrap();
+        released(&mut ftl, &before, "merge commit");
+        for lba in 0..200 {
+            assert_eq!(ftl.read(lba).unwrap(), Some(2000 + lba));
+        }
+    }
+
+    #[test]
+    fn bulk_release_failing_midway_reports_the_blocks_it_released() {
+        let mut ftl = snap_ftl(64, 16, 8);
+        for lba in 0..200 {
+            ftl.write(lba, 1000 + lba).unwrap();
+        }
+        ftl.snapshot_create(1).unwrap();
+        for lba in 0..200 {
+            ftl.write(lba, 2000 + lba).unwrap();
+        }
+        // Snapshot 1 alone pins the first generation. Invalidate its page
+        // for LBA 150 behind the book's back, so the release of its map
+        // fails there, after the pages of LBAs 0..150 were invalidated.
+        let s = ftl.snap.as_mut().unwrap().snaps.remove(0);
+        let geometry = ftl.device().geometry();
+        let bad = PageAddr::from_flat_index(&geometry, u64::from(s.map[150]));
+        ftl.pool.device.invalidate(bad).unwrap();
+        ftl.refresh_victim(bad.block);
+        assert_index_matches_oracle(&mut ftl);
+        let before = invalid_per_block(&ftl);
+        let err = ftl.release_all(s.map).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FtlError::Device(nand::NandError::InvalidateNonValidPage { addr }) if addr == bad
+            ),
+            "{err:?}"
+        );
+        let blocks = invalid_per_block(&ftl)
+            .iter()
+            .zip(&before)
+            .filter(|(now, then)| now > then)
+            .count();
+        assert!(blocks >= 8, "released pages in only {blocks} blocks");
+        assert_index_matches_oracle(&mut ftl);
+    }
+
+    #[test]
+    fn bulk_release_split_by_a_power_cut_remounts_with_the_oracle() {
+        let cfg = FtlConfig::default()
+            .with_overprovision_blocks(8)
+            .with_snapshots(SnapshotConfig::new().with_manifest_blocks(2));
+        let device = device(64, 16).with_fault_plan(nand::FaultPlan::new(0));
+        let mut ftl = PageMappedFtl::new(device, cfg).unwrap();
+        for lba in 0..200 {
+            ftl.write(lba, 1000 + lba).unwrap();
+        }
+        ftl.snapshot_create(1).unwrap();
+        for lba in 0..200 {
+            ftl.write(lba, 2000 + lba).unwrap();
+        }
+        // Delete snapshot 1 up to its commit point, and release half of the
+        // pages it alone pins.
+        let s = ftl.snap.as_mut().unwrap().snaps.remove(0);
+        ftl.commit_manifest().unwrap();
+        let (first, second) = s.map.split_at(100);
+        ftl.release_all(first.iter().copied()).unwrap();
+        // Invalidations are not counted device ops, so a cut cannot land
+        // inside one pass: it fires at the next program (a host write), and
+        // the release of the other half is refused by the dead chip.
+        let at = ftl.device().fault_ops();
+        ftl.pool.device.rearm_power_cut(at, false);
+        assert!(ftl.write(300, 1).is_err());
+        assert!(ftl.device().power_is_cut());
+        assert!(ftl.release_all(second.iter().copied()).is_err());
+        assert_index_matches_oracle(&mut ftl);
+
+        let mut device = ftl.into_device();
+        device.power_cycle();
+        let mut ftl = PageMappedFtl::mount(device, cfg).unwrap();
+        assert!(ftl.snapshot_ids().is_empty());
+        assert_index_matches_oracle(&mut ftl);
+        ftl.check_snapshot_consistency();
+        ftl.check_consistency();
+        for lba in 0..200 {
+            assert_eq!(ftl.read(lba).unwrap(), Some(2000 + lba));
         }
     }
 }
