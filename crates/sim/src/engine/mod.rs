@@ -25,7 +25,7 @@
 //! - all wear/GC/SWL state is lane-local and each lane executes its
 //!   sub-request stream in submission order (a FIFO queue per group,
 //!   consumed by one claim holder at a time — or no queue at all, the
-//!   submitting thread running each lane's share before it returns), so lane
+//!   submitting thread running the op's pages before it returns), so lane
 //!   state never depends on cross-lane interleaving — or on which thread did
 //!   the executing;
 //! - write tokens are assigned by the front-end in global trace order,
@@ -82,12 +82,13 @@
 //!   the only work the front-end can get ahead of: the op is accepted, its
 //!   shares are queued, and `submit` returns while they wait their turn.
 //! - **A barrier is a call.** What the front-end must see the result of
-//!   before it can go on — a page of a coordinated write, an SWL step, a
-//!   snapshot verb on a lane, a lane's share of a blocking read — runs where
-//!   it is issued: `run_here` takes a closure and a lane, runs the one on the
-//!   other, and hands back the closure's value with the lane's
-//!   acknowledgement (busy delta, first failure, leveler view, erase-free
-//!   bound). No command record, no page buffer, no completion.
+//!   before it can go on runs where it is issued, with no command record,
+//!   page buffer or completion. A blocking read is one page loop in host
+//!   order (`submit_direct`, the loop `run_striped` runs); a page of a
+//!   coordinated write, an SWL step or a snapshot verb on a lane is a closure
+//!   `run_here` runs on the lane. Either hands back the lane's
+//!   acknowledgement: busy delta, first failure, leveler view, erase-free
+//!   bound.
 //! - **The claim.** Each group's lanes live behind one mutex (`LaneClaim`),
 //!   and holding its guard is the right to run the group: *only the claim
 //!   holder pops the group's command queue, it executes what it popped in
@@ -95,11 +96,9 @@
 //!   That keeps per-lane FIFO and per-lane acknowledgement order no matter
 //!   how holders alternate. For queued work the lock is taken once per burst
 //!   — not per command, and not per field of the lane. A barrier call takes
-//!   it with a blocking `lock`: every such caller has drained the pipeline,
-//!   so the holder, if there is one, is a worker that found its queue empty
-//!   and is on its way back to `wait`. Whatever runs on a lane, and whoever
-//!   runs it, goes through the one `run_on`: epoch stamp, the work, one meter
-//!   charge, the acknowledgement.
+//!   it with a blocking `lock`, once per group and op: every such caller has
+//!   drained the pipeline, so the holder, if there is one, is a worker that
+//!   found its queue empty and is on its way back to `wait`.
 //! - **Help-or-wait.** Wherever the front-end would park on the pipeline —
 //!   `flush` (and so the head of every barrier), the window backpressure of a
 //!   pipelined submit — it first takes what has already completed; else it
@@ -122,24 +121,18 @@
 //!   then runs *beside* the front-end. The workers inherit the affinity mask
 //!   of the thread that builds the engine; when that mask (as
 //!   [`std::thread::available_parallelism`] counts it) holds a single CPU, a
-//!   woken worker can only pre-empt the caller and run what the caller would
-//!   have run at its next park. Left asleep, it leaves the front-end running
-//!   every command itself — and every pooled page buffer, `LaneCommand`,
-//!   `LaneCompletion` and `PendingOp` carrying work from a
-//!   thread to itself, at more than the cost of the work (EXPERIMENTS.md). So
-//!   on such a host [`Engine::new`] spawns no workers and builds no command
-//!   queues, no completion queue and no claims. The engine owns its lanes;
-//!   `submit` routes a pipelined op's pages as ever and runs each lane's
-//!   share right there, in place in the routing buffers — a pipelined op is
-//!   then a barrier call per lane, like a blocking read on either engine;
-//!   the op retires before `submit` returns and [`Engine::flush`] finds
-//!   nothing pending. Which engine is built is read once, from the host;
-//!   [`EngineConfig::with_threads`]`(0)` asks for this one anywhere (oracle
-//!   tests do), and nothing else selects it. It reports
-//!   [`EngineRun::threads`]` == 0` and is bit-identical to the threaded
-//!   engine and to `run_striped`: same routing, tokens and per-lane order,
-//!   same lowest-ordinal error — a lane that fails stops at its page, the
-//!   op's other lanes run their shares all the same, the error sticks.
+//!   woken worker can only pre-empt the caller, and every pooled record would
+//!   carry work from a thread to itself at more than the cost of the work
+//!   (EXPERIMENTS.md). So there [`Engine::new`] spawns no workers and builds
+//!   no queues and no claims, and the engine runs every op the way
+//!   `run_striped` does, where it is submitted: one loop over its pages in
+//!   host order, one acknowledgement per lane it touched, the op retired
+//!   before `submit` returns. [`EngineConfig::with_threads`]`(0)` asks for
+//!   this engine anywhere (oracle tests do); nothing else selects it. It
+//!   reports [`EngineRun::threads`]` == 0` and is bit-identical to the
+//!   threaded engine and to `run_striped`, lowest-ordinal error included — a
+//!   lane that fails stops at its page, the op's other lanes run on, the
+//!   error sticks.
 //!
 //! No wake-up can be lost, because of what those two rules leave possible. A
 //! parked worker holds no claim, so a front-end that needs a backlog run can
@@ -150,17 +143,9 @@
 //! (an eager, waiter-gated wake) to the completion queue the front-end is
 //! parked on.
 //!
-//! Two nearby designs were measured and rejected. *Helping with an eager
-//! doorbell*: the first write after every blocking read woke the worker,
-//! which pre-empted the caller to run exactly one command and park again —
-//! thousands of wakes per benchmark repetition, each for one command, and a
-//! whole-repetition throughput a third of what the fastest slices showed.
-//! *A consumer-side threshold* (the worker parks asking to be woken at half
-//! a window, `push` unchanged): a worker that had just let its claim go
-//! parked on a non-empty, below-threshold queue while the front-end, whose
-//! `try_lock` had failed a moment earlier, parked on completions — every
-//! thread asleep. Hence the threshold on the producer side and the
-//! empty-queue rule on the consumer side.
+//! Hence the threshold on the producer side and the empty-queue rule on the
+//! consumer side; the two nearby designs that were measured and rejected — an
+//! eager doorbell, a consumer-side threshold — are in ARCHITECTURE.md.
 //!
 //! A claim holder that panics poisons the claim. The next party to touch it
 //! — helping, or calling a barrier — panics in turn (`lane worker N panicked
@@ -171,11 +156,9 @@
 //!
 //! # Crossings and pooled records
 //!
-//! (Of the engine with workers: the one without has no queue to cross, and
-//! its only per-op state is the routing buffers, emptied when the op retires.)
 //! Even an uncontended queue crossing is a lock round trip. So the engine
-//! crosses its queues once per *burst*, and the records that cross are
-//! reused rather than reallocated:
+//! with workers (the one without has neither queues nor records) crosses its
+//! queues once per *burst*, and reuses the records that cross:
 //!
 //! - A claim holder takes everything on the group's command queue in one
 //!   [`ShardQueue::try_pop_all`] into a private inbox and executes it in
@@ -192,15 +175,13 @@
 //!   in `submit_pipelined` and `flush`, and always consumes what it drained
 //!   before returning.
 //! - A `Vec<PageCmd>` is owned by exactly one party at a time: the
-//!   front-end's routing scratch while an op's pages are being routed, the
-//!   `LaneCommand` that carries it to the group, the claim holder
-//!   while it fills the result slots (page latency, read value) of the pages
-//!   it executed, the `LaneCompletion` that carries it back together with
-//!   the `executed` count, the `PendingOp` that holds it until the op is
-//!   finalized in submission order — which reads `pages[..executed]` and
-//!   nothing past it — and then the front-end's pool, *cleared*, so the next
+//!   front-end filling it with a lane's pages, the `LaneCommand` that carries
+//!   it to the group, the claim holder filling in page latencies and cutting
+//!   it back to the pages that executed, the `LaneCompletion` that carries it
+//!   back, the `PendingOp` that holds it until the op is finalized in
+//!   submission order, and then the front-end's pool, *cleared*, so the next
 //!   op re-initialises every slot it uses. A finalized `PendingOp` likewise
-//!   returns its `results` vector, empty.
+//!   returns its `results`, empty.
 //!   The pools hold at most what the in-flight window had in use at its
 //!   peak (queue depth × lanes page buffers), and a steady-state op
 //!   allocates nothing on either thread (`tests/engine_allocs.rs`): the
@@ -224,17 +205,19 @@
 //! front-end ran itself, a queued command under a claim or a barrier call, is
 //! counted in [`EngineRun::helped_commands`] instead (a barrier never shows
 //! in a worker slot), so a worker's `busy_frac` near 0 behind a blocking
-//! caller means the caller did the work, not that nothing happened. An engine
-//! without workers has no worker slots and no queue gauges: every lane share
-//! is timed once where it ran and counted in `helped_commands`, so
-//! `Σ lane.commands == Σ worker.commands + helped_commands ==
-//! cmd_latency.count()` holds for both kinds. Counters live in a shared
-//! [`EngineRuntime`] atomics block, so an [`EngineSnapshot`] can be read
-//! mid-run through [`Engine::metrics_handle`] while workers keep running;
-//! the final [`EngineMetricsReport`] lands on [`EngineRun::metrics`]. The
-//! disabled path is monomorphized out of the worker loop (`METRICS = false`
-//! takes no timestamps at all), and enabling metrics cannot perturb the
-//! bit-exact virtual-time results — `tests/engine_oracle.rs` pins both.
+//! caller means the caller did the work, not that nothing happened. An op run
+//! in place (every op without workers, a blocking read with them) is timed
+//! with one clock read and counted as one command per lane it touched, each
+//! charged an even share. So `Σ lane.commands == Σ worker.commands +
+//! helped_commands == cmd_latency.count()` holds for both kinds of engine;
+//! one without workers has no worker slots and no queue gauges. Counters
+//! live in a shared [`EngineRuntime`] atomics block, so an [`EngineSnapshot`]
+//! can be read mid-run through [`Engine::metrics_handle`] while workers keep
+//! running; the final [`EngineMetricsReport`] lands on
+//! [`EngineRun::metrics`]. The disabled path is monomorphized out of the
+//! worker loop (`METRICS = false` takes no timestamps at all), and enabling
+//! metrics cannot perturb the bit-exact virtual-time results —
+//! `tests/engine_oracle.rs` pins both.
 
 pub mod queue;
 
@@ -315,35 +298,19 @@ impl Sink for EngineSink {
     }
 }
 
-/// One page of a host op, routed to a lane. The record makes the round
-/// trip: the front-end fills the request half, the worker fills the result
-/// slots in place, and the same buffer comes back on the completion.
+/// One page of a queued host op, routed to a lane. The record makes the
+/// round trip: the front-end fills the request half, the claim holder fills
+/// the result slot in place, and the same buffer comes back on the completion.
 #[derive(Debug, Clone)]
 struct PageCmd {
     lane_lba: u64,
-    /// Write token (front-end-assigned, global trace order); 0 for reads.
+    /// Write token ([`Engine::take_tokens`]); unused by a read.
     token: u64,
     /// Position of this page within the host op (for deterministic error
     /// attribution).
     ordinal: u32,
-    /// Result slot: device busy time the page added to its lane. Meaningful
-    /// only for the first [`LaneAck::executed`] pages of a lane's share.
+    /// Result slot: device busy time the page added to its lane.
     latency: u64,
-    /// Result slot: what a read page returned (`None` for a never-written
-    /// page, and always for writes). Meaningful as `latency` is.
-    value: Option<u64>,
-}
-
-impl PageCmd {
-    fn new(lane_lba: u64, token: u64, ordinal: usize) -> Self {
-        Self {
-            lane_lba,
-            token,
-            ordinal: ordinal as u32,
-            latency: 0,
-            value: None,
-        }
-    }
 }
 
 /// The one thing that crosses a command queue: a lane's share of a
@@ -359,9 +326,6 @@ struct LaneCommand {
 /// What a lane reports after anything has run on it.
 #[derive(Debug)]
 struct LaneAck {
-    /// Pages that executed successfully: all the work's pages, or those before
-    /// the one that failed (`0` for an SWL step or a snapshot verb).
-    executed: u32,
     /// Device busy time the work added to the lane.
     busy_delta: u64,
     /// The lane's first wear-out as of this work.
@@ -377,8 +341,7 @@ struct LaneAck {
 struct LaneCompletion {
     op_seq: u64,
     lane: u32,
-    /// The command's own page buffer, handed back with the result slots of
-    /// `pages[..ack.executed]` filled in. The slots past it were never written.
+    /// The command's own page buffer, cut back to the pages that executed.
     pages: Vec<PageCmd>,
     /// First error hit, with the ordinal of the offending page.
     error: Option<(u32, SimError)>,
@@ -429,38 +392,37 @@ fn shard_snapshot(layer: &Layer<EngineSink>, epoch: u64) -> ShardSnapshot {
     }
 }
 
-/// Runs `pages` on `layer` in order, filling in the result slots of those that
-/// executed, and stops at the first page that fails: how many executed, and
-/// the failure with its page's ordinal. The one page loop under both
-/// executors of a pipelined op.
+/// Runs `pages` on `layer` in order, filling in their latencies, and stops at
+/// the first page that fails, cutting `pages` back to those that executed:
+/// their count, and the failure with its page's ordinal. The page loop of a
+/// queued command.
 fn run_pages(
     layer: &mut Layer<EngineSink>,
     op: Op,
-    pages: &mut [PageCmd],
+    pages: &mut Vec<PageCmd>,
 ) -> (u32, Option<(u32, SimError)>) {
-    let mut executed = 0u32;
-    for page in pages {
+    for executed in 0..pages.len() {
+        let page = &mut pages[executed];
         let page_before = layer.device().busy_ns();
         let result = match op {
             Op::Write => layer.write(page.lane_lba, page.token),
-            Op::Read => layer.read(page.lane_lba).map(|value| page.value = value),
+            Op::Read => layer.read(page.lane_lba).map(drop),
         };
         if let Err(e) = result {
-            return (executed, Some((page.ordinal, e)));
+            let failed = Some((page.ordinal, e));
+            pages.truncate(executed);
+            return (executed as u32, failed);
         }
         page.latency = layer.device().busy_ns() - page_before;
-        executed += 1;
     }
-    (executed, None)
+    (pages.len() as u32, None)
 }
 
-/// Runs `work` on the lane as host op `op_seq` — the one place a lane's epoch
-/// is stamped and its acknowledgement built, whatever runs and whoever runs
-/// it: the caller holds the lane's group claim, or owns the lane. `work`
-/// returns the pages it executed beside its result; `meter` times it and
-/// charges it once, to the lane and to the command histogram. (Inlined, with
-/// `run_here`: left to the inliner the pair cost a direct pipelined op about
-/// 7 % of its throughput on layerbench's `engine_pipelined`, EXPERIMENTS.md.)
+/// Runs `work` — a queued command, or a `run_here` call — on the lane as host
+/// op `op_seq`: epoch stamp, the work, the acknowledgement. The caller holds
+/// the lane's group claim, or owns the lane. `work` returns the pages it
+/// executed beside its result; `meter` times it and charges it once, to the
+/// lane and to the command histogram.
 #[inline]
 fn run_on<R>(
     wl: &mut WorkerLane,
@@ -473,10 +435,9 @@ fn run_on<R>(
     let (executed, result) = work(&mut wl.layer);
     wl.snap_epoch += 1;
     if let Some(meter) = meter {
-        meter.command(wl.channel, executed);
+        meter.commands([(wl.channel, executed)].into_iter());
     }
     let ack = LaneAck {
-        executed,
         busy_delta: wl.layer.device().busy_ns() - busy_before,
         failure: wl.layer.device().first_failure(),
         shard: shard_snapshot(&wl.layer, wl.snap_epoch),
@@ -532,7 +493,7 @@ type WorkerBody = fn(
 ) -> LatencyHistogram;
 
 /// Saturating nanoseconds since `t` (monotonic).
-pub(crate) fn since_ns(t: Instant) -> u64 {
+fn since_ns(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -548,14 +509,14 @@ fn ns_between(a: Instant, b: Instant) -> u64 {
 const FLUSH_EVERY: u64 = 64;
 
 /// Thread-local metrics accumulator for one executor of lane commands: a
-/// worker thread, or the front-end while it runs a claimed group's backlog.
+/// worker thread, or the front-end while it runs commands itself.
 ///
-/// The instrumented fast path takes exactly one `Instant::now()` per
-/// command: `mark` chains from command to command, so a command's busy
-/// span absorbs the queue handling around it and *idle* is reduced to
-/// scheduler preemption plus shutdown drain. Counter deltas stay local and
-/// hit the [`EngineRuntime`] atomics only every [`FLUSH_EVERY`] commands or
-/// when the executor is about to block or is done helping — that keeps the
+/// The instrumented fast path takes one `Instant::now()` per command, or per
+/// op run in place: `mark` chains from one to the next, so busy spans absorb
+/// the queue handling around them and *idle* is reduced to scheduler
+/// preemption plus shutdown drain. Counter deltas stay local and hit the
+/// [`EngineRuntime`] atomics only every [`FLUSH_EVERY`] commands or when the
+/// executor is about to block or is done helping — that keeps the
 /// metrics-on overhead inside the `telbench` budget even on a single
 /// hardware thread, where every clock read is serial work.
 struct WorkerMeter {
@@ -592,20 +553,23 @@ impl WorkerMeter {
         }
     }
 
-    /// Times the command that has just executed `pages` pages on `lane` (from
-    /// `mark` to now) and charges it, once, to the executor and to the lane.
-    fn command(&mut self, lane: u32, pages: u32) {
-        let ns = self.lap();
-        self.cmd_latency.record(ns);
-        let pages = u64::from(pages);
-        self.busy_ns += ns;
-        self.commands += 1;
-        self.pages += pages;
-        let lane = &mut self.lanes[lane as usize];
-        lane.0 += ns;
-        lane.1 += 1;
-        lane.2 += pages;
-        self.since_flush += 1;
+    /// Times the work that has just run (from `mark` to now: one clock read)
+    /// and charges it once: one command per `(lane, pages executed)`, each an
+    /// even share, to the executor and to the lane.
+    fn commands(&mut self, commands: impl ExactSizeIterator<Item = (u32, u32)>) {
+        let ns = self.lap() / commands.len().max(1) as u64;
+        for (lane, pages) in commands {
+            self.cmd_latency.record(ns);
+            let pages = u64::from(pages);
+            self.busy_ns += ns;
+            self.commands += 1;
+            self.pages += pages;
+            let lane = &mut self.lanes[lane as usize];
+            lane.0 += ns;
+            lane.1 += 1;
+            lane.2 += pages;
+            self.since_flush += 1;
+        }
     }
 
     /// Nanoseconds since `mark`, restarting the chain from now.
@@ -943,11 +907,9 @@ pub struct Engine {
     /// tallies and the command histogram, no worker slot.
     helper: Option<WorkerMeter>,
     helped_commands: u64,
-    /// Routing scratch: the page buffer being filled for each channel.
-    route: Vec<Vec<PageCmd>>,
-    /// Recycled page buffers (empty, capacity kept). With `route` and the
-    /// buffers in flight, never more than the in-flight window needs: a new
-    /// buffer is allocated only when every existing one is in use.
+    /// Recycled page buffers (empty, capacity kept). With the buffers in
+    /// flight, never more than the in-flight window needs: a new buffer is
+    /// allocated only when every existing one is in use.
     page_pool: Vec<Vec<PageCmd>>,
     /// Recycled [`PendingOp::results`] vectors: empty, capacity kept. At
     /// most the queue depth of them.
@@ -971,6 +933,9 @@ pub struct Engine {
     /// Per-channel busy deltas of the op being executed right here or
     /// retired; all zero in between ([`Engine::retire`] takes them).
     lane_busy: Vec<u64>,
+    /// Per channel, of the op running in place: the pages the lane executed,
+    /// and whether it has stopped at a failing page.
+    op_lanes: Vec<(u32, bool)>,
     quiet_ops: u64,
     coordinated_ops: u64,
     lane_write_latency: Vec<LatencyStats>,
@@ -1248,7 +1213,6 @@ impl Engine {
             inbox: VecDeque::with_capacity(inbox_capacity),
             helper: engine.metrics.then(|| WorkerMeter::new(channels as usize)),
             helped_commands: 0,
-            route: vec![Vec::new(); channels as usize],
             page_pool: Vec::new(),
             op_pool: Vec::new(),
             scheduler: ChannelScheduler::new(channels),
@@ -1262,6 +1226,7 @@ impl Engine {
             budget: quiet.clone(),
             quiet,
             lane_busy: vec![0; channels as usize],
+            op_lanes: vec![(0, false); channels as usize],
             quiet_ops: 0,
             coordinated_ops: 0,
             lane_write_latency: vec![LatencyStats::new(); channels as usize],
@@ -1328,14 +1293,11 @@ impl Engine {
             .unwrap_or_else(|_| panic!("lane {lane} worker queue closed mid-run"));
     }
 
-    /// Runs `work` on `lane` right now, where the caller stands: on the lane
-    /// the engine owns, or under the claim of the lane's group — taken with a
-    /// blocking `lock`, because every caller has drained the pipeline first:
-    /// the holder, if any, is a worker that found its queue empty and is on
-    /// its way back to `wait`. Nothing crosses a queue. The command is timed
-    /// from the front-end meter's mark ([`Engine::stamp`] at the start of the
-    /// op, the end of the previous command after that) and counted in
-    /// `helped_commands`.
+    /// Runs `work` on `lane` right now, where the caller stands (module docs,
+    /// *A barrier is a call*): on the lane the engine owns, or under the claim
+    /// of the lane's group. Timed from the front-end meter's mark
+    /// ([`Engine::stamp`] at the start of the op, the end of the previous
+    /// command after that) and counted in `helped_commands`.
     #[inline]
     fn run_here<R>(
         &mut self,
@@ -1481,19 +1443,6 @@ impl Engine {
         true
     }
 
-    /// A page buffer for a command: recycled when there is one.
-    fn page_buffer(&mut self) -> Vec<PageCmd> {
-        let pages = self.page_pool.pop().unwrap_or_default();
-        debug_assert!(pages.is_empty());
-        pages
-    }
-
-    /// Returns a completion's page buffer to the pool, emptied.
-    fn recycle_pages(&mut self, mut pages: Vec<PageCmd>) {
-        pages.clear();
-        self.page_pool.push(pages);
-    }
-
     /// Help-or-wait, what the front-end does wherever it used to park: leaves
     /// at least one completion in `acks`. Takes what the workers already
     /// handed over; failing that, claims every group nobody is running and
@@ -1556,98 +1505,161 @@ impl Engine {
         }
     }
 
-    /// Routes the op's pages to their lanes' buffers in `route`, assigning
-    /// write tokens in global trace order (exactly as the virtual-time loop
-    /// does).
-    fn route_pages(&mut self, event: &TraceEvent, data: Option<&[u64]>) {
-        for (ordinal, lba) in event.pages().enumerate() {
-            let channel = self.geometry.channel_of(lba) as usize;
-            let token = match (event.op, data) {
-                (Op::Write, Some(values)) => values[ordinal],
-                (Op::Write, None) => {
-                    self.next_token += 1;
-                    self.next_token
-                }
-                (Op::Read, _) => 0,
-            };
-            let page = PageCmd::new(self.geometry.lane_lba(lba), token, ordinal);
-            self.route[channel].push(page);
-        }
-    }
-
-    /// Runs an op right here, before returning: each lane's share in place in
-    /// its routing buffer through [`Engine::run_here`] — pages in order up to
-    /// the first that fails — and then the op retires. Nothing is handed
-    /// over, so there is no command, completion or pending record; the pages
-    /// never leave `route`, and what a read's pages returned is copied out to
-    /// `values`, one per page in host order, before they go. The executor of
-    /// every pipelined op of an engine without workers, and of a blocking
-    /// read on either engine, which has drained the pipeline first.
+    /// Runs an op right here, before returning, the way `run_striped` does —
+    /// one loop over its pages in host order, each on its lane, its busy time
+    /// added to the op's and to the lane's page histogram; then one
+    /// acknowledgement per lane it touched (epoch, first failure, and leveler
+    /// view and erase-free bound where something reads them), and the op
+    /// retires. The executor of every pipelined op of an engine without
+    /// workers, and of a blocking read on either engine, which has drained the
+    /// pipeline and takes the claim of each group the read touches once.
     fn submit_direct(
         &mut self,
         event: TraceEvent,
         data: Option<&[u64]>,
-        values: Option<&mut Vec<Option<u64>>>,
+        mut values: Option<&mut [Option<u64>]>,
     ) -> Result<(), SimError> {
-        // One clock read per lane share: the first is timed from the op's
-        // own stamp (routing included), the op up to the last.
         let submitted = self.stamp();
-        self.route_pages(&event, data);
-        let op_seq = self.next_seq;
-        self.next_seq += 1;
-        // Lowest-ordinal error across lanes. A lane that fails stops at its
-        // page; the others run their shares all the same, as queued lanes do.
+        let tokens = self.take_tokens(&event, data);
+        let geometry = self.geometry;
+        let start = (geometry.channel_of(event.lba), geometry.lane_lba(event.lba));
         let mut error = None;
-        for channel in 0..self.route.len() {
-            if self.route[channel].is_empty() {
-                continue;
-            }
-            let mut pages = std::mem::take(&mut self.route[channel]);
-            let (failed, ack) = self.run_here(channel as u32, op_seq, |layer| {
-                run_pages(layer, event.op, &mut pages)
-            });
-            self.route[channel] = pages;
-            self.lane_busy[channel] = ack.busy_delta;
-            self.lane_failure[channel] = ack.failure;
-            self.note_quiet_lane(channel as u32, &ack);
-            keep_lowest(&mut error, failed);
-        }
-        let outcome = if let Some((_, e)) = error {
-            self.error = Some(e);
-            Err(e)
+        if self.threads == 0 {
+            let mut lanes = std::mem::take(&mut self.lanes);
+            let own = |lane: u32| Some(lane as usize);
+            error = self.run_in_place(&mut lanes, own, &event, start, &tokens, values);
+            self.lanes = lanes;
         } else {
-            let wall_ns = self.helper.as_ref().zip(submitted);
-            let wall_ns = wall_ns.map(|(meter, submitted)| ns_between(submitted, meter.mark));
-            let route = std::mem::take(&mut self.route);
-            let shares = route.iter().enumerate();
-            let shares = shares.map(|(channel, pages)| (channel, &pages[..]));
-            self.retire(event.op, event.at_ns, wall_ns, shares);
-            self.route = route;
-            if let Some(values) = values {
-                // Lanes hold pages in their own order; the op-wide ordinal
-                // restores the host's page order across lanes.
-                values.resize(event.len as usize, None);
-                for page in self.route.iter().flatten() {
-                    values[page.ordinal as usize] = page.value;
+            let t = self.threads;
+            for group in 0..t {
+                // Group `g` holds lanes `g`, `g + t`, `g + 2t`, … in that order.
+                let slot = |lane: u32| (lane % t == group).then_some((lane / t) as usize);
+                let mut touched = self.touched_lanes(event.len, start.0);
+                if !touched.any(|lane| slot(lane).is_some()) {
+                    continue;
+                }
+                let claim = Arc::clone(&self.claims[group as usize]);
+                let mut lanes = claim.lock().unwrap_or_else(|_| worker_died(group as usize));
+                let values = values.as_deref_mut();
+                let failed = self.run_in_place(&mut lanes, slot, &event, start, &tokens, values);
+                keep_lowest(&mut error, failed);
+            }
+        }
+        let touched = self.touched_lanes(event.len, start.0);
+        self.helped_commands += touched.len() as u64;
+        if let Some(meter) = self.helper.as_mut() {
+            meter.commands(touched.map(|lane| (lane, self.op_lanes[lane as usize].0)));
+            meter.flush_if_due(&self.runtime, None);
+        }
+        self.next_seq += 1;
+        if let Some((_, e)) = error {
+            self.error = Some(e);
+            return Err(e);
+        }
+        let wall_ns = self.helper.as_ref().zip(submitted);
+        let wall_ns = wall_ns.map(|(meter, submitted)| ns_between(submitted, meter.mark));
+        self.retire(event.op, event.at_ns, wall_ns);
+        Ok(())
+    }
+
+    /// The op's write tokens by page, in host order: the client's data, or
+    /// one per page off the trace-order counter, which this moves past the
+    /// op — as the virtual-time loop assigns them. A read takes none.
+    fn take_tokens<'a>(
+        &mut self,
+        event: &TraceEvent,
+        data: Option<&'a [u64]>,
+    ) -> impl Fn(usize) -> u64 + 'a {
+        let first = self.next_token + 1;
+        if event.op == Op::Write && data.is_none() {
+            self.next_token += u64::from(event.len);
+        }
+        move |page| data.map_or(first + page as u64, |data| data[page])
+    }
+
+    /// The lanes an op of `len` pages whose first page is on lane `first`
+    /// touches, in host order: those of its first pages, one per channel.
+    fn touched_lanes(&self, len: u32, first: u32) -> impl ExactSizeIterator<Item = u32> {
+        let channels = self.geometry.channels();
+        let wrap = move |lane: u32| lane.checked_sub(channels).unwrap_or(lane);
+        (first..first + len.min(channels)).map(wrap)
+    }
+
+    /// [`Engine::submit_direct`]'s loop over op `next_seq`'s pages on `lanes`
+    /// (the engine's own, or a claimed group: `slot` gives a lane's place in
+    /// them), from `(lane, lane_lba)` on, then those lanes' acknowledgements.
+    /// A lane that fails stops at its page; the lowest-ordinal failure is
+    /// returned.
+    fn run_in_place(
+        &mut self,
+        lanes: &mut [WorkerLane],
+        slot: impl Fn(u32) -> Option<usize>,
+        event: &TraceEvent,
+        (first, mut lane_lba): (u32, u64),
+        token: impl Fn(usize) -> u64,
+        mut values: Option<&mut [Option<u64>]>,
+    ) -> Option<(u32, SimError)> {
+        for lane in self.touched_lanes(event.len, first) {
+            if let Some(at) = slot(lane) {
+                lanes[at].epoch.store(self.next_seq, Ordering::Relaxed);
+                self.op_lanes[lane as usize] = (0, false);
+            }
+        }
+        // Striped without a division per page: the next page is on the next
+        // lane, and after the last lane on lane 0, one lane page further on.
+        let mut lane = first;
+        let mut error = None;
+        for ordinal in 0..event.len as usize {
+            let (executed, stopped) = &mut self.op_lanes[lane as usize];
+            let at = slot(lane).filter(|_| !*stopped);
+            if let Some(layer) = at.map(|at| &mut lanes[at].layer) {
+                let before = layer.device().busy_ns();
+                let result = match event.op {
+                    Op::Write => layer.write(lane_lba, token(ordinal)),
+                    Op::Read => layer.read(lane_lba).map(|value| {
+                        if let Some(values) = values.as_deref_mut() {
+                            values[ordinal] = value;
+                        }
+                    }),
+                };
+                if let Err(e) = result {
+                    *stopped = true;
+                    keep_lowest(&mut error, Some((ordinal as u32, e)));
+                } else {
+                    *executed += 1;
+                    let busy = layer.device().busy_ns() - before;
+                    self.lane_busy[lane as usize] += busy;
+                    self.page_latency(event.op, lane as usize).record(busy);
                 }
             }
-            Ok(())
-        };
-        self.route.iter_mut().for_each(Vec::clear);
-        outcome
+            lane += 1;
+            if lane == self.geometry.channels() {
+                lane = 0;
+                lane_lba += 1;
+            }
+        }
+        let touched = self.touched_lanes(event.len, first);
+        for (lane, at) in touched.filter_map(|lane| Some((lane, slot(lane)?))) {
+            let wl = &mut lanes[at];
+            wl.snap_epoch += 1;
+            self.lane_failure[lane as usize] = wl.layer.device().first_failure();
+            // Only Global coordination and the health plane read the views.
+            if self.lockstep || self.health.is_some() {
+                let shard = shard_snapshot(&wl.layer, wl.snap_epoch);
+                self.note_quiet_lane(lane, shard, wl.layer.quiet_writes());
+            }
+        }
+        error
     }
 
     fn submit_pipelined(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
         let submitted = self.metrics.then(Instant::now);
-        self.route_pages(&event, data);
-        let expected = self.route.iter().filter(|b| !b.is_empty()).count();
 
         // Backpressure: hold the op until the in-flight window has room.
         // The wait is attributed to the host as submit-side blocked time —
         // the front-end mirror of worker pop-side starvation. The charge
-        // reuses the `submitted` stamp (so it also covers the page-routing
-        // prologue, which is noise next to a real block) to keep the
-        // metered path at one extra clock read per blocked op.
+        // reuses the `submitted` stamp to keep the metered path at one extra
+        // clock read per blocked op.
         if self.pending.len() >= self.queue_depth {
             let waited = loop {
                 self.absorb_ready(true);
@@ -1664,24 +1676,31 @@ impl Engine {
 
         let op_seq = self.next_seq;
         self.next_seq += 1;
+        let first = self.geometry.channel_of(event.lba);
         let results = self.op_pool.pop().unwrap_or_default();
         debug_assert!(results.is_empty());
         self.pending.push_back(PendingOp {
             op: event.op,
             at_ns: event.at_ns,
             submitted,
-            expected,
+            expected: self.touched_lanes(event.len, first).len(),
             results,
         });
-        for channel in 0..self.route.len() {
-            if self.route[channel].is_empty() {
-                continue;
-            }
-            let next = self.page_buffer();
-            let pages = std::mem::replace(&mut self.route[channel], next);
+        // The `i`-th lane the op touches takes its pages `i`, `i + C`, ….
+        let token = self.take_tokens(&event, data);
+        let channels = self.geometry.channels() as usize;
+        for (i, lane) in self.touched_lanes(event.len, first).enumerate() {
+            let ordinals = (i..event.len as usize).step_by(channels);
+            let mut pages = self.page_pool.pop().unwrap_or_default();
+            pages.extend(ordinals.map(|ordinal| PageCmd {
+                lane_lba: self.geometry.lane_lba(event.lba + ordinal as u64),
+                token: token(ordinal),
+                ordinal: ordinal as u32,
+                latency: 0,
+            }));
             self.dispatch(LaneCommand {
                 op_seq,
-                lane: channel as u32,
+                lane,
                 op: event.op,
                 pages,
             });
@@ -1692,30 +1711,32 @@ impl Engine {
         self.finalize_ready()
     }
 
-    /// Caches what an acknowledgement says about its lane's leveler and pool.
-    fn note_lane(&mut self, lane: u32, ack: &LaneAck) {
+    /// Caches what a lane acknowledged about its leveler and pool: its view,
+    /// and its erase-free write bound.
+    fn note_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
         let lane = lane as usize;
-        self.shards[lane].absorb(ack.shard);
+        self.shards[lane].absorb(shard);
         self.views[lane] = self.shards[lane].view;
-        self.quiet[lane] = ack.quiet;
+        self.quiet[lane] = quiet;
     }
 
-    /// [`Engine::note_lane`] for a lane's share of a pipelined op, with the
-    /// run-ahead invariant checked on every build: under Global coordination
-    /// the op was admitted because it could not move its lane's view. If it
-    /// did, the coordinator has already skipped a decision the oracle made,
-    /// so stop here.
-    fn note_quiet_lane(&mut self, lane: u32, ack: &LaneAck) {
+    /// [`Engine::note_lane`] for a lane that ran pages of a quiet op (queued,
+    /// or run in place), with the run-ahead invariant checked on every build:
+    /// under Global coordination the op was admitted because it could not
+    /// move its lane's view. If it did, the coordinator has already skipped a
+    /// decision the oracle made, so stop here.
+    fn note_quiet_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
         let cached = self.views[lane as usize];
-        if self.lockstep && ack.shard.view != cached {
-            bound_violated(lane, ack.shard.view, cached);
+        if self.lockstep && shard.view != cached {
+            bound_violated(lane, shard.view, cached);
         }
-        self.note_lane(lane, ack);
+        self.note_lane(lane, shard, quiet);
         self.publish_bet_gauges();
     }
 
     fn absorb(&mut self, completion: LaneCompletion) {
-        self.note_quiet_lane(completion.lane, &completion.ack);
+        let LaneAck { shard, quiet, .. } = completion.ack;
+        self.note_quiet_lane(completion.lane, shard, quiet);
         let index = (completion.op_seq - self.finalize_next) as usize;
         self.pending[index].results.push(completion);
     }
@@ -1748,48 +1769,41 @@ impl Engine {
             let wall_ns = op
                 .submitted
                 .map(|submitted| ns_between(submitted, *now.get_or_insert_with(Instant::now)));
-            let shares = op.results.iter();
-            let shares = shares.map(|c| (c.lane as usize, &c.pages[..c.ack.executed as usize]));
-            self.retire(op.op, op.at_ns, wall_ns, shares);
+            self.retire(op.op, op.at_ns, wall_ns);
             // Back to the pools, clean: no page of this op may show through
             // the next one.
-            for done in op.results.drain(..) {
-                self.recycle_pages(done.pages);
+            for mut done in op.results.drain(..) {
+                let stats = self.page_latency(op.op, done.lane as usize);
+                for page in done.pages.drain(..) {
+                    stats.record(page.latency);
+                }
+                self.page_pool.push(done.pages);
             }
             self.op_pool.push(op.results);
         }
         Ok(())
     }
 
+    /// The histogram of `lane`'s `op` page latencies.
+    fn page_latency(&mut self, op: Op, lane: usize) -> &mut LatencyStats {
+        match op {
+            Op::Write => &mut self.lane_write_latency[lane],
+            Op::Read => &mut self.lane_read_latency[lane],
+        }
+    }
+
     /// The tail every host op ends in, whichever way it was executed, once
     /// all its lanes have reported and none of them an error: the wall-clock
-    /// op histogram, per-lane page latencies, the scheduler's
-    /// replay of the per-lane busy deltas in `lane_busy` (left zeroed for the
-    /// next op), the op latency and the first-failure scan. `shares` are the
-    /// op's pages as `(lane, executed pages)`; a coordinated write, which
-    /// accounts for its pages one at a time, passes none.
-    fn retire<'a>(
-        &mut self,
-        op: Op,
-        at_ns: u64,
-        wall_ns: Option<u64>,
-        shares: impl Iterator<Item = (usize, &'a [PageCmd])>,
-    ) {
+    /// op histogram, the scheduler's replay of the per-lane busy deltas in
+    /// `lane_busy` (left zeroed for the next op), the op latency and the
+    /// first-failure scan. (Each executor records its pages' latencies.)
+    fn retire(&mut self, op: Op, at_ns: u64, wall_ns: Option<u64>) {
         if let Some(wall_ns) = wall_ns {
             match op {
                 Op::Write => self.op_write_wall.record(wall_ns),
                 Op::Read => self.op_read_wall.record(wall_ns),
             }
             self.runtime.op_completed();
-        }
-        for (lane, pages) in shares {
-            let stats = match op {
-                Op::Write => &mut self.lane_write_latency[lane],
-                Op::Read => &mut self.lane_read_latency[lane],
-            };
-            for page in pages {
-                stats.record(page.latency);
-            }
         }
         self.scheduler.op_begin();
         for (channel, delta) in self.lane_busy.iter_mut().enumerate() {
@@ -1836,7 +1850,7 @@ impl Engine {
         work: impl FnOnce(&mut Layer<EngineSink>) -> (u32, Result<(), SimError>),
     ) -> Result<u64, SimError> {
         let (result, ack) = self.run_here(lane, op_seq, work);
-        self.note_lane(lane, &ack);
+        self.note_lane(lane, ack.shard, ack.quiet);
         self.publish_bet_gauges();
         self.lane_failure[lane as usize] = ack.failure;
         if let Err(e) = result {
@@ -1856,16 +1870,11 @@ impl Engine {
         let submitted = self.stamp();
         let op_seq = self.next_seq;
         self.next_seq += 1;
+        let token = self.take_tokens(&event, data);
         for (ordinal, lba) in event.pages().enumerate() {
             let channel = self.geometry.channel_of(lba);
             let lane_lba = self.geometry.lane_lba(lba);
-            let token = match data {
-                Some(values) => values[ordinal],
-                None => {
-                    self.next_token += 1;
-                    self.next_token
-                }
-            };
+            let token = token(ordinal);
             let page_latency = self.coordinated_step(channel, op_seq, |layer| {
                 let written = layer.write(lane_lba, token);
                 (u32::from(written.is_ok()), written)
@@ -1877,7 +1886,7 @@ impl Engine {
             self.lane_write_latency[channel as usize].record(page_latency + swl_on_lane);
         }
         let wall_ns = submitted.map(since_ns);
-        self.retire(Op::Write, event.at_ns, wall_ns, std::iter::empty());
+        self.retire(Op::Write, event.at_ns, wall_ns);
         self.realign_idle();
         Ok(())
     }
@@ -1965,7 +1974,7 @@ impl Engine {
         let mut uniform = true;
         for lane in 0..channels {
             let (result, ack) = self.run_here(lane, op_seq, |layer| (0, layer.snapshot(verb)));
-            self.note_lane(lane, &ack);
+            self.note_lane(lane, ack.shard, ack.quiet);
             self.lane_failure[lane as usize] = ack.failure;
             if let Err(e) = result {
                 refusals += 1;
@@ -1984,9 +1993,9 @@ impl Engine {
     }
 
     /// A blocking read of `len` pages from `lba`: one value per page in host
-    /// order, `None` for a never-written page. Flushes, then runs each lane's
-    /// share right here and retires the op — in everything simulated, and in
-    /// every count, [`Engine::submit`] of the same read followed by
+    /// order, `None` for a never-written page. Flushes, then runs the read's
+    /// page loop right here and retires the op — in everything simulated, and
+    /// in every count, [`Engine::submit`] of the same read followed by
     /// [`Engine::flush`], except that the data comes back.
     ///
     /// # Errors
@@ -1997,7 +2006,7 @@ impl Engine {
         let event = TraceEvent::read_span(at_ns, lba, len);
         self.accept(&event);
         self.quiet_ops += 1;
-        let mut values = Vec::new();
+        let mut values = vec![None; len as usize];
         let ran = self.submit_direct(event, None, Some(&mut values));
         self.realign_idle();
         ran.map(|()| values)
@@ -2632,6 +2641,31 @@ mod tests {
         let direct = run_on(0);
         assert!(direct.0.iter().flatten().any(Option::is_some));
         assert_eq!(run_on(1), direct);
+        assert_eq!(run_on(2), direct);
+    }
+
+    /// A blocking read on an engine with workers runs the page loop under the
+    /// claim of each group it touches: 2C pages over two groups read what the
+    /// engine without workers reads, with the same report and metering — per
+    /// op, one command of two pages on each lane.
+    #[test]
+    fn claim_read_across_two_groups_matches_the_direct_engine() {
+        let run_on = |threads: u32| {
+            let config = EngineConfig::default().with_metrics(true);
+            let mut engine = build(4, None, config.with_threads(threads), true);
+            let data: Vec<u64> = (1..=8).collect();
+            engine.submit_write_data(0, 3, &data).unwrap();
+            let read = engine.read(1, 3, 8).unwrap();
+            let run = engine.finish().unwrap();
+            assert_eq!(run.threads, threads);
+            let metrics = run.metrics.as_ref().expect("metrics on");
+            let lanes = metrics.snapshot.lanes.iter();
+            let charged: Vec<_> = lanes.map(|l| (l.commands, l.pages)).collect();
+            (read, run.report, charged, metrics.cmd_latency.count())
+        };
+        let direct = run_on(0);
+        assert_eq!(direct.0, (1..=8).map(Some).collect::<Vec<_>>());
+        assert_eq!((&direct.2, direct.3), (&vec![(2, 4); 4], 8));
         assert_eq!(run_on(2), direct);
     }
 

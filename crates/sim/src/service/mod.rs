@@ -54,15 +54,15 @@
 //! client verb takes the lock and runs the [`Service`] method on the
 //! caller's own thread, holding the lock for the verb's whole duration —
 //! the engine barrier of a read, flush or snapshot verb included, which
-//! *executes* there too: the engine's front-end claims the idle lane groups,
-//! runs their queued commands itself instead of waking a worker and parking,
-//! and then runs the read or the verb on the lanes as a plain call (see the
-//! [`engine`](crate::engine) docs, *Who runs a command*). Ops are therefore
-//! linearised by lock acquisition, and the ack semantics and the
-//! single-client bit-identity above hold unchanged. `std::sync::Mutex`
-//! promises no fairness, so concurrent clients are not served in arrival
-//! order. A client that panics inside a verb poisons the lock: every later
-//! client call, and [`ServiceServer::join`], panics naming that.
+//! *executes* there too (the [`engine`](crate::engine) docs, *Who runs a
+//! command*). Nothing else happens on the way: a client handle keeps no
+//! clock and no record of its calls, so a served page costs the engine's
+//! page loop, the service's bookkeeping and the lock. Ops are linearised by
+//! lock acquisition, and the ack semantics and the single-client
+//! bit-identity above hold unchanged. `std::sync::Mutex` promises no
+//! fairness, so concurrent clients are not served in arrival order. A client
+//! that panics inside a verb poisons the lock: every later client call, and
+//! [`ServiceServer::join`], panics naming that.
 //!
 //! ## Example
 //!
@@ -94,15 +94,13 @@ pub mod cache;
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 use flash_telemetry::health::{HealthMonitor, HealthReport, HealthRuntime};
 use flash_telemetry::runtime::{CacheRuntime, CacheSample};
-use flash_telemetry::LatencyHistogram;
 use nand::{CellSpec, ChannelGeometry, NandDevice};
 use swl_core::SwlConfig;
 
-use crate::engine::{since_ns, Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
+use crate::engine::{Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
 use crate::error::SimError;
 use crate::layer::{LayerKind, SimConfig, SnapshotVerb};
 use crate::striped::SwlCoordination;
@@ -395,11 +393,9 @@ impl Service {
     /// page must come from flash.
     ///
     /// A miss is a barrier on the engine ([`Engine::read`], once per run of
-    /// pages that must come from flash), and the barrier runs the work it
-    /// waits for: any writes still queued ahead of the read execute on the
-    /// calling thread, under the lane groups' claims, unless a worker is
-    /// already running them — and then the read itself does. Served, that is
-    /// the client's thread, inside the service lock.
+    /// pages that must come from flash) that runs the work it waits for — any
+    /// writes still queued ahead of it, then the read's page loop — on the
+    /// calling thread: served, the client's, inside the service lock.
     ///
     /// # Errors
     ///
@@ -574,38 +570,19 @@ fn lock_served(slot: &ServedSlot) -> MutexGuard<'_, Option<Service>> {
         .expect("service lock poisoned: a client panicked inside a served verb")
 }
 
-/// A client handle onto a served [`Service`]: blocking block-device verbs
-/// plus wall-clock per-op latency histograms recorded client-side. Every
-/// verb takes the service lock and runs the matching [`Service`] method on
-/// the caller's own thread, so ops are linearised by lock acquisition.
+/// A client handle onto a served [`Service`]: the blocking block-device
+/// verbs. Every verb takes the service lock and runs the matching
+/// [`Service`] method on the caller's own thread, so ops are linearised by
+/// lock acquisition.
 pub struct ServiceClient {
     id: usize,
     served: ServedSlot,
-    write_latency: LatencyHistogram,
-    read_latency: LatencyHistogram,
-    flush_latency: LatencyHistogram,
 }
 
 impl ServiceClient {
     /// This client's index among the handles [`Service::serve`] returned.
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// Wall-clock call-to-ack latency of this client's writes (lock wait
-    /// included).
-    pub fn write_latency(&self) -> &LatencyHistogram {
-        &self.write_latency
-    }
-
-    /// Wall-clock call-to-ack latency of this client's reads.
-    pub fn read_latency(&self) -> &LatencyHistogram {
-        &self.read_latency
-    }
-
-    /// Wall-clock call-to-ack latency of this client's flushes.
-    pub fn flush_latency(&self) -> &LatencyHistogram {
-        &self.flush_latency
     }
 
     /// Runs `verb` on the service under the lock, held for the verb's whole
@@ -632,10 +609,7 @@ impl ServiceClient {
     ///
     /// As [`Service::write`].
     pub fn write(&mut self, lba: u64, data: Vec<u64>) -> Result<(), SimError> {
-        let start = Instant::now();
-        let result = self.with_service(|service| service.write(lba, &data));
-        self.write_latency.record(since_ns(start));
-        result
+        self.with_service(|service| service.write(lba, &data))
     }
 
     /// Reads `len` pages starting at `lba`.
@@ -644,10 +618,7 @@ impl ServiceClient {
     ///
     /// As [`Service::read`].
     pub fn read(&mut self, lba: u64, len: usize) -> Result<Vec<Option<u64>>, SimError> {
-        let start = Instant::now();
-        let result = self.with_service(|service| service.read(lba, len));
-        self.read_latency.record(since_ns(start));
-        result
+        self.with_service(|service| service.read(lba, len))
     }
 
     /// Advisory trim of `len` pages starting at `lba`.
@@ -673,10 +644,7 @@ impl ServiceClient {
     ///
     /// As [`Service::flush`].
     pub fn flush(&mut self) -> Result<(), SimError> {
-        let start = Instant::now();
-        let result = self.with_service(Service::flush);
-        self.flush_latency.record(since_ns(start));
-        result
+        self.with_service(Service::flush)
     }
 
     /// Runs a snapshot verb (ack = durable; see [`Service::snapshot`]).
@@ -721,9 +689,6 @@ impl Service {
             .map(|id| ServiceClient {
                 id,
                 served: Arc::clone(&served),
-                write_latency: LatencyHistogram::new(),
-                read_latency: LatencyHistogram::new(),
-                flush_latency: LatencyHistogram::new(),
             })
             .collect();
         (ServiceServer { served }, handles)

@@ -631,6 +631,55 @@ fn lane_errors_are_attributed_alike_direct_and_threaded() {
     }
 }
 
+/// An op the engine without workers runs in place is metered as one command
+/// per lane it touches, carrying that lane's pages, and timed once: its wall
+/// time is split evenly between those lanes. At 1, C − 1, C + 1 and 2C
+/// pages, from a first page on the last lane (so the op wraps), for a write
+/// and for a blocking read of what it wrote.
+#[test]
+fn metering_charges_one_command_per_touched_lane_direct() {
+    const C: u32 = 4;
+    const LBA: u64 = 3;
+    for len in [1, C - 1, C + 1, 2 * C] {
+        let pages: Vec<u64> = (0..u64::from(C))
+            .map(|lane| {
+                (LBA..LBA + u64::from(len))
+                    .filter(|p| p % u64::from(C) == lane)
+                    .count() as u64
+            })
+            .collect();
+        let touched = pages.iter().filter(|&&p| p > 0).count() as u64;
+        for read in [false, true] {
+            let mut engine = failing_engine(0, 1, &SimConfig::default());
+            let data: Vec<u64> = (1..=u64::from(len)).collect();
+            engine.submit_write_data(0, LBA, &data).unwrap();
+            if read {
+                let expected: Vec<Option<u64>> = data.iter().copied().map(Some).collect();
+                assert_eq!(engine.read(1, LBA, len).unwrap(), expected, "len={len}");
+            }
+            let run = engine.finish().unwrap();
+            let ops = 1 + u64::from(read);
+            let metrics = run.metrics.expect("metrics on");
+            assert_eq!(metrics.snapshot.ops_completed, ops);
+            let lanes = &metrics.snapshot.lanes;
+            let charged: Vec<(u64, u64)> = lanes.iter().map(|l| (l.commands, l.pages)).collect();
+            let expected: Vec<(u64, u64)> = pages
+                .iter()
+                .map(|&p| (ops * u64::from(p > 0), ops * p))
+                .collect();
+            assert_eq!(charged, expected, "len={len} read={read}");
+            assert_eq!(run.helped_commands, ops * touched);
+            assert_eq!(metrics.cmd_latency.count(), ops * touched);
+            let busy: Vec<u64> = lanes
+                .iter()
+                .filter(|l| l.commands > 0)
+                .map(|l| l.busy_wall_ns)
+                .collect();
+            assert!(busy.windows(2).all(|w| w[0] == w[1]), "len={len}: {busy:?}");
+        }
+    }
+}
+
 /// What a run into a power cut left behind.
 #[derive(Debug, PartialEq)]
 struct CutRun {

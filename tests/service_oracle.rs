@@ -506,21 +506,24 @@ fn served_clients_keep_read_your_writes() {
                 let base = c as u64 * slice;
                 let mut rng = SplitMix64::new(0xBEEF + c as u64);
                 let mut model: HashMap<u64, u64> = HashMap::new();
+                let (mut writes, mut reads) = (0u64, 0u64);
                 for i in 0..400u64 {
                     let lba = base + rng.next_below(slice.min(32));
                     if rng.chance(0.7) {
                         let value = ((c as u64) << 32) | (i + 1);
                         client.write(lba, vec![value]).unwrap();
+                        writes += 1;
                         model.insert(lba, value);
                     } else if let Some(&expected) = model.get(&lba) {
                         let got = client.read(lba, 1).unwrap()[0];
+                        reads += 1;
                         assert_eq!(got, Some(expected), "client {c} lost its write at {lba}");
                     }
                     if i % 100 == 99 {
                         client.flush().unwrap();
                     }
                 }
-                (client.write_latency().count(), client.read_latency().count())
+                (writes, reads)
             })
         })
         .collect();
