@@ -90,6 +90,4 @@ pub mod shard;
 
 pub use bet::Bet;
 pub use leveler::{LevelOutcome, SwLeveler, SwlCleaner, SwlConfig, SwlError, SwlStats};
-pub use shard::{
-    global_over_threshold, global_unevenness, worst_shard, ShardSnapshot, ShardView, StallRule,
-};
+pub use shard::{global_over_threshold, global_unevenness, worst_shard, ShardView, StallRule};

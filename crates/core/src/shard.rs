@@ -50,50 +50,6 @@ impl ShardView {
     }
 }
 
-/// An epoch-stamped summary of one shard's leveler state, published at
-/// operation boundaries so a coordinator on another thread can drive global
-/// leveling without locking the lane.
-///
-/// The lane owning the leveler takes a snapshot whenever it completes a unit
-/// of work (a host sub-request or one SWL-Procedure step) and ships it with
-/// the completion; the coordinator keeps the latest snapshot per lane and
-/// evaluates [`global_over_threshold`] / [`worst_shard`] over the cached
-/// views. Because snapshots are taken at quiescent points of the owning
-/// lane, the cached view is exactly the leveler state the lane would report
-/// if asked synchronously — there is no torn read to guard against, hence
-/// no lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardSnapshot {
-    /// Interval-local `ecnt` / `fcnt` counters.
-    pub view: ShardView,
-    /// Size of the shard's BET in flags, set or clear; `flags − view.fcnt`
-    /// of them are clear, which is the [`StallRule`]'s step budget.
-    pub flags: u64,
-    /// Publisher-assigned epoch (monotonic per lane): a snapshot with a
-    /// higher epoch supersedes any earlier one from the same lane.
-    pub epoch: u64,
-}
-
-impl ShardSnapshot {
-    /// Snapshot of `leveler` stamped with `epoch`.
-    pub fn of(leveler: &SwLeveler, epoch: u64) -> Self {
-        Self {
-            view: ShardView::of(leveler),
-            flags: leveler.bet().flags() as u64,
-            epoch,
-        }
-    }
-
-    /// Merges a newly received snapshot into a cached slot, keeping
-    /// whichever has the higher epoch (ties keep the incoming one, so a
-    /// republished epoch still refreshes the cache).
-    pub fn absorb(&mut self, newer: ShardSnapshot) {
-        if newer.epoch >= self.epoch {
-            *self = newer;
-        }
-    }
-}
-
 /// Global unevenness level `Σecnt / Σfcnt` across shards, or `None` while no
 /// shard has a set flag (mirrors [`SwLeveler::unevenness`]).
 pub fn global_unevenness(views: &[ShardView]) -> Option<f64> {
@@ -180,8 +136,9 @@ impl StallRule {
     }
 
     /// Records one step on `shard`: its view `before` and `after`, and the
-    /// size of its BET ([`ShardSnapshot::flags`]). `false` ends the pass —
-    /// the shard has stalled.
+    /// size of its BET in flags, set or clear (`flags − before.fcnt` of them
+    /// are clear: the step budget). `false` ends the pass — the shard has
+    /// stalled.
     pub fn stepped(
         &mut self,
         shard: usize,
@@ -220,46 +177,6 @@ mod tests {
         l.note_erase(2);
         let view = ShardView::of(&l);
         assert_eq!(view, v(2, 1));
-    }
-
-    #[test]
-    fn shard_snapshot_carries_flags_and_epoch() {
-        let mut l = SwLeveler::new(8, SwlConfig::new(10, 1)).unwrap();
-        l.note_erase(3);
-        l.note_erase(6);
-        let snap = ShardSnapshot::of(&l, 42);
-        assert_eq!(snap.view, v(2, 2));
-        assert_eq!(snap.flags, l.bet().flags() as u64);
-        assert_eq!(snap.epoch, 42);
-    }
-
-    #[test]
-    fn absorb_keeps_the_newest_epoch() {
-        let mut cached = ShardSnapshot {
-            view: v(5, 2),
-            flags: 2,
-            epoch: 7,
-        };
-        // An older snapshot is ignored...
-        cached.absorb(ShardSnapshot {
-            view: v(1, 1),
-            flags: 1,
-            epoch: 3,
-        });
-        assert_eq!(cached.view, v(5, 2));
-        // ...a newer (or equal-epoch) one replaces the cache.
-        cached.absorb(ShardSnapshot {
-            view: v(9, 3),
-            flags: 3,
-            epoch: 7,
-        });
-        assert_eq!(cached.view, v(9, 3));
-        cached.absorb(ShardSnapshot {
-            view: v(10, 4),
-            flags: 4,
-            epoch: 8,
-        });
-        assert_eq!((cached.view, cached.epoch), (v(10, 4), 8));
     }
 
     #[test]

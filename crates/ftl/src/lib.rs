@@ -47,7 +47,6 @@
 
 mod config;
 mod error;
-pub mod merge;
 mod snapshot;
 mod translation;
 

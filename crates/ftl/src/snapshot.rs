@@ -48,7 +48,7 @@
 //! which is also the snapshots-were-never-used state.
 
 use crate::config::SnapshotConfig;
-use crate::merge::UNMAPPED;
+use crate::translation::UNMAPPED;
 
 /// Spare-status tag on manifest metadata pages. Distinct from every epoch
 /// (epochs stay below `u32::MAX - 2`) and from the firmware bad-block

@@ -87,14 +87,6 @@ pub trait Mapping: Sized {
         erased: &mut Vec<u32>,
     ) -> Result<(), Self::Error>;
 
-    /// The erase-free write bound: a lower bound on the [`Mapping::host_write`]
-    /// calls, to any addresses, the mapping can take from its current state
-    /// without erasing a block. `0` promises nothing, and is the answer of a
-    /// mapping whose reclamation trigger depends on the address written.
-    fn quiet_writes(&self) -> u64 {
-        0
-    }
-
     /// Runs `op` inside a causal span of `kind`. The span closes on the error
     /// path too, so the emitted stream stays balanced.
     #[inline]
@@ -340,21 +332,6 @@ impl<M: Mapping> SwlHost<M> {
     /// Propagates reclamation failures.
     pub fn run_swl_step(&mut self) -> Result<LevelOutcome, M::Error> {
         self.run_leveler(|swl, cleaner| swl.level_step(cleaner))
-    }
-
-    /// The erase-free write bound: a lower bound on the [`SwlHost::write`]
-    /// calls, to any addresses, this layer can take from its current state
-    /// without erasing a block — and so without changing the leveler's BET,
-    /// `ecnt` or `fcnt`, which only SWL-BETUpdate moves. The mapping's own
-    /// bound ([`Mapping::quiet_writes`]), or `0` while a self-triggering
-    /// leveler [needs leveling](SwLeveler::needs_leveling): its next pass may
-    /// start on any write. Over threshold with the stall latched it does not
-    /// — only an erase can drop the latch, and the bound is erase-free.
-    pub fn quiet_writes(&self) -> u64 {
-        match &self.swl {
-            Some(swl) if !swl.config().deferred && swl.needs_leveling() => 0,
-            _ => self.mapping.quiet_writes(),
-        }
     }
 
     /// Exported logical capacity in pages.

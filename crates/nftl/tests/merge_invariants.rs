@@ -149,18 +149,6 @@ proptest! {
         }
     }
 
-    /// Whether a write merges depends on which virtual block it lands in, so
-    /// the NFTL promises no erase-free writes, in any state.
-    #[test]
-    fn quiet_writes_is_always_zero(writes in prop::collection::vec(0u64..96, 1..300)) {
-        let mut nftl = BlockMappedNftl::new(device(32, 8), NftlConfig::default()).unwrap();
-        prop_assert_eq!(nftl.quiet_writes(), 0);
-        for (version, lba) in writes.iter().enumerate() {
-            nftl.write(*lba, version as u64).unwrap();
-            prop_assert_eq!(nftl.quiet_writes(), 0);
-        }
-    }
-
     /// One replacement block at most per virtual block, and every open
     /// replacement belongs to a primary.
     #[test]

@@ -36,38 +36,20 @@
 //!   already be ahead of the op being finalized. Every op retires through the
 //!   one `retire` function, whoever executed it and however.
 //!
-//! Under [`SwlCoordination::Global`] the virtual-time loop runs the
-//! coordinator after *every page write*. What the coordinator reads, though
-//! — each lane's `(ecnt, fcnt)` — moves only in SWL-BETUpdate, when the
-//! lane erases a block, and a lane knows how far it is from its next erase:
-//! every completion carries its *erase-free write bound*
-//! ([`Layer::quiet_writes`]), a lower bound on the page writes, to any
-//! addresses, the lane can take without erasing. The front-end keeps a
-//! budget per lane, charged at dispatch and refreshed only when every lane
-//! is idle, and sorts ops by it:
-//!
-//! - a read, or a write whose pages every lane's budget covers while the
-//!   coordinator is at rest (the cached views are under threshold, or the
-//!   worst shard's stall is latched: [`StallRule::next_step`] names no
-//!   shard), goes down the pipeline like any per-channel op. A quiet write
-//!   cannot change any view, so after each of its pages the oracle's
-//!   coordinator, a pure function of the views and the latches, returned
-//!   without stepping — there is nothing to replay;
-//! - lanes may not overshoot an erase: once a view has moved, the oracle may
-//!   have stepped some lane before that lane's next page. So any other write
-//!   drains the pipeline and runs alone, one page at a time: run the page,
-//!   then replay the coordinator against the cached [`ShardSnapshot`]s, which
-//!   are exact because every lane is idle;
-//! - the NFTL's bound is always 0 — whether a write merges depends on the
-//!   virtual block it addresses, not on a pool level — so every NFTL write
-//!   takes the second path, as does every write under a fault plan that can
-//!   fail programs.
-//!
-//! The bound is checked, not trusted: a pipelined completion under Global
-//! must report the view the front-end had cached for its lane, or the engine
-//! panics (release builds included). [`EngineRun::quiet_ops`] and
-//! [`EngineRun::coordinated_ops`] count the ops on each path. Per-channel
-//! SWL and SWL-less runs keep full run-ahead at any queue depth.
+//! Under [`SwlCoordination::Global`] with SWL over more than one channel,
+//! the virtual-time loop runs the coordinator after *every page write*, and
+//! the coordinator reads every lane's `(ecnt, fcnt)`. Such an engine has no
+//! workers ([`EngineConfig::threads`]): its writes run where they are
+//! submitted, page by page in host order, as `run_striped` runs them. What
+//! the coordinator reads moves only in SWL-BETUpdate, when a lane erases, and
+//! the coordinator — a pure function of the views and the [`StallRule`]
+//! latches — is at rest whenever it returns. So the engine does not run it
+//! after every page. It compares the written lane's view with the one it
+//! cached, and only when the page moved it does it replay the
+//! `coordinate_swl` loop against the cached views, which are exact because
+//! the engine owns every lane. Reads and snapshot verbs move no view (a debug
+//! build checks the verbs). Per-channel SWL and SWL-less runs keep their
+//! workers and full run-ahead at any queue depth.
 //!
 //! # Who runs a command
 //!
@@ -84,11 +66,9 @@
 //! - **A barrier is a call.** What the front-end must see the result of
 //!   before it can go on runs where it is issued, with no command record,
 //!   page buffer or completion. A blocking read is one page loop in host
-//!   order (`submit_direct`, the loop `run_striped` runs); a page of a
-//!   coordinated write, an SWL step or a snapshot verb on a lane is a closure
-//!   `run_here` runs on the lane. Either hands back the lane's
-//!   acknowledgement: busy delta, first failure, leveler view, erase-free
-//!   bound.
+//!   order (`submit_direct`, the loop `run_striped` runs); a snapshot verb
+//!   on a lane is a closure `run_here` runs on the lane. Either hands back
+//!   the lane's acknowledgement: busy delta, first failure, leveler view.
 //! - **The claim.** Each group's lanes live behind one mutex (`LaneClaim`),
 //!   and holding its guard is the right to run the group: *only the claim
 //!   holder pops the group's command queue, it executes what it popped in
@@ -208,7 +188,8 @@
 //! caller means the caller did the work, not that nothing happened. An op run
 //! in place (every op without workers, a blocking read with them) is timed
 //! with one clock read and counted as one command per lane it touched, each
-//! charged an even share. So `Σ lane.commands == Σ worker.commands +
+//! charged an even share; a Global coordinator step is one more command of
+//! the lane it steps. So `Σ lane.commands == Σ worker.commands +
 //! helped_commands == cmd_latency.count()` holds for both kinds of engine;
 //! one without workers has no worker slots and no queue gauges. Counters
 //! live in a shared [`EngineRuntime`] atomics block, so an [`EngineSnapshot`]
@@ -233,7 +214,7 @@ use flash_telemetry::runtime::{EngineMetricsReport, EngineRuntime, EngineSnapsho
 use flash_telemetry::{Event, LatencyHistogram, Sink};
 use flash_trace::{Op, TraceEvent};
 use nand::{CellSpec, ChannelGeometry, FailureRecord, NandDevice};
-use swl_core::{ShardSnapshot, ShardView, StallRule, SwlConfig};
+use swl_core::{ShardView, StallRule, SwlConfig};
 
 use crate::error::SimError;
 use crate::latency::LatencyStats;
@@ -330,10 +311,8 @@ struct LaneAck {
     busy_delta: u64,
     /// The lane's first wear-out as of this work.
     failure: Option<FailureRecord>,
-    /// Epoch-stamped leveler summary (all-zero view when no SWL attached).
-    shard: ShardSnapshot,
-    /// The lane's erase-free write bound ([`Layer::quiet_writes`]).
-    quiet: u64,
+    /// The lane's leveler view as of this work ([`view_of`]).
+    view: ShardView,
 }
 
 /// A lane's acknowledgement of one queued command.
@@ -354,7 +333,6 @@ struct WorkerLane {
     channel: u32,
     layer: Layer<EngineSink>,
     epoch: Arc<AtomicU64>,
-    snap_epoch: u64,
 }
 
 /// The lanes of one worker's group, behind the lock that *is* the claim:
@@ -380,16 +358,9 @@ fn worker_died(group: usize) -> ! {
     panic!("lane worker {group} panicked (or a front-end running its lanes did) mid-command")
 }
 
-/// The lane's leveler summary stamped with `epoch` (an all-zero view when no
-/// SWL is attached).
-fn shard_snapshot(layer: &Layer<EngineSink>, epoch: u64) -> ShardSnapshot {
-    match layer.swl() {
-        Some(s) => ShardSnapshot::of(s, epoch),
-        None => ShardSnapshot {
-            epoch,
-            ..ShardSnapshot::default()
-        },
-    }
+/// The lane's leveler view (all zero when no SWL is attached).
+fn view_of(layer: &Layer<EngineSink>) -> ShardView {
+    layer.swl().map(ShardView::of).unwrap_or_default()
 }
 
 /// Runs `pages` on `layer` in order, filling in their latencies, and stops at
@@ -433,15 +404,13 @@ fn run_on<R>(
     wl.epoch.store(op_seq, Ordering::Relaxed);
     let busy_before = wl.layer.device().busy_ns();
     let (executed, result) = work(&mut wl.layer);
-    wl.snap_epoch += 1;
     if let Some(meter) = meter {
         meter.commands([(wl.channel, executed)].into_iter());
     }
     let ack = LaneAck {
         busy_delta: wl.layer.device().busy_ns() - busy_before,
         failure: wl.layer.device().first_failure(),
-        shard: shard_snapshot(&wl.layer, wl.snap_epoch),
-        quiet: wl.layer.quiet_writes(),
+        view: view_of(&wl.layer),
     };
     (result, ack)
 }
@@ -730,7 +699,9 @@ fn worker_loop<const METRICS: bool>(
 pub struct EngineConfig {
     /// Worker threads (capped at the channel count). `0` asks for the engine
     /// that has none and runs every op where it is submitted — the one a
-    /// host with no CPU for a worker gets anyway (*Who runs a command*).
+    /// host with no CPU for a worker gets anyway (*Who runs a command*), and
+    /// the one Global coordination with SWL over more than one channel always
+    /// gets (module docs).
     pub threads: u32,
     /// Maximum in-flight host ops (clamped to 1..=256).
     pub queue_depth: usize,
@@ -814,13 +785,6 @@ fn keep_lowest(error: &mut Option<(u32, SimError)>, failed: Option<(u32, SimErro
     }
 }
 
-/// Out of line, so the check costs the pipelined path one compare.
-#[cold]
-#[inline(never)]
-fn bound_violated(lane: u32, view: ShardView, cached: ShardView) -> ! {
-    panic!("lane {lane} erased inside its erase-free write bound: view {view:?}, cached {cached:?}")
-}
-
 /// Gauge read of one bounded queue.
 fn queue_sample<T>(q: &ShardQueue<T>) -> QueueSample {
     QueueSample {
@@ -877,9 +841,8 @@ pub struct Engine {
     threads: u32,
     telemetry: bool,
     metrics: bool,
-    /// Global coordination with >1 channel and SWL attached: writes leave
-    /// the pipeline for the dispatch-await-coordinate loop whenever a lane
-    /// may erase (see module docs).
+    /// Global coordination with >1 channel and SWL attached: no workers,
+    /// and every write runs through [`Engine::submit_global`] (module docs).
     lockstep: bool,
     /// The lanes of an engine without workers (`threads == 0`), in channel
     /// order; the queues, claims and worker handles below then stay empty.
@@ -919,25 +882,18 @@ pub struct Engine {
     host_span_ns: u64,
     first_failure: Option<FirstFailure>,
     lane_failure: Vec<Option<FailureRecord>>,
-    shards: Vec<ShardSnapshot>,
-    /// `shards[lane].view`, kept contiguous for the coordinator.
+    /// Each lane's leveler view, for the Global coordinator (exact there: the
+    /// engine owns every lane) and the health plane's BET gauges.
     views: Vec<ShardView>,
     /// When the Global coordinator steps and when it gives up — the rule
     /// `StripedLayer::coordinate_swl` runs under.
     stall: StallRule,
-    /// Each lane's erase-free write bound as of its last completion.
-    quiet: Vec<u64>,
-    /// What is left of `quiet` after the write pages dispatched since the
-    /// lanes were last all idle.
-    budget: Vec<u64>,
     /// Per-channel busy deltas of the op being executed right here or
     /// retired; all zero in between ([`Engine::retire`] takes them).
     lane_busy: Vec<u64>,
     /// Per channel, of the op running in place: the pages the lane executed,
     /// and whether it has stopped at a failing page.
     op_lanes: Vec<(u32, bool)>,
-    quiet_ops: u64,
-    coordinated_ops: u64,
     lane_write_latency: Vec<LatencyStats>,
     lane_read_latency: Vec<LatencyStats>,
     op_write_latency: LatencyStats,
@@ -965,14 +921,6 @@ pub struct EngineRun {
     pub threads: u32,
     /// Configured host queue depth.
     pub queue_depth: usize,
-    /// Host ops that went down the pipeline: every op, except the writes
-    /// counted in `coordinated_ops`.
-    pub quiet_ops: u64,
-    /// Host writes that ran page by page through the Global coordinator
-    /// because a lane's erase-free write bound did not cover them (or the
-    /// array was over threshold). Always `0` without Global coordination;
-    /// `quiet_ops + coordinated_ops == report.events`.
-    pub coordinated_ops: u64,
     /// Lane commands the front-end executed itself: queued ones it ran under
     /// a group's claim at a point where it would otherwise have parked, and
     /// every barrier call; the rest ran on the worker threads. How the
@@ -1076,16 +1024,17 @@ impl Engine {
         spare_core: bool,
     ) -> Result<Self, SimError> {
         let channels = geometry.channels();
+        let deferred = channels > 1 && coordination == SwlCoordination::Global;
+        let lockstep = deferred && swl.is_some();
         // No core, no queue: a worker that could only pre-empt the caller is
-        // not spawned, and its lanes stay with the engine.
-        let threads = if spare_core {
+        // not spawned, and its lanes stay with the engine. Nor is one whose
+        // lanes the Global coordinator must see idle after every erase.
+        let threads = if spare_core && !lockstep {
             engine.threads.min(channels)
         } else {
             0
         };
         let queue_depth = engine.queue_depth.clamp(1, 256);
-        let deferred = channels > 1 && coordination == SwlCoordination::Global;
-        let lockstep = deferred && swl.is_some();
 
         // The health runtime's estimator work constant scales with expected
         // device lifetime in host pages (~ blocks × endurance × ppb / 8 at
@@ -1106,8 +1055,7 @@ impl Engine {
         });
         let mut lanes = Vec::with_capacity(channels as usize);
         let mut logical_pages = 0u64;
-        let mut shards = Vec::with_capacity(channels as usize);
-        let mut quiet = Vec::with_capacity(channels as usize);
+        let mut views = Vec::with_capacity(channels as usize);
         for lane in 0..channels {
             let epoch = Arc::new(AtomicU64::new(0));
             let lane_health = health
@@ -1120,13 +1068,11 @@ impl Engine {
             if lane == 0 {
                 logical_pages = layer.logical_pages() * u64::from(channels);
             }
-            shards.push(shard_snapshot(&layer, 0));
-            quiet.push(layer.quiet_writes());
+            views.push(view_of(&layer));
             lanes.push(WorkerLane {
                 channel: lane,
                 layer,
                 epoch,
-                snap_epoch: 0,
             });
         }
 
@@ -1141,8 +1087,7 @@ impl Engine {
                 groups[(lane.channel % threads) as usize].push(lane);
             }
             // Sized so workers can never block pushing completions: at most
-            // `queue_depth` ops × one Exec per lane, plus lockstep SWL steps,
-            // are ever outstanding.
+            // `queue_depth` ops × one command per lane are ever outstanding.
             let acks: Arc<ShardQueue<LaneCompletion>> =
                 Arc::new(ShardQueue::new((queue_depth + 2) * channels as usize + 8));
             // Pick the monomorphization once: the disabled body contains no
@@ -1220,15 +1165,10 @@ impl Engine {
             host_span_ns: 0,
             first_failure: None,
             lane_failure: vec![None; channels as usize],
-            views: shards.iter().map(|s| s.view).collect(),
-            shards,
+            views,
             stall: StallRule::new(channels as usize),
-            budget: quiet.clone(),
-            quiet,
             lane_busy: vec![0; channels as usize],
             op_lanes: vec![(0, false); channels as usize],
-            quiet_ops: 0,
-            coordinated_ops: 0,
             lane_write_latency: vec![LatencyStats::new(); channels as usize],
             lane_read_latency: vec![LatencyStats::new(); channels as usize],
             op_write_latency: LatencyStats::new(),
@@ -1373,17 +1313,13 @@ impl Engine {
             return Err(e);
         }
         self.accept(&event);
-        // Reads never erase, and the coordinator runs only after writes.
-        if !self.lockstep || event.op == Op::Read || self.admit_quiet(&event)? {
-            self.quiet_ops += 1;
-            if self.threads == 0 {
-                self.submit_direct(event, data, None)
-            } else {
-                self.submit_pipelined(event, data)
-            }
+        // The coordinator runs only after writes.
+        if self.lockstep && event.op == Op::Write {
+            self.submit_global(event, data)
+        } else if self.threads == 0 {
+            self.submit_direct(event, data, None)
         } else {
-            self.coordinated_ops += 1;
-            self.submit_lockstep(event, data)
+            self.submit_pipelined(event, data)
         }
     }
 
@@ -1400,47 +1336,6 @@ impl Engine {
                 h.add_host_pages(u64::from(event.len));
             }
         }
-    }
-
-    /// Whether a write may run ahead under Global coordination: the
-    /// coordinator is at rest (the [`StallRule`] names no shard for the
-    /// cached views: under threshold, or over it with the worst shard's
-    /// stall latched) and no lane can erase while executing its pages, so no
-    /// view can change before the op completes. On `false` the engine has
-    /// been drained and the op must go through [`Engine::submit_lockstep`].
-    fn admit_quiet(&mut self, event: &TraceEvent) -> Result<bool, SimError> {
-        let at_rest = self
-            .swl
-            .is_some_and(|(threshold, _)| self.stall.next_step(&self.views, threshold).is_none());
-        if at_rest && self.take_budget(event) {
-            return Ok(true);
-        }
-        // The budgets only fall between idle points, while a bound that is
-        // not tight (hot/cold separation) can leave more than was charged:
-        // look again at the bounds the drained lanes report themselves.
-        self.flush()?;
-        self.realign_idle();
-        Ok(at_rest && self.take_budget(event))
-    }
-
-    /// Charges the op's write pages to the lanes' erase-free budgets;
-    /// `false`, with nothing charged, when a lane cannot cover its share.
-    fn take_budget(&mut self, event: &TraceEvent) -> bool {
-        let geometry = self.geometry;
-        let channels = u64::from(geometry.channels());
-        let len = u64::from(event.len);
-        // Round-robin striping: page `i` of the op and every `channels`-th
-        // page after it land on the same lane.
-        let lane = |i: u64| geometry.channel_of(event.lba + i) as usize;
-        let share = |i: u64| (len - i).div_ceil(channels);
-        let first_pages = 0..channels.min(len);
-        if first_pages.clone().any(|i| self.budget[lane(i)] < share(i)) {
-            return false;
-        }
-        for i in first_pages {
-            self.budget[lane(i)] -= share(i);
-        }
-        true
     }
 
     /// Help-or-wait, what the front-end does wherever it used to park: leaves
@@ -1508,11 +1403,11 @@ impl Engine {
     /// Runs an op right here, before returning, the way `run_striped` does —
     /// one loop over its pages in host order, each on its lane, its busy time
     /// added to the op's and to the lane's page histogram; then one
-    /// acknowledgement per lane it touched (epoch, first failure, and leveler
-    /// view and erase-free bound where something reads them), and the op
-    /// retires. The executor of every pipelined op of an engine without
-    /// workers, and of a blocking read on either engine, which has drained the
-    /// pipeline and takes the claim of each group the read touches once.
+    /// acknowledgement per lane it touched (epoch, first failure, and the
+    /// leveler view for the health plane), and the op retires. The executor
+    /// of every pipelined op of an engine without workers, and of a blocking
+    /// read on either engine, which has drained the pipeline and takes the
+    /// claim of each group the read touches once.
     fn submit_direct(
         &mut self,
         event: TraceEvent,
@@ -1545,14 +1440,29 @@ impl Engine {
                 keep_lowest(&mut error, failed);
             }
         }
-        let touched = self.touched_lanes(event.len, start.0);
+        self.settle(&event, start.0, submitted, error.map(|(_, e)| e))
+    }
+
+    /// The tail of an op run in place, once its pages have run: one command
+    /// per lane it touched, with the pages the lane executed, then the failure
+    /// that stopped it, which sticks, or its retirement. Forced inline: left
+    /// to the inliner, the call cost `service_uncached` 2–3 % (EXPERIMENTS.md).
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        event: &TraceEvent,
+        first: u32,
+        submitted: Option<Instant>,
+        failed: Option<SimError>,
+    ) -> Result<(), SimError> {
+        let touched = self.touched_lanes(event.len, first);
         self.helped_commands += touched.len() as u64;
         if let Some(meter) = self.helper.as_mut() {
             meter.commands(touched.map(|lane| (lane, self.op_lanes[lane as usize].0)));
             meter.flush_if_due(&self.runtime, None);
         }
         self.next_seq += 1;
-        if let Some((_, e)) = error {
+        if let Some(e) = failed {
             self.error = Some(e);
             return Err(e);
         }
@@ -1641,12 +1551,12 @@ impl Engine {
         let touched = self.touched_lanes(event.len, first);
         for (lane, at) in touched.filter_map(|lane| Some((lane, slot(lane)?))) {
             let wl = &mut lanes[at];
-            wl.snap_epoch += 1;
             self.lane_failure[lane as usize] = wl.layer.device().first_failure();
-            // Only Global coordination and the health plane read the views.
-            if self.lockstep || self.health.is_some() {
-                let shard = shard_snapshot(&wl.layer, wl.snap_epoch);
-                self.note_quiet_lane(lane, shard, wl.layer.quiet_writes());
+            // Only the health plane reads the views here: under Global
+            // coordination this loop runs reads, which move none.
+            if self.health.is_some() {
+                self.views[lane as usize] = view_of(&wl.layer);
+                self.publish_bet_gauges();
             }
         }
         error
@@ -1711,32 +1621,9 @@ impl Engine {
         self.finalize_ready()
     }
 
-    /// Caches what a lane acknowledged about its leveler and pool: its view,
-    /// and its erase-free write bound.
-    fn note_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
-        let lane = lane as usize;
-        self.shards[lane].absorb(shard);
-        self.views[lane] = self.shards[lane].view;
-        self.quiet[lane] = quiet;
-    }
-
-    /// [`Engine::note_lane`] for a lane that ran pages of a quiet op (queued,
-    /// or run in place), with the run-ahead invariant checked on every build:
-    /// under Global coordination the op was admitted because it could not
-    /// move its lane's view. If it did, the coordinator has already skipped a
-    /// decision the oracle made, so stop here.
-    fn note_quiet_lane(&mut self, lane: u32, shard: ShardSnapshot, quiet: u64) {
-        let cached = self.views[lane as usize];
-        if self.lockstep && shard.view != cached {
-            bound_violated(lane, shard.view, cached);
-        }
-        self.note_lane(lane, shard, quiet);
-        self.publish_bet_gauges();
-    }
-
     fn absorb(&mut self, completion: LaneCompletion) {
-        let LaneAck { shard, quiet, .. } = completion.ack;
-        self.note_quiet_lane(completion.lane, shard, quiet);
+        self.views[completion.lane as usize] = completion.ack.view;
+        self.publish_bet_gauges();
         let index = (completion.op_seq - self.finalize_next) as usize;
         self.pending[index].results.push(completion);
     }
@@ -1820,14 +1707,14 @@ impl Engine {
     }
 
     /// Publishes the array-wide BET interval gauges (summed over the cached
-    /// lane shard snapshots) to the health runtime. Front-end-only work on
-    /// the completion-absorb path; no-op without the health plane.
+    /// lane views) to the health runtime. Front-end-only work on the
+    /// completion-absorb path; no-op without the health plane.
     fn publish_bet_gauges(&self) {
         if let Some(h) = &self.health {
             let (ecnt, fcnt) = self
-                .shards
+                .views
                 .iter()
-                .fold((0u64, 0u64), |(e, f), s| (e + s.view.ecnt, f + s.view.fcnt));
+                .fold((0u64, 0u64), |(e, f), v| (e + v.ecnt, f + v.fcnt));
             h.set_bet(ecnt, fcnt);
         }
     }
@@ -1839,92 +1726,110 @@ impl Engine {
         }
     }
 
-    /// One command of a coordinated write — a page, or an SWL step — run on
-    /// its lane right here. Caches what the lane acknowledges (exact, since
-    /// every other lane is idle), adds the busy time to the op's and returns
-    /// it. A failure sticks.
-    fn coordinated_step(
-        &mut self,
-        lane: u32,
-        op_seq: u64,
-        work: impl FnOnce(&mut Layer<EngineSink>) -> (u32, Result<(), SimError>),
-    ) -> Result<u64, SimError> {
-        let (result, ack) = self.run_here(lane, op_seq, work);
-        self.note_lane(lane, ack.shard, ack.quiet);
-        self.publish_bet_gauges();
-        self.lane_failure[lane as usize] = ack.failure;
-        if let Err(e) = result {
-            self.error = Some(e);
-            return Err(e);
+    /// A write under Global coordination, run right here the way
+    /// `run_striped` runs it: page by page in host order, and after a page
+    /// that moved its lane's leveler view, the coordinator (module docs). The
+    /// first failure, of a page or of a coordinator step, ends the op.
+    fn submit_global(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
+        debug_assert!(event.op == Op::Write && self.threads == 0);
+        let submitted = self.stamp();
+        let token = self.take_tokens(&event, data);
+        let first = self.geometry.channel_of(event.lba);
+        for lane in self.touched_lanes(event.len, first) {
+            let lane = lane as usize;
+            self.lanes[lane]
+                .epoch
+                .store(self.next_seq, Ordering::Relaxed);
+            self.op_lanes[lane] = (0, false);
         }
-        self.lane_busy[lane as usize] += ack.busy_delta;
-        Ok(ack.busy_delta)
+        let lane_lba = self.geometry.lane_lba(event.lba);
+        let ran = self.global_pages(&event, first, lane_lba, token);
+        for lane in self.touched_lanes(event.len, first) {
+            let device = self.lanes[lane as usize].layer.device();
+            self.lane_failure[lane as usize] = device.first_failure();
+        }
+        self.settle(&event, first, submitted, ran.err())
     }
 
-    /// One write under Global coordination whose pages may erase: run one
-    /// page, then replay the `coordinate_swl` loop against the cached views
-    /// (which are exact, since every lane is idle here — the caller drained
-    /// the pipeline).
-    fn submit_lockstep(&mut self, event: TraceEvent, data: Option<&[u64]>) -> Result<(), SimError> {
-        debug_assert!(event.op == Op::Write && self.pending.is_empty());
-        let submitted = self.stamp();
-        let op_seq = self.next_seq;
-        self.next_seq += 1;
-        let token = self.take_tokens(&event, data);
-        for (ordinal, lba) in event.pages().enumerate() {
-            let channel = self.geometry.channel_of(lba);
-            let lane_lba = self.geometry.lane_lba(lba);
-            let token = token(ordinal);
-            let page_latency = self.coordinated_step(channel, op_seq, |layer| {
-                let written = layer.write(lane_lba, token);
-                (u32::from(written.is_ok()), written)
-            })?;
-            // The virtual-time loop measures a written page's latency across
-            // the whole `StripedLayer::write`, which includes coordinator
-            // steps that landed on the same lane — add them in.
-            let swl_on_lane = self.coordinate(op_seq, channel)?;
-            self.lane_write_latency[channel as usize].record(page_latency + swl_on_lane);
+    /// [`Engine::submit_global`]'s page loop, from `(lane, lane_lba)` on. A
+    /// page's latency includes the coordinator steps that landed on its lane:
+    /// the virtual-time loop measures it across the whole
+    /// `StripedLayer::write`.
+    fn global_pages(
+        &mut self,
+        event: &TraceEvent,
+        mut lane: u32,
+        mut lane_lba: u64,
+        token: impl Fn(usize) -> u64,
+    ) -> Result<(), SimError> {
+        for ordinal in 0..event.len as usize {
+            let at = lane as usize;
+            let layer = &mut self.lanes[at].layer;
+            let before = layer.device().busy_ns();
+            layer.write(lane_lba, token(ordinal))?;
+            let mut latency = layer.device().busy_ns() - before;
+            let view = view_of(layer);
+            self.op_lanes[at].0 += 1;
+            self.lane_busy[at] += latency;
+            if view != self.views[at] {
+                self.views[at] = view;
+                latency += self.replay_coordinator(at)?;
+            }
+            self.lane_write_latency[at].record(latency);
+            lane += 1;
+            if lane == self.geometry.channels() {
+                lane = 0;
+                lane_lba += 1;
+            }
         }
-        let wall_ns = submitted.map(since_ns);
-        self.retire(Op::Write, event.at_ns, wall_ns);
-        self.realign_idle();
         Ok(())
     }
 
-    /// For the points where every lane is idle and nothing is pending: takes
-    /// the bounds the lanes last reported as the new budgets, and points the
-    /// finalize cursor at the next op, so that it indexes `pending` correctly
-    /// after an op that took a sequence number without a pending entry (a
-    /// coordinated write, a snapshot verb, a blocking read).
-    fn realign_idle(&mut self) {
-        debug_assert!(self.pending.is_empty());
-        self.finalize_next = self.next_seq;
-        self.budget.copy_from_slice(&self.quiet);
-    }
-
-    /// Replays `StripedLayer::coordinate_swl` against the cached views,
-    /// under the same [`StallRule`]: while it names a shard, step it. Adds
-    /// the steps' busy time to `lane_busy` and returns the part that landed
-    /// on `page_channel` (for page-latency attribution).
-    fn coordinate(&mut self, op_seq: u64, page_channel: u32) -> Result<u64, SimError> {
-        let Some((threshold, _)) = self.swl else {
-            return Ok(0);
-        };
-        let mut swl_on_channel = 0u64;
+    /// Replays `StripedLayer::coordinate_swl` against the views, under the
+    /// same [`StallRule`]: while it names a shard, step it — one command of
+    /// that lane, its busy time added to the op's. Returns the steps' busy
+    /// time on `page_lane`.
+    fn replay_coordinator(&mut self, page_lane: usize) -> Result<u64, SimError> {
+        let (threshold, _) = self.swl.expect("Global coordination runs with a leveler");
+        let mut on_page_lane = 0;
         while let Some(worst) = self.stall.next_step(&self.views, threshold) {
-            let before = self.views[worst];
-            let busy = self.coordinated_step(worst as u32, op_seq, |layer| {
-                (0, layer.run_swl_step().map(drop))
-            })?;
-            if worst as u32 == page_channel {
-                swl_on_channel += busy;
+            let wl = &mut self.lanes[worst];
+            wl.epoch.store(self.next_seq, Ordering::Relaxed);
+            let before = wl.layer.device().busy_ns();
+            let stepped = wl.layer.run_swl_step();
+            let busy = wl.layer.device().busy_ns() - before;
+            self.lane_failure[worst] = wl.layer.device().first_failure();
+            let swl = wl
+                .layer
+                .swl()
+                .expect("a shard with set flags has a leveler");
+            let (view, flags) = (ShardView::of(swl), swl.bet().flags() as u64);
+            self.helped_commands += 1;
+            if let Some(meter) = self.helper.as_mut() {
+                meter.commands(std::iter::once((worst as u32, 0)));
+                meter.flush_if_due(&self.runtime, None);
             }
-            let flags = self.shards[worst].flags;
-            if !self.stall.stepped(worst, before, self.views[worst], flags) {
+            stepped?;
+            self.lane_busy[worst] += busy;
+            if worst == page_lane {
+                on_page_lane += busy;
+            }
+            let before = std::mem::replace(&mut self.views[worst], view);
+            if !self.stall.stepped(worst, before, view, flags) {
                 break;
             }
         }
-        Ok(swl_on_channel)
+        self.publish_bet_gauges();
+        Ok(on_page_lane)
+    }
+
+    /// Points the finalize cursor at the next op, where nothing is pending,
+    /// so that it indexes `pending` correctly after an op that took a
+    /// sequence number without a pending entry (a snapshot verb, a blocking
+    /// read).
+    fn realign_idle(&mut self) {
+        debug_assert!(self.pending.is_empty());
+        self.finalize_next = self.next_seq;
     }
 
     /// Drain barrier: blocks until every accepted op has completed and been
@@ -1974,7 +1879,13 @@ impl Engine {
         let mut uniform = true;
         for lane in 0..channels {
             let (result, ack) = self.run_here(lane, op_seq, |layer| (0, layer.snapshot(verb)));
-            self.note_lane(lane, ack.shard, ack.quiet);
+            // A manifest erase is not reported to SWL-BETUpdate, and a merge
+            // step touches no flash: the Global coordinator stays at rest.
+            debug_assert!(
+                !self.lockstep || ack.view == self.views[lane as usize],
+                "snapshot verb {verb:?} moved lane {lane}'s leveler view"
+            );
+            self.views[lane as usize] = ack.view;
             self.lane_failure[lane as usize] = ack.failure;
             if let Err(e) = result {
                 refusals += 1;
@@ -2005,7 +1916,6 @@ impl Engine {
         self.flush()?;
         let event = TraceEvent::read_span(at_ns, lba, len);
         self.accept(&event);
-        self.quiet_ops += 1;
         let mut values = vec![None; len as usize];
         let ran = self.submit_direct(event, None, Some(&mut values));
         self.realign_idle();
@@ -2139,8 +2049,6 @@ impl Engine {
             lane_read_latency: std::mem::take(&mut self.lane_read_latency),
             threads: self.threads,
             queue_depth: self.queue_depth,
-            quiet_ops: self.quiet_ops,
-            coordinated_ops: self.coordinated_ops,
             helped_commands: self.helped_commands,
             metrics,
             telemetry: self.telemetry,
@@ -2298,31 +2206,47 @@ mod tests {
         }
     }
 
+    /// Global coordination with SWL over several channels runs its writes in
+    /// place, whatever was asked for: no workers, and the oracle's report. The
+    /// same build keeps its workers when any of the three is missing.
     #[test]
-    fn global_ftl_mixes_run_ahead_and_coordinated_writes() {
+    fn global_engine_has_no_workers() {
         let swl = Some(SwlConfig::new(16, 0).with_seed(3));
+        let build_with = |channels: u32, swl: Option<SwlConfig>, coordination| {
+            Engine::build(
+                LayerKind::Ftl,
+                ChannelGeometry::new(channels, 1, chip()),
+                spec(),
+                swl,
+                coordination,
+                &SimConfig::default(),
+                EngineConfig::default().with_threads(4).with_queue_depth(8),
+                true,
+            )
+            .unwrap()
+        };
+        let mut global = build_with(2, swl, SwlCoordination::Global);
+        assert_eq!(global.threads(), 0);
+        assert!(global.workers.is_empty() && global.completions.is_none());
+        let logical = global.logical_pages();
+        let trace = SyntheticTrace::new(WorkloadSpec::paper(logical).with_seed(5))
+            .map(move |e| e.widen(4, logical));
+        global.run(trace, StopCondition::events(3_000)).unwrap();
+        let run = global.finish().unwrap();
+        assert_eq!(run.threads, 0);
         let reference =
             striped_reference(LayerKind::Ftl, 2, swl, SwlCoordination::Global, 3_000, 5);
-        for threads in [0u32, 1, 2] {
-            let run = engine_run(
-                LayerKind::Ftl,
-                2,
-                swl,
-                SwlCoordination::Global,
-                3_000,
-                5,
-                EngineConfig::default()
-                    .with_threads(threads)
-                    .with_queue_depth(8),
-            );
-            assert_eq!(run.report, reference, "threads={threads}");
-            assert!(
-                run.quiet_ops > 0 && run.coordinated_ops > 0,
-                "threads={threads}: {} ran ahead, {} coordinated",
-                run.quiet_ops,
-                run.coordinated_ops
-            );
-            assert_eq!(run.quiet_ops + run.coordinated_ops, 3_000);
+        assert_eq!(run.report, reference);
+
+        for (channels, swl, coordination) in [
+            (2, swl, SwlCoordination::PerChannel),
+            (2, None, SwlCoordination::Global),
+            (1, swl, SwlCoordination::Global),
+        ] {
+            let engine = build_with(channels, swl, coordination);
+            let case = (channels, swl.is_some(), coordination);
+            assert_eq!(engine.threads(), channels, "{case:?}");
+            assert_eq!(engine.finish().unwrap().threads, channels, "{case:?}");
         }
     }
 
@@ -2551,19 +2475,17 @@ mod tests {
     /// blocking `lock`: it must fail the caller just the same.
     #[test]
     fn claim_holder_that_died_fails_a_barrier_instead_of_hanging_it() {
-        let barriers: [fn(&mut Engine); 3] = [
+        let barriers: [fn(&mut Engine); 2] = [
             |e| e.snapshot(SnapshotVerb::Create(1)).unwrap(),
             |e| drop(e.read(0, 0, 1).unwrap()),
-            // The NFTL's erase-free bound is 0: every write is coordinated.
-            |e| e.submit(TraceEvent::write(0, 0)).unwrap(),
         ];
-        for (name, barrier) in ["snapshot", "read", "write"].into_iter().zip(barriers) {
+        for (name, barrier) in ["snapshot", "read"].into_iter().zip(barriers) {
             let mut engine = Engine::build(
                 LayerKind::Nftl,
                 ChannelGeometry::new(2, 1, chip()),
                 spec(),
                 Some(SwlConfig::new(16, 0).with_seed(3)),
-                SwlCoordination::Global,
+                SwlCoordination::PerChannel,
                 &SimConfig::default(),
                 EngineConfig::default().with_threads(2),
                 true,

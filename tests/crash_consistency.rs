@@ -125,9 +125,9 @@ fn striped_power_cuts_preserve_acked_writes_on_every_channel() {
 /// Strided sweep with the write cache interposed: flush-acked writes
 /// survive every cut point on both layers, and across the sweep some
 /// un-acked cached writes really vanish (the lossy side of the ack
-/// contract, asserted rather than assumed). Under Global coordination the
-/// FTL's writes run ahead between erases just as they do per channel, so
-/// the rail drops with up to a queue depth of requests in flight there too.
+/// contract, asserted rather than assumed). An engine with workers drops
+/// the rail with up to a queue depth of requests in flight; under Global
+/// coordination it has none and runs each write where it is submitted.
 #[test]
 fn service_cache_cuts_preserve_flush_acked_writes() {
     let mut stats = SweepStats::default();

@@ -147,10 +147,7 @@ fn engine_matches_oracle(kind: LayerKind, channels: u32, coordination: SwlCoordi
 }
 
 /// [`engine_matches_oracle`] at each of `queue_depths`, over lanes built
-/// from `layers`. Also pins which path the ops took: only Global
-/// coordination over several lanes coordinates any op at all, and there a
-/// write runs ahead exactly when its lanes promise erase-free writes — which
-/// the fault-free FTL does between erases, and nothing else ever does.
+/// from `layers`.
 fn engine_matches_oracle_with(
     kind: LayerKind,
     channels: u32,
@@ -162,10 +159,6 @@ fn engine_matches_oracle_with(
     let stop = StopCondition::events(EVENTS);
     let (reference_report, mut reference_layer) =
         reference_with(kind, channels, coordination, 1_000_000, stop, seed, layers);
-    let reads = trace(reference_layer.logical_pages(), seed)
-        .take(EVENTS as usize)
-        .filter(|e| e.op == Op::Read)
-        .count() as u64;
 
     // Snapshot the oracle's per-lane state and contents *before* reading
     // anything back: reads are real device operations and would perturb the
@@ -210,19 +203,6 @@ fn engine_matches_oracle_with(
             run.report, reference_report,
             "{kind:?} ×{channels}ch {coordination:?} threads={threads} qd={qd}: report diverged"
         );
-        assert_eq!(run.quiet_ops + run.coordinated_ops, EVENTS);
-        let split = (run.quiet_ops, run.coordinated_ops);
-        if coordination == SwlCoordination::PerChannel || channels == 1 {
-            assert_eq!(split, (EVENTS, 0), "threads={threads} qd={qd}");
-        } else if kind == LayerKind::Ftl && layers.fault.is_none() {
-            assert!(
-                run.quiet_ops > reads && run.coordinated_ops > 0,
-                "threads={threads} qd={qd}: {split:?} of {reads} reads took one path only"
-            );
-        } else {
-            assert_eq!(split, (reads, EVENTS - reads), "threads={threads} qd={qd}");
-        }
-
         // Per-lane device and leveler state, lane for lane.
         for (lane, engine_lane) in run.lanes().iter().enumerate() {
             let (counters, erase_stats, device, swl_state) = &oracle_lanes[lane];
@@ -312,8 +292,8 @@ fn ftl_four_channels_global_across_queue_depths() {
     );
 }
 
-/// Two write frontiers: the erase-free bound is a true lower bound, not the
-/// exact count, so the drain-and-look-again step of admission matters.
+/// Two write frontiers, so a write's erase depends on what the hot-data
+/// identifier made of the pages before it.
 #[test]
 fn ftl_hot_cold_four_channels_global() {
     let hot = HotDataConfig {
@@ -333,7 +313,8 @@ fn ftl_hot_cold_four_channels_global() {
     );
 }
 
-/// A plan that fails programs voids every bound: each write coordinates.
+/// Lanes that fail programs now and then: a failed program abandons its
+/// frontier early and erases sooner.
 #[test]
 fn ftl_program_faults_four_channels_global() {
     let layers = SimConfig {
@@ -361,8 +342,7 @@ fn leveler_state<S: Sink>(lanes: &[Layer<S>]) -> Vec<LevelerState> {
 /// resets and the array sits over threshold for good. Engine and oracle
 /// must still agree bit for bit — down to each leveler's step count and
 /// cursor, since both run `swl_core::StallRule` — and once the stalls are
-/// latched the coordinator must cost nothing: no further SWL step, and
-/// writes running ahead again instead of every one coordinating.
+/// latched the coordinator must cost nothing: no further SWL step.
 #[test]
 fn ftl_reserved_lanes_global_past_the_stall() {
     let layers = SimConfig {
@@ -373,7 +353,7 @@ fn ftl_reserved_lanes_global_past_the_stall() {
     // `level_step` counts one activation per coordinator step.
     let steps =
         |state: &[LevelerState]| -> u64 { state.iter().map(|(.., stats)| stats.activations).sum() };
-    // Per horizon: (coordinator steps, ops that ran ahead, reads).
+    // Per horizon: the coordinator steps.
     let past_stall = [12_000u64, 16_000].map(|events| {
         let stop = StopCondition::events(events);
         let (reference_report, reference_layer) =
@@ -383,11 +363,7 @@ fn ftl_reserved_lanes_global_past_the_stall() {
             assert_eq!(fcnt, LANE_BLOCKS as usize - 2, "all but the reserve");
             assert!(ecnt >= 8 * fcnt as u64, "every shard over threshold");
         }
-        let reads = trace(reference_layer.logical_pages(), seed)
-            .take(events as usize)
-            .filter(|e| e.op == Op::Read)
-            .count() as u64;
-        let quiet_ops = [0u32, 1, 2].map(|threads| {
+        for threads in [0u32, 1, 2] {
             let config = EngineConfig::default()
                 .with_threads(threads)
                 .with_queue_depth(32);
@@ -400,21 +376,11 @@ fn ftl_reserved_lanes_global_past_the_stall() {
                 oracle_state,
                 "threads={threads}"
             );
-            run.quiet_ops
-        });
-        assert!(
-            quiet_ops.iter().all(|&quiet| quiet == quiet_ops[0]),
-            "thread count changed the split: {quiet_ops:?}"
-        );
-        (steps(&oracle_state), quiet_ops[0], reads)
+        }
+        steps(&oracle_state)
     });
-    let [(early_steps, early_quiet, early_reads), (late_steps, late_quiet, late_reads)] =
-        past_stall;
+    let [early_steps, late_steps] = past_stall;
     assert_eq!(late_steps, early_steps, "coordinator steps after the stall");
-    assert!(
-        late_quiet - early_quiet > late_reads - early_reads,
-        "no write ran ahead after the stall"
-    );
 }
 
 #[test]
@@ -680,6 +646,46 @@ fn metering_charges_one_command_per_touched_lane_direct() {
     }
 }
 
+/// Under Global coordination a coordinator step is metered as one more
+/// command of the lane it steps, beside the one command per touched lane of
+/// the write it follows. A low threshold (T = 2) keeps the coordinator
+/// stepping.
+#[test]
+fn metering_charges_one_command_per_coordinator_step_global() {
+    const CHANNELS: u32 = 4;
+    const OPS: u64 = 8_000;
+    let mut engine = Engine::new(
+        LayerKind::Ftl,
+        ChannelGeometry::new(CHANNELS, 1, chip()),
+        spec(1_000_000),
+        Some(SwlConfig::new(2, 0).with_seed(9)),
+        SwlCoordination::Global,
+        &SimConfig::default(),
+        EngineConfig::default().with_threads(4).with_metrics(true),
+    )
+    .unwrap();
+    let pages = engine.logical_pages();
+    let events: Vec<TraceEvent> = trace(pages, 0x57E9).take(OPS as usize).collect();
+    let touched: u64 = events.iter().map(|e| u64::from(e.len.min(CHANNELS))).sum();
+    engine.run(events, StopCondition::default()).unwrap();
+    let run = engine.finish().unwrap();
+    assert_eq!(
+        run.threads, 0,
+        "Global coordination with SWL has no workers"
+    );
+    let steps: u64 = leveler_state(run.lanes())
+        .iter()
+        .map(|(.., stats)| stats.activations)
+        .sum();
+    assert!(steps > 0, "the coordinator never stepped");
+    let metrics = run.metrics.as_ref().expect("metrics on");
+    let by_workers: u64 = metrics.snapshot.workers.iter().map(|w| w.commands).sum();
+    let executed: u64 = metrics.snapshot.lanes.iter().map(|l| l.commands).sum();
+    assert_eq!(run.helped_commands + by_workers, executed);
+    assert_eq!(metrics.cmd_latency.count(), executed);
+    assert_eq!(executed, touched + steps, "{steps} coordinator steps");
+}
+
 /// What a run into a power cut left behind.
 #[derive(Debug, PartialEq)]
 struct CutRun {
@@ -812,9 +818,9 @@ struct Driven {
     /// What the trace's reads returned, when they were issued as blocking
     /// [`Engine::read`]s the way the service issues them (empty otherwise).
     reads: Vec<Vec<Option<u64>>>,
-    /// One command per lane an op touches; a coordinated write adds its
-    /// per-page commands and SWL steps on top, so under Global this is a
-    /// lower bound on the commands executed.
+    /// One command per lane an op touches; under Global a coordinator step
+    /// adds one on top, so there this is a lower bound on the commands
+    /// executed.
     lane_commands: u64,
 }
 
@@ -871,9 +877,8 @@ proptest! {
     /// the commands in some timing-dependent split — or there are no workers
     /// (`threads = 0`) and every lane share runs where its op is submitted —
     /// every command runs exactly once, and the run stays bit-identical to
-    /// `run_striped`: direct == threaded == oracle, captured reads and the
-    /// quiet/coordinated split included, on either translation layer, with
-    /// the meter on or off. The flush interval is drawn so that the bursts
+    /// `run_striped`: direct == threaded == oracle, captured reads included,
+    /// on either translation layer, with the meter on or off. The flush interval is drawn so that the bursts
     /// between barriers fall on both sides of the doorbell threshold (half a
     /// window: `qd / 2` ops).
     #[test]
@@ -912,10 +917,6 @@ proptest! {
         prop_assert_eq!(direct.run.threads, 0);
         prop_assert_eq!(driven.reads.len(), if capture { read_ops } else { 0 });
         prop_assert!(driven.reads == direct.reads, "captured reads diverged");
-        prop_assert_eq!(
-            (driven.run.quiet_ops, driven.run.coordinated_ops),
-            (direct.run.quiet_ops, direct.run.coordinated_ops)
-        );
 
         for Driven { run, lane_commands, .. } in [&driven, &direct] {
             prop_assert!(run.report == reference_report, "engine diverged from run_striped");
