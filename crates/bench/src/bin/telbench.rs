@@ -21,15 +21,8 @@
 //! bit-identical simulation reports — the metrics layer observes, never
 //! perturbs.
 //!
-//! **Health arm** (the health-plane gate): the engine arm again with
-//! [`flash_sim::EngineConfig::with_health`] enabled and metrics off. The
-//! health plane rides the telemetry emission sites the workers already
-//! visit (relaxed atomic stores, no clock reads, no locks), so it gets the
-//! same ≤ 2% budget as the metrics layer and the same bit-identity
-//! requirement against the oracle.
-//!
 //! In release builds the `null` arm is asserted within 1% of `plain` and
-//! the metrics-on / health-on arms within 2% of metrics-off; all
+//! the metrics-on arm within 2% of metrics-off; all
 //! report-equality assertions run in every build. Overheads are computed
 //! as the best *paired* per-rep ratio (arm vs its baseline measured
 //! back-to-back), so common-mode machine noise cancels instead of flaking
@@ -98,9 +91,9 @@ fn engine_oracle(scale: &ExperimentScale) -> StripedReport {
         .expect("oracle run failed")
 }
 
-/// One engine run with the observer planes toggled; wall seconds and the
+/// One engine run with wall-clock metrics toggled; wall seconds and the
 /// report.
-fn engine_arm(scale: &ExperimentScale, metrics: bool, health: bool) -> (f64, StripedReport) {
+fn engine_arm(scale: &ExperimentScale, metrics: bool) -> (f64, StripedReport) {
     let mut engine = Engine::new(
         LayerKind::Ftl,
         geometry(scale, ENGINE_CHANNELS),
@@ -111,8 +104,7 @@ fn engine_arm(scale: &ExperimentScale, metrics: bool, health: bool) -> (f64, Str
         EngineConfig::default()
             .with_threads(ENGINE_CHANNELS)
             .with_queue_depth(64)
-            .with_metrics(metrics)
-            .with_health(health),
+            .with_metrics(metrics),
     )
     .expect("engine build failed");
     let pages = engine.logical_pages();
@@ -145,7 +137,6 @@ fn main() -> ExitCode {
     let mut count_min = f64::INFINITY;
     let mut engine_off_min = f64::INFINITY;
     let mut engine_on_min = f64::INFINITY;
-    let mut health_min = f64::INFINITY;
     // Overheads are gated on the best *paired* per-rep ratio, not on the
     // quotient of independent minima: an arm and its baseline run
     // back-to-back inside one rep, so common-mode machine noise (frequency
@@ -155,7 +146,6 @@ fn main() -> ExitCode {
     let mut null_ratio = f64::INFINITY;
     let mut count_ratio = f64::INFINITY;
     let mut engine_ratio = f64::INFINITY;
-    let mut health_ratio = f64::INFINITY;
     let mut reference: Option<SimReport> = None;
     let mut events = 0u64;
     let engine_reference = engine_oracle(&scale);
@@ -169,19 +159,16 @@ fn main() -> ExitCode {
         });
         let (count_s, (count, sink)) =
             timed_pair(|| instrumented_run(kind, swl, &scale, CountSink::default(), stop).expect("count-sink run"));
-        let (engine_off_s, engine_off) = engine_arm(&scale, false, false);
-        let (engine_on_s, engine_on) = engine_arm(&scale, true, false);
-        let (health_s, engine_health) = engine_arm(&scale, false, true);
+        let (engine_off_s, engine_off) = engine_arm(&scale, false);
+        let (engine_on_s, engine_on) = engine_arm(&scale, true);
         plain_min = plain_min.min(plain_s);
         null_min = null_min.min(null_s);
         count_min = count_min.min(count_s);
         engine_off_min = engine_off_min.min(engine_off_s);
         engine_on_min = engine_on_min.min(engine_on_s);
-        health_min = health_min.min(health_s);
         null_ratio = null_ratio.min(null_s / plain_s);
         count_ratio = count_ratio.min(count_s / plain_s);
         engine_ratio = engine_ratio.min(engine_on_s / engine_off_s);
-        health_ratio = health_ratio.min(health_s / engine_off_s);
         events = sink.events;
 
         assert_eq!(plain, null, "NullSink run diverged from the plain path");
@@ -194,10 +181,6 @@ fn main() -> ExitCode {
             engine_on, engine_reference,
             "metrics-on engine diverged from the virtual-time oracle"
         );
-        assert_eq!(
-            engine_health, engine_reference,
-            "health-plane engine diverged from the virtual-time oracle"
-        );
         if let Some(reference) = &reference {
             assert_eq!(reference, &plain, "rep {rep} not reproducible");
         } else {
@@ -208,7 +191,6 @@ fn main() -> ExitCode {
     let null_overhead = null_ratio - 1.0;
     let count_overhead = count_ratio - 1.0;
     let engine_overhead = engine_ratio - 1.0;
-    let health_overhead = health_ratio - 1.0;
     println!(
         "telemetry overhead, quick-scale fig5 workload, \
          min times / best-pair overheads over {reps} reps:"
@@ -234,17 +216,11 @@ fn main() -> ExitCode {
         engine_on_min * 1e3,
         engine_overhead * 100.0
     );
-    println!(
-        "  health on   {:>9.2} ms  ({:+.2}%)",
-        health_min * 1e3,
-        health_overhead * 100.0
-    );
     println!("  all engine reports bit-identical to the virtual-time oracle");
 
     let sink_pass = cfg!(debug_assertions) || null_overhead <= MAX_OVERHEAD;
     let engine_pass = cfg!(debug_assertions) || engine_overhead <= MAX_ENGINE_OVERHEAD;
-    let health_pass = cfg!(debug_assertions) || health_overhead <= MAX_ENGINE_OVERHEAD;
-    let pass = sink_pass && engine_pass && health_pass;
+    let pass = sink_pass && engine_pass;
     println!(
         "{}",
         json::object(|o| {
@@ -259,8 +235,6 @@ fn main() -> ExitCode {
                 .f64("engine_off_ms", engine_off_min * 1e3, 3)
                 .f64("engine_on_ms", engine_on_min * 1e3, 3)
                 .f64("engine_overhead", engine_overhead, 4)
-                .f64("health_ms", health_min * 1e3, 3)
-                .f64("health_overhead", health_overhead, 4)
                 .bool("engine_bit_identical", true)
                 .bool("pass", pass);
         })
@@ -276,13 +250,6 @@ fn main() -> ExitCode {
         eprintln!(
             "telbench: engine metrics overhead {:.2}% exceeds the {:.0}% budget",
             engine_overhead * 100.0,
-            MAX_ENGINE_OVERHEAD * 100.0
-        );
-    }
-    if !health_pass {
-        eprintln!(
-            "telbench: health-plane overhead {:.2}% exceeds the {:.0}% budget",
-            health_overhead * 100.0,
             MAX_ENGINE_OVERHEAD * 100.0
         );
     }

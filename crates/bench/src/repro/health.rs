@@ -46,8 +46,7 @@ fn service(scale: &ExperimentScale) -> Service {
             .with_engine(
                 EngineConfig::default()
                     .with_threads(CHANNELS)
-                    .with_queue_depth(8)
-                    .with_health(true),
+                    .with_queue_depth(8),
             )
             .with_cache(cache),
     )
@@ -88,7 +87,7 @@ pub(super) fn render() -> String {
             service.write(lba, &data).expect("write succeeds");
         }
         service.flush().expect("flush succeeds");
-        let report = service.stats().expect("health was enabled");
+        let report = service.stats().expect("stats succeeds");
         let writes = (seq + 1) * REPORT_EVERY;
         if let Some(from) = last.map(|r| r.state).filter(|&from| from != report.state) {
             let to = report.state.token();

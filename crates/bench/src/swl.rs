@@ -22,11 +22,12 @@
 //!   host ops that paid the most device time with their exact
 //!   host/gc/swl/merge split, the span tree of the worst, and — for a
 //!   multi-channel log — a per-channel table with the achieved overlap.
-//! - `top` drives one client of a served, cached, health-enabled
-//!   [`flash_sim::service::Service`] (the 4-channel FTL, engine metrics on)
-//!   through `--events` ops of [`crate::array::client_ops`] and refreshes a
-//!   per-worker / per-lane utilization view while the run is in flight;
-//!   `--out` exports every sample with its `cache` and `health` lines.
+//! - `top` drives one client of a cached [`flash_sim::service::Service`]
+//!   (the 4-channel FTL, engine metrics on) through `--events` ops of
+//!   [`crate::array::client_ops`] and, between ops every `--interval-ms`,
+//!   samples the engine metrics, the cache counters and a `stats` report and
+//!   refreshes a per-worker / per-lane utilization view; `--out` exports
+//!   every sample with its `cache` and `health` lines.
 //! - `check` gates either kind of stream. Which validator applies is a fact
 //!   of the file, so it is read off the first line: `"e":"meta"` is an event
 //!   stream (schema version, every line decodes, block and channel ids in
@@ -38,19 +39,17 @@
 
 use std::io::{IsTerminal, Read, Write};
 use std::str::FromStr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::array::{self, cache_config, client_ops, client_slices, pct, spec, CHANNELS};
 use crate::export;
 use crate::{format_table, scale_named};
 use flash_sim::experiments::{instrumented_run, instrumented_striped_run, ExperimentScale};
-use flash_sim::service::Service;
 use flash_sim::{EngineConfig, LayerKind, SimError, StopCondition};
 use flash_telemetry::json;
 use flash_telemetry::{
-    parse_line, ClosedSpan, EngineSnapshot, Event, HealthMonitor, IntervalStats, JsonlSink,
-    LatencyHistogram, MetricsAggregator, OpBreakdown, Sink, SpanCause, SpanKind, SpanReplayer,
-    SCHEMA_VERSION,
+    parse_line, ClosedSpan, EngineSnapshot, Event, IntervalStats, JsonlSink, LatencyHistogram,
+    MetricsAggregator, OpBreakdown, Sink, SpanCause, SpanKind, SpanReplayer, SCHEMA_VERSION,
 };
 
 /// Usage line for a command line [`run`] refuses; the module doc has each
@@ -919,15 +918,11 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
     let engine = EngineConfig::default()
         .with_threads(options.threads)
         .with_queue_depth(options.depth)
-        .with_metrics(true)
-        .with_health(true);
+        .with_metrics(true);
     let mut service = array::service(scale, spec(scale), engine, Some(cache_config()));
     let (base, span) = client_slices(service.logical_pages(), 1)[0];
     let ops = client_ops(0, base, span, options.events, scale.seed);
     let metrics = service.metrics_handle();
-    let cache = service.cache_runtime().expect("cache was enabled");
-    let health = service.health_runtime().expect("health was enabled");
-    let mut monitor = HealthMonitor::new(health.config());
     let threads = metrics.snapshot().workers.len() as u32;
 
     writeln!(
@@ -946,44 +941,42 @@ fn top(options: &TopOptions, out: &mut dyn Write) -> Result<(), Error> {
         options.events as u64,
         options.interval_ms,
     )];
-    let client = std::thread::spawn(move || -> Result<Service, SimError> {
-        for op in &ops {
-            op.apply(&mut service)?;
-        }
-        Ok(service)
-    });
-
+    let failed = |e: SimError| format!("client op failed: {e}");
     let live = std::io::stdout().is_terminal();
+    let interval = Duration::from_millis(options.interval_ms);
     let mut seq = 0u64;
     let mut last_height = 0usize;
-    while !client.is_finished() {
-        let snap = metrics.snapshot();
-        let sample = cache.sample();
-        export::tick_lines(&mut jsonl, seq, &snap);
-        jsonl.push(export::cache_line(seq, snap.elapsed_ns, &sample));
-        let report = monitor.report_on(&health.sample(), Some(sample));
-        jsonl.push(export::health_line(seq, snap.elapsed_ns, &report));
-        if live {
-            // Refresh in place: move the cursor back over the previous frame.
-            if last_height > 0 {
-                write!(out, "\x1b[{last_height}A")?;
+    let mut next_tick = Instant::now();
+    // The client loop samples before an op once `interval` of wall time has
+    // passed; a `stats` poll is a barrier, so each health line covers every
+    // op so far.
+    for op in &ops {
+        if Instant::now() >= next_tick {
+            next_tick = Instant::now() + interval;
+            let snap = metrics.snapshot();
+            let sample = service.cache_sample().expect("cache was enabled");
+            export::tick_lines(&mut jsonl, seq, &snap);
+            jsonl.push(export::cache_line(seq, snap.elapsed_ns, &sample));
+            let report = service.stats().map_err(failed)?;
+            jsonl.push(export::health_line(seq, snap.elapsed_ns, &report));
+            if live {
+                // Refresh in place: move the cursor back over the previous frame.
+                if last_height > 0 {
+                    write!(out, "\x1b[{last_height}A")?;
+                }
+                let lines = frame(&snap);
+                for line in &lines {
+                    writeln!(out, "\x1b[2K{line}")?;
+                }
+                last_height = lines.len();
+                out.flush()?;
             }
-            let lines = frame(&snap);
-            for line in &lines {
-                writeln!(out, "\x1b[2K{line}")?;
-            }
-            last_height = lines.len();
-            out.flush()?;
+            seq += 1;
         }
-        seq += 1;
-        std::thread::sleep(Duration::from_millis(options.interval_ms));
+        op.apply(&mut service).map_err(failed)?;
     }
-    let service = client
-        .join()
-        .map_err(|_| "client thread panicked".to_owned())?
-        .map_err(|e| format!("client op failed: {e}"))?;
-    let sample = cache.sample();
-    let report = monitor.report_on(&health.sample(), Some(sample));
+    let sample = service.cache_sample().expect("cache was enabled");
+    let report = service.stats().map_err(failed)?;
     let run = service
         .finish()
         .map_err(|e| format!("service finish failed: {e}"))?

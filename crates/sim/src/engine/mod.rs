@@ -68,7 +68,9 @@
 //!   page buffer or completion. A blocking read is one page loop in host
 //!   order (`submit_direct`, the loop `run_striped` runs); a snapshot verb
 //!   on a lane is a closure `run_here` runs on the lane. Either hands back
-//!   the lane's acknowledgement: busy delta, first failure, leveler view.
+//!   the lane's acknowledgement: busy delta and first failure. A health read
+//!   ([`Engine::health_sample`]) drains the pipeline the same way and then
+//!   reads each lane's counters under its group's claim; it is no host op.
 //! - **The claim.** Each group's lanes live behind one mutex (`LaneClaim`),
 //!   and holding its guard is the right to run the group: *only the claim
 //!   holder pops the group's command queue, it executes what it popped in
@@ -209,7 +211,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use flash_telemetry::buffer::{merge_lane_buffers, LaneBuffer};
-use flash_telemetry::health::{HealthConfig, HealthRuntime};
+use flash_telemetry::health::HealthSample;
 use flash_telemetry::runtime::{EngineMetricsReport, EngineRuntime, EngineSnapshot, QueueSample};
 use flash_telemetry::{Event, LatencyHistogram, Sink};
 use flash_trace::{Op, TraceEvent};
@@ -237,26 +239,14 @@ pub struct EngineSink {
     enabled: bool,
     epoch: Arc<AtomicU64>,
     buffer: LaneBuffer,
-    /// Health-plane tap: the shared wear table plus this lane's flat-block
-    /// base. Rides the emission sites the device already has — no clock
-    /// reads, no locks, just relaxed stores on wear-bearing events — and is
-    /// independent of `enabled`, so health stays live with telemetry
-    /// buffering off.
-    health: Option<(Arc<HealthRuntime>, u64)>,
 }
 
 impl EngineSink {
-    fn new(
-        lane: u32,
-        enabled: bool,
-        epoch: Arc<AtomicU64>,
-        health: Option<(Arc<HealthRuntime>, u64)>,
-    ) -> Self {
+    fn new(lane: u32, enabled: bool, epoch: Arc<AtomicU64>) -> Self {
         Self {
             enabled,
             epoch,
             buffer: LaneBuffer::new(lane),
-            health,
         }
     }
 
@@ -269,9 +259,6 @@ impl EngineSink {
 impl Sink for EngineSink {
     #[inline]
     fn event(&mut self, event: Event) {
-        if let Some((health, base)) = &self.health {
-            health.observe_event(*base, &event);
-        }
         if self.enabled {
             self.buffer.set_epoch(self.epoch.load(Ordering::Relaxed));
             self.buffer.event(event);
@@ -311,8 +298,6 @@ struct LaneAck {
     busy_delta: u64,
     /// The lane's first wear-out as of this work.
     failure: Option<FailureRecord>,
-    /// The lane's leveler view as of this work ([`view_of`]).
-    view: ShardView,
 }
 
 /// A lane's acknowledgement of one queued command.
@@ -363,6 +348,28 @@ fn view_of(layer: &Layer<EngineSink>) -> ShardView {
     layer.swl().map(ShardView::of).unwrap_or_default()
 }
 
+/// Adds lane `wl`'s figures to `sample`: its erase counts at its blocks' flat
+/// indices, its counters and BET interval counts to the sums.
+fn add_lane_health(sample: &mut HealthSample, geometry: &ChannelGeometry, wl: &WorkerLane) {
+    let device = wl.layer.device();
+    let wear = device.erase_counts();
+    let base = geometry.flat_block(wl.channel, 0) as usize;
+    sample.wear[base..base + wear.len()].copy_from_slice(&wear);
+    let counters = wl.layer.counters();
+    sample.retired += counters.retired_blocks;
+    sample.gc_erases += counters.gc_erases;
+    sample.swl_erases += counters.swl_erases;
+    sample.ext_erases += device
+        .counters()
+        .erases
+        .saturating_sub(counters.gc_erases + counters.swl_erases);
+    sample.host_pages += counters.host_writes;
+    if let Some(swl) = wl.layer.swl() {
+        sample.bet_ecnt += swl.ecnt();
+        sample.bet_fcnt += swl.fcnt() as u64;
+    }
+}
+
 /// Runs `pages` on `layer` in order, filling in their latencies, and stops at
 /// the first page that fails, cutting `pages` back to those that executed:
 /// their count, and the failure with its page's ordinal. The page loop of a
@@ -410,7 +417,6 @@ fn run_on<R>(
     let ack = LaneAck {
         busy_delta: wl.layer.device().busy_ns() - busy_before,
         failure: wl.layer.device().first_failure(),
-        view: view_of(&wl.layer),
     };
     (result, ack)
 }
@@ -710,10 +716,6 @@ pub struct EngineConfig {
     /// Account wall-clock worker/queue runtime metrics (see the module
     /// docs' *Wall-clock observability* section).
     pub metrics: bool,
-    /// Maintain the shared [`HealthRuntime`] wear table for mid-run health
-    /// sampling ([`Engine::health_runtime`]). Rides the existing telemetry
-    /// emission sites: no clock reads or locks added to workers.
-    pub health: bool,
 }
 
 impl Default for EngineConfig {
@@ -723,7 +725,6 @@ impl Default for EngineConfig {
             queue_depth: 1,
             telemetry: false,
             metrics: false,
-            health: false,
         }
     }
 }
@@ -751,12 +752,6 @@ impl EngineConfig {
     /// attribution, queue gauges, wall latency histograms).
     pub fn with_metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
-        self
-    }
-
-    /// Enables the live health plane (see [`EngineConfig::health`]).
-    pub fn with_health(mut self, enabled: bool) -> Self {
-        self.health = enabled;
         self
     }
 }
@@ -853,7 +848,6 @@ pub struct Engine {
     completions: Option<Arc<ShardQueue<LaneCompletion>>>,
     workers: Vec<JoinHandle<LatencyHistogram>>,
     runtime: Arc<EngineRuntime>,
-    health: Option<Arc<HealthRuntime>>,
     endurance: u32,
     // Front-end (submission-order) state.
     next_token: u64,
@@ -883,7 +877,7 @@ pub struct Engine {
     first_failure: Option<FirstFailure>,
     lane_failure: Vec<Option<FailureRecord>>,
     /// Each lane's leveler view, for the Global coordinator (exact there: the
-    /// engine owns every lane) and the health plane's BET gauges.
+    /// engine owns every lane; no other engine reads them).
     views: Vec<ShardView>,
     /// When the Global coordinator steps and when it gives up — the rule
     /// `StripedLayer::coordinate_swl` runs under.
@@ -1036,32 +1030,12 @@ impl Engine {
         };
         let queue_depth = engine.queue_depth.clamp(1, 256);
 
-        // The health runtime's estimator work constant scales with expected
-        // device lifetime in host pages (~ blocks × endurance × ppb / 8 at
-        // write amplification ≈ 2), so the forecast averages over recent
-        // life, not just the last few samples.
-        let health = engine.health.then(|| {
-            let blocks = geometry.total_blocks();
-            let ppb = u64::from(geometry.chip().pages_per_block());
-            let lifetime_pages = blocks
-                .saturating_mul(u64::from(spec.endurance))
-                .saturating_mul(ppb)
-                / 2;
-            let tau = (lifetime_pages / 8).max(1024) as f64;
-            Arc::new(HealthRuntime::new(
-                blocks as usize,
-                HealthConfig::new(u64::from(spec.endurance)).with_tau_pages(tau),
-            ))
-        });
         let mut lanes = Vec::with_capacity(channels as usize);
         let mut logical_pages = 0u64;
         let mut views = Vec::with_capacity(channels as usize);
         for lane in 0..channels {
             let epoch = Arc::new(AtomicU64::new(0));
-            let lane_health = health
-                .as_ref()
-                .map(|h| (Arc::clone(h), geometry.flat_block(lane, 0)));
-            let sink = EngineSink::new(lane, engine.telemetry, Arc::clone(&epoch), lane_health);
+            let sink = EngineSink::new(lane, engine.telemetry, Arc::clone(&epoch));
             let device = NandDevice::new(geometry.lane_geometry(), spec).with_sink_silent(sink);
             let lane_swl = swl.map(|base| lane_swl_config(base, lane, deferred));
             let layer = Layer::build(kind, device, lane_swl, config)?;
@@ -1146,7 +1120,6 @@ impl Engine {
             completions,
             workers,
             runtime,
-            health,
             endurance: spec.endurance,
             next_token: 0,
             next_seq: 0,
@@ -1214,11 +1187,34 @@ impl Engine {
         }
     }
 
-    /// The shared health-plane wear table, sampleable from any thread while
-    /// the engine runs (the `metrics_handle` idiom for wear instead of
-    /// wall-clock). `None` unless built with [`EngineConfig::with_health`].
-    pub fn health_runtime(&self) -> Option<Arc<HealthRuntime>> {
-        self.health.as_ref().map(Arc::clone)
+    /// The device's health figures, read off its lanes once every accepted
+    /// op has run: [`Engine::flush`], then each lane — the engine's own, or
+    /// each group's under the group's claim, as a barrier call takes them.
+    /// Not a host op: it is metered as no command and stamps no epoch.
+    /// `wear` holds every lane's erase counts in the flat (lane-major) block
+    /// order; erase attribution, retirements, host pages and the BET
+    /// interval counts are summed over the lanes, and `ext_erases` counts the
+    /// erases neither GC nor the leveler made (manifest erases).
+    ///
+    /// # Errors
+    ///
+    /// The sticky engine error, as [`Engine::flush`].
+    pub fn health_sample(&mut self) -> Result<HealthSample, SimError> {
+        self.flush()?;
+        let mut sample = HealthSample {
+            wear: vec![0; self.geometry.total_blocks() as usize],
+            ..HealthSample::default()
+        };
+        for wl in &self.lanes {
+            add_lane_health(&mut sample, &self.geometry, wl);
+        }
+        for (group, claim) in self.claims.iter().enumerate() {
+            let lanes = claim.lock().unwrap_or_else(|_| worker_died(group));
+            for wl in lanes.iter() {
+                add_lane_health(&mut sample, &self.geometry, wl);
+            }
+        }
+        Ok(sample)
     }
 
     /// Puts a lane's share of a pipelined op on its group's command queue.
@@ -1324,17 +1320,12 @@ impl Engine {
     }
 
     /// Counts a host op in: the event tally, the host span, and the live
-    /// metrics and health planes.
+    /// metrics.
     fn accept(&mut self, event: &TraceEvent) {
         self.events += 1;
         self.host_span_ns = self.host_span_ns.max(event.at_ns);
         if self.metrics {
             self.runtime.op_submitted();
-        }
-        if let Some(h) = &self.health {
-            if event.op == Op::Write {
-                h.add_host_pages(u64::from(event.len));
-            }
         }
     }
 
@@ -1403,8 +1394,8 @@ impl Engine {
     /// Runs an op right here, before returning, the way `run_striped` does —
     /// one loop over its pages in host order, each on its lane, its busy time
     /// added to the op's and to the lane's page histogram; then one
-    /// acknowledgement per lane it touched (epoch, first failure, and the
-    /// leveler view for the health plane), and the op retires. The executor
+    /// acknowledgement per lane it touched (epoch and first failure), and the
+    /// op retires. The executor
     /// of every pipelined op of an engine without workers, and of a blocking
     /// read on either engine, which has drained the pipeline and takes the
     /// claim of each group the read touches once.
@@ -1550,14 +1541,7 @@ impl Engine {
         }
         let touched = self.touched_lanes(event.len, first);
         for (lane, at) in touched.filter_map(|lane| Some((lane, slot(lane)?))) {
-            let wl = &mut lanes[at];
-            self.lane_failure[lane as usize] = wl.layer.device().first_failure();
-            // Only the health plane reads the views here: under Global
-            // coordination this loop runs reads, which move none.
-            if self.health.is_some() {
-                self.views[lane as usize] = view_of(&wl.layer);
-                self.publish_bet_gauges();
-            }
+            self.lane_failure[lane as usize] = lanes[at].layer.device().first_failure();
         }
         error
     }
@@ -1622,8 +1606,6 @@ impl Engine {
     }
 
     fn absorb(&mut self, completion: LaneCompletion) {
-        self.views[completion.lane as usize] = completion.ack.view;
-        self.publish_bet_gauges();
         let index = (completion.op_seq - self.finalize_next) as usize;
         self.pending[index].results.push(completion);
     }
@@ -1704,19 +1686,6 @@ impl Engine {
             Op::Read => self.op_read_latency.record(op_latency),
         }
         self.note_first_failure(at_ns);
-    }
-
-    /// Publishes the array-wide BET interval gauges (summed over the cached
-    /// lane views) to the health runtime. Front-end-only work on the
-    /// completion-absorb path; no-op without the health plane.
-    fn publish_bet_gauges(&self) {
-        if let Some(h) = &self.health {
-            let (ecnt, fcnt) = self
-                .views
-                .iter()
-                .fold((0u64, 0u64), |(e, f), v| (e + v.ecnt, f + v.fcnt));
-            h.set_bet(ecnt, fcnt);
-        }
     }
 
     fn note_first_failure(&mut self, at_ns: u64) {
@@ -1819,7 +1788,6 @@ impl Engine {
                 break;
             }
         }
-        self.publish_bet_gauges();
         Ok(on_page_lane)
     }
 
@@ -1882,17 +1850,16 @@ impl Engine {
             // A manifest erase is not reported to SWL-BETUpdate, and a merge
             // step touches no flash: the Global coordinator stays at rest.
             debug_assert!(
-                !self.lockstep || ack.view == self.views[lane as usize],
+                !self.lockstep
+                    || view_of(&self.lanes[lane as usize].layer) == self.views[lane as usize],
                 "snapshot verb {verb:?} moved lane {lane}'s leveler view"
             );
-            self.views[lane as usize] = ack.view;
             self.lane_failure[lane as usize] = ack.failure;
             if let Err(e) = result {
                 refusals += 1;
                 uniform = uniform && *first.get_or_insert(e) == e;
             }
         }
-        self.publish_bet_gauges();
         self.realign_idle();
         let Some(e) = first else {
             return Ok(());

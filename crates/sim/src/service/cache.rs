@@ -35,9 +35,8 @@
 //! plain model backend.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
-use flash_telemetry::runtime::{CacheRuntime, CacheSample};
+use flash_telemetry::runtime::CacheSample;
 use hotid::{BuildIdentifierError, HotDataConfig, MultiHashIdentifier};
 
 /// Tuning for a [`WriteCache`].
@@ -114,14 +113,15 @@ pub struct WriteCache {
     /// entry was since trimmed away; consumers skip those lazily.
     order: VecDeque<u64>,
     hot: MultiHashIdentifier,
-    runtime: Arc<CacheRuntime>,
+    /// The counters, bumped in place (`dirty` is read off `entries`).
+    counters: CacheSample,
     capacity: usize,
     watermark: usize,
     batch: usize,
 }
 
 impl WriteCache {
-    /// Builds the cache and its shared counter block.
+    /// Builds the cache, its counters at zero.
     ///
     /// # Errors
     ///
@@ -133,22 +133,22 @@ impl WriteCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
             hot: MultiHashIdentifier::new(config.hot)?,
-            runtime: Arc::new(CacheRuntime::new(capacity as u64)),
+            counters: CacheSample {
+                capacity: capacity as u64,
+                ..CacheSample::default()
+            },
             capacity,
             watermark: config.sync_watermark.clamp(1, capacity),
             batch: config.batch.max(1),
         })
     }
 
-    /// The shared counter block, for mid-run observers (`swl top`'s
-    /// JSONL sampler reads it while the service runs).
-    pub fn runtime(&self) -> Arc<CacheRuntime> {
-        Arc::clone(&self.runtime)
-    }
-
-    /// Current counters (convenience over `runtime().sample()`).
+    /// The counters as of now.
     pub fn sample(&self) -> CacheSample {
-        self.runtime.sample()
+        CacheSample {
+            dirty: self.entries.len() as u64,
+            ..self.counters
+        }
     }
 
     /// Dirty entries held right now.
@@ -168,11 +168,11 @@ impl WriteCache {
             // Keep heat flowing even for absorbed rewrites, so the decay
             // cadence sees the true write rate.
             self.hot.record_write(lba);
-            self.runtime.write_hit();
+            self.counters.write_hits += 1;
             return WriteOutcome::Absorbed;
         }
         if !self.hot.record_write(lba) {
-            self.runtime.pass_through();
+            self.counters.write_through += 1;
             return WriteOutcome::WriteThrough;
         }
         let evicted = if self.entries.len() >= self.capacity {
@@ -182,17 +182,14 @@ impl WriteCache {
         };
         self.entries.insert(lba, value);
         self.order.push_back(lba);
-        self.runtime.admit();
-        self.runtime.set_dirty(self.entries.len() as u64);
+        self.counters.admitted += 1;
         WriteOutcome::Admitted { evicted }
     }
 
     /// Looks up a dirty entry for a read (counts a read hit when found).
-    pub fn lookup(&self, lba: u64) -> Option<u64> {
+    pub fn lookup(&mut self, lba: u64) -> Option<u64> {
         let value = self.entries.get(&lba).copied();
-        if value.is_some() {
-            self.runtime.read_hit();
-        }
+        self.counters.read_hits += u64::from(value.is_some());
         value
     }
 
@@ -203,10 +200,7 @@ impl WriteCache {
     pub fn trim(&mut self, lba: u64) -> bool {
         // The stale `order` slot is skipped lazily by `take_batch`.
         let existed = self.entries.remove(&lba).is_some();
-        if existed {
-            self.runtime.trim_drop();
-            self.runtime.set_dirty(self.entries.len() as u64);
-        }
+        self.counters.trimmed += u64::from(existed);
         existed
     }
 
@@ -242,8 +236,11 @@ impl WriteCache {
         }
         if !batch.is_empty() {
             batch.sort_unstable_by_key(|&(lba, _)| lba);
-            self.runtime.flush_batch(batch.len() as u64, evicting);
-            self.runtime.set_dirty(self.entries.len() as u64);
+            self.counters.flushed_pages += batch.len() as u64;
+            self.counters.flush_batches += 1;
+            if evicting {
+                self.counters.evicted += batch.len() as u64;
+            }
         }
         batch
     }

@@ -35,6 +35,12 @@
 //! | `Clone(id)`      | —                      | drop the dirty cache, clear trims  |
 //! | `Merge(id)`      | flush                  | clear trims (the snapshot wins)    |
 //!
+//! # Health
+//!
+//! [`Service::stats`] drains the engine, reads the health figures off its
+//! lanes ([`Engine::health_sample`]) and folds them into the service's
+//! [`HealthMonitor`]: nothing is mirrored on the data path for it.
+//!
 //! # Determinism
 //!
 //! The service stamps engine events from a logical clock (one fixed
@@ -95,8 +101,8 @@ pub mod cache;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use flash_telemetry::health::{HealthMonitor, HealthReport, HealthRuntime};
-use flash_telemetry::runtime::{CacheRuntime, CacheSample};
+use flash_telemetry::health::{HealthConfig, HealthMonitor, HealthReport, HealthSample};
+use flash_telemetry::runtime::CacheSample;
 use nand::{CellSpec, ChannelGeometry, NandDevice};
 use swl_core::SwlConfig;
 
@@ -157,9 +163,6 @@ pub struct ServiceRun {
     pub run: EngineRun,
     /// Final cache counters (`None` when the service ran cache-less).
     pub cache: Option<CacheSample>,
-    /// Final health report (`None` unless the engine ran with
-    /// [`EngineConfig::with_health`]).
-    pub health: Option<HealthReport>,
     /// Host ops the service accepted (writes + reads + trims).
     pub ops: u64,
 }
@@ -170,10 +173,8 @@ pub struct ServiceRun {
 pub struct Service {
     engine: Engine,
     cache: Option<WriteCache>,
-    /// Health-plane monitor folding [`HealthRuntime`] samples into wear
-    /// rates (present only when the engine runs with
-    /// [`EngineConfig::with_health`]).
-    monitor: Option<HealthMonitor>,
+    /// Folds the engine's [`HealthSample`]s into wear rates ([`Service::stats`]).
+    monitor: HealthMonitor,
     /// Pages masked by a trim since their last write. Advisory and
     /// RAM-only: not persisted across a crash.
     trimmed: HashSet<u64>,
@@ -214,9 +215,18 @@ impl Service {
         let cache = config
             .cache
             .map(|c| WriteCache::new(c).expect("invalid cache admission config"));
-        let monitor = engine
-            .health_runtime()
-            .map(|rt| HealthMonitor::new(rt.config()));
+        // The estimators' work constant is an eighth of the expected device
+        // lifetime in host pages (~ blocks × endurance × ppb / 2 at write
+        // amplification ≈ 2), so the forecast averages over recent life, not
+        // just the last few reports.
+        let lifetime_pages = geometry
+            .total_blocks()
+            .saturating_mul(u64::from(spec.endurance))
+            .saturating_mul(u64::from(geometry.chip().pages_per_block()))
+            / 2;
+        let tau = (lifetime_pages / 8).max(1024) as f64;
+        let monitor =
+            HealthMonitor::new(HealthConfig::new(u64::from(spec.endurance)).with_tau_pages(tau));
         Ok(Self {
             engine,
             cache,
@@ -252,39 +262,40 @@ impl Service {
         self.cache.as_ref().map(WriteCache::sample)
     }
 
-    /// The cache's shared counter block for mid-run observers (`None`
-    /// when cache-less).
-    pub fn cache_runtime(&self) -> Option<Arc<CacheRuntime>> {
-        self.cache.as_ref().map(WriteCache::runtime)
-    }
-
     /// The engine's metrics observer handle (all-zero counters unless the
     /// engine was built with [`EngineConfig::with_metrics`]).
     pub fn metrics_handle(&self) -> EngineMetricsHandle {
         self.engine.metrics_handle()
     }
 
-    /// The engine's shared health-plane wear table, for out-of-band
-    /// observers (`None` unless built with [`EngineConfig::with_health`]).
-    pub fn health_runtime(&self) -> Option<Arc<HealthRuntime>> {
-        self.engine.health_runtime()
+    /// The device's health figures, read off the engine's lanes once every
+    /// op accepted so far has run ([`Engine::health_sample`]), without
+    /// folding them into the monitor [`Service::stats`] reports from.
+    ///
+    /// # Errors
+    ///
+    /// The engine's first finalized lane error (sticky).
+    pub fn health_sample(&mut self) -> Result<HealthSample, SimError> {
+        self.engine.health_sample()
     }
 
-    /// SMART-style health report at this instant: samples the shared wear
-    /// table, folds the delta since the previous report into the wear-rate
-    /// estimators, and attaches current cache counters. `None` unless the
-    /// engine runs with [`EngineConfig::with_health`].
+    /// SMART-style health report at this instant: drains the engine, reads
+    /// its lanes ([`Service::health_sample`]), folds the delta since the
+    /// previous report into the wear-rate estimators, and attaches the
+    /// current cache counters.
     ///
-    /// A pure read of the management plane: no engine submission, no
-    /// logical-clock tick — a cache-off service that interleaves `stats`
-    /// calls stays bit-identical to a direct engine run of the same I/O
-    /// sequence (`tests/service_oracle.rs` pins this).
-    pub fn stats(&mut self) -> Option<HealthReport> {
-        let runtime = self.engine.health_runtime()?;
-        let sample = runtime.sample();
+    /// A read of the management plane: no logical-clock tick, and the drain
+    /// finalizes ops without changing what they do — a cache-off service
+    /// that interleaves `stats` calls stays bit-identical to a direct engine
+    /// run of the same I/O sequence (`tests/service_oracle.rs` pins this).
+    ///
+    /// # Errors
+    ///
+    /// The engine's first finalized lane error (sticky).
+    pub fn stats(&mut self) -> Result<HealthReport, SimError> {
+        let sample = self.engine.health_sample()?;
         let cache = self.cache_sample();
-        let monitor = self.monitor.as_mut().expect("monitor exists iff runtime");
-        Some(monitor.report_on(&sample, cache))
+        Ok(self.monitor.report_on(&sample, cache))
     }
 
     /// Advances the logical clock by one op tick and returns the stamp.
@@ -417,7 +428,7 @@ impl Service {
             let local = if !self.trimmed.is_empty() && self.trimmed.contains(&page) {
                 Some(None)
             } else {
-                self.cache.as_ref().and_then(|c| c.lookup(page)).map(Some)
+                self.cache.as_mut().and_then(|c| c.lookup(page)).map(Some)
             };
             match local {
                 Some(value) => {
@@ -535,13 +546,11 @@ impl Service {
     /// either way.
     pub fn finish(mut self) -> Result<ServiceRun, SimError> {
         self.flush()?;
-        let health = self.stats();
         let cache = self.cache_sample();
         let run = self.engine.finish()?;
         Ok(ServiceRun {
             run,
             cache,
-            health,
             ops: self.ops,
         })
     }
@@ -631,9 +640,12 @@ impl ServiceClient {
     }
 
     /// Queries the service's SMART-style health report under the same lock
-    /// as I/O (linearised with the data path, no side channel). `None` when
-    /// the service runs without the health plane.
-    pub fn stats(&mut self) -> Option<HealthReport> {
+    /// as I/O (linearised with the data path, no side channel).
+    ///
+    /// # Errors
+    ///
+    /// As [`Service::stats`].
+    pub fn stats(&mut self) -> Result<HealthReport, SimError> {
         self.with_service(Service::stats)
     }
 

@@ -2,12 +2,13 @@
 //! time-to-first-block-failure forecast.
 //!
 //! The rest of this crate *records* wear; this module *projects* it. A
-//! [`HealthMonitor`] folds successive cumulative [`HealthSample`]s, read
-//! from a shared [`HealthRuntime`] atomics block, into work-weighted
-//! wear-rate estimators and produces a [`HealthReport`]: wear percentiles and
-//! sigma, retired-block fraction, BET unevenness trend, cache absorption, a
-//! composite [`HealthState`], and a forecast of how many more host pages the
-//! device can absorb before its first block reaches the endurance limit.
+//! [`HealthMonitor`] folds successive cumulative [`HealthSample`]s — read off
+//! the device's lanes at a barrier (`flash_sim`'s `Engine::health_sample`) —
+//! into work-weighted wear-rate estimators and produces a [`HealthReport`]:
+//! wear percentiles and sigma, retired-block fraction, BET unevenness trend,
+//! cache absorption, a composite [`HealthState`], and a forecast of how many
+//! more host pages the device can absorb before its first block reaches the
+//! endurance limit.
 //!
 //! # The estimator
 //!
@@ -36,11 +37,8 @@
 //! 64 polls of that test's rated run and 1 of 51 of its fault-injected run,
 //! and was zero-width at 28 and 23 of them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::aggregate::WearSummary;
 use crate::runtime::CacheSample;
-use crate::{Cause, Event};
 
 /// Documented bound on the relative error of the forecast issued at 50% of
 /// device life, for runs whose blocks fail at their rated endurance (no
@@ -262,106 +260,9 @@ impl HealthReport {
     }
 }
 
-/// Shared atomics block the execution engine's lane sinks update in place:
-/// a per-block wear table plus erase/retirement attribution counters, all
-/// relaxed monotone writes by the owning worker threads, readable at any
-/// instant by an observer ([`HealthRuntime::sample`]) without locks — the
-/// same discipline as [`crate::runtime::EngineRuntime`]. Wear updates ride
-/// the telemetry emission sites the device already has, so attaching the
-/// health plane adds no clock reads and no locking to the data path.
-#[derive(Debug)]
-pub struct HealthRuntime {
-    config: HealthConfig,
-    wear: Vec<AtomicU64>,
-    retired: AtomicU64,
-    gc_erases: AtomicU64,
-    swl_erases: AtomicU64,
-    ext_erases: AtomicU64,
-    host_pages: AtomicU64,
-    bet_ecnt: AtomicU64,
-    bet_fcnt: AtomicU64,
-}
-
-impl HealthRuntime {
-    /// A zeroed runtime covering `blocks` physical blocks.
-    pub fn new(blocks: usize, config: HealthConfig) -> Self {
-        Self {
-            config,
-            wear: (0..blocks).map(|_| AtomicU64::new(0)).collect(),
-            retired: AtomicU64::new(0),
-            gc_erases: AtomicU64::new(0),
-            swl_erases: AtomicU64::new(0),
-            ext_erases: AtomicU64::new(0),
-            host_pages: AtomicU64::new(0),
-            bet_ecnt: AtomicU64::new(0),
-            bet_fcnt: AtomicU64::new(0),
-        }
-    }
-
-    /// The configuration observers should build their monitors with.
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
-    /// Physical blocks covered.
-    pub fn blocks(&self) -> usize {
-        self.wear.len()
-    }
-
-    /// Folds one telemetry event emitted by the lane whose first block has
-    /// flat (array-wide) index `base`. Only wear-bearing events are
-    /// inspected; everything else is a discriminant check.
-    #[inline]
-    pub fn observe_event(&self, base: u64, event: &Event) {
-        match *event {
-            Event::Erase { block, wear, cause } => {
-                if let Some(slot) = self.wear.get(base as usize + block as usize) {
-                    slot.store(wear, Ordering::Relaxed);
-                }
-                let counter = match cause {
-                    Cause::Gc => &self.gc_erases,
-                    Cause::Swl => &self.swl_erases,
-                    Cause::External => &self.ext_erases,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::Retire { .. } => {
-                self.retired.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-
-    /// Counts `n` host pages accepted by the front-end (the forecast's
-    /// work axis).
-    pub fn add_host_pages(&self, n: u64) {
-        self.host_pages.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Publishes the array-wide BET gauges (current resetting interval).
-    pub fn set_bet(&self, ecnt: u64, fcnt: u64) {
-        self.bet_ecnt.store(ecnt, Ordering::Relaxed);
-        self.bet_fcnt.store(fcnt, Ordering::Relaxed);
-    }
-
-    /// Reads every counter into a plain [`HealthSample`]. Per-slot wear
-    /// reads are relaxed and monotone, so a torn read can only lag.
-    pub fn sample(&self) -> HealthSample {
-        HealthSample {
-            wear: self.wear.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
-            retired: self.retired.load(Ordering::Relaxed),
-            gc_erases: self.gc_erases.load(Ordering::Relaxed),
-            swl_erases: self.swl_erases.load(Ordering::Relaxed),
-            ext_erases: self.ext_erases.load(Ordering::Relaxed),
-            host_pages: self.host_pages.load(Ordering::Relaxed),
-            bet_ecnt: self.bet_ecnt.load(Ordering::Relaxed),
-            bet_fcnt: self.bet_fcnt.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time cumulative view of a [`HealthRuntime`] (plain numbers).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Point-in-time cumulative view of a device's wear and erase attribution
+/// (plain numbers), read off its lanes at a barrier.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HealthSample {
     /// Per-block cumulative erase counts, flat array order.
     pub wear: Vec<u64>,
@@ -388,15 +289,15 @@ impl HealthSample {
     }
 }
 
-/// EWMA blend factor for the unevenness trend (per report).
+/// EWMA blend factor for the unevenness trend (per report that covers new
+/// host pages).
 const UNEVENNESS_ALPHA: f64 = 0.25;
 
-/// Folds successive [`HealthSample`]s read from a [`HealthRuntime`] into
-/// rate estimators and produces [`HealthReport`]s: each
-/// [`HealthMonitor::report_on`] advances the estimators by the delta since
-/// the previous sample. A sample with no new host pages leaves them as they
-/// are, so sampling cadence cannot bias the estimate (see
-/// [`WearRateEstimator`]).
+/// Folds successive cumulative [`HealthSample`]s into rate estimators and
+/// produces [`HealthReport`]s: each [`HealthMonitor::report_on`] advances the
+/// estimators by the delta since the previous sample. A sample with no new
+/// host pages leaves them and the unevenness trend as they are, so sampling
+/// cadence cannot bias the estimate (see [`WearRateEstimator`]).
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     config: HealthConfig,
@@ -425,17 +326,18 @@ impl HealthMonitor {
     }
 
     /// Advances both estimators to the cumulative `(pages, max, mean)`
-    /// point. Idempotent when no pages elapsed.
-    fn advance(&mut self, pages: u64, max: f64, mean: f64) {
+    /// point and returns whether any pages elapsed; idempotent when none did.
+    fn advance(&mut self, pages: u64, max: f64, mean: f64) -> bool {
         let delta = pages.saturating_sub(self.last_pages);
         if delta == 0 {
-            return;
+            return false;
         }
         self.tail.observe(max - self.last_max, delta as f64);
         self.mean.observe(mean - self.last_mean, delta as f64);
         self.last_pages = pages;
         self.last_max = max;
         self.last_mean = mean;
+        true
     }
 
     /// Blends one observed BET unevenness level into the trend.
@@ -456,8 +358,10 @@ impl HealthMonitor {
         cache: Option<CacheSample>,
     ) -> HealthReport {
         let wear = sample.wear_summary();
-        self.advance(sample.host_pages, wear.max as f64, wear.mean);
-        if sample.bet_fcnt > 0 {
+        // The trend blends once per stretch of work, like the rates: a
+        // report repeated at the same point moves nothing.
+        let advanced = self.advance(sample.host_pages, wear.max as f64, wear.mean);
+        if advanced && sample.bet_fcnt > 0 {
             self.observe_unevenness(sample.bet_ecnt as f64 / sample.bet_fcnt as f64);
         }
         let endurance = self.config.endurance;
@@ -525,46 +429,6 @@ mod tests {
         assert_eq!(forecast(100, 100, 0.5), Some(0));
     }
 
-    #[test]
-    fn runtime_sample_round_trips_events() {
-        let rt = HealthRuntime::new(8, HealthConfig::new(100));
-        rt.observe_event(
-            4,
-            &Event::Erase {
-                block: 1,
-                wear: 7,
-                cause: Cause::Gc,
-            },
-        );
-        rt.observe_event(0, &Event::Retire { block: 2 });
-        rt.observe_event(0, &Event::Program { block: 0, page: 0 });
-        rt.add_host_pages(12);
-        rt.set_bet(30, 10);
-        let s = rt.sample();
-        assert_eq!(s.wear[5], 7);
-        assert_eq!(s.retired, 1);
-        assert_eq!(s.gc_erases, 1);
-        assert_eq!(s.host_pages, 12);
-        assert_eq!((s.bet_ecnt, s.bet_fcnt), (30, 10));
-        assert_eq!(s.wear_summary().max, 7);
-    }
-
-    #[test]
-    fn out_of_range_block_is_ignored() {
-        let rt = HealthRuntime::new(4, HealthConfig::new(100));
-        rt.observe_event(
-            2,
-            &Event::Erase {
-                block: 9,
-                wear: 3,
-                cause: Cause::Swl,
-            },
-        );
-        let s = rt.sample();
-        assert!(s.wear.iter().all(|&w| w == 0));
-        assert_eq!(s.swl_erases, 1);
-    }
-
     fn sample(wear: Vec<u64>, pages: u64) -> HealthSample {
         HealthSample {
             wear,
@@ -593,6 +457,19 @@ mod tests {
         let pages = report.forecast.unwrap();
         assert!((pages as i64 - 8000).abs() <= 1, "forecast {pages} should be ~8000");
         assert_eq!(report.state, HealthState::Good);
+    }
+
+    #[test]
+    fn report_repeated_at_the_same_point_is_unchanged() {
+        let mut mon = HealthMonitor::new(HealthConfig::new(100));
+        let mut first = sample(vec![3, 1], 100);
+        (first.bet_ecnt, first.bet_fcnt) = (11, 4);
+        mon.report_on(&first, None);
+        let mut s = sample(vec![5, 2], 200);
+        (s.bet_ecnt, s.bet_fcnt) = (33, 4);
+        let report = mon.report_on(&s, None);
+        assert_eq!(mon.report_on(&s, None), report);
+        assert_eq!(mon.report_on(&s, None), report);
     }
 
     #[test]

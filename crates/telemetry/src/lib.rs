@@ -48,15 +48,15 @@ pub use aggregate::{IntervalStats, MetricsAggregator, RetirementAudit, Snapshot,
 pub use buffer::{merge_lane_buffers, LaneBuffer};
 pub use counters::FlashCounters;
 pub use health::{
-    forecast, HealthConfig, HealthMonitor, HealthReport, HealthRuntime, HealthSample, HealthState,
+    forecast, HealthConfig, HealthMonitor, HealthReport, HealthSample, HealthState,
     WearRateEstimator, HALF_LIFE_ERROR_BOUND,
 };
 pub use hist::LatencyHistogram;
 pub use json::{parse_line, to_line, write_line, ParseError};
 pub use jsonl::JsonlSink;
 pub use runtime::{
-    CacheRuntime, CacheSample, EngineMetricsReport, EngineRuntime, EngineSnapshot, LaneSample,
-    QueueSample, WorkerSample,
+    CacheSample, EngineMetricsReport, EngineRuntime, EngineSnapshot, LaneSample, QueueSample,
+    WorkerSample,
 };
 pub use shared::SharedSink;
 pub use span::{ClosedSpan, OpBreakdown, SpanCause, SpanCheck, SpanReplayer, SpanTracker};

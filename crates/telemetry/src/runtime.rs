@@ -412,102 +412,8 @@ impl EngineMetricsReport {
     }
 }
 
-/// Atomic counters for the service layer's RAM write cache, shaped like
-/// the other runtime blocks in this module: relaxed monotone sums a cache
-/// owner bumps on its thread while observers ([`CacheRuntime::sample`])
-/// read a consistent-enough [`CacheSample`] at any time. The one gauge,
-/// `dirty`, is stored (not summed) so a torn read can only lag.
-#[derive(Debug)]
-pub struct CacheRuntime {
-    write_hits: AtomicU64,
-    read_hits: AtomicU64,
-    admitted: AtomicU64,
-    write_through: AtomicU64,
-    flushed_pages: AtomicU64,
-    flush_batches: AtomicU64,
-    evicted: AtomicU64,
-    trimmed: AtomicU64,
-    dirty: AtomicU64,
-    capacity: u64,
-}
-
-impl CacheRuntime {
-    /// A zeroed block for a cache bounded at `capacity` entries.
-    pub fn new(capacity: u64) -> Self {
-        Self {
-            write_hits: AtomicU64::new(0),
-            read_hits: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            write_through: AtomicU64::new(0),
-            flushed_pages: AtomicU64::new(0),
-            flush_batches: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            trimmed: AtomicU64::new(0),
-            dirty: AtomicU64::new(0),
-            capacity,
-        }
-    }
-
-    /// Counts one write absorbed by an existing dirty entry (no flash
-    /// traffic at all — the hot-rewrite win the cache exists for).
-    pub fn write_hit(&self) {
-        self.write_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one read served from a dirty entry.
-    pub fn read_hit(&self) {
-        self.read_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write admitted as a new dirty entry.
-    pub fn admit(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write the admission filter sent straight to flash.
-    pub fn pass_through(&self) {
-        self.write_through.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one flush-back batch of `pages` dirty entries; `evicted`
-    /// marks batches forced by capacity rather than the sync watermark.
-    pub fn flush_batch(&self, pages: u64, evicted: bool) {
-        self.flushed_pages.fetch_add(pages, Ordering::Relaxed);
-        self.flush_batches.fetch_add(1, Ordering::Relaxed);
-        if evicted {
-            self.evicted.fetch_add(pages, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one dirty entry dropped by a trim (its data was never
-    /// acknowledged as durable, so dropping it is legal).
-    pub fn trim_drop(&self) {
-        self.trimmed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the current dirty-entry count.
-    pub fn set_dirty(&self, dirty: u64) {
-        self.dirty.store(dirty, Ordering::Relaxed);
-    }
-
-    /// Reads every counter into a plain sample.
-    pub fn sample(&self) -> CacheSample {
-        CacheSample {
-            write_hits: self.write_hits.load(Ordering::Relaxed),
-            read_hits: self.read_hits.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            write_through: self.write_through.load(Ordering::Relaxed),
-            flushed_pages: self.flushed_pages.load(Ordering::Relaxed),
-            flush_batches: self.flush_batches.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            trimmed: self.trimmed.load(Ordering::Relaxed),
-            dirty: self.dirty.load(Ordering::Relaxed),
-            capacity: self.capacity,
-        }
-    }
-}
-
-/// Point-in-time view of a [`CacheRuntime`] (plain numbers).
+/// The service layer's RAM write-cache counters (plain numbers): the cache
+/// bumps them as it works and hands out a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheSample {
     /// Writes absorbed in place by an existing dirty entry.
@@ -551,34 +457,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cache_sample_reads_back_counters() {
-        let cache = CacheRuntime::new(64);
-        cache.write_hit();
-        cache.write_hit();
-        cache.admit();
-        cache.pass_through();
-        cache.read_hit();
-        cache.flush_batch(8, false);
-        cache.flush_batch(2, true);
-        cache.trim_drop();
-        cache.set_dirty(5);
-        let sample = cache.sample();
-        assert_eq!(sample.write_hits, 2);
-        assert_eq!(sample.admitted, 1);
-        assert_eq!(sample.write_through, 1);
-        assert_eq!(sample.read_hits, 1);
-        assert_eq!(sample.flushed_pages, 10);
-        assert_eq!(sample.flush_batches, 2);
-        assert_eq!(sample.evicted, 2);
-        assert_eq!(sample.trimmed, 1);
-        assert_eq!(sample.dirty, 5);
-        assert_eq!(sample.capacity, 64);
-        assert!((sample.write_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_cache_hit_rate_is_zero() {
-        assert_eq!(CacheRuntime::new(8).sample().write_hit_rate(), 0.0);
+        assert_eq!(CacheSample::default().write_hit_rate(), 0.0);
     }
 
     #[test]

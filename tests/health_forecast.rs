@@ -44,8 +44,7 @@ fn build_service(sim: &SimConfig) -> Service {
         ServiceConfig::default().with_engine(
             EngineConfig::default()
                 .with_threads(CHANNELS)
-                .with_queue_depth(8)
-                .with_health(true),
+                .with_queue_depth(8),
         ),
     )
     .expect("service build failed")
@@ -59,22 +58,25 @@ fn build_service(sim: &SimConfig) -> Service {
 fn run_to_first_failure(sim: &SimConfig) -> (Vec<(u64, Option<u64>)>, HealthReport) {
     let mut service = build_service(sim);
     let mut workload = HotWrites::new(service.logical_pages(), 42);
-    let runtime = service.health_runtime().expect("health was enabled");
     let mut records: Vec<(u64, Option<u64>)> = Vec::new();
     for ops in 1u64.. {
         let (lba, data) = workload.next_write();
         service.write(lba, &data).expect("write failed");
         service.flush().expect("flush failed");
-        if service.first_failure().is_some() || runtime.sample().retired > 0 {
+        let retired = service
+            .health_sample()
+            .expect("health sample failed")
+            .retired;
+        if service.first_failure().is_some() || retired > 0 {
             break;
         }
         if ops.is_multiple_of(RECORD_EVERY) {
-            let report = service.stats().expect("health was enabled");
+            let report = service.stats().expect("stats failed");
             records.push((report.host_pages, report.forecast));
         }
         assert!(ops < 2_000_000, "run must reach first failure");
     }
-    let final_report = service.stats().expect("health was enabled");
+    let final_report = service.stats().expect("stats failed");
     service.finish().expect("service finish failed");
     (records, final_report)
 }

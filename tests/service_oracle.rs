@@ -33,6 +33,7 @@ use flash_sim::{
     Engine, EngineConfig, Layer, LayerKind, SimConfig, SimError, SnapshotVerb, StripedReport,
     SwlCoordination, TranslationLayer,
 };
+use flash_telemetry::HealthReport;
 use flash_trace::TraceEvent;
 use ftl::{FtlConfig, SnapshotConfig};
 use hotid::HotDataConfig;
@@ -290,7 +291,7 @@ fn stats_polling_service_stays_bit_identical() {
         SwlCoordination::PerChannel,
         &SimConfig::default(),
         ServiceConfig::default()
-            .with_engine(engine_config.with_health(true))
+            .with_engine(engine_config)
             .with_op_interval_ns(INTERVAL_NS),
     )
     .unwrap();
@@ -314,7 +315,7 @@ fn stats_polling_service_stays_bit_identical() {
             }
         }
         if i % 97 == 96 {
-            let report = service.stats().expect("health was enabled");
+            let report = service.stats().unwrap();
             assert!(
                 report.host_pages >= last_host_pages,
                 "host_pages must be monotone across stats polls"
@@ -324,15 +325,95 @@ fn stats_polling_service_stays_bit_identical() {
         }
     }
     assert!(polls > 0, "the interleaving must actually poll");
-    let finished = service.finish().unwrap();
-    let health = finished.health.expect("health was enabled");
+    let health = service.stats().unwrap();
     assert!(health.host_pages > 0, "the run wrote pages");
-    let mut run = finished.run;
+    let mut run = service.finish().unwrap().run;
     let report = run.report.clone();
     let geo = geometry(channels);
     let data = contents(&mut run, &geo, pages);
     assert_eq!(report, engine_report, "stats-polling service report diverged");
     assert_eq!(data, engine_contents, "stats-polling service contents diverged");
+}
+
+/// Drives `ops` through a cache-less service over four channels, taking a
+/// `stats()` report every 61 ops and one at the end; returns the reports and
+/// the run's own report.
+fn polled_health(ops: &[HostOp], threads: u32) -> (Vec<HealthReport>, StripedReport) {
+    let mut service = Service::build(
+        LayerKind::Ftl,
+        geometry(4),
+        spec(),
+        Some(swl()),
+        SwlCoordination::PerChannel,
+        &SimConfig::default(),
+        ServiceConfig::default()
+            .with_engine(
+                EngineConfig::default()
+                    .with_threads(threads)
+                    .with_queue_depth(16),
+            )
+            .with_op_interval_ns(INTERVAL_NS),
+    )
+    .unwrap();
+    let mut next_value = 0u64;
+    let mut reports = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            HostOp::Write { lba, len } => {
+                let values: Vec<u64> = (0..len)
+                    .map(|_| {
+                        next_value += 1;
+                        next_value
+                    })
+                    .collect();
+                service.write(lba, &values).unwrap();
+            }
+            HostOp::Read { lba, len } => {
+                service.read(lba, len).unwrap();
+            }
+        }
+        if i % 61 == 60 {
+            reports.push(service.stats().unwrap());
+        }
+    }
+    reports.push(service.stats().unwrap());
+    (reports, service.finish().unwrap().run.report)
+}
+
+/// `stats()` reads health off the lanes: its final report agrees with the
+/// run's own erase statistics and counters, and the same op sequence gives
+/// equal reports at every poll whether the engine runs each op where it is
+/// submitted or queues it to two workers over four lanes — a poll that read
+/// before the drain, or skipped a lane group, would differ.
+#[test]
+fn stats_reads_health_off_the_lanes() {
+    let probe = Engine::new(
+        LayerKind::Ftl,
+        geometry(4),
+        spec(),
+        Some(swl()),
+        SwlCoordination::PerChannel,
+        &SimConfig::default(),
+        EngineConfig::default(),
+    )
+    .unwrap();
+    let ops = workload(probe.logical_pages(), 3_000, 0x4EA1);
+    probe.finish().unwrap();
+
+    let (direct, report) = polled_health(&ops, 0);
+    let (queued, queued_report) = polled_health(&ops, 2);
+    assert_eq!(queued_report, report, "the two engines diverged");
+    assert_eq!(queued, direct, "a poll differs between the two engines");
+
+    let last = direct.last().expect("a final report");
+    let counters = &report.counters;
+    assert!(counters.gc_erases > 0, "the run must collect garbage");
+    assert_eq!(last.blocks, geometry(4).total_blocks());
+    assert_eq!(last.wear.max, report.erase_stats.max);
+    assert_eq!(last.gc_erases, counters.gc_erases);
+    assert_eq!(last.swl_erases, counters.swl_erases);
+    assert_eq!(last.retired, counters.retired_blocks);
+    assert_eq!(last.host_pages, counters.host_writes);
 }
 
 #[test]
@@ -664,12 +745,7 @@ fn stats_polled_concurrently_from_all_clients() {
         SwlCoordination::PerChannel,
         &SimConfig::default(),
         ServiceConfig::default()
-            .with_engine(
-                EngineConfig::default()
-                    .with_threads(2)
-                    .with_queue_depth(8)
-                    .with_health(true),
-            )
+            .with_engine(EngineConfig::default().with_threads(2).with_queue_depth(8))
             .with_op_interval_ns(INTERVAL_NS),
     )
     .unwrap();
@@ -698,7 +774,7 @@ fn stats_polled_concurrently_from_all_clients() {
                     }
                     // Every client polls stats throughout, racing the others.
                     if i % 19 == 0 {
-                        let report = client.stats().expect("health was enabled");
+                        let report = client.stats().unwrap();
                         assert!(
                             report.host_pages >= last_host_pages,
                             "client {c}: host_pages went backwards across polls"
@@ -984,12 +1060,7 @@ fn served_clients_hammer_slices_under_a_stats_poller() {
         &SimConfig::default(),
         ServiceConfig::default()
             .with_cache(CacheConfig::sized(64).with_hot(eager_hot()))
-            .with_engine(
-                EngineConfig::default()
-                    .with_threads(2)
-                    .with_queue_depth(8)
-                    .with_health(true),
-            ),
+            .with_engine(EngineConfig::default().with_threads(2).with_queue_depth(8)),
     )
     .unwrap();
     let workers = 4usize;
@@ -1007,7 +1078,7 @@ fn served_clients_hammer_slices_under_a_stats_poller() {
             let mut last_host_pages = 0u64;
             let mut polls = 0u64;
             while !done.load(Ordering::Acquire) {
-                let report = poller.stats().expect("health was enabled");
+                let report = poller.stats().unwrap();
                 assert!(
                     report.host_pages >= last_host_pages,
                     "host_pages went backwards across polls"
