@@ -9,9 +9,9 @@ use flash_bench::timing::{black_box, BenchGroup};
 use flash_trace::{SyntheticTrace, WorkloadSpec, Zipf};
 use hotid::{HotDataConfig, MultiHashIdentifier};
 use nand::{CellKind, FreeBlockLadder, Geometry, NandDevice, PageAddr, SpareArea, VictimIndex};
-use swl_core::rng::SplitMix64;
 use swl_core::counting::CountingLeveler;
 use swl_core::persist::{DualBuffer, Snapshot};
+use swl_core::rng::SplitMix64;
 use swl_core::{SwLeveler, SwlCleaner, SwlConfig};
 
 const BLOCKS: u32 = 4096; // the paper's 1 GiB MLC×2 chip
@@ -187,28 +187,34 @@ fn bench_free_pop(g: &mut BenchGroup) {
         let wears: Vec<u64> = (0..blocks).map(|_| rng.range_u64(0..50)).collect();
 
         let mut free: Vec<u32> = (0..blocks).collect();
-        g.bench(&format!("alloc/free-pop linear scan ({blocks} blocks)"), || {
-            let mut best = 0usize;
-            let mut best_wear = u64::MAX;
-            for (i, &b) in free.iter().enumerate() {
-                let wear = wears[b as usize];
-                if wear < best_wear {
-                    best_wear = wear;
-                    best = i;
+        g.bench(
+            &format!("alloc/free-pop linear scan ({blocks} blocks)"),
+            || {
+                let mut best = 0usize;
+                let mut best_wear = u64::MAX;
+                for (i, &b) in free.iter().enumerate() {
+                    let wear = wears[b as usize];
+                    if wear < best_wear {
+                        best_wear = wear;
+                        best = i;
+                    }
                 }
-            }
-            let block = free.swap_remove(best);
-            free.push(black_box(block)); // recycle: pool size stays constant
-        });
+                let block = free.swap_remove(best);
+                free.push(black_box(block)); // recycle: pool size stays constant
+            },
+        );
 
         let mut ladder = FreeBlockLadder::new();
         for b in 0..blocks {
             ladder.push(b, wears[b as usize]);
         }
-        g.bench(&format!("alloc/free-pop wear ladder ({blocks} blocks)"), || {
-            let block = ladder.pop_min().expect("pool never drains");
-            ladder.push(black_box(block), wears[block as usize]);
-        });
+        g.bench(
+            &format!("alloc/free-pop wear ladder ({blocks} blocks)"),
+            || {
+                let block = ladder.pop_min().expect("pool never drains");
+                ladder.push(black_box(block), wears[block as usize]);
+            },
+        );
     }
 }
 

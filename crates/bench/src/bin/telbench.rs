@@ -34,12 +34,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use flash_bench::array::{geometry, spec};
-use flash_sim::experiments::{
-    first_failure_run, instrumented_run, ExperimentScale,
-};
+use flash_sim::experiments::{first_failure_run, instrumented_run, ExperimentScale};
 use flash_sim::{
-    Engine, EngineConfig, LayerKind, SimConfig, SimReport, Simulator, StopCondition,
-    StripedLayer, StripedReport, SwlCoordination,
+    Engine, EngineConfig, LayerKind, SimConfig, SimReport, Simulator, StopCondition, StripedLayer,
+    StripedReport, SwlCoordination,
 };
 use flash_telemetry::json;
 use flash_telemetry::{CountSink, NullSink};
@@ -110,7 +108,10 @@ fn engine_arm(scale: &ExperimentScale, metrics: bool) -> (f64, StripedReport) {
     let pages = engine.logical_pages();
     let start = Instant::now();
     engine
-        .run(engine_trace(pages, scale.seed), StopCondition::events(ENGINE_EVENTS))
+        .run(
+            engine_trace(pages, scale.seed),
+            StopCondition::events(ENGINE_EVENTS),
+        )
         .expect("engine run failed");
     let run = engine.finish().expect("engine finish failed");
     assert_eq!(
@@ -157,8 +158,9 @@ fn main() -> ExitCode {
                 .expect("null-sink run")
                 .0
         });
-        let (count_s, (count, sink)) =
-            timed_pair(|| instrumented_run(kind, swl, &scale, CountSink::default(), stop).expect("count-sink run"));
+        let (count_s, (count, sink)) = timed_pair(|| {
+            instrumented_run(kind, swl, &scale, CountSink::default(), stop).expect("count-sink run")
+        });
         let (engine_off_s, engine_off) = engine_arm(&scale, false);
         let (engine_on_s, engine_on) = engine_arm(&scale, true);
         plain_min = plain_min.min(plain_s);

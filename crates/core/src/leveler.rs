@@ -1077,10 +1077,16 @@ mod tests {
         let mut l = SwLeveler::new(8, SwlConfig::new(100, 0)).unwrap();
         l.note_erase(0);
         let mut cleaner = RecordingCleaner::new();
-        assert_eq!(l.level(&mut RecordingCleaner::new()).unwrap(), LevelOutcome::Idle);
+        assert_eq!(
+            l.level(&mut RecordingCleaner::new()).unwrap(),
+            LevelOutcome::Idle
+        );
         assert!(matches!(
             l.level_step(&mut cleaner).unwrap(),
-            LevelOutcome::Leveled { sets_cleaned: 1, .. }
+            LevelOutcome::Leveled {
+                sets_cleaned: 1,
+                ..
+            }
         ));
         assert_eq!(cleaner.calls.len(), 1);
     }

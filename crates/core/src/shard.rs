@@ -83,8 +83,9 @@ pub fn worst_shard(views: &[ShardView]) -> Option<usize> {
         let beats = match best {
             None => true,
             // v.ecnt / v.fcnt > b.ecnt / b.fcnt, exactly.
-            Some((_, b)) => u128::from(v.ecnt) * u128::from(b.fcnt)
-                > u128::from(b.ecnt) * u128::from(v.fcnt),
+            Some((_, b)) => {
+                u128::from(v.ecnt) * u128::from(b.fcnt) > u128::from(b.ecnt) * u128::from(v.fcnt)
+            }
         };
         if beats {
             best = Some((i, v));

@@ -80,14 +80,10 @@ impl fmt::Display for FtlError {
             FtlError::MountConflict { lba } => {
                 write!(f, "mount found two valid pages for lba {lba}")
             }
-            FtlError::SnapshotsDisabled => {
-                f.write_str("snapshots are not enabled on this ftl")
-            }
+            FtlError::SnapshotsDisabled => f.write_str("snapshots are not enabled on this ftl"),
             FtlError::UnknownSnapshot { id } => write!(f, "no snapshot with id {id}"),
             FtlError::SnapshotExists { id } => write!(f, "snapshot {id} already exists"),
-            FtlError::ManifestFull => {
-                f.write_str("snapshot manifest exceeds its reserved blocks")
-            }
+            FtlError::ManifestFull => f.write_str("snapshot manifest exceeds its reserved blocks"),
             FtlError::MergeInProgress => f.write_str("a snapshot merge is already in flight"),
             FtlError::NoMergeInProgress => f.write_str("no snapshot merge is in flight"),
             FtlError::Device(e) => write!(f, "device error: {e}"),

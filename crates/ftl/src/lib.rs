@@ -51,6 +51,7 @@ mod snapshot;
 mod translation;
 
 pub use config::{FtlConfig, SnapshotConfig};
+pub use error::FtlError;
 /// What the FTL did, split by cause — the raw material for the paper's
 /// Figures 6 and 7 (extra erases / extra live-page copyings due to SWL).
 ///
@@ -58,5 +59,4 @@ pub use config::{FtlConfig, SnapshotConfig};
 /// `flash-telemetry`, so the metrics aggregator can rebuild the same totals
 /// from a replayed event log); the NFTL-only merge counts stay zero here.
 pub use flash_telemetry::FlashCounters as FtlCounters;
-pub use error::FtlError;
 pub use translation::{PageMappedFtl, PageMapping, SnapshotAudit};

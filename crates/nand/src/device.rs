@@ -676,7 +676,8 @@ mod tests {
 
         let d = tiny_device(10).with_sink(VecSink::default());
         let mut d = d;
-        d.program(PageAddr::new(1, 0), 7, SpareArea::valid(3)).unwrap();
+        d.program(PageAddr::new(1, 0), 7, SpareArea::valid(3))
+            .unwrap();
         d.erase_as(2, Cause::Swl).unwrap();
         d.erase(2).unwrap(); // plain erase attributes to External
         let events = d.into_sink().events;

@@ -295,7 +295,10 @@ mod tests {
         assert!(matches!(state.decide_program(addr), FaultDecision::Proceed));
         assert!(matches!(state.decide_program(addr), FaultDecision::Proceed));
         match state.decide_program(addr) {
-            FaultDecision::Cut { torn: true, at_op: 2 } => {}
+            FaultDecision::Cut {
+                torn: true,
+                at_op: 2,
+            } => {}
             _ => panic!("cut expected at op 2"),
         }
         assert!(state.power_is_cut());

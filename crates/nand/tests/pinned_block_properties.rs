@@ -58,7 +58,10 @@ impl ModelBlock {
     }
 
     fn valid(&self) -> u32 {
-        self.pages.iter().filter(|p| matches!(p, Some(n) if *n > 0)).count() as u32
+        self.pages
+            .iter()
+            .filter(|p| matches!(p, Some(n) if *n > 0))
+            .count() as u32
     }
 
     fn eligible(&self) -> bool {

@@ -7,7 +7,10 @@ use nand::WearMap;
 const RAMP_ORDER: [char; 6] = ['.', '-', '=', '+', '#', '@'];
 
 fn ramp_rank(c: char) -> usize {
-    RAMP_ORDER.iter().position(|&r| r == c).expect("known glyph")
+    RAMP_ORDER
+        .iter()
+        .position(|&r| r == c)
+        .expect("known glyph")
 }
 
 proptest! {

@@ -45,11 +45,11 @@ mod error;
 mod translation;
 
 pub use config::NftlConfig;
+pub use error::NftlError;
 /// What the NFTL did, split by cause — inputs to the paper's Figures 6/7.
 ///
 /// The definition is shared with `ftl` and `flash-sim` (it lives in
 /// `flash-telemetry`, so the metrics aggregator can rebuild the same totals
 /// from a replayed event log); page-mapping-only `trims` stays zero here.
 pub use flash_telemetry::FlashCounters as NftlCounters;
-pub use error::NftlError;
 pub use translation::{BlockMappedNftl, BlockMapping};

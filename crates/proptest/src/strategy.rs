@@ -94,7 +94,10 @@ impl<V> Union<V> {
     /// Panics if `options` is empty or all weights are zero.
     pub fn new(options: Vec<(u32, BoxedStrategy<V>)>) -> Self {
         let total_weight: u64 = options.iter().map(|(w, _)| u64::from(*w)).sum();
-        assert!(total_weight > 0, "prop_oneof! needs a positive total weight");
+        assert!(
+            total_weight > 0,
+            "prop_oneof! needs a positive total weight"
+        );
         Self {
             options,
             total_weight,

@@ -74,7 +74,8 @@ where
 {
     let base = fnv1a(name);
     for case in 0..config.cases {
-        let mut rng = TestRng::from_seed(base ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng =
+            TestRng::from_seed(base ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut inputs = String::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| test(&mut rng, &mut inputs)));
         match outcome {

@@ -88,14 +88,13 @@ where
     let run_one = |i: usize| catch_unwind(AssertUnwindSafe(|| task(i)));
     let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
     let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    let note_panic =
-        |first: &mut Option<(usize, Box<dyn std::any::Any + Send>)>,
-         i: usize,
-         payload: Box<dyn std::any::Any + Send>| {
-            if first.as_ref().is_none_or(|(j, _)| i < *j) {
-                *first = Some((i, payload));
-            }
-        };
+    let note_panic = |first: &mut Option<(usize, Box<dyn std::any::Any + Send>)>,
+                      i: usize,
+                      payload: Box<dyn std::any::Any + Send>| {
+        if first.as_ref().is_none_or(|(j, _)| i < *j) {
+            *first = Some((i, payload));
+        }
+    };
     if threads <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
             match run_one(i) {
@@ -136,7 +135,11 @@ where
         });
     }
     if let Some((i, payload)) = first_panic {
-        panic!("sweep point {} panicked: {}", label(i), payload_text(&*payload));
+        panic!(
+            "sweep point {} panicked: {}",
+            label(i),
+            payload_text(&*payload)
+        );
     }
     slots
         .into_iter()
@@ -223,7 +226,10 @@ mod tests {
                 .expect("re-panic carries a formatted message")
                 .clone();
             assert!(text.contains("(T=200, k=1)"), "missing label: {text}");
-            assert!(text.contains("simulated failure"), "missing payload: {text}");
+            assert!(
+                text.contains("simulated failure"),
+                "missing payload: {text}"
+            );
         }
     }
 

@@ -138,8 +138,8 @@ impl<S: Sink> StripedLayer<S> {
         let deferred = channels > 1 && coordination == SwlCoordination::Global;
         let mut lanes = Vec::with_capacity(channels as usize);
         for lane in 0..channels {
-            let device = NandDevice::new(geometry.lane_geometry(), spec)
-                .with_sink_silent(shared.clone());
+            let device =
+                NandDevice::new(geometry.lane_geometry(), spec).with_sink_silent(shared.clone());
             let lane_swl = swl.map(|base| lane_swl_config(base, lane, deferred));
             lanes.push(Layer::build(kind, device, lane_swl, config)?);
         }
@@ -574,8 +574,7 @@ impl Simulator {
                     }
                     Op::Read => {
                         let _ = striped.read(lba)?;
-                        read_latency
-                            .record(striped.lane(channel).device().busy_ns() - page_before);
+                        read_latency.record(striped.lane(channel).device().busy_ns() - page_before);
                     }
                 }
             }
@@ -682,10 +681,7 @@ mod tests {
             s.write(lba, 1),
             Err(SimError::TraceOutOfRange { .. })
         ));
-        assert!(matches!(
-            s.read(lba),
-            Err(SimError::TraceOutOfRange { .. })
-        ));
+        assert!(matches!(s.read(lba), Err(SimError::TraceOutOfRange { .. })));
     }
 
     #[test]
@@ -695,8 +691,7 @@ mod tests {
         for kind in [LayerKind::Ftl, LayerKind::Nftl] {
             for swl in [None, Some(SwlConfig::new(100, 0).with_seed(11))] {
                 let device = NandDevice::new(chip(), spec(1_000_000));
-                let mut plain =
-                    Layer::build(kind, device, swl, &SimConfig::default()).unwrap();
+                let mut plain = Layer::build(kind, device, swl, &SimConfig::default()).unwrap();
                 let t = trace(plain.logical_pages(), 5);
                 let plain_report = Simulator::new()
                     .run(&mut plain, t, StopCondition::events(8_000))
@@ -742,9 +737,7 @@ mod tests {
         );
         assert!(report.makespan_ns < report.device_busy_ns);
         // Scheduled op latency beats the serial 8-page sum.
-        assert!(
-            report.op_write_latency.mean_ns() < 8.0 * report.write_latency.mean_ns()
-        );
+        assert!(report.op_write_latency.mean_ns() < 8.0 * report.write_latency.mean_ns());
         assert_eq!(report.channel_busy_ns.len(), 4);
         assert!(report.channel_busy_ns.iter().all(|&b| b > 0));
     }

@@ -36,7 +36,8 @@ fn striped_report(channels: u32, seed: u64) -> StripedReport {
     )
     .unwrap();
     let pages = striped.logical_pages();
-    let trace = SyntheticTrace::new(WorkloadSpec::paper(pages).with_seed(seed)).map(move |e| e.widen(4, pages));
+    let trace = SyntheticTrace::new(WorkloadSpec::paper(pages).with_seed(seed))
+        .map(move |e| e.widen(4, pages));
     Simulator::new()
         .run_striped(&mut striped, trace, StopCondition::events(2_000))
         .unwrap()

@@ -72,9 +72,13 @@ fn swl_time_shows_up_under_leveling() {
     // under host writes; the swl cause histogram must see them.
     let scale = ExperimentScale::quick();
     let horizon = (0.01 * NANOS_PER_YEAR) as u64;
-    let (_, metrics) =
-        attributed_horizon_run(LayerKind::Ftl, Some(scale.swl_config(100, 0)), &scale, horizon)
-            .expect("instrumented run");
+    let (_, metrics) = attributed_horizon_run(
+        LayerKind::Ftl,
+        Some(scale.swl_config(100, 0)),
+        &scale,
+        horizon,
+    )
+    .expect("instrumented run");
     let swl = metrics.cause_latency(SpanCause::Swl);
     let gc = metrics.cause_latency(SpanCause::Gc);
     assert!(

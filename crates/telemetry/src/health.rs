@@ -352,11 +352,7 @@ impl HealthMonitor {
 
     /// Folds one cumulative [`HealthSample`] and returns the report at that
     /// point.
-    pub fn report_on(
-        &mut self,
-        sample: &HealthSample,
-        cache: Option<CacheSample>,
-    ) -> HealthReport {
+    pub fn report_on(&mut self, sample: &HealthSample, cache: Option<CacheSample>) -> HealthReport {
         let wear = sample.wear_summary();
         // The trend blends once per stretch of work, like the rates: a
         // report repeated at the same point moves nothing.
@@ -416,7 +412,11 @@ mod tests {
         let mut est = WearRateEstimator::new(100.0);
         est.observe(10.0, 1000.0); // rate 0.01, long span
         est.observe(500.0, 1000.0); // rate 0.5 for many taus
-        assert!(est.rate() > 0.4, "rate {} should track the recent regime", est.rate());
+        assert!(
+            est.rate() > 0.4,
+            "rate {} should track the recent regime",
+            est.rate()
+        );
     }
 
     #[test]
@@ -455,7 +455,10 @@ mod tests {
         let report = report.unwrap();
         assert!((report.tail_rate - 0.01).abs() < 1e-9);
         let pages = report.forecast.unwrap();
-        assert!((pages as i64 - 8000).abs() <= 1, "forecast {pages} should be ~8000");
+        assert!(
+            (pages as i64 - 8000).abs() <= 1,
+            "forecast {pages} should be ~8000"
+        );
         assert_eq!(report.state, HealthState::Good);
     }
 

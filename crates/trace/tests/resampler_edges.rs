@@ -66,9 +66,10 @@ fn resampled_events_stay_sorted() {
 #[test]
 fn seed_stable_across_take_boundaries() {
     for (seed, chunks) in [(1u64, [1usize, 7, 64, 500]), (42, [250, 3, 9, 310])] {
-        let straight: Vec<_> = SegmentResampler::from_events(base_trace(600), seed, 30 * NANOS_PER_SEC)
-            .take(chunks.iter().sum())
-            .collect();
+        let straight: Vec<_> =
+            SegmentResampler::from_events(base_trace(600), seed, 30 * NANOS_PER_SEC)
+                .take(chunks.iter().sum())
+                .collect();
         let mut resumed = SegmentResampler::from_events(base_trace(600), seed, 30 * NANOS_PER_SEC);
         let mut chunked = Vec::new();
         for n in chunks {

@@ -331,8 +331,14 @@ fn stats_polling_service_stays_bit_identical() {
     let report = run.report.clone();
     let geo = geometry(channels);
     let data = contents(&mut run, &geo, pages);
-    assert_eq!(report, engine_report, "stats-polling service report diverged");
-    assert_eq!(data, engine_contents, "stats-polling service contents diverged");
+    assert_eq!(
+        report, engine_report,
+        "stats-polling service report diverged"
+    );
+    assert_eq!(
+        data, engine_contents,
+        "stats-polling service contents diverged"
+    );
 }
 
 /// Drives `ops` through a cache-less service over four channels, taking a

@@ -280,10 +280,7 @@ fn acked_snapshot_survives_remount_and_merges_after() {
             .read(geo.lane_lba(lba))
             .unwrap();
         let expected = snap.get(&lba).or(flash.get(&lba)).copied();
-        assert_eq!(
-            got, expected,
-            "post-remount merge diverged at lba {lba}"
-        );
+        assert_eq!(got, expected, "post-remount merge diverged at lba {lba}");
     }
 }
 
