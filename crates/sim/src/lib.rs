@@ -50,7 +50,7 @@ pub mod service;
 mod simulator;
 mod striped;
 
-pub use engine::{Engine, EngineConfig, EngineMetricsHandle, EngineRun, EngineSink};
+pub use engine::{Engine, EngineConfig, EngineMetricsHandle, EngineRun};
 pub use error::SimError;
 pub use latency::LatencyStats;
 pub use layer::{Layer, LayerCounters, LayerKind, SimConfig, SnapshotVerb, TranslationLayer};

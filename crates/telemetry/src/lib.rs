@@ -22,6 +22,12 @@
 //!   render a replayed log as human-readable reports and whose `check`
 //!   gates one.
 //!
+//! A multi-channel array writes one stream, too: its lanes share one sink
+//! through a [`SharedSink`] and mark each change of the active lane with an
+//! [`Event::Channel`]. Block ids in the events that follow a marker are that
+//! lane's, and the [`MetricsAggregator`] keys its per-block tables by lane
+//! and block accordingly.
+//!
 //! The event vocabulary follows the quantities the DAC 2007 paper reasons
 //! about: erase cause attribution (GC vs SWL), the unevenness level
 //! `ecnt/fcnt`, and resetting-interval cadence. Schema v3 adds **causal
@@ -34,7 +40,6 @@
 #![deny(missing_docs)]
 
 pub mod aggregate;
-pub mod buffer;
 mod counters;
 pub mod health;
 pub mod hist;
@@ -45,7 +50,6 @@ pub mod shared;
 pub mod span;
 
 pub use aggregate::{IntervalStats, MetricsAggregator, RetirementAudit, Snapshot, WearSummary};
-pub use buffer::{merge_lane_buffers, LaneBuffer};
 pub use counters::FlashCounters;
 pub use health::{
     forecast, HealthConfig, HealthMonitor, HealthReport, HealthSample, HealthState,
