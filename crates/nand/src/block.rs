@@ -1,4 +1,5 @@
-//! Erase blocks: one record per page (payload, spare, state), and wear.
+//! Erase blocks: one 16-byte record per page (payload, spare, state), and
+//! wear.
 
 use crate::page::{PageState, SpareArea};
 
@@ -12,31 +13,54 @@ pub enum BlockState {
     WornOut,
 }
 
-/// Everything the chip keeps per page, side by side: the payload token, the
-/// two spare-area words and the lifecycle state. A read, a program or an
-/// invalidate touches one of these — one cache line — where three parallel
-/// vectors cost three.
-#[derive(Debug, Clone, Copy)]
+/// Everything the chip keeps per page, in 16 bytes: the payload token, the
+/// spare status word, and one tag word holding the page state in its top
+/// two bits and the spare LBA + 1 in the low thirty (0 = no LBA), the way a
+/// real 2 KiB-page chip keeps the LBA in a fixed-width spare field. Four
+/// records share a cache line and none straddles one, so a read, a program
+/// or an invalidate touches one line. An erased record is all zero bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Page {
     data: u64,
-    raw_lba: u64,
     status: u32,
-    state: PageState,
+    tag: u32,
+}
+
+/// Bits of [`Page::tag`] below the state field: the spare LBA + 1. The one
+/// place the spare field's width is set ([`SpareArea::MAX_LBA`] follows).
+pub(crate) const LBA_BITS: u32 = 30;
+const LBA_MASK: u32 = (1 << LBA_BITS) - 1;
+const TAG_VALID: u32 = 1 << LBA_BITS;
+const TAG_INVALID: u32 = 2 << LBA_BITS;
+
+/// The tag's LBA field for `raw_lba`: `u64::MAX` (no LBA) wraps to 0.
+fn lba_field(raw_lba: u64) -> u32 {
+    debug_assert!(SpareArea::lba_fits(raw_lba));
+    raw_lba.wrapping_add(1) as u32
 }
 
 impl Page {
-    fn erased() -> Self {
-        let SpareArea { raw_lba, status } = SpareArea::default();
-        Self {
-            data: 0,
-            raw_lba,
-            status,
-            state: PageState::Free,
+    fn state(&self) -> PageState {
+        match self.tag >> LBA_BITS {
+            0 => PageState::Free,
+            1 => PageState::Valid,
+            _ => PageState::Invalid,
+        }
+    }
+
+    fn mark_invalid(&mut self) {
+        self.tag = TAG_INVALID | (self.tag & LBA_MASK);
+    }
+
+    fn spare(&self) -> SpareArea {
+        SpareArea {
+            raw_lba: u64::from(self.tag & LBA_MASK).wrapping_sub(1),
+            status: self.status,
         }
     }
 
     fn set_spare(&mut self, spare: SpareArea) {
-        self.raw_lba = spare.raw_lba;
+        self.tag = (self.tag & !LBA_MASK) | lba_field(spare.raw_lba);
         self.status = spare.status;
     }
 }
@@ -60,7 +84,7 @@ impl Block {
     /// A fresh (erased, never-worn) block with `pages` pages.
     pub(crate) fn new(pages: u32) -> Self {
         Self {
-            pages: vec![Page::erased(); pages as usize].into_boxed_slice(),
+            pages: vec![Page::default(); pages as usize].into_boxed_slice(),
             erase_count: 0,
             valid_pages: 0,
             invalid_pages: 0,
@@ -93,7 +117,7 @@ impl Block {
     ///
     /// Panics if `page` is out of range.
     pub fn page_state(&self, page: u32) -> PageState {
-        self.pages[page as usize].state
+        self.pages[page as usize].state()
     }
 
     /// Spare-area contents of page `page`.
@@ -102,11 +126,7 @@ impl Block {
     ///
     /// Panics if `page` is out of range.
     pub fn spare(&self, page: u32) -> SpareArea {
-        let page = &self.pages[page as usize];
-        SpareArea {
-            raw_lba: page.raw_lba,
-            status: page.status,
-        }
+        self.pages[page as usize].spare()
     }
 
     pub(crate) fn data(&self, page: u32) -> u64 {
@@ -115,17 +135,19 @@ impl Block {
 
     pub(crate) fn program(&mut self, page: u32, data: u64, spare: SpareArea) {
         let page = &mut self.pages[page as usize];
-        debug_assert!(page.state.is_free());
-        page.data = data;
-        page.set_spare(spare);
-        page.state = PageState::Valid;
+        debug_assert!(page.state().is_free());
+        *page = Page {
+            data,
+            status: spare.status,
+            tag: TAG_VALID | lba_field(spare.raw_lba),
+        };
         self.valid_pages += 1;
     }
 
     pub(crate) fn invalidate(&mut self, page: u32) {
         let page = &mut self.pages[page as usize];
-        debug_assert!(page.state.is_valid());
-        page.state = PageState::Invalid;
+        debug_assert!(page.state().is_valid());
+        page.mark_invalid();
         self.valid_pages -= 1;
         self.invalid_pages += 1;
     }
@@ -135,8 +157,8 @@ impl Block {
     /// translation layers treat a half-programmed page at mount time.
     pub(crate) fn tear_program(&mut self, page: u32) {
         let page = &mut self.pages[page as usize];
-        debug_assert!(page.state.is_free());
-        page.state = PageState::Invalid;
+        debug_assert!(page.state().is_free());
+        page.mark_invalid();
         page.set_spare(SpareArea::default());
         self.invalid_pages += 1;
     }
@@ -146,8 +168,8 @@ impl Block {
     /// clean free state. All non-free pages collapse to invalid with default
     /// spares; the erase count does not advance (the cycle never completed).
     pub(crate) fn tear_erase(&mut self) {
-        for page in self.pages.iter_mut().filter(|p| !p.state.is_free()) {
-            page.state = PageState::Invalid;
+        for page in self.pages.iter_mut().filter(|p| !p.state().is_free()) {
+            page.mark_invalid();
             page.set_spare(SpareArea::default());
         }
         self.invalid_pages += self.valid_pages;
@@ -163,7 +185,7 @@ impl Block {
     }
 
     pub(crate) fn erase(&mut self) {
-        self.pages.fill(Page::erased());
+        self.pages.fill(Page::default());
         self.erase_count += 1;
         self.valid_pages = 0;
         self.invalid_pages = 0;
@@ -183,7 +205,7 @@ impl Block {
         self.pages
             .iter()
             .enumerate()
-            .map(|(i, p)| (i as u32, p.state))
+            .map(|(i, p)| (i as u32, p.state()))
     }
 }
 
@@ -192,10 +214,94 @@ mod tests {
     use super::*;
 
     /// The `peak_rss_mb` guard: a 4096 × 128 chip is half a million of these,
-    /// and three parallel vectors spent 25 bytes a page.
+    /// 8 MiB of records.
     #[test]
-    fn page_record_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Page>(), 24);
+    fn page_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Page>(), 16);
+    }
+
+    const ZERO: Page = Page {
+        data: 0,
+        status: 0,
+        tag: 0,
+    };
+
+    #[test]
+    fn erased_record_is_all_zero_bytes() {
+        assert_eq!(Page::default(), ZERO);
+        assert_eq!(ZERO.state(), PageState::Free);
+        assert_eq!(ZERO.spare(), SpareArea::default());
+
+        let mut b = Block::new(4);
+        assert!(b.pages.iter().all(|p| *p == ZERO));
+        b.program(0, 7, SpareArea::with_status(SpareArea::MAX_LBA, 3));
+        b.program(1, 8, SpareArea::metadata(9));
+        b.invalidate(0);
+        b.mark_bad();
+        b.erase();
+        assert!(b.pages.iter().all(|p| *p == ZERO));
+    }
+
+    #[test]
+    fn tag_keeps_state_and_lba_apart() {
+        let mut b = Block::new(2);
+        b.program(0, 1, SpareArea::valid(SpareArea::MAX_LBA));
+        b.program(1, 2, SpareArea::metadata(5));
+        b.invalidate(0);
+        assert!(b.page_state(0).is_invalid());
+        assert_eq!(b.spare(0), SpareArea::valid(SpareArea::MAX_LBA));
+        assert!(b.page_state(1).is_valid());
+        assert_eq!(b.spare(1), SpareArea::metadata(5));
+        assert_eq!((b.data(0), b.data(1)), (1, 2));
+    }
+
+    #[test]
+    fn bad_block_marker_keeps_state_and_is_overwritten_then_erased() {
+        // On a free page 0: the page stays free, and a program replaces the
+        // marker with its own spare.
+        let mut b = Block::new(2);
+        b.mark_bad();
+        assert!(b.spare(0).is_bad_block_marker());
+        assert!(b.page_state(0).is_free());
+        assert_eq!(b.free_pages(), 2);
+        b.program(0, 4, SpareArea::valid(6));
+        assert!(b.page_state(0).is_valid());
+        assert_eq!(b.spare(0), SpareArea::valid(6));
+        b.erase();
+        assert_eq!(b.spare(0), SpareArea::default());
+
+        // On a programmed page 0 (valid, then invalid): the state and the
+        // payload stay; an erase clears the marker.
+        b.program(0, 5, SpareArea::valid(3));
+        b.mark_bad();
+        assert!(b.spare(0).is_bad_block_marker());
+        assert!(b.page_state(0).is_valid());
+        assert_eq!(b.data(0), 5);
+        b.invalidate(0);
+        assert!(b.spare(0).is_bad_block_marker());
+        assert!(b.page_state(0).is_invalid());
+        b.erase();
+        assert!(b.page_state(0).is_free());
+        assert_eq!(b.spare(0), SpareArea::default());
+    }
+
+    #[test]
+    fn torn_ops_leave_the_default_spare_on_non_free_pages() {
+        let mut b = Block::new(4);
+        b.tear_program(0);
+        assert!(b.page_state(0).is_invalid());
+        assert_eq!(b.spare(0), SpareArea::default());
+
+        b.program(1, 1, SpareArea::valid(SpareArea::MAX_LBA));
+        b.program(2, 2, SpareArea::with_status(8, 4));
+        b.invalidate(2);
+        b.tear_erase();
+        for page in 0..3 {
+            assert!(b.page_state(page).is_invalid(), "page {page}");
+            assert_eq!(b.spare(page), SpareArea::default(), "page {page}");
+        }
+        assert!(b.page_state(3).is_free());
+        assert_eq!((b.valid_pages(), b.invalid_pages()), (0, 3));
     }
 
     #[test]

@@ -335,7 +335,10 @@ impl<S: Sink> NandDevice<S> {
     ///
     /// # Errors
     ///
-    /// Returns an address error for bad addresses and
+    /// Returns an address error for bad addresses,
+    /// [`NandError::SpareLbaOutOfRange`] if `spare` records an LBA above
+    /// [`SpareArea::MAX_LBA`] (the page is untouched, no time is charged and
+    /// no fault-plan operation is counted) and
     /// [`NandError::ProgramOnUsedPage`] if the page is not free. With a
     /// [`FaultPlan`] attached it can also fail with
     /// [`NandError::ProgramFailed`] (the page is consumed and the block
@@ -348,6 +351,12 @@ impl<S: Sink> NandDevice<S> {
     ) -> Result<(), NandError> {
         self.check_power()?;
         self.check_addr(addr)?;
+        if !SpareArea::lba_fits(spare.raw_lba) {
+            return Err(NandError::SpareLbaOutOfRange {
+                addr,
+                lba: spare.raw_lba,
+            });
+        }
         if !self.blocks[addr.block as usize]
             .page_state(addr.page)
             .is_free()
@@ -567,6 +576,31 @@ mod tests {
         d.program(addr, 2, SpareArea::valid(0)).unwrap();
         assert_eq!(d.read(addr).unwrap().data, 2);
         assert_eq!(d.block(0).erase_count(), 1);
+    }
+
+    #[test]
+    fn spare_lba_width_is_enforced_at_program() {
+        let mut d = tiny_device(10);
+        let max = SpareArea::MAX_LBA;
+        assert_eq!(max, (1 << 30) - 2);
+        let addr = PageAddr::new(0, 0);
+        d.program(addr, 1, SpareArea::valid(max)).unwrap();
+        assert_eq!(d.read(addr).unwrap().spare, SpareArea::valid(max));
+        let addr = PageAddr::new(0, 1);
+        d.program(addr, 2, SpareArea::metadata(7)).unwrap();
+        let spare = d.read(addr).unwrap().spare;
+        assert_eq!((spare.lba(), spare.status()), (None, 7));
+
+        let before = (d.counters(), d.busy_ns());
+        let addr = PageAddr::new(0, 2);
+        for lba in [max + 1, u64::MAX - 1] {
+            assert_eq!(
+                d.program(addr, 3, SpareArea::valid(lba)),
+                Err(NandError::SpareLbaOutOfRange { addr, lba })
+            );
+        }
+        assert!(d.block(0).page_state(2).is_free());
+        assert_eq!((d.counters(), d.busy_ns()), before);
     }
 
     #[test]

@@ -29,6 +29,15 @@ pub enum NandError {
         /// Offending address.
         addr: PageAddr,
     },
+    /// A program whose spare area records an LBA wider than the chip's
+    /// 30-bit spare field (above [`crate::SpareArea::MAX_LBA`]). Refused
+    /// before the page is touched or any time is charged.
+    SpareLbaOutOfRange {
+        /// Target address of the refused program.
+        addr: PageAddr,
+        /// The LBA that does not fit.
+        lba: u64,
+    },
     /// Attempt to read a page that has never been programmed since the last
     /// erase; real chips return all-`0xFF`, we surface it as an error so the
     /// translation layers catch mapping bugs immediately.
@@ -88,6 +97,10 @@ impl fmt::Display for NandError {
             NandError::ProgramOnUsedPage { addr } => {
                 write!(f, "program on non-free page {addr}")
             }
+            NandError::SpareLbaOutOfRange { addr, lba } => write!(
+                f,
+                "spare LBA {lba} at page {addr} exceeds the 30-bit spare field"
+            ),
             NandError::ReadOfFreePage { addr } => {
                 write!(f, "read of never-programmed page {addr}")
             }

@@ -16,7 +16,13 @@
 //!   therefore forced onto the layer above).
 //! - Each page carries a small **spare area** ([`SpareArea`]) in which the
 //!   translation layer stores the owning LBA and a status word, mirroring the
-//!   out-of-band region of real chips.
+//!   out-of-band region of real chips. As on a real 2 KiB-page chip the LBA
+//!   field has a fixed width, 30 bits: an LBA up to [`SpareArea::MAX_LBA`]
+//!   (2^30 − 2) is recorded, and [`NandDevice::program`] refuses a wider one
+//!   with [`NandError::SpareLbaOutOfRange`] before it touches the page.
+//! - A page costs 16 bytes of host RAM (payload token, status word, and one
+//!   word packing the page state with the spare LBA), so the paper's
+//!   4096 × 128 MLC×2 chip is 8 MiB of page records.
 //! - Every block counts its erases. When a block exceeds the endurance of its
 //!   [`CellKind`] (100 000 cycles for SLC, 10 000 for MLC×2), the device
 //!   records the **first failure** — the primary endurance metric of the

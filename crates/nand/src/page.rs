@@ -87,6 +87,14 @@ impl PageState {
 /// Real chips reserve 16–64 bytes per page for this; we model only the fields
 /// the translation layers need. `lba == u64::MAX` encodes "no LBA recorded"
 /// (e.g. metadata pages), exposed as `None` by [`SpareArea::lba`].
+///
+/// The chip stores the LBA in a 30-bit field, so a recorded LBA is at most
+/// [`SpareArea::MAX_LBA`] (2^30 − 2); [`NandDevice::program`] refuses a wider
+/// one with [`NandError::SpareLbaOutOfRange`]. The constructors accept any
+/// `u64`; the chip enforces the width.
+///
+/// [`NandDevice::program`]: crate::NandDevice::program
+/// [`NandError::SpareLbaOutOfRange`]: crate::NandError::SpareLbaOutOfRange
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpareArea {
     pub(crate) raw_lba: u64,
@@ -101,6 +109,16 @@ pub const STATUS_LIVE: u32 = 0;
 pub const STATUS_BAD_BLOCK: u32 = u32::MAX;
 
 impl SpareArea {
+    /// The largest LBA the chip's 30-bit spare field records (2^30 − 2:
+    /// the field holds the LBA + 1, and 0 means "no LBA").
+    pub const MAX_LBA: Lba = (1 << crate::block::LBA_BITS) - 2;
+
+    /// Whether the chip can store `raw_lba` — an LBA up to
+    /// [`MAX_LBA`](Self::MAX_LBA), or `u64::MAX` for none.
+    pub(crate) fn lba_fits(raw_lba: u64) -> bool {
+        raw_lba <= Self::MAX_LBA || raw_lba == u64::MAX
+    }
+
     /// Spare area recording that the page holds live data for `lba`.
     pub fn valid(lba: Lba) -> Self {
         Self {

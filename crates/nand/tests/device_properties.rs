@@ -6,17 +6,47 @@ use nand::{CellKind, Geometry, NandDevice, NandError, PageAddr, PageState, Spare
 
 #[derive(Debug, Clone)]
 enum DeviceOp {
-    Program { block: u32, page: u32, data: u64 },
-    Invalidate { block: u32, page: u32 },
-    Erase { block: u32 },
-    Read { block: u32, page: u32 },
+    Program {
+        block: u32,
+        page: u32,
+        data: u64,
+        lba: Option<u64>,
+    },
+    Invalidate {
+        block: u32,
+        page: u32,
+    },
+    Erase {
+        block: u32,
+    },
+    Read {
+        block: u32,
+        page: u32,
+    },
+}
+
+/// The spare LBA of a program, drawn apart from its data: mostly one the
+/// 30-bit spare field holds, some at its edge or anywhere in `u64` (those
+/// above `SpareArea::MAX_LBA` are refused; `u64::MAX` means none), some none.
+fn spare_lba() -> impl Strategy<Value = Option<u64>> {
+    let max = SpareArea::MAX_LBA;
+    prop_oneof![
+        6 => (0..max + 1).prop_map(Some),
+        1 => (max - 1..max + 3).prop_map(Some),
+        2 => any::<u64>().prop_map(Some),
+        1 => Just(None),
+    ]
+}
+
+fn spare_of(lba: Option<u64>) -> SpareArea {
+    lba.map_or(SpareArea::metadata(0), SpareArea::valid)
 }
 
 fn ops(blocks: u32, pages: u32, len: usize) -> impl Strategy<Value = Vec<DeviceOp>> {
     prop::collection::vec(
         prop_oneof![
-            3 => (0..blocks, 0..pages, any::<u64>())
-                .prop_map(|(block, page, data)| DeviceOp::Program { block, page, data }),
+            3 => (0..blocks, 0..pages, any::<u64>(), spare_lba())
+                .prop_map(|(block, page, data, lba)| DeviceOp::Program { block, page, data, lba }),
             2 => (0..blocks, 0..pages)
                 .prop_map(|(block, page)| DeviceOp::Invalidate { block, page }),
             1 => (0..blocks).prop_map(|block| DeviceOp::Erase { block }),
@@ -28,26 +58,45 @@ fn ops(blocks: u32, pages: u32, len: usize) -> impl Strategy<Value = Vec<DeviceO
 
 proptest! {
     /// The device agrees with a naive shadow state machine on every
-    /// operation outcome, and per-block valid/invalid counters always match
-    /// a recount.
+    /// operation outcome (a program whose spare LBA does not fit the 30-bit
+    /// field is refused, leaving the page as it was, counting no program and
+    /// charging no time), reads return the programmed data and spare, and
+    /// per-block valid/invalid counters always match a recount.
     #[test]
     fn device_matches_shadow_state_machine(ops in ops(6, 4, 400)) {
         let geometry = Geometry::new(6, 4, 512);
-        let mut device = NandDevice::new(geometry, CellKind::Slc.spec());
-        let mut shadow = vec![vec![(PageState::Free, 0u64); 4]; 6];
+        let spec = CellKind::Slc.spec();
+        let mut device = NandDevice::new(geometry, spec);
+        let blank = (PageState::Free, 0u64, SpareArea::default());
+        let mut shadow = vec![vec![blank; 4]; 6];
         let mut shadow_erases = [0u64; 6];
+        let (mut programs, mut reads) = (0u64, 0u64);
 
         for op in ops {
             match op {
-                DeviceOp::Program { block, page, data } => {
+                DeviceOp::Program { block, page, data, lba } => {
                     let addr = PageAddr::new(block, page);
-                    let result = device.program(addr, data, SpareArea::valid(data));
+                    let spare = spare_of(lba);
+                    let before = (device.counters(), device.busy_ns());
+                    let result = device.program(addr, data, spare);
                     let cell = &mut shadow[block as usize][page as usize];
-                    if cell.0 == PageState::Free {
-                        prop_assert!(result.is_ok());
-                        *cell = (PageState::Valid, data);
-                    } else {
-                        prop_assert_eq!(result, Err(NandError::ProgramOnUsedPage { addr }));
+                    match lba {
+                        Some(lba) if lba > SpareArea::MAX_LBA && lba != u64::MAX => {
+                            prop_assert_eq!(
+                                result,
+                                Err(NandError::SpareLbaOutOfRange { addr, lba })
+                            );
+                            prop_assert_eq!(device.block(block).page_state(page), cell.0);
+                            prop_assert_eq!((device.counters(), device.busy_ns()), before);
+                        }
+                        _ if cell.0 == PageState::Free => {
+                            prop_assert!(result.is_ok());
+                            *cell = (PageState::Valid, data, spare);
+                            programs += 1;
+                        }
+                        _ => {
+                            prop_assert_eq!(result, Err(NandError::ProgramOnUsedPage { addr }));
+                        }
                     }
                 }
                 DeviceOp::Invalidate { block, page } => {
@@ -64,7 +113,7 @@ proptest! {
                 DeviceOp::Erase { block } => {
                     prop_assert!(device.erase(block).is_ok());
                     for cell in &mut shadow[block as usize] {
-                        *cell = (PageState::Free, 0);
+                        *cell = blank;
                     }
                     shadow_erases[block as usize] += 1;
                 }
@@ -75,7 +124,9 @@ proptest! {
                     if cell.0 == PageState::Free {
                         prop_assert_eq!(result, Err(NandError::ReadOfFreePage { addr }));
                     } else {
-                        prop_assert_eq!(result.unwrap().data, cell.1);
+                        let read = result.unwrap();
+                        prop_assert_eq!((read.data, read.spare), (cell.1, cell.2));
+                        reads += 1;
                     }
                 }
             }
@@ -85,18 +136,24 @@ proptest! {
             let blk = device.block(b);
             let valid = shadow[b as usize]
                 .iter()
-                .filter(|(s, _)| *s == PageState::Valid)
+                .filter(|(s, _, _)| *s == PageState::Valid)
                 .count() as u32;
             let invalid = shadow[b as usize]
                 .iter()
-                .filter(|(s, _)| *s == PageState::Invalid)
+                .filter(|(s, _, _)| *s == PageState::Invalid)
                 .count() as u32;
             prop_assert_eq!(blk.valid_pages(), valid);
             prop_assert_eq!(blk.invalid_pages(), invalid);
             prop_assert_eq!(blk.erase_count(), shadow_erases[b as usize]);
         }
-        let total: u64 = shadow_erases.iter().sum();
-        prop_assert_eq!(device.counters().erases, total);
+        let erases: u64 = shadow_erases.iter().sum();
+        let counters = device.counters();
+        prop_assert_eq!((counters.programs, counters.reads, counters.erases), (programs, reads, erases));
+        let t = spec.timing;
+        prop_assert_eq!(
+            device.busy_ns(),
+            programs * t.program_ns + reads * t.read_ns + erases * t.erase_ns
+        );
     }
 
     /// The first-failure record points at the first block to reach the
